@@ -46,7 +46,7 @@ from .harness import (
     run_grid,
     write_calibration_csv,
 )
-from .numeric import PURPOSE_CALIBRATION, PURPOSE_PS_HIST, substream
+from .numeric import MAX_REPLICATES, PURPOSE_CALIBRATION, PURPOSE_PS_HIST, substream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,8 +98,8 @@ def _validate_run_config(cfg: RunConfig) -> RunConfig:
         bad_methods = set(cfg.methods) - set(METHODS)
         if not cfg.methods or bad_methods:
             raise ConfigError(f"methods must be a non-empty subset of {list(METHODS)}")
-    if cfg.n_reps < 2:
-        raise ConfigError("n_reps must be at least 2")
+    if not 2 <= cfg.n_reps <= MAX_REPLICATES:
+        raise ConfigError(f"n_reps must lie in [2, {MAX_REPLICATES}]")
     if cfg.parallelism < 1:
         raise ConfigError("parallelism must be at least 1")
     for name in ("master_seed", "oracle_seed"):

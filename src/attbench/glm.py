@@ -1,8 +1,9 @@
 """Ordinary least squares and logistic regression on dense designs.
 
-Both fitters solve their normal equations through the explicit Cholesky
-path in :mod:`attbench.numeric`, so rank deficiency surfaces as
-:class:`RankDeficientError` rather than a silently pseudo-inverted fit.
+Both fitters solve their normal equations with the LAPACK Cholesky
+factor and solve (``dpotrf``/``dpotrs``) in :mod:`attbench.numeric`,
+whose pivot floor turns rank deficiency into :class:`RankDeficientError`
+rather than a silently pseudo-inverted fit.
 The logistic fitter is plain IRLS with a hard separation guard: runaway
 coefficients mark the fit non-converged and the fitted probabilities are
 clamped away from 0 and 1 so downstream weighting stays finite.
@@ -17,7 +18,7 @@ from scipy import stats
 from scipy.special import expit
 
 from .errors import NonSpdError, OneClassError, RankDeficientError, ZeroSeError
-from .numeric import SpdMatrix, cholesky_factor, solve_from_factor
+from .numeric import cholesky_factor, solve_from_factor
 
 IRLS_SCORE_TOL = 1e-6
 IRLS_MAX_ITER = 50
@@ -44,7 +45,6 @@ class LogisticFit:
     fitted_probabilities: np.ndarray = field(repr=False)
     converged: bool
     separated: bool
-    n_iterations: int
 
 
 def _normal_equations_factor(design: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -54,7 +54,7 @@ def _normal_equations_factor(design: np.ndarray, weights: np.ndarray | None = No
         gram = design.T @ (design * weights[:, None])
     gram = (gram + gram.T) / 2.0
     try:
-        return cholesky_factor(SpdMatrix(design.shape[1], gram))
+        return cholesky_factor(gram)
     except NonSpdError as exc:
         raise RankDeficientError(str(exc)) from exc
 
@@ -147,8 +147,7 @@ def fit_logistic(design: np.ndarray, y: np.ndarray, max_iter: int = IRLS_MAX_ITE
     beta = np.zeros(p)
     converged = False
     separated = False
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
+    for _ in range(max_iter):
         probs = expit(design @ beta)
         score = design.T @ (y - probs)
         if np.max(np.abs(score)) <= IRLS_SCORE_TOL:
@@ -169,7 +168,7 @@ def fit_logistic(design: np.ndarray, y: np.ndarray, max_iter: int = IRLS_MAX_ITE
     fitted = expit(design @ beta)
     if separated:
         fitted = np.clip(fitted, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return LogisticFit(beta, fitted, converged, separated, iteration)
+    return LogisticFit(beta, fitted, converged, separated)
 
 
 def predict_logistic(fit: LogisticFit, design: np.ndarray) -> np.ndarray:

@@ -137,7 +137,7 @@ def mdm_match(x: np.ndarray, z: np.ndarray, ps: PsVector) -> MatchSet:
     if z.shape[0] != x.shape[0] or z.shape != ps.values.shape:
         raise ValueError("x, z, and ps must agree in length")
     cov = sample_covariance(x)
-    lower = cholesky_factor(cov)
+    lower = cholesky_factor(cov.entries)
     white = solve_triangular(lower, x.T, lower=True, check_finite=False).T
 
     logit_ps = _logit(ps.values)
@@ -174,7 +174,6 @@ class CemStrata:
     """
 
     n_bins: int
-    bin_edges: np.ndarray = field(repr=False)
     signatures: np.ndarray = field(repr=False)
     retained: np.ndarray = field(repr=False)
 
@@ -197,7 +196,6 @@ def cem_match(x: np.ndarray, z: np.ndarray, n_bins: int) -> CemStrata:
     hi = x.max(axis=0)
     if np.any(hi == lo):
         raise ValueError("every covariate must be non-constant")
-    edges = np.linspace(lo, hi, n_bins + 1, axis=1)
     signatures = np.floor((x - lo) / (hi - lo) * n_bins).astype(np.int64)
     signatures = np.minimum(signatures, n_bins - 1)
 
@@ -209,7 +207,7 @@ def cem_match(x: np.ndarray, z: np.ndarray, n_bins: int) -> CemStrata:
         zs = z[members]
         if zs.min() == 0 and zs.max() == 1:
             retained[members] = True
-    return CemStrata(n_bins, edges, signatures, retained)
+    return CemStrata(n_bins, signatures, retained)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ A stream is identified by ``(master_seed, stream_id)`` alone, so any unit
 of work that derives its id from stable coordinates reproduces bit-for-bit
 regardless of scheduling or worker count.
 
-The linear-algebra helpers are deliberately small: an explicit Cholesky
-factorization with a hard positive-pivot check, triangular solves, and a
-two-pass covariance.  Estimators depend on these instead of calling into
-general-purpose decompositions so that failure modes (non-SPD systems,
+The linear-algebra helpers are deliberately small: LAPACK's Cholesky
+factorization and solve (``dpotrf``/``dpotrs``) behind a hard pivot floor,
+and a two-pass covariance.  Estimators depend on these instead of calling
+into general-purpose decompositions so that failure modes (non-SPD systems,
 zero-variance covariates) surface as typed errors rather than warnings.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DegenerateCovarianceError, NonSpdError
 
@@ -28,6 +28,9 @@ from .errors import DegenerateCovarianceError, NonSpdError
 CHOLESKY_PIVOT_TOL = 1e-12
 
 _MAX_UINT64 = 2**64
+
+# Replicates per cell: ``pack_stream_id`` gives the replicate 16 bits.
+MAX_REPLICATES = 2**16
 
 # Substream purpose codes.  Packed into the low bits of a stream id so a
 # replicate's dataset draw, PS ensemble folds, and outcome ensemble folds
@@ -88,7 +91,7 @@ def pack_stream_id(cell_code: int, replicate: int, attempt: int, purpose: int) -
         raise ValueError(f"purpose out of range: {purpose}")
     if not 0 <= attempt < 256:
         raise ValueError(f"attempt out of range: {attempt}")
-    if not 0 <= replicate < 65536:
+    if not 0 <= replicate < MAX_REPLICATES:
         raise ValueError(f"replicate out of range: {replicate}")
     if cell_code < 0:
         raise ValueError(f"cell_code must be non-negative: {cell_code}")
@@ -148,23 +151,20 @@ class SpdMatrix:
         object.__setattr__(self, "entries", entries)
 
 
-def cholesky_factor(matrix: SpdMatrix) -> np.ndarray:
-    """Lower-triangular Cholesky factor of an SPD matrix.
+def cholesky_factor(a: np.ndarray) -> np.ndarray:
+    """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
 
-    Column-by-column outer-product form.  A pivot at or below
-    ``CHOLESKY_PIVOT_TOL`` raises :class:`NonSpdError` instead of
+    Only the lower triangle of ``a`` is read.  A failed factorization, or
+    a pivot (squared diagonal entry of the factor) at or below
+    ``CHOLESKY_PIVOT_TOL``, raises :class:`NonSpdError` instead of
     producing a factor contaminated by a near-zero sqrt.
     """
-    a = matrix.entries
-    n = matrix.dimension
-    lower = np.zeros((n, n), dtype=np.float64)
-    for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= CHOLESKY_PIVOT_TOL:
-            raise NonSpdError(f"pivot {pivot:.3e} at column {j}")
-        lower[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
+    lower, info = dpotrf(a, lower=1, clean=1)
+    if info != 0:
+        raise NonSpdError(f"leading minor of order {info} is not positive definite")
+    pivot = float(lower.diagonal().min()) ** 2
+    if pivot <= CHOLESKY_PIVOT_TOL:
+        raise NonSpdError(f"pivot {pivot:.3e} at or below {CHOLESKY_PIVOT_TOL:.0e}")
     return lower
 
 
@@ -173,14 +173,15 @@ def cholesky_solve(matrix: SpdMatrix, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape[0] != matrix.dimension:
         raise ValueError(f"rhs length {rhs.shape[0]} != dimension {matrix.dimension}")
-    lower = cholesky_factor(matrix)
-    return solve_from_factor(lower, rhs)
+    return solve_from_factor(cholesky_factor(matrix.entries), rhs)
 
 
 def solve_from_factor(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve using a precomputed lower Cholesky factor."""
-    y = solve_triangular(lower, rhs, lower=True, check_finite=False)
-    return solve_triangular(lower.T, y, lower=False, check_finite=False)
+    """Solve ``A x = rhs`` for a vector or matrix ``rhs``, given ``A``'s lower Cholesky factor."""
+    solution, info = dpotrs(lower, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrs rejected argument {-info}")
+    return solution
 
 
 def sample_covariance(x: np.ndarray) -> SpdMatrix:

@@ -70,21 +70,20 @@ def _learner_design(kind: str, x: np.ndarray) -> np.ndarray:
     return np.hstack([intercept, expand_degree2(x)])
 
 
-def _dedupe_columns(design: np.ndarray) -> np.ndarray:
-    """Indices of the first occurrence of each distinct column.
+def _distinct_columns(design: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct column, in order.
 
     The degree-2 expansion of a binary column reproduces the column
     itself (z**2 == z exactly in floats), which would make the normal
     equations singular.  Dropping exact duplicates keeps the fit
-    well-posed without changing the fitted subspace.
+    well-posed without changing the fitted subspace.  Equal columns have
+    equal sums, so only columns whose sums match are compared in full.
     """
-    n, p = design.shape
+    sums = design.sum(axis=0).tolist()
     keep: list[int] = []
-    for j in range(p):
-        col = design[:, j]
-        if any(np.array_equal(col, design[:, k]) for k in keep):
-            continue
-        keep.append(j)
+    for j, total in enumerate(sums):
+        if not any(sums[k] == total and np.array_equal(design[:, j], design[:, k]) for k in keep):
+            keep.append(j)
     return np.asarray(keep, dtype=np.intp)
 
 
@@ -99,17 +98,6 @@ class FittedLearner:
         if self.spec.family == "gaussian":
             return predict_ols(self.fit, design)
         return predict_logistic(self.fit, design)
-
-
-def _fit_learner(spec: LearnerSpec, x: np.ndarray, y: np.ndarray) -> FittedLearner:
-    design = _learner_design(spec.kind, x)
-    kept = _dedupe_columns(design)
-    design = design[:, kept]
-    if spec.family == "gaussian":
-        fit = fit_ols(design, y)
-    else:
-        fit = fit_logistic(design, y)
-    return FittedLearner(spec, kept, fit)
 
 
 @dataclass(frozen=True)
@@ -243,18 +231,28 @@ def fit_superlearner(
         if not _folds_trainable(y, folds, k_folds, family):
             raise OneClassError("a training fold is single-class after refold")
 
+    # Designs and their distinct columns are found once, on the full sample;
+    # folds and the refit take row slices.  The one duplicate the expansion
+    # makes (z**2 == z for a binary z) repeats in every row subset.
     library = default_library(family)
+    full = [_learner_design(spec.kind, x) for spec in library]
+    kept = [_distinct_columns(design) for design in full]
+    designs = [design[:, columns] for design, columns in zip(full, kept)]
+    gaussian = family == "gaussian"
+    fit_glm, predict_glm = (fit_ols, predict_ols) if gaussian else (fit_logistic, predict_logistic)
+
     level_one = np.empty((n, len(library)))
     for f in range(k_folds):
         holdout = folds == f
-        x_train, y_train = x[~holdout], y[~holdout]
-        for k, spec in enumerate(library):
-            learner = _fit_learner(spec, x_train, y_train)
-            level_one[holdout, k] = learner.predict(x[holdout])
+        y_train = y[~holdout]
+        for k, design in enumerate(designs):
+            level_one[holdout, k] = predict_glm(fit_glm(design[~holdout], y_train), design[holdout])
 
     cv_risks = np.mean((level_one - y[:, None]) ** 2, axis=0)
     weights, cv_objective = simplex_weights(level_one, y)
-    learners = tuple(_fit_learner(spec, x, y) for spec in library)
+    learners = tuple(
+        FittedLearner(spec, columns, fit_glm(design, y)) for spec, columns, design in zip(library, kept, designs)
+    )
     return EnsembleFit(learners, weights, cv_risks, cv_objective, family, x.shape[1], folds)
 
 

@@ -1,10 +1,10 @@
 """Deliberately slow, loop-based re-implementations used as oracles.
 
-These mirror the documented matching rules with explicit Python loops and
-no shared code with the package internals (beyond the caliper arithmetic,
-which is kept bit-identical on purpose so eligibility never flips on a
-final-ulp boundary).  Unit and acceptance tests compare the fast
-implementations against these on small instances.
+These mirror the documented matching and stacking rules with explicit
+Python loops and no shared code with the package internals (beyond the
+caliper arithmetic, which is kept bit-identical on purpose so eligibility
+never flips on a final-ulp boundary).  Unit and acceptance tests compare
+the fast implementations against these on small instances.
 """
 
 from __future__ import annotations
@@ -89,3 +89,48 @@ def naive_mdm(x, z, ps_values):
         pairs.append((t, (chosen,)))
         used.add(chosen)
     return pairs, discarded
+
+
+def naive_gaussian_library(x, y, folds, binary_column: int):
+    """Out-of-fold risks and full-sample fits of the gaussian learner library.
+
+    Each learner's design is written out row by row: the intercept alone;
+    the intercept and the columns of ``x``; and those plus every square and
+    pairwise product, except the square of ``binary_column``, which equals
+    that column.  Every fit is a plain ``np.linalg.lstsq``, once per
+    training fold and once on the full sample.
+
+    Returns ``(cv_risks, predictions)``: each learner's out-of-fold mean
+    squared error, and an array of shape ``(3, n)`` holding each learner's
+    full-sample fitted values.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, d = x.shape
+
+    def design(kind):
+        rows = []
+        for i in range(n):
+            row = [1.0]
+            if kind != "mean_only":
+                row += [x[i, j] for j in range(d)]
+            if kind == "glm_degree2":
+                row += [x[i, j] ** 2 for j in range(d) if j != binary_column]
+                row += [x[i, j] * x[i, k] for j in range(d) for k in range(j + 1, d)]
+            rows.append(row)
+        return np.array(rows)
+
+    risks = []
+    predictions = []
+    for kind in ("mean_only", "glm_main_effects", "glm_degree2"):
+        m = design(kind)
+        squared_error = 0.0
+        for f in sorted(set(int(v) for v in folds)):
+            train = [i for i in range(n) if folds[i] != f]
+            beta = np.linalg.lstsq(m[train], y[train], rcond=None)[0]
+            for i in range(n):
+                if folds[i] == f:
+                    squared_error += (float(m[i] @ beta) - y[i]) ** 2
+        risks.append(squared_error / n)
+        predictions.append(m @ np.linalg.lstsq(m, y, rcond=None)[0])
+    return np.array(risks), np.array(predictions)

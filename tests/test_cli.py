@@ -83,6 +83,7 @@ class TestConfigLayering:
             ("--parallelism", "0"),
             ("--master-seed", "-1"),
             ("--truth-n", "10"),
+            ("--n-reps", "65537"),
         ],
     )
     def test_invalid_values_rejected(self, flags):

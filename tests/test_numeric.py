@@ -116,7 +116,7 @@ class TestCholesky:
         for _ in range(20):
             d = int(np_rng.integers(1, 8))
             mat = _random_spd(np_rng, d)
-            lower = cholesky_factor(mat)
+            lower = cholesky_factor(mat.entries)
             np.testing.assert_allclose(lower @ lower.T, mat.entries, atol=1e-10)
             assert np.allclose(lower, np.tril(lower))
 
@@ -130,11 +130,11 @@ class TestCholesky:
 
     def test_indefinite_matrix_raises(self):
         with pytest.raises(NonSpdError):
-            cholesky_factor(SpdMatrix(2, np.array([[1.0, 2.0], [2.0, 1.0]])))
+            cholesky_factor(SpdMatrix(2, np.array([[1.0, 2.0], [2.0, 1.0]])).entries)
 
     def test_tiny_pivot_raises(self):
         with pytest.raises(NonSpdError):
-            cholesky_factor(SpdMatrix(1, np.array([[1e-13]])))
+            cholesky_factor(SpdMatrix(1, np.array([[1e-13]])).entries)
 
     def test_spd_matrix_requires_exact_symmetry(self):
         skew = np.array([[1.0, 1e-14], [0.0, 1.0]])

@@ -15,6 +15,8 @@ from attbench.superlearner import (
     simplex_weights,
 )
 
+from naive_oracles import naive_gaussian_library
+
 
 class TestDegree2Expansion:
     def test_feature_count(self, np_rng):
@@ -113,6 +115,19 @@ class TestFitSuperlearner:
         fit = fit_superlearner(x, y, "gaussian", rng=RngStream(1))
         preds = fit.learners[0].predict(x)
         np.testing.assert_allclose(preds, np.full(60, y.mean()), atol=1e-10)
+
+    def test_binary_feature_matches_lstsq_oracle(self, np_rng):
+        # The outcome ensemble's features end in the binary treatment z,
+        # whose square equals z: the degree-2 learner must drop that column.
+        x = np_rng.standard_normal((90, 3))
+        z = (np_rng.random(90) < 0.4).astype(float)
+        y = x[:, 0] + 0.5 * x[:, 1] ** 2 + z + np_rng.standard_normal(90)
+        features = np.column_stack([x, z])
+        fit = fit_superlearner(features, y, "gaussian", rng=RngStream(5))
+        risks, predictions = naive_gaussian_library(features, y, fit.fold_assignment, binary_column=3)
+        np.testing.assert_allclose(fit.cv_risks, risks, rtol=0, atol=1e-9)
+        for learner, expected in zip(fit.learners, predictions):
+            np.testing.assert_allclose(learner.predict(features), expected, rtol=0, atol=1e-9)
 
     def test_deterministic_given_stream(self, np_rng):
         x = np_rng.standard_normal((80, 3))
