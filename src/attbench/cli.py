@@ -9,9 +9,10 @@ cells.
 Configuration is declarative: ``run`` reads an optional JSON config file
 and any command line flag overrides the corresponding config key.  The
 default output directory comes from ``ATTBENCH_OUTPUT_DIR`` when set.
-Exit codes: 0 on success, 2 for configuration problems, 3 when a run
-finished only partially (completed cells are on disk and a rerun will
-resume).
+Exit codes: 0 on success, 2 for configuration problems (a store built
+under other parameters, or records that fail their digest, included), 3
+when a run finished only partially (completed cells are on disk and a
+rerun will resume).
 """
 
 from __future__ import annotations
@@ -24,29 +25,32 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
-from scipy.special import expit
 
 from .dgp import (
     PREVALENCE_LABELS,
     SCENARIOS,
     SETTING_IDS,
     CellConfig,
-    calibrate_intercept,
+    draw_true_propensity,
     prevalence_label_for,
-    treatment_logit_terms,
-    _draw_treatment_covariates,
 )
-from .errors import EstimationError, PartialGridError
+from .errors import EstimationError, PartialGridError, StoreMismatchError
 from .harness import (
     METHODS,
+    METRIC_COLUMNS,
     aggregate_cell,
+    oracle_intercepts,
+    oracle_stream,
     read_records_csv,
+    records_intact,
     run_grid,
     write_calibration_csv,
 )
-from .numeric import MAX_REPLICATES, PURPOSE_CALIBRATION, PURPOSE_PS_HIST, substream
+from .numeric import MAX_REPLICATES, PURPOSE_PS_HIST
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,7 +70,7 @@ class RunConfig:
 
     scenarios: tuple[int, ...] = (1, 2, 3)
     settings: tuple[int, ...] = (1, 2, 3)
-    prevalences: tuple[str, ...] = PREVALENCE_LABELS
+    prevalences: tuple[str | float, ...] = PREVALENCE_LABELS
     arms: tuple[str, ...] = ARMS
     methods: tuple[str, ...] | None = None
     n_reps: int = 200
@@ -76,6 +80,26 @@ class RunConfig:
     truth_n: int = 10**7
     parallelism: int = 1
     output_dir: str = DEFAULT_OUTPUT_DIR
+
+
+def _fits_type(value, hint) -> bool:
+    """Whether a value loaded from JSON fits a ``RunConfig`` field type:
+    tuples come from JSON arrays, and integers exclude bools."""
+    if get_origin(hint) is UnionType:
+        return any(_fits_type(value, h) for h in get_args(hint))
+    if get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_fits_type(v, get_args(hint)[0]) for v in value)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+def _validate_oracle_args(seeds: dict[str, int], sizes: dict[str, int]) -> None:
+    for name, seed in seeds.items():
+        if not 0 <= seed < 2**32:
+            raise ConfigError(f"{name} must lie in [0, 2**32)")
+    if min(sizes.values()) < 1000:
+        raise ConfigError("oracle sample sizes below 1000 are meaningless")
 
 
 def _validate_run_config(cfg: RunConfig) -> RunConfig:
@@ -102,11 +126,10 @@ def _validate_run_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"n_reps must lie in [2, {MAX_REPLICATES}]")
     if cfg.parallelism < 1:
         raise ConfigError("parallelism must be at least 1")
-    for name in ("master_seed", "oracle_seed"):
-        if not 0 <= getattr(cfg, name) < 2**32:
-            raise ConfigError(f"{name} must lie in [0, 2**32)")
-    if cfg.calibration_n < 1000 or cfg.truth_n < 1000:
-        raise ConfigError("oracle sample sizes below 1000 are meaningless")
+    _validate_oracle_args(
+        {"master_seed": cfg.master_seed, "oracle_seed": cfg.oracle_seed},
+        {"calibration_n": cfg.calibration_n, "truth_n": cfg.truth_n},
+    )
     cfg.prevalences = prevalences
     return cfg
 
@@ -129,10 +152,12 @@ def _config_from_sources(args: argparse.Namespace) -> RunConfig:
         unknown = set(loaded) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        hints = get_type_hints(RunConfig)
         for key, value in loaded.items():
-            if isinstance(value, list):
-                value = tuple(value)
-            setattr(cfg, key, value)
+            if not _fits_type(value, hints[key]):
+                wanted = RunConfig.__annotations__[key]
+                raise ConfigError(f"config key {key!r} must be {wanted}, got {json.dumps(value)}")
+            setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
     # Flags win over the config file.
     for name in known:
         flag_value = getattr(args, name, None)
@@ -189,6 +214,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except PartialGridError as exc:
         _log(f"run incomplete: {exc}")
         return EXIT_PARTIAL
+    except StoreMismatchError as exc:
+        _log(f"error: {exc}; use a fresh --output-dir or the store's parameters")
+        return EXIT_CONFIG
     except EstimationError as exc:
         _log(f"run failed: {exc}")
         return EXIT_CONFIG
@@ -204,20 +232,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         labels = tuple(prevalence_label_for(p) for p in (args.prevalences or PREVALENCE_LABELS))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _validate_oracle_args({"oracle_seed": args.oracle_seed}, {"oracle_n": args.oracle_n})
     outdir = Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV, DEFAULT_OUTPUT_DIR))
     outdir.mkdir(parents=True, exist_ok=True)
 
-    intercepts: dict[tuple[int, str], float] = {}
-    for scenario in scenarios:
-        for label in labels:
-            prev_index = PREVALENCE_LABELS.index(label)
-            rng = substream(
-                args.oracle_seed, cell_code=scenario, replicate=prev_index, purpose=PURPOSE_CALIBRATION
-            )
-            value = 1.0 / 3.0 if label == "0.33" else float(label)
-            intercepts[(scenario, label)] = calibrate_intercept(
-                SCENARIOS[scenario], value, rng, oracle_n=args.oracle_n
-            )
+    intercepts = oracle_intercepts(
+        [(scenario, label) for scenario in scenarios for label in labels], args.oracle_seed, args.oracle_n
+    )
     path = outdir / "calibration.csv"
     write_calibration_csv(path, args.oracle_seed, args.oracle_n, intercepts)
     print(f"{'scenario':>8} {'prevalence':>10} {'alpha0':>12}")
@@ -236,18 +257,11 @@ def cmd_ps_hist(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
     if args.bins < 2 or args.n < 100:
         raise ConfigError("need at least 2 bins and 100 draws")
-    spec = SCENARIOS[args.scenario]
-    prev_index = PREVALENCE_LABELS.index(label)
-    value = 1.0 / 3.0 if label == "0.33" else float(label)
-    cal_rng = substream(
-        args.oracle_seed, cell_code=args.scenario, replicate=prev_index, purpose=PURPOSE_CALIBRATION
-    )
-    alpha0 = calibrate_intercept(spec, value, cal_rng, oracle_n=args.oracle_n)
-    draw_rng = substream(
-        args.oracle_seed, cell_code=args.scenario, replicate=prev_index, purpose=PURPOSE_PS_HIST
-    )
-    x1, x2, x4 = _draw_treatment_covariates(spec, args.n, draw_rng)
-    scores = expit(alpha0 + treatment_logit_terms(spec, x1, x2, x4))
+    _validate_oracle_args({"oracle_seed": args.oracle_seed}, {"oracle_n": args.oracle_n})
+    pair = (args.scenario, label)
+    alpha0 = oracle_intercepts([pair], args.oracle_seed, args.oracle_n)[pair]
+    draw_rng = oracle_stream(args.oracle_seed, args.scenario, label, PURPOSE_PS_HIST)
+    _, scores = draw_true_propensity(SCENARIOS[args.scenario], alpha0, args.n, draw_rng)
     edges = np.linspace(0.0, 1.0, args.bins + 1)
     counts, _ = np.histogram(scores, bins=edges)
 
@@ -283,7 +297,10 @@ def _report_rows(store: Path) -> list[dict]:
     for name, entry in cells.items():
         key = (entry["scenario"], entry["setting"], entry["prevalence"])
         arm = "null" if entry["null_effect"] else "effect"
-        records = read_records_csv(store / "cells" / f"{name}_records.csv")
+        records_path = store / "cells" / f"{name}_records.csv"
+        if not records_intact(records_path, entry):
+            raise ConfigError(f"records of cell {name} are missing or fail their digest; rerun `attbench run`")
+        records = read_records_csv(records_path)
         metrics = aggregate_cell(records, entry["truth"], entry["n_reps"])
         groups.setdefault(key, {})[arm] = {m.method: m for m in metrics}
 
@@ -318,19 +335,7 @@ def _report_rows(store: Path) -> list[dict]:
 def cmd_report(args: argparse.Namespace) -> int:
     store = Path(args.store or os.environ.get(OUTPUT_DIR_ENV, DEFAULT_OUTPUT_DIR))
     rows = _report_rows(store)
-    columns = (
-        "scenario",
-        "setting",
-        "prevalence",
-        "method",
-        "n_valid",
-        "bias",
-        "empirical_sd",
-        "avg_theoretical_sd",
-        "mse",
-        "type1_rate",
-        "failure_rate",
-    )
+    columns = ("scenario", "setting", "prevalence") + METRIC_COLUMNS
     path = store / "report.csv"
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")

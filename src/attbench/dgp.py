@@ -212,6 +212,14 @@ def _draw_treatment_covariates(spec: ScenarioSpec, n: int, rng: RngStream) -> tu
     return draws[:, 0], draws[:, 1], None
 
 
+def draw_true_propensity(
+    spec: ScenarioSpec, alpha0: float, n: int, rng: RngStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` draws of x1 and of the true treatment probability at ``alpha0``."""
+    x1, x2, x4 = _draw_treatment_covariates(spec, n, rng)
+    return x1, expit(alpha0 + treatment_logit_terms(spec, x1, x2, x4))
+
+
 def calibrate_intercept(
     spec: ScenarioSpec,
     prevalence: float,
@@ -324,8 +332,7 @@ def true_att(
     remaining = oracle_n
     while remaining > 0:
         chunk = min(_ORACLE_CHUNK, remaining)
-        x1, x2, x4 = _draw_treatment_covariates(spec, chunk, rng)
-        w = expit(alpha0 + treatment_logit_terms(spec, x1, x2, x4))
+        x1, w = draw_true_propensity(spec, alpha0, chunk, rng)
         s_w += float(w.sum())
         s_wx += float((w * x1).sum())
         w2 = w * w

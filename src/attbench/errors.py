@@ -73,3 +73,13 @@ class PartialGridError(EstimationError):
     def __init__(self, failed_cells: dict):
         super().__init__(f"{len(failed_cells)} cells failed: {sorted(failed_cells)}")
         self.failed_cells = failed_cells
+
+
+
+class StoreMismatchError(ValueError):
+    """An existing result store was built under other run parameters; no rerun can mend it."""
+
+    def __init__(self, differing: dict):
+        names = ", ".join(key.replace("_", " ") for key in differing)
+        values = "; ".join(f"{key} {old!r} in the store, {new!r} now" for key, (old, new) in differing.items())
+        super().__init__(f"existing store was built with a different {names} ({values})")

@@ -1,40 +1,45 @@
 """Replicate execution, cell aggregation, and the on-disk result store.
 
-One replicate draws a cohort and runs every requested estimator on it.
-Estimators share expensive intermediates (the logistic propensity fit,
-the stacked propensity and outcome fits) through a memo that also caches
-failures, so two methods consuming the same broken input report the same
-failure.  A failed method still emits a record, flagged
-``failed:<ErrorType>``, never a silent gap.
+One replicate draws a cohort and runs every requested estimator on it,
+each a function of the replicate in one method table.  Estimators share
+expensive intermediates (the logistic propensity fit, the stacked
+propensity and outcome fits) through a memo that also caches failures, so
+two methods consuming the same broken input report the same failure.  A
+failed method still emits a record, flagged ``failed:<ErrorType>``, never
+a silent gap.
 
 Cells are independent given the master seed, so the grid parallelizes
 over cells with each worker deriving its streams from stable
 coordinates.  The store is written deterministically: fixed column
 orders, shortest-round-trip float formatting, sorted JSON keys, and no
 timestamps, so equal configurations produce byte-identical files at any
-worker count.  A manifest tracks completed cells and lets an interrupted
-grid resume without recomputation.
+worker count.  A manifest tracks completed cells, with a digest of each
+cell's records, and lets an interrupted grid resume without recomputation.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .dgp import (
+    PREVALENCE_LABELS,
+    PREVALENCE_VALUES,
     SCENARIOS,
     CellConfig,
     calibrate_intercept,
     generate_replicate,
     true_att,
 )
-from .errors import EstimationError, InsufficientReplicatesError, PartialGridError
+from .errors import EstimationError, InsufficientReplicatesError, PartialGridError, StoreMismatchError
 from .glm import fit_ols, ols_wald_test
 from .matching import cem_att, cem_match, matched_att, mdm_match, psm_match
 from .numeric import (
@@ -42,13 +47,13 @@ from .numeric import (
     PURPOSE_OUTCOME_FOLDS,
     PURPOSE_PS_FOLDS,
     PURPOSE_TRUTH,
+    RngStream,
     substream,
 )
 from .propensity import estimate_ps, trim_ps, truncate_ps
 from .tmle import tmle_att
 from .weighting import aipw_att, fit_outcome_models, ipw_att
 
-METHODS = ("LR", "CEM2", "CEM5", "MDM", "PSM", "PSM_1:2", "IPW", "AIPW", "AIPW_SL", "TMLE_SL")
 ALPHA = 0.05
 DEFAULT_ORACLE_SEED = 42
 FAILED_PREFIX = "failed:"
@@ -65,7 +70,20 @@ METRIC_COLUMNS = (
     "failure_rate",
 )
 MANIFEST_NAME = "manifest.json"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# Design decisions recorded in every manifest.
+DECISIONS = {
+    "caliper_sd_factor": 0.2,
+    "effect_and_null_streams_independent": True,
+    "ensemble_k_folds": 10,
+    "matching_order": "descending propensity, ties by index",
+    "noise_variance": 2.0,
+    "outcome_model_plain": "ols main effects plus treatment",
+    "ps_model_plain": "logistic main effects",
+    "ps_refit_after_trimming": False,
+    "trim_delta": 0.05,
+    "truncation_rule": "5 / (sqrt(n) ln n)",
+}
 
 
 @dataclass(frozen=True)
@@ -99,6 +117,109 @@ class MethodMetrics:
     failure_rate: float
 
 
+class _Replicate:
+    """One replicate's cohort as the method table sees it, with a memo of
+    the nuisances its methods share."""
+
+    def __init__(self, cfg: CellConfig, replicate: int, attempt: int, ds) -> None:
+        self.x, self.z, self.y, self.n = ds.observed_covariates, ds.z, ds.y, ds.n
+        self.fold_rng = partial(
+            substream, cfg.master_seed, cell_code=cfg.cell_code, replicate=replicate, attempt=attempt
+        )
+        self._memo: dict[str, object] = {}
+
+    def nuisance(self, key: str):
+        """Build ``NUISANCES[key]`` once; a failure is cached and re-raised
+        to every consumer, so they all report the same error."""
+        if key not in self._memo:
+            try:
+                self._memo[key] = NUISANCES[key](self)
+            except EstimationError as exc:
+                self._memo[key] = exc
+        value = self._memo[key]
+        if isinstance(value, EstimationError):
+            raise value
+        return value
+
+
+# Builders of the nuisances several methods share.  Every entry, like every
+# method below, looks its estimator up as a module global at call time, so
+# replacing a name on this module reaches every caller.
+NUISANCES = {
+    "ps_logistic": lambda r: estimate_ps(r.x, r.z, "logistic"),
+    "ps_trimmed": lambda r: trim_ps(r.nuisance("ps_logistic")),
+    "outcome_ols": lambda r: fit_outcome_models(r.x, r.y, r.z, "ols"),
+    "ps_ensemble": lambda r: estimate_ps(r.x, r.z, "ensemble", rng=r.fold_rng(purpose=PURPOSE_PS_FOLDS)),
+    "ps_truncated": lambda r: truncate_ps(r.nuisance("ps_ensemble"), r.n),
+    "outcome_ensemble": lambda r: fit_outcome_models(
+        r.x, r.y, r.z, "ensemble", rng=r.fold_rng(purpose=PURPOSE_OUTCOME_FOLDS)
+    ),
+}
+
+
+def _ps_flags(ps) -> tuple[str, ...]:
+    return ("nonconverged",) if ps.separated else ()
+
+
+def _lr(r: _Replicate):
+    design = np.hstack([np.ones((r.n, 1)), r.x, r.z[:, None].astype(np.float64)])
+    fit = fit_ols(design, r.y)
+    z_index = design.shape[1] - 1
+    _, p_value = ols_wald_test(fit, z_index)
+    return float(fit.coefficients[z_index]), float(fit.standard_errors[z_index]), p_value, 0, ()
+
+
+def _cem(r: _Replicate, n_bins: int):
+    strata = cem_match(r.x, r.z, n_bins)
+    est = cem_att(r.y, r.z, strata)
+    return est.att, est.theoretical_se, est.p_value, int(((r.z == 1) & ~strata.retained).sum()), ()
+
+
+def _matched(r: _Replicate, match):
+    ps = r.nuisance("ps_logistic")
+    matches = match(ps)
+    est = matched_att(r.y, matches)
+    return est.att, est.theoretical_se, est.p_value, len(matches.discarded_treated), _ps_flags(ps)
+
+
+def _trimmed(r: _Replicate, estimate):
+    # The score comes first: when it fails, AIPW never fits its outcome model.
+    trimmed = r.nuisance("ps_trimmed")
+    est = estimate(trimmed)
+    flags = _ps_flags(trimmed) + (("trimmed",) if trimmed.n_dropped else ())
+    return est.att, est.theoretical_se, est.p_value, trimmed.n_dropped, flags
+
+
+def _aipw_sl(r: _Replicate):
+    truncated = r.nuisance("ps_truncated")
+    est = aipw_att(r.y, r.z, truncated, *r.nuisance("outcome_ensemble"))
+    return est.att, est.theoretical_se, est.p_value, 0, _ps_flags(truncated)
+
+
+def _tmle_sl(r: _Replicate):
+    truncated = r.nuisance("ps_truncated")
+    fit = tmle_att(r.y, r.z, r.x, *r.nuisance("outcome_ensemble"), truncated)
+    nonconverged = () if fit.targeting_converged else ("nonconverged",)
+    return fit.att, fit.theoretical_se, fit.p_value, 0, _ps_flags(truncated) + nonconverged
+
+
+# Method -> estimator of one replicate, returning (att, theoretical_se,
+# p_value, n_discarded, flags).  Its order is the roster order of the store.
+METHOD_TABLE = {
+    "LR": _lr,
+    "CEM2": lambda r: _cem(r, 2),
+    "CEM5": lambda r: _cem(r, 5),
+    "MDM": lambda r: _matched(r, lambda ps: mdm_match(r.x, r.z, ps)),
+    "PSM": lambda r: _matched(r, lambda ps: psm_match(ps, r.z, 1)),
+    "PSM_1:2": lambda r: _matched(r, lambda ps: psm_match(ps, r.z, 2)),
+    "IPW": lambda r: _trimmed(r, lambda ps: ipw_att(r.y, r.z, ps)),
+    "AIPW": lambda r: _trimmed(r, lambda ps: aipw_att(r.y, r.z, ps, *r.nuisance("outcome_ols"))),
+    "AIPW_SL": _aipw_sl,
+    "TMLE_SL": _tmle_sl,
+}
+METHODS = tuple(METHOD_TABLE)
+
+
 def run_replicate(
     cfg: CellConfig, alpha0: float, replicate: int, methods: tuple[str, ...] | None = None
 ) -> list[EstimateRecord]:
@@ -116,133 +237,12 @@ def run_replicate(
         raise ValueError(f"unknown methods: {sorted(unknown)}")
 
     ds, attempt = generate_replicate(cfg, alpha0, replicate)
-    x = ds.observed_covariates
-    z = ds.z
-    y = ds.y
+    context = _Replicate(cfg, replicate, attempt, ds)
     base_flags = ("redrawn",) if attempt > 0 else ()
-
-    cache: dict[str, tuple[str, object]] = {}
-
-    def shared(key, builder):
-        entry = cache.get(key)
-        if entry is None:
-            try:
-                entry = ("ok", builder())
-            except EstimationError as exc:
-                entry = ("error", exc)
-            cache[key] = entry
-        tag, value = entry
-        if tag == "error":
-            raise value
-        return value
-
-    def fold_rng(purpose: int):
-        return substream(
-            cfg.master_seed,
-            cell_code=cfg.cell_code,
-            replicate=replicate,
-            attempt=attempt,
-            purpose=purpose,
-        )
-
-    def ps_logistic():
-        return shared("ps_logistic", lambda: estimate_ps(x, z, "logistic"))
-
-    def ps_trimmed():
-        return shared("ps_trimmed", lambda: trim_ps(ps_logistic()))
-
-    def outcome_ols():
-        return shared("outcome_ols", lambda: fit_outcome_models(x, y, z, "ols"))
-
-    def ps_ensemble():
-        return shared(
-            "ps_ensemble",
-            lambda: estimate_ps(x, z, "ensemble", rng=fold_rng(PURPOSE_PS_FOLDS)),
-        )
-
-    def ps_truncated():
-        return shared("ps_truncated", lambda: truncate_ps(ps_ensemble(), ds.n))
-
-    def outcome_ensemble():
-        return shared(
-            "outcome_ensemble",
-            lambda: fit_outcome_models(x, y, z, "ensemble", rng=fold_rng(PURPOSE_OUTCOME_FOLDS)),
-        )
-
-    def ps_flags(ps) -> tuple[str, ...]:
-        return ("nonconverged",) if ps.separated else ()
-
-    def run_lr():
-        design = np.hstack([np.ones((ds.n, 1)), x, z[:, None].astype(np.float64)])
-        fit = fit_ols(design, y)
-        z_index = design.shape[1] - 1
-        _, p_value = ols_wald_test(fit, z_index)
-        att = float(fit.coefficients[z_index])
-        return att, float(fit.standard_errors[z_index]), p_value, 0, ()
-
-    def run_cem(n_bins: int):
-        strata = cem_match(x, z, n_bins)
-        est = cem_att(y, z, strata)
-        n_disc = int(((z == 1) & ~strata.retained).sum())
-        return est.att, est.theoretical_se, est.p_value, n_disc, ()
-
-    def run_psm(ratio: int):
-        ps = ps_logistic()
-        matches = psm_match(ps, z, ratio)
-        est = matched_att(y, matches)
-        return est.att, est.theoretical_se, est.p_value, len(matches.discarded_treated), ps_flags(ps)
-
-    def run_mdm():
-        ps = ps_logistic()
-        matches = mdm_match(x, z, ps)
-        est = matched_att(y, matches)
-        return est.att, est.theoretical_se, est.p_value, len(matches.discarded_treated), ps_flags(ps)
-
-    def run_ipw():
-        trimmed = ps_trimmed()
-        est = ipw_att(y, z, trimmed)
-        flags = ps_flags(trimmed) + (("trimmed",) if trimmed.n_dropped else ())
-        return est.att, est.theoretical_se, est.p_value, trimmed.n_dropped, flags
-
-    def run_aipw():
-        trimmed = ps_trimmed()
-        q1, q0 = outcome_ols()
-        est = aipw_att(y, z, trimmed, q1, q0)
-        flags = ps_flags(trimmed) + (("trimmed",) if trimmed.n_dropped else ())
-        return est.att, est.theoretical_se, est.p_value, trimmed.n_dropped, flags
-
-    def run_aipw_sl():
-        truncated = ps_truncated()
-        q1, q0 = outcome_ensemble()
-        est = aipw_att(y, z, truncated, q1, q0)
-        return est.att, est.theoretical_se, est.p_value, 0, ps_flags(truncated)
-
-    def run_tmle_sl():
-        truncated = ps_truncated()
-        q1, q0 = outcome_ensemble()
-        fit = tmle_att(y, z, x, q1, q0, truncated)
-        flags = ps_flags(truncated)
-        if not fit.targeting_converged:
-            flags = flags + ("nonconverged",)
-        return fit.att, fit.theoretical_se, fit.p_value, 0, flags
-
-    runners = {
-        "LR": run_lr,
-        "CEM2": lambda: run_cem(2),
-        "CEM5": lambda: run_cem(5),
-        "MDM": run_mdm,
-        "PSM": lambda: run_psm(1),
-        "PSM_1:2": lambda: run_psm(2),
-        "IPW": run_ipw,
-        "AIPW": run_aipw,
-        "AIPW_SL": run_aipw_sl,
-        "TMLE_SL": run_tmle_sl,
-    }
-
     records = []
     for method in method_list:
         try:
-            att, se, p_value, n_disc, extra = runners[method]()
+            att, se, p_value, n_disc, extra = METHOD_TABLE[method](context)
             flags = tuple(sorted(set(base_flags) | set(extra)))
             records.append(EstimateRecord(method, replicate, att, se, p_value, n_disc, flags))
         except EstimationError as exc:
@@ -374,12 +374,65 @@ def _write_manifest(path: Path, manifest: dict) -> None:
     os.replace(tmp, path)
 
 
-def _cell_worker(args: tuple[CellConfig, float, tuple[str, ...]]) -> tuple[str, list[EstimateRecord]]:
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def records_intact(path: Path, entry: dict) -> bool:
+    """Whether a cell's records file exists and matches its manifest digest."""
+    return path.exists() and entry.get("records_sha256") == _sha256(path)
+
+
+def oracle_stream(oracle_seed: int, scenario: int, label: str, purpose: int) -> RngStream:
+    """The oracle stream of one (scenario, prevalence label) and purpose."""
+    return substream(
+        oracle_seed, cell_code=scenario, replicate=PREVALENCE_LABELS.index(label), purpose=purpose
+    )
+
+
+def oracle_intercepts(
+    pairs: list[tuple[int, str]], oracle_seed: int, oracle_n: int
+) -> dict[tuple[int, str], float]:
+    """Calibrated treatment intercept of each (scenario, prevalence label).
+
+    Each pair draws on its own stream, so its intercept does not depend on
+    which other pairs are asked for: ``run``, ``calibrate`` and ``ps-hist``
+    agree for the same seed and size.
+    """
+    return {
+        (scenario, label): calibrate_intercept(
+            SCENARIOS[scenario],
+            PREVALENCE_VALUES[PREVALENCE_LABELS.index(label)],
+            oracle_stream(oracle_seed, scenario, label, PURPOSE_CALIBRATION),
+            oracle_n=oracle_n,
+        )
+        for scenario, label in pairs
+    }
+
+
+def _truth_key(cfg: CellConfig) -> tuple[int, int, str, bool]:
+    return (cfg.scenario, cfg.setting, cfg.prevalence_label, cfg.null_effect)
+
+
+def _cell_worker(args: tuple[CellConfig, float, tuple[str, ...]]) -> list[EstimateRecord]:
     cfg, alpha0, methods = args
     records = []
     for replicate in range(cfg.n_reps):
         records.extend(run_replicate(cfg, alpha0, replicate, methods))
-    return cfg.name, records
+    return records
+
+
+def _execute(jobs: list[tuple[CellConfig, float, tuple[str, ...]]], parallelism: int):
+    """Yield ``(cfg, outcome)`` per job as its cell finishes; ``outcome()``
+    returns the cell's records or raises the error that stopped it."""
+    if parallelism <= 1 or len(jobs) <= 1:
+        for job in jobs:
+            yield job[0], partial(_cell_worker, job)
+        return
+    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        futures = {pool.submit(_cell_worker, job): job[0] for job in jobs}
+        for future in as_completed(futures):
+            yield futures[future], future.result
 
 
 def run_grid(
@@ -394,139 +447,109 @@ def run_grid(
 ) -> dict[str, tuple[CellConfig, list[EstimateRecord], list[MethodMetrics]]]:
     """Run a batch of cells and persist a deterministic result store.
 
-    Calibrated intercepts and true ATT values are computed once per
-    (scenario, prevalence) on oracle streams derived from
-    ``oracle_seed``, then reused by every cell that needs them.  Cells
-    already marked complete in the store's manifest are loaded from disk
-    instead of recomputed, which is what makes an interrupted grid
-    resumable.
+    Oracles first: calibrated intercepts and true ATT values, once per
+    (scenario, prevalence) on streams derived from ``oracle_seed``.  Then
+    the plan: a cell whose manifest entry matches this run and whose
+    records match their digest is loaded from disk, which is what makes an
+    interrupted grid resumable; every other cell is executed and
+    persisted.  A store built under another master seed, oracle seed or
+    oracle size raises :class:`StoreMismatchError` before anything is
+    written.
     """
     cells = list(cells)
     if not cells:
         raise ValueError("no cells to run")
     if len({c.name for c in cells}) != len(cells):
         raise ValueError("duplicate cells in the grid")
-    master_seeds = {c.master_seed for c in cells}
-    if len(master_seeds) != 1:
+    if len({c.master_seed for c in cells}) != 1:
         raise ValueError("all cells in a grid must share a master seed")
     method_list = METHODS if methods is None else tuple(methods)
+    say = log if log is not None else (lambda message: None)
 
     outdir = Path(output_dir)
     cells_dir = outdir / "cells"
-    cells_dir.mkdir(parents=True, exist_ok=True)
-
-    def say(message: str) -> None:
-        if log is not None:
-            log(message)
-
-    intercepts: dict[tuple[int, str], float] = {}
-    for cfg in cells:
-        key = (cfg.scenario, cfg.prevalence_label)
-        if key in intercepts:
-            continue
-        say(f"calibrating scenario {cfg.scenario} at prevalence {cfg.prevalence_label}")
-        rng = substream(
-            oracle_seed,
-            cell_code=cfg.scenario,
-            replicate=cfg.prevalence_index,
-            purpose=PURPOSE_CALIBRATION,
-        )
-        intercepts[key] = calibrate_intercept(
-            SCENARIOS[cfg.scenario], cfg.prevalence, rng, oracle_n=calibration_n
-        )
-
-    truths: dict[tuple[int, int, str, bool], tuple[float, float]] = {}
-    for cfg in cells:
-        key = (cfg.scenario, cfg.setting, cfg.prevalence_label, cfg.null_effect)
-        if key in truths:
-            continue
-        if not cfg.null_effect and cfg.setting == 3:
-            say(f"computing setting-3 truth for scenario {cfg.scenario}, prevalence {cfg.prevalence_label}")
-        rng = substream(
-            oracle_seed,
-            cell_code=cfg.scenario,
-            replicate=cfg.prevalence_index,
-            purpose=PURPOSE_TRUTH,
-        )
-        truths[key] = true_att(
-            SCENARIOS[cfg.scenario],
-            cfg.setting,
-            intercepts[(cfg.scenario, cfg.prevalence_label)],
-            rng,
-            oracle_n=truth_n,
-            null_effect=cfg.null_effect,
-        )
-
-    _write_goldens(outdir, oracle_seed, calibration_n, truth_n, intercepts, truths)
-
     manifest_path = outdir / MANIFEST_NAME
+    params = dict(
+        master_seed=cells[0].master_seed, oracle_seed=oracle_seed, calibration_n=calibration_n, truth_n=truth_n
+    )
+    manifest: dict = {}
     if manifest_path.exists():
         with open(manifest_path) as handle:
             manifest = json.load(handle)
-        if manifest.get("master_seed") != cells[0].master_seed:
-            raise ValueError("existing store was built with a different master seed")
-    else:
-        manifest = {}
-    manifest.update(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "package_version": _package_version(),
-            "master_seed": cells[0].master_seed,
-            "oracle_seed": oracle_seed,
-            "calibration_n": calibration_n,
-            "truth_n": truth_n,
-            "methods": list(method_list),
-            "decisions": {
-                "caliper_sd_factor": 0.2,
-                "effect_and_null_streams_independent": True,
-                "ensemble_k_folds": 10,
-                "matching_order": "descending propensity, ties by index",
-                "noise_variance": 2.0,
-                "outcome_model_plain": "ols main effects plus treatment",
-                "ps_model_plain": "logistic main effects",
-                "ps_refit_after_trimming": False,
-                "trim_delta": 0.05,
-                "truncation_rule": "5 / (sqrt(n) ln n)",
-            },
-            "intercepts": {f"s{s}_p{p}": a for (s, p), a in sorted(intercepts.items())},
-            "truths": {
-                f"s{s}_t{t}_p{p}_{'null' if null else 'effect'}": {"value": v, "oracle_se": se}
-                for (s, t, p, null), (v, se) in sorted(truths.items())
-            },
-        }
-    )
-    manifest.setdefault("cells", {})
+        differing = {k: (manifest.get(k), v) for k, v in params.items() if manifest.get(k) != v}
+        if differing:
+            raise StoreMismatchError(differing)
+    cells_dir.mkdir(parents=True, exist_ok=True)
 
-    def truth_for(cfg: CellConfig) -> tuple[float, float]:
-        return truths[(cfg.scenario, cfg.setting, cfg.prevalence_label, cfg.null_effect)]
+    pairs = list(dict.fromkeys((c.scenario, c.prevalence_label) for c in cells))
+    say(f"calibrating {len(pairs)} treatment intercepts")
+    intercepts = oracle_intercepts(pairs, oracle_seed, calibration_n)
+    truths: dict[tuple[int, int, str, bool], tuple[float, float]] = {}
+    for cfg in cells:
+        if _truth_key(cfg) in truths:
+            continue
+        if not cfg.null_effect and cfg.setting == 3:
+            say(f"computing setting-3 truth for scenario {cfg.scenario}, prevalence {cfg.prevalence_label}")
+        truths[_truth_key(cfg)] = true_att(
+            SCENARIOS[cfg.scenario],
+            cfg.setting,
+            intercepts[(cfg.scenario, cfg.prevalence_label)],
+            oracle_stream(oracle_seed, cfg.scenario, cfg.prevalence_label, PURPOSE_TRUTH),
+            oracle_n=truth_n,
+            null_effect=cfg.null_effect,
+        )
+    write_calibration_csv(outdir / "calibration.csv", oracle_seed, calibration_n, intercepts)
+    write_truths_csv(outdir / "truths.csv", oracle_seed, truth_n, truths)
+
+    manifest.update(
+        params,
+        schema_version=SCHEMA_VERSION,
+        package_version=_package_version(),
+        methods=list(method_list),
+        decisions=DECISIONS,
+        intercepts={f"s{s}_p{p}": a for (s, p), a in sorted(intercepts.items())},
+        truths={
+            f"s{s}_t{t}_p{p}_{'null' if null else 'effect'}": {"value": v, "oracle_se": se}
+            for (s, t, p, null), (v, se) in sorted(truths.items())
+        },
+    )
+    entries = manifest.setdefault("cells", {})
 
     results: dict[str, tuple[CellConfig, list[EstimateRecord], list[MethodMetrics]]] = {}
-    pending: list[CellConfig] = []
+    jobs = []
     for cfg in cells:
-        entry = manifest["cells"].get(cfg.name)
+        entry = entries.get(cfg.name, {})
         records_path = cells_dir / f"{cfg.name}_records.csv"
-        reusable = (
-            entry is not None
-            and entry.get("complete")
+        same_run = (
+            entry.get("complete")
             and entry.get("n_reps") == cfg.n_reps
             and entry.get("methods") == list(method_list)
-            and records_path.exists()
         )
-        if reusable:
+        if same_run and records_intact(records_path, entry):
             say(f"reusing completed cell {cfg.name}")
             records = read_records_csv(records_path)
-            metrics = aggregate_cell(records, truth_for(cfg)[0], cfg.n_reps)
+            metrics = aggregate_cell(records, truths[_truth_key(cfg)][0], cfg.n_reps)
             write_metrics_csv(cells_dir / f"{cfg.name}_metrics.csv", metrics)
             results[cfg.name] = (cfg, records, metrics)
-        else:
-            pending.append(cfg)
+            continue
+        if same_run:
+            say(f"recomputing cell {cfg.name}: its records are missing or fail their digest")
+        entries.pop(cfg.name, None)
+        jobs.append((cfg, intercepts[(cfg.scenario, cfg.prevalence_label)], method_list))
 
-    def finish(cfg: CellConfig, records: list[EstimateRecord]) -> None:
-        truth, truth_se = truth_for(cfg)
-        metrics = aggregate_cell(records, truth, cfg.n_reps)
-        write_records_csv(cells_dir / f"{cfg.name}_records.csv", records)
+    failed: dict[str, str] = {}
+    for cfg, outcome in _execute(jobs, parallelism):
+        truth, truth_se = truths[_truth_key(cfg)]
+        try:
+            records = outcome()
+            metrics = aggregate_cell(records, truth, cfg.n_reps)
+        except EstimationError as exc:
+            failed[cfg.name] = str(exc)
+            continue
+        records_path = cells_dir / f"{cfg.name}_records.csv"
+        write_records_csv(records_path, records)
         write_metrics_csv(cells_dir / f"{cfg.name}_metrics.csv", metrics)
-        manifest["cells"][cfg.name] = {
+        entries[cfg.name] = {
             "alpha0": intercepts[(cfg.scenario, cfg.prevalence_label)],
             "cell_code": cfg.cell_code,
             "complete": True,
@@ -535,6 +558,7 @@ def run_grid(
             "n_reps": cfg.n_reps,
             "null_effect": cfg.null_effect,
             "prevalence": cfg.prevalence_label,
+            "records_sha256": _sha256(records_path),
             "scenario": cfg.scenario,
             "setting": cfg.setting,
             "truth": truth,
@@ -543,28 +567,6 @@ def run_grid(
         _write_manifest(manifest_path, manifest)
         results[cfg.name] = (cfg, records, metrics)
         say(f"finished cell {cfg.name}")
-
-    jobs = [
-        (cfg, intercepts[(cfg.scenario, cfg.prevalence_label)], method_list) for cfg in pending
-    ]
-    failed: dict[str, str] = {}
-    if parallelism <= 1 or len(jobs) <= 1:
-        for job in jobs:
-            try:
-                _, records = _cell_worker(job)
-                finish(job[0], records)
-            except EstimationError as exc:
-                failed[job[0].name] = str(exc)
-    else:
-        by_name = {cfg.name: cfg for cfg in pending}
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            futures = {pool.submit(_cell_worker, job): job[0].name for job in jobs}
-            for future in as_completed(futures):
-                try:
-                    name, records = future.result()
-                    finish(by_name[name], records)
-                except EstimationError as exc:
-                    failed[futures[future]] = str(exc)
 
     _write_manifest(manifest_path, manifest)
     if failed:
@@ -598,15 +600,3 @@ def write_truths_csv(
         for (scenario, setting, label, null), (value, se) in sorted(truths.items()):
             arm = "null" if null else "effect"
             writer.writerow([scenario, setting, label, arm, oracle_seed, oracle_n, _fmt(value), _fmt(se)])
-
-
-def _write_goldens(
-    outdir: Path,
-    oracle_seed: int,
-    calibration_n: int,
-    truth_n: int,
-    intercepts: dict[tuple[int, str], float],
-    truths: dict[tuple[int, int, str, bool], tuple[float, float]],
-) -> None:
-    write_calibration_csv(outdir / "calibration.csv", oracle_seed, calibration_n, intercepts)
-    write_truths_csv(outdir / "truths.csv", oracle_seed, truth_n, truths)

@@ -67,9 +67,12 @@ class TestConfigLayering:
             == "from-flag"
         )
 
-    def test_prevalence_values_normalize_to_labels(self):
+    def test_prevalence_values_normalize_to_labels(self, tmp_path):
         cfg = _config_from_sources(parse_run("--prevalences", "0.3333333333333333,0.05"))
         assert cfg.prevalences == ("0.33", "0.05")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"prevalences": [0.2, "0.05"], "methods": None}))
+        assert _config_from_sources(parse_run("--config", str(config))).prevalences == ("0.20", "0.05")
 
     @pytest.mark.parametrize(
         "flags",
@@ -106,6 +109,20 @@ class TestConfigLayering:
         unknown.write_text(json.dumps({"replications": 5}))
         with pytest.raises(ConfigError, match="unknown config keys"):
             _config_from_sources(parse_run("--config", str(unknown)))
+        wrong_types = (
+            {"n_reps": "5"},
+            {"parallelism": "2"},
+            {"prevalences": 0.2},
+            {"scenarios": 1},
+            {"master_seed": 1.5},
+            {"n_reps": True},
+            {"arms": [["effect"]]},
+        )
+        for loaded in wrong_types:
+            typed = tmp_path / "typed.json"
+            typed.write_text(json.dumps(loaded))
+            with pytest.raises(ConfigError, match=f"config key '{next(iter(loaded))}' must be"):
+                _config_from_sources(parse_run("--config", str(typed)))
 
 
 SMOKE_FLAGS = (
@@ -151,6 +168,50 @@ class TestCmdRun:
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "flag, value, words",
+        [
+            ("--master-seed", "7", "master seed"),
+            ("--oracle-seed", "7", "oracle seed"),
+            ("--calibration-n", "300000", "calibration n"),
+            ("--truth-n", "2000", "truth n"),
+        ],
+    )
+    def test_store_built_under_other_parameters_exit_code(self, tmp_path, capsys, flag, value, words):
+        store = tmp_path / "store"
+        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_OK
+        before = tree_bytes(store)
+        capsys.readouterr()
+        assert main(["run", *SMOKE_FLAGS, flag, value, "--output-dir", str(store)]) == EXIT_CONFIG
+        assert f"different {words}" in capsys.readouterr().err
+        assert tree_bytes(store) == before
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda lines: lines[:1] + [l for l in lines[1:] if int(l.split(",")[1]) < 2],
+            lambda lines: lines + ["LR,garbage,1.0,0.1,0.5,0,"],
+            lambda lines: lines[:-1] + [",".join(lines[-1].split(",")[:2])],
+        ],
+        ids=["cut-to-2-of-5-replicates", "garbage-row", "short-row"],
+    )
+    def test_corrupted_records_are_recomputed(self, tmp_path, capsys, corrupt):
+        store = tmp_path / "store"
+        flags = [*SMOKE_FLAGS, "--n-reps", "5", "--output-dir", str(store)]
+        assert main(["run", *flags]) == EXIT_OK
+        pristine = tree_bytes(store)
+        records = store / "cells" / "s1t1p050_effect_records.csv"
+        records.write_text("\n".join(corrupt(records.read_text().splitlines())) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--store", str(store)]) == EXIT_CONFIG
+        assert "s1t1p050_effect" in capsys.readouterr().err
+        assert main(["run", *flags]) == EXIT_OK
+        assert tree_bytes(store) == pristine
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 class TestCmdCalibrate:
@@ -199,6 +260,23 @@ class TestCmdCalibrate:
     def test_invalid_scenario_exit_code(self, capsys):
         assert main(["calibrate", "--scenarios", "7"]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+        assert main(["calibrate", "--oracle-n", "0"]) == EXIT_CONFIG
+        assert main(["calibrate", "--oracle-seed", "-1"]) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
+    def test_calibrate_ps_hist_and_run_agree_on_intercepts(self, tmp_path, capsys):
+        oracle = ["--oracle-seed", "7", "--oracle-n", "100000"]
+        assert main(["calibrate", "--scenarios", "1", "--prevalences", "0.50", *oracle,
+                     "--output-dir", str(tmp_path / "cal")]) == EXIT_OK
+        assert main(["ps-hist", "--scenario", "1", "--prevalence", "0.50", "--n", "1000", *oracle,
+                     "--output-dir", str(tmp_path / "hist")]) == EXIT_OK
+        hist_out = capsys.readouterr().out
+        assert main(["run", *SMOKE_FLAGS, "--oracle-seed", "7", "--calibration-n", "100000",
+                     "--output-dir", str(tmp_path / "run")]) == EXIT_OK
+        table = (tmp_path / "cal" / "calibration.csv").read_text()
+        assert (tmp_path / "run" / "calibration.csv").read_text() == table
+        alpha0 = float(table.splitlines()[1].split(",")[4])
+        assert f"alpha0 {alpha0:.6f}" in hist_out
 
 
 def read_hist(path: Path):
@@ -237,6 +315,8 @@ class TestCmdPsHist:
     def test_bad_arguments_exit_code(self, capsys):
         assert main(["ps-hist", "--scenario", "5"]) == EXIT_CONFIG
         assert main(["ps-hist", "--scenario", "1", "--bins", "1"]) == EXIT_CONFIG
+        assert main(["ps-hist", "--scenario", "1", "--oracle-seed", "-1"]) == EXIT_CONFIG
+        assert main(["ps-hist", "--scenario", "1", "--oracle-n", "10"]) == EXIT_CONFIG
         capsys.readouterr()
 
 

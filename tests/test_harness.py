@@ -1,12 +1,15 @@
 """Replicate execution, aggregation, and the deterministic result store."""
 
+import hashlib
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from attbench import harness
 from attbench.dgp import CellConfig, generate_replicate
 from attbench.errors import (
     InsufficientReplicatesError,
@@ -102,6 +105,39 @@ class TestRunReplicate:
         assert records["IPW"].flags == records["AIPW"].flags
         assert records["AIPW_SL"].failed
         assert records["AIPW_SL"].flags == records["TMLE_SL"].flags
+
+    def test_method_table_calls_each_estimator_as_a_module_global(self, monkeypatch):
+        # A table that bound estimator functions at import would bypass
+        # these replacements and count nothing.
+        expected = {
+            "generate_replicate": 1,
+            "estimate_ps": 2,
+            "trim_ps": 1,
+            "truncate_ps": 1,
+            "fit_ols": 1,
+            "ols_wald_test": 1,
+            "cem_match": 2,
+            "cem_att": 2,
+            "psm_match": 2,
+            "mdm_match": 1,
+            "matched_att": 3,
+            "fit_outcome_models": 2,
+            "ipw_att": 1,
+            "aipw_att": 2,
+            "tmle_att": 1,
+        }
+        calls = Counter()
+        for name in expected:
+            real = getattr(harness, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counting)
+        records = harness.run_replicate(cfg_for(label="0.50"), -0.0694, 0, METHODS)
+        assert not any(r.failed for r in records)
+        assert dict(calls) == expected
 
     def test_matching_failure_instance(self):
         records = {r.method: r for r in run_replicate(cfg_for(label="0.50"), -4.2, 11)}
@@ -255,12 +291,14 @@ class TestRunGrid:
             assert (tmp_path / "cells" / f"{name}_records.csv").exists()
             assert (tmp_path / "cells" / f"{name}_metrics.csv").exists()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["schema_version"] == 1
+        assert manifest["schema_version"] == 2
         assert manifest["master_seed"] == 555
         assert set(manifest["cells"]) == set(results)
-        for entry in manifest["cells"].values():
+        for name, entry in manifest["cells"].items():
             assert entry["complete"] is True
             assert entry["truth"] == 1.0
+            records = (tmp_path / "cells" / f"{name}_records.csv").read_bytes()
+            assert entry["records_sha256"] == hashlib.sha256(records).hexdigest()
         assert (tmp_path / "calibration.csv").exists()
         assert (tmp_path / "truths.csv").exists()
 
