@@ -5,7 +5,19 @@ mild to severe confounding (including an unobserved covariate), runs ten
 estimators of the average treatment effect on the treated on each
 replicate, and aggregates bias, variance, and test calibration into a
 deterministic on-disk result store.
+
+Importing the package caps BLAS at one thread per process, unless the
+caller has set ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS`` itself.  Every matrix here is small, so a second BLAS
+thread only burns a core, and ``--parallelism N`` should mean N busy
+cores.  The cap takes effect only if numpy has not been imported yet.
 """
+
+import os
+
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+del _variable
 
 __version__ = "0.1.0"
 

@@ -38,13 +38,14 @@ from .dgp import (
     draw_true_propensity,
     prevalence_label_for,
 )
-from .errors import EstimationError, PartialGridError, StoreMismatchError
+from .errors import CorruptManifestError, EstimationError, PartialGridError, StoreMismatchError
 from .harness import (
     METHODS,
     METRIC_COLUMNS,
     aggregate_cell,
     oracle_intercepts,
     oracle_stream,
+    read_manifest,
     read_records_csv,
     records_intact,
     run_grid,
@@ -285,8 +286,7 @@ def _report_rows(store: Path) -> list[dict]:
     manifest_path = store / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"no manifest in {store}")
-    with open(manifest_path) as handle:
-        manifest = json.load(handle)
+    manifest = read_manifest(manifest_path)
     cells = {
         name: entry for name, entry in manifest.get("cells", {}).items() if entry.get("complete")
     }
@@ -412,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, CorruptManifestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -75,6 +75,9 @@ class PartialGridError(EstimationError):
         self.failed_cells = failed_cells
 
 
+class CorruptManifestError(ValueError):
+    """A store's manifest is not a JSON object, so nothing in the store can be trusted."""
+
 
 class StoreMismatchError(ValueError):
     """An existing result store was built under other run parameters; no rerun can mend it."""

@@ -39,7 +39,13 @@ from .dgp import (
     generate_replicate,
     true_att,
 )
-from .errors import EstimationError, InsufficientReplicatesError, PartialGridError, StoreMismatchError
+from .errors import (
+    CorruptManifestError,
+    EstimationError,
+    InsufficientReplicatesError,
+    PartialGridError,
+    StoreMismatchError,
+)
 from .glm import fit_ols, ols_wald_test
 from .matching import cem_att, cem_match, matched_att, mdm_match, psm_match
 from .numeric import (
@@ -366,6 +372,18 @@ def _package_version() -> str:
     return __version__
 
 
+def read_manifest(path: Path) -> dict:
+    """The manifest at ``path``; :class:`CorruptManifestError` unless it holds a JSON object."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CorruptManifestError(f"manifest {path} is not valid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise CorruptManifestError(f"manifest {path} does not hold a JSON object")
+    return manifest
+
+
 def _write_manifest(path: Path, manifest: dict) -> None:
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w") as handle:
@@ -474,8 +492,7 @@ def run_grid(
     )
     manifest: dict = {}
     if manifest_path.exists():
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
+        manifest = read_manifest(manifest_path)
         differing = {k: (manifest.get(k), v) for k, v in params.items() if manifest.get(k) != v}
         if differing:
             raise StoreMismatchError(differing)

@@ -168,6 +168,37 @@ def cholesky_factor(a: np.ndarray) -> np.ndarray:
     return lower
 
 
+def solve_spd_stack(stack: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``stack[i] @ x[i] = rhs[i]`` for a stack of symmetric matrices.
+
+    ``stack`` has shape (k, p, p) and ``rhs`` shape (k, p).  Returns the
+    solutions, shape (k, p), and a boolean mask of the systems solved.
+    ``ok[i]`` is False when ``stack[i]`` fails the test of
+    :func:`cholesky_factor` (LAPACK finds a non-positive pivot, or a
+    squared pivot is at or below ``CHOLESKY_PIVOT_TOL``); ``x[i]`` is then
+    zero.  One stacked Cholesky call screens every matrix; only when
+    LAPACK rejects one are they factored one at a time.  The systems that
+    pass are solved in one stacked ``np.linalg.solve`` call, which agrees
+    with :func:`solve_from_factor` to round-off.
+    """
+    try:
+        lowers = np.linalg.cholesky(stack)
+        factored = np.ones(stack.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        lowers = np.empty_like(stack)
+        factored = np.empty(stack.shape[0], dtype=bool)
+        for i, matrix in enumerate(stack):
+            lowers[i], info = dpotrf(matrix, lower=1, clean=1)
+            factored[i] = info == 0
+    pivots = lowers.diagonal(axis1=1, axis2=2).min(axis=1) ** 2
+    ok = factored & (pivots > CHOLESKY_PIVOT_TOL)
+    if ok.all():
+        return np.linalg.solve(stack, rhs[..., None])[..., 0], ok
+    solutions = np.zeros(rhs.shape)
+    solutions[ok] = np.linalg.solve(stack[ok], rhs[ok][..., None])[..., 0]
+    return solutions, ok
+
+
 def cholesky_solve(matrix: SpdMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` for SPD ``A`` via its Cholesky factor."""
     rhs = np.asarray(rhs, dtype=np.float64)

@@ -8,6 +8,14 @@ equality-constrained normal equations on each.  With three learners that
 is seven tiny solves, and unlike non-negative least squares with a
 renormalization step it guarantees the stacked cross-validation risk
 never exceeds the best single learner's risk.
+
+The level-one predictions come from ``k`` fits per learner, one per
+training fold.  They are made in one stacked pass per learner
+(:func:`attbench.glm.fit_ols_folds`, :func:`attbench.glm.fit_logistic_folds`):
+each fold is a 0/1 row weight on the learner's full design, and every
+fold keeps the convergence and separation rules of a single fit.  The
+full-sample refits go through :func:`attbench.glm.fit_ols` and
+:func:`attbench.glm.fit_logistic`, like every fit outside the ensemble.
 """
 
 from __future__ import annotations
@@ -18,7 +26,16 @@ from itertools import combinations
 import numpy as np
 
 from .errors import OneClassError
-from .glm import LogisticFit, OlsFit, fit_logistic, fit_ols, predict_logistic, predict_ols
+from .glm import (
+    LogisticFit,
+    OlsFit,
+    fit_logistic,
+    fit_logistic_folds,
+    fit_ols,
+    fit_ols_folds,
+    predict_logistic,
+    predict_ols,
+)
 from .numeric import RngStream
 
 LEARNER_KINDS = ("mean_only", "glm_main_effects", "glm_degree2")
@@ -187,6 +204,11 @@ def fit_superlearner(
 ) -> EnsembleFit:
     """Stack the default library by k-fold cross validation.
 
+    Each learner's design is built once on all ``n`` rows.  Its ``k``
+    training-fold fits run in one stacked pass that gives every row its
+    out-of-fold prediction; the simplex weights are fitted to those
+    predictions, and each learner is then refitted on the full sample.
+
     Parameters
     ----------
     x : ndarray, shape (n, d)
@@ -231,22 +253,16 @@ def fit_superlearner(
         if not _folds_trainable(y, folds, k_folds, family):
             raise OneClassError("a training fold is single-class after refold")
 
-    # Designs and their distinct columns are found once, on the full sample;
-    # folds and the refit take row slices.  The one duplicate the expansion
+    # Designs and their distinct columns are found once, on the full sample,
+    # for the fold fits and the refit alike.  The one duplicate the expansion
     # makes (z**2 == z for a binary z) repeats in every row subset.
     library = default_library(family)
     full = [_learner_design(spec.kind, x) for spec in library]
     kept = [_distinct_columns(design) for design in full]
     designs = [design[:, columns] for design, columns in zip(full, kept)]
     gaussian = family == "gaussian"
-    fit_glm, predict_glm = (fit_ols, predict_ols) if gaussian else (fit_logistic, predict_logistic)
-
-    level_one = np.empty((n, len(library)))
-    for f in range(k_folds):
-        holdout = folds == f
-        y_train = y[~holdout]
-        for k, design in enumerate(designs):
-            level_one[holdout, k] = predict_glm(fit_glm(design[~holdout], y_train), design[holdout])
+    fit_folds, fit_glm = (fit_ols_folds, fit_ols) if gaussian else (fit_logistic_folds, fit_logistic)
+    level_one = np.column_stack([fit_folds(design, y, folds, k_folds).out_of_fold for design in designs])
 
     cv_risks = np.mean((level_one - y[:, None]) ** 2, axis=0)
     weights, cv_objective = simplex_weights(level_one, y)

@@ -3,13 +3,18 @@
 These mirror the documented matching and stacking rules with explicit
 Python loops and no shared code with the package internals (beyond the
 caliper arithmetic, which is kept bit-identical on purpose so eligibility
-never flips on a final-ulp boundary).  Unit and acceptance tests compare
-the fast implementations against these on small instances.
+never flips on a final-ulp boundary).  The exception is
+:func:`naive_fold_fits`, the one-fit-per-fold loop that the stacked fold
+fits replace, built on the package's single-design fitters.  Unit and
+acceptance tests compare the fast implementations against these on small
+instances.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from attbench.glm import fit_logistic, fit_ols, predict_logistic, predict_ols
 
 
 def logit_vector(ps_values) -> list[float]:
@@ -134,3 +139,33 @@ def naive_gaussian_library(x, y, folds, binary_column: int):
         risks.append(squared_error / n)
         predictions.append(m @ np.linalg.lstsq(m, y, rcond=None)[0])
     return np.array(risks), np.array(predictions)
+
+
+def naive_fold_fits(design, y, folds, family: str):
+    """Fit each training fold on its own, as ``fit_superlearner`` once did.
+
+    For every fold ``f`` in ``sorted(set(folds))``, fits ``fit_ols`` or
+    ``fit_logistic`` on ``design[folds != f]`` and predicts the rows of
+    fold ``f`` with ``predict_ols``/``predict_logistic``.  Returns
+    ``(out_of_fold, converged, separated)``: the predictions in row order
+    and one flag per fold (always converged and never separated for OLS).
+    Errors of the single fits propagate.
+    """
+    design = np.asarray(design, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    out_of_fold = np.empty(y.size)
+    converged = []
+    separated = []
+    for f in sorted(set(int(v) for v in folds)):
+        holdout = folds == f
+        if family == "gaussian":
+            fit = fit_ols(design[~holdout], y[~holdout])
+            out_of_fold[holdout] = predict_ols(fit, design[holdout])
+            converged.append(True)
+            separated.append(False)
+        else:
+            fit = fit_logistic(design[~holdout], y[~holdout])
+            out_of_fold[holdout] = predict_logistic(fit, design[holdout])
+            converged.append(fit.converged)
+            separated.append(fit.separated)
+    return out_of_fold, np.array(converged), np.array(separated)

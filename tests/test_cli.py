@@ -209,6 +209,16 @@ class TestCmdRun:
         assert main(["run", *flags]) == EXIT_OK
         assert tree_bytes(store) == pristine
 
+    def test_malformed_manifest_exit_code(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_OK
+        (store / "manifest.json").write_text("{\n")
+        before = tree_bytes(store)
+        capsys.readouterr()
+        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_CONFIG
+        assert str(store / "manifest.json") in capsys.readouterr().err
+        assert tree_bytes(store) == before
+
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -343,6 +353,12 @@ class TestCmdReport:
     def test_missing_store_exit_code(self, tmp_path, capsys):
         assert main(["report", "--store", str(tmp_path / "void")]) == EXIT_CONFIG
         assert "no manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{\n", "[]\n"], ids=["cut-json", "not-an-object"])
+    def test_malformed_manifest_exit_code(self, tmp_path, capsys, text):
+        (tmp_path / "manifest.json").write_text(text)
+        assert main(["report", "--store", str(tmp_path)]) == EXIT_CONFIG
+        assert str(tmp_path / "manifest.json") in capsys.readouterr().err
 
     def test_store_without_completed_cells(self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text(json.dumps({"cells": {}}))

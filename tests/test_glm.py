@@ -12,11 +12,16 @@ from attbench.glm import (
     SEPARATION_COEF_BOUND,
     OlsFit,
     fit_logistic,
+    fit_logistic_folds,
     fit_ols,
+    fit_ols_folds,
     ols_wald_test,
     predict_logistic,
     predict_ols,
 )
+from attbench.superlearner import expand_degree2
+
+from naive_oracles import naive_fold_fits
 
 
 def _design(np_rng, n, p):
@@ -160,3 +165,75 @@ class TestLogistic:
         preds = predict_logistic(fit, extreme)
         assert preds[0] <= 1 - PROB_CLAMP
         assert preds[1] >= PROB_CLAMP
+
+
+def _folds(rng, n, k_folds=10):
+    folds = np.empty(n, dtype=np.intp)
+    folds[rng.permutation(n)] = np.arange(n) % k_folds
+    return folds
+
+
+def _degree2_treatment(seed, n, scale):
+    """A degree-2 design of three normal covariates and a treatment drawn
+    from scenario 2's quadratic logit, multiplied by ``scale``."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3))
+    logit = 1.25 * x[:, 0] + x[:, 1] + 0.5 * x[:, 0] ** 2 + 0.5 * x[:, 1] ** 2 + 0.75 * x[:, 0] * x[:, 1]
+    z = (rng.random(n) < expit(scale * (logit - 1.0))).astype(float)
+    return np.column_stack([np.ones(n), expand_degree2(x)]), z, _folds(rng, n)
+
+
+class TestFoldFits:
+    """The stacked fold fits against one fit per training fold."""
+
+    def test_well_posed_logistic_matches_per_fold_fits(self):
+        design, z, folds = _degree2_treatment(seed=1, n=200, scale=0.5)
+        expected, converged, separated = naive_fold_fits(design, z, folds, "binomial")
+        fits = fit_logistic_folds(design, z, folds, 10)
+        assert converged.all() and not separated.any()
+        np.testing.assert_array_equal(fits.converged, converged)
+        np.testing.assert_array_equal(fits.separated, separated)
+        np.testing.assert_allclose(fits.out_of_fold, expected, rtol=0, atol=1e-10)
+
+    def test_separated_folds_match_per_fold_fits(self):
+        # Six of the ten training folds separate; the rest converge.
+        design, z, folds = _degree2_treatment(seed=8, n=100, scale=3.0)
+        expected, converged, separated = naive_fold_fits(design, z, folds, "binomial")
+        fits = fit_logistic_folds(design, z, folds, 10)
+        assert separated.any() and converged.any()
+        np.testing.assert_array_equal(fits.converged, converged)
+        np.testing.assert_array_equal(fits.separated, separated)
+        np.testing.assert_allclose(fits.out_of_fold, expected, rtol=0, atol=1e-10)
+
+    def test_ols_matches_per_fold_fits(self, np_rng):
+        x = _design(np_rng, 90, 4)
+        y = x @ np.array([1.0, -2.0, 0.5, 3.0]) + np_rng.standard_normal(90)
+        folds = _folds(np_rng, 90)
+        expected, _, _ = naive_fold_fits(x, y, folds, "gaussian")
+        fits = fit_ols_folds(x, y, folds, 10)
+        np.testing.assert_allclose(fits.out_of_fold, expected, rtol=0, atol=1e-10)
+        assert fits.converged.all() and not fits.separated.any()
+
+    def test_duplicate_column_raises(self, np_rng):
+        base = _design(np_rng, 60, 3)
+        x = np.column_stack([base, base[:, 2]])
+        y = np_rng.standard_normal(60)
+        folds = _folds(np_rng, 60)
+        with pytest.raises(RankDeficientError):
+            naive_fold_fits(x, y, folds, "gaussian")
+        with pytest.raises(RankDeficientError):
+            fit_ols_folds(x, y, folds, 10)
+
+    def test_single_class_fold_raises(self, np_rng):
+        x = _design(np_rng, 40, 2)
+        z = np.zeros(40)
+        folds = _folds(np_rng, 40)
+        z[folds == 3] = 1.0  # every other fold trains on fold 3's ones; fold 3 on zeros only
+        with pytest.raises(OneClassError):
+            fit_logistic_folds(x, z, folds, 10)
+
+    def test_small_folds_rejected(self, np_rng):
+        # Two folds of three rows leave three training rows for three parameters.
+        x = _design(np_rng, 6, 3)
+        with pytest.raises(ValueError):
+            fit_ols_folds(x, np_rng.standard_normal(6), _folds(np_rng, 6, k_folds=2), 2)

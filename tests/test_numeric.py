@@ -13,6 +13,8 @@ from attbench.numeric import (
     sample_bernoulli,
     sample_covariance,
     sample_std_normal,
+    solve_from_factor,
+    solve_spd_stack,
     substream,
 )
 
@@ -135,6 +137,31 @@ class TestCholesky:
     def test_tiny_pivot_raises(self):
         with pytest.raises(NonSpdError):
             cholesky_factor(SpdMatrix(1, np.array([[1e-13]])).entries)
+
+    def test_stacked_solve_flags_what_cholesky_factor_rejects(self, np_rng):
+        spd = [(lambda a: a @ a.T + 3 * np.eye(3))(np_rng.standard_normal((3, 3))) for _ in range(3)]
+        indefinite = np.diag([1.0, -1.0, 1.0])
+        tiny_pivot = np.diag([1.0, 1e-13, 1.0])
+        stack = np.stack([spd[0], indefinite, spd[1], tiny_pivot, spd[2]])
+        rhs = np_rng.standard_normal((5, 3))
+        solutions, ok = solve_spd_stack(stack, rhs)
+        np.testing.assert_array_equal(ok, [True, False, True, False, True])
+        for matrix, b, x, passed in zip(stack, rhs, solutions, ok):
+            if passed:
+                expected = solve_from_factor(cholesky_factor(matrix), b)
+                np.testing.assert_allclose(x, expected, rtol=1e-12, atol=0)
+            else:
+                with pytest.raises(NonSpdError):
+                    cholesky_factor(matrix)
+                np.testing.assert_array_equal(x, 0.0)
+
+    def test_stacked_solve_of_spd_stack(self, np_rng):
+        a = np_rng.standard_normal((4, 5, 5))
+        stack = a @ a.transpose(0, 2, 1) + np.eye(5)
+        rhs = np_rng.standard_normal((4, 5))
+        solutions, ok = solve_spd_stack(stack, rhs)
+        assert ok.all()
+        np.testing.assert_allclose(np.einsum("kij,kj->ki", stack, solutions), rhs, atol=1e-12)
 
     def test_spd_matrix_requires_exact_symmetry(self):
         skew = np.array([[1.0, 1e-14], [0.0, 1.0]])
