@@ -123,6 +123,13 @@ def _validate_run_config(cfg: RunConfig) -> RunConfig:
         bad_methods = set(cfg.methods) - set(METHODS)
         if not cfg.methods or bad_methods:
             raise ConfigError(f"methods must be a non-empty subset of {list(METHODS)}")
+    lists = dict(
+        scenarios=cfg.scenarios, settings=cfg.settings, prevalences=prevalences, arms=cfg.arms, methods=cfg.methods or ()
+    )
+    for name, values in lists.items():
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ConfigError(f"{name} repeat {repeated}; list each value once")
     if not 2 <= cfg.n_reps <= MAX_REPLICATES:
         raise ConfigError(f"n_reps must lie in [2, {MAX_REPLICATES}]")
     if cfg.parallelism < 1:

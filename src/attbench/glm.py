@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
-from scipy.special import expit
+from scipy.special import expit, stdtr
 
 from .errors import NonSpdError, OneClassError, RankDeficientError, ZeroSeError
 from .numeric import cholesky_factor, solve_from_factor, solve_spd_stack
@@ -130,7 +129,7 @@ def ols_wald_test(fit: OlsFit, coef_index: int) -> tuple[float, float]:
     if se == 0.0:
         raise ZeroSeError(f"coefficient {coef_index} has zero standard error")
     t_stat = float(fit.coefficients[coef_index]) / se
-    p_value = 2.0 * float(stats.t.sf(abs(t_stat), fit.n_obs - fit.n_params))
+    p_value = 2.0 * float(stdtr(fit.n_obs - fit.n_params, -abs(t_stat)))
     return t_stat, p_value
 
 

@@ -482,6 +482,8 @@ def run_grid(
     if len({c.master_seed for c in cells}) != 1:
         raise ValueError("all cells in a grid must share a master seed")
     method_list = METHODS if methods is None else tuple(methods)
+    if len(set(method_list)) != len(method_list):
+        raise ValueError("duplicate methods in the grid")
     say = log if log is not None else (lambda message: None)
 
     outdir = Path(output_dir)

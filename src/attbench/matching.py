@@ -7,6 +7,18 @@ index so a permutation of the input rows cannot change who matches whom
 beyond the relabeling itself.  The caliper is fixed at 0.2 sample
 standard deviations of the logit propensity and treated units with no
 eligible control are discarded, never force-matched.
+
+The greedy pass works on one precomputed block: a row per treated unit
+in greedy order, a column per control, holding the pair's distance
+where the caliper admits it and ``inf`` elsewhere.  The distances use
+the same elementwise arithmetic a per-unit search of the remaining pool
+would, and a pair's distance does not depend on which controls are
+still free, so the block is built once.  Each unit then takes the
+``argmin`` of its row (the first of equal minima, i.e. the lowest
+control index), ``ratio`` times, and every taken control's column is
+set to ``inf`` for the units after it.  The matches equal those of the
+per-unit search exactly.  Coarsened strata are integer codes counted
+with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -14,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import solve_triangular
+from scipy.special import stdtr
 
 from .errors import NoMatchesError, TooFewPairsError, ZeroVarianceError
 from .numeric import SpdMatrix, cholesky_factor, cholesky_solve, sample_covariance
@@ -68,11 +80,52 @@ class MatchSet:
         return len(self.pairs)
 
 
-def _greedy_order(ps_values: np.ndarray, treated_idx: np.ndarray) -> np.ndarray:
+def _caliper_block(ps_values: np.ndarray, z: np.ndarray):
+    """Treated units in greedy order, controls, their logit gaps, the caliper mask.
+
+    The gaps form a block with one row per treated unit and one column
+    per control.
+    """
+    treated_idx = np.flatnonzero(z == 1)
+    control_idx = np.flatnonzero(z == 0)
+    if treated_idx.size == 0 or control_idx.size == 0:
+        raise NoMatchesError("need both treated and control units")
     # argsort on (-ps, index); stable sort on index-ordered input gives
     # the lowest index first among exact ties.
-    order = np.argsort(-ps_values[treated_idx], kind="stable")
-    return treated_idx[order]
+    treated = treated_idx[np.argsort(-ps_values[treated_idx], kind="stable")]
+    logit_ps = _logit(ps_values)
+    gap = np.abs(logit_ps[control_idx] - logit_ps[treated][:, None])
+    return treated, control_idx, gap, gap <= _caliper(logit_ps)
+
+
+def _greedy_walk(treated: np.ndarray, control_idx: np.ndarray, dist: np.ndarray, ratio: int) -> MatchSet:
+    """Give each treated unit, in order, its ``ratio`` nearest free controls.
+
+    ``dist`` holds one row per treated unit and one column per control,
+    ``inf`` where the pair is ineligible; it is overwritten.  ``argmin``
+    returns the first of equal minima, so a distance tie goes to the
+    lowest control index, and a taken control's column is set to ``inf``
+    for every later unit.
+    """
+    controls = control_idx.tolist()
+    pairs = []
+    discarded = []
+    for i, t in enumerate(treated.tolist()):
+        row = dist[i]
+        chosen = []
+        while len(chosen) < ratio:
+            j = int(row.argmin())
+            if row[j] == np.inf:
+                break
+            dist[i:, j] = np.inf
+            chosen.append(controls[j])
+        if chosen:
+            pairs.append((t, tuple(chosen)))
+        else:
+            discarded.append(t)
+    if not pairs:
+        raise NoMatchesError("caliper discarded every treated unit")
+    return MatchSet(tuple(pairs), tuple(discarded), ratio)
 
 
 def psm_match(ps: PsVector, z: np.ndarray, ratio: int = 1) -> MatchSet:
@@ -87,34 +140,8 @@ def psm_match(ps: PsVector, z: np.ndarray, ratio: int = 1) -> MatchSet:
         raise ValueError("z must match ps in length")
     if ratio < 1:
         raise ValueError(f"ratio must be positive: {ratio}")
-    logit_ps = _logit(ps.values)
-    caliper = _caliper(logit_ps)
-    treated_idx = np.flatnonzero(z == 1)
-    control_idx = np.flatnonzero(z == 0)
-    if treated_idx.size == 0 or control_idx.size == 0:
-        raise NoMatchesError("need both treated and control units")
-
-    available = np.ones(control_idx.size, dtype=bool)
-    pairs = []
-    discarded = []
-    for t in _greedy_order(ps.values, treated_idx):
-        pool = control_idx[available]
-        if pool.size == 0:
-            discarded.append(int(t))
-            continue
-        dist = np.abs(logit_ps[pool] - logit_ps[t])
-        in_caliper = dist <= caliper
-        if not in_caliper.any():
-            discarded.append(int(t))
-            continue
-        eligible = pool[in_caliper]
-        order = np.argsort(dist[in_caliper], kind="stable")[:ratio]
-        chosen = eligible[order]
-        pairs.append((int(t), tuple(int(c) for c in chosen)))
-        available[np.searchsorted(control_idx, chosen)] = False
-    if not pairs:
-        raise NoMatchesError("caliper discarded every treated unit")
-    return MatchSet(tuple(pairs), tuple(discarded), ratio)
+    treated, control_idx, gap, within = _caliper_block(ps.values, z)
+    return _greedy_walk(treated, control_idx, np.where(within, gap, np.inf), ratio)
 
 
 def mahalanobis_distance(u: np.ndarray, v: np.ndarray, cov: SpdMatrix) -> float:
@@ -139,30 +166,14 @@ def mdm_match(x: np.ndarray, z: np.ndarray, ps: PsVector) -> MatchSet:
     cov = sample_covariance(x)
     lower = cholesky_factor(cov.entries)
     white = solve_triangular(lower, x.T, lower=True, check_finite=False).T
-
-    logit_ps = _logit(ps.values)
-    caliper = _caliper(logit_ps)
-    treated_idx = np.flatnonzero(z == 1)
-    control_idx = np.flatnonzero(z == 0)
-    if treated_idx.size == 0 or control_idx.size == 0:
-        raise NoMatchesError("need both treated and control units")
-
-    available = np.ones(control_idx.size, dtype=bool)
-    pairs = []
-    discarded = []
-    for t in _greedy_order(ps.values, treated_idx):
-        pool = control_idx[available]
-        eligible = pool[np.abs(logit_ps[pool] - logit_ps[t]) <= caliper]
-        if eligible.size == 0:
-            discarded.append(int(t))
-            continue
-        dist = np.sqrt(((white[eligible] - white[t]) ** 2).sum(axis=1))
-        c = eligible[int(np.argmin(dist))]  # argmin takes the first, i.e. lowest index
-        pairs.append((int(t), (int(c),)))
-        available[np.searchsorted(control_idx, c)] = False
-    if not pairs:
-        raise NoMatchesError("caliper discarded every treated unit")
-    return MatchSet(tuple(pairs), tuple(discarded), 1)
+    treated, control_idx, _, within = _caliper_block(ps.values, z)
+    # Distances only where the caliper admits the pair, one row per pair
+    # as in a per-unit search, so the sums add in the same order.
+    eligible = np.flatnonzero(within)
+    rows, cols = np.divmod(eligible, control_idx.size)
+    dist = np.full(within.shape, np.inf)
+    dist.flat[eligible] = np.sqrt(((white[control_idx[cols]] - white[treated[rows]]) ** 2).sum(axis=1))
+    return _greedy_walk(treated, control_idx, dist, 1)
 
 
 @dataclass(frozen=True)
@@ -199,15 +210,26 @@ def cem_match(x: np.ndarray, z: np.ndarray, n_bins: int) -> CemStrata:
     signatures = np.floor((x - lo) / (hi - lo) * n_bins).astype(np.int64)
     signatures = np.minimum(signatures, n_bins - 1)
 
-    retained = np.zeros(n, dtype=bool)
-    strata: dict[tuple[int, ...], list[int]] = {}
-    for i in range(n):
-        strata.setdefault(tuple(signatures[i]), []).append(i)
-    for members in strata.values():
-        zs = z[members]
-        if zs.min() == 0 and zs.max() == 1:
-            retained[members] = True
+    codes = _stratum_codes(signatures, n_bins)
+    n_strata = codes.max() + 1
+    has_treated = np.bincount(codes[z == 1], minlength=n_strata) > 0
+    has_control = np.bincount(codes[z == 0], minlength=n_strata) > 0
+    retained = (has_treated & has_control)[codes]
     return CemStrata(n_bins, signatures, retained)
+
+
+def _stratum_codes(signatures: np.ndarray, n_bins: int) -> np.ndarray:
+    """Number the distinct bin signatures 0, 1, ... in ascending order.
+
+    A signature is first read as one base-``n_bins`` integer; numbering
+    the distinct integers keeps the counts per stratum at most ``n`` long
+    however many covariates there are.
+    """
+    d = signatures.shape[1]
+    if int(n_bins) ** d - 1 > np.iinfo(np.int64).max:
+        raise ValueError(f"{n_bins}**{d} strata overflow a 64-bit stratum code")
+    radix = n_bins ** np.arange(d, dtype=np.int64)
+    return np.unique(signatures @ radix, return_inverse=True)[1]
 
 
 @dataclass(frozen=True)
@@ -228,7 +250,7 @@ def _paired_t(differences: np.ndarray) -> MatchedAttEstimate:
         raise ZeroVarianceError("matched differences are constant")
     se = sd / np.sqrt(m)
     t_stat = att / se
-    p_value = 2.0 * float(stats.t.sf(abs(t_stat), m - 1))
+    p_value = 2.0 * float(stdtr(m - 1, -abs(t_stat)))
     return MatchedAttEstimate(att, float(se), p_value, m)
 
 
@@ -240,8 +262,12 @@ def matched_att(y: np.ndarray, matches: MatchSet) -> MatchedAttEstimate:
     degrees of freedom.
     """
     y = np.asarray(y, dtype=np.float64)
-    diffs = np.array([y[t] - y[list(cs)].mean() for t, cs in matches.pairs])
-    return _paired_t(diffs)
+    treated = np.fromiter((t for t, _ in matches.pairs), np.int64, matches.n_pairs)
+    sizes = np.fromiter((len(cs) for _, cs in matches.pairs), np.int64, matches.n_pairs)
+    controls = np.fromiter((c for _, cs in matches.pairs for c in cs), np.int64, int(sizes.sum()))
+    starts = np.cumsum(sizes) - sizes
+    # Sum over size: for a set of one or two controls, the bits of its mean.
+    return _paired_t(y[treated] - np.add.reduceat(y[controls], starts) / sizes)
 
 
 def cem_att(y: np.ndarray, z: np.ndarray, strata: CemStrata) -> MatchedAttEstimate:
@@ -252,15 +278,10 @@ def cem_att(y: np.ndarray, z: np.ndarray, strata: CemStrata) -> MatchedAttEstima
     """
     y = np.asarray(y, dtype=np.float64)
     z = np.asarray(z)
-    control_sum: dict[tuple[int, ...], float] = {}
-    control_n: dict[tuple[int, ...], int] = {}
-    treated: list[tuple[int, tuple[int, ...]]] = []
-    for i in np.flatnonzero(strata.retained):
-        key = tuple(strata.signatures[i])
-        if z[i] == 1:
-            treated.append((int(i), key))
-        else:
-            control_sum[key] = control_sum.get(key, 0.0) + float(y[i])
-            control_n[key] = control_n.get(key, 0) + 1
-    diffs = [y[i] - control_sum[key] / control_n[key] for i, key in treated]
-    return _paired_t(np.asarray(diffs))
+    codes = _stratum_codes(strata.signatures, strata.n_bins)
+    retained = np.flatnonzero(strata.retained)
+    treated = retained[z[retained] == 1]
+    control = retained[z[retained] != 1]
+    control_sum = np.bincount(codes[control], weights=y[control])
+    control_n = np.bincount(codes[control])
+    return _paired_t(y[treated] - control_sum[codes[treated]] / control_n[codes[treated]])

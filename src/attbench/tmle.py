@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
-from scipy.special import expit, logit
+from scipy.special import expit, logit, ndtr
 
 from .errors import FlatOutcomeError, OneClassError
 from .propensity import PsVector
@@ -139,7 +138,7 @@ def tmle_att(
             break
 
     se = float(np.sqrt(np.var(eif, ddof=1) / n))
-    p_value = 2.0 * float(stats.norm.sf(abs(att) / se)) if se > 0.0 else np.nan
+    p_value = 2.0 * float(ndtr(-abs(att) / se)) if se > 0.0 else np.nan
     return TmleFit(
         att, se, p_value, np.asarray(eps_history), eif, converged, (y_min, y_max)
     )

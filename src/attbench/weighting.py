@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from .errors import AllTrimmedError, DegenerateWeightsError, ZeroSeError
 from .glm import fit_ols, predict_ols
@@ -80,7 +80,7 @@ def _finish(
     se = float(np.sqrt((phi**2).mean() / n))
     if se == 0.0:
         raise ZeroSeError("influence function is identically zero")
-    p_value = 2.0 * float(stats.norm.sf(abs(att) / se))
+    p_value = 2.0 * float(ndtr(-abs(att) / se))
     return WeightedAttEstimate(att, se, p_value, n)
 
 

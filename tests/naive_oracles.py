@@ -3,16 +3,19 @@
 These mirror the documented matching and stacking rules with explicit
 Python loops and no shared code with the package internals (beyond the
 caliper arithmetic, which is kept bit-identical on purpose so eligibility
-never flips on a final-ulp boundary).  The exception is
+never flips on a final-ulp boundary).  The exceptions are
 :func:`naive_fold_fits`, the one-fit-per-fold loop that the stacked fold
-fits replace, built on the package's single-design fitters.  Unit and
-acceptance tests compare the fast implementations against these on small
-instances.
+fits replace, built on the package's single-design fitters, and the
+coarsened-strata and matched-difference loops, which keep the float
+arithmetic of the loops the vectorized estimators replace so the two can
+be compared with ``==``.  Unit and acceptance tests compare the fast
+implementations against these.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import stats
 
 from attbench.glm import fit_logistic, fit_ols, predict_logistic, predict_ols
 
@@ -94,6 +97,57 @@ def naive_mdm(x, z, ps_values):
         pairs.append((t, (chosen,)))
         used.add(chosen)
     return pairs, discarded
+
+
+def naive_cem_retained(signatures, z):
+    """Units whose bin signature is shared by a treated and a control unit.
+
+    Strata are a dict keyed by each row's signature tuple.
+    """
+    retained = np.zeros(len(z), dtype=bool)
+    strata: dict[tuple[int, ...], list[int]] = {}
+    for i in range(len(z)):
+        strata.setdefault(tuple(signatures[i]), []).append(i)
+    for members in strata.values():
+        zs = z[members]
+        if zs.min() == 0 and zs.max() == 1:
+            retained[members] = True
+    return retained
+
+
+def naive_paired_t(differences):
+    """``(att, se, p_value)`` of a paired t-test, p from ``scipy.stats.t``."""
+    differences = np.asarray(differences, dtype=np.float64)
+    m = differences.size
+    att = float(differences.mean())
+    se = float(differences.std(ddof=1)) / np.sqrt(m)
+    return att, float(se), 2.0 * float(stats.t.sf(abs(att / se), m - 1))
+
+
+def naive_matched_differences(y, pairs):
+    """Treated outcome minus the mean outcome of its matched controls."""
+    y = np.asarray(y, dtype=np.float64)
+    return np.array([y[t] - y[list(cs)].mean() for t, cs in pairs])
+
+
+def naive_cem_differences(y, z, signatures, retained):
+    """Each retained treated outcome minus its stratum's control mean.
+
+    Control sums accumulate in ascending row order as Python floats;
+    differences come in ascending row order of the treated units.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    control_sum: dict[tuple[int, ...], float] = {}
+    control_n: dict[tuple[int, ...], int] = {}
+    treated: list[tuple[int, tuple[int, ...]]] = []
+    for i in np.flatnonzero(retained):
+        key = tuple(signatures[i])
+        if z[i] == 1:
+            treated.append((int(i), key))
+        else:
+            control_sum[key] = control_sum.get(key, 0.0) + float(y[i])
+            control_n[key] = control_n.get(key, 0) + 1
+    return np.asarray([y[i] - control_sum[key] / control_n[key] for i, key in treated])
 
 
 def naive_gaussian_library(x, y, folds, binary_column: int):

@@ -87,6 +87,11 @@ class TestConfigLayering:
             ("--master-seed", "-1"),
             ("--truth-n", "10"),
             ("--n-reps", "65537"),
+            ("--methods", "PSM,PSM"),
+            ("--prevalences", "0.5,0.50"),
+            ("--arms", "effect,effect"),
+            ("--scenarios", "1,1"),
+            ("--settings", "1,1"),
         ],
     )
     def test_invalid_values_rejected(self, flags):
@@ -124,6 +129,20 @@ class TestConfigLayering:
             with pytest.raises(ConfigError, match=f"config key '{next(iter(loaded))}' must be"):
                 _config_from_sources(parse_run("--config", str(typed)))
 
+    def test_repeated_values_in_config_file_rejected(self, tmp_path):
+        repeated = (
+            {"scenarios": [2, 1, 2]},
+            {"settings": [3, 3]},
+            {"prevalences": [0.5, "0.50"]},
+            {"arms": ["null", "null"]},
+            {"methods": ["LR", "LR"]},
+        )
+        for loaded in repeated:
+            config = tmp_path / "repeated.json"
+            config.write_text(json.dumps(loaded))
+            with pytest.raises(ConfigError, match=f"{next(iter(loaded))} repeat"):
+                _config_from_sources(parse_run("--config", str(config)))
+
 
 SMOKE_FLAGS = (
     "--scenarios", "1",
@@ -155,6 +174,12 @@ class TestCmdRun:
     def test_config_error_exit_code(self, capsys):
         assert main(["run", "--scenarios", "8"]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+
+    def test_repeated_grid_value_exit_code(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(["run", *SMOKE_FLAGS, "--methods", "PSM,PSM", "--output-dir", str(store)]) == EXIT_CONFIG
+        assert "methods repeat ['PSM']" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_partial_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def partial(*args, **kwargs):

@@ -358,6 +358,11 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="master seed"):
             run_small_grid(tmp_path, cells=mixed)
 
+    def test_repeated_methods_rejected_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="duplicate methods"):
+            run_small_grid(tmp_path / "store", methods=("PSM", "LR", "PSM"))
+        assert not (tmp_path / "store").exists()
+
     def test_store_refuses_other_master_seed(self, tmp_path):
         run_small_grid(tmp_path)
         with pytest.raises(ValueError, match="different master seed"):

@@ -11,6 +11,7 @@ from attbench.errors import (
     TooFewPairsError,
     ZeroVarianceError,
 )
+from attbench.harness import oracle_intercepts
 from attbench.matching import (
     MatchSet,
     cem_att,
@@ -23,7 +24,14 @@ from attbench.matching import (
 from attbench.numeric import SpdMatrix
 from attbench.propensity import PsVector, estimate_ps
 
-from naive_oracles import naive_mdm, naive_psm
+from naive_oracles import (
+    naive_cem_differences,
+    naive_cem_retained,
+    naive_matched_differences,
+    naive_mdm,
+    naive_paired_t,
+    naive_psm,
+)
 
 
 def ps_of(values) -> PsVector:
@@ -320,6 +328,12 @@ class TestCemMatch:
         with pytest.raises(ValueError, match="non-constant"):
             cem_match(x, np.array([1, 0, 1, 0]), 2)
 
+    def test_stratum_codes_beyond_64_bits_rejected(self, np_rng):
+        x = np_rng.standard_normal((8, 64))
+        with pytest.raises(ValueError, match="overflow"):
+            cem_match(x, np.array([1, 0] * 4), 2)
+        assert cem_match(x[:, :63], np.array([1, 0] * 4), 2).retained.shape == (8,)
+
     def test_nonpositive_bins_rejected(self, np_rng):
         with pytest.raises(ValueError, match="positive"):
             cem_match(np_rng.standard_normal((4, 1)), np.array([1, 0, 1, 0]), 0)
@@ -420,3 +434,127 @@ class TestCemAtt:
         z = np.array([1, 1, 0, 0])
         with pytest.raises(TooFewPairsError):
             cem_att(np.arange(4.0), z, cem_match(x, z, 2))
+
+
+def assert_same_estimate(est, differences):
+    assert (est.att, est.theoretical_se, est.p_value) == naive_paired_t(differences)
+    assert est.n_pairs == differences.size
+
+
+class TestLoopOracles:
+    """The vectorized strata and differences equal the loops they replace."""
+
+    def test_cem_retention_and_estimate(self, np_rng):
+        for trial in range(150):
+            n_bins = (1, 2, 5)[trial % 3]
+            n = int(np_rng.integers(8, 120))
+            d = int(np_rng.integers(1, 4))
+            x = np_rng.standard_normal((n, d))
+            z = (np_rng.uniform(size=n) < np_rng.uniform(0.2, 0.6)).astype(np.int64)
+            z[:4] = [1, 0, 1, 0]
+            y = np_rng.standard_normal(n) * 3.0 + 1.0
+            strata = cem_match(x, z, n_bins)
+            retained = naive_cem_retained(strata.signatures, z)
+            np.testing.assert_array_equal(strata.retained, retained)
+            diffs = naive_cem_differences(y, z, strata.signatures, retained)
+            if diffs.size < 2:
+                with pytest.raises(TooFewPairsError):
+                    cem_att(y, z, strata)
+                continue
+            assert_same_estimate(cem_att(y, z, strata), diffs)
+
+    def test_cem_strata_with_one_control(self):
+        # Five bins over three covariates leave retained strata with a
+        # single control, whose outcome is then the stratum mean.
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((60, 3))
+        z = np.array([1, 1, 0] * 20)
+        y = rng.standard_normal(60)
+        strata = cem_match(x, z, 5)
+        codes = [tuple(s) for s in strata.signatures[(z == 0) & strata.retained]]
+        assert any(codes.count(c) == 1 for c in codes)
+        diffs = naive_cem_differences(y, z, strata.signatures, strata.retained)
+        assert_same_estimate(cem_att(y, z, strata), diffs)
+
+    def test_matched_att_mixing_one_and_two_controls(self, np_rng):
+        sizes_seen = set()
+        for trial in range(100):
+            n = int(np_rng.integers(20, 200))
+            z = (np_rng.uniform(size=n) < 0.3).astype(np.int64)
+            z[:2] = [1, 0]
+            values = np.round(np_rng.uniform(0.1, 0.9, size=n), 2 + trial % 2)
+            y = np_rng.standard_normal(n) * 10.0
+            try:
+                matches = psm_match(ps_of(values), z, ratio=1 + trial % 2)
+            except NoMatchesError:
+                continue
+            sizes_seen.update(len(cs) for _, cs in matches.pairs)
+            diffs = naive_matched_differences(y, matches.pairs)
+            if diffs.size < 2:
+                continue
+            assert_same_estimate(matched_att(y, matches), diffs)
+        assert sizes_seen == {1, 2}
+
+
+@pytest.fixture(scope="module")
+def design_intercepts():
+    pairs = [(s, label) for s in (1, 2, 3) for label in ("0.05", "0.10")]
+    return oracle_intercepts(pairs, 42, 20_000)
+
+
+class TestGreedyWalkAtDesignSizes:
+    """PSM and MDM agree with the longhand oracles beyond toy sizes."""
+
+    @pytest.mark.parametrize("scenario", [1, 2, 3])
+    @pytest.mark.parametrize("label", ["0.05", "0.10"])
+    def test_simulated_cohorts(self, design_intercepts, scenario, label):
+        cfg = CellConfig(
+            scenario=scenario,
+            setting=1,
+            prevalence_label=label,
+            null_effect=False,
+            n_reps=1,
+            master_seed=20240817,
+        )
+        data, _ = generate_replicate(cfg, design_intercepts[(scenario, label)], replicate=0)
+        assert data.n == {"0.05": 1000, "0.10": 500}[label]
+        x, z = data.observed_covariates, data.z
+        ps = estimate_ps(x, z)
+        for ratio in (1, 2):
+            pairs, discarded = naive_psm(ps.values, z, ratio)
+            matches = psm_match(ps, z, ratio)
+            assert matches.pairs == tuple(pairs)
+            assert matches.discarded_treated == tuple(discarded)
+        pairs, discarded = naive_mdm(x, z, ps.values)
+        matches = mdm_match(x, z, ps)
+        assert matches.pairs == tuple(pairs)
+        assert matches.discarded_treated == tuple(discarded)
+
+    def test_rounded_scores_and_duplicate_controls(self, np_rng):
+        # Scores on a 0.01 grid tie among treated units (greedy order) and
+        # among controls (equal distances); copied control rows tie the
+        # Mahalanobis distance exactly.  A tie broken toward any index but
+        # the lowest fails here.
+        ties = 0
+        for trial in range(30):
+            n = int(np_rng.integers(180, 221))
+            z = (np_rng.uniform(size=n) < 0.35).astype(np.int64)
+            z[:2] = [1, 0]
+            values = np.round(np_rng.uniform(0.15, 0.85, size=n), 2)
+            x = np_rng.standard_normal((n, 3))
+            controls = np.flatnonzero(z == 0)
+            copies = np_rng.choice(controls, size=controls.size // 3, replace=False)
+            sources = np_rng.choice(controls, size=copies.size)
+            x[copies] = x[sources]
+            values[copies] = values[sources]
+            ties += np.unique(values[z == 1]).size < (z == 1).sum()
+            for ratio in (1, 2):
+                pairs, discarded = naive_psm(values, z, ratio)
+                matches = psm_match(ps_of(values), z, ratio)
+                assert matches.pairs == tuple(pairs)
+                assert matches.discarded_treated == tuple(discarded)
+            pairs, discarded = naive_mdm(x, z, values)
+            matches = mdm_match(x, z, ps_of(values))
+            assert matches.pairs == tuple(pairs)
+            assert matches.discarded_treated == tuple(discarded)
+        assert ties == 30
