@@ -12,6 +12,7 @@ clamped away from 0 and 1 so downstream weighting stays finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.special import expit, stdtr
@@ -48,18 +49,21 @@ class LogisticFit:
 
 @dataclass(frozen=True)
 class FoldFits:
-    """One design fitted on each of ``k`` training folds.
+    """One design fitted on each of ``k`` training folds and on all rows.
 
     Fold ``f`` is fitted on the rows with ``folds != f``.
     ``out_of_fold[i]`` is row ``i``'s prediction from the fit that held it
     out, clamped like :func:`predict_logistic` for the logistic family.
     ``converged`` and ``separated`` hold one :class:`LogisticFit` flag per
     fold; least-squares folds are all converged and none separated.
+    ``refit_coefficients`` and ``refit_separated`` belong to the fit on all rows.
     """
 
     out_of_fold: np.ndarray = field(repr=False)
     converged: np.ndarray = field(repr=False)
     separated: np.ndarray = field(repr=False)
+    refit_coefficients: np.ndarray = field(repr=False)
+    refit_separated: bool
 
 
 def _normal_equations_factor(design: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -194,33 +198,38 @@ def predict_logistic(fit: LogisticFit, design: np.ndarray) -> np.ndarray:
     return np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-# --- every training fold of one design in one stacked pass -------------------
+# --- every training fold of one design, and its refit, in one stacked pass ---
 #
 # A fold is a 0/1 row weight on the full design: holdout rows enter neither
-# the score nor the information matrix.  The products of every column pair
-# are formed once per design, so one matrix product gives all k weighted
-# grams, and one stacked Cholesky screen and solve replace k factorizations.
-# Each fold follows the rules of fit_ols/fit_logistic on
-# ``design[folds != f]`` and agrees with them to round-off.  A single fit is
-# cheaper through those functions; these pay off from a few folds up.
+# the score nor the information matrix.  Weight row k + 1 (no row's fold is
+# k) is all ones: the full-sample refit rides along as one more fold.  The
+# products of every column pair are formed once per design, so one matrix
+# product gives all k + 1 weighted grams, and one stacked Cholesky screen
+# and solve replace k + 1 factorizations.  Each row follows the rules of
+# fit_ols/fit_logistic on ``design[folds != f]`` and agrees with them to
+# round-off.  A single fit is cheaper through those functions.
 
 
 def _training_weights(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_folds: int) -> np.ndarray:
     n, p = design.shape
     if y.shape != (n,) or folds.shape != (n,):
         raise ValueError(f"y and folds must have shape ({n},): {y.shape}, {folds.shape}")
-    train = (folds != np.arange(k_folds)[:, None]).astype(np.float64)
-    smallest = int(train.sum(axis=1).min())
+    train = (folds != np.arange(k_folds + 1)[:, None]).astype(np.float64)
+    smallest = int(train[:k_folds].sum(axis=1).min())
     if smallest <= p:
         raise ValueError(f"need more observations than parameters in every fold: n={smallest}, p={p}")
     return train
+
+
+# One index table per design width, shared by every call: read, never written.
+_lower_triangle = cache(np.tril_indices)
 
 
 def _weighted_grams(design: np.ndarray):
     """Return ``grams(weights)``, the stack of ``design.T @ diag(w) @ design``
     over the rows ``w`` of ``weights``, each exactly symmetric."""
     p = design.shape[1]
-    rows, cols = np.tril_indices(p)
+    rows, cols = _lower_triangle(p)
     columns = design.T.copy()
     pairs = columns[rows]
     pairs *= columns[cols]
@@ -241,33 +250,33 @@ def _out_of_fold(design: np.ndarray, coefficients: np.ndarray, folds: np.ndarray
 
 
 def fit_ols_folds(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_folds: int) -> FoldFits:
-    """Least-squares fits of ``design`` on each training fold, solved as one stack.
+    """Least-squares fits of ``design`` on each training fold and on all rows, as one stack.
 
     ``folds[i]`` in ``range(k_folds)`` is row ``i``'s holdout fold.
 
     Raises
     ------
     RankDeficientError
-        If some fold's normal equations fail the pivot floor.
+        If the normal equations of some fold, or of all rows, fail the pivot floor.
     """
     design = np.asarray(design, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     train = _training_weights(design, y, folds, k_folds)
     beta, ok = solve_spd_stack(_weighted_grams(design)(train), (train * y) @ design)
     if not ok.all():
-        raise RankDeficientError(f"normal equations of fold {int(np.argmin(ok))} are not positive definite")
-    return FoldFits(_out_of_fold(design, beta, folds), ok, np.zeros(k_folds, dtype=bool))
+        raise RankDeficientError(f"normal equations of weight row {int(np.argmin(ok))} are not positive definite")
+    return FoldFits(_out_of_fold(design, beta, folds), ok[:k_folds], ~ok[:k_folds], beta[k_folds], False)
 
 
 def fit_logistic_folds(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_folds: int) -> FoldFits:
-    """IRLS logistic fits of ``design`` on each training fold, in one loop.
+    """IRLS logistic fits of ``design`` on each training fold and on all rows, in one loop.
 
-    ``folds`` is as in :func:`fit_ols_folds`.  Each fold keeps
+    ``folds`` is as in :func:`fit_ols_folds`.  Each fit keeps
     :func:`fit_logistic`'s rules on its own: it starts at zero, stops once
     its score's max-norm is at most ``IRLS_SCORE_TOL`` or after
     ``IRLS_MAX_ITER`` steps, and freezes as separated when its information
     matrix fails the pivot floor or a coefficient escapes
-    ``SEPARATION_COEF_BOUND``.  Only folds still iterating are computed.
+    ``SEPARATION_COEF_BOUND``.  Only fits still iterating are computed.
     Probabilities inside the loop are ``1 / (1 + exp(-eta))``, which agrees
     with ``expit`` to an ulp at a third of its cost.
 
@@ -286,11 +295,11 @@ def fit_logistic_folds(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_f
         raise OneClassError("a training fold contains a single class")
 
     grams = _weighted_grams(design)
-    beta = np.zeros((k_folds, design.shape[1]))
-    converged = np.zeros(k_folds, dtype=bool)
-    separated = np.zeros(k_folds, dtype=bool)
-    # ``active`` lists the folds still iterating; ``mask`` is their rows of ``train``.
-    active, mask = np.arange(k_folds), train
+    beta = np.zeros((k_folds + 1, design.shape[1]))
+    converged = np.zeros(k_folds + 1, dtype=bool)
+    separated = np.zeros(k_folds + 1, dtype=bool)
+    # ``active`` lists the fits still iterating; ``mask`` is their rows of ``train``.
+    active, mask = np.arange(k_folds + 1), train
     for _ in range(IRLS_MAX_ITER):
         with np.errstate(over="ignore"):  # exp(-eta) = inf gives probability 0
             probs = 1.0 / (1.0 + np.exp(-(beta[active] @ design.T)))
@@ -314,4 +323,4 @@ def fit_logistic_folds(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_f
             break
 
     out_of_fold = np.clip(expit(_out_of_fold(design, beta, folds)), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return FoldFits(out_of_fold, converged, separated)
+    return FoldFits(out_of_fold, converged[:k_folds], separated[:k_folds], beta[k_folds], bool(separated[k_folds]))

@@ -30,7 +30,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import stdtr
 
 from .errors import NoMatchesError, TooFewPairsError, ZeroVarianceError
-from .numeric import SpdMatrix, cholesky_factor, cholesky_solve, sample_covariance
+from .numeric import cholesky_factor, sample_covariance
 from .propensity import PsVector
 
 CALIPER_SD_FACTOR = 0.2
@@ -142,12 +142,6 @@ def psm_match(ps: PsVector, z: np.ndarray, ratio: int = 1) -> MatchSet:
         raise ValueError(f"ratio must be positive: {ratio}")
     treated, control_idx, gap, within = _caliper_block(ps.values, z)
     return _greedy_walk(treated, control_idx, np.where(within, gap, np.inf), ratio)
-
-
-def mahalanobis_distance(u: np.ndarray, v: np.ndarray, cov: SpdMatrix) -> float:
-    """Distance ``sqrt((u - v)' cov^{-1} (u - v))``."""
-    diff = np.asarray(u, dtype=np.float64) - np.asarray(v, dtype=np.float64)
-    return float(np.sqrt(diff @ cholesky_solve(cov, diff)))
 
 
 def mdm_match(x: np.ndarray, z: np.ndarray, ps: PsVector) -> MatchSet:

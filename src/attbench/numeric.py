@@ -199,14 +199,6 @@ def solve_spd_stack(stack: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.
     return solutions, ok
 
 
-def cholesky_solve(matrix: SpdMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` for SPD ``A`` via its Cholesky factor."""
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.shape[0] != matrix.dimension:
-        raise ValueError(f"rhs length {rhs.shape[0]} != dimension {matrix.dimension}")
-    return solve_from_factor(cholesky_factor(matrix.entries), rhs)
-
-
 def solve_from_factor(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``A x = rhs`` for a vector or matrix ``rhs``, given ``A``'s lower Cholesky factor."""
     solution, info = dpotrs(lower, rhs, lower=1)

@@ -94,9 +94,7 @@ def estimate_ps(
     else:
         fit = fit_superlearner(x, z.astype(np.float64), "binomial", rng=rng)
         values = predict_ensemble(fit, x)
-        separated = any(
-            getattr(learner.fit, "separated", False) for learner in fit.learners
-        )
+        separated = any(learner.separated for learner in fit.learners)
         basis = None
     return PsVector(values, np.ones(values.size, dtype=bool), method, separated, basis)
 

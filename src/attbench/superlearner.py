@@ -4,38 +4,33 @@ The library deliberately stays at three members (a grand mean, a
 main-effects GLM, and a degree-2 polynomial GLM) so the ensemble can be
 stacked exactly: the level-one weights minimize squared error over the
 probability simplex by enumerating every support and solving the
-equality-constrained normal equations on each.  With three learners that
-is seven tiny solves, and unlike non-negative least squares with a
-renormalization step it guarantees the stacked cross-validation risk
-never exceeds the best single learner's risk.
+equality-constrained normal equations on each: seven tiny systems for
+three learners, solved as one stack.  Unlike non-negative least squares
+with a renormalization step this guarantees the stacked cross-validation
+risk never exceeds the best single learner's risk.
 
 The level-one predictions come from ``k`` fits per learner, one per
-training fold.  They are made in one stacked pass per learner
+training fold, and the full-sample refit is one more fit of the same
+kind.  All ``k + 1`` are made in one stacked pass per learner
 (:func:`attbench.glm.fit_ols_folds`, :func:`attbench.glm.fit_logistic_folds`):
-each fold is a 0/1 row weight on the learner's full design, and every
-fold keeps the convergence and separation rules of a single fit.  The
-full-sample refits go through :func:`attbench.glm.fit_ols` and
-:func:`attbench.glm.fit_logistic`, like every fit outside the ensemble.
+each fold is a 0/1 row weight on the learner's full design, the refit an
+all-ones weight, and every fit keeps the convergence and separation rules
+of a single :func:`attbench.glm.fit_ols` or :func:`attbench.glm.fit_logistic`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import OneClassError
-from .glm import (
-    LogisticFit,
-    OlsFit,
-    fit_logistic,
-    fit_logistic_folds,
-    fit_ols,
-    fit_ols_folds,
-    predict_logistic,
-    predict_ols,
-)
+from .glm import PROB_CLAMP, fit_logistic_folds, fit_ols_folds
+# Not called here: perfbench/spans.py wraps these two names in this module.
+from .glm import fit_logistic, fit_ols  # noqa: F401
 from .numeric import RngStream
 
 LEARNER_KINDS = ("mean_only", "glm_main_effects", "glm_degree2")
@@ -69,12 +64,8 @@ def expand_degree2(x: np.ndarray) -> np.ndarray:
     d*(d-1)/2 products x_i * x_j with i < j in lexicographic order.
     """
     x = np.asarray(x, dtype=np.float64)
-    n, d = x.shape
-    blocks = [x, x**2]
-    for i in range(d):
-        for j in range(i + 1, d):
-            blocks.append((x[:, i] * x[:, j])[:, None])
-    return np.hstack(blocks)
+    i, j = np.triu_indices(x.shape[1], 1)
+    return np.hstack([x, x**2, x[:, i] * x[:, j]])
 
 
 def _learner_design(kind: str, x: np.ndarray) -> np.ndarray:
@@ -106,15 +97,18 @@ def _distinct_columns(design: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FittedLearner:
+    """A learner refitted on all rows; ``separated`` is False for least squares."""
+
     spec: LearnerSpec
     kept_columns: np.ndarray = field(repr=False)
-    fit: OlsFit | LogisticFit = field(repr=False)
+    coefficients: np.ndarray = field(repr=False)
+    separated: bool
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        design = _learner_design(self.spec.kind, x)[:, self.kept_columns]
+        linear = _learner_design(self.spec.kind, x)[:, self.kept_columns] @ self.coefficients
         if self.spec.family == "gaussian":
-            return predict_ols(self.fit, design)
-        return predict_logistic(self.fit, design)
+            return linear
+        return np.clip(expit(linear), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
 @dataclass(frozen=True)
@@ -152,47 +146,58 @@ def _folds_trainable(y: np.ndarray, folds: np.ndarray, k_folds: int, family: str
     return True
 
 
+@cache
+def _support_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(members, pairs, kkt)`` over every support ``s`` of ``k`` learners, smaller first.
+
+    ``members[s]`` marks the learners in ``s`` and ``pairs[s]`` their gram
+    block.  ``kkt[s]`` is the KKT matrix without that block: row and column
+    ``k`` hold the constraint, and a learner outside ``s`` gets an identity
+    row and column, so its weight solves to zero.
+    """
+    supports = [set(c) for size in range(1, k + 1) for c in combinations(range(k), size)]
+    members = np.array([[j in support for j in range(k)] for support in supports])
+    kkt = np.zeros((len(supports), k + 1, k + 1))
+    kkt[:, :k, :k] = np.eye(k) * ~members[:, :, None]
+    kkt[:, :k, k] = kkt[:, k, :k] = members
+    pairs = members[:, :, None] & members[:, None, :]
+    for table in (members, pairs, kkt):
+        table.flags.writeable = False
+    return members, pairs, kkt
+
+
 def simplex_weights(level_one: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimize ``mean((level_one @ w - y)**2)`` over the simplex.
 
     Enumerates supports; on each, solves the KKT system of the
-    equality-constrained problem by least squares (minimum-norm, so
-    duplicated learners split weight evenly and deterministically), keeps
-    feasible candidates, and returns the best.  Returns the weights and
-    the attained mean squared error.
+    equality-constrained problem in the minimum-norm sense (so duplicated
+    learners split weight evenly and deterministically), keeps feasible
+    candidates, and returns the best.  One batched pseudo-inverse, with
+    ``np.linalg.lstsq(rcond=None)``'s cutoff, solves every support.
+    Returns the weights and the attained mean squared error.
     """
     z = np.asarray(level_one, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n, k = z.shape
-    gram = z.T @ z
-    cross = z.T @ y
-    best_w: np.ndarray | None = None
-    best_obj = np.inf
-    for size in range(1, k + 1):
-        for support in combinations(range(k), size):
-            idx = np.asarray(support, dtype=np.intp)
-            kkt = np.zeros((size + 1, size + 1))
-            kkt[:size, :size] = 2.0 * gram[np.ix_(idx, idx)]
-            kkt[:size, size] = 1.0
-            kkt[size, :size] = 1.0
-            rhs = np.concatenate([2.0 * cross[idx], [1.0]])
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            w_support = sol[:size]
-            if np.any(w_support < -1e-12) or abs(w_support.sum() - 1.0) > 1e-9:
-                continue
-            w = np.zeros(k)
-            w[idx] = np.clip(w_support, 0.0, None)
-            w /= w.sum()
-            # Evaluate through the residuals, the same arithmetic as the
-            # per-learner CV risks, so vertex candidates reproduce those
-            # risks exactly and dominance is not blurred by cancellation
-            # in the quadratic form.
-            obj = float(np.mean((z @ w - y) ** 2))
-            if obj < best_obj - _OBJECTIVE_TIE_TOL:
-                best_obj = obj
-                best_w = w
-    assert best_w is not None  # size-1 supports are always feasible
-    return best_w, best_obj
+    k = z.shape[1]
+    members, pairs, kkt = _support_tables(k)
+    kkt = kkt.copy()
+    kkt[:, :k, :k] = np.where(pairs, 2.0 * (z.T @ z), kkt[:, :k, :k])
+    rhs = np.ones((members.shape[0], k + 1, 1))
+    rhs[:, :k, 0] = np.where(members, 2.0 * (z.T @ y), 0.0)
+    solutions = np.linalg.pinv(kkt, rcond=np.finfo(np.float64).eps * (k + 1)) @ rhs
+    w = np.where(members, solutions[:, :k, 0], 0.0)
+    feasible = ~(np.any(w < -1e-12, axis=1) | (np.abs(w.sum(axis=1) - 1.0) > 1e-9))
+    candidates = np.clip(w[feasible], 0.0, None)
+    candidates /= candidates.sum(axis=1, keepdims=True)
+    # Scored through the residuals, as fit_superlearner's cv_risks are, so a
+    # vertex reproduces its learner's risk exactly, unblurred by cancellation
+    # in the quadratic form.  Size-1 supports are always feasible.
+    objectives = np.mean((z @ candidates.T - y[:, None]) ** 2, axis=0).tolist()
+    best = 0
+    for s, objective in enumerate(objectives):
+        if objective < objectives[best] - _OBJECTIVE_TIE_TOL:
+            best = s
+    return candidates[best], objectives[best]
 
 
 def fit_superlearner(
@@ -205,9 +210,10 @@ def fit_superlearner(
     """Stack the default library by k-fold cross validation.
 
     Each learner's design is built once on all ``n`` rows.  Its ``k``
-    training-fold fits run in one stacked pass that gives every row its
-    out-of-fold prediction; the simplex weights are fitted to those
-    predictions, and each learner is then refitted on the full sample.
+    training-fold fits and its full-sample refit run in one stacked pass
+    that gives every row its out-of-fold prediction and the learner its
+    refit coefficients; the simplex weights are fitted to those
+    predictions.
 
     Parameters
     ----------
@@ -260,14 +266,15 @@ def fit_superlearner(
     full = [_learner_design(spec.kind, x) for spec in library]
     kept = [_distinct_columns(design) for design in full]
     designs = [design[:, columns] for design, columns in zip(full, kept)]
-    gaussian = family == "gaussian"
-    fit_folds, fit_glm = (fit_ols_folds, fit_ols) if gaussian else (fit_logistic_folds, fit_logistic)
-    level_one = np.column_stack([fit_folds(design, y, folds, k_folds).out_of_fold for design in designs])
+    fit_folds = fit_ols_folds if family == "gaussian" else fit_logistic_folds
+    fits = [fit_folds(design, y, folds, k_folds) for design in designs]
+    level_one = np.column_stack([fit.out_of_fold for fit in fits])
 
     cv_risks = np.mean((level_one - y[:, None]) ** 2, axis=0)
     weights, cv_objective = simplex_weights(level_one, y)
     learners = tuple(
-        FittedLearner(spec, columns, fit_glm(design, y)) for spec, columns, design in zip(library, kept, designs)
+        FittedLearner(spec, columns, fit.refit_coefficients, fit.refit_separated)
+        for spec, columns, fit in zip(library, kept, fits)
     )
     return EnsembleFit(learners, weights, cv_risks, cv_objective, family, x.shape[1], folds)
 

@@ -5,19 +5,24 @@ Python loops and no shared code with the package internals (beyond the
 caliper arithmetic, which is kept bit-identical on purpose so eligibility
 never flips on a final-ulp boundary).  The exceptions are
 :func:`naive_fold_fits`, the one-fit-per-fold loop that the stacked fold
-fits replace, built on the package's single-design fitters, and the
-coarsened-strata and matched-difference loops, which keep the float
-arithmetic of the loops the vectorized estimators replace so the two can
-be compared with ``==``.  Unit and acceptance tests compare the fast
-implementations against these.
+fits replace, built on the package's single-design fitters;
+:func:`mahalanobis_distance`, built on the package's Cholesky factor and
+solve; and the coarsened-strata, matched-difference and simplex-support
+loops, which keep the float arithmetic of the loops the vectorized
+estimators replace so the two can be compared with ``==`` or to
+round-off.  Unit and acceptance tests compare the fast implementations
+against these.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 from scipy import stats
 
 from attbench.glm import fit_logistic, fit_ols, predict_logistic, predict_ols
+from attbench.numeric import cholesky_factor, solve_from_factor
 
 
 def logit_vector(ps_values) -> list[float]:
@@ -97,6 +102,13 @@ def naive_mdm(x, z, ps_values):
         pairs.append((t, (chosen,)))
         used.add(chosen)
     return pairs, discarded
+
+
+def mahalanobis_distance(u, v, cov) -> float:
+    """Distance ``sqrt((u - v)' cov^{-1} (u - v))`` for an ``SpdMatrix`` ``cov``,
+    solved through its Cholesky factor (``NonSpdError`` if it has none)."""
+    diff = np.asarray(u, dtype=np.float64) - np.asarray(v, dtype=np.float64)
+    return float(np.sqrt(diff @ solve_from_factor(cholesky_factor(cov.entries), diff)))
 
 
 def naive_cem_retained(signatures, z):
@@ -223,3 +235,40 @@ def naive_fold_fits(design, y, folds, family: str):
             converged.append(fit.converged)
             separated.append(fit.separated)
     return out_of_fold, np.array(converged), np.array(separated)
+
+
+def naive_simplex_weights(level_one, y, tie_tol: float = 1e-15):
+    """Minimize ``mean((level_one @ w - y)**2)`` over the simplex, one support at a time.
+
+    Supports come smaller first, then in ``itertools.combinations`` order.
+    Each support's KKT system is solved by ``np.linalg.lstsq(rcond=None)``
+    (the minimum-norm solution); a feasible candidate replaces the best so
+    far only when its objective is lower by more than ``tie_tol``.  Returns
+    the weights and their objective.
+    """
+    z = np.asarray(level_one, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    k = z.shape[1]
+    gram = z.T @ z
+    cross = z.T @ y
+    best_w = None
+    best_obj = np.inf
+    for size in range(1, k + 1):
+        for support in combinations(range(k), size):
+            idx = np.asarray(support, dtype=np.intp)
+            kkt = np.zeros((size + 1, size + 1))
+            kkt[:size, :size] = 2.0 * gram[np.ix_(idx, idx)]
+            kkt[:size, size] = 1.0
+            kkt[size, :size] = 1.0
+            rhs = np.concatenate([2.0 * cross[idx], [1.0]])
+            w_support = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:size]
+            if np.any(w_support < -1e-12) or abs(w_support.sum() - 1.0) > 1e-9:
+                continue
+            w = np.zeros(k)
+            w[idx] = np.clip(w_support, 0.0, None)
+            w /= w.sum()
+            obj = float(np.mean((z @ w - y) ** 2))
+            if obj < best_obj - tie_tol:
+                best_obj = obj
+                best_w = w
+    return best_w, best_obj

@@ -24,13 +24,13 @@ from attbench.dgp import (
 from attbench.errors import NoMatchesError
 from attbench.glm import fit_ols
 from attbench.harness import METHODS, run_grid
-from attbench.matching import cem_att, cem_match, mahalanobis_distance, psm_match
+from attbench.matching import cem_att, cem_match, psm_match
 from attbench.numeric import SpdMatrix
 from attbench.propensity import PsVector, estimate_ps, truncate_ps
 from attbench.tmle import tmle_att
 from attbench.weighting import aipw_att, fit_outcome_models, ipw_att
 
-from naive_oracles import naive_psm
+from naive_oracles import mahalanobis_distance, naive_psm
 
 N_REPS = 200
 MASTER_SEED = 42

@@ -222,7 +222,29 @@ class TestFoldFits:
         with pytest.raises(RankDeficientError):
             naive_fold_fits(x, y, folds, "gaussian")
         with pytest.raises(RankDeficientError):
+            fit_ols(x, y)
+        with pytest.raises(RankDeficientError):
             fit_ols_folds(x, y, folds, 10)
+
+    @pytest.mark.parametrize(
+        "seed, scale, separated",
+        [(1, 0.5, False), (8, 3.0, False), (8, 5.0, True)],
+        ids=["well-posed", "separated-fold", "separated-refit"],
+    )
+    def test_logistic_refit_row_matches_single_fit(self, seed, scale, separated):
+        design, z, folds = _degree2_treatment(seed=seed, n=200 if seed == 1 else 100, scale=scale)
+        fits = fit_logistic_folds(design, z, folds, 10)
+        single = fit_logistic(design, z)
+        assert fits.separated.any() == (scale > 1.0)
+        assert single.separated == fits.refit_separated == separated
+        np.testing.assert_allclose(fits.refit_coefficients, single.coefficients, rtol=0, atol=1e-10)
+
+    def test_ols_refit_row_matches_single_fit(self, np_rng):
+        x = _design(np_rng, 90, 4)
+        y = x @ np.array([1.0, -2.0, 0.5, 3.0]) + np_rng.standard_normal(90)
+        fits = fit_ols_folds(x, y, _folds(np_rng, 90), 10)
+        assert fits.refit_separated is False
+        np.testing.assert_allclose(fits.refit_coefficients, fit_ols(x, y).coefficients, rtol=0, atol=1e-10)
 
     def test_single_class_fold_raises(self, np_rng):
         x = _design(np_rng, 40, 2)

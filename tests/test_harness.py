@@ -18,6 +18,7 @@ from attbench.errors import (
 )
 from attbench.harness import (
     METHODS,
+    RECORD_COLUMNS,
     EstimateRecord,
     aggregate_cell,
     read_records_csv,
@@ -144,6 +145,39 @@ class TestRunReplicate:
         for method in ("PSM", "PSM_1:2", "MDM"):
             assert "failed:TooFewPairsError" in records[method].flags
         assert not records["LR"].failed
+
+
+class TestReplicateIndependence:
+    """Replicate r's records do not depend on how many replicates its cell runs."""
+
+    CELLS = (dict(scenario=2, setting=3, label="0.50"), dict(scenario=3, setting=1, label="0.20", null=True))
+
+    @pytest.mark.parametrize("cell", CELLS, ids=["s2t3p050_effect", "s3t1p020_null"])
+    def test_run_replicate_ignores_n_reps(self, cell):
+        alpha0 = harness.oracle_intercepts([(cell["scenario"], cell["label"])], 42, 10**5)
+        alpha0 = alpha0[(cell["scenario"], cell["label"])]
+        for replicate in (0, 1):
+            four = run_replicate(cfg_for(**cell, n_reps=4), alpha0, replicate)
+            two = run_replicate(cfg_for(**cell, n_reps=2), alpha0, replicate)
+            assert tuple(r.method for r in four) == METHODS
+            # repr keeps every float bit and lets NaN fields of failed records compare.
+            assert repr(four) == repr(two)
+
+    def test_grid_records_ignore_n_reps(self, tmp_path):
+        stores = {}
+        for n_reps in (4, 2):
+            cells = [cfg_for(**cell, n_reps=n_reps) for cell in self.CELLS]
+            run_small_grid(tmp_path / str(n_reps), cells=cells, methods=METHODS)
+            stores[n_reps] = {
+                cfg.name: (tmp_path / str(n_reps) / "cells" / f"{cfg.name}_records.csv").read_text().splitlines()
+                for cfg in cells
+            }
+        replicate = RECORD_COLUMNS.index("replicate")
+        for name, rows in stores[4].items():
+            first_two = [row for row in rows[1:] if row.split(",")[replicate] in ("0", "1")]
+            assert len(first_two) == 2 * len(METHODS)
+            assert {row.split(",")[0] for row in first_two} == set(METHODS)
+            assert [rows[0]] + first_two == stores[2][name]
 
 
 class TestAggregateCell:

@@ -16,7 +16,6 @@ from attbench.matching import (
     MatchSet,
     cem_att,
     cem_match,
-    mahalanobis_distance,
     matched_att,
     mdm_match,
     psm_match,
@@ -25,6 +24,7 @@ from attbench.numeric import SpdMatrix
 from attbench.propensity import PsVector, estimate_ps
 
 from naive_oracles import (
+    mahalanobis_distance,
     naive_cem_differences,
     naive_cem_retained,
     naive_matched_differences,

@@ -3,19 +3,23 @@
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.special import expit
 
 from attbench.errors import OneClassError
+from attbench.glm import fit_logistic, fit_logistic_folds
 from attbench.numeric import RngStream
+from attbench.propensity import estimate_ps
 from attbench.superlearner import (
     EnsembleFit,
     LearnerSpec,
+    _learner_design,
     expand_degree2,
     fit_superlearner,
     predict_ensemble,
     simplex_weights,
 )
 
-from naive_oracles import naive_gaussian_library
+from naive_oracles import naive_gaussian_library, naive_simplex_weights
 
 
 class TestDegree2Expansion:
@@ -93,6 +97,55 @@ class TestSimplexWeights:
         np.testing.assert_allclose(dup @ w_dup, z @ w_base, atol=1e-8)
 
 
+class TestSimplexAgainstLoop:
+    """The batched support solve against one ``lstsq`` per support."""
+
+    @staticmethod
+    def _level_one(np_rng, n, k):
+        # Out-of-fold probabilities of learners of varying quality, and a
+        # response that is 0/1 or a noisy mixture of the columns.
+        truth = np_rng.random(n)
+        z = np.clip(truth[:, None] + np_rng.normal(0.0, np_rng.uniform(0.05, 0.4, k), (n, k)), 0.01, 0.99)
+        if np_rng.random() < 0.5:
+            return z, (np_rng.random(n) < truth).astype(float)
+        return z, z @ np_rng.dirichlet(np.ones(k)) + 0.1 * np_rng.standard_normal(n)
+
+    @pytest.mark.parametrize("n", [100, 250, 1000])
+    def test_weights_and_objective_match_loop(self, np_rng, n):
+        for k in (1, 2, 3, 4):
+            for _ in range(10):
+                z, y = self._level_one(np_rng, n, k)
+                w, obj = simplex_weights(z, y)
+                w_loop, obj_loop = naive_simplex_weights(z, y)
+                np.testing.assert_allclose(w, w_loop, rtol=0, atol=1e-12)
+                assert obj == pytest.approx(obj_loop, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [100, 250, 1000])
+    def test_duplicated_learner_matches_loop(self, np_rng, n):
+        # Every support holding both copies has a singular KKT system; it
+        # ties with the support holding one copy, which the tie rule keeps.
+        for k in (2, 3):
+            for _ in range(10):
+                z, y = self._level_one(np_rng, n, k)
+                dup = np.column_stack([z, z[:, -1]])
+                w, obj = simplex_weights(dup, y)
+                w_loop, obj_loop = naive_simplex_weights(dup, y)
+                assert obj == pytest.approx(obj_loop, rel=0, abs=1e-12)
+                np.testing.assert_allclose(dup @ w, dup @ w_loop, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(w, w_loop, rtol=0, atol=1e-12)
+
+    def test_vertex_objective_equals_learner_risk(self, np_rng):
+        # The risk of a single learner is computed as fit_superlearner's
+        # cv_risks are, so a winning vertex reproduces it bit for bit.
+        # Learners 1 and 2 are learner 0 shifted up; its errors have mean zero.
+        y = np_rng.standard_normal(200)
+        noise = 0.1 * np_rng.standard_normal(200)
+        z = (y + noise - noise.mean())[:, None] + np.array([0.0, 0.5, 1.0])
+        w, obj = simplex_weights(z, y)
+        np.testing.assert_array_equal(w, [1.0, 0.0, 0.0])
+        assert obj == np.mean((z - y[:, None]) ** 2, axis=0)[0]
+
+
 class TestFitSuperlearner:
     def test_cv_objective_dominates_every_learner(self, np_rng):
         for trial in range(5):
@@ -128,6 +181,28 @@ class TestFitSuperlearner:
         np.testing.assert_allclose(fit.cv_risks, risks, rtol=0, atol=1e-9)
         for learner, expected in zip(fit.learners, predictions):
             np.testing.assert_allclose(learner.predict(features), expected, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", [2, 23])
+    def test_refits_match_single_fits(self, seed):
+        # Scenario 2's quadratic treatment logit, sharpened: at seed 23 six
+        # training folds of the degree-2 learner separate but its refit does
+        # not; at seed 2 the refit separates too.  The ensemble's flag, like
+        # estimate_ps's, follows the refits alone.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((100, 3))
+        logit = 1.25 * x[:, 0] + x[:, 1] + 0.5 * x[:, 0] ** 2 + 0.5 * x[:, 1] ** 2 + 0.75 * x[:, 0] * x[:, 1]
+        z = (rng.random(100) < expit(3.0 * (logit - 1.0))).astype(float)
+        fit = fit_superlearner(x, z, "binomial", rng=RngStream(seed))
+        singles = []
+        for learner in fit.learners:
+            design = _learner_design(learner.spec.kind, x)[:, learner.kept_columns]
+            single = fit_logistic(design, z)
+            np.testing.assert_allclose(learner.coefficients, single.coefficients, rtol=0, atol=1e-10)
+            assert learner.separated == single.separated
+            singles.append(single.separated)
+        assert singles == [False, False, seed == 2]
+        assert fit_logistic_folds(design, z, fit.fold_assignment, 10).separated.sum() == (10 if seed == 2 else 6)
+        assert estimate_ps(x, z, "ensemble", RngStream(seed)).separated == (seed == 2)
 
     def test_deterministic_given_stream(self, np_rng):
         x = np_rng.standard_normal((80, 3))
