@@ -321,20 +321,13 @@ def _report_rows(store: Path) -> list[dict]:
         for method in methods_present:
             effect = arms.get("effect", {}).get(method)
             null = arms.get("null", {}).get(method)
+            # The effect arm's moments, the null arm's type-I rate, and the
+            # counts of whichever arm ran; a column with no arm reads NaN.
+            either = effect or null
+            source = {"type1_rate": null, "method": either, "n_valid": either, "failure_rate": either}
             rows.append(
-                {
-                    "scenario": scenario,
-                    "setting": setting,
-                    "prevalence": prevalence,
-                    "method": method,
-                    "n_valid": effect.n_valid if effect else (null.n_valid if null else 0),
-                    "bias": effect.bias if effect else math.nan,
-                    "empirical_sd": effect.empirical_sd if effect else math.nan,
-                    "avg_theoretical_sd": effect.avg_theoretical_sd if effect else math.nan,
-                    "mse": effect.mse if effect else math.nan,
-                    "type1_rate": null.type1_rate if null else math.nan,
-                    "failure_rate": effect.failure_rate if effect else (null.failure_rate if null else math.nan),
-                }
+                {"scenario": scenario, "setting": setting, "prevalence": prevalence}
+                | {c: getattr(source.get(c, effect), c, math.nan) for c in METRIC_COLUMNS}
             )
     return rows
 

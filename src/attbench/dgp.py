@@ -38,6 +38,14 @@ NOISE_SD = float(np.sqrt(2.0))
 CALIBRATION_TOL = 1e-3
 _BISECTION_BRACKET = (-20.0, 20.0)
 _BISECTION_X_TOL = 1e-10
+# Newton stops once a step is this small: the next would move the estimate
+# by about its square, far below the certification offsets.
+_NEWTON_STEP_TOL = 1e-8
+_NEWTON_MAX_STEPS = 16
+# Offset either side of the Newton estimate at which the gap is evaluated
+# to certify a bracket: far above the estimate's error, far below the
+# bisection's final width.
+_CERTIFY_DELTA = 1e-12
 _ORACLE_CHUNK = 10**6
 _MAX_REDRAWS = 64
 
@@ -220,6 +228,38 @@ def draw_true_propensity(
     return x1, expit(alpha0 + treatment_logit_terms(spec, x1, x2, x4))
 
 
+def _mean_expit(terms: np.ndarray, alpha: float, buf: np.ndarray) -> float:
+    """``mean(expit(alpha + terms))`` to the same bits, computed in ``buf``."""
+    np.add(terms, alpha, out=buf)
+    expit(buf, out=buf)
+    return float(np.mean(buf))
+
+
+def _newton_root(terms: np.ndarray, prevalence: float, buf: np.ndarray) -> float:
+    """Estimate of the intercept where ``mean(expit(alpha + terms))`` equals
+    ``prevalence``, by Newton steps from ``logit(prevalence)``.
+
+    The slope is ``mean(p (1 - p))``.  Each evaluation narrows a bracket
+    inside the bisection's, and a step that would leave it bisects it
+    instead.  The result is only a guess: the caller certifies it.
+    """
+    lo, hi = _BISECTION_BRACKET
+    alpha = min(max(float(np.log(prevalence / (1.0 - prevalence))), lo), hi)
+    for _ in range(_NEWTON_MAX_STEPS):
+        mean = _mean_expit(terms, alpha, buf)
+        slope = mean - float(np.dot(buf, buf)) / buf.size
+        if mean < prevalence:
+            lo = alpha
+        else:
+            hi = alpha
+        step = (prevalence - mean) / slope if slope > 0.0 else np.nan
+        following = alpha + step if lo < alpha + step < hi else (lo + hi) / 2.0
+        if abs(following - alpha) < _NEWTON_STEP_TOL:
+            return following
+        alpha = following
+    return alpha
+
+
 def calibrate_intercept(
     spec: ScenarioSpec,
     prevalence: float,
@@ -235,27 +275,67 @@ def calibrate_intercept(
     moment condition.  Raises :class:`BracketFailureError` if the bracket
     does not straddle the target or the achieved prevalence misses it by
     more than ``tol``.
+
+    The computed gap ``mean(expit(alpha + terms)) - prevalence`` is itself
+    non-decreasing in ``alpha``: the rounded sum ``alpha + t``, ``expit``
+    and every rounded addition of the pairwise mean are monotone.  So once
+    a Newton estimate of the root is certified by an exact bracket
+    ``gap(l) < 0 <= gap(h)`` with ``l < h`` inside the bisection's bracket,
+    the sign of the gap at any point outside ``(l, h)`` is known without
+    evaluating it.  The bisection below takes exactly the steps of the
+    plain one and returns the same bits, but evaluates the gap only inside
+    the certified bracket: 6 to 10 passes over the sample in all, Newton
+    steps included, against 42 for the plain bisection.  Without a
+    certificate every point is evaluated, as in the plain bisection.
     """
     if not 0.0 < prevalence < 1.0:
         raise ValueError(f"prevalence must lie in (0, 1): {prevalence}")
     x1, x2, x4 = _draw_treatment_covariates(spec, oracle_n, rng)
     terms = treatment_logit_terms(spec, x1, x2, x4)
+    buf = np.empty_like(terms)
 
     def gap(alpha: float) -> float:
-        return float(np.mean(expit(alpha + terms))) - prevalence
+        return _mean_expit(terms, alpha, buf) - prevalence
 
     lo, hi = _BISECTION_BRACKET
-    if gap(lo) > 0.0 or gap(hi) < 0.0:
+    # The tightest exact evaluations known to straddle the target,
+    # gap(neg) < 0 <= gap(pos), and their gaps; infinite while there are none.
+    neg, g_neg, pos, g_pos = -np.inf, -np.inf, np.inf, np.inf
+    root = _newton_root(terms, prevalence, buf)
+    below, above = root - _CERTIFY_DELTA, root + _CERTIFY_DELTA
+    if lo <= below < above <= hi:
+        g_below, g_above = gap(below), gap(above)
+        if g_below < 0.0 <= g_above:
+            neg, g_neg, pos, g_pos = below, g_below, above, g_above
+
+    def negative(alpha: float) -> bool:
+        nonlocal neg, g_neg, pos, g_pos
+        if alpha <= neg:
+            return True
+        if alpha >= pos:
+            return False
+        g = gap(alpha)
+        if g < 0.0:
+            neg, g_neg = alpha, g
+            return True
+        pos, g_pos = alpha, g
+        return False
+
+    # A certificate inside the bracket already implies both of its checks.
+    if neg == -np.inf and (gap(lo) > 0.0 or gap(hi) < 0.0):
         raise BracketFailureError(f"bracket {_BISECTION_BRACKET} does not straddle {prevalence}")
     while hi - lo > _BISECTION_X_TOL:
         mid = (lo + hi) / 2.0
-        if gap(mid) < 0.0:
+        if negative(mid):
             lo = mid
         else:
             hi = mid
     alpha = (lo + hi) / 2.0
-    if abs(gap(alpha)) > tol:
-        raise BracketFailureError(f"calibration missed target by {gap(alpha):.2e}")
+    # Between the straddling evaluations, g_neg <= gap(alpha) <= g_pos.
+    if not (neg <= alpha <= pos and -tol <= g_neg and g_pos <= tol):
+        miss = gap(alpha)
+        if abs(miss) > tol:
+            raise BracketFailureError(f"calibration missed target by {miss:.2e}")
     return float(alpha)
 
 

@@ -53,7 +53,7 @@ class FoldFits:
 
     Fold ``f`` is fitted on the rows with ``folds != f``.
     ``out_of_fold[i]`` is row ``i``'s prediction from the fit that held it
-    out, clamped like :func:`predict_logistic` for the logistic family.
+    out, clamped to ``[PROB_CLAMP, 1 - PROB_CLAMP]`` for the logistic family.
     ``converged`` and ``separated`` hold one :class:`LogisticFit` flag per
     fold; least-squares folds are all converged and none separated.
     ``refit_coefficients`` and ``refit_separated`` belong to the fit on all rows.
@@ -188,14 +188,6 @@ def fit_logistic(design: np.ndarray, y: np.ndarray, max_iter: int = IRLS_MAX_ITE
     if separated:
         fitted = np.clip(fitted, PROB_CLAMP, 1.0 - PROB_CLAMP)
     return LogisticFit(beta, fitted, converged, separated)
-
-
-def predict_logistic(fit: LogisticFit, design: np.ndarray) -> np.ndarray:
-    design = np.asarray(design, dtype=np.float64)
-    if design.shape[1] != fit.coefficients.shape[0]:
-        raise ValueError(f"design has {design.shape[1]} columns, fit has {fit.coefficients.shape[0]}")
-    probs = expit(design @ fit.coefficients)
-    return np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
 # --- every training fold of one design, and its refit, in one stacked pass ---

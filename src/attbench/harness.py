@@ -23,6 +23,7 @@ import csv
 import hashlib
 import json
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from functools import partial
@@ -502,6 +503,7 @@ def run_grid(
 
     pairs = list(dict.fromkeys((c.scenario, c.prevalence_label) for c in cells))
     say(f"calibrating {len(pairs)} treatment intercepts")
+    oracle_start = time.perf_counter()
     intercepts = oracle_intercepts(pairs, oracle_seed, calibration_n)
     truths: dict[tuple[int, int, str, bool], tuple[float, float]] = {}
     for cfg in cells:
@@ -517,6 +519,7 @@ def run_grid(
             oracle_n=truth_n,
             null_effect=cfg.null_effect,
         )
+    say(f"oracles took {time.perf_counter() - oracle_start:.2f} s")
     write_calibration_csv(outdir / "calibration.csv", oracle_seed, calibration_n, intercepts)
     write_truths_csv(outdir / "truths.csv", oracle_seed, truth_n, truths)
 
@@ -535,6 +538,10 @@ def run_grid(
     entries = manifest.setdefault("cells", {})
 
     results: dict[str, tuple[CellConfig, list[EstimateRecord], list[MethodMetrics]]] = {}
+
+    def progress() -> str:
+        return f"({len(results)}/{len(cells)})"
+
     jobs = []
     for cfg in cells:
         entry = entries.get(cfg.name, {})
@@ -545,11 +552,11 @@ def run_grid(
             and entry.get("methods") == list(method_list)
         )
         if same_run and records_intact(records_path, entry):
-            say(f"reusing completed cell {cfg.name}")
             records = read_records_csv(records_path)
             metrics = aggregate_cell(records, truths[_truth_key(cfg)][0], cfg.n_reps)
             write_metrics_csv(cells_dir / f"{cfg.name}_metrics.csv", metrics)
             results[cfg.name] = (cfg, records, metrics)
+            say(f"reusing completed cell {cfg.name} {progress()}")
             continue
         if same_run:
             say(f"recomputing cell {cfg.name}: its records are missing or fail their digest")
@@ -585,7 +592,7 @@ def run_grid(
         }
         _write_manifest(manifest_path, manifest)
         results[cfg.name] = (cfg, records, metrics)
-        say(f"finished cell {cfg.name}")
+        say(f"finished cell {cfg.name} {progress()}")
 
     _write_manifest(manifest_path, manifest)
     if failed:

@@ -7,7 +7,8 @@ never flips on a final-ulp boundary).  The exceptions are
 :func:`naive_fold_fits`, the one-fit-per-fold loop that the stacked fold
 fits replace, built on the package's single-design fitters;
 :func:`mahalanobis_distance`, built on the package's Cholesky factor and
-solve; and the coarsened-strata, matched-difference and simplex-support
+solve; :func:`naive_calibrate_intercept`, the plain bisection, built on
+the package's oracle draw; and the coarsened-strata, matched-difference and simplex-support
 loops, which keep the float arithmetic of the loops the vectorized
 estimators replace so the two can be compared with ``==`` or to
 round-off.  Unit and acceptance tests compare the fast implementations
@@ -20,8 +21,17 @@ from itertools import combinations
 
 import numpy as np
 from scipy import stats
+from scipy.special import expit
 
-from attbench.glm import fit_logistic, fit_ols, predict_logistic, predict_ols
+from attbench.dgp import (
+    _BISECTION_BRACKET,
+    _BISECTION_X_TOL,
+    CALIBRATION_TOL,
+    _draw_treatment_covariates,
+    treatment_logit_terms,
+)
+from attbench.errors import BracketFailureError
+from attbench.glm import PROB_CLAMP, fit_logistic, fit_ols, predict_ols
 from attbench.numeric import cholesky_factor, solve_from_factor
 
 
@@ -212,7 +222,8 @@ def naive_fold_fits(design, y, folds, family: str):
 
     For every fold ``f`` in ``sorted(set(folds))``, fits ``fit_ols`` or
     ``fit_logistic`` on ``design[folds != f]`` and predicts the rows of
-    fold ``f`` with ``predict_ols``/``predict_logistic``.  Returns
+    fold ``f`` with ``predict_ols`` or with ``expit`` probabilities clamped
+    to ``[PROB_CLAMP, 1 - PROB_CLAMP]``.  Returns
     ``(out_of_fold, converged, separated)``: the predictions in row order
     and one flag per fold (always converged and never separated for OLS).
     Errors of the single fits propagate.
@@ -231,7 +242,8 @@ def naive_fold_fits(design, y, folds, family: str):
             separated.append(False)
         else:
             fit = fit_logistic(design[~holdout], y[~holdout])
-            out_of_fold[holdout] = predict_logistic(fit, design[holdout])
+            probs = expit(design[holdout] @ fit.coefficients)
+            out_of_fold[holdout] = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
             converged.append(fit.converged)
             separated.append(fit.separated)
     return out_of_fold, np.array(converged), np.array(separated)
@@ -272,3 +284,29 @@ def naive_simplex_weights(level_one, y, tie_tol: float = 1e-15):
                 best_obj = obj
                 best_w = w
     return best_w, best_obj
+
+
+def naive_calibrate_intercept(spec, prevalence, rng, oracle_n=10**6, tol=CALIBRATION_TOL):
+    """The plain bisection ``calibrate_intercept`` once ran, evaluating the
+    gap at both bracket ends, every midpoint and the result."""
+    if not 0.0 < prevalence < 1.0:
+        raise ValueError(f"prevalence must lie in (0, 1): {prevalence}")
+    x1, x2, x4 = _draw_treatment_covariates(spec, oracle_n, rng)
+    terms = treatment_logit_terms(spec, x1, x2, x4)
+
+    def gap(alpha: float) -> float:
+        return float(np.mean(expit(alpha + terms))) - prevalence
+
+    lo, hi = _BISECTION_BRACKET
+    if gap(lo) > 0.0 or gap(hi) < 0.0:
+        raise BracketFailureError(f"bracket {_BISECTION_BRACKET} does not straddle {prevalence}")
+    while hi - lo > _BISECTION_X_TOL:
+        mid = (lo + hi) / 2.0
+        if gap(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    alpha = (lo + hi) / 2.0
+    if abs(gap(alpha)) > tol:
+        raise BracketFailureError(f"calibration missed target by {gap(alpha):.2e}")
+    return float(alpha)

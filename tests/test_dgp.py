@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from scipy.special import expit
+
+from attbench import dgp
 from attbench.dgp import (
     PREVALENCE_LABELS,
     PREVALENCE_VALUES,
@@ -19,6 +22,8 @@ from attbench.dgp import (
 )
 from attbench.errors import BracketFailureError, DegenerateDrawError
 from attbench.numeric import RngStream, substream
+
+from naive_oracles import naive_calibrate_intercept
 
 # Intercepts and heterogeneous-effect truths frozen from a 10^7-draw
 # Monte Carlo oracle run before the main build (two independent seeds
@@ -37,6 +42,24 @@ TRUTH_GOLDENS = {
     (3, "0.20"): 1.127469,
     (1, "0.50"): 1.074856,
 }
+
+
+DESIGN_PAIRS = [(s, p) for s in sorted(SCENARIOS) for p in PREVALENCE_VALUES]
+# Targets outside what the bisection bracket can reach, below and above,
+# and a tolerance no calibration can meet.
+ILL_POSED = [
+    (SCENARIOS[2], 1e-12, dgp.CALIBRATION_TOL),
+    (SCENARIOS[1], 1.0 - 1e-12, dgp.CALIBRATION_TOL),
+    (SCENARIOS[3], 0.2, 0.0),
+]
+
+
+def outcome_of(calibrate, spec, prevalence, stream, oracle_n, tol=dgp.CALIBRATION_TOL):
+    """The intercept, or the message of the ``BracketFailureError`` raised."""
+    try:
+        return calibrate(spec, prevalence, stream, oracle_n=oracle_n, tol=tol)
+    except BracketFailureError as exc:
+        return f"BracketFailureError: {exc}"
 
 
 def cfg_for(scenario=1, setting=1, label="0.20", null=False, seed=20240817):
@@ -183,6 +206,46 @@ class TestCalibrateIntercept:
     def test_unreachable_target_raises(self):
         with pytest.raises(BracketFailureError):
             calibrate_intercept(SCENARIOS[2], 1e-12, RngStream(11, 3), oracle_n=10**4)
+
+    @pytest.mark.parametrize(
+        "oracle_n,seeds", [(10**4, range(10)), (10**5, range(10)), (10**6, (42,))], ids=["1e4", "1e5", "1e6"]
+    )
+    def test_equals_plain_bisection(self, oracle_n, seeds):
+        for seed in seeds:
+            for scenario, prevalence in DESIGN_PAIRS:
+                stream = (seed, 10 * scenario + PREVALENCE_VALUES.index(prevalence))
+                fast = calibrate_intercept(SCENARIOS[scenario], prevalence, RngStream(*stream), oracle_n)
+                plain = naive_calibrate_intercept(SCENARIOS[scenario], prevalence, RngStream(*stream), oracle_n)
+                assert fast == plain, (seed, scenario, prevalence)
+
+    @pytest.mark.parametrize("spec,prevalence,tol", ILL_POSED)
+    def test_ill_posed_targets_fail_as_plain_bisection_does(self, spec, prevalence, tol):
+        fast = outcome_of(calibrate_intercept, spec, prevalence, RngStream(11, 3), 10**4, tol)
+        plain = outcome_of(naive_calibrate_intercept, spec, prevalence, RngStream(11, 3), 10**4, tol)
+        assert isinstance(plain, str) and fast == plain
+
+    @pytest.mark.parametrize("guess", [np.nan, 15.0, -19.9, 20.0], ids=["nan", "far", "near-edge", "edge"])
+    def test_uncertified_guess_falls_back_to_plain_bisection(self, monkeypatch, guess):
+        monkeypatch.setattr(dgp, "_newton_root", lambda terms, prevalence, buf: guess)
+        cases = [(SCENARIOS[s], p, dgp.CALIBRATION_TOL) for s, p in DESIGN_PAIRS] + ILL_POSED
+        for i, (spec, prevalence, tol) in enumerate(cases):
+            fast = outcome_of(calibrate_intercept, spec, prevalence, RngStream(5, i), 10**4, tol)
+            plain = outcome_of(naive_calibrate_intercept, spec, prevalence, RngStream(5, i), 10**4, tol)
+            assert fast == plain, (spec.scenario_id, prevalence, tol)
+
+    def test_well_posed_call_makes_few_passes(self, monkeypatch):
+        calls = []
+
+        def counting_expit(*args, **kwargs):
+            calls.append(1)
+            return expit(*args, **kwargs)
+
+        monkeypatch.setattr(dgp, "expit", counting_expit)
+        for seed in range(3):
+            for scenario, prevalence in DESIGN_PAIRS:
+                calls.clear()
+                calibrate_intercept(SCENARIOS[scenario], prevalence, RngStream(seed, scenario), oracle_n=10**5)
+                assert len(calls) <= 12, (seed, scenario, prevalence)
 
     def test_prevalence_domain_checked(self):
         with pytest.raises(ValueError, match="prevalence"):

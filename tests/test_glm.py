@@ -16,10 +16,9 @@ from attbench.glm import (
     fit_ols,
     fit_ols_folds,
     ols_wald_test,
-    predict_logistic,
     predict_ols,
 )
-from attbench.superlearner import expand_degree2
+from attbench.superlearner import FittedLearner, LearnerSpec, expand_degree2
 
 from naive_oracles import naive_fold_fits
 
@@ -161,8 +160,8 @@ class TestLogistic:
         x = _design(np_rng, 200, 2)
         y = (np_rng.random(200) < expit(2 * x[:, 1])).astype(float)
         fit = fit_logistic(x, y)
-        extreme = np.array([[1.0, 50.0], [1.0, -50.0]])
-        preds = predict_logistic(fit, extreme)
+        learner = FittedLearner(LearnerSpec("glm_main_effects", "binomial"), np.arange(2), fit.coefficients, False)
+        preds = learner.predict(np.array([[50.0], [-50.0]]))
         assert preds[0] <= 1 - PROB_CLAMP
         assert preds[1] >= PROB_CLAMP
 

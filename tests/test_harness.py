@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -363,6 +364,18 @@ class TestRunGrid:
         assert set(second) == set(first)
         for name in first:
             assert second[name][1] == first[name][1]
+
+    def test_progress_lines_count_cells_and_time_the_oracles(self, tmp_path):
+        lines: list[str] = []
+        run_small_grid(tmp_path / "logged", log=lines.append)
+        assert lines[0] == "calibrating 2 treatment intercepts"
+        assert re.fullmatch(r"oracles took \d+\.\d\d s", lines[1])
+        assert lines[2:] == ["finished cell s1t1p050_effect (1/2)", "finished cell s1t1p033_effect (2/2)"]
+        lines.clear()
+        run_small_grid(tmp_path / "logged", log=lines.append)
+        assert lines[2:] == ["reusing completed cell s1t1p050_effect (1/2)", "reusing completed cell s1t1p033_effect (2/2)"]
+        run_small_grid(tmp_path / "quiet")
+        assert tree_bytes(tmp_path / "logged") == tree_bytes(tmp_path / "quiet")
 
     def test_partial_failure_persists_good_cells_then_resumes(self, tmp_path, monkeypatch):
         real = run_replicate
