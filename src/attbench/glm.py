@@ -1,11 +1,15 @@
 """Ordinary least squares and logistic regression on dense designs.
 
-Both fitters solve their normal equations with the LAPACK Cholesky
-factor and solve (``dpotrf``/``dpotrs``) in :mod:`attbench.numeric`,
+Every fit runs through one engine that fits one design under a stack of
+0/1 row weights.  A single fit is its one-row case, a row of ones; the
+fits on every cross-validation fold and on all rows are its (k + 1)-row
+case.  The normal equations of every row come from one matrix product
+over the products of each column pair, and are solved by the stacked
+LAPACK Cholesky screen and solve of :func:`attbench.numeric.solve_spd_stack`,
 whose pivot floor turns rank deficiency into :class:`RankDeficientError`
 rather than a silently pseudo-inverted fit.
 The logistic fitter is plain IRLS with a hard separation guard: runaway
-coefficients mark the fit non-converged and the fitted probabilities are
+coefficients mark the fit separated and the fitted probabilities are
 clamped away from 0 and 1 so downstream weighting stays finite.
 """
 
@@ -17,8 +21,10 @@ from functools import cache
 import numpy as np
 from scipy.special import expit, stdtr
 
-from .errors import NonSpdError, OneClassError, RankDeficientError, ZeroSeError
-from .numeric import cholesky_factor, solve_from_factor, solve_spd_stack
+from .errors import OneClassError, RankDeficientError, ZeroSeError
+from .numeric import solve_spd_stack
+# Not called here: perfbench/spans.py wraps these two names in this module.
+from .numeric import cholesky_factor, solve_from_factor  # noqa: F401
 
 IRLS_SCORE_TOL = 1e-6
 IRLS_MAX_ITER = 50
@@ -43,7 +49,6 @@ class OlsFit:
 class LogisticFit:
     coefficients: np.ndarray = field(repr=False)
     fitted_probabilities: np.ndarray = field(repr=False)
-    converged: bool
     separated: bool
 
 
@@ -54,8 +59,8 @@ class FoldFits:
     Fold ``f`` is fitted on the rows with ``folds != f``.
     ``out_of_fold[i]`` is row ``i``'s prediction from the fit that held it
     out, clamped to ``[PROB_CLAMP, 1 - PROB_CLAMP]`` for the logistic family.
-    ``converged`` and ``separated`` hold one :class:`LogisticFit` flag per
-    fold; least-squares folds are all converged and none separated.
+    ``converged`` and ``separated`` hold one flag per fold; least-squares
+    folds are all converged and none separated.
     ``refit_coefficients`` and ``refit_separated`` belong to the fit on all rows.
     """
 
@@ -64,153 +69,6 @@ class FoldFits:
     separated: np.ndarray = field(repr=False)
     refit_coefficients: np.ndarray = field(repr=False)
     refit_separated: bool
-
-
-def _normal_equations_factor(design: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    if weights is None:
-        gram = design.T @ design
-    else:
-        gram = design.T @ (design * weights[:, None])
-    gram = (gram + gram.T) / 2.0
-    try:
-        return cholesky_factor(gram)
-    except NonSpdError as exc:
-        raise RankDeficientError(str(exc)) from exc
-
-
-def fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
-    """Fit ``y = design @ beta + noise`` by least squares.
-
-    Parameters
-    ----------
-    design : ndarray, shape (n, p)
-        Model matrix including any intercept column.
-    y : ndarray, shape (n,)
-
-    Returns
-    -------
-    OlsFit
-        Coefficients, their standard errors computed from
-        ``residual_variance * diag((X'X)^-1)``, and the residual variance
-        with denominator ``n - p``.
-
-    Raises
-    ------
-    RankDeficientError
-        If the normal equations are not positive definite.
-    """
-    design = np.asarray(design, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, p = design.shape
-    if y.shape != (n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
-    if n <= p:
-        raise ValueError(f"need more observations than parameters: n={n}, p={p}")
-    lower = _normal_equations_factor(design)
-    beta = solve_from_factor(lower, design.T @ y)
-    resid = y - design @ beta
-    sigma2 = float(resid @ resid) / (n - p)
-    gram_inv = solve_from_factor(lower, np.eye(p))
-    se = np.sqrt(sigma2 * np.diag(gram_inv))
-    return OlsFit(beta, se, sigma2, n, p)
-
-
-def predict_ols(fit: OlsFit, design: np.ndarray) -> np.ndarray:
-    design = np.asarray(design, dtype=np.float64)
-    if design.shape[1] != fit.n_params:
-        raise ValueError(f"design has {design.shape[1]} columns, fit has {fit.n_params}")
-    return design @ fit.coefficients
-
-
-def ols_wald_test(fit: OlsFit, coef_index: int) -> tuple[float, float]:
-    """Student-t Wald test of a single coefficient against zero.
-
-    Returns ``(t_statistic, p_value)`` with ``n - p`` degrees of freedom.
-    """
-    if not 0 <= coef_index < fit.n_params:
-        raise ValueError(f"coef_index out of range: {coef_index}")
-    se = float(fit.standard_errors[coef_index])
-    if se == 0.0:
-        raise ZeroSeError(f"coefficient {coef_index} has zero standard error")
-    t_stat = float(fit.coefficients[coef_index]) / se
-    p_value = 2.0 * float(stdtr(fit.n_obs - fit.n_params, -abs(t_stat)))
-    return t_stat, p_value
-
-
-def fit_logistic(design: np.ndarray, y: np.ndarray, max_iter: int = IRLS_MAX_ITER) -> LogisticFit:
-    """Fit a logistic regression by iteratively reweighted least squares.
-
-    Starts from the zero vector and stops when the score's max-norm falls
-    to ``IRLS_SCORE_TOL``.  If any coefficient escapes
-    ``SEPARATION_COEF_BOUND`` during iteration, the data are treated as
-    separated: the fit is returned non-converged with probabilities
-    clamped to ``[PROB_CLAMP, 1 - PROB_CLAMP]``.
-
-    Raises
-    ------
-    OneClassError
-        If ``y`` is constant; the MLE does not exist in any direction.
-    """
-    design = np.asarray(design, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, p = design.shape
-    if y.shape != (n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
-    if n <= p:
-        raise ValueError(f"need more observations than parameters: n={n}, p={p}")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("y must be 0/1")
-    if y.min() == y.max():
-        raise OneClassError("response contains a single class")
-
-    beta = np.zeros(p)
-    converged = False
-    separated = False
-    for _ in range(max_iter):
-        probs = expit(design @ beta)
-        score = design.T @ (y - probs)
-        if np.max(np.abs(score)) <= IRLS_SCORE_TOL:
-            converged = True
-            break
-        weights = np.maximum(probs * (1.0 - probs), 1e-10)
-        try:
-            lower = _normal_equations_factor(design, weights)
-        except RankDeficientError:
-            # Information matrix collapsed: probabilities pinned at 0/1.
-            separated = True
-            break
-        beta = beta + solve_from_factor(lower, score)
-        if np.max(np.abs(beta)) > SEPARATION_COEF_BOUND:
-            separated = True
-            break
-
-    fitted = expit(design @ beta)
-    if separated:
-        fitted = np.clip(fitted, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return LogisticFit(beta, fitted, converged, separated)
-
-
-# --- every training fold of one design, and its refit, in one stacked pass ---
-#
-# A fold is a 0/1 row weight on the full design: holdout rows enter neither
-# the score nor the information matrix.  Weight row k + 1 (no row's fold is
-# k) is all ones: the full-sample refit rides along as one more fold.  The
-# products of every column pair are formed once per design, so one matrix
-# product gives all k + 1 weighted grams, and one stacked Cholesky screen
-# and solve replace k + 1 factorizations.  Each row follows the rules of
-# fit_ols/fit_logistic on ``design[folds != f]`` and agrees with them to
-# round-off.  A single fit is cheaper through those functions.
-
-
-def _training_weights(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_folds: int) -> np.ndarray:
-    n, p = design.shape
-    if y.shape != (n,) or folds.shape != (n,):
-        raise ValueError(f"y and folds must have shape ({n},): {y.shape}, {folds.shape}")
-    train = (folds != np.arange(k_folds + 1)[:, None]).astype(np.float64)
-    smallest = int(train[:k_folds].sum(axis=1).min())
-    if smallest <= p:
-        raise ValueError(f"need more observations than parameters in every fold: n={smallest}, p={p}")
-    return train
 
 
 # One index table per design width, shared by every call: read, never written.
@@ -237,8 +95,185 @@ def _weighted_grams(design: np.ndarray):
     return grams
 
 
-def _out_of_fold(design: np.ndarray, coefficients: np.ndarray, folds: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", design, coefficients[folds])
+def _fit_stack(design: np.ndarray, y: np.ndarray, weights: np.ndarray, family: str):
+    """Fit ``design`` (n, p) to ``y`` under each row of ``weights`` (m, n), as one stack.
+
+    A weight row holds one 0/1 weight per observation: rows it weighs 0
+    enter neither the score nor the normal equations.  Least squares
+    (``family="gaussian"``) solves the normal equations of every row.
+    Logistic IRLS (``family="binomial"``) starts every row at zero and
+    stops it once its score's max-norm is at most ``IRLS_SCORE_TOL``
+    (converged) or after ``IRLS_MAX_ITER`` steps; a row whose information
+    matrix fails the pivot floor, or one of whose coefficients escapes
+    ``SEPARATION_COEF_BOUND``, stops there as separated.  Only rows still
+    iterating are computed.  Probabilities inside the loop are
+    ``1 / (1 + exp(-eta))``, which agrees with ``expit`` to an ulp at a
+    third of its cost.
+
+    Returns ``(coefficients, converged, separated, normal)``: the (m, p)
+    coefficients, one flag of each kind per row, and for least squares the
+    (m, p, p) normal matrices (``None`` for the logistic family).
+
+    Raises
+    ------
+    ValueError
+        If ``y`` is not a vector of length n, some row weighs no more
+        observations than there are parameters, or a logistic ``y`` is not 0/1.
+    OneClassError
+        If the logistic response under some row is constant.
+    RankDeficientError
+        If the least-squares normal equations of some row fail the pivot floor.
+    """
+    n, p = design.shape
+    if y.shape != (n,):
+        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
+    counts = weights.sum(axis=1)
+    if counts.min() <= p:
+        raise ValueError(f"need more observations than parameters: n={int(counts.min())}, p={p}")
+    grams = _weighted_grams(design)
+    if family == "gaussian":
+        normal = grams(weights)
+        beta, ok = solve_spd_stack(normal, (weights * y) @ design)
+        if not ok.all():
+            raise RankDeficientError(f"normal equations of weight row {int(np.argmin(ok))} are not positive definite")
+        return beta, ok, ~ok, normal
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("y must be 0/1")
+    positives = weights @ y
+    one_class = (positives == 0.0) | (positives == counts)
+    if one_class.any():
+        raise OneClassError(f"the response under weight row {int(np.argmax(one_class))} contains a single class")
+
+    m = weights.shape[0]
+    beta = np.zeros((m, p))
+    converged = np.zeros(m, dtype=bool)
+    separated = np.zeros(m, dtype=bool)
+    # ``active`` lists the rows still iterating, ``mask`` their weights and
+    # ``coef`` their coefficients; all three are re-indexed only when some row stops.
+    active, mask, coef = np.arange(m), weights, beta.copy()
+    with np.errstate(over="ignore"):  # exp(-eta) = inf gives probability 0
+        for _ in range(IRLS_MAX_ITER):
+            probs = 1.0 / (1.0 + np.exp(-(coef @ design.T)))
+            score = (mask * (y - probs)) @ design
+            going = np.abs(score).max(axis=1) > IRLS_SCORE_TOL
+            if not going.all():
+                converged[active[~going]] = True
+                active, mask, coef, probs, score = active[going], mask[going], coef[going], probs[going], score[going]
+                if active.size == 0:
+                    break
+            # The weight floor applies to weighted rows only.
+            step, ok = solve_spd_stack(grams(mask * np.maximum(probs * (1.0 - probs), 1e-10)), score)
+            # A row that fails the pivot floor gets a zero step: its information
+            # matrix collapsed, with probabilities pinned at 0/1.
+            coef += step
+            beta[active] = coef
+            going = ok & (np.abs(coef).max(axis=1) <= SEPARATION_COEF_BOUND)
+            if not going.all():
+                separated[active[~going]] = True
+                active, mask, coef = active[going], mask[going], coef[going]
+                if active.size == 0:
+                    break
+    return beta, converged, separated, None
+
+
+def fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
+    """Fit ``y = design @ beta + noise`` by least squares.
+
+    Parameters
+    ----------
+    design : ndarray, shape (n, p)
+        Model matrix including any intercept column.
+    y : ndarray, shape (n,)
+
+    Returns
+    -------
+    OlsFit
+        Coefficients, their standard errors computed from
+        ``residual_variance * diag((X'X)^-1)``, and the residual variance
+        with denominator ``n - p``.
+
+    Raises
+    ------
+    RankDeficientError
+        If the normal equations are not positive definite.
+    """
+    design = np.asarray(design, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, p = design.shape
+    beta, _, _, normal = _fit_stack(design, y, np.ones((1, n)), "gaussian")
+    resid = y - design @ beta[0]
+    sigma2 = float(resid @ resid) / (n - p)
+    # Column i of (X'X)^-1 solves X'X v = e_i.
+    inverse, _ = solve_spd_stack(np.broadcast_to(normal, (p, p, p)), np.eye(p))
+    se = np.sqrt(sigma2 * inverse.diagonal())
+    return OlsFit(beta[0], se, sigma2, n, p)
+
+
+def predict_ols(fit: OlsFit, design: np.ndarray) -> np.ndarray:
+    design = np.asarray(design, dtype=np.float64)
+    if design.shape[1] != fit.n_params:
+        raise ValueError(f"design has {design.shape[1]} columns, fit has {fit.n_params}")
+    return design @ fit.coefficients
+
+
+def ols_wald_test(fit: OlsFit, coef_index: int) -> tuple[float, float]:
+    """Student-t Wald test of a single coefficient against zero.
+
+    Returns ``(t_statistic, p_value)`` with ``n - p`` degrees of freedom.
+    """
+    if not 0 <= coef_index < fit.n_params:
+        raise ValueError(f"coef_index out of range: {coef_index}")
+    se = float(fit.standard_errors[coef_index])
+    if se == 0.0:
+        raise ZeroSeError(f"coefficient {coef_index} has zero standard error")
+    t_stat = float(fit.coefficients[coef_index]) / se
+    p_value = 2.0 * float(stdtr(fit.n_obs - fit.n_params, -abs(t_stat)))
+    return t_stat, p_value
+
+
+def fit_logistic(design: np.ndarray, y: np.ndarray) -> LogisticFit:
+    """Fit a logistic regression by iteratively reweighted least squares.
+
+    Starts from the zero vector and stops when the score's max-norm falls
+    to ``IRLS_SCORE_TOL``.  If the information matrix fails the pivot
+    floor or any coefficient escapes ``SEPARATION_COEF_BOUND`` during
+    iteration, the data are treated as separated: the fit is returned with
+    probabilities clamped to ``[PROB_CLAMP, 1 - PROB_CLAMP]``.
+
+    Raises
+    ------
+    OneClassError
+        If ``y`` is constant; the MLE does not exist in any direction.
+    """
+    design = np.asarray(design, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    beta, _, separated, _ = _fit_stack(design, y, np.ones((1, design.shape[0])), "binomial")
+    fitted = expit(design @ beta[0])
+    if separated[0]:
+        fitted = np.clip(fitted, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return LogisticFit(beta[0], fitted, bool(separated[0]))
+
+
+# --- every training fold of one design, and its refit, in one stack ---
+#
+# A fold is a 0/1 row weight on the full design: holdout rows enter neither
+# the score nor the normal equations.  Weight row k + 1 (no row's fold is
+# k) is all ones: the full-sample refit rides along as one more fold.  Each
+# row is fitted by the engine's rules on ``design[folds != f]``, as a single
+# fit on those rows would be, and agrees with it to round-off.
+
+
+def _fit_folds(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_folds: int, family: str) -> FoldFits:
+    design = np.asarray(design, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if folds.shape != (design.shape[0],):
+        raise ValueError(f"folds has shape {folds.shape}, expected ({design.shape[0]},)")
+    train = (folds != np.arange(k_folds + 1)[:, None]).astype(np.float64)
+    beta, converged, separated, _ = _fit_stack(design, y, train, family)
+    out_of_fold = np.einsum("ij,ij->i", design, beta[folds])
+    if family == "binomial":
+        out_of_fold = np.clip(expit(out_of_fold), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return FoldFits(out_of_fold, converged[:k_folds], separated[:k_folds], beta[k_folds], bool(separated[k_folds]))
 
 
 def fit_ols_folds(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_folds: int) -> FoldFits:
@@ -251,68 +286,18 @@ def fit_ols_folds(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_folds:
     RankDeficientError
         If the normal equations of some fold, or of all rows, fail the pivot floor.
     """
-    design = np.asarray(design, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    train = _training_weights(design, y, folds, k_folds)
-    beta, ok = solve_spd_stack(_weighted_grams(design)(train), (train * y) @ design)
-    if not ok.all():
-        raise RankDeficientError(f"normal equations of weight row {int(np.argmin(ok))} are not positive definite")
-    return FoldFits(_out_of_fold(design, beta, folds), ok[:k_folds], ~ok[:k_folds], beta[k_folds], False)
+    return _fit_folds(design, y, folds, k_folds, "gaussian")
 
 
 def fit_logistic_folds(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_folds: int) -> FoldFits:
-    """IRLS logistic fits of ``design`` on each training fold and on all rows, in one loop.
+    """IRLS logistic fits of ``design`` on each training fold and on all rows, as one stack.
 
     ``folds`` is as in :func:`fit_ols_folds`.  Each fit keeps
-    :func:`fit_logistic`'s rules on its own: it starts at zero, stops once
-    its score's max-norm is at most ``IRLS_SCORE_TOL`` or after
-    ``IRLS_MAX_ITER`` steps, and freezes as separated when its information
-    matrix fails the pivot floor or a coefficient escapes
-    ``SEPARATION_COEF_BOUND``.  Only fits still iterating are computed.
-    Probabilities inside the loop are ``1 / (1 + exp(-eta))``, which agrees
-    with ``expit`` to an ulp at a third of its cost.
+    :func:`fit_logistic`'s rules on its own rows.
 
     Raises
     ------
     OneClassError
         If some training fold's response is constant.
     """
-    design = np.asarray(design, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    train = _training_weights(design, y, folds, k_folds)
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("y must be 0/1")
-    positives = train @ y
-    if np.any((positives == 0.0) | (positives == train.sum(axis=1))):
-        raise OneClassError("a training fold contains a single class")
-
-    grams = _weighted_grams(design)
-    beta = np.zeros((k_folds + 1, design.shape[1]))
-    converged = np.zeros(k_folds + 1, dtype=bool)
-    separated = np.zeros(k_folds + 1, dtype=bool)
-    # ``active`` lists the fits still iterating; ``mask`` is their rows of ``train``.
-    active, mask = np.arange(k_folds + 1), train
-    for _ in range(IRLS_MAX_ITER):
-        with np.errstate(over="ignore"):  # exp(-eta) = inf gives probability 0
-            probs = 1.0 / (1.0 + np.exp(-(beta[active] @ design.T)))
-        score = (mask * (y - probs)) @ design
-        going = np.abs(score).max(axis=1) > IRLS_SCORE_TOL
-        converged[active[~going]] = True
-        active, mask, probs, score = active[going], mask[going], probs[going], score[going]
-        if active.size == 0:
-            break
-        # The weight floor applies to training rows only.
-        weights = mask * np.maximum(probs * (1.0 - probs), 1e-10)
-        step, ok = solve_spd_stack(grams(weights), score)
-        # Information matrix collapsed: probabilities pinned at 0/1.
-        separated[active[~ok]] = True
-        active, mask = active[ok], mask[ok]
-        beta[active] += step[ok]
-        going = np.abs(beta[active]).max(axis=1) <= SEPARATION_COEF_BOUND
-        separated[active[~going]] = True
-        active, mask = active[going], mask[going]
-        if active.size == 0:
-            break
-
-    out_of_fold = np.clip(expit(_out_of_fold(design, beta, folds)), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return FoldFits(out_of_fold, converged[:k_folds], separated[:k_folds], beta[k_folds], bool(separated[k_folds]))
+    return _fit_folds(design, y, folds, k_folds, "binomial")

@@ -157,8 +157,7 @@ def mdm_match(x: np.ndarray, z: np.ndarray, ps: PsVector) -> MatchSet:
     z = np.asarray(z)
     if z.shape[0] != x.shape[0] or z.shape != ps.values.shape:
         raise ValueError("x, z, and ps must agree in length")
-    cov = sample_covariance(x)
-    lower = cholesky_factor(cov.entries)
+    lower = cholesky_factor(sample_covariance(x))
     white = solve_triangular(lower, x.T, lower=True, check_finite=False).T
     treated, control_idx, _, within = _caliper_block(ps.values, z)
     # Distances only where the caliper admits the pair, one row per pair

@@ -15,8 +15,6 @@ zero-variance covariates) surface as typed errors rather than warnings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
@@ -129,28 +127,6 @@ def sample_bernoulli(rng: RngStream, p: np.ndarray) -> np.ndarray:
     return (u < p).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class SpdMatrix:
-    """A square matrix asserted symmetric at construction.
-
-    Positive definiteness is not checked here; it is established by the
-    first factorization, which raises :class:`NonSpdError` on failure.
-    """
-
-    dimension: int
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.float64)
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be positive: {self.dimension}")
-        if entries.shape != (self.dimension, self.dimension):
-            raise ValueError(f"expected shape {(self.dimension, self.dimension)}, got {entries.shape}")
-        if not np.array_equal(entries, entries.T):
-            raise ValueError("matrix is not exactly symmetric")
-        object.__setattr__(self, "entries", entries)
-
-
 def cholesky_factor(a: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
 
@@ -183,15 +159,14 @@ def solve_spd_stack(stack: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.
     """
     try:
         lowers = np.linalg.cholesky(stack)
-        factored = np.ones(stack.shape[0], dtype=bool)
     except np.linalg.LinAlgError:
-        lowers = np.empty_like(stack)
-        factored = np.empty(stack.shape[0], dtype=bool)
+        # A matrix that LAPACK rejects keeps a zero factor, which fails the floor.
+        lowers = np.zeros_like(stack)
         for i, matrix in enumerate(stack):
-            lowers[i], info = dpotrf(matrix, lower=1, clean=1)
-            factored[i] = info == 0
-    pivots = lowers.diagonal(axis1=1, axis2=2).min(axis=1) ** 2
-    ok = factored & (pivots > CHOLESKY_PIVOT_TOL)
+            lower, info = dpotrf(matrix, lower=1, clean=1)
+            if info == 0:
+                lowers[i] = lower
+    ok = lowers.diagonal(axis1=1, axis2=2).min(axis=1) ** 2 > CHOLESKY_PIVOT_TOL
     if ok.all():
         return np.linalg.solve(stack, rhs[..., None])[..., 0], ok
     solutions = np.zeros(rhs.shape)
@@ -207,12 +182,11 @@ def solve_from_factor(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
-def sample_covariance(x: np.ndarray) -> SpdMatrix:
+def sample_covariance(x: np.ndarray) -> np.ndarray:
     """Two-pass sample covariance (denominator ``n - 1``).
 
-    The product is symmetrized exactly so the result passes the strict
-    symmetry check in :class:`SpdMatrix` written independently of float
-    summation order.  A zero-variance column raises
+    The product is symmetrized, so the result is exactly symmetric
+    whatever the float summation order.  A zero-variance column raises
     :class:`DegenerateCovarianceError` because every downstream use
     (Mahalanobis metric, whitening) needs an invertible matrix.
     """
@@ -227,4 +201,4 @@ def sample_covariance(x: np.ndarray) -> SpdMatrix:
     cov = (cov + cov.T) / 2.0
     if np.any(np.diag(cov) == 0.0):
         raise DegenerateCovarianceError("a covariate has zero variance")
-    return SpdMatrix(d, cov)
+    return cov

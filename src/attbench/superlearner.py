@@ -13,9 +13,9 @@ The level-one predictions come from ``k`` fits per learner, one per
 training fold, and the full-sample refit is one more fit of the same
 kind.  All ``k + 1`` are made in one stacked pass per learner
 (:func:`attbench.glm.fit_ols_folds`, :func:`attbench.glm.fit_logistic_folds`):
-each fold is a 0/1 row weight on the learner's full design, the refit an
-all-ones weight, and every fit keeps the convergence and separation rules
-of a single :func:`attbench.glm.fit_ols` or :func:`attbench.glm.fit_logistic`.
+each fold is a 0/1 row weight on the learner's full design and the refit
+an all-ones weight, fitted by the same engine, under the same convergence
+and separation rules, as every other GLM fit in :mod:`attbench.glm`.
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@ These mirror the documented matching and stacking rules with explicit
 Python loops and no shared code with the package internals (beyond the
 caliper arithmetic, which is kept bit-identical on purpose so eligibility
 never flips on a final-ulp boundary).  The exceptions are
-:func:`naive_fold_fits`, the one-fit-per-fold loop that the stacked fold
-fits replace, built on the package's single-design fitters;
-:func:`mahalanobis_distance`, built on the package's Cholesky factor and
-solve; :func:`naive_calibrate_intercept`, the plain bisection, built on
+:func:`naive_fit_ols` and :func:`naive_fit_logistic`, the one-design
+fits that the stacked engine replaced, and :func:`mahalanobis_distance`,
+all built on the package's Cholesky factor and solve;
+:func:`naive_fold_fits`, the one-fit-per-fold loop over those two; :func:`naive_calibrate_intercept`, the plain bisection, built on
 the package's oracle draw; and the coarsened-strata, matched-difference and simplex-support
 loops, which keep the float arithmetic of the loops the vectorized
 estimators replace so the two can be compared with ``==`` or to
@@ -17,6 +17,7 @@ against these.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -30,8 +31,8 @@ from attbench.dgp import (
     _draw_treatment_covariates,
     treatment_logit_terms,
 )
-from attbench.errors import BracketFailureError
-from attbench.glm import PROB_CLAMP, fit_logistic, fit_ols, predict_ols
+from attbench.errors import BracketFailureError, NonSpdError, OneClassError, RankDeficientError
+from attbench.glm import IRLS_MAX_ITER, IRLS_SCORE_TOL, PROB_CLAMP, SEPARATION_COEF_BOUND, OlsFit, predict_ols
 from attbench.numeric import cholesky_factor, solve_from_factor
 
 
@@ -115,10 +116,10 @@ def naive_mdm(x, z, ps_values):
 
 
 def mahalanobis_distance(u, v, cov) -> float:
-    """Distance ``sqrt((u - v)' cov^{-1} (u - v))`` for an ``SpdMatrix`` ``cov``,
+    """Distance ``sqrt((u - v)' cov^{-1} (u - v))`` for a symmetric matrix ``cov``,
     solved through its Cholesky factor (``NonSpdError`` if it has none)."""
     diff = np.asarray(u, dtype=np.float64) - np.asarray(v, dtype=np.float64)
-    return float(np.sqrt(diff @ solve_from_factor(cholesky_factor(cov.entries), diff)))
+    return float(np.sqrt(diff @ solve_from_factor(cholesky_factor(cov), diff)))
 
 
 def naive_cem_retained(signatures, z):
@@ -217,11 +218,94 @@ def naive_gaussian_library(x, y, folds, binary_column: int):
     return np.array(risks), np.array(predictions)
 
 
+@dataclass(frozen=True)
+class NaiveLogisticFit:
+    coefficients: np.ndarray = field(repr=False)
+    fitted_probabilities: np.ndarray = field(repr=False)
+    converged: bool
+    separated: bool
+
+
+def _normal_equations_factor(design: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    if weights is None:
+        gram = design.T @ design
+    else:
+        gram = design.T @ (design * weights[:, None])
+    gram = (gram + gram.T) / 2.0
+    try:
+        return cholesky_factor(gram)
+    except NonSpdError as exc:
+        raise RankDeficientError(str(exc)) from exc
+
+
+def naive_fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
+    """Least squares through one Cholesky factor of ``X'X``, as ``glm.fit_ols``
+    once ran: the gram is ``design.T @ design`` symmetrized, the solve is
+    ``dpotrs``, and ``diag((X'X)^-1)`` comes from solving against the identity."""
+    design = np.asarray(design, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, p = design.shape
+    if y.shape != (n,):
+        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
+    if n <= p:
+        raise ValueError(f"need more observations than parameters: n={n}, p={p}")
+    lower = _normal_equations_factor(design)
+    beta = solve_from_factor(lower, design.T @ y)
+    resid = y - design @ beta
+    sigma2 = float(resid @ resid) / (n - p)
+    gram_inv = solve_from_factor(lower, np.eye(p))
+    se = np.sqrt(sigma2 * np.diag(gram_inv))
+    return OlsFit(beta, se, sigma2, n, p)
+
+
+def naive_fit_logistic(design: np.ndarray, y: np.ndarray, max_iter: int = IRLS_MAX_ITER) -> NaiveLogisticFit:
+    """IRLS one design at a time, as ``glm.fit_logistic`` once ran: ``expit``
+    probabilities, one Cholesky factor per step, the same stopping and
+    separation rules, and its own input checks."""
+    design = np.asarray(design, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, p = design.shape
+    if y.shape != (n,):
+        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
+    if n <= p:
+        raise ValueError(f"need more observations than parameters: n={n}, p={p}")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("y must be 0/1")
+    if y.min() == y.max():
+        raise OneClassError("response contains a single class")
+
+    beta = np.zeros(p)
+    converged = False
+    separated = False
+    for _ in range(max_iter):
+        probs = expit(design @ beta)
+        score = design.T @ (y - probs)
+        if np.max(np.abs(score)) <= IRLS_SCORE_TOL:
+            converged = True
+            break
+        weights = np.maximum(probs * (1.0 - probs), 1e-10)
+        try:
+            lower = _normal_equations_factor(design, weights)
+        except RankDeficientError:
+            # Information matrix collapsed: probabilities pinned at 0/1.
+            separated = True
+            break
+        beta = beta + solve_from_factor(lower, score)
+        if np.max(np.abs(beta)) > SEPARATION_COEF_BOUND:
+            separated = True
+            break
+
+    fitted = expit(design @ beta)
+    if separated:
+        fitted = np.clip(fitted, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return NaiveLogisticFit(beta, fitted, converged, separated)
+
+
 def naive_fold_fits(design, y, folds, family: str):
     """Fit each training fold on its own, as ``fit_superlearner`` once did.
 
-    For every fold ``f`` in ``sorted(set(folds))``, fits ``fit_ols`` or
-    ``fit_logistic`` on ``design[folds != f]`` and predicts the rows of
+    For every fold ``f`` in ``sorted(set(folds))``, fits ``naive_fit_ols`` or
+    ``naive_fit_logistic`` on ``design[folds != f]`` and predicts the rows of
     fold ``f`` with ``predict_ols`` or with ``expit`` probabilities clamped
     to ``[PROB_CLAMP, 1 - PROB_CLAMP]``.  Returns
     ``(out_of_fold, converged, separated)``: the predictions in row order
@@ -236,12 +320,12 @@ def naive_fold_fits(design, y, folds, family: str):
     for f in sorted(set(int(v) for v in folds)):
         holdout = folds == f
         if family == "gaussian":
-            fit = fit_ols(design[~holdout], y[~holdout])
+            fit = naive_fit_ols(design[~holdout], y[~holdout])
             out_of_fold[holdout] = predict_ols(fit, design[holdout])
             converged.append(True)
             separated.append(False)
         else:
-            fit = fit_logistic(design[~holdout], y[~holdout])
+            fit = naive_fit_logistic(design[~holdout], y[~holdout])
             probs = expit(design[holdout] @ fit.coefficients)
             out_of_fold[holdout] = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
             converged.append(fit.converged)

@@ -25,7 +25,6 @@ from attbench.errors import NoMatchesError
 from attbench.glm import fit_ols
 from attbench.harness import METHODS, run_grid
 from attbench.matching import cem_att, cem_match, psm_match
-from attbench.numeric import SpdMatrix
 from attbench.propensity import PsVector, estimate_ps, truncate_ps
 from attbench.tmle import tmle_att
 from attbench.weighting import aipw_att, fit_outcome_models, ipw_att
@@ -195,7 +194,7 @@ def test_08_closed_form_equivalences(capsys):
     metric_err = 0.0
     for _ in range(50):
         u, v = rng.standard_normal(3), rng.standard_normal(3)
-        d = mahalanobis_distance(u, v, SpdMatrix(3, np.eye(3)))
+        d = mahalanobis_distance(u, v, np.eye(3))
         metric_err = max(metric_err, abs(d - float(np.linalg.norm(u - v))))
 
     x = rng.standard_normal((n, 2))

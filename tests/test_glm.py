@@ -20,7 +20,7 @@ from attbench.glm import (
 )
 from attbench.superlearner import FittedLearner, LearnerSpec, expand_degree2
 
-from naive_oracles import naive_fold_fits
+from naive_oracles import naive_fit_logistic, naive_fit_ols, naive_fold_fits
 
 
 def _design(np_rng, n, p):
@@ -108,7 +108,7 @@ class TestLogistic:
         beta = np.array([-0.4, 0.8, -1.2])
         y = (np_rng.random(n) < expit(x @ beta)).astype(float)
         fit = fit_logistic(x, y)
-        assert fit.converged and not fit.separated
+        assert not fit.separated
         np.testing.assert_allclose(fit.coefficients, beta, atol=0.06)
 
     def test_converged_score_is_small(self, np_rng):
@@ -116,7 +116,6 @@ class TestLogistic:
         y = (np_rng.random(500) < expit(x[:, 1])).astype(float)
         fit = fit_logistic(x, y)
         score = x.T @ (y - fit.fitted_probabilities)
-        assert fit.converged
         assert np.max(np.abs(score)) <= IRLS_SCORE_TOL
 
     def test_analytic_score_matches_finite_differences(self, np_rng):
@@ -141,7 +140,6 @@ class TestLogistic:
         y = (x[:, 1] > 0).astype(float)
         fit = fit_logistic(x, y)
         assert fit.separated
-        assert not fit.converged
         assert fit.fitted_probabilities.min() >= PROB_CLAMP
         assert fit.fitted_probabilities.max() <= 1 - PROB_CLAMP
         assert np.max(np.abs(fit.coefficients)) > SEPARATION_COEF_BOUND
@@ -164,6 +162,57 @@ class TestLogistic:
         preds = learner.predict(np.array([[50.0], [-50.0]]))
         assert preds[0] <= 1 - PROB_CLAMP
         assert preds[1] >= PROB_CLAMP
+
+
+def _reference_case(case):
+    """A design and a 0/1 response for one of the single-fit reference cases."""
+    rng = np.random.default_rng(11)
+    x = _design(rng, 60, 3)
+    y = (rng.random(60) < expit(x @ np.array([-0.5, 1.0, -0.8]))).astype(float)
+    if case == "separated":
+        x = np.column_stack([np.ones(20), np.linspace(-2, 2, 20)])
+        y = (x[:, 1] > 0).astype(float)
+    elif case == "duplicate-column":
+        x = np.column_stack([x, x[:, 2]])
+    elif case == "n-le-p":
+        x, y = x[:3], np.array([0.0, 1.0, 1.0])
+    elif case == "one-class":
+        y = np.ones(60)
+    elif case == "non-binary":
+        y = np.linspace(0, 1, 60)
+    return x, y
+
+
+@pytest.mark.parametrize(
+    "case", ["well-posed", "separated", "duplicate-column", "n-le-p", "one-class", "non-binary"]
+)
+@pytest.mark.parametrize(
+    "fit, reference", [(fit_ols, naive_fit_ols), (fit_logistic, naive_fit_logistic)], ids=["ols", "logistic"]
+)
+def test_single_fit_matches_one_design_reference(fit, reference, case):
+    """The one-row stack against the one-design Cholesky fits it replaced."""
+    x, y = _reference_case(case)
+    try:
+        expected = reference(x, y)
+    except Exception as exc:
+        with pytest.raises(Exception) as raised:
+            fit(x, y)
+        assert type(raised.value) is type(exc)
+        return
+    got = fit(x, y)
+    # Relative 1e-12, with absolute floors at 1e-12 of each quantity's scale
+    # for values that are round-off: a coefficient that is zero in exact
+    # arithmetic, and the residuals of the one-class response's exact fit.
+    scale = np.abs(expected.coefficients).max()
+    np.testing.assert_allclose(got.coefficients, expected.coefficients, rtol=1e-12, atol=1e-12 * scale)
+    if fit is fit_ols:
+        mean_square = float(np.mean(y**2))
+        floor = 1e-12 * np.sqrt(mean_square / y.size)
+        np.testing.assert_allclose(got.standard_errors, expected.standard_errors, rtol=1e-12, atol=floor)
+        assert got.residual_variance == pytest.approx(expected.residual_variance, rel=1e-12, abs=1e-12 * mean_square)
+    else:
+        np.testing.assert_allclose(got.fitted_probabilities, expected.fitted_probabilities, rtol=1e-12, atol=0)
+        assert got.separated == expected.separated
 
 
 def _folds(rng, n, k_folds=10):

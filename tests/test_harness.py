@@ -164,6 +164,14 @@ class TestReplicateIndependence:
             # repr keeps every float bit and lets NaN fields of failed records compare.
             assert repr(four) == repr(two)
 
+    def test_cell_worker_prefix_ignores_n_reps(self):
+        cell = dict(scenario=3, setting=3, label="0.05")
+        alpha0 = harness.oracle_intercepts([(3, "0.05")], 42, 10**5)[(3, "0.05")]
+        four = harness._cell_worker((cfg_for(**cell, n_reps=4), alpha0, METHODS))
+        two = harness._cell_worker((cfg_for(**cell, n_reps=2), alpha0, METHODS))
+        assert len(four) == 4 * len(METHODS) and len(two) == 2 * len(METHODS) == 20
+        assert repr(four[:20]) == repr(two)
+
     def test_grid_records_ignore_n_reps(self, tmp_path):
         stores = {}
         for n_reps in (4, 2):

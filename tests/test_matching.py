@@ -20,7 +20,6 @@ from attbench.matching import (
     mdm_match,
     psm_match,
 )
-from attbench.numeric import SpdMatrix
 from attbench.propensity import PsVector, estimate_ps
 
 from naive_oracles import (
@@ -196,7 +195,7 @@ class TestPsmMatch:
 def random_spd(np_rng, d):
     g = np_rng.standard_normal((d, d))
     g = g @ g.T
-    return SpdMatrix(d, (g + g.T) / 2.0 + 0.5 * np.eye(d))
+    return (g + g.T) / 2.0 + 0.5 * np.eye(d)
 
 
 class TestMahalanobisDistance:
@@ -204,7 +203,7 @@ class TestMahalanobisDistance:
         for _ in range(20):
             u = np_rng.standard_normal(3)
             v = np_rng.standard_normal(3)
-            d = mahalanobis_distance(u, v, SpdMatrix(3, np.eye(3)))
+            d = mahalanobis_distance(u, v, np.eye(3))
             assert d == pytest.approx(float(np.linalg.norm(u - v)), abs=1e-12)
 
     def test_zero_at_equal_points(self, np_rng):
@@ -216,14 +215,14 @@ class TestMahalanobisDistance:
             cov = random_spd(np_rng, 3)
             u = np_rng.standard_normal(3)
             v = np_rng.standard_normal(3)
-            inv = np.linalg.inv(cov.entries)
+            inv = np.linalg.inv(cov)
             expected = float(np.sqrt((u - v) @ inv @ (u - v)))
             assert mahalanobis_distance(u, v, cov) == pytest.approx(
                 expected, rel=1e-10, abs=1e-12
             )
 
     def test_non_spd_rejected(self):
-        singular = SpdMatrix(2, np.array([[1.0, 1.0], [1.0, 1.0]]))
+        singular = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(NonSpdError):
             mahalanobis_distance(np.ones(2), np.zeros(2), singular)
 

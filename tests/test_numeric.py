@@ -6,7 +6,6 @@ import pytest
 from attbench.errors import DegenerateCovarianceError, NonSpdError
 from attbench.numeric import (
     RngStream,
-    SpdMatrix,
     cholesky_factor,
     pack_stream_id,
     sample_bernoulli,
@@ -104,7 +103,7 @@ class TestSampling:
 def _random_spd(np_rng, d):
     b = np_rng.standard_normal((d + 3, d))
     gram = b.T @ b
-    return SpdMatrix(d, (gram + gram.T) / 2 + 0.5 * np.eye(d))
+    return (gram + gram.T) / 2 + 0.5 * np.eye(d)
 
 
 class TestCholesky:
@@ -117,8 +116,8 @@ class TestCholesky:
         for _ in range(20):
             d = int(np_rng.integers(1, 8))
             mat = _random_spd(np_rng, d)
-            lower = cholesky_factor(mat.entries)
-            np.testing.assert_allclose(lower @ lower.T, mat.entries, atol=1e-10)
+            lower = cholesky_factor(mat)
+            np.testing.assert_allclose(lower @ lower.T, mat, atol=1e-10)
             assert np.allclose(lower, np.tril(lower))
 
     def test_solve_matches_dense_oracle(self, np_rng):
@@ -126,16 +125,16 @@ class TestCholesky:
             d = int(np_rng.integers(1, 8))
             mat = _random_spd(np_rng, d)
             rhs = np_rng.standard_normal(d)
-            expected = np.linalg.solve(mat.entries, rhs)
-            np.testing.assert_allclose(solve_from_factor(cholesky_factor(mat.entries), rhs), expected, atol=1e-9)
+            expected = np.linalg.solve(mat, rhs)
+            np.testing.assert_allclose(solve_from_factor(cholesky_factor(mat), rhs), expected, atol=1e-9)
 
     def test_indefinite_matrix_raises(self):
         with pytest.raises(NonSpdError):
-            cholesky_factor(SpdMatrix(2, np.array([[1.0, 2.0], [2.0, 1.0]])).entries)
+            cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_tiny_pivot_raises(self):
         with pytest.raises(NonSpdError):
-            cholesky_factor(SpdMatrix(1, np.array([[1e-13]])).entries)
+            cholesky_factor(np.array([[1e-13]]))
 
     def test_stacked_solve_flags_what_cholesky_factor_rejects(self, np_rng):
         spd = [(lambda a: a @ a.T + 3 * np.eye(3))(np_rng.standard_normal((3, 3))) for _ in range(3)]
@@ -162,11 +161,6 @@ class TestCholesky:
         assert ok.all()
         np.testing.assert_allclose(np.einsum("kij,kj->ki", stack, solutions), rhs, atol=1e-12)
 
-    def test_spd_matrix_requires_exact_symmetry(self):
-        skew = np.array([[1.0, 1e-14], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            SpdMatrix(2, skew)
-
     def test_rhs_length_checked(self):
         with pytest.raises(ValueError):
             solve_from_factor(cholesky_factor(np.eye(2)), np.ones(3))
@@ -178,20 +172,20 @@ class TestSampleCovariance:
         centered = x - x.mean(axis=0)
         expected = centered.T @ centered / 39
         got = sample_covariance(x)
-        np.testing.assert_allclose(got.entries, expected, atol=1e-12)
-        assert got.dimension == 3
+        np.testing.assert_allclose(got, expected, atol=1e-12)
+        assert got.shape == (3, 3)
 
     def test_result_is_exactly_symmetric(self, np_rng):
         for _ in range(50):
             x = np_rng.standard_normal((int(np_rng.integers(2, 30)), int(np_rng.integers(1, 6))))
-            cov = sample_covariance(x).entries
+            cov = sample_covariance(x)
             assert np.array_equal(cov, cov.T)
 
     def test_row_permutation_invariance(self, np_rng):
         x = np_rng.standard_normal((25, 4))
         perm = np_rng.permutation(25)
         np.testing.assert_allclose(
-            sample_covariance(x).entries, sample_covariance(x[perm]).entries, atol=1e-12
+            sample_covariance(x), sample_covariance(x[perm]), atol=1e-12
         )
 
     def test_constant_column_raises(self):
