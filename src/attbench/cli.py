@@ -18,7 +18,6 @@ rerun will resume).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -50,6 +49,7 @@ from .harness import (
     records_intact,
     run_grid,
     write_calibration_csv,
+    write_csv,
 )
 from .numeric import MAX_REPLICATES, PURPOSE_PS_HIST
 
@@ -59,6 +59,7 @@ EXIT_PARTIAL = 3
 OUTPUT_DIR_ENV = "ATTBENCH_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "attbench-out"
 ARMS = ("effect", "null")
+REPORT_COLUMNS = ("scenario", "setting", "prevalence") + METRIC_COLUMNS
 
 
 class ConfigError(Exception):
@@ -276,11 +277,7 @@ def cmd_ps_hist(args: argparse.Namespace) -> int:
     outdir = Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV, DEFAULT_OUTPUT_DIR))
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"ps_hist_s{args.scenario}_p{label.replace('.', '')}.csv"
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["bin_lo", "bin_hi", "count"])
-        for i in range(args.bins):
-            writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(counts[i])])
+    write_csv(path, ("bin_lo", "bin_hi", "count"), zip(edges[:-1], edges[1:], counts))
     tail_mass = float(np.mean((scores < 0.05) | (scores > 0.95)))
     print(f"scenario {args.scenario}, prevalence {label}, n {args.n}")
     print(f"alpha0 {alpha0:.6f}")
@@ -289,7 +286,7 @@ def cmd_ps_hist(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_rows(store: Path) -> list[dict]:
+def _report_rows(store: Path) -> list[tuple]:
     manifest_path = store / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"no manifest in {store}")
@@ -302,62 +299,47 @@ def _report_rows(store: Path) -> list[dict]:
 
     groups: dict[tuple[int, int, str], dict[str, dict]] = {}
     for name, entry in cells.items():
-        key = (entry["scenario"], entry["setting"], entry["prevalence"])
-        arm = "null" if entry["null_effect"] else "effect"
+        try:
+            key = (entry["scenario"], entry["setting"], entry["prevalence"])
+            arm = "null" if entry["null_effect"] else "effect"
+            truth, n_reps = entry["truth"], entry["n_reps"]
+        except KeyError as exc:
+            raise CorruptManifestError(f"manifest {manifest_path}: completed cell {name} lacks {exc}") from None
         records_path = store / "cells" / f"{name}_records.csv"
         if not records_intact(records_path, entry):
             raise ConfigError(f"records of cell {name} are missing or fail their digest; rerun `attbench run`")
         records = read_records_csv(records_path)
-        metrics = aggregate_cell(records, entry["truth"], entry["n_reps"])
+        metrics = aggregate_cell(records, truth, n_reps)
         groups.setdefault(key, {})[arm] = {m.method: m for m in metrics}
 
     rows = []
     for key in sorted(groups):
-        scenario, setting, prevalence = key
-        arms = groups[key]
-        methods_present = [
-            m for m in METHODS if m in arms.get("effect", {}) or m in arms.get("null", {})
-        ]
-        for method in methods_present:
-            effect = arms.get("effect", {}).get(method)
-            null = arms.get("null", {}).get(method)
+        effect_arm, null_arm = groups[key].get("effect", {}), groups[key].get("null", {})
+        for method in (m for m in METHODS if m in effect_arm or m in null_arm):
+            effect, null = effect_arm.get(method), null_arm.get(method)
             # The effect arm's moments, the null arm's type-I rate, and the
             # counts of whichever arm ran; a column with no arm reads NaN.
             either = effect or null
             source = {"type1_rate": null, "method": either, "n_valid": either, "failure_rate": either}
-            rows.append(
-                {"scenario": scenario, "setting": setting, "prevalence": prevalence}
-                | {c: getattr(source.get(c, effect), c, math.nan) for c in METRIC_COLUMNS}
-            )
+            rows.append(key + tuple(getattr(source.get(c, effect), c, math.nan) for c in METRIC_COLUMNS))
     return rows
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     store = Path(args.store or os.environ.get(OUTPUT_DIR_ENV, DEFAULT_OUTPUT_DIR))
     rows = _report_rows(store)
-    columns = ("scenario", "setting", "prevalence") + METRIC_COLUMNS
     path = store / "report.csv"
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [
-                    row[c] if c in ("scenario", "setting", "prevalence", "method", "n_valid")
-                    else repr(float(row[c]))
-                    for c in columns
-                ]
-            )
+    write_csv(path, REPORT_COLUMNS, rows)
 
     def cell_text(value) -> str:
         if isinstance(value, float):
             return "-" if math.isnan(value) else f"{value:.4f}"
         return str(value)
 
-    widths = {c: max(len(c), max((len(cell_text(r[c])) for r in rows), default=0)) for c in columns}
-    print("  ".join(c.rjust(widths[c]) for c in columns))
-    for row in rows:
-        print("  ".join(cell_text(row[c]).rjust(widths[c]) for c in columns))
+    table = [[cell_text(value) for value in row] for row in [REPORT_COLUMNS, *rows]]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    for line in table:
+        print("  ".join(text.rjust(width) for text, width in zip(line, widths)))
     _log(f"report written to {path}")
     return EXIT_OK
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.special import expit, stdtr
+from scipy.special import expit
 
 from .errors import OneClassError, RankDeficientError, ZeroSeError
-from .numeric import solve_spd_stack
+from .numeric import solve_spd_stack, two_sided_p
 # Not called here: perfbench/spans.py wraps these two names in this module.
 from .numeric import cholesky_factor, solve_from_factor  # noqa: F401
 
@@ -227,8 +227,7 @@ def ols_wald_test(fit: OlsFit, coef_index: int) -> tuple[float, float]:
     if se == 0.0:
         raise ZeroSeError(f"coefficient {coef_index} has zero standard error")
     t_stat = float(fit.coefficients[coef_index]) / se
-    p_value = 2.0 * float(stdtr(fit.n_obs - fit.n_params, -abs(t_stat)))
-    return t_stat, p_value
+    return t_stat, two_sided_p(t_stat, fit.n_obs - fit.n_params)
 
 
 def fit_logistic(design: np.ndarray, y: np.ndarray) -> LogisticFit:

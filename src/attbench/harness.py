@@ -10,11 +10,13 @@ a silent gap.
 
 Cells are independent given the master seed, so the grid parallelizes
 over cells with each worker deriving its streams from stable
-coordinates.  The store is written deterministically: fixed column
-orders, shortest-round-trip float formatting, sorted JSON keys, and no
-timestamps, so equal configurations produce byte-identical files at any
-worker count.  A manifest tracks completed cells, with a digest of each
-cell's records, and lets an interrupted grid resume without recomputation.
+coordinates.  The store is written deterministically: every table goes
+through one CSV writer, whose rows list the columns in order and whose
+floats are their shortest round-trip ``repr``; the manifest has sorted
+JSON keys; nothing holds a timestamp.  Equal configurations therefore
+produce byte-identical files at any worker count.  A manifest tracks
+completed cells, with a digest of each cell's records, and lets an
+interrupted grid resume without recomputation.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +56,7 @@ from .numeric import (
     PURPOSE_OUTCOME_FOLDS,
     PURPOSE_PS_FOLDS,
     PURPOSE_TRUTH,
+    Estimate,
     RngStream,
     substream,
 )
@@ -65,17 +68,6 @@ ALPHA = 0.05
 DEFAULT_ORACLE_SEED = 42
 FAILED_PREFIX = "failed:"
 
-RECORD_COLUMNS = ("method", "replicate", "att", "theoretical_se", "p_value", "n_discarded", "flags")
-METRIC_COLUMNS = (
-    "method",
-    "n_valid",
-    "bias",
-    "empirical_sd",
-    "avg_theoretical_sd",
-    "mse",
-    "type1_rate",
-    "failure_rate",
-)
 MANIFEST_NAME = "manifest.json"
 SCHEMA_VERSION = 2
 # Design decisions recorded in every manifest.
@@ -93,9 +85,8 @@ DECISIONS = {
 }
 
 
-@dataclass(frozen=True)
-class EstimateRecord:
-    """One method's result on one replicate."""
+class EstimateRecord(NamedTuple):
+    """One method's result on one replicate: a row of a records file."""
 
     method: str
     replicate: int
@@ -110,18 +101,23 @@ class EstimateRecord:
         return any(f.startswith(FAILED_PREFIX) for f in self.flags)
 
 
-@dataclass(frozen=True)
-class MethodMetrics:
-    """Cell-level summary of one method over its valid replicates."""
+class MethodMetrics(NamedTuple):
+    """Cell-level summary of one method over its valid replicates: a row
+    of a metrics file.  A quantity left out reads NaN."""
 
     method: str
     n_valid: int
-    bias: float
-    empirical_sd: float
-    avg_theoretical_sd: float
-    mse: float
-    type1_rate: float
-    failure_rate: float
+    bias: float = np.nan
+    empirical_sd: float = np.nan
+    avg_theoretical_sd: float = np.nan
+    mse: float = np.nan
+    type1_rate: float = np.nan
+    failure_rate: float = np.nan
+
+
+RECORD_COLUMNS = EstimateRecord._fields
+METRIC_COLUMNS = MethodMetrics._fields
+_FAILED_ESTIMATE = Estimate(np.nan, np.nan, np.nan)
 
 
 class _Replicate:
@@ -173,45 +169,43 @@ def _lr(r: _Replicate):
     fit = fit_ols(design, r.y)
     z_index = design.shape[1] - 1
     _, p_value = ols_wald_test(fit, z_index)
-    return float(fit.coefficients[z_index]), float(fit.standard_errors[z_index]), p_value, 0, ()
+    return Estimate(float(fit.coefficients[z_index]), float(fit.standard_errors[z_index]), p_value), 0, ()
 
 
 def _cem(r: _Replicate, n_bins: int):
     strata = cem_match(r.x, r.z, n_bins)
-    est = cem_att(r.y, r.z, strata)
-    return est.att, est.theoretical_se, est.p_value, int(((r.z == 1) & ~strata.retained).sum()), ()
+    return cem_att(r.y, r.z, strata), int(((r.z == 1) & ~strata.retained).sum()), ()
 
 
 def _matched(r: _Replicate, match):
     ps = r.nuisance("ps_logistic")
     matches = match(ps)
-    est = matched_att(r.y, matches)
-    return est.att, est.theoretical_se, est.p_value, len(matches.discarded_treated), _ps_flags(ps)
+    return matched_att(r.y, matches), len(matches.discarded_treated), _ps_flags(ps)
 
 
 def _trimmed(r: _Replicate, estimate):
     # The score comes first: when it fails, AIPW never fits its outcome model.
     trimmed = r.nuisance("ps_trimmed")
-    est = estimate(trimmed)
     flags = _ps_flags(trimmed) + (("trimmed",) if trimmed.n_dropped else ())
-    return est.att, est.theoretical_se, est.p_value, trimmed.n_dropped, flags
+    return estimate(trimmed), trimmed.n_dropped, flags
 
 
 def _aipw_sl(r: _Replicate):
     truncated = r.nuisance("ps_truncated")
-    est = aipw_att(r.y, r.z, truncated, *r.nuisance("outcome_ensemble"))
-    return est.att, est.theoretical_se, est.p_value, 0, _ps_flags(truncated)
+    return aipw_att(r.y, r.z, truncated, *r.nuisance("outcome_ensemble")), 0, _ps_flags(truncated)
 
 
 def _tmle_sl(r: _Replicate):
     truncated = r.nuisance("ps_truncated")
     fit = tmle_att(r.y, r.z, r.x, *r.nuisance("outcome_ensemble"), truncated)
     nonconverged = () if fit.targeting_converged else ("nonconverged",)
-    return fit.att, fit.theoretical_se, fit.p_value, 0, _ps_flags(truncated) + nonconverged
+    return fit, 0, _ps_flags(truncated) + nonconverged
 
 
-# Method -> estimator of one replicate, returning (att, theoretical_se,
-# p_value, n_discarded, flags).  Its order is the roster order of the store.
+# Method -> estimator of one replicate, returning (estimate, n_discarded,
+# flags), where the estimate has ``att``, ``theoretical_se`` and
+# ``p_value`` (an :class:`Estimate`, or TMLE's fuller fit).  Its order is
+# the roster order of the store.
 METHOD_TABLE = {
     "LR": _lr,
     "CEM2": lambda r: _cem(r, 2),
@@ -249,14 +243,13 @@ def run_replicate(
     records = []
     for method in method_list:
         try:
-            att, se, p_value, n_disc, extra = METHOD_TABLE[method](context)
-            flags = tuple(sorted(set(base_flags) | set(extra)))
-            records.append(EstimateRecord(method, replicate, att, se, p_value, n_disc, flags))
+            est, n_discarded, flags = METHOD_TABLE[method](context)
         except EstimationError as exc:
-            flags = tuple(sorted(set(base_flags) | {FAILED_PREFIX + type(exc).__name__}))
-            records.append(
-                EstimateRecord(method, replicate, float("nan"), float("nan"), float("nan"), 0, flags)
-            )
+            est, n_discarded, flags = _FAILED_ESTIMATE, 0, (FAILED_PREFIX + type(exc).__name__,)
+        flags = tuple(sorted(set(base_flags) | set(flags)))
+        records.append(
+            EstimateRecord(method, replicate, est.att, est.theoretical_se, est.p_value, n_discarded, flags)
+        )
     return records
 
 
@@ -279,11 +272,7 @@ def aggregate_cell(
         valid = [r for r in recs if not r.failed]
         failure_rate = 1.0 - len(valid) / len(recs)
         if len(valid) < 2:
-            out.append(
-                MethodMetrics(
-                    method, len(valid), np.nan, np.nan, np.nan, np.nan, np.nan, failure_rate
-                )
-            )
+            out.append(MethodMetrics(method, len(valid), failure_rate=failure_rate))
             continue
         atts = np.array([r.att for r in valid])
         ses = np.array([r.theoretical_se for r in valid])
@@ -302,69 +291,38 @@ def aggregate_cell(
     return out
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def write_csv(path: Path, header, rows) -> None:
+    """Write one store table.  ``csv`` writes a float, numpy's included,
+    as its shortest round-trip ``repr``, so equal values give equal bytes."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_records_csv(path: Path, records: list[EstimateRecord]) -> None:
     method_order = {m: i for i, m in enumerate(METHODS)}
     ordered = sorted(records, key=lambda r: (r.replicate, method_order[r.method]))
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        for r in ordered:
-            writer.writerow(
-                [
-                    r.method,
-                    r.replicate,
-                    _fmt(r.att),
-                    _fmt(r.theoretical_se),
-                    _fmt(r.p_value),
-                    r.n_discarded,
-                    ";".join(r.flags),
-                ]
-            )
+    write_csv(path, RECORD_COLUMNS, (r._replace(flags=";".join(r.flags)) for r in ordered))
 
 
 def read_records_csv(path: Path) -> list[EstimateRecord]:
-    records = []
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if tuple(reader.fieldnames or ()) != RECORD_COLUMNS:
-            raise ValueError(f"unexpected record columns in {path}: {reader.fieldnames}")
-        for row in reader:
-            flags = tuple(row["flags"].split(";")) if row["flags"] else ()
-            records.append(
-                EstimateRecord(
-                    row["method"],
-                    int(row["replicate"]),
-                    float(row["att"]),
-                    float(row["theoretical_se"]),
-                    float(row["p_value"]),
-                    int(row["n_discarded"]),
-                    flags,
-                )
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        if tuple(header) != RECORD_COLUMNS:
+            raise ValueError(f"unexpected record columns in {path}: {header}")
+        return [
+            EstimateRecord(
+                method, int(rep), float(att), float(se), float(p), int(n_disc),
+                tuple(flags.split(";")) if flags else (),
             )
-    return records
+            for method, rep, att, se, p, n_disc, flags in reader
+        ]
 
 
 def write_metrics_csv(path: Path, metrics: list[MethodMetrics]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(METRIC_COLUMNS)
-        for m in metrics:
-            writer.writerow(
-                [
-                    m.method,
-                    m.n_valid,
-                    _fmt(m.bias),
-                    _fmt(m.empirical_sd),
-                    _fmt(m.avg_theoretical_sd),
-                    _fmt(m.mse),
-                    _fmt(m.type1_rate),
-                    _fmt(m.failure_rate),
-                ]
-            )
+    write_csv(path, METRIC_COLUMNS, metrics)
 
 
 def _package_version() -> str:
@@ -374,7 +332,8 @@ def _package_version() -> str:
 
 
 def read_manifest(path: Path) -> dict:
-    """The manifest at ``path``; :class:`CorruptManifestError` unless it holds a JSON object."""
+    """The manifest at ``path``; :class:`CorruptManifestError` unless it
+    holds a JSON object whose ``cells``, if present, map names to objects."""
     try:
         with open(path, encoding="utf-8") as handle:
             manifest = json.load(handle)
@@ -382,6 +341,9 @@ def read_manifest(path: Path) -> dict:
         raise CorruptManifestError(f"manifest {path} is not valid JSON ({exc})") from exc
     if not isinstance(manifest, dict):
         raise CorruptManifestError(f"manifest {path} does not hold a JSON object")
+    cells = manifest.get("cells", {})
+    if not isinstance(cells, dict) or not all(isinstance(entry, dict) for entry in cells.values()):
+        raise CorruptManifestError(f"manifest {path}: \"cells\" is not an object of cell objects")
     return manifest
 
 
@@ -604,11 +566,11 @@ def write_calibration_csv(
     path: Path, oracle_seed: int, oracle_n: int, intercepts: dict[tuple[int, str], float]
 ) -> None:
     """Golden intercept table keyed by (scenario, prevalence)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["scenario", "prevalence", "oracle_seed", "oracle_n", "alpha0"])
-        for (scenario, label), alpha in sorted(intercepts.items()):
-            writer.writerow([scenario, label, oracle_seed, oracle_n, _fmt(alpha)])
+    write_csv(
+        path,
+        ("scenario", "prevalence", "oracle_seed", "oracle_n", "alpha0"),
+        ((scenario, label, oracle_seed, oracle_n, alpha) for (scenario, label), alpha in sorted(intercepts.items())),
+    )
 
 
 def write_truths_csv(
@@ -618,11 +580,11 @@ def write_truths_csv(
     truths: dict[tuple[int, int, str, bool], tuple[float, float]],
 ) -> None:
     """Golden true-ATT table keyed by (scenario, setting, prevalence, arm)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["scenario", "setting", "prevalence", "arm", "oracle_seed", "oracle_n", "truth", "oracle_se"]
-        )
-        for (scenario, setting, label, null), (value, se) in sorted(truths.items()):
-            arm = "null" if null else "effect"
-            writer.writerow([scenario, setting, label, arm, oracle_seed, oracle_n, _fmt(value), _fmt(se)])
+    write_csv(
+        path,
+        ("scenario", "setting", "prevalence", "arm", "oracle_seed", "oracle_n", "truth", "oracle_se"),
+        (
+            (scenario, setting, label, "null" if null else "effect", oracle_seed, oracle_n, value, se)
+            for (scenario, setting, label, null), (value, se) in sorted(truths.items())
+        ),
+    )

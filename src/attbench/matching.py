@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import stdtr
 
 from .errors import NoMatchesError, TooFewPairsError, ZeroVarianceError
-from .numeric import cholesky_factor, sample_covariance
+from .numeric import Estimate, cholesky_factor, sample_covariance, two_sided_p
 from .propensity import PsVector
 
 CALIPER_SD_FACTOR = 0.2
@@ -225,15 +224,7 @@ def _stratum_codes(signatures: np.ndarray, n_bins: int) -> np.ndarray:
     return np.unique(signatures @ radix, return_inverse=True)[1]
 
 
-@dataclass(frozen=True)
-class MatchedAttEstimate:
-    att: float
-    theoretical_se: float
-    p_value: float
-    n_pairs: int
-
-
-def _paired_t(differences: np.ndarray) -> MatchedAttEstimate:
+def _paired_t(differences: np.ndarray) -> Estimate:
     m = differences.size
     if m < 2:
         raise TooFewPairsError(f"need at least 2 matched sets, got {m}")
@@ -242,12 +233,10 @@ def _paired_t(differences: np.ndarray) -> MatchedAttEstimate:
     if sd == 0.0:
         raise ZeroVarianceError("matched differences are constant")
     se = sd / np.sqrt(m)
-    t_stat = att / se
-    p_value = 2.0 * float(stdtr(m - 1, -abs(t_stat)))
-    return MatchedAttEstimate(att, float(se), p_value, m)
+    return Estimate(att, float(se), two_sided_p(att / se, m - 1))
 
 
-def matched_att(y: np.ndarray, matches: MatchSet) -> MatchedAttEstimate:
+def matched_att(y: np.ndarray, matches: MatchSet) -> Estimate:
     """Paired t estimate over treated-minus-matched-control differences.
 
     Each difference is the treated outcome minus the mean outcome of its
@@ -263,7 +252,7 @@ def matched_att(y: np.ndarray, matches: MatchSet) -> MatchedAttEstimate:
     return _paired_t(y[treated] - np.add.reduceat(y[controls], starts) / sizes)
 
 
-def cem_att(y: np.ndarray, z: np.ndarray, strata: CemStrata) -> MatchedAttEstimate:
+def cem_att(y: np.ndarray, z: np.ndarray, strata: CemStrata) -> Estimate:
     """Paired t estimate within coarsened strata.
 
     Every retained treated unit contributes one difference against the

@@ -1,4 +1,5 @@
-"""Deterministic random streams and small dense linear algebra.
+"""Deterministic random streams, small dense linear algebra, and the
+estimate every ATT estimator returns.
 
 All simulation randomness flows through :class:`RngStream`, a thin wrapper
 around numpy's PCG64 generator seeded through ``SeedSequence`` spawn keys.
@@ -15,8 +16,11 @@ zero-variance covariates) surface as typed errors rather than warnings.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.special import ndtr, stdtr
 
 from .errors import DegenerateCovarianceError, NonSpdError
 
@@ -125,6 +129,21 @@ def sample_bernoulli(rng: RngStream, p: np.ndarray) -> np.ndarray:
         raise ValueError("probabilities must lie in [0, 1]")
     u = rng.generator.random(p.size)
     return (u < p).astype(np.int64)
+
+
+class Estimate(NamedTuple):
+    """One estimator's ATT with its standard error and two-sided p-value."""
+
+    att: float
+    theoretical_se: float
+    p_value: float
+
+
+def two_sided_p(stat: float, df: int | None = None) -> float:
+    """Two-sided p-value of a Student-t statistic with ``df`` degrees of
+    freedom, or of a standard normal one when ``df`` is None."""
+    tail = ndtr(-abs(stat)) if df is None else stdtr(df, -abs(stat))
+    return 2.0 * float(tail)
 
 
 def cholesky_factor(a: np.ndarray) -> np.ndarray:

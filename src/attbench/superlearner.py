@@ -289,5 +289,5 @@ def predict_ensemble(fit: EnsembleFit, x: np.ndarray) -> np.ndarray:
         if weight > 0.0:
             preds += weight * learner.predict(x)
     if fit.family == "binomial":
-        preds = np.clip(preds, 1e-8, 1.0 - 1e-8)
+        preds = np.clip(preds, PROB_CLAMP, 1.0 - PROB_CLAMP)
     return preds

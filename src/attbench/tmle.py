@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logit, ndtr
+from scipy.special import expit, logit
 
 from .errors import FlatOutcomeError, OneClassError
+from .numeric import two_sided_p
 from .propensity import PsVector
 
 Q_CLAMP = 1e-4
@@ -138,7 +139,7 @@ def tmle_att(
             break
 
     se = float(np.sqrt(np.var(eif, ddof=1) / n))
-    p_value = 2.0 * float(ndtr(-abs(att) / se)) if se > 0.0 else np.nan
+    p_value = two_sided_p(att / se) if se > 0.0 else np.nan
     return TmleFit(
         att, se, p_value, np.asarray(eps_history), eif, converged, (y_min, y_max)
     )

@@ -21,26 +21,15 @@ contribution, and ``n`` is the kept count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import AllTrimmedError, DegenerateWeightsError, ZeroSeError
 from .glm import fit_ols, predict_ols
-from .numeric import RngStream
+from .numeric import Estimate, RngStream, two_sided_p
 from .propensity import PsVector
 from .superlearner import fit_superlearner, predict_ensemble
 
 OUTCOME_METHODS = ("ols", "ensemble")
-
-
-@dataclass(frozen=True)
-class WeightedAttEstimate:
-    att: float
-    theoretical_se: float
-    p_value: float
-    n_used: int
 
 
 def _att_weights(z: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -70,9 +59,7 @@ def _kept_basis(ps: PsVector) -> np.ndarray | None:
     return None if ps.score_basis is None else ps.score_basis[ps.kept_mask]
 
 
-def _finish(
-    att: float, phi: np.ndarray, basis: np.ndarray | None = None
-) -> WeightedAttEstimate:
+def _finish(att: float, phi: np.ndarray, basis: np.ndarray | None = None) -> Estimate:
     n = phi.size
     if basis is not None and n > basis.shape[1]:
         coef, *_ = np.linalg.lstsq(basis, phi, rcond=None)
@@ -80,11 +67,10 @@ def _finish(
     se = float(np.sqrt((phi**2).mean() / n))
     if se == 0.0:
         raise ZeroSeError("influence function is identically zero")
-    p_value = 2.0 * float(ndtr(-abs(att) / se))
-    return WeightedAttEstimate(att, se, p_value, n)
+    return Estimate(att, se, two_sided_p(att / se))
 
 
-def ipw_att(y: np.ndarray, z: np.ndarray, ps: PsVector) -> WeightedAttEstimate:
+def ipw_att(y: np.ndarray, z: np.ndarray, ps: PsVector) -> Estimate:
     """Weighted difference of treated and control outcome means.
 
     The treated term reduces to the plain treated mean (unit weights);
@@ -102,7 +88,7 @@ def ipw_att(y: np.ndarray, z: np.ndarray, ps: PsVector) -> WeightedAttEstimate:
 
 def aipw_att(
     y: np.ndarray, z: np.ndarray, ps: PsVector, q1: np.ndarray, q0: np.ndarray
-) -> WeightedAttEstimate:
+) -> Estimate:
     """Doubly robust ATT: regression contrast plus weighted residual terms.
 
     The first term averages ``q1 - q0`` over the treated covariate

@@ -237,12 +237,14 @@ class TestCmdRun:
     def test_malformed_manifest_exit_code(self, tmp_path, capsys):
         store = tmp_path / "store"
         assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_OK
-        (store / "manifest.json").write_text("{\n")
-        before = tree_bytes(store)
-        capsys.readouterr()
-        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_CONFIG
-        assert str(store / "manifest.json") in capsys.readouterr().err
-        assert tree_bytes(store) == before
+        # Cut JSON; "cells" not an object; a cell entry not an object.
+        for text in ("{\n", '{"cells": []}\n', '{"cells": {"s1t1p050_effect": "complete"}}\n'):
+            (store / "manifest.json").write_text(text)
+            before = tree_bytes(store)
+            capsys.readouterr()
+            assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_CONFIG
+            assert str(store / "manifest.json") in capsys.readouterr().err
+            assert tree_bytes(store) == before
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -379,7 +381,16 @@ class TestCmdReport:
         assert main(["report", "--store", str(tmp_path / "void")]) == EXIT_CONFIG
         assert "no manifest" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["{\n", "[]\n"], ids=["cut-json", "not-an-object"])
+    # A completed cell entry that lacks "truth", which `report` reads.
+    NO_TRUTH = json.dumps({"cells": {"s1t1p050_effect": {
+        "complete": True, "n_reps": 2, "null_effect": False, "prevalence": "0.50", "scenario": 1, "setting": 1,
+    }}})
+
+    @pytest.mark.parametrize(
+        "text",
+        ["{\n", "[]\n", '{"cells": []}\n', '{"cells": {"s1t1p050_effect": "complete"}}\n', NO_TRUTH],
+        ids=["cut-json", "not-an-object", "cells-not-an-object", "cell-not-an-object", "cell-without-truth"],
+    )
     def test_malformed_manifest_exit_code(self, tmp_path, capsys, text):
         (tmp_path / "manifest.json").write_text(text)
         assert main(["report", "--store", str(tmp_path)]) == EXIT_CONFIG

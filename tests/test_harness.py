@@ -21,6 +21,7 @@ from attbench.harness import (
     METHODS,
     RECORD_COLUMNS,
     EstimateRecord,
+    MethodMetrics,
     aggregate_cell,
     read_records_csv,
     run_grid,
@@ -298,6 +299,67 @@ class TestRecordStore:
         path.write_text("method,replicate,att\nLR,0,1.0\n")
         with pytest.raises(ValueError, match="unexpected record columns"):
             read_records_csv(path)
+
+
+class TestStoreTextFormat:
+    """The exact text of every store table: floats as their shortest
+    round-trip repr (nan, signed zero and subnormal-scale values included,
+    numpy scalars written like Python floats), flags joined by ``;``."""
+
+    NAN = float("nan")
+    SUM = 0.1 + 0.2
+    NP_SUM = np.float64(0.1) + np.float64(0.2)
+
+    def test_records_text(self, tmp_path):
+        records = [
+            rec(method="IPW", replicate=1, att=self.NP_SUM, se=np.float64(1e-300), p=-0.0, n_disc=2,
+                flags=("nonconverged", "redrawn", "trimmed")),
+            rec(method="LR", replicate=1, att=-0.0, se=self.SUM, p=1e-300),
+            failed_rec("MDM", 0),
+            rec(method="LR", replicate=0, att=np.float64(-2.5), se=0.1, p=np.float64(1.0), flags=("redrawn",)),
+        ]
+        write_records_csv(tmp_path / "records.csv", records)
+        assert (tmp_path / "records.csv").read_text() == (
+            "method,replicate,att,theoretical_se,p_value,n_discarded,flags\n"
+            "LR,0,-2.5,0.1,1.0,0,redrawn\n"
+            "MDM,0,nan,nan,nan,0,failed:NoMatchesError\n"
+            "LR,1,-0.0,0.30000000000000004,1e-300,0,\n"
+            "IPW,1,0.30000000000000004,1e-300,-0.0,2,nonconverged;redrawn;trimmed\n"
+        )
+
+    def test_metrics_text(self, tmp_path):
+        metrics = [
+            MethodMetrics("LR", 3, self.NP_SUM, -0.0, 1e-300, self.SUM, 0.0, 0.25),
+            MethodMetrics("MDM", 1, self.NAN, self.NAN, self.NAN, self.NAN, self.NAN, 2.0 / 3.0),
+        ]
+        harness.write_metrics_csv(tmp_path / "metrics.csv", metrics)
+        assert (tmp_path / "metrics.csv").read_text() == (
+            "method,n_valid,bias,empirical_sd,avg_theoretical_sd,mse,type1_rate,failure_rate\n"
+            "LR,3,0.30000000000000004,-0.0,1e-300,0.30000000000000004,0.0,0.25\n"
+            "MDM,1,nan,nan,nan,nan,nan,0.6666666666666666\n"
+        )
+
+    def test_oracle_tables_text(self, tmp_path):
+        intercepts = {(2, "0.50"): -0.0, (1, "0.05"): self.NP_SUM, (1, "0.20"): 1e-300}
+        harness.write_calibration_csv(tmp_path / "calibration.csv", 42, 100000, intercepts)
+        assert (tmp_path / "calibration.csv").read_text() == (
+            "scenario,prevalence,oracle_seed,oracle_n,alpha0\n"
+            "1,0.05,42,100000,0.30000000000000004\n"
+            "1,0.20,42,100000,1e-300\n"
+            "2,0.50,42,100000,-0.0\n"
+        )
+        truths = {
+            (3, 3, "0.05", False): (np.float64(1.5) + self.SUM, np.float64(1e-300)),
+            (3, 3, "0.05", True): (0.0, -0.0),
+            (1, 2, "0.33", False): (1.0, self.NAN),
+        }
+        harness.write_truths_csv(tmp_path / "truths.csv", 7, 1000, truths)
+        assert (tmp_path / "truths.csv").read_text() == (
+            "scenario,setting,prevalence,arm,oracle_seed,oracle_n,truth,oracle_se\n"
+            "1,2,0.33,effect,7,1000,1.0,nan\n"
+            "3,3,0.05,effect,7,1000,1.8,1e-300\n"
+            "3,3,0.05,null,7,1000,0.0,-0.0\n"
+        )
 
 
 def small_cells(n_reps=3, seed=555):

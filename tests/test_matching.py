@@ -349,7 +349,6 @@ class TestMatchedAtt:
         est = matched_att(y, MatchSet(((0, (2,)), (1, (3,))), (), 1))
         assert est.att == pytest.approx(1.0, abs=1e-15)
         assert est.theoretical_se == pytest.approx(1.0, abs=1e-15)
-        assert est.n_pairs == 2
         assert est.p_value == pytest.approx(0.5, abs=1e-12)
 
     def test_constant_differences_raise_zero_variance(self):
@@ -416,7 +415,6 @@ class TestCemAtt:
         )
         t_stat = 2.5 / est.theoretical_se
         assert est.p_value == pytest.approx(2 * stats.t.sf(t_stat, 3), abs=1e-15)
-        assert est.n_pairs == 4
 
     def test_balanced_arms_give_zero_att(self):
         # Within each stratum the treated outcomes straddle the control
@@ -437,7 +435,6 @@ class TestCemAtt:
 
 def assert_same_estimate(est, differences):
     assert (est.att, est.theoretical_se, est.p_value) == naive_paired_t(differences)
-    assert est.n_pairs == differences.size
 
 
 class TestLoopOracles:

@@ -41,7 +41,6 @@ class TestIpwAtt:
         z = np.array([1, 1, 0, 0])
         est = ipw_att(y, z, ps_of([0.8, 0.8, 0.2, 0.2]))
         assert est.att == pytest.approx(1.0, abs=1e-15)
-        assert est.n_used == 4
 
     def test_treated_ps_never_enters(self, np_rng):
         x, z, y, ps_true = random_cohort(np_rng, 200)
@@ -79,7 +78,6 @@ class TestIpwAtt:
         manual = ipw_att(y[kept], z[kept], ps_of(spread[kept]))
         assert est.att == manual.att
         assert est.theoretical_se == manual.theoretical_se
-        assert est.n_used == manual.n_used == int(kept.sum())
 
     def test_single_arm_after_trimming_raises(self):
         y = np.arange(4.0)
