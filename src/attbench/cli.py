@@ -286,6 +286,18 @@ def cmd_ps_hist(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The keys of a completed cell entry that `report` reads, with their JSON
+# types.  Types compare exactly, so a boolean is not taken for an integer.
+_REPORTED_CELL_KEYS = {
+    "scenario": ("integer", (int,)),
+    "setting": ("integer", (int,)),
+    "prevalence": ("string", (str,)),
+    "null_effect": ("boolean", (bool,)),
+    "truth": ("number", (float, int)),
+    "n_reps": ("integer", (int,)),
+}
+
+
 def _report_rows(store: Path) -> list[tuple]:
     manifest_path = store / "manifest.json"
     if not manifest_path.exists():
@@ -299,12 +311,17 @@ def _report_rows(store: Path) -> list[tuple]:
 
     groups: dict[tuple[int, int, str], dict[str, dict]] = {}
     for name, entry in cells.items():
-        try:
-            key = (entry["scenario"], entry["setting"], entry["prevalence"])
-            arm = "null" if entry["null_effect"] else "effect"
-            truth, n_reps = entry["truth"], entry["n_reps"]
-        except KeyError as exc:
-            raise CorruptManifestError(f"manifest {manifest_path}: completed cell {name} lacks {exc}") from None
+        for field_name, (json_type, types) in _REPORTED_CELL_KEYS.items():
+            if field_name not in entry:
+                raise CorruptManifestError(f"manifest {manifest_path}: completed cell {name} lacks '{field_name}'")
+            if type(entry[field_name]) not in types:
+                raise CorruptManifestError(
+                    f"manifest {manifest_path}: completed cell {name} has {field_name} "
+                    f"{json.dumps(entry[field_name])}, not a JSON {json_type}"
+                )
+        key = (entry["scenario"], entry["setting"], entry["prevalence"])
+        arm = "null" if entry["null_effect"] else "effect"
+        truth, n_reps = entry["truth"], entry["n_reps"]
         records_path = store / "cells" / f"{name}_records.csv"
         if not records_intact(records_path, entry):
             raise ConfigError(f"records of cell {name} are missing or fail their digest; rerun `attbench run`")

@@ -2,11 +2,11 @@
 
 One replicate draws a cohort and runs every requested estimator on it,
 each a function of the replicate in one method table.  Estimators share
-expensive intermediates (the logistic propensity fit, the stacked
-propensity and outcome fits) through a memo that also caches failures, so
-two methods consuming the same broken input report the same failure.  A
-failed method still emits a record, flagged ``failed:<ErrorType>``, never
-a silent gap.
+intermediates (the logistic propensity fit and its caliper block, the
+least-squares outcome fit, the stacked propensity and outcome fits)
+through a memo that also caches failures, so two methods consuming the
+same broken input report the same failure.  A failed method still emits
+a record, flagged ``failed:<ErrorType>``, never a silent gap.
 
 Cells are independent given the master seed, so the grid parallelizes
 over cells with each worker deriving its streams from stable
@@ -50,7 +50,7 @@ from .errors import (
     StoreMismatchError,
 )
 from .glm import fit_ols, ols_wald_test
-from .matching import cem_att, cem_match, matched_att, mdm_match, psm_match
+from .matching import caliper_block, cem_att, cem_match, matched_att, mdm_match, psm_match
 from .numeric import (
     PURPOSE_CALIBRATION,
     PURPOSE_OUTCOME_FOLDS,
@@ -62,7 +62,7 @@ from .numeric import (
 )
 from .propensity import estimate_ps, trim_ps, truncate_ps
 from .tmle import tmle_att
-from .weighting import aipw_att, fit_outcome_models, ipw_att
+from .weighting import aipw_att, fit_outcome_models, ipw_att, ols_arm_predictions, ols_outcome_design
 
 ALPHA = 0.05
 DEFAULT_ORACLE_SEED = 42
@@ -151,7 +151,8 @@ class _Replicate:
 NUISANCES = {
     "ps_logistic": lambda r: estimate_ps(r.x, r.z, "logistic"),
     "ps_trimmed": lambda r: trim_ps(r.nuisance("ps_logistic")),
-    "outcome_ols": lambda r: fit_outcome_models(r.x, r.y, r.z, "ols"),
+    "caliper_block": lambda r: caliper_block(r.nuisance("ps_logistic").values, r.z),
+    "outcome_ols": lambda r: fit_ols(ols_outcome_design(r.x, r.z), r.y),
     "ps_ensemble": lambda r: estimate_ps(r.x, r.z, "ensemble", rng=r.fold_rng(purpose=PURPOSE_PS_FOLDS)),
     "ps_truncated": lambda r: truncate_ps(r.nuisance("ps_ensemble"), r.n),
     "outcome_ensemble": lambda r: fit_outcome_models(
@@ -165,9 +166,8 @@ def _ps_flags(ps) -> tuple[str, ...]:
 
 
 def _lr(r: _Replicate):
-    design = np.hstack([np.ones((r.n, 1)), r.x, r.z[:, None].astype(np.float64)])
-    fit = fit_ols(design, r.y)
-    z_index = design.shape[1] - 1
+    fit = r.nuisance("outcome_ols")
+    z_index = fit.n_params - 1
     _, p_value = ols_wald_test(fit, z_index)
     return Estimate(float(fit.coefficients[z_index]), float(fit.standard_errors[z_index]), p_value), 0, ()
 
@@ -179,7 +179,7 @@ def _cem(r: _Replicate, n_bins: int):
 
 def _matched(r: _Replicate, match):
     ps = r.nuisance("ps_logistic")
-    matches = match(ps)
+    matches = match(ps, r.nuisance("caliper_block"))
     return matched_att(r.y, matches), len(matches.discarded_treated), _ps_flags(ps)
 
 
@@ -210,11 +210,13 @@ METHOD_TABLE = {
     "LR": _lr,
     "CEM2": lambda r: _cem(r, 2),
     "CEM5": lambda r: _cem(r, 5),
-    "MDM": lambda r: _matched(r, lambda ps: mdm_match(r.x, r.z, ps)),
-    "PSM": lambda r: _matched(r, lambda ps: psm_match(ps, r.z, 1)),
-    "PSM_1:2": lambda r: _matched(r, lambda ps: psm_match(ps, r.z, 2)),
+    "MDM": lambda r: _matched(r, lambda ps, block: mdm_match(r.x, r.z, ps, block=block)),
+    "PSM": lambda r: _matched(r, lambda ps, block: psm_match(ps, r.z, 1, block=block)),
+    "PSM_1:2": lambda r: _matched(r, lambda ps, block: psm_match(ps, r.z, 2, block=block)),
     "IPW": lambda r: _trimmed(r, lambda ps: ipw_att(r.y, r.z, ps)),
-    "AIPW": lambda r: _trimmed(r, lambda ps: aipw_att(r.y, r.z, ps, *r.nuisance("outcome_ols"))),
+    "AIPW": lambda r: _trimmed(
+        r, lambda ps: aipw_att(r.y, r.z, ps, *ols_arm_predictions(r.nuisance("outcome_ols"), r.x))
+    ),
     "AIPW_SL": _aipw_sl,
     "TMLE_SL": _tmle_sl,
 }
@@ -227,10 +229,12 @@ def run_replicate(
     """Run the requested estimators on one simulated cohort.
 
     Shared inputs are computed once: PSM, MDM, IPW, and AIPW all consume
-    the same logistic propensity fit, and the two stacked methods share
-    one propensity ensemble and one outcome ensemble.  The ensembles'
-    fold draws live on their own substreams keyed by the attempt that
-    produced the cohort, so they are reproducible unit by unit.
+    the same logistic propensity fit, PSM, PSM_1:2 and MDM one caliper
+    block built from it, LR and AIPW one least-squares outcome fit, and
+    the two stacked methods one propensity ensemble and one outcome
+    ensemble.  The ensembles' fold draws live on their own substreams
+    keyed by the attempt that produced the cohort, so they are
+    reproducible unit by unit.
     """
     method_list = METHODS if methods is None else tuple(methods)
     unknown = set(method_list) - set(METHODS)

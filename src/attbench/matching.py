@@ -17,13 +17,17 @@ still free, so the block is built once.  Each unit then takes the
 ``argmin`` of its row (the first of equal minima, i.e. the lowest
 control index), ``ratio`` times, and every taken control's column is
 set to ``inf`` for the units after it.  The matches equal those of the
-per-unit search exactly.  Coarsened strata are integer codes counted
-with ``np.bincount``.
+per-unit search exactly.  The caliper part of the block, a
+:class:`CaliperBlock`, depends on the score alone, so the matchers of one
+replicate can share one and each build its distances from it.  Coarsened
+strata are integer codes counted with ``np.bincount``, coded once per
+:func:`cem_match` and carried to :func:`cem_att`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -79,11 +83,24 @@ class MatchSet:
         return len(self.pairs)
 
 
-def _caliper_block(ps_values: np.ndarray, z: np.ndarray):
+class CaliperBlock(NamedTuple):
     """Treated units in greedy order, controls, their logit gaps, the caliper mask.
 
-    The gaps form a block with one row per treated unit and one column
-    per control.
+    ``gap`` and ``within`` have one row per treated unit and one column per
+    control.  Both are read-only, so one block can serve every matcher of
+    a replicate; each builds its own distance block from them.
+    """
+
+    treated: np.ndarray
+    controls: np.ndarray
+    gap: np.ndarray
+    within: np.ndarray
+
+
+def caliper_block(ps_values: np.ndarray, z: np.ndarray) -> CaliperBlock:
+    """The :class:`CaliperBlock` of scores ``ps_values`` and treatment ``z``.
+
+    Raises :class:`NoMatchesError` unless both arms have a unit.
     """
     treated_idx = np.flatnonzero(z == 1)
     control_idx = np.flatnonzero(z == 0)
@@ -94,7 +111,9 @@ def _caliper_block(ps_values: np.ndarray, z: np.ndarray):
     treated = treated_idx[np.argsort(-ps_values[treated_idx], kind="stable")]
     logit_ps = _logit(ps_values)
     gap = np.abs(logit_ps[control_idx] - logit_ps[treated][:, None])
-    return treated, control_idx, gap, gap <= _caliper(logit_ps)
+    within = gap <= _caliper(logit_ps)
+    gap.flags.writeable = within.flags.writeable = False
+    return CaliperBlock(treated, control_idx, gap, within)
 
 
 def _greedy_walk(treated: np.ndarray, control_idx: np.ndarray, dist: np.ndarray, ratio: int) -> MatchSet:
@@ -127,11 +146,13 @@ def _greedy_walk(treated: np.ndarray, control_idx: np.ndarray, dist: np.ndarray,
     return MatchSet(tuple(pairs), tuple(discarded), ratio)
 
 
-def psm_match(ps: PsVector, z: np.ndarray, ratio: int = 1) -> MatchSet:
+def psm_match(ps: PsVector, z: np.ndarray, ratio: int = 1, *, block: CaliperBlock | None = None) -> MatchSet:
     """Nearest-neighbor caliper matching on the logit propensity score.
 
     Each treated unit takes the ``ratio`` nearest unused controls within
     the caliper; at least one is required or the unit is discarded.
+    ``block``, when given, must be ``caliper_block(ps.values, z)``, built
+    once for every matcher that shares the score.
     Raises :class:`NoMatchesError` when every treated unit is discarded.
     """
     z = np.asarray(z)
@@ -139,45 +160,63 @@ def psm_match(ps: PsVector, z: np.ndarray, ratio: int = 1) -> MatchSet:
         raise ValueError("z must match ps in length")
     if ratio < 1:
         raise ValueError(f"ratio must be positive: {ratio}")
-    treated, control_idx, gap, within = _caliper_block(ps.values, z)
+    treated, control_idx, gap, within = caliper_block(ps.values, z) if block is None else block
     return _greedy_walk(treated, control_idx, np.where(within, gap, np.inf), ratio)
 
 
-def mdm_match(x: np.ndarray, z: np.ndarray, ps: PsVector) -> MatchSet:
+def mdm_match(x: np.ndarray, z: np.ndarray, ps: PsVector, *, block: CaliperBlock | None = None) -> MatchSet:
     """1:1 Mahalanobis matching with a propensity caliper screen.
 
     The caliper decides which controls are eligible; the Mahalanobis
     metric (covariance pooled over the full sample) decides which
     eligible control is closest.  Distances are computed in whitened
     coordinates: with ``cov = L L'``, the metric is plain Euclidean on
-    ``L^{-1} x``.
+    ``L^{-1} x``.  ``block`` is as in :func:`psm_match`.
     """
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z)
     if z.shape[0] != x.shape[0] or z.shape != ps.values.shape:
         raise ValueError("x, z, and ps must agree in length")
+    white = _whiten(x)
+    block = caliper_block(ps.values, z) if block is None else block
+    return _greedy_walk(block.treated, block.controls, _pair_distances(white, block), 1)
+
+
+def _whiten(x: np.ndarray) -> np.ndarray:
+    """``L^{-1} x'`` with ``cov(x) = L L'``: one row per coordinate."""
     lower = cholesky_factor(sample_covariance(x))
-    white = solve_triangular(lower, x.T, lower=True, check_finite=False).T
-    treated, control_idx, _, within = _caliper_block(ps.values, z)
-    # Distances only where the caliper admits the pair, one row per pair
-    # as in a per-unit search, so the sums add in the same order.
-    eligible = np.flatnonzero(within)
-    rows, cols = np.divmod(eligible, control_idx.size)
-    dist = np.full(within.shape, np.inf)
-    dist.flat[eligible] = np.sqrt(((white[control_idx[cols]] - white[treated[rows]]) ** 2).sum(axis=1))
-    return _greedy_walk(treated, control_idx, dist, 1)
+    return solve_triangular(lower, x.T, lower=True, check_finite=False)
+
+
+def _pair_distances(white: np.ndarray, block: CaliperBlock) -> np.ndarray:
+    """Euclidean distances of whitened units where ``block`` admits the
+    pair, ``inf`` elsewhere.
+
+    Each pair's squares are added over coordinates 0..d-1 in order, as a
+    per-unit search adds them.
+    """
+    rows, cols = np.nonzero(block.within)
+    t, c = block.treated[rows], block.controls[cols]
+    squared = (white[0, c] - white[0, t]) ** 2
+    for coordinate in white[1:]:
+        squared += (coordinate[c] - coordinate[t]) ** 2
+    dist = np.full(block.within.shape, np.inf)
+    dist[rows, cols] = np.sqrt(squared)
+    return dist
 
 
 @dataclass(frozen=True)
 class CemStrata:
     """Coarsened exact matching strata.
 
-    ``signatures`` holds each unit's per-covariate bin index;
-    ``retained`` marks units whose stratum contains both classes.
+    ``signatures`` holds each unit's per-covariate bin index, ``codes``
+    its stratum's number (the rank of its signature among the distinct
+    ones), and ``retained`` marks units whose stratum contains both classes.
     """
 
     n_bins: int
     signatures: np.ndarray = field(repr=False)
+    codes: np.ndarray = field(repr=False)
     retained: np.ndarray = field(repr=False)
 
 
@@ -207,7 +246,7 @@ def cem_match(x: np.ndarray, z: np.ndarray, n_bins: int) -> CemStrata:
     has_treated = np.bincount(codes[z == 1], minlength=n_strata) > 0
     has_control = np.bincount(codes[z == 0], minlength=n_strata) > 0
     retained = (has_treated & has_control)[codes]
-    return CemStrata(n_bins, signatures, retained)
+    return CemStrata(n_bins, signatures, codes, retained)
 
 
 def _stratum_codes(signatures: np.ndarray, n_bins: int) -> np.ndarray:
@@ -260,7 +299,7 @@ def cem_att(y: np.ndarray, z: np.ndarray, strata: CemStrata) -> Estimate:
     """
     y = np.asarray(y, dtype=np.float64)
     z = np.asarray(z)
-    codes = _stratum_codes(strata.signatures, strata.n_bins)
+    codes = strata.codes
     retained = np.flatnonzero(strata.retained)
     treated = retained[z[retained] == 1]
     control = retained[z[retained] != 1]

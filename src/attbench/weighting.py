@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AllTrimmedError, DegenerateWeightsError, ZeroSeError
-from .glm import fit_ols, predict_ols
+from .glm import OlsFit, fit_ols, predict_ols
 from .numeric import Estimate, RngStream, two_sided_p
 from .propensity import PsVector
 from .superlearner import fit_superlearner, predict_ensemble
@@ -112,6 +112,21 @@ def aipw_att(
     return _finish(att, phi_contrast + phi_rt - phi_rc, _kept_basis(ps))
 
 
+def ols_outcome_design(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``[1, x, z]``, the least-squares outcome design: main effects plus
+    treatment, whose coefficient is the last."""
+    return np.hstack([np.ones((x.shape[0], 1)), x, np.asarray(z, dtype=np.float64)[:, None]])
+
+
+def ols_arm_predictions(fit: OlsFit, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(q1, q0)`` of an :func:`ols_outcome_design` fit: every unit's
+    predicted outcome with its treatment set to 1 and to 0."""
+    n = x.shape[0]
+    q1 = predict_ols(fit, ols_outcome_design(x, np.ones(n)))
+    q0 = predict_ols(fit, ols_outcome_design(x, np.zeros(n)))
+    return q1, q0
+
+
 def fit_outcome_models(
     x: np.ndarray,
     y: np.ndarray,
@@ -131,17 +146,10 @@ def fit_outcome_models(
     z = np.asarray(z, dtype=np.float64)
     if method not in OUTCOME_METHODS:
         raise ValueError(f"unknown method: {method}")
-    n = x.shape[0]
-    ones = np.ones(n)
-    zeros = np.zeros(n)
     if method == "ols":
-        design = np.hstack([ones[:, None], x, z[:, None]])
-        fit = fit_ols(design, y)
-        q1 = predict_ols(fit, np.hstack([ones[:, None], x, ones[:, None]]))
-        q0 = predict_ols(fit, np.hstack([ones[:, None], x, zeros[:, None]]))
-    else:
-        features = np.hstack([x, z[:, None]])
-        fit = fit_superlearner(features, y, "gaussian", rng=rng)
-        q1 = predict_ensemble(fit, np.hstack([x, ones[:, None]]))
-        q0 = predict_ensemble(fit, np.hstack([x, zeros[:, None]]))
+        return ols_arm_predictions(fit_ols(ols_outcome_design(x, z), y), x)
+    n = x.shape[0]
+    fit = fit_superlearner(np.hstack([x, z[:, None]]), y, "gaussian", rng=rng)
+    q1 = predict_ensemble(fit, np.hstack([x, np.ones((n, 1))]))
+    q0 = predict_ensemble(fit, np.hstack([x, np.zeros((n, 1))]))
     return q1, q0

@@ -7,6 +7,8 @@ never flips on a final-ulp boundary).  The exceptions are
 :func:`naive_fit_ols` and :func:`naive_fit_logistic`, the one-design
 fits that the stacked engine replaced, and :func:`mahalanobis_distance`,
 all built on the package's Cholesky factor and solve;
+:func:`row_gather_distances`, the Mahalanobis pair distances as one
+row gather summed along rows, on the package's caliper block;
 :func:`naive_fold_fits`, the one-fit-per-fold loop over those two; :func:`naive_calibrate_intercept`, the plain bisection, built on
 the package's oracle draw; and the coarsened-strata, matched-difference and simplex-support
 loops, which keep the float arithmetic of the loops the vectorized
@@ -113,6 +115,20 @@ def naive_mdm(x, z, ps_values):
         pairs.append((t, (chosen,)))
         used.add(chosen)
     return pairs, discarded
+
+
+def row_gather_distances(white, block):
+    """Whitened distances of the pairs ``block`` admits, ``inf`` elsewhere,
+    from one gathered (pairs, d) array of unit rows reduced by ``sum(axis=1)``.
+
+    ``white`` holds one row per coordinate, as ``matching._whiten`` returns it.
+    """
+    units = white.T
+    eligible = np.flatnonzero(block.within)
+    rows, cols = np.divmod(eligible, block.controls.size)
+    dist = np.full(block.within.shape, np.inf)
+    dist.flat[eligible] = np.sqrt(((units[block.controls[cols]] - units[block.treated[rows]]) ** 2).sum(axis=1))
+    return dist
 
 
 def mahalanobis_distance(u, v, cov) -> float:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -388,10 +389,23 @@ class TestCmdReport:
 
     @pytest.mark.parametrize(
         "text",
-        ["{\n", "[]\n", '{"cells": []}\n', '{"cells": {"s1t1p050_effect": "complete"}}\n', NO_TRUTH],
-        ids=["cut-json", "not-an-object", "cells-not-an-object", "cell-not-an-object", "cell-without-truth"],
+        [
+            "{\n", "[]\n", '{"cells": []}\n', '{"cells": {"s1t1p050_effect": "complete"}}\n', NO_TRUTH,
+            {"n_reps": "3"}, {"truth": "1.0"}, {"scenario": [1]},
+        ],
+        ids=[
+            "cut-json", "not-an-object", "cells-not-an-object", "cell-not-an-object", "cell-without-truth",
+            "n-reps-a-string", "truth-a-string", "scenario-a-list",
+        ],
     )
-    def test_malformed_manifest_exit_code(self, tmp_path, capsys, text):
+    def test_malformed_manifest_exit_code(self, store, tmp_path, capsys, text):
+        if isinstance(text, dict):
+            # A store whose records check out, with one key of one completed
+            # cell set to a value of the wrong JSON type.
+            shutil.copytree(store, tmp_path, dirs_exist_ok=True)
+            manifest = json.loads((tmp_path / "manifest.json").read_text())
+            manifest["cells"]["s1t1p050_effect"].update(text)
+            text = json.dumps(manifest)
         (tmp_path / "manifest.json").write_text(text)
         assert main(["report", "--store", str(tmp_path)]) == EXIT_CONFIG
         assert str(tmp_path / "manifest.json") in capsys.readouterr().err

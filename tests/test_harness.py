@@ -1,5 +1,6 @@
 """Replicate execution, aggregation, and the deterministic result store."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attbench import harness
+from attbench import harness, weighting
 from attbench.dgp import CellConfig, generate_replicate
 from attbench.errors import (
     InsufficientReplicatesError,
@@ -29,7 +30,7 @@ from attbench.harness import (
     write_records_csv,
 )
 from attbench.matching import psm_match
-from attbench.propensity import estimate_ps
+from attbench.propensity import PsVector, estimate_ps
 
 GRID_METHODS = ("LR", "CEM2", "IPW")
 
@@ -121,10 +122,13 @@ class TestRunReplicate:
             "ols_wald_test": 1,
             "cem_match": 2,
             "cem_att": 2,
+            "caliper_block": 1,
             "psm_match": 2,
             "mdm_match": 1,
             "matched_att": 3,
-            "fit_outcome_models": 2,
+            "ols_outcome_design": 1,
+            "ols_arm_predictions": 1,
+            "fit_outcome_models": 1,
             "ipw_att": 1,
             "aipw_att": 2,
             "tmle_att": 1,
@@ -147,6 +151,77 @@ class TestRunReplicate:
         for method in ("PSM", "PSM_1:2", "MDM"):
             assert "failed:TooFewPairsError" in records[method].flags
         assert not records["LR"].failed
+
+
+def counting_calls(monkeypatch, module, name, calls: Counter) -> None:
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def edit_cohorts(monkeypatch, edit) -> None:
+    """Make ``run_replicate`` see ``edit(ds)`` in place of each drawn cohort ``ds``."""
+    real = harness.generate_replicate
+
+    def drawn(*args):
+        ds, attempt = real(*args)
+        return edit(ds), attempt
+
+    monkeypatch.setattr(harness, "generate_replicate", drawn)
+
+
+class TestSharedNuisances:
+    """LR and AIPW share one least-squares outcome fit, and PSM, PSM_1:2
+    and MDM one caliper block; a failure of either reaches each of its
+    consumers as the same flag."""
+
+    @pytest.mark.parametrize(
+        "methods, shared",
+        [(("LR", "AIPW"), "fit_ols"), (("PSM", "PSM_1:2", "MDM"), "caliper_block")],
+        ids=["outcome-fit", "caliper-block"],
+    )
+    def test_built_once_per_replicate(self, monkeypatch, methods, shared):
+        calls = Counter()
+        counting_calls(monkeypatch, harness, shared, calls)
+        # A fit through fit_outcome_models would be a second one.
+        counting_calls(monkeypatch, weighting, "fit_ols", calls)
+        for replicate in range(3):
+            records = run_replicate(cfg_for(label="0.50"), -0.0694, replicate, methods)
+            assert not any(r.failed for r in records)
+        assert dict(calls) == {shared: 3}
+
+    def test_rank_deficient_outcome_design_flags_lr_and_aipw_alike(self, monkeypatch):
+        def collinear(ds):
+            x = ds.x.copy()
+            visible = [j for j in range(x.shape[1]) if j not in ds.hidden_columns]
+            x[:, visible[-1]] = x[:, visible[0]] + x[:, visible[1]]
+            return dataclasses.replace(ds, x=x)
+
+        edit_cohorts(monkeypatch, collinear)
+        records = {r.method: r for r in run_replicate(cfg_for(label="0.50"), -0.0694, 0, ("LR", "AIPW", "IPW"))}
+        assert records["LR"].flags == records["AIPW"].flags == ("failed:RankDeficientError",)
+        assert not records["IPW"].failed
+
+    @pytest.mark.parametrize("score_fits", [False, True], ids=["score-fit-fails", "caliper-block-fails"])
+    def test_one_arm_score_failure_flags_matchers_alike(self, monkeypatch, score_fits):
+        edit_cohorts(monkeypatch, lambda ds: dataclasses.replace(ds, z=np.zeros_like(ds.z)))
+        if score_fits:
+            # A score for the one-arm cohort, so the caliper block is what fails.
+            monkeypatch.setattr(
+                harness, "estimate_ps", lambda x, z, *args, **kwargs: PsVector(
+                    np.full(z.size, 0.5), np.ones(z.size, dtype=bool), "logistic"
+                )
+            )
+        calls = Counter()
+        counting_calls(monkeypatch, harness, "caliper_block", calls)
+        records = run_replicate(cfg_for(label="0.50"), -0.0694, 0, ("PSM", "PSM_1:2", "MDM"))
+        error = "NoMatchesError" if score_fits else "OneClassError"
+        assert {r.flags for r in records} == {(f"failed:{error}",)}
+        assert calls["caliper_block"] == int(score_fits)
 
 
 class TestReplicateIndependence:

@@ -12,8 +12,10 @@ from attbench.errors import (
     ZeroVarianceError,
 )
 from attbench.harness import oracle_intercepts
+from attbench import matching
 from attbench.matching import (
     MatchSet,
+    caliper_block,
     cem_att,
     cem_match,
     matched_att,
@@ -30,6 +32,7 @@ from naive_oracles import (
     naive_mdm,
     naive_paired_t,
     naive_psm,
+    row_gather_distances,
 )
 
 
@@ -268,6 +271,18 @@ class TestMdmMatch:
             matches = mdm_match(x, z, ps_of(values))
             assert matches.pairs == tuple(expected_pairs)
             assert matches.discarded_treated == tuple(expected_discarded)
+
+    def test_pair_distances_equal_row_gather_formula(self, np_rng):
+        # Equal bits, because sum(axis=1) adds fewer than eight terms left
+        # to right, as the coordinate loop does.
+        for _ in range(200):
+            n = int(np_rng.integers(20, 120))
+            z = np.zeros(n, dtype=np.int64)
+            z[np_rng.choice(n, size=int(np_rng.integers(2, n - 1)), replace=False)] = 1
+            white = matching._whiten(np_rng.standard_normal((n, int(np_rng.integers(2, 6)))))
+            block = caliper_block(np_rng.uniform(0.05, 0.95, size=n), z)
+            assert block.within.any()
+            assert np.array_equal(matching._pair_distances(white, block), row_gather_distances(white, block))
 
     def test_collinear_covariates_raise(self, np_rng):
         v = np_rng.standard_normal(12)
