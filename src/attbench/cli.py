@@ -326,6 +326,12 @@ def _report_rows(store: Path) -> list[tuple]:
         if not records_intact(records_path, entry):
             raise ConfigError(f"records of cell {name} are missing or fail their digest; rerun `attbench run`")
         records = read_records_csv(records_path)
+        replicates = len({r.replicate for r in records})
+        if n_reps < 2 or replicates != n_reps:
+            raise CorruptManifestError(
+                f"manifest {manifest_path}: completed cell {name} has n_reps {n_reps} over "
+                f"{replicates} recorded replicates; a cell needs the same count, at least 2"
+            )
         metrics = aggregate_cell(records, truth, n_reps)
         groups.setdefault(key, {})[arm] = {m.method: m for m in metrics}
 

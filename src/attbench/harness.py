@@ -16,7 +16,8 @@ floats are their shortest round-trip ``repr``; the manifest has sorted
 JSON keys; nothing holds a timestamp.  Equal configurations therefore
 produce byte-identical files at any worker count.  A manifest tracks
 completed cells, with a digest of each cell's records, and lets an
-interrupted grid resume without recomputation.
+interrupted grid resume without recomputation; a resume also reuses each
+stored true ATT whose pair's intercept recomputes to the same bits.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import csv
 import hashlib
 import json
 import os
+import struct
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from functools import partial
@@ -70,6 +72,10 @@ FAILED_PREFIX = "failed:"
 
 MANIFEST_NAME = "manifest.json"
 SCHEMA_VERSION = 2
+# A grid rewrites its manifest at most this often while cells finish, and
+# once more when it stops; each cell's digest keeps the resume contract.
+MANIFEST_INTERVAL_S = 5.0
+TRUTH_COLUMNS = ("scenario", "setting", "prevalence", "arm", "oracle_seed", "oracle_n", "truth", "oracle_se")
 # Design decisions recorded in every manifest.
 DECISIONS = {
     "caliper_sd_factor": 0.2,
@@ -399,6 +405,73 @@ def _truth_key(cfg: CellConfig) -> tuple[int, int, str, bool]:
     return (cfg.scenario, cfg.setting, cfg.prevalence_label, cfg.null_effect)
 
 
+def _truth_name(key: tuple[int, int, str, bool]) -> str:
+    scenario, setting, label, null = key
+    return f"s{scenario}_t{setting}_p{label}_{'null' if null else 'effect'}"
+
+
+def _same_bits(text: str, value: float) -> bool:
+    try:
+        return struct.pack("<d", float(text)) == struct.pack("<d", value)
+    except ValueError:
+        return False
+
+
+def _truths_csv_rows(path: Path) -> dict[str, list[str]]:
+    """``truths.csv``'s rows by truth name, less the key columns; empty
+    when the file is missing, unreadable or has another header."""
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            if tuple(next(reader, ())) != TRUTH_COLUMNS:
+                return {}
+            return {
+                f"s{row[0]}_t{row[1]}_p{row[2]}_{row[3]}": row[4:]
+                for row in reader
+                if len(row) == len(TRUTH_COLUMNS)
+            }
+    except (OSError, UnicodeDecodeError, csv.Error):
+        return {}
+
+
+def _stored_truths(
+    keys: list[tuple[int, int, str, bool]],
+    manifest: dict,
+    truths_path: Path,
+    intercepts: dict[tuple[int, str], float],
+    oracle_seed: int,
+    truth_n: int,
+) -> dict[tuple[int, int, str, bool], tuple[float, float]]:
+    """The truths among ``keys`` that a store already holds and a run may reuse.
+
+    ``manifest`` must have passed the store's parameter check.  A truth is
+    reused only when its pair's manifest intercept is ``==`` to the one just
+    recomputed (so the same oracle streams and draw code produced it), its
+    manifest entry is exactly ``{"value", "oracle_se"}`` floats, and the
+    row of ``truths.csv`` under the same oracle seed and size holds the same
+    bits.  Anything else is a miss, left for :func:`true_att`.
+    """
+    stored_intercepts, entries = manifest.get("intercepts"), manifest.get("truths")
+    if not isinstance(stored_intercepts, dict) or not isinstance(entries, dict):
+        return {}
+    rows = _truths_csv_rows(truths_path)
+    reusable = {}
+    for key in keys:
+        scenario, _, label, _ = key
+        alpha, entry = stored_intercepts.get(f"s{scenario}_p{label}"), entries.get(_truth_name(key))
+        seed, n, *texts = rows.get(_truth_name(key), ("", "", "", ""))
+        if not (type(alpha) is float and alpha == intercepts[(scenario, label)]):
+            continue
+        if type(entry) is not dict or entry.keys() != {"value", "oracle_se"}:
+            continue
+        truth = (entry["value"], entry["oracle_se"])
+        if (seed, n) == (str(oracle_seed), str(truth_n)) and all(
+            type(v) is float and _same_bits(text, v) for text, v in zip(texts, truth)
+        ):
+            reusable[key] = truth
+    return reusable
+
+
 def _cell_worker(args: tuple[CellConfig, float, tuple[str, ...]]) -> list[EstimateRecord]:
     cfg, alpha0, methods = args
     records = []
@@ -433,13 +506,14 @@ def run_grid(
     """Run a batch of cells and persist a deterministic result store.
 
     Oracles first: calibrated intercepts and true ATT values, once per
-    (scenario, prevalence) on streams derived from ``oracle_seed``.  Then
-    the plan: a cell whose manifest entry matches this run and whose
-    records match their digest is loaded from disk, which is what makes an
-    interrupted grid resumable; every other cell is executed and
-    persisted.  A store built under another master seed, oracle seed or
-    oracle size raises :class:`StoreMismatchError` before anything is
-    written.
+    (scenario, prevalence) on streams derived from ``oracle_seed``.  The
+    intercepts are always recomputed; a truth the store already holds is
+    reused when :func:`_stored_truths` vouches for it.  Then the plan: a
+    cell whose manifest entry matches this run and whose records match
+    their digest is loaded from disk, which is what makes an interrupted
+    grid resumable; every other cell is executed and persisted.  A store
+    built under another master seed, oracle seed or oracle size raises
+    :class:`StoreMismatchError` before anything is written.
     """
     cells = list(cells)
     if not cells:
@@ -471,19 +545,21 @@ def run_grid(
     say(f"calibrating {len(pairs)} treatment intercepts")
     oracle_start = time.perf_counter()
     intercepts = oracle_intercepts(pairs, oracle_seed, calibration_n)
-    truths: dict[tuple[int, int, str, bool], tuple[float, float]] = {}
-    for cfg in cells:
-        if _truth_key(cfg) in truths:
+    truth_keys = list(dict.fromkeys(_truth_key(c) for c in cells))
+    truths = _stored_truths(truth_keys, manifest, outdir / "truths.csv", intercepts, oracle_seed, truth_n)
+    for key in truth_keys:
+        if key in truths:
             continue
-        if not cfg.null_effect and cfg.setting == 3:
-            say(f"computing setting-3 truth for scenario {cfg.scenario}, prevalence {cfg.prevalence_label}")
-        truths[_truth_key(cfg)] = true_att(
-            SCENARIOS[cfg.scenario],
-            cfg.setting,
-            intercepts[(cfg.scenario, cfg.prevalence_label)],
-            oracle_stream(oracle_seed, cfg.scenario, cfg.prevalence_label, PURPOSE_TRUTH),
+        scenario, setting, label, null = key
+        if not null and setting == 3:
+            say(f"computing setting-3 truth for scenario {scenario}, prevalence {label}")
+        truths[key] = true_att(
+            SCENARIOS[scenario],
+            setting,
+            intercepts[(scenario, label)],
+            oracle_stream(oracle_seed, scenario, label, PURPOSE_TRUTH),
             oracle_n=truth_n,
-            null_effect=cfg.null_effect,
+            null_effect=null,
         )
     say(f"oracles took {time.perf_counter() - oracle_start:.2f} s")
     write_calibration_csv(outdir / "calibration.csv", oracle_seed, calibration_n, intercepts)
@@ -496,10 +572,7 @@ def run_grid(
         methods=list(method_list),
         decisions=DECISIONS,
         intercepts={f"s{s}_p{p}": a for (s, p), a in sorted(intercepts.items())},
-        truths={
-            f"s{s}_t{t}_p{p}_{'null' if null else 'effect'}": {"value": v, "oracle_se": se}
-            for (s, t, p, null), (v, se) in sorted(truths.items())
-        },
+        truths={_truth_name(key): {"value": v, "oracle_se": se} for key, (v, se) in sorted(truths.items())},
     )
     entries = manifest.setdefault("cells", {})
 
@@ -530,37 +603,41 @@ def run_grid(
         jobs.append((cfg, intercepts[(cfg.scenario, cfg.prevalence_label)], method_list))
 
     failed: dict[str, str] = {}
-    for cfg, outcome in _execute(jobs, parallelism):
-        truth, truth_se = truths[_truth_key(cfg)]
-        try:
-            records = outcome()
-            metrics = aggregate_cell(records, truth, cfg.n_reps)
-        except EstimationError as exc:
-            failed[cfg.name] = str(exc)
-            continue
-        records_path = cells_dir / f"{cfg.name}_records.csv"
-        write_records_csv(records_path, records)
-        write_metrics_csv(cells_dir / f"{cfg.name}_metrics.csv", metrics)
-        entries[cfg.name] = {
-            "alpha0": intercepts[(cfg.scenario, cfg.prevalence_label)],
-            "cell_code": cfg.cell_code,
-            "complete": True,
-            "methods": list(method_list),
-            "n": cfg.n,
-            "n_reps": cfg.n_reps,
-            "null_effect": cfg.null_effect,
-            "prevalence": cfg.prevalence_label,
-            "records_sha256": _sha256(records_path),
-            "scenario": cfg.scenario,
-            "setting": cfg.setting,
-            "truth": truth,
-            "truth_oracle_se": truth_se,
-        }
+    written_at = time.monotonic()
+    try:
+        for cfg, outcome in _execute(jobs, parallelism):
+            truth, truth_se = truths[_truth_key(cfg)]
+            try:
+                records = outcome()
+                metrics = aggregate_cell(records, truth, cfg.n_reps)
+            except EstimationError as exc:
+                failed[cfg.name] = str(exc)
+                continue
+            records_path = cells_dir / f"{cfg.name}_records.csv"
+            write_records_csv(records_path, records)
+            write_metrics_csv(cells_dir / f"{cfg.name}_metrics.csv", metrics)
+            entries[cfg.name] = {
+                "alpha0": intercepts[(cfg.scenario, cfg.prevalence_label)],
+                "cell_code": cfg.cell_code,
+                "complete": True,
+                "methods": list(method_list),
+                "n": cfg.n,
+                "n_reps": cfg.n_reps,
+                "null_effect": cfg.null_effect,
+                "prevalence": cfg.prevalence_label,
+                "records_sha256": _sha256(records_path),
+                "scenario": cfg.scenario,
+                "setting": cfg.setting,
+                "truth": truth,
+                "truth_oracle_se": truth_se,
+            }
+            if time.monotonic() - written_at >= MANIFEST_INTERVAL_S:
+                _write_manifest(manifest_path, manifest)
+                written_at = time.monotonic()
+            results[cfg.name] = (cfg, records, metrics)
+            say(f"finished cell {cfg.name} {progress()}")
+    finally:
         _write_manifest(manifest_path, manifest)
-        results[cfg.name] = (cfg, records, metrics)
-        say(f"finished cell {cfg.name} {progress()}")
-
-    _write_manifest(manifest_path, manifest)
     if failed:
         raise PartialGridError(failed)
     return results
@@ -586,7 +663,7 @@ def write_truths_csv(
     """Golden true-ATT table keyed by (scenario, setting, prevalence, arm)."""
     write_csv(
         path,
-        ("scenario", "setting", "prevalence", "arm", "oracle_seed", "oracle_n", "truth", "oracle_se"),
+        TRUTH_COLUMNS,
         (
             (scenario, setting, label, "null" if null else "effect", oracle_seed, oracle_n, value, se)
             for (scenario, setting, label, null), (value, se) in sorted(truths.items())

@@ -391,11 +391,11 @@ class TestCmdReport:
         "text",
         [
             "{\n", "[]\n", '{"cells": []}\n', '{"cells": {"s1t1p050_effect": "complete"}}\n', NO_TRUTH,
-            {"n_reps": "3"}, {"truth": "1.0"}, {"scenario": [1]},
+            {"n_reps": "3"}, {"truth": "1.0"}, {"scenario": [1]}, {"n_reps": 1}, {"n_reps": 4},
         ],
         ids=[
             "cut-json", "not-an-object", "cells-not-an-object", "cell-not-an-object", "cell-without-truth",
-            "n-reps-a-string", "truth-a-string", "scenario-a-list",
+            "n-reps-a-string", "truth-a-string", "scenario-a-list", "n-reps-below-2", "n-reps-not-the-records",
         ],
     )
     def test_malformed_manifest_exit_code(self, store, tmp_path, capsys, text):

@@ -541,6 +541,24 @@ class TestRunGrid:
         results = run_small_grid(tmp_path)
         assert set(results) == {"s1t1p050_effect", "s1t1p033_effect"}
 
+    def test_interrupted_grid_records_its_finished_cells(self, tmp_path, monkeypatch):
+        real = run_replicate
+        writes: Counter = Counter()
+        counting_calls(monkeypatch, harness, "_write_manifest", writes)
+
+        def interrupted(cfg, alpha0, replicate, methods=None):
+            if cfg.prevalence_label == "0.33":
+                raise KeyboardInterrupt
+            return real(cfg, alpha0, replicate, methods)
+
+        monkeypatch.setattr("attbench.harness.run_replicate", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_small_grid(tmp_path)
+        # A short grid writes its manifest once, as it stops.
+        assert writes["_write_manifest"] == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest["cells"]) == {"s1t1p050_effect"}
+
     def test_grid_validation(self, tmp_path):
         with pytest.raises(ValueError, match="no cells"):
             run_small_grid(tmp_path, cells=[])
@@ -559,3 +577,120 @@ class TestRunGrid:
         run_small_grid(tmp_path)
         with pytest.raises(ValueError, match="different master seed"):
             run_small_grid(tmp_path, cells=small_cells(seed=556))
+
+
+def truth_cells():
+    """One drawn (setting-3 effect) truth, its null arm, and a second pair."""
+    return [
+        cfg_for(setting=3, label="0.50", n_reps=3, seed=555),
+        cfg_for(setting=3, label="0.50", null=True, n_reps=3, seed=555),
+        cfg_for(setting=1, label="0.33", n_reps=3, seed=555),
+    ]
+
+
+def edit_manifest(store: Path, edit) -> None:
+    manifest = json.loads((store / "manifest.json").read_text())
+    edit(manifest)
+    (store / "manifest.json").write_text(json.dumps(manifest))
+
+
+def edit_truths_csv(store: Path, old: str, new: str) -> None:
+    path = store / "truths.csv"
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+
+
+def edit_drawn_truth_value(store: Path) -> None:
+    line = next(l for l in (store / "truths.csv").read_text().splitlines() if l.startswith("1,3,0.50,effect,"))
+    fields = line.split(",")
+    fields[6] = repr(float(fields[6]) + 1e-9)
+    edit_truths_csv(store, line, ",".join(fields))
+
+
+DRAWN = (3, False)  # (setting, null_effect) of each truth key in truth_cells()
+NULL = (3, True)
+OTHER = (1, False)
+
+
+class TestTruthReuse:
+    """A run reuses each truth its store holds under the same intercept bits,
+    and recomputes exactly the ones it cannot vouch for."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> list[tuple[int, bool]]:
+        seen: list[tuple[int, bool]] = []
+        real = harness.true_att
+
+        def recording(spec, setting, alpha0, rng, oracle_n, null_effect=False):
+            seen.append((setting, null_effect))
+            return real(spec, setting, alpha0, rng, oracle_n=oracle_n, null_effect=null_effect)
+
+        monkeypatch.setattr(harness, "true_att", recording)
+        return seen
+
+    def test_resume_draws_no_truth_and_keeps_every_byte(self, tmp_path, monkeypatch):
+        run_small_grid(tmp_path, cells=truth_cells())
+        before = tree_bytes(tmp_path)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a stored truth was recomputed")
+
+        monkeypatch.setattr(harness, "true_att", boom)
+        lines: list[str] = []
+        run_small_grid(tmp_path, cells=truth_cells(), log=lines.append)
+        assert tree_bytes(tmp_path) == before
+        assert not any(line.startswith("computing setting-3 truth") for line in lines)
+
+    @pytest.mark.parametrize(
+        "damage, recomputed",
+        [
+            (lambda store: edit_manifest(
+                store, lambda m: m["truths"]["s1_t3_p0.50_effect"].update(value=m["truths"]["s1_t3_p0.50_effect"]["value"] + 1e-9)
+            ), {DRAWN}),
+            (lambda store: edit_manifest(
+                store, lambda m: m["truths"].update({"s1_t1_p0.33_effect": {"value": 1, "oracle_se": 0}})
+            ), {OTHER}),
+            (edit_drawn_truth_value, {DRAWN}),
+            (lambda store: (store / "truths.csv").unlink(), {DRAWN, NULL, OTHER}),
+            (lambda store: edit_manifest(
+                store, lambda m: m["intercepts"].update({"s1_p0.50": m["intercepts"]["s1_p0.50"] + 1e-12})
+            ), {DRAWN, NULL}),
+            (lambda store: edit_manifest(store, lambda m: m.update(truths=5)), {DRAWN, NULL, OTHER}),
+            (lambda store: edit_truths_csv(store, "oracle_se", "se"), {DRAWN, NULL, OTHER}),
+            (lambda store: edit_truths_csv(store, "1,3,0.50,effect,7,", "1,3,0.50,effect,8,"), {DRAWN}),
+        ],
+        ids=[
+            "manifest-truth-edited", "manifest-truth-integers", "truths-csv-value-edited", "truths-csv-deleted",
+            "manifest-intercept-edited", "manifest-truths-not-an-object", "truths-csv-bad-header",
+            "truths-csv-other-oracle-seed",
+        ],
+    )
+    def test_each_miss_recomputes_its_key_only(self, tmp_path, calls, damage, recomputed):
+        run_small_grid(tmp_path / "fresh", cells=truth_cells(), oracle_seed=7)
+        run_small_grid(tmp_path / "store", cells=truth_cells(), oracle_seed=7)
+        damage(tmp_path / "store")
+        calls.clear()
+        lines: list[str] = []
+        run_small_grid(tmp_path / "store", cells=truth_cells(), oracle_seed=7, log=lines.append)
+        assert sorted(calls) == sorted(recomputed)
+        drawn_line = "computing setting-3 truth for scenario 1, prevalence 0.50"
+        assert (drawn_line in lines) == (DRAWN in recomputed)
+        assert tree_bytes(tmp_path / "store") == tree_bytes(tmp_path / "fresh")
+
+    def test_subset_resume_writes_only_its_keys(self, tmp_path, calls):
+        run_small_grid(tmp_path / "subset", cells=truth_cells()[2:])
+        run_small_grid(tmp_path / "full", cells=truth_cells())
+        fresh_full = tree_bytes(tmp_path / "full")
+        calls.clear()
+        run_small_grid(tmp_path / "full", cells=truth_cells()[2:])
+        assert calls == []
+        for name in ("calibration.csv", "truths.csv"):
+            assert (tmp_path / "full" / name).read_bytes() == (tmp_path / "subset" / name).read_bytes()
+        manifest = json.loads((tmp_path / "full" / "manifest.json").read_text())
+        assert set(manifest["intercepts"]) == {"s1_p0.33"}
+        assert set(manifest["truths"]) == {"s1_t1_p0.33_effect"}
+        # The full grid again: its dropped truths are drawn anew, to the same bytes.
+        run_small_grid(tmp_path / "full", cells=truth_cells())
+        assert sorted(calls) == sorted([DRAWN, NULL])
+        assert tree_bytes(tmp_path / "full") == fresh_full
