@@ -39,13 +39,9 @@ CALIBRATION_TOL = 1e-3
 _BISECTION_BRACKET = (-20.0, 20.0)
 _BISECTION_X_TOL = 1e-10
 # Newton stops once a step is this small: the next would move the estimate
-# by about its square, far below the certification offsets.
+# by about its square, far below the width of a bisection leaf.
 _NEWTON_STEP_TOL = 1e-8
 _NEWTON_MAX_STEPS = 16
-# Offset either side of the Newton estimate at which the gap is evaluated
-# to certify a bracket: far above the estimate's error, far below the
-# bisection's final width.
-_CERTIFY_DELTA = 1e-12
 _ORACLE_CHUNK = 10**6
 _MAX_REDRAWS = 64
 
@@ -92,18 +88,30 @@ SETTING_IDS = (1, 2, 3)
 def treatment_logit_terms(
     spec: ScenarioSpec, x1: np.ndarray, x2: np.ndarray, x4: np.ndarray | None = None
 ) -> np.ndarray:
-    """The covariate part f(X) of the treatment logit (no intercept)."""
-    terms = (
-        spec.coef_x1 * x1
-        + spec.coef_x2 * x2
-        + spec.coef_x1_sq * x1**2
-        + spec.coef_x2_sq * x2**2
-        + spec.coef_x1_x2 * x1 * x2
-    )
+    """The covariate part f(X) of the treatment logit (no intercept).
+
+    Summed left to right over the terms ``c1 x1, c2 x2, c11 x1^2, c22 x2^2,
+    c12 x1 x2`` (then ``c4 x4, c44 x4^2``) in two fresh buffers; the inputs
+    are only read.
+    """
+    if spec.includes_x4 and x4 is None:
+        raise ValueError("scenario includes x4 but none was given")
+    terms = np.multiply(x1, spec.coef_x1)
+    term = np.multiply(x2, spec.coef_x2)
+    terms += term
+    for x, coef in ((x1, spec.coef_x1_sq), (x2, spec.coef_x2_sq)):
+        np.square(x, out=term)
+        term *= coef
+        terms += term
+    np.multiply(x1, spec.coef_x1_x2, out=term)
+    term *= x2
+    terms += term
     if spec.includes_x4:
-        if x4 is None:
-            raise ValueError("scenario includes x4 but none was given")
-        terms = terms + spec.coef_x4 * x4 + spec.coef_x4_sq * x4**2
+        np.multiply(x4, spec.coef_x4, out=term)
+        terms += term
+        np.square(x4, out=term)
+        term *= spec.coef_x4_sq
+        terms += term
     return terms
 
 
@@ -225,7 +233,9 @@ def draw_true_propensity(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n`` draws of x1 and of the true treatment probability at ``alpha0``."""
     x1, x2, x4 = _draw_treatment_covariates(spec, n, rng)
-    return x1, expit(alpha0 + treatment_logit_terms(spec, x1, x2, x4))
+    p = treatment_logit_terms(spec, x1, x2, x4)
+    p += alpha0
+    return x1, expit(p, out=p)
 
 
 def _mean_expit(terms: np.ndarray, alpha: float, buf: np.ndarray) -> float:
@@ -260,12 +270,32 @@ def _newton_root(terms: np.ndarray, prevalence: float, buf: np.ndarray) -> float
     return alpha
 
 
+def _bisection_leaf(guess: float) -> tuple[float, float] | None:
+    """The final bracket ``[lo, hi]`` of the bisection whose every midpoint
+    compares with the root as it compares with ``guess``; ``None`` when
+    ``guess`` is not in the bisection's bracket or equals a midpoint."""
+    lo, hi = _BISECTION_BRACKET
+    if not lo <= guess <= hi:
+        return None
+    while hi - lo > _BISECTION_X_TOL:
+        mid = (lo + hi) / 2.0
+        if guess == mid:
+            return None
+        if guess > mid:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def calibrate_intercept(
     spec: ScenarioSpec,
     prevalence: float,
     rng: RngStream,
     oracle_n: int = 10**6,
     tol: float = CALIBRATION_TOL,
+    *,
+    guess: float | None = None,
 ) -> float:
     """Bisection for the intercept hitting the target prevalence.
 
@@ -278,15 +308,22 @@ def calibrate_intercept(
 
     The computed gap ``mean(expit(alpha + terms)) - prevalence`` is itself
     non-decreasing in ``alpha``: the rounded sum ``alpha + t``, ``expit``
-    and every rounded addition of the pairwise mean are monotone.  So once
-    a Newton estimate of the root is certified by an exact bracket
-    ``gap(l) < 0 <= gap(h)`` with ``l < h`` inside the bisection's bracket,
-    the sign of the gap at any point outside ``(l, h)`` is known without
-    evaluating it.  The bisection below takes exactly the steps of the
-    plain one and returns the same bits, but evaluates the gap only inside
-    the certified bracket: 6 to 10 passes over the sample in all, Newton
-    steps included, against 42 for the plain bisection.  Without a
-    certificate every point is evaluated, as in the plain bisection.
+    and every rounded addition of the pairwise mean are monotone.  So the
+    bisection need not evaluate its midpoints.  Replayed against a guess of
+    the root, it ends in a leaf ``[lo, hi]``; if the gap there straddles
+    zero, ``gap(lo) < 0 <= gap(hi)``, then every midpoint the replay moved
+    ``lo`` to lies at or below ``lo`` and has a negative gap, and every one
+    it moved ``hi`` to lies at or above ``hi`` and has a non-negative gap.
+    The plain bisection, evaluating each, takes the same steps and returns
+    the same bits, ``(lo + hi) / 2``, whose gap lies between the two.
+    That is two passes over the sample for the certificate, against 42 for
+    the plain bisection.
+
+    ``guess`` defaults to a Newton estimate from the sample (about four
+    more passes); a resume passes the intercept it stored.  A guess that
+    is not finite, equals a midpoint or fails the certificate costs its
+    passes and falls back to the plain bisection, so it never changes the
+    result.
     """
     if not 0.0 < prevalence < 1.0:
         raise ValueError(f"prevalence must lie in (0, 1): {prevalence}")
@@ -297,42 +334,24 @@ def calibrate_intercept(
     def gap(alpha: float) -> float:
         return _mean_expit(terms, alpha, buf) - prevalence
 
-    lo, hi = _BISECTION_BRACKET
-    # The tightest exact evaluations known to straddle the target,
-    # gap(neg) < 0 <= gap(pos), and their gaps; infinite while there are none.
-    neg, g_neg, pos, g_pos = -np.inf, -np.inf, np.inf, np.inf
-    root = _newton_root(terms, prevalence, buf)
-    below, above = root - _CERTIFY_DELTA, root + _CERTIFY_DELTA
-    if lo <= below < above <= hi:
-        g_below, g_above = gap(below), gap(above)
-        if g_below < 0.0 <= g_above:
-            neg, g_neg, pos, g_pos = below, g_below, above, g_above
-
-    def negative(alpha: float) -> bool:
-        nonlocal neg, g_neg, pos, g_pos
-        if alpha <= neg:
-            return True
-        if alpha >= pos:
-            return False
-        g = gap(alpha)
-        if g < 0.0:
-            neg, g_neg = alpha, g
-            return True
-        pos, g_pos = alpha, g
-        return False
-
-    # A certificate inside the bracket already implies both of its checks.
-    if neg == -np.inf and (gap(lo) > 0.0 or gap(hi) < 0.0):
-        raise BracketFailureError(f"bracket {_BISECTION_BRACKET} does not straddle {prevalence}")
-    while hi - lo > _BISECTION_X_TOL:
-        mid = (lo + hi) / 2.0
-        if negative(mid):
-            lo = mid
-        else:
-            hi = mid
+    leaf = _bisection_leaf(_newton_root(terms, prevalence, buf) if guess is None else guess)
+    g_lo, g_hi = (gap(leaf[0]), gap(leaf[1])) if leaf is not None else (np.nan, np.nan)
+    if g_lo < 0.0 <= g_hi:
+        lo, hi = leaf
+        within_tol = -tol <= g_lo and g_hi <= tol
+    else:
+        lo, hi = _BISECTION_BRACKET
+        if gap(lo) > 0.0 or gap(hi) < 0.0:
+            raise BracketFailureError(f"bracket {_BISECTION_BRACKET} does not straddle {prevalence}")
+        while hi - lo > _BISECTION_X_TOL:
+            mid = (lo + hi) / 2.0
+            if gap(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        within_tol = False
     alpha = (lo + hi) / 2.0
-    # Between the straddling evaluations, g_neg <= gap(alpha) <= g_pos.
-    if not (neg <= alpha <= pos and -tol <= g_neg and g_pos <= tol):
+    if not within_tol:
         miss = gap(alpha)
         if abs(miss) > tol:
             raise BracketFailureError(f"calibration missed target by {miss:.2e}")
@@ -415,10 +434,13 @@ def true_att(
         x1, w = draw_true_propensity(spec, alpha0, chunk, rng)
         s_w += float(w.sum())
         s_wx += float((w * x1).sum())
-        w2 = w * w
-        s_w2 += float(w2.sum())
-        s_w2x += float((w2 * x1).sum())
-        s_w2x2 += float((w2 * x1 * x1).sum())
+        # w^2, w^2 x1 and w^2 x1 x1 in turn, in w's own buffer.
+        w *= w
+        s_w2 += float(w.sum())
+        w *= x1
+        s_w2x += float(w.sum())
+        w *= x1
+        s_w2x2 += float(w.sum())
         remaining -= chunk
     mean_x1_treated = s_wx / s_w
     # Delta method for the ratio estimator: Var = E[w^2 (x - m)^2] / (n E[w]^2).

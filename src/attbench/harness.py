@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 import time
@@ -382,23 +383,44 @@ def oracle_stream(oracle_seed: int, scenario: int, label: str, purpose: int) -> 
 
 
 def oracle_intercepts(
-    pairs: list[tuple[int, str]], oracle_seed: int, oracle_n: int
+    pairs: list[tuple[int, str]],
+    oracle_seed: int,
+    oracle_n: int,
+    *,
+    guesses: dict[tuple[int, str], float] | None = None,
 ) -> dict[tuple[int, str], float]:
     """Calibrated treatment intercept of each (scenario, prevalence label).
 
     Each pair draws on its own stream, so its intercept does not depend on
     which other pairs are asked for: ``run``, ``calibrate`` and ``ps-hist``
-    agree for the same seed and size.
+    agree for the same seed and size.  ``guesses`` maps a pair to a guess
+    for :func:`calibrate_intercept` to certify; a guess changes how many
+    passes a calibration takes, never its result.
     """
+    guesses = guesses or {}
     return {
         (scenario, label): calibrate_intercept(
             SCENARIOS[scenario],
             PREVALENCE_VALUES[PREVALENCE_LABELS.index(label)],
             oracle_stream(oracle_seed, scenario, label, PURPOSE_CALIBRATION),
             oracle_n=oracle_n,
+            guess=guesses.get((scenario, label)),
         )
         for scenario, label in pairs
     }
+
+
+def _stored_intercepts(manifest: dict, pairs: list[tuple[int, str]]) -> dict[tuple[int, str], float]:
+    """The finite float intercepts ``manifest`` holds for ``pairs``, as guesses."""
+    stored = manifest.get("intercepts")
+    if not isinstance(stored, dict):
+        return {}
+    guesses = {}
+    for scenario, label in pairs:
+        alpha = stored.get(f"s{scenario}_p{label}")
+        if type(alpha) is float and math.isfinite(alpha):
+            guesses[(scenario, label)] = alpha
+    return guesses
 
 
 def _truth_key(cfg: CellConfig) -> tuple[int, int, str, bool]:
@@ -507,7 +529,8 @@ def run_grid(
 
     Oracles first: calibrated intercepts and true ATT values, once per
     (scenario, prevalence) on streams derived from ``oracle_seed``.  The
-    intercepts are always recomputed; a truth the store already holds is
+    intercepts are always recomputed, each certified in two passes when
+    the store already holds it; a truth the store already holds is
     reused when :func:`_stored_truths` vouches for it.  Then the plan: a
     cell whose manifest entry matches this run and whose records match
     their digest is loaded from disk, which is what makes an interrupted
@@ -544,7 +567,9 @@ def run_grid(
     pairs = list(dict.fromkeys((c.scenario, c.prevalence_label) for c in cells))
     say(f"calibrating {len(pairs)} treatment intercepts")
     oracle_start = time.perf_counter()
-    intercepts = oracle_intercepts(pairs, oracle_seed, calibration_n)
+    intercepts = oracle_intercepts(
+        pairs, oracle_seed, calibration_n, guesses=_stored_intercepts(manifest, pairs)
+    )
     truth_keys = list(dict.fromkeys(_truth_key(c) for c in cells))
     truths = _stored_truths(truth_keys, manifest, outdir / "truths.csv", intercepts, oracle_seed, truth_n)
     for key in truth_keys:

@@ -195,13 +195,14 @@ def _pair_distances(white: np.ndarray, block: CaliperBlock) -> np.ndarray:
     Each pair's squares are added over coordinates 0..d-1 in order, as a
     per-unit search adds them.
     """
-    rows, cols = np.nonzero(block.within)
+    flat = np.flatnonzero(block.within)
+    rows, cols = np.divmod(flat, block.within.shape[1])
     t, c = block.treated[rows], block.controls[cols]
     squared = (white[0, c] - white[0, t]) ** 2
     for coordinate in white[1:]:
         squared += (coordinate[c] - coordinate[t]) ** 2
     dist = np.full(block.within.shape, np.inf)
-    dist[rows, cols] = np.sqrt(squared)
+    dist.ravel()[flat] = np.sqrt(squared)
     return dist
 
 

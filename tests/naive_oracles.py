@@ -10,7 +10,8 @@ all built on the package's Cholesky factor and solve;
 :func:`row_gather_distances`, the Mahalanobis pair distances as one
 row gather summed along rows, on the package's caliper block;
 :func:`naive_fold_fits`, the one-fit-per-fold loop over those two; :func:`naive_calibrate_intercept`, the plain bisection, built on
-the package's oracle draw; and the coarsened-strata, matched-difference and simplex-support
+the package's oracle draw and on :func:`naive_treatment_logit_terms`,
+the treatment logit as one array expression; and the coarsened-strata, matched-difference and simplex-support
 loops, which keep the float arithmetic of the loops the vectorized
 estimators replace so the two can be compared with ``==`` or to
 round-off.  Unit and acceptance tests compare the fast implementations
@@ -31,7 +32,6 @@ from attbench.dgp import (
     _BISECTION_X_TOL,
     CALIBRATION_TOL,
     _draw_treatment_covariates,
-    treatment_logit_terms,
 )
 from attbench.errors import BracketFailureError, NonSpdError, OneClassError, RankDeficientError
 from attbench.glm import IRLS_MAX_ITER, IRLS_SCORE_TOL, PROB_CLAMP, SEPARATION_COEF_BOUND, OlsFit, predict_ols
@@ -386,13 +386,30 @@ def naive_simplex_weights(level_one, y, tie_tol: float = 1e-15):
     return best_w, best_obj
 
 
+def naive_treatment_logit_terms(spec, x1, x2, x4=None):
+    """The covariate part of the treatment logit as the one array
+    expression ``dgp.treatment_logit_terms`` once evaluated."""
+    terms = (
+        spec.coef_x1 * x1
+        + spec.coef_x2 * x2
+        + spec.coef_x1_sq * x1**2
+        + spec.coef_x2_sq * x2**2
+        + spec.coef_x1_x2 * x1 * x2
+    )
+    if spec.includes_x4:
+        if x4 is None:
+            raise ValueError("scenario includes x4 but none was given")
+        terms = terms + spec.coef_x4 * x4 + spec.coef_x4_sq * x4**2
+    return terms
+
+
 def naive_calibrate_intercept(spec, prevalence, rng, oracle_n=10**6, tol=CALIBRATION_TOL):
     """The plain bisection ``calibrate_intercept`` once ran, evaluating the
     gap at both bracket ends, every midpoint and the result."""
     if not 0.0 < prevalence < 1.0:
         raise ValueError(f"prevalence must lie in (0, 1): {prevalence}")
     x1, x2, x4 = _draw_treatment_covariates(spec, oracle_n, rng)
-    terms = treatment_logit_terms(spec, x1, x2, x4)
+    terms = naive_treatment_logit_terms(spec, x1, x2, x4)
 
     def gap(alpha: float) -> float:
         return float(np.mean(expit(alpha + terms))) - prevalence

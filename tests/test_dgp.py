@@ -23,7 +23,7 @@ from attbench.dgp import (
 from attbench.errors import BracketFailureError, DegenerateDrawError
 from attbench.numeric import RngStream, substream
 
-from naive_oracles import naive_calibrate_intercept
+from naive_oracles import naive_calibrate_intercept, naive_treatment_logit_terms
 
 # Intercepts and heterogeneous-effect truths frozen from a 10^7-draw
 # Monte Carlo oracle run before the main build (two independent seeds
@@ -60,6 +60,19 @@ def outcome_of(calibrate, spec, prevalence, stream, oracle_n, tol=dgp.CALIBRATIO
         return calibrate(spec, prevalence, stream, oracle_n=oracle_n, tol=tol)
     except BracketFailureError as exc:
         return f"BracketFailureError: {exc}"
+
+
+def count_expit_passes(monkeypatch) -> list[int]:
+    """Record one entry per ``expit`` call made from ``dgp``: in a
+    calibration, one pass over its sample."""
+    calls: list[int] = []
+
+    def counting_expit(*args, **kwargs):
+        calls.append(1)
+        return expit(*args, **kwargs)
+
+    monkeypatch.setattr(dgp, "expit", counting_expit)
+    return calls
 
 
 def cfg_for(scenario=1, setting=1, label="0.20", null=False, seed=20240817):
@@ -234,13 +247,7 @@ class TestCalibrateIntercept:
             assert fast == plain, (spec.scenario_id, prevalence, tol)
 
     def test_well_posed_call_makes_few_passes(self, monkeypatch):
-        calls = []
-
-        def counting_expit(*args, **kwargs):
-            calls.append(1)
-            return expit(*args, **kwargs)
-
-        monkeypatch.setattr(dgp, "expit", counting_expit)
+        calls = count_expit_passes(monkeypatch)
         for seed in range(3):
             for scenario, prevalence in DESIGN_PAIRS:
                 calls.clear()
@@ -250,6 +257,108 @@ class TestCalibrateIntercept:
     def test_prevalence_domain_checked(self):
         with pytest.raises(ValueError, match="prevalence"):
             calibrate_intercept(SCENARIOS[1], 0.0, RngStream(11, 4))
+
+
+def next_leaf_midpoint(alpha: float) -> float:
+    lo, hi = dgp._bisection_leaf(alpha)
+    return hi + (hi - lo) / 2.0
+
+
+# Guesses at a calibrated intercept ``a``: in its leaf, beside it, in the
+# next leaf, at and beyond the bracket, and not finite.
+ADVERSARIAL_GUESSES = {
+    "ulp-up": lambda a: float(np.nextafter(a, np.inf)),
+    "ulp-down": lambda a: float(np.nextafter(a, -np.inf)),
+    "plus-1e-9": lambda a: a + 1e-9,
+    "minus-1e-9": lambda a: a - 1e-9,
+    "next-leaf": next_leaf_midpoint,
+    "bracket-top": lambda a: 20.0,
+    "bracket-bottom": lambda a: -20.0,
+    "inf": lambda a: np.inf,
+    "minus-inf": lambda a: -np.inf,
+    "nan": lambda a: np.nan,
+    "outside": lambda a: 25.0,
+}
+
+
+class TestLeafCertificate:
+    """A guess only decides which leaf is certified; the result is always
+    the plain bisection's."""
+
+    @pytest.mark.parametrize("oracle_n", [10**4, 10**5], ids=["1e4", "1e5"])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_stored_intercept_certifies_in_two_passes(self, monkeypatch, oracle_n, seed):
+        calls = count_expit_passes(monkeypatch)
+        for scenario, prevalence in DESIGN_PAIRS:
+            stream = (seed, 10 * scenario + PREVALENCE_VALUES.index(prevalence))
+            spec = SCENARIOS[scenario]
+            fresh = calibrate_intercept(spec, prevalence, RngStream(*stream), oracle_n)
+            calls.clear()
+            again = calibrate_intercept(spec, prevalence, RngStream(*stream), oracle_n, guess=fresh)
+            assert len(calls) == 2, (scenario, prevalence)
+            assert again == naive_calibrate_intercept(spec, prevalence, RngStream(*stream), oracle_n)
+
+    @pytest.mark.parametrize("guess_of", list(ADVERSARIAL_GUESSES.values()), ids=list(ADVERSARIAL_GUESSES))
+    def test_adversarial_guess_keeps_the_bits(self, guess_of):
+        for scenario, prevalence in DESIGN_PAIRS:
+            stream = (4, 10 * scenario + PREVALENCE_VALUES.index(prevalence))
+            spec = SCENARIOS[scenario]
+            plain = naive_calibrate_intercept(spec, prevalence, RngStream(*stream), 10**4)
+            guess = guess_of(plain)
+            assert calibrate_intercept(spec, prevalence, RngStream(*stream), 10**4, guess=guess) == plain, guess
+
+    def test_guess_in_its_leaf_takes_two_passes_and_a_miss_falls_back(self, monkeypatch):
+        spec, prevalence, stream = SCENARIOS[2], 0.10, (4, 21)
+        plain = naive_calibrate_intercept(spec, prevalence, RngStream(*stream), 10**4)
+        calls = count_expit_passes(monkeypatch)
+        for guess, passes in [(np.nextafter(plain, np.inf), 2), (next_leaf_midpoint(plain), 44), (np.nan, 42)]:
+            calls.clear()
+            assert calibrate_intercept(spec, prevalence, RngStream(*stream), 10**4, guess=float(guess)) == plain
+            assert len(calls) == passes, guess
+
+    def test_midpoint_guess_is_a_miss(self):
+        assert dgp._bisection_leaf(0.0) is None
+        assert dgp._bisection_leaf(-10.0) is None
+        lo, hi = dgp._bisection_leaf(1e-3)
+        assert lo < 1e-3 < hi and hi - lo <= dgp._BISECTION_X_TOL
+
+    @pytest.mark.parametrize("spec,prevalence,tol", ILL_POSED)
+    @pytest.mark.parametrize("guess", [-20.0, -3.0, 1e-3, 20.0, np.nan])
+    def test_ill_posed_targets_fail_as_plain_bisection_does(self, spec, prevalence, tol, guess):
+        def with_guess(*args, **kwargs):
+            return calibrate_intercept(*args, **kwargs, guess=guess)
+
+        fast = outcome_of(with_guess, spec, prevalence, RngStream(11, 3), 10**4, tol)
+        plain = outcome_of(naive_calibrate_intercept, spec, prevalence, RngStream(11, 3), 10**4, tol)
+        assert isinstance(plain, str) and fast == plain
+
+    def test_missed_tolerance_fails_as_plain_bisection_does_from_a_certified_leaf(self):
+        spec, prevalence = SCENARIOS[3], 0.2
+        root = calibrate_intercept(spec, prevalence, RngStream(11, 3), 10**4)
+        fast = outcome_of(
+            lambda *a, **k: calibrate_intercept(*a, **k, guess=root), spec, prevalence, RngStream(11, 3), 10**4, 0.0
+        )
+        plain = outcome_of(naive_calibrate_intercept, spec, prevalence, RngStream(11, 3), 10**4, 0.0)
+        assert fast == plain and fast.startswith("BracketFailureError: calibration missed target")
+
+
+class TestTreatmentLogitTerms:
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_equals_one_expression_and_leaves_inputs(self, scenario):
+        spec = SCENARIOS[scenario]
+        draws = np.random.default_rng(scenario).standard_normal((1000, 3)) * 3.0
+        x1, x2, x4 = draws[:, 0], draws[:, 1], draws[:, 2]
+        before = draws.copy()
+        given = (x1, x2, x4)
+        assert np.array_equal(treatment_logit_terms(spec, *given), naive_treatment_logit_terms(spec, *given))
+        if not spec.includes_x4:
+            assert np.array_equal(treatment_logit_terms(spec, x1, x2), naive_treatment_logit_terms(spec, x1, x2))
+        assert np.array_equal(draws, before)
+
+    def test_hidden_covariate_required(self):
+        x = np.zeros(4)
+        with pytest.raises(ValueError, match="x4"):
+            treatment_logit_terms(SCENARIOS[3], x, x)
 
 
 class TestGenerateDataset:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attbench import harness, weighting
+from attbench import dgp, harness, weighting
 from attbench.dgp import CellConfig, generate_replicate
 from attbench.errors import (
     InsufficientReplicatesError,
@@ -608,6 +608,11 @@ def edit_drawn_truth_value(store: Path) -> None:
     edit_truths_csv(store, line, ",".join(fields))
 
 
+def drawn_pair_intercept_as(value):
+    """A store edit giving the drawn truth's pair ``value`` as its manifest intercept."""
+    return lambda store: edit_manifest(store, lambda m: m["intercepts"].update({"s1_p0.50": value}))
+
+
 DRAWN = (3, False)  # (setting, null_effect) of each truth key in truth_cells()
 NULL = (3, True)
 OTHER = (1, False)
@@ -656,14 +661,21 @@ class TestTruthReuse:
             (lambda store: edit_manifest(
                 store, lambda m: m["intercepts"].update({"s1_p0.50": m["intercepts"]["s1_p0.50"] + 1e-12})
             ), {DRAWN, NULL}),
+            (lambda store: edit_manifest(
+                store, lambda m: m.update(intercepts=list(m["intercepts"].values()))
+            ), {DRAWN, NULL, OTHER}),
+            (drawn_pair_intercept_as("-0.07"), {DRAWN, NULL}),
+            (drawn_pair_intercept_as(True), {DRAWN, NULL}),
+            (drawn_pair_intercept_as(0), {DRAWN, NULL}),
             (lambda store: edit_manifest(store, lambda m: m.update(truths=5)), {DRAWN, NULL, OTHER}),
             (lambda store: edit_truths_csv(store, "oracle_se", "se"), {DRAWN, NULL, OTHER}),
             (lambda store: edit_truths_csv(store, "1,3,0.50,effect,7,", "1,3,0.50,effect,8,"), {DRAWN}),
         ],
         ids=[
             "manifest-truth-edited", "manifest-truth-integers", "truths-csv-value-edited", "truths-csv-deleted",
-            "manifest-intercept-edited", "manifest-truths-not-an-object", "truths-csv-bad-header",
-            "truths-csv-other-oracle-seed",
+            "manifest-intercept-edited", "manifest-intercepts-a-list",
+            "manifest-intercept-a-string", "manifest-intercept-a-bool", "manifest-intercept-an-int",
+            "manifest-truths-not-an-object", "truths-csv-bad-header", "truths-csv-other-oracle-seed",
         ],
     )
     def test_each_miss_recomputes_its_key_only(self, tmp_path, calls, damage, recomputed):
@@ -694,3 +706,46 @@ class TestTruthReuse:
         run_small_grid(tmp_path / "full", cells=truth_cells())
         assert sorted(calls) == sorted([DRAWN, NULL])
         assert tree_bytes(tmp_path / "full") == fresh_full
+
+
+def count_calibration_passes(monkeypatch) -> list[int]:
+    """One entry per ``expit`` pass ``dgp`` makes; on a resume that
+    reuses every cell and truth, only the calibrations make any."""
+    calls: list[int] = []
+    real = dgp.expit
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dgp, "expit", counting)
+    return calls
+
+
+class TestInterceptResume:
+    """A resume certifies each stored intercept in two passes over its
+    redrawn calibration sample; a damaged one costs passes, not bytes."""
+
+    def test_resume_makes_two_passes_per_pair(self, tmp_path, monkeypatch):
+        run_small_grid(tmp_path, cells=truth_cells())
+        before = tree_bytes(tmp_path)
+        passes = count_calibration_passes(monkeypatch)
+        run_small_grid(tmp_path, cells=truth_cells())
+        assert len(passes) == 2 * 2
+        assert tree_bytes(tmp_path) == before
+
+    def test_one_ulp_off_intercept_keeps_the_oracle_tables(self, tmp_path, monkeypatch):
+        run_small_grid(tmp_path, cells=truth_cells())
+        before = tree_bytes(tmp_path)
+        edit_manifest(
+            tmp_path,
+            lambda m: m["intercepts"].update({"s1_p0.50": float(np.nextafter(m["intercepts"]["s1_p0.50"], np.inf))}),
+        )
+        passes = count_calibration_passes(monkeypatch)
+        lines: list[str] = []
+        run_small_grid(tmp_path, cells=truth_cells(), log=lines.append)
+        assert "computing setting-3 truth for scenario 1, prevalence 0.50" in lines
+        # Two passes per intercept, then the setting-3 truth's draw.
+        assert len(passes) == 2 * 2 + 1
+        for name in ("calibration.csv", "truths.csv", "manifest.json"):
+            assert (tmp_path / name).read_bytes() == before[name]
