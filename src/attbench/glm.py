@@ -71,26 +71,37 @@ class FoldFits:
     refit_separated: bool
 
 
-# One index table per design width, shared by every call: read, never written.
-_lower_triangle = cache(np.tril_indices)
+@cache
+def _gram_index(p: int) -> np.ndarray:
+    """Where entry ``(a, b)`` of a flattened p x p gram sits among the
+    lower-triangle pair products: one table per width, read, never written."""
+    rows, cols = np.tril_indices(p)
+    index = np.empty((p, p), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    index = index.ravel()
+    index.flags.writeable = False
+    return index
 
 
 def _weighted_grams(design: np.ndarray):
     """Return ``grams(weights)``, the stack of ``design.T @ diag(w) @ design``
-    over the rows ``w`` of ``weights``, each exactly symmetric."""
-    p = design.shape[1]
-    rows, cols = _lower_triangle(p)
+    over the rows ``w`` of ``weights``, each exactly symmetric.
+
+    The products of each column pair ``(i, j)``, ``j <= i``, are formed
+    once, row ``i`` of the lower triangle at a time, in the order of
+    ``np.tril_indices``."""
+    n, p = design.shape
     columns = design.T.copy()
-    pairs = columns[rows]
-    pairs *= columns[cols]
+    pairs = np.empty((p * (p + 1) // 2, n))
+    start = 0
+    for i in range(p):
+        np.multiply(columns[i], columns[: i + 1], out=pairs[start : start + i + 1])
+        start += i + 1
     pairs = pairs.T
+    index = _gram_index(p)
 
     def grams(weights: np.ndarray) -> np.ndarray:
-        lower = weights @ pairs
-        out = np.empty((weights.shape[0], p, p))
-        out[:, rows, cols] = lower
-        out[:, cols, rows] = lower
-        return out
+        return np.take(weights @ pairs, index, axis=1).reshape(weights.shape[0], p, p)
 
     return grams
 

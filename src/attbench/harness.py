@@ -15,9 +15,11 @@ through one CSV writer, whose rows list the columns in order and whose
 floats are their shortest round-trip ``repr``; the manifest has sorted
 JSON keys; nothing holds a timestamp.  Equal configurations therefore
 produce byte-identical files at any worker count.  A manifest tracks
-completed cells, with a digest of each cell's records, and lets an
-interrupted grid resume without recomputation; a resume also reuses each
-stored true ATT whose pair's intercept recomputes to the same bits.
+completed cells, with the digests of each cell's records and metrics
+files, and lets an interrupted grid resume without recomputation: a
+completed cell whose digests, intercept and truth all check out is
+reused without reading its records.  A resume also reuses each stored
+true ATT whose pair's intercept recomputes to the same bits.
 """
 
 from __future__ import annotations
@@ -370,9 +372,19 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _digest_matches(path: Path, digest) -> bool:
+    """Whether the file at ``path`` exists and its sha256 is ``digest``."""
+    return path.exists() and digest == _sha256(path)
+
+
 def records_intact(path: Path, entry: dict) -> bool:
     """Whether a cell's records file exists and matches its manifest digest."""
-    return path.exists() and entry.get("records_sha256") == _sha256(path)
+    return _digest_matches(path, entry.get("records_sha256"))
+
+
+def _is_float(value, expected: float) -> bool:
+    """Whether a manifest ``value`` is a float ``==`` to ``expected``."""
+    return type(value) is float and value == expected
 
 
 def oracle_stream(oracle_seed: int, scenario: int, label: str, purpose: int) -> RngStream:
@@ -482,7 +494,7 @@ def _stored_truths(
         scenario, _, label, _ = key
         alpha, entry = stored_intercepts.get(f"s{scenario}_p{label}"), entries.get(_truth_name(key))
         seed, n, *texts = rows.get(_truth_name(key), ("", "", "", ""))
-        if not (type(alpha) is float and alpha == intercepts[(scenario, label)]):
+        if not _is_float(alpha, intercepts[(scenario, label)]):
             continue
         if type(entry) is not dict or entry.keys() != {"value", "oracle_se"}:
             continue
@@ -532,11 +544,20 @@ def run_grid(
     intercepts are always recomputed, each certified in two passes when
     the store already holds it; a truth the store already holds is
     reused when :func:`_stored_truths` vouches for it.  Then the plan: a
-    cell whose manifest entry matches this run and whose records match
-    their digest is loaded from disk, which is what makes an interrupted
-    grid resumable; every other cell is executed and persisted.  A store
-    built under another master seed, oracle seed or oracle size raises
-    :class:`StoreMismatchError` before anything is written.
+    cell whose manifest entry matches this run (replicate count, methods,
+    and an ``alpha0`` float ``==`` to the recomputed intercept) and whose
+    records match ``records_sha256`` is reused, which is what makes an
+    interrupted grid resumable.  It is left untouched, unread, when its
+    metrics file matches ``metrics_sha256`` and its entry's ``truth`` and
+    ``truth_oracle_se`` are floats ``==`` to this run's truth; otherwise it
+    heals: its metrics are aggregated again from its records under this
+    run's truth, and the file and entry rewritten.  Every other cell is
+    executed and persisted.  A store built under another master seed,
+    oracle seed or oracle size raises :class:`StoreMismatchError` before
+    anything is written.
+
+    Returns the cells this call computed, by name; a reused cell is not
+    among them.
     """
     cells = list(cells)
     if not cells:
@@ -602,30 +623,41 @@ def run_grid(
     entries = manifest.setdefault("cells", {})
 
     results: dict[str, tuple[CellConfig, list[EstimateRecord], list[MethodMetrics]]] = {}
+    reused = 0
 
     def progress() -> str:
-        return f"({len(results)}/{len(cells)})"
+        return f"({reused + len(results)}/{len(cells)})"
 
     jobs = []
     for cfg in cells:
         entry = entries.get(cfg.name, {})
         records_path = cells_dir / f"{cfg.name}_records.csv"
+        alpha0 = intercepts[(cfg.scenario, cfg.prevalence_label)]
         same_run = (
             entry.get("complete")
             and entry.get("n_reps") == cfg.n_reps
             and entry.get("methods") == list(method_list)
+            and _is_float(entry.get("alpha0"), alpha0)
         )
         if same_run and records_intact(records_path, entry):
-            records = read_records_csv(records_path)
-            metrics = aggregate_cell(records, truths[_truth_key(cfg)][0], cfg.n_reps)
-            write_metrics_csv(cells_dir / f"{cfg.name}_metrics.csv", metrics)
-            results[cfg.name] = (cfg, records, metrics)
+            truth, truth_se = truths[_truth_key(cfg)]
+            metrics_path = cells_dir / f"{cfg.name}_metrics.csv"
+            if not (
+                _is_float(entry.get("truth"), truth)
+                and _is_float(entry.get("truth_oracle_se"), truth_se)
+                and _digest_matches(metrics_path, entry.get("metrics_sha256"))
+            ):
+                # Heal: the records stand, their summary is redone under this run's truth.
+                metrics = aggregate_cell(read_records_csv(records_path), truth, cfg.n_reps)
+                write_metrics_csv(metrics_path, metrics)
+                entry.update(truth=truth, truth_oracle_se=truth_se, metrics_sha256=_sha256(metrics_path))
+            reused += 1
             say(f"reusing completed cell {cfg.name} {progress()}")
             continue
         if same_run:
             say(f"recomputing cell {cfg.name}: its records are missing or fail their digest")
         entries.pop(cfg.name, None)
-        jobs.append((cfg, intercepts[(cfg.scenario, cfg.prevalence_label)], method_list))
+        jobs.append((cfg, alpha0, method_list))
 
     failed: dict[str, str] = {}
     written_at = time.monotonic()
@@ -639,13 +671,15 @@ def run_grid(
                 failed[cfg.name] = str(exc)
                 continue
             records_path = cells_dir / f"{cfg.name}_records.csv"
+            metrics_path = cells_dir / f"{cfg.name}_metrics.csv"
             write_records_csv(records_path, records)
-            write_metrics_csv(cells_dir / f"{cfg.name}_metrics.csv", metrics)
+            write_metrics_csv(metrics_path, metrics)
             entries[cfg.name] = {
                 "alpha0": intercepts[(cfg.scenario, cfg.prevalence_label)],
                 "cell_code": cfg.cell_code,
                 "complete": True,
                 "methods": list(method_list),
+                "metrics_sha256": _sha256(metrics_path),
                 "n": cfg.n,
                 "n_reps": cfg.n_reps,
                 "null_effect": cfg.null_effect,

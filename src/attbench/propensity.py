@@ -18,7 +18,9 @@ import numpy as np
 from .errors import AllTrimmedError, OneClassError
 from .glm import PROB_CLAMP, fit_logistic
 from .numeric import RngStream
-from .superlearner import fit_superlearner, predict_ensemble
+from .superlearner import fit_superlearner
+# Not called here: perfbench/spans.py wraps this name in this module.
+from .superlearner import predict_ensemble  # noqa: F401
 
 PS_SOURCES = ("logistic", "ensemble")
 DEFAULT_TRIM_DELTA = 0.05
@@ -93,7 +95,7 @@ def estimate_ps(
         basis = design * (z.astype(np.float64) - fit.fitted_probabilities)[:, None]
     else:
         fit = fit_superlearner(x, z.astype(np.float64), "binomial", rng=rng)
-        values = predict_ensemble(fit, x)
+        values = fit.fitted
         separated = any(learner.separated for learner in fit.learners)
         basis = None
     return PsVector(values, np.ones(values.size, dtype=bool), method, separated, basis)

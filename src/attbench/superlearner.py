@@ -105,7 +105,12 @@ class FittedLearner:
     separated: bool
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        linear = _learner_design(self.spec.kind, x)[:, self.kept_columns] @ self.coefficients
+        return self.predict_from(_learner_design(self.spec.kind, x))
+
+    def predict_from(self, design: np.ndarray) -> np.ndarray:
+        """Prediction from ``design``: this learner's design, or a wider one
+        it prefixes, such as the degree-2 design."""
+        linear = design[:, self.kept_columns] @ self.coefficients
         if self.spec.family == "gaussian":
             return linear
         return np.clip(expit(linear), PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -117,7 +122,9 @@ class EnsembleFit:
 
     ``cv_risks`` holds each learner's out-of-fold mean squared error and
     ``cv_objective`` the same risk for the weighted combination; by
-    construction ``cv_objective <= cv_risks.min()``.
+    construction ``cv_objective <= cv_risks.min()``.  ``fitted`` is the
+    ensemble's prediction on its own training rows, as
+    :func:`predict_ensemble` would give it.
     """
 
     learners: tuple[FittedLearner, ...]
@@ -127,6 +134,7 @@ class EnsembleFit:
     family: str
     n_features: int
     fold_assignment: np.ndarray = field(repr=False)
+    fitted: np.ndarray = field(repr=False)
 
 
 def _assign_folds(n: int, k_folds: int, rng: RngStream) -> np.ndarray:
@@ -259,13 +267,17 @@ def fit_superlearner(
         if not _folds_trainable(y, folds, k_folds, family):
             raise OneClassError("a training fold is single-class after refold")
 
-    # Designs and their distinct columns are found once, on the full sample,
-    # for the fold fits and the refit alike.  The one duplicate the expansion
-    # makes (z**2 == z for a binary z) repeats in every row subset.
+    # The degree-2 design and its distinct columns are found once, on the full
+    # sample, for the fold fits and the refit alike.  The one duplicate the
+    # expansion makes (z**2 == z for a binary z) repeats in every row subset.
+    # The other learners' designs are its leading columns, and a first
+    # occurrence inside a prefix is one in the whole design.
     library = default_library(family)
-    full = [_learner_design(spec.kind, x) for spec in library]
-    kept = [_distinct_columns(design) for design in full]
-    designs = [design[:, columns] for design, columns in zip(full, kept)]
+    full = _learner_design("glm_degree2", x)
+    distinct = _distinct_columns(full)
+    widths = {"mean_only": 1, "glm_main_effects": 1 + x.shape[1], "glm_degree2": full.shape[1]}
+    kept = [distinct[distinct < widths[spec.kind]] for spec in library]
+    designs = [full[:, columns] for columns in kept]
     fit_folds = fit_ols_folds if family == "gaussian" else fit_logistic_folds
     fits = [fit_folds(design, y, folds, k_folds) for design in designs]
     level_one = np.column_stack([fit.out_of_fold for fit in fits])
@@ -276,7 +288,20 @@ def fit_superlearner(
         FittedLearner(spec, columns, fit.refit_coefficients, fit.refit_separated)
         for spec, columns, fit in zip(library, kept, fits)
     )
-    return EnsembleFit(learners, weights, cv_risks, cv_objective, family, x.shape[1], folds)
+    fitted = _weighted_prediction(weights, learners, full, family)
+    return EnsembleFit(learners, weights, cv_risks, cv_objective, family, x.shape[1], folds, fitted)
+
+
+def _weighted_prediction(weights: np.ndarray, learners, design: np.ndarray, family: str) -> np.ndarray:
+    """The weighted library prediction from ``design``, the covariates'
+    design of the widest learner with positive weight (or a wider one)."""
+    preds = np.zeros(design.shape[0])
+    for weight, learner in zip(weights, learners):
+        if weight > 0.0:
+            preds += weight * learner.predict_from(design)
+    if family == "binomial":
+        preds = np.clip(preds, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return preds
 
 
 def predict_ensemble(fit: EnsembleFit, x: np.ndarray) -> np.ndarray:
@@ -284,10 +309,8 @@ def predict_ensemble(fit: EnsembleFit, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != fit.n_features:
         raise ValueError(f"x must have {fit.n_features} columns")
-    preds = np.zeros(x.shape[0])
-    for weight, learner in zip(fit.weights, fit.learners):
-        if weight > 0.0:
-            preds += weight * learner.predict(x)
-    if fit.family == "binomial":
-        preds = np.clip(preds, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return preds
+    # The learners are in library order, narrowest design first, so the last
+    # one with positive weight has the design every weighted learner prefixes.
+    widest = [learner for weight, learner in zip(fit.weights, fit.learners) if weight > 0.0][-1]
+    design = _learner_design(widest.spec.kind, x)
+    return _weighted_prediction(fit.weights, fit.learners, design, fit.family)

@@ -11,6 +11,7 @@ from attbench.glm import (
     PROB_CLAMP,
     SEPARATION_COEF_BOUND,
     OlsFit,
+    _weighted_grams,
     fit_logistic,
     fit_logistic_folds,
     fit_ols,
@@ -307,3 +308,27 @@ class TestFoldFits:
         x = _design(np_rng, 6, 3)
         with pytest.raises(ValueError):
             fit_ols_folds(x, np_rng.standard_normal(6), _folds(np_rng, 6, k_folds=2), 2)
+
+
+def _gathered_grams(design, weights):
+    """The gram stack built from two gathered column-pair arrays and two scatters."""
+    p = design.shape[1]
+    rows, cols = np.tril_indices(p)
+    columns = design.T.copy()
+    pairs = (columns[rows] * columns[cols]).T
+    lower = weights @ pairs
+    out = np.empty((weights.shape[0], p, p))
+    out[:, rows, cols] = lower
+    out[:, cols, rows] = lower
+    return out
+
+
+@pytest.mark.parametrize("p", [1, 4, 10, 14])
+def test_weighted_grams_equal_the_gathered_construction(p):
+    rng = np.random.default_rng(p)
+    design = np.column_stack([np.ones(300), rng.standard_normal((300, p - 1))])
+    weights = np.vstack([(rng.random((11, 300)) < 0.9).astype(float), rng.random((2, 300))])
+    got = _weighted_grams(design)(weights)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, _gathered_grams(design, weights))
+    assert np.array_equal(got, got.transpose(0, 2, 1))

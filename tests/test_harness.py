@@ -500,15 +500,16 @@ class TestRunGrid:
 
     def test_resume_skips_completed_cells(self, tmp_path, monkeypatch):
         first = run_small_grid(tmp_path)
+        assert set(first) == {"s1t1p050_effect", "s1t1p033_effect"}
+        before = tree_bytes(tmp_path)
 
         def boom(*args, **kwargs):
-            raise AssertionError("completed cell was recomputed")
+            raise AssertionError("a completed cell was recomputed, read or aggregated again")
 
-        monkeypatch.setattr("attbench.harness.run_replicate", boom)
-        second = run_small_grid(tmp_path)
-        assert set(second) == set(first)
-        for name in first:
-            assert second[name][1] == first[name][1]
+        for name in ("run_replicate", "read_records_csv", "aggregate_cell", "write_metrics_csv"):
+            monkeypatch.setattr(harness, name, boom)
+        assert run_small_grid(tmp_path) == {}
+        assert tree_bytes(tmp_path) == before
 
     def test_progress_lines_count_cells_and_time_the_oracles(self, tmp_path):
         lines: list[str] = []
@@ -532,14 +533,21 @@ class TestRunGrid:
 
         monkeypatch.setattr("attbench.harness.run_replicate", flaky)
         with pytest.raises(PartialGridError) as excinfo:
-            run_small_grid(tmp_path)
+            run_small_grid(tmp_path / "store")
         assert set(excinfo.value.failed_cells) == {"s1t1p033_effect"}
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
         assert set(manifest["cells"]) == {"s1t1p050_effect"}
 
         monkeypatch.undo()
-        results = run_small_grid(tmp_path)
-        assert set(results) == {"s1t1p050_effect", "s1t1p033_effect"}
+        calls = Counter()
+        for name in ("read_records_csv", "aggregate_cell"):
+            counting_calls(monkeypatch, harness, name, calls)
+        results = run_small_grid(tmp_path / "store")
+        # Only the failed cell is computed; the good one is reused unread.
+        assert set(results) == {"s1t1p033_effect"}
+        assert dict(calls) == {"aggregate_cell": 1}
+        run_small_grid(tmp_path / "fresh")
+        assert tree_bytes(tmp_path / "store") == tree_bytes(tmp_path / "fresh")
 
     def test_interrupted_grid_records_its_finished_cells(self, tmp_path, monkeypatch):
         real = run_replicate
@@ -749,3 +757,90 @@ class TestInterceptResume:
         assert len(passes) == 2 * 2 + 1
         for name in ("calibration.csv", "truths.csv", "manifest.json"):
             assert (tmp_path / name).read_bytes() == before[name]
+
+
+def reuse_calls(monkeypatch) -> list[tuple[str, str]]:
+    """``(function, cell)`` for each cell computed, read or aggregated."""
+    calls: list[tuple[str, str]] = []
+    real_replicate, real_read, real_aggregate = harness.run_replicate, harness.read_records_csv, harness.aggregate_cell
+
+    def replicate(cfg, alpha0, replicate, methods=None):
+        calls.append(("run_replicate", cfg.name))
+        return real_replicate(cfg, alpha0, replicate, methods)
+
+    def read(path):
+        calls.append(("read_records_csv", Path(path).name.removesuffix("_records.csv")))
+        return real_read(path)
+
+    def aggregate(records, truth, n_reps):
+        calls.append(("aggregate_cell", ""))
+        return real_aggregate(records, truth, n_reps)
+
+    monkeypatch.setattr(harness, "run_replicate", replicate)
+    monkeypatch.setattr(harness, "read_records_csv", read)
+    monkeypatch.setattr(harness, "aggregate_cell", aggregate)
+    return calls
+
+
+DRAWN_CELL = "s1t3p050_effect"  # the cell of truth_cells() whose truth is drawn
+
+
+def edit_cell_entry(name: str, **values):
+    return lambda store: edit_manifest(store, lambda m: m["cells"][name].update(values))
+
+
+def edit_metrics_csv(store: Path) -> None:
+    path = store / "cells" / f"{DRAWN_CELL}_metrics.csv"
+    path.write_text(path.read_text().replace("LR,3,", "LR,2,", 1))
+
+
+def drop_metrics_digests(store: Path) -> None:
+    """The store as a version without metrics digests left it."""
+    edit_manifest(store, lambda m: [entry.pop("metrics_sha256") for entry in m["cells"].values()])
+
+
+def heals(name: str) -> list[tuple[str, str]]:
+    return [("read_records_csv", name), ("aggregate_cell", "")]
+
+
+class TestCellReuse:
+    """A resume reuses a completed cell by its digests alone; a cell whose
+    metrics file or truth disagrees heals from its records, and one drawn
+    under another intercept is recomputed."""
+
+    def test_entry_records_the_metrics_digest(self, tmp_path):
+        run_small_grid(tmp_path, cells=truth_cells())
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        for name, entry in manifest["cells"].items():
+            metrics = (tmp_path / "cells" / f"{name}_metrics.csv").read_bytes()
+            assert entry["metrics_sha256"] == hashlib.sha256(metrics).hexdigest()
+
+    @pytest.mark.parametrize(
+        "damage, expected",
+        [
+            (lambda store: (store / "cells" / f"{DRAWN_CELL}_metrics.csv").unlink(), heals(DRAWN_CELL)),
+            (edit_metrics_csv, heals(DRAWN_CELL)),
+            (edit_cell_entry(DRAWN_CELL, metrics_sha256="0" * 64), heals(DRAWN_CELL)),
+            (edit_cell_entry(DRAWN_CELL, truth=0.5), heals(DRAWN_CELL)),
+            (edit_cell_entry("s1t1p033_effect", truth=1), heals("s1t1p033_effect")),
+            (edit_cell_entry(DRAWN_CELL, truth_oracle_se=0.5), heals(DRAWN_CELL)),
+            (drop_metrics_digests, [call for cfg in truth_cells() for call in heals(cfg.name)]),
+            (edit_cell_entry(DRAWN_CELL, alpha0=0.25), [("run_replicate", DRAWN_CELL)] * 3 + [("aggregate_cell", "")]),
+            (edit_cell_entry(DRAWN_CELL, alpha0="-0.07"), [("run_replicate", DRAWN_CELL)] * 3 + [("aggregate_cell", "")]),
+        ],
+        ids=[
+            "metrics-deleted", "metrics-edited", "metrics-digest-edited", "truth-edited", "truth-an-int",
+            "truth-se-edited", "no-metrics-digests", "alpha0-edited", "alpha0-a-string",
+        ],
+    )
+    def test_resume_touches_only_the_damaged_cell(self, tmp_path, monkeypatch, damage, expected):
+        run_small_grid(tmp_path / "fresh", cells=truth_cells())
+        run_small_grid(tmp_path / "store", cells=truth_cells())
+        damage(tmp_path / "store")
+        calls = reuse_calls(monkeypatch)
+        lines: list[str] = []
+        run_small_grid(tmp_path / "store", cells=truth_cells(), log=lines.append)
+        assert calls == expected
+        assert tree_bytes(tmp_path / "store") == tree_bytes(tmp_path / "fresh")
+        recomputed = {cell for call, cell in expected if call == "run_replicate"}
+        assert sum(line.startswith("reusing completed cell") for line in lines) == 3 - len(recomputed)

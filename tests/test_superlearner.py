@@ -221,6 +221,17 @@ class TestFitSuperlearner:
         assert preds.min() > 0.0
         assert preds.max() < 1.0
 
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_fitted_is_predict_ensemble_on_the_training_rows(self, np_rng, family):
+        # A binary last column, as in the outcome ensemble, so the degree-2
+        # learner drops a duplicate column.
+        x = np.column_stack([np_rng.standard_normal((120, 3)), np_rng.random(120) < 0.4])
+        y = x[:, 0] + x[:, 1] ** 2 + np_rng.standard_normal(120)
+        if family == "binomial":
+            y = (y > 0.5).astype(float)
+        fit = fit_superlearner(x, y, family, rng=RngStream(4))
+        assert np.array_equal(fit.fitted, predict_ensemble(fit, x))
+
     def test_single_class_raises(self, np_rng):
         x = np_rng.standard_normal((40, 2))
         with pytest.raises(OneClassError):
