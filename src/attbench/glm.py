@@ -4,10 +4,13 @@ Every fit runs through one engine that fits one design under a stack of
 0/1 row weights.  A single fit is its one-row case, a row of ones; the
 fits on every cross-validation fold and on all rows are its (k + 1)-row
 case.  The normal equations of every row come from one matrix product
-over the products of each column pair, and are solved by the stacked
-LAPACK Cholesky screen and solve of :func:`attbench.numeric.solve_spd_stack`,
-whose pivot floor turns rank deficiency into :class:`RankDeficientError`
-rather than a silently pseudo-inverted fit.
+over the products of each column pair, and are solved by
+:func:`attbench.numeric.solve_spd_stack`, one LAPACK Cholesky factor and
+solve per row, whose pivot floor turns rank deficiency into
+:class:`RankDeficientError` rather than a silently pseudo-inverted fit.
+The intercept-only design needs no engine: :func:`fit_mean_folds` fits
+it on every fold from each fold's row count and response sum, under the
+engine's rules.
 The logistic fitter is plain IRLS with a hard separation guard: runaway
 coefficients mark the fit separated and the fitted probabilities are
 clamped away from 0 and 1 so downstream weighting stays finite.
@@ -15,6 +18,7 @@ clamped away from 0 and 1 so downstream weighting stays finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -22,9 +26,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import OneClassError, RankDeficientError, ZeroSeError
-from .numeric import solve_spd_stack, two_sided_p
-# Not called here: perfbench/spans.py wraps these two names in this module.
-from .numeric import cholesky_factor, solve_from_factor  # noqa: F401
+from .numeric import CHOLESKY_PIVOT_TOL, cholesky_factor, solve_from_factor, solve_spd_stack, two_sided_p
 
 IRLS_SCORE_TOL = 1e-6
 IRLS_MAX_ITER = 50
@@ -214,8 +216,8 @@ def fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
     beta, _, _, normal = _fit_stack(design, y, np.ones((1, n)), "gaussian")
     resid = y - design @ beta[0]
     sigma2 = float(resid @ resid) / (n - p)
-    # Column i of (X'X)^-1 solves X'X v = e_i.
-    inverse, _ = solve_spd_stack(np.broadcast_to(normal, (p, p, p)), np.eye(p))
+    # The normal matrix passed the pivot floor above; column i of (X'X)^-1 solves X'X v = e_i.
+    inverse = solve_from_factor(cholesky_factor(normal[0]), np.eye(p))
     se = np.sqrt(sigma2 * inverse.diagonal())
     return OlsFit(beta[0], se, sigma2, n, p)
 
@@ -311,3 +313,80 @@ def fit_logistic_folds(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_f
         If some training fold's response is constant.
     """
     return _fit_folds(design, y, folds, k_folds, "binomial")
+
+
+# --- the intercept-only design, from each training fold's count and sum ---
+
+
+def fit_mean_folds(y: np.ndarray, folds: np.ndarray, k_folds: int, family: str) -> FoldFits:
+    """The fits of :func:`fit_ols_folds` or :func:`fit_logistic_folds` on a
+    column of ones, with no design built.
+
+    An intercept-only fit sees its rows only through their count and the
+    sum of their responses, so each training fold, and all rows as the
+    refit, is fitted from those two numbers: least squares divides them,
+    and logistic IRLS runs the engine's recurrence on one scalar per fold
+    (see :func:`_logistic_intercepts`).  Each fit agrees with the engine's
+    to round-off, under the same rules and errors.
+
+    Raises
+    ------
+    ValueError
+        If ``folds`` and ``y`` are not vectors of one length, some training
+        fold holds at most one row, or a logistic ``y`` is not 0/1.
+    OneClassError
+        If some logistic training fold's response is constant.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1 or folds.shape != y.shape:
+        raise ValueError(f"folds has shape {folds.shape} and y shape {y.shape}, expected one vector length")
+    # Entry k_folds belongs to the refit, which holds out no row.
+    counts = y.size - np.bincount(folds, minlength=k_folds + 1)[: k_folds + 1]
+    sums = y.sum() - np.bincount(folds, weights=y, minlength=k_folds + 1)[: k_folds + 1]
+    if counts.min() <= 1:
+        raise ValueError(f"need more observations than parameters: n={int(counts.min())}, p=1")
+    if family == "gaussian":
+        beta = sums / counts
+        converged, separated = np.ones(k_folds + 1, dtype=bool), np.zeros(k_folds + 1, dtype=bool)
+        out_of_fold = beta[folds]
+    else:
+        if not np.all((y == 0.0) | (y == 1.0)):
+            raise ValueError("y must be 0/1")
+        one_class = (sums == 0.0) | (sums == counts)
+        if one_class.any():
+            raise OneClassError(f"the response under weight row {int(np.argmax(one_class))} contains a single class")
+        beta, converged, separated = _logistic_intercepts(counts, sums)
+        out_of_fold = np.clip(expit(beta[folds]), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return FoldFits(out_of_fold, converged[:k_folds], separated[:k_folds], beta[k_folds:], bool(separated[k_folds]))
+
+
+def _logistic_intercepts(counts: np.ndarray, sums: np.ndarray):
+    """:func:`_fit_stack`'s logistic IRLS for a column of ones, on one scalar per row.
+
+    Row ``r`` weighs ``counts[r]`` observations whose responses sum to
+    ``sums[r]``.  Its score is ``sums - counts * p`` and its information
+    ``counts * max(p * (1 - p), 1e-10)``; the stopping, pivot-floor and
+    separation rules are the engine's.  Returns ``(beta, converged, separated)``.
+    """
+    beta = np.zeros(counts.size)
+    converged = np.zeros(counts.size, dtype=bool)
+    separated = np.zeros(counts.size, dtype=bool)
+    for r, (count, total) in enumerate(zip(counts.tolist(), sums.tolist())):
+        # |b| <= SEPARATION_COEF_BOUND at every exp, so it cannot overflow.
+        b = 0.0
+        for _ in range(IRLS_MAX_ITER):
+            prob = 1.0 / (1.0 + math.exp(-b))
+            score = total - count * prob
+            if not abs(score) > IRLS_SCORE_TOL:
+                converged[r] = True
+                break
+            info = count * max(prob * (1.0 - prob), 1e-10)
+            if not info > CHOLESKY_PIVOT_TOL:
+                separated[r] = True
+                break
+            b += score / info
+            if not abs(b) <= SEPARATION_COEF_BOUND:
+                separated[r] = True
+                break
+        beta[r] = b
+    return beta, converged, separated

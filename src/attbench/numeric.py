@@ -8,8 +8,9 @@ of work that derives its id from stable coordinates reproduces bit-for-bit
 regardless of scheduling or worker count.
 
 The linear-algebra helpers are deliberately small: LAPACK's Cholesky
-factorization and solve (``dpotrf``/``dpotrs``) behind a hard pivot floor,
-and a two-pass covariance.  Estimators depend on these instead of calling
+factorization and solve (``dpotrf``/``dpotrs``, or both in one ``dposv``
+call per system of a stack) behind a hard pivot floor, and a two-pass
+covariance.  Estimators depend on these instead of calling
 into general-purpose decompositions so that failure modes (non-SPD systems,
 zero-variance covariates) surface as typed errors rather than warnings.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv, dpotrf, dpotrs
 from scipy.special import ndtr, stdtr
 
 from .errors import DegenerateCovarianceError, NonSpdError
@@ -168,28 +169,21 @@ def solve_spd_stack(stack: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.
 
     ``stack`` has shape (k, p, p) and ``rhs`` shape (k, p).  Returns the
     solutions, shape (k, p), and a boolean mask of the systems solved.
-    ``ok[i]`` is False when ``stack[i]`` fails the test of
-    :func:`cholesky_factor` (LAPACK finds a non-positive pivot, or a
+    Each system is one LAPACK ``dposv`` call, the factorization and solve
+    of :func:`cholesky_factor` and :func:`solve_from_factor` on the lower
+    triangle.  ``ok[i]`` is False when ``stack[i]`` fails
+    :func:`cholesky_factor`'s test (LAPACK finds a non-positive pivot, or a
     squared pivot is at or below ``CHOLESKY_PIVOT_TOL``); ``x[i]`` is then
-    zero.  One stacked Cholesky call screens every matrix; only when
-    LAPACK rejects one are they factored one at a time.  The systems that
-    pass are solved in one stacked ``np.linalg.solve`` call, which agrees
-    with :func:`solve_from_factor` to round-off.
+    zero.
     """
-    try:
-        lowers = np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        # A matrix that LAPACK rejects keeps a zero factor, which fails the floor.
-        lowers = np.zeros_like(stack)
-        for i, matrix in enumerate(stack):
-            lower, info = dpotrf(matrix, lower=1, clean=1)
-            if info == 0:
-                lowers[i] = lower
-    ok = lowers.diagonal(axis1=1, axis2=2).min(axis=1) ** 2 > CHOLESKY_PIVOT_TOL
-    if ok.all():
-        return np.linalg.solve(stack, rhs[..., None])[..., 0], ok
-    solutions = np.zeros(rhs.shape)
-    solutions[ok] = np.linalg.solve(stack[ok], rhs[ok][..., None])[..., 0]
+    # Fresh float64 copies: factors[i].T is stack[i] in Fortran order, so
+    # LAPACK factors it in place, and solves into solutions[i] in place.
+    factors = np.array(stack.transpose(0, 2, 1), dtype=np.float64, order="C")
+    solutions = np.array(rhs, dtype=np.float64, order="C")
+    info = [dposv(a.T, b, lower=1, overwrite_a=1, overwrite_b=1)[2] for a, b in zip(factors, solutions)]
+    ok = (np.array(info) == 0) & (factors.diagonal(axis1=1, axis2=2).min(axis=1) ** 2 > CHOLESKY_PIVOT_TOL)
+    if not ok.all():
+        solutions[~ok] = 0.0
     return solutions, ok
 
 

@@ -11,11 +11,14 @@ risk never exceeds the best single learner's risk.
 
 The level-one predictions come from ``k`` fits per learner, one per
 training fold, and the full-sample refit is one more fit of the same
-kind.  All ``k + 1`` are made in one stacked pass per learner
+kind.  For each GLM learner all ``k + 1`` are made in one stacked pass
 (:func:`attbench.glm.fit_ols_folds`, :func:`attbench.glm.fit_logistic_folds`):
 each fold is a 0/1 row weight on the learner's full design and the refit
 an all-ones weight, fitted by the same engine, under the same convergence
-and separation rules, as every other GLM fit in :mod:`attbench.glm`.
+and separation rules, as every other GLM fit in :mod:`attbench.glm`.  The
+grand mean's ``k + 1`` fits need only each training fold's row count and
+response sum, so :func:`attbench.glm.fit_mean_folds` fits them from those,
+under the engine's rules, with no design.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import OneClassError
-from .glm import PROB_CLAMP, fit_logistic_folds, fit_ols_folds
+from .glm import PROB_CLAMP, fit_logistic_folds, fit_mean_folds, fit_ols_folds
 # Not called here: perfbench/spans.py wraps these two names in this module.
 from .glm import fit_logistic, fit_ols  # noqa: F401
 from .numeric import RngStream
@@ -145,13 +148,12 @@ def _assign_folds(n: int, k_folds: int, rng: RngStream) -> np.ndarray:
 
 
 def _folds_trainable(y: np.ndarray, folds: np.ndarray, k_folds: int, family: str) -> bool:
+    """Whether every training fold of a 0/1 ``y`` holds both classes (always, for least squares)."""
     if family == "gaussian":
         return True
-    for f in range(k_folds):
-        train = y[folds != f]
-        if train.min() == train.max():
-            return False
-    return True
+    sizes = y.size - np.bincount(folds, minlength=k_folds)
+    positives = y.sum() - np.bincount(folds, weights=y, minlength=k_folds)
+    return bool(np.all((positives > 0.0) & (positives < sizes)))
 
 
 @cache
@@ -217,11 +219,11 @@ def fit_superlearner(
 ) -> EnsembleFit:
     """Stack the default library by k-fold cross validation.
 
-    Each learner's design is built once on all ``n`` rows.  Its ``k``
+    Each GLM learner's design is built once on all ``n`` rows.  Its ``k``
     training-fold fits and its full-sample refit run in one stacked pass
     that gives every row its out-of-fold prediction and the learner its
-    refit coefficients; the simplex weights are fitted to those
-    predictions.
+    refit coefficients; the grand mean's come from per-fold counts and
+    sums.  The simplex weights are fitted to those predictions.
 
     Parameters
     ----------
@@ -277,9 +279,10 @@ def fit_superlearner(
     distinct = _distinct_columns(full)
     widths = {"mean_only": 1, "glm_main_effects": 1 + x.shape[1], "glm_degree2": full.shape[1]}
     kept = [distinct[distinct < widths[spec.kind]] for spec in library]
-    designs = [full[:, columns] for columns in kept]
     fit_folds = fit_ols_folds if family == "gaussian" else fit_logistic_folds
-    fits = [fit_folds(design, y, folds, k_folds) for design in designs]
+    # The library's first learner, the grand mean, needs no design.
+    fits = [fit_mean_folds(y, folds, k_folds, family)]
+    fits += [fit_folds(full[:, columns], y, folds, k_folds) for columns in kept[1:]]
     level_one = np.column_stack([fit.out_of_fold for fit in fits])
 
     cv_risks = np.mean((level_one - y[:, None]) ** 2, axis=0)

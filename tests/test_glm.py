@@ -11,9 +11,12 @@ from attbench.glm import (
     PROB_CLAMP,
     SEPARATION_COEF_BOUND,
     OlsFit,
+    _fit_stack,
+    _logistic_intercepts,
     _weighted_grams,
     fit_logistic,
     fit_logistic_folds,
+    fit_mean_folds,
     fit_ols,
     fit_ols_folds,
     ols_wald_test,
@@ -308,6 +311,73 @@ class TestFoldFits:
         x = _design(np_rng, 6, 3)
         with pytest.raises(ValueError):
             fit_ols_folds(x, np_rng.standard_normal(6), _folds(np_rng, 6, k_folds=2), 2)
+
+
+class TestMeanFolds:
+    """The intercept-only fits from per-fold counts against the engine's
+    fits of a column of ones."""
+
+    @staticmethod
+    def _data(n, prevalence, family):
+        rng = np.random.default_rng(int(n / prevalence))
+        z = (rng.random(n) < prevalence).astype(float)
+        y = z if family == "binomial" else 1.0 + 2.0 * z + rng.standard_normal(n)
+        return y, _folds(rng, n)
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    @pytest.mark.parametrize("n", [100, 250, 1000])
+    @pytest.mark.parametrize("prevalence", [0.5, 0.2, 0.05])
+    def test_matches_the_engine_on_a_column_of_ones(self, family, n, prevalence):
+        y, folds = self._data(n, prevalence, family)
+        engine = (fit_ols_folds if family == "gaussian" else fit_logistic_folds)(np.ones((n, 1)), y, folds, 10)
+        got = fit_mean_folds(y, folds, 10, family)
+        np.testing.assert_allclose(got.out_of_fold, engine.out_of_fold, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got.refit_coefficients, engine.refit_coefficients, rtol=1e-13, atol=0)
+        assert got.refit_coefficients.shape == engine.refit_coefficients.shape == (1,)
+        np.testing.assert_array_equal(got.converged, engine.converged)
+        np.testing.assert_array_equal(got.separated, engine.separated)
+        assert got.refit_separated is engine.refit_separated is False
+        assert got.converged.all()
+
+    def test_separation_rule_matches_the_engine(self):
+        # The engine weighs rows by their weights, so a 0 row and a 1 row
+        # weighted (count - sum, sum) stand for count rows.  A logit beyond
+        # SEPARATION_COEF_BOUND needs a share of positives below 3.1e-7.
+        counts = np.array([4e6, 4e6, 1e7, 3e6, 200.0, 90.0])
+        sums = np.array([1.0, 4e6 - 1.0, 2.0, 1.0, 3.0, 45.0])
+        weights = np.column_stack([counts - sums, sums])
+        beta, converged, separated, _ = _fit_stack(np.ones((2, 1)), np.array([0.0, 1.0]), weights, "binomial")
+        got = _logistic_intercepts(counts, sums)
+        np.testing.assert_array_equal(got[2], separated)
+        np.testing.assert_array_equal(got[1], converged)
+        np.testing.assert_array_equal(separated, [True, True, True, False, False, False])
+        np.testing.assert_allclose(got[0], beta[:, 0], rtol=1e-13, atol=1e-15)
+
+    def test_single_class_training_fold_raises_as_the_engine(self):
+        y, folds = self._data(100, 0.2, "binomial")
+        y[:] = 0.0
+        y[folds == 3] = 1.0  # fold 3 trains on zeros only
+        with pytest.raises(OneClassError):
+            fit_logistic_folds(np.ones((100, 1)), y, folds, 10)
+        with pytest.raises(OneClassError):
+            fit_mean_folds(y, folds, 10, "binomial")
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_too_few_training_rows_raise_as_the_engine(self, family):
+        # Two folds of one row leave one training row for one parameter.
+        y, folds = np.array([0.0, 1.0]), np.array([0, 1])
+        engine = fit_ols_folds if family == "gaussian" else fit_logistic_folds
+        with pytest.raises(ValueError, match="more observations than parameters"):
+            engine(np.ones((2, 1)), y, folds, 2)
+        with pytest.raises(ValueError, match="more observations than parameters"):
+            fit_mean_folds(y, folds, 2, family)
+
+    def test_non_binary_response_raises_as_the_engine(self):
+        y, folds = self._data(100, 0.2, "gaussian")
+        with pytest.raises(ValueError, match="0/1"):
+            fit_logistic_folds(np.ones((100, 1)), y, folds, 10)
+        with pytest.raises(ValueError, match="0/1"):
+            fit_mean_folds(y, folds, 10, "binomial")
 
 
 def _gathered_grams(design, weights):

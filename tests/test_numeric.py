@@ -161,6 +161,38 @@ class TestCholesky:
         assert ok.all()
         np.testing.assert_allclose(np.einsum("kij,kj->ki", stack, solutions), rhs, atol=1e-12)
 
+    def test_one_row_stack(self, np_rng):
+        matrix = _random_spd(np_rng, 5)
+        rhs = np_rng.standard_normal(5)
+        solutions, ok = solve_spd_stack(matrix[None], rhs[None])
+        assert solutions.shape == (1, 5) and ok.tolist() == [True]
+        np.testing.assert_allclose(solutions[0], np.linalg.solve(matrix, rhs), rtol=1e-10, atol=0)
+
+    def test_mixed_stack_follows_cholesky_factor(self, np_rng):
+        # hidden_tiny_pivot has no diagonal entry below 1 but a second pivot
+        # of 1e-13, so only its factor, not the matrix, shows the failure.
+        spd = [_random_spd(np_rng, 3) for _ in range(3)]
+        indefinite = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        tiny_pivot = np.diag([1.0, 1e-13, 1.0])
+        hidden_tiny_pivot = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-13, 0.0], [0.0, 0.0, 1.0]])
+        stack = np.stack([spd[0], indefinite, tiny_pivot, spd[1], hidden_tiny_pivot, spd[2]])
+        rhs = np_rng.standard_normal((6, 3))
+        before = stack.copy(), rhs.copy()
+        solutions, ok = solve_spd_stack(stack, rhs)
+        verdicts = []
+        for matrix in stack:
+            try:
+                cholesky_factor(matrix)
+                verdicts.append(True)
+            except NonSpdError:
+                verdicts.append(False)
+        np.testing.assert_array_equal(ok, verdicts)
+        np.testing.assert_array_equal(ok, [True, False, False, True, False, True])
+        assert np.array_equal(solutions[~ok], np.zeros((3, 3)))
+        np.testing.assert_allclose(solutions[ok], np.linalg.solve(stack[ok], rhs[ok][..., None])[..., 0], rtol=1e-10)
+        np.testing.assert_array_equal(stack, before[0])
+        np.testing.assert_array_equal(rhs, before[1])
+
     def test_rhs_length_checked(self):
         with pytest.raises(ValueError):
             solve_from_factor(cholesky_factor(np.eye(2)), np.ones(3))

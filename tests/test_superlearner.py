@@ -12,6 +12,8 @@ from attbench.propensity import estimate_ps
 from attbench.superlearner import (
     EnsembleFit,
     LearnerSpec,
+    _assign_folds,
+    _folds_trainable,
     _learner_design,
     expand_degree2,
     fit_superlearner,
@@ -144,6 +146,41 @@ class TestSimplexAgainstLoop:
         w, obj = simplex_weights(z, y)
         np.testing.assert_array_equal(w, [1.0, 0.0, 0.0])
         assert obj == np.mean((z - y[:, None]) ** 2, axis=0)[0]
+
+
+def _folds_trainable_loop(y, folds, k_folds):
+    """Every training fold holds both classes, checked one fold at a time."""
+    for f in range(k_folds):
+        train = y[folds != f]
+        if train.min() == train.max():
+            return False
+    return True
+
+
+class TestFoldsTrainable:
+    def test_matches_the_per_fold_loop_on_random_folds(self):
+        verdicts = set()
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(20, 60))
+            y = (rng.random(n) < rng.uniform(0.02, 0.2)).astype(float)
+            if y.max() == 0.0:
+                continue
+            folds = _assign_folds(n, 10, RngStream(seed))
+            expected = _folds_trainable_loop(y, folds, 10)
+            assert _folds_trainable(y, folds, 10, "binomial") is expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_single_class_training_fold(self):
+        folds = _assign_folds(40, 10, RngStream(3))
+        y = (folds == 7).astype(float)  # fold 7 trains on zeros only
+        assert _folds_trainable_loop(y, folds, 10) is False
+        assert _folds_trainable(y, folds, 10, "binomial") is False
+        assert _folds_trainable(y, folds, 10, "gaussian") is True
+        y[folds == 2] = 1.0  # now every training fold holds both classes
+        assert _folds_trainable_loop(y, folds, 10) is True
+        assert _folds_trainable(y, folds, 10, "binomial") is True
 
 
 class TestFitSuperlearner:
