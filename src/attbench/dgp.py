@@ -16,6 +16,14 @@ Z, which is what the type-I-error cells run on.
 The treatment intercept is calibrated by bisection against a large Monte
 Carlo sample so each configuration hits its target prevalence; sample
 sizes are chosen to keep the expected treated count at 50.
+
+Both Monte Carlo oracles stream their samples in leaves of a few ten
+thousand rows and never hold a whole draw.  Their sums still carry the
+bits of ``np.sum`` over the whole vector: numpy adds a contiguous float64
+vector by a fixed pairwise tree, and :func:`_pairwise_sum` sums each leaf
+of that tree with ``np.sum`` and adds the leaf sums up the same tree.  The
+normal draws come leaf by leaf in row order, which the stream makes the
+same values as one draw.
 """
 
 from __future__ import annotations
@@ -43,6 +51,12 @@ _BISECTION_X_TOL = 1e-10
 _NEWTON_STEP_TOL = 1e-8
 _NEWTON_MAX_STEPS = 16
 _ORACLE_CHUNK = 10**6
+# Rows per oracle leaf: its normals and temporaries take under 1 MB.  Any
+# size of at least numpy's pairwise block of 128 gives the same bits.  At
+# 2**15 the scratch of a 10**5-row calibration outgrew what glibc's malloc
+# keeps between calls, and each certified calibration of a resume
+# page-faulted about 440 times; at 2**14 it does not, and passes are as fast.
+_ORACLE_LEAF = 2**14
 _MAX_REDRAWS = 64
 
 PREVALENCE_LABELS = ("0.05", "0.10", "0.20", "0.33", "0.50")
@@ -238,11 +252,37 @@ def draw_true_propensity(
     return x1, expit(p, out=p)
 
 
+def _pairwise_sum(start: int, stop: int, leaf_sum):
+    """``np.sum`` of rows ``start:stop`` of a vector no one holds whole, from
+    ``leaf_sum(lo, hi)``, the ``np.sum`` of rows ``lo:hi``.
+
+    NumPy sums a contiguous float64 vector of more than 128 elements as the
+    sum of its first ``n//2 - (n//2) % 8`` elements plus the sum of the
+    rest, each split again the same way.  This follows that tree down to
+    subtrees of at most ``_ORACLE_LEAF`` rows, hands each to ``leaf_sum`` in
+    row order, and adds the results up the tree, so the total is ``==``
+    ``np.sum`` of the whole vector.  ``leaf_sum`` may return an array of
+    several sums; they are added elementwise.
+    """
+    n = stop - start
+    if n <= _ORACLE_LEAF:
+        return leaf_sum(start, stop)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(start, start + half, leaf_sum) + _pairwise_sum(start + half, stop, leaf_sum)
+
+
 def _mean_expit(terms: np.ndarray, alpha: float, buf: np.ndarray) -> float:
-    """``mean(expit(alpha + terms))`` to the same bits, computed in ``buf``."""
-    np.add(terms, alpha, out=buf)
-    expit(buf, out=buf)
-    return float(np.mean(buf))
+    """``mean(expit(alpha + terms))`` to the same bits, one leaf at a time in
+    the leaf-sized ``buf``."""
+
+    def leaf_sum(lo: int, hi: int) -> float:
+        p = buf[: hi - lo]
+        np.add(terms[lo:hi], alpha, out=p)
+        expit(p, out=p)
+        return p.sum()
+
+    return _pairwise_sum(0, terms.size, leaf_sum) / terms.size
 
 
 def _newton_root(terms: np.ndarray, prevalence: float, buf: np.ndarray) -> float:
@@ -253,11 +293,20 @@ def _newton_root(terms: np.ndarray, prevalence: float, buf: np.ndarray) -> float
     inside the bisection's, and a step that would leave it bisects it
     instead.  The result is only a guess: the caller certifies it.
     """
+
+    def leaf_sums(start: int, stop: int) -> np.ndarray:
+        p = buf[: stop - start]
+        np.add(terms[start:stop], alpha, out=p)
+        expit(p, out=p)
+        total = p.sum()
+        p *= p
+        return np.array((total, p.sum()))
+
     lo, hi = _BISECTION_BRACKET
     alpha = min(max(float(np.log(prevalence / (1.0 - prevalence))), lo), hi)
     for _ in range(_NEWTON_MAX_STEPS):
-        mean = _mean_expit(terms, alpha, buf)
-        slope = mean - float(np.dot(buf, buf)) / buf.size
+        mean, mean_sq = (_pairwise_sum(0, terms.size, leaf_sums) / terms.size).tolist()
+        slope = mean - mean_sq
         if mean < prevalence:
             lo = alpha
         else:
@@ -324,12 +373,25 @@ def calibrate_intercept(
     is not finite, equals a midpoint or fails the certificate costs its
     passes and falls back to the plain bisection, so it never changes the
     result.
+
+    Only the ``oracle_n`` terms are held: the normals are drawn a leaf at a
+    time into them, and each pass adds, applies ``expit`` and sums one
+    leaf at a time in a leaf-sized buffer.  Its leaves are those of numpy's
+    pairwise tree over the whole vector, added up that tree by
+    :func:`_pairwise_sum`, so every gap has the bits of ``np.mean`` over
+    the whole sample.  Newton's slope, which took ``np.dot`` over the whole
+    sample, now sums the squares up the same tree: it moves by round-off
+    only, and only the guess depends on it.
     """
     if not 0.0 < prevalence < 1.0:
         raise ValueError(f"prevalence must lie in (0, 1): {prevalence}")
-    x1, x2, x4 = _draw_treatment_covariates(spec, oracle_n, rng)
-    terms = treatment_logit_terms(spec, x1, x2, x4)
-    buf = np.empty_like(terms)
+    if oracle_n < 1:
+        raise ValueError(f"oracle_n must be positive: {oracle_n}")
+    terms = np.empty(oracle_n)
+    for lo in range(0, oracle_n, _ORACLE_LEAF):
+        hi = min(lo + _ORACLE_LEAF, oracle_n)
+        terms[lo:hi] = treatment_logit_terms(spec, *_draw_treatment_covariates(spec, hi - lo, rng))
+    buf = np.empty(min(oracle_n, _ORACLE_LEAF))
 
     def gap(alpha: float) -> float:
         return _mean_expit(terms, alpha, buf) - prevalence
@@ -419,6 +481,14 @@ def true_att(
     ``1 + 1.5 * E[x1 | Z=1]``, estimated by importance-weighting x1 by
     the treatment probability over a large fixed-chunk Monte Carlo
     sample, with a delta-method standard error for the weighted mean.
+
+    The sample comes in chunks of ``_ORACLE_CHUNK`` rows, whose five sums
+    are added to running totals in chunk order.  A chunk is never held
+    whole: each leaf of numpy's pairwise tree over it draws its normals,
+    forms its weights and products and sums them with ``np.sum``, and
+    :func:`_pairwise_sum` adds the leaf sums up that tree.  So each chunk
+    sum is ``==`` ``np.sum`` over the whole chunk, and the truth and its
+    error keep the bits the chunk-at-once computation gave.
     """
     if setting not in SETTING_IDS:
         raise ValueError(f"unknown setting: {setting}")
@@ -427,21 +497,25 @@ def true_att(
     if setting in (1, 2):
         return 1.0, 0.0
 
-    s_w = s_wx = s_w2 = s_w2x = s_w2x2 = 0.0
-    remaining = oracle_n
-    while remaining > 0:
-        chunk = min(_ORACLE_CHUNK, remaining)
-        x1, w = draw_true_propensity(spec, alpha0, chunk, rng)
-        s_w += float(w.sum())
-        s_wx += float((w * x1).sum())
+    def leaf_sums(lo: int, hi: int) -> np.ndarray:
+        x1, w = draw_true_propensity(spec, alpha0, hi - lo, rng)
+        sums = np.empty(5)
+        sums[0] = w.sum()
+        sums[1] = (w * x1).sum()
         # w^2, w^2 x1 and w^2 x1 x1 in turn, in w's own buffer.
         w *= w
-        s_w2 += float(w.sum())
+        sums[2] = w.sum()
         w *= x1
-        s_w2x += float(w.sum())
+        sums[3] = w.sum()
         w *= x1
-        s_w2x2 += float(w.sum())
-        remaining -= chunk
+        sums[4] = w.sum()
+        return sums
+
+    # Each chunk's sums are added to the running totals in chunk order.
+    totals = np.zeros(5)
+    for start in range(0, oracle_n, _ORACLE_CHUNK):
+        totals += _pairwise_sum(start, min(start + _ORACLE_CHUNK, oracle_n), leaf_sums)
+    s_w, s_wx, s_w2, s_w2x, s_w2x2 = totals.tolist()
     mean_x1_treated = s_wx / s_w
     # Delta method for the ratio estimator: Var = E[w^2 (x - m)^2] / (n E[w]^2).
     e_w = s_w / oracle_n

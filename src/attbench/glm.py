@@ -61,14 +61,11 @@ class FoldFits:
     Fold ``f`` is fitted on the rows with ``folds != f``.
     ``out_of_fold[i]`` is row ``i``'s prediction from the fit that held it
     out, clamped to ``[PROB_CLAMP, 1 - PROB_CLAMP]`` for the logistic family.
-    ``converged`` and ``separated`` hold one flag per fold; least-squares
-    folds are all converged and none separated.
-    ``refit_coefficients`` and ``refit_separated`` belong to the fit on all rows.
+    ``refit_coefficients`` and ``refit_separated`` belong to the fit on all
+    rows; a least-squares refit is never separated.
     """
 
     out_of_fold: np.ndarray = field(repr=False)
-    converged: np.ndarray = field(repr=False)
-    separated: np.ndarray = field(repr=False)
     refit_coefficients: np.ndarray = field(repr=False)
     refit_separated: bool
 
@@ -281,11 +278,11 @@ def _fit_folds(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_folds: in
     if folds.shape != (design.shape[0],):
         raise ValueError(f"folds has shape {folds.shape}, expected ({design.shape[0]},)")
     train = (folds != np.arange(k_folds + 1)[:, None]).astype(np.float64)
-    beta, converged, separated, _ = _fit_stack(design, y, train, family)
+    beta, _, separated, _ = _fit_stack(design, y, train, family)
     out_of_fold = np.einsum("ij,ij->i", design, beta[folds])
     if family == "binomial":
         out_of_fold = np.clip(expit(out_of_fold), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return FoldFits(out_of_fold, converged[:k_folds], separated[:k_folds], beta[k_folds], bool(separated[k_folds]))
+    return FoldFits(out_of_fold, beta[k_folds], bool(separated[k_folds]))
 
 
 def fit_ols_folds(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_folds: int) -> FoldFits:
@@ -347,7 +344,7 @@ def fit_mean_folds(y: np.ndarray, folds: np.ndarray, k_folds: int, family: str) 
         raise ValueError(f"need more observations than parameters: n={int(counts.min())}, p=1")
     if family == "gaussian":
         beta = sums / counts
-        converged, separated = np.ones(k_folds + 1, dtype=bool), np.zeros(k_folds + 1, dtype=bool)
+        refit_separated = False
         out_of_fold = beta[folds]
     else:
         if not np.all((y == 0.0) | (y == 1.0)):
@@ -355,9 +352,10 @@ def fit_mean_folds(y: np.ndarray, folds: np.ndarray, k_folds: int, family: str) 
         one_class = (sums == 0.0) | (sums == counts)
         if one_class.any():
             raise OneClassError(f"the response under weight row {int(np.argmax(one_class))} contains a single class")
-        beta, converged, separated = _logistic_intercepts(counts, sums)
+        beta, _, separated = _logistic_intercepts(counts, sums)
+        refit_separated = bool(separated[k_folds])
         out_of_fold = np.clip(expit(beta[folds]), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return FoldFits(out_of_fold, converged[:k_folds], separated[:k_folds], beta[k_folds:], bool(separated[k_folds]))
+    return FoldFits(out_of_fold, beta[k_folds:], refit_separated)
 
 
 def _logistic_intercepts(counts: np.ndarray, sums: np.ndarray):

@@ -11,7 +11,9 @@ all built on the package's Cholesky factor and solve;
 row gather summed along rows, on the package's caliper block;
 :func:`naive_fold_fits`, the one-fit-per-fold loop over those two; :func:`naive_calibrate_intercept`, the plain bisection, built on
 the package's oracle draw and on :func:`naive_treatment_logit_terms`,
-the treatment logit as one array expression; and the coarsened-strata, matched-difference and simplex-support
+the treatment logit as one array expression; :func:`naive_true_att`, the
+setting-3 truth with each chunk's draws and products held whole, on the
+package's oracle draw; and the coarsened-strata, matched-difference and simplex-support
 loops, which keep the float arithmetic of the loops the vectorized
 estimators replace so the two can be compared with ``==`` or to
 round-off.  Unit and acceptance tests compare the fast implementations
@@ -32,6 +34,7 @@ from attbench.dgp import (
     _BISECTION_X_TOL,
     CALIBRATION_TOL,
     _draw_treatment_covariates,
+    draw_true_propensity,
 )
 from attbench.errors import BracketFailureError, NonSpdError, OneClassError, RankDeficientError
 from attbench.glm import IRLS_MAX_ITER, IRLS_SCORE_TOL, PROB_CLAMP, SEPARATION_COEF_BOUND, OlsFit, predict_ols
@@ -427,3 +430,28 @@ def naive_calibrate_intercept(spec, prevalence, rng, oracle_n=10**6, tol=CALIBRA
     if abs(gap(alpha)) > tol:
         raise BracketFailureError(f"calibration missed target by {gap(alpha):.2e}")
     return float(alpha)
+
+
+def naive_true_att(spec, alpha0, rng, oracle_n):
+    """The setting-3 ``(truth, oracle_se)`` as ``dgp.true_att`` once computed
+    it: chunks of 10^6 rows, each drawn, weighted and summed as whole
+    arrays by ``np.sum``, the chunk sums accumulated as Python floats."""
+    s_w = s_wx = s_w2 = s_w2x = s_w2x2 = 0.0
+    remaining = oracle_n
+    while remaining > 0:
+        chunk = min(10**6, remaining)
+        x1, w = draw_true_propensity(spec, alpha0, chunk, rng)
+        s_w += float(w.sum())
+        s_wx += float((w * x1).sum())
+        w *= w
+        s_w2 += float(w.sum())
+        w *= x1
+        s_w2x += float(w.sum())
+        w *= x1
+        s_w2x2 += float(w.sum())
+        remaining -= chunk
+    mean_x1_treated = s_wx / s_w
+    e_w = s_w / oracle_n
+    e_w2_dev = (s_w2x2 - 2.0 * mean_x1_treated * s_w2x + mean_x1_treated**2 * s_w2) / oracle_n
+    se_mean = float(np.sqrt(e_w2_dev / (e_w**2) / oracle_n))
+    return 1.0 + 1.5 * mean_x1_treated, 1.5 * se_mean

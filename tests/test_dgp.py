@@ -1,5 +1,7 @@
 """Cohort generation, intercept calibration, and ground-truth effects."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from attbench.dgp import (
 from attbench.errors import BracketFailureError, DegenerateDrawError
 from attbench.numeric import RngStream, substream
 
-from naive_oracles import naive_calibrate_intercept, naive_treatment_logit_terms
+from naive_oracles import naive_calibrate_intercept, naive_treatment_logit_terms, naive_true_att
 
 # Intercepts and heterogeneous-effect truths frozen from a 10^7-draw
 # Monte Carlo oracle run before the main build (two independent seeds
@@ -63,13 +65,14 @@ def outcome_of(calibrate, spec, prevalence, stream, oracle_n, tol=dgp.CALIBRATIO
 
 
 def count_expit_passes(monkeypatch) -> list[int]:
-    """Record one entry per ``expit`` call made from ``dgp``: in a
-    calibration, one pass over its sample."""
+    """Record the size of each array ``dgp`` passes through ``expit``: in a
+    calibration of ``oracle_n`` rows, one pass over its sample adds up to
+    ``oracle_n``, however many leaves it takes."""
     calls: list[int] = []
 
-    def counting_expit(*args, **kwargs):
-        calls.append(1)
-        return expit(*args, **kwargs)
+    def counting_expit(x, *args, **kwargs):
+        calls.append(np.size(x))
+        return expit(x, *args, **kwargs)
 
     monkeypatch.setattr(dgp, "expit", counting_expit)
     return calls
@@ -221,7 +224,9 @@ class TestCalibrateIntercept:
             calibrate_intercept(SCENARIOS[2], 1e-12, RngStream(11, 3), oracle_n=10**4)
 
     @pytest.mark.parametrize(
-        "oracle_n,seeds", [(10**4, range(10)), (10**5, range(10)), (10**6, (42,))], ids=["1e4", "1e5", "1e6"]
+        "oracle_n,seeds",
+        [(10**4, range(10)), (10**5, range(10)), (10**6, (42,)), (10**6 + 7, (43,))],
+        ids=["1e4", "1e5", "1e6", "1e6+7"],
     )
     def test_equals_plain_bisection(self, oracle_n, seeds):
         for seed in seeds:
@@ -252,11 +257,16 @@ class TestCalibrateIntercept:
             for scenario, prevalence in DESIGN_PAIRS:
                 calls.clear()
                 calibrate_intercept(SCENARIOS[scenario], prevalence, RngStream(seed, scenario), oracle_n=10**5)
-                assert len(calls) <= 12, (seed, scenario, prevalence)
+                assert sum(calls) <= 12 * 10**5, (seed, scenario, prevalence)
 
     def test_prevalence_domain_checked(self):
         with pytest.raises(ValueError, match="prevalence"):
             calibrate_intercept(SCENARIOS[1], 0.0, RngStream(11, 4))
+
+    @pytest.mark.parametrize("oracle_n", [0, -5])
+    def test_empty_sample_rejected(self, oracle_n):
+        with pytest.raises(ValueError, match="must be positive"):
+            calibrate_intercept(SCENARIOS[1], 0.2, RngStream(11, 4), oracle_n=oracle_n)
 
 
 def next_leaf_midpoint(alpha: float) -> float:
@@ -295,7 +305,7 @@ class TestLeafCertificate:
             fresh = calibrate_intercept(spec, prevalence, RngStream(*stream), oracle_n)
             calls.clear()
             again = calibrate_intercept(spec, prevalence, RngStream(*stream), oracle_n, guess=fresh)
-            assert len(calls) == 2, (scenario, prevalence)
+            assert sum(calls) == 2 * oracle_n, (scenario, prevalence)
             assert again == naive_calibrate_intercept(spec, prevalence, RngStream(*stream), oracle_n)
 
     @pytest.mark.parametrize("guess_of", list(ADVERSARIAL_GUESSES.values()), ids=list(ADVERSARIAL_GUESSES))
@@ -314,7 +324,7 @@ class TestLeafCertificate:
         for guess, passes in [(np.nextafter(plain, np.inf), 2), (next_leaf_midpoint(plain), 44), (np.nan, 42)]:
             calls.clear()
             assert calibrate_intercept(spec, prevalence, RngStream(*stream), 10**4, guess=float(guess)) == plain
-            assert len(calls) == passes, guess
+            assert sum(calls) == passes * 10**4, guess
 
     def test_midpoint_guess_is_a_miss(self):
         assert dgp._bisection_leaf(0.0) is None
@@ -472,3 +482,67 @@ class TestTrueAtt:
     def test_unknown_setting_rejected(self):
         with pytest.raises(ValueError, match="setting"):
             true_att(SCENARIOS[1], 5, -1.46, RngStream(1, 0))
+
+    @pytest.mark.parametrize("oracle_n", [1000, 123457, 10**6, 10**6 + 7, 2 * 10**6 + 3])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_equals_whole_chunk_oracle(self, scenario, oracle_n):
+        spec, alpha0 = SCENARIOS[scenario], ALPHA_GOLDENS[(scenario, "0.20")]
+        streamed = true_att(spec, 3, alpha0, RngStream(17, scenario), oracle_n)
+        assert streamed == naive_true_att(spec, alpha0, RngStream(17, scenario), oracle_n)
+
+    @pytest.mark.parametrize("leaf", [128, 1000, 2**21])
+    def test_leaf_size_moves_no_bit(self, monkeypatch, leaf):
+        spec, alpha0 = SCENARIOS[3], ALPHA_GOLDENS[(3, "0.20")]
+        expected = true_att(spec, 3, alpha0, RngStream(17, 3), 2 * 10**5 + 3)
+        intercept = calibrate_intercept(spec, 0.2, RngStream(17, 4), 10**5 + 3)
+        monkeypatch.setattr(dgp, "_ORACLE_LEAF", leaf)
+        assert true_att(spec, 3, alpha0, RngStream(17, 3), 2 * 10**5 + 3) == expected
+        assert calibrate_intercept(spec, 0.2, RngStream(17, 4), 10**5 + 3) == intercept
+
+
+def traced_peak_mb(fn, *args) -> float:
+    """Peak of the memory ``tracemalloc`` saw allocated during ``fn(*args)``,
+    numpy's array buffers included, in MB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestOracleMemory:
+    """The oracles hold leaves, not their whole sample: scenario 3 at 10^6
+    draws 24 MB of normals."""
+
+    def test_true_att_holds_leaves_only(self):
+        assert traced_peak_mb(true_att, SCENARIOS[3], 3, ALPHA_GOLDENS[(3, "0.20")], RngStream(1, 3), 10**6) < 4.0
+
+    def test_calibration_holds_its_terms_and_leaves(self):
+        # 8 MB of logit terms are kept for every pass; the rest is leaves.
+        assert traced_peak_mb(calibrate_intercept, SCENARIOS[3], 0.2, RngStream(1, 4), 10**6) < 12.0
+
+
+class TestPairwiseTree:
+    """``dgp._pairwise_sum`` reproduces numpy's own summation order: if a
+    numpy release sums differently, this fails before any stored truth or
+    intercept moves."""
+
+    @pytest.mark.parametrize("leaf", [128, 2**15])
+    @pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 1000, 32768, 32769, 123457, 10**6, 10**6 + 7])
+    def test_leaf_sums_added_up_the_tree_equal_np_sum(self, monkeypatch, n, leaf):
+        rng = np.random.default_rng(n)
+        # Mixed signs over 16 decades: most additions round, and many cancel.
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        x[::97] = 1e16
+        x[1::97] = -1e16
+        monkeypatch.setattr(dgp, "_ORACLE_LEAF", leaf)
+        leaves = []
+
+        def leaf_sum(lo, hi):
+            leaves.append((lo, hi))
+            return np.sum(x[lo:hi])
+
+        assert dgp._pairwise_sum(0, n, leaf_sum) == np.sum(x)
+        assert [lo for lo, _ in leaves] == [0] + [hi for _, hi in leaves[:-1]] and leaves[-1][1] == n
+        assert max(hi - lo for lo, hi in leaves) <= leaf

@@ -717,14 +717,16 @@ class TestTruthReuse:
 
 
 def count_calibration_passes(monkeypatch) -> list[int]:
-    """One entry per ``expit`` pass ``dgp`` makes; on a resume that
-    reuses every cell and truth, only the calibrations make any."""
+    """The size of each array ``dgp`` passes through ``expit``: a pass over
+    a calibration sample adds up to its size, however many leaves it takes.
+    On a resume that reuses every cell and truth, only the calibrations
+    make any."""
     calls: list[int] = []
     real = dgp.expit
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(x, *args, **kwargs):
+        calls.append(np.size(x))
+        return real(x, *args, **kwargs)
 
     monkeypatch.setattr(dgp, "expit", counting)
     return calls
@@ -739,7 +741,7 @@ class TestInterceptResume:
         before = tree_bytes(tmp_path)
         passes = count_calibration_passes(monkeypatch)
         run_small_grid(tmp_path, cells=truth_cells())
-        assert len(passes) == 2 * 2
+        assert sum(passes) == 2 * 2 * 10**5
         assert tree_bytes(tmp_path) == before
 
     def test_one_ulp_off_intercept_keeps_the_oracle_tables(self, tmp_path, monkeypatch):
@@ -754,7 +756,7 @@ class TestInterceptResume:
         run_small_grid(tmp_path, cells=truth_cells(), log=lines.append)
         assert "computing setting-3 truth for scenario 1, prevalence 0.50" in lines
         # Two passes per intercept, then the setting-3 truth's draw.
-        assert len(passes) == 2 * 2 + 1
+        assert sum(passes) == 2 * 2 * 10**5 + 10**4
         for name in ("calibration.csv", "truths.csv", "manifest.json"):
             assert (tmp_path / name).read_bytes() == before[name]
 

@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from attbench.errors import OneClassError
-from attbench.glm import fit_logistic, fit_logistic_folds
+from attbench.glm import _fit_stack, fit_logistic
 from attbench.numeric import RngStream
 from attbench.propensity import estimate_ps
 from attbench.superlearner import (
@@ -238,7 +238,8 @@ class TestFitSuperlearner:
             assert learner.separated == single.separated
             singles.append(single.separated)
         assert singles == [False, False, seed == 2]
-        assert fit_logistic_folds(design, z, fit.fold_assignment, 10).separated.sum() == (10 if seed == 2 else 6)
+        train = (fit.fold_assignment != np.arange(11)[:, None]).astype(np.float64)
+        assert _fit_stack(design, z, train, "binomial")[2][:10].sum() == (10 if seed == 2 else 6)
         assert estimate_ps(x, z, "ensemble", RngStream(seed)).separated == (seed == 2)
 
     def test_deterministic_given_stream(self, np_rng):
