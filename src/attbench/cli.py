@@ -104,6 +104,16 @@ def _validate_oracle_args(seeds: dict[str, int], sizes: dict[str, int]) -> None:
         raise ConfigError("oracle sample sizes below 1000 are meaningless")
 
 
+def _output_dir(flag: str | None) -> Path:
+    """``flag``, else ``ATTBENCH_OUTPUT_DIR``, else the default, created as a directory or :class:`ConfigError`."""
+    outdir = Path(flag or os.environ.get(OUTPUT_DIR_ENV) or DEFAULT_OUTPUT_DIR)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {outdir}: {exc}") from exc
+    return outdir
+
+
 def _validate_run_config(cfg: RunConfig) -> RunConfig:
     bad_scenarios = set(cfg.scenarios) - set(SCENARIOS)
     if not cfg.scenarios or bad_scenarios:
@@ -212,7 +222,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         run_grid(
             cells,
-            cfg.output_dir,
+            _output_dir(cfg.output_dir),
             parallelism=cfg.parallelism,
             oracle_seed=cfg.oracle_seed,
             calibration_n=cfg.calibration_n,
@@ -242,8 +252,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _validate_oracle_args({"oracle_seed": args.oracle_seed}, {"oracle_n": args.oracle_n})
-    outdir = Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV, DEFAULT_OUTPUT_DIR))
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args.output_dir)
 
     intercepts = oracle_intercepts(
         [(scenario, label) for scenario in scenarios for label in labels], args.oracle_seed, args.oracle_n
@@ -267,6 +276,7 @@ def cmd_ps_hist(args: argparse.Namespace) -> int:
     if args.bins < 2 or args.n < 100:
         raise ConfigError("need at least 2 bins and 100 draws")
     _validate_oracle_args({"oracle_seed": args.oracle_seed}, {"oracle_n": args.oracle_n})
+    outdir = _output_dir(args.output_dir)
     pair = (args.scenario, label)
     alpha0 = oracle_intercepts([pair], args.oracle_seed, args.oracle_n)[pair]
     draw_rng = oracle_stream(args.oracle_seed, args.scenario, label, PURPOSE_PS_HIST)
@@ -274,8 +284,6 @@ def cmd_ps_hist(args: argparse.Namespace) -> int:
     edges = np.linspace(0.0, 1.0, args.bins + 1)
     counts, _ = np.histogram(scores, bins=edges)
 
-    outdir = Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV, DEFAULT_OUTPUT_DIR))
-    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"ps_hist_s{args.scenario}_p{label.replace('.', '')}.csv"
     write_csv(path, ("bin_lo", "bin_hi", "count"), zip(edges[:-1], edges[1:], counts))
     tail_mass = float(np.mean((scores < 0.05) | (scores > 0.95)))

@@ -64,7 +64,6 @@ PREVALENCE_LABELS = ("0.05", "0.10", "0.20", "0.33", "0.50")
 # exactly 50 for every prevalence.
 PREVALENCE_VALUES = (0.05, 0.10, 0.20, 1.0 / 3.0, 0.50)
 SAMPLE_SIZES = (1000, 500, 250, 150, 100)
-EXPECTED_TREATED = 50
 
 
 @dataclass(frozen=True)

@@ -521,7 +521,7 @@ def _execute(jobs: list[tuple[CellConfig, float, tuple[str, ...]]], parallelism:
         for job in jobs:
             yield job[0], partial(_cell_worker, job)
         return
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
         futures = {pool.submit(_cell_worker, job): job[0] for job in jobs}
         for future in as_completed(futures):
             yield futures[future], future.result

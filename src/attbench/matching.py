@@ -17,7 +17,8 @@ still free, so the block is built once.  Each unit then takes the
 ``argmin`` of its row (the first of equal minima, i.e. the lowest
 control index), ``ratio`` times, and every taken control's column is
 set to ``inf`` for the units after it.  The matches equal those of the
-per-unit search exactly.  The caliper part of the block, a
+per-unit search exactly, and come back as a :class:`MatchSet` of two
+int arrays, one row per matched unit.  The caliper part of the block, a
 :class:`CaliperBlock`, depends on the score alone, so the matchers of one
 replicate can share one and each build its distances from it.  Coarsened
 strata are integer codes counted with ``np.bincount``, coded once per
@@ -26,7 +27,6 @@ strata are integer codes counted with ``np.bincount``, coded once per
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -47,40 +47,19 @@ def _caliper(logit_ps: np.ndarray) -> float:
     return CALIPER_SD_FACTOR * float(np.std(logit_ps, ddof=1))
 
 
-@dataclass(frozen=True)
-class MatchSet:
+class MatchSet(NamedTuple):
     """Result of a greedy matching pass.
 
-    ``pairs`` maps each matched treated index to the tuple of its control
-    indices (one for 1:1 matching, up to ``ratio`` otherwise).  Controls
-    are matched without replacement, so no index appears twice anywhere.
+    ``pairs`` has one row per matched treated unit, in greedy order: the
+    treated index, then the indices of its controls (one for 1:1
+    matching, up to ``ratio`` otherwise), padded with ``-1`` after the
+    last control found.  Controls are matched without replacement, so no
+    index appears twice anywhere.  ``discarded_treated`` holds the
+    treated units with no eligible control, in greedy order.
     """
 
-    pairs: tuple[tuple[int, tuple[int, ...]], ...]
-    discarded_treated: tuple[int, ...]
-    ratio: int
-
-    def __post_init__(self):
-        if self.ratio < 1:
-            raise ValueError(f"ratio must be positive: {self.ratio}")
-        seen_controls: set[int] = set()
-        seen_treated: set[int] = set()
-        for treated, controls in self.pairs:
-            if treated in seen_treated:
-                raise ValueError(f"treated unit {treated} matched twice")
-            seen_treated.add(treated)
-            if not 1 <= len(controls) <= self.ratio:
-                raise ValueError(f"treated unit {treated} has {len(controls)} controls")
-            for c in controls:
-                if c in seen_controls:
-                    raise ValueError(f"control unit {c} reused")
-                seen_controls.add(c)
-        if seen_treated & set(self.discarded_treated):
-            raise ValueError("a treated unit is both matched and discarded")
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.pairs)
+    pairs: np.ndarray
+    discarded_treated: np.ndarray
 
 
 class CaliperBlock(NamedTuple):
@@ -126,24 +105,19 @@ def _greedy_walk(treated: np.ndarray, control_idx: np.ndarray, dist: np.ndarray,
     for every later unit.
     """
     controls = control_idx.tolist()
-    pairs = []
-    discarded = []
-    for i, t in enumerate(treated.tolist()):
-        row = dist[i]
-        chosen = []
-        while len(chosen) < ratio:
+    pairs = np.full((treated.size, 1 + ratio), -1, dtype=np.intp)
+    pairs[:, 0] = treated
+    for i, row in enumerate(dist):
+        for k in range(1, 1 + ratio):
             j = int(row.argmin())
             if row[j] == np.inf:
                 break
             dist[i:, j] = np.inf
-            chosen.append(controls[j])
-        if chosen:
-            pairs.append((t, tuple(chosen)))
-        else:
-            discarded.append(t)
-    if not pairs:
+            pairs[i, k] = controls[j]
+    matched = pairs[:, 1] >= 0
+    if not matched.any():
         raise NoMatchesError("caliper discarded every treated unit")
-    return MatchSet(tuple(pairs), tuple(discarded), ratio)
+    return MatchSet(pairs[matched], treated[~matched])
 
 
 def psm_match(ps: PsVector, z: np.ndarray, ratio: int = 1, *, block: CaliperBlock | None = None) -> MatchSet:
@@ -206,19 +180,16 @@ def _pair_distances(white: np.ndarray, block: CaliperBlock) -> np.ndarray:
     return dist
 
 
-@dataclass(frozen=True)
-class CemStrata:
+class CemStrata(NamedTuple):
     """Coarsened exact matching strata.
 
-    ``signatures`` holds each unit's per-covariate bin index, ``codes``
-    its stratum's number (the rank of its signature among the distinct
-    ones), and ``retained`` marks units whose stratum contains both classes.
+    ``codes`` holds each unit's stratum number (the rank of its joint bin
+    signature among the distinct ones), and ``retained`` marks units whose
+    stratum contains both classes.
     """
 
-    n_bins: int
-    signatures: np.ndarray = field(repr=False)
-    codes: np.ndarray = field(repr=False)
-    retained: np.ndarray = field(repr=False)
+    codes: np.ndarray
+    retained: np.ndarray
 
 
 def cem_match(x: np.ndarray, z: np.ndarray, n_bins: int) -> CemStrata:
@@ -239,29 +210,20 @@ def cem_match(x: np.ndarray, z: np.ndarray, n_bins: int) -> CemStrata:
     hi = x.max(axis=0)
     if np.any(hi == lo):
         raise ValueError("every covariate must be non-constant")
+    if int(n_bins) ** d - 1 > np.iinfo(np.int64).max:
+        raise ValueError(f"{n_bins}**{d} strata overflow a 64-bit stratum code")
     signatures = np.floor((x - lo) / (hi - lo) * n_bins).astype(np.int64)
     signatures = np.minimum(signatures, n_bins - 1)
-
-    codes = _stratum_codes(signatures, n_bins)
+    # Strata are numbered 0, 1, ... in the ascending order of their bin
+    # signatures read as base-n_bins integers, so the counts per stratum
+    # are at most n long however many covariates there are.
+    radix = n_bins ** np.arange(d, dtype=np.int64)
+    codes = np.unique(signatures @ radix, return_inverse=True)[1]
     n_strata = codes.max() + 1
     has_treated = np.bincount(codes[z == 1], minlength=n_strata) > 0
     has_control = np.bincount(codes[z == 0], minlength=n_strata) > 0
     retained = (has_treated & has_control)[codes]
-    return CemStrata(n_bins, signatures, codes, retained)
-
-
-def _stratum_codes(signatures: np.ndarray, n_bins: int) -> np.ndarray:
-    """Number the distinct bin signatures 0, 1, ... in ascending order.
-
-    A signature is first read as one base-``n_bins`` integer; numbering
-    the distinct integers keeps the counts per stratum at most ``n`` long
-    however many covariates there are.
-    """
-    d = signatures.shape[1]
-    if int(n_bins) ** d - 1 > np.iinfo(np.int64).max:
-        raise ValueError(f"{n_bins}**{d} strata overflow a 64-bit stratum code")
-    radix = n_bins ** np.arange(d, dtype=np.int64)
-    return np.unique(signatures @ radix, return_inverse=True)[1]
+    return CemStrata(codes, retained)
 
 
 def _paired_t(differences: np.ndarray) -> Estimate:
@@ -280,16 +242,15 @@ def matched_att(y: np.ndarray, matches: MatchSet) -> Estimate:
     """Paired t estimate over treated-minus-matched-control differences.
 
     Each difference is the treated outcome minus the mean outcome of its
-    matched controls; inference is a paired t-test with ``n_pairs - 1``
-    degrees of freedom.
+    matched controls, a ``-1`` pad aside; inference is a paired t-test
+    with one degree of freedom fewer than there are matched sets.
     """
     y = np.asarray(y, dtype=np.float64)
-    treated = np.fromiter((t for t, _ in matches.pairs), np.int64, matches.n_pairs)
-    sizes = np.fromiter((len(cs) for _, cs in matches.pairs), np.int64, matches.n_pairs)
-    controls = np.fromiter((c for _, cs in matches.pairs for c in cs), np.int64, int(sizes.sum()))
-    starts = np.cumsum(sizes) - sizes
-    # Sum over size: for a set of one or two controls, the bits of its mean.
-    return _paired_t(y[treated] - np.add.reduceat(y[controls], starts) / sizes)
+    controls = matches.pairs[:, 1:]
+    found = controls >= 0
+    # Masked row sum over size: for a set of one or two controls, the bits of its mean.
+    control_sum = np.where(found, y[controls], 0.0).sum(axis=1)
+    return _paired_t(y[matches.pairs[:, 0]] - control_sum / found.sum(axis=1))
 
 
 def cem_att(y: np.ndarray, z: np.ndarray, strata: CemStrata) -> Estimate:

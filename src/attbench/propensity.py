@@ -22,7 +22,7 @@ from .superlearner import fit_superlearner
 # Not called here: perfbench/spans.py wraps this name in this module.
 from .superlearner import predict_ensemble  # noqa: F401
 
-PS_SOURCES = ("logistic", "ensemble")
+PS_METHODS = ("logistic", "ensemble")
 DEFAULT_TRIM_DELTA = 0.05
 
 
@@ -42,7 +42,6 @@ class PsVector:
 
     values: np.ndarray = field(repr=False)
     kept_mask: np.ndarray = field(repr=False)
-    source: str
     separated: bool = False
     score_basis: np.ndarray | None = field(default=None, repr=False)
 
@@ -55,8 +54,6 @@ class PsVector:
             raise ValueError("propensity scores must lie strictly in (0, 1)")
         if kept.shape != values.shape:
             raise ValueError("kept_mask must match values in length")
-        if self.source not in PS_SOURCES:
-            raise ValueError(f"unknown source: {self.source}")
         if self.score_basis is not None:
             basis = np.asarray(self.score_basis, dtype=np.float64)
             if basis.ndim != 2 or basis.shape[0] != values.size:
@@ -83,7 +80,7 @@ def estimate_ps(
     """
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z)
-    if method not in PS_SOURCES:
+    if method not in PS_METHODS:
         raise ValueError(f"unknown method: {method}")
     if z.min() == z.max():
         raise OneClassError("treatment indicator contains a single class")
@@ -98,7 +95,7 @@ def estimate_ps(
         values = fit.fitted
         separated = any(learner.separated for learner in fit.learners)
         basis = None
-    return PsVector(values, np.ones(values.size, dtype=bool), method, separated, basis)
+    return PsVector(values, np.ones(values.size, dtype=bool), separated, basis)
 
 
 def trim_ps(ps: PsVector, delta: float = DEFAULT_TRIM_DELTA) -> PsVector:
@@ -116,7 +113,7 @@ def trim_ps(ps: PsVector, delta: float = DEFAULT_TRIM_DELTA) -> PsVector:
     kept = ps.kept_mask & inside
     if not kept.any():
         raise AllTrimmedError(f"no unit has a score in [{delta}, {1 - delta}]")
-    return PsVector(ps.values, kept, ps.source, ps.separated, ps.score_basis)
+    return PsVector(ps.values, kept, ps.separated, ps.score_basis)
 
 
 def truncation_bound(n: int) -> float:
@@ -133,4 +130,4 @@ def truncate_ps(ps: PsVector, n: int) -> PsVector:
     """Clamp scores into ``[bound, 1 - bound]`` without dropping units."""
     bound = truncation_bound(n)
     values = np.clip(ps.values, bound, 1.0 - bound)
-    return PsVector(values, ps.kept_mask.copy(), ps.source, ps.separated, ps.score_basis)
+    return PsVector(values, ps.kept_mask.copy(), ps.separated, ps.score_basis)

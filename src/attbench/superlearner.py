@@ -107,9 +107,6 @@ class FittedLearner:
     coefficients: np.ndarray = field(repr=False)
     separated: bool
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.predict_from(_learner_design(self.spec.kind, x))
-
     def predict_from(self, design: np.ndarray) -> np.ndarray:
         """Prediction from ``design``: this learner's design, or a wider one
         it prefixes, such as the degree-2 design."""
@@ -136,7 +133,6 @@ class EnsembleFit:
     cv_objective: float
     family: str
     n_features: int
-    fold_assignment: np.ndarray = field(repr=False)
     fitted: np.ndarray = field(repr=False)
 
 
@@ -292,7 +288,7 @@ def fit_superlearner(
         for spec, columns, fit in zip(library, kept, fits)
     )
     fitted = _weighted_prediction(weights, learners, full, family)
-    return EnsembleFit(learners, weights, cv_risks, cv_objective, family, x.shape[1], folds, fitted)
+    return EnsembleFit(learners, weights, cv_risks, cv_objective, family, x.shape[1], fitted)
 
 
 def _weighted_prediction(weights: np.ndarray, learners, design: np.ndarray, family: str) -> np.ndarray:

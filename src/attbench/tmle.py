@@ -13,7 +13,7 @@ contrast over treated units and is unscaled back to outcome units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, logit
@@ -30,15 +30,12 @@ _NEWTON_MAX_ITER = 50
 _NEWTON_STEP_CAP = 10.0
 
 
-@dataclass(frozen=True)
-class TmleFit:
+class TmleFit(NamedTuple):
     att: float
     theoretical_se: float
     p_value: float
-    fluctuation_eps: np.ndarray = field(repr=False)
-    eif_values: np.ndarray = field(repr=False)
+    eif_values: np.ndarray
     targeting_converged: bool
-    y_bounds: tuple[float, float]
 
 
 def _solve_fluctuation(h: np.ndarray, y_scaled: np.ndarray, offset: np.ndarray) -> float:
@@ -118,14 +115,12 @@ def tmle_att(
 
     att = np.nan
     eif = np.full(n, np.nan)
-    eps_history: list[float] = []
     converged = False
     for _ in range(MAX_TARGETING_ROUNDS):
         q1_s = np.clip(q1_s, Q_CLAMP, 1.0 - Q_CLAMP)
         q0_s = np.clip(q0_s, Q_CLAMP, 1.0 - Q_CLAMP)
         offset = logit(np.where(treated, q1_s, q0_s))
         eps = _solve_fluctuation(h_obs, y_scaled, offset)
-        eps_history.append(eps)
         q1_s = expit(logit(q1_s) + eps * h_treated)
         q0_s = expit(logit(q0_s) + eps * h_control)
 
@@ -140,6 +135,4 @@ def tmle_att(
 
     se = float(np.sqrt(np.var(eif, ddof=1) / n))
     p_value = two_sided_p(att / se) if se > 0.0 else np.nan
-    return TmleFit(
-        att, se, p_value, np.asarray(eps_history), eif, converged, (y_min, y_max)
-    )
+    return TmleFit(att, se, p_value, eif, converged)

@@ -22,6 +22,7 @@ against these.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -53,9 +54,10 @@ def caliper_width(ps_values) -> float:
 def naive_psm(ps_values, z, ratio: int = 1):
     """Greedy caliper matching on |logit ps| distance, written longhand.
 
-    Returns ``(pairs, discarded)`` with the same structure as ``MatchSet``:
-    pairs in greedy (descending treated ps) order, each holding up to
-    ``ratio`` controls in ascending-distance order, ties to lowest index.
+    Returns ``(pairs, discarded)`` as :func:`match_tuples` reads a
+    ``MatchSet``: pairs in greedy (descending treated ps) order, each a
+    ``(treated, controls)`` tuple holding up to ``ratio`` controls in
+    ascending-distance order, ties to lowest index.
     """
     n = len(z)
     logits = logit_vector(ps_values)
@@ -83,6 +85,13 @@ def naive_psm(ps_values, z, ratio: int = 1):
         pairs.append((t, chosen))
         used.update(chosen)
     return pairs, discarded
+
+
+def match_tuples(matches):
+    """A ``MatchSet`` as ``(pairs, discarded)`` tuples of Python ints: each
+    pair is ``(treated, controls)`` with the ``-1`` padding left out."""
+    pairs = tuple((int(row[0]), tuple(int(c) for c in row[1:] if c >= 0)) for row in matches.pairs)
+    return pairs, tuple(int(t) for t in matches.discarded_treated)
 
 
 def naive_mdm(x, z, ps_values):
@@ -139,6 +148,20 @@ def mahalanobis_distance(u, v, cov) -> float:
     solved through its Cholesky factor (``NonSpdError`` if it has none)."""
     diff = np.asarray(u, dtype=np.float64) - np.asarray(v, dtype=np.float64)
     return float(np.sqrt(diff @ solve_from_factor(cholesky_factor(cov), diff)))
+
+
+def naive_bin_signatures(x, n_bins):
+    """Each unit's tuple of per-covariate bin indices, one float at a time.
+
+    Bins are ``n_bins`` equal widths over each covariate's observed
+    min..max, with the maximum in the top bin.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    lows, highs = x.min(axis=0).tolist(), x.max(axis=0).tolist()
+    return [
+        tuple(min(math.floor((v - lo) / (hi - lo) * n_bins), n_bins - 1) for v, lo, hi in zip(row, lows, highs))
+        for row in x.tolist()
+    ]
 
 
 def naive_cem_retained(signatures, z):

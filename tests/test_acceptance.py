@@ -29,7 +29,7 @@ from attbench.propensity import PsVector, estimate_ps, truncate_ps
 from attbench.tmle import tmle_att
 from attbench.weighting import aipw_att, fit_outcome_models, ipw_att
 
-from naive_oracles import mahalanobis_distance, naive_psm
+from naive_oracles import mahalanobis_distance, match_tuples, naive_psm
 
 N_REPS = 200
 MASTER_SEED = 42
@@ -59,7 +59,7 @@ def announce(capsys, index, label, ok, detail):
 
 def ps_of(values) -> PsVector:
     values = np.asarray(values, dtype=np.float64)
-    return PsVector(values, np.ones(values.size, dtype=bool), "logistic")
+    return PsVector(values, np.ones(values.size, dtype=bool))
 
 
 def cell_name(scenario, setting, label, null):
@@ -297,7 +297,7 @@ def test_11_greedy_matcher_agrees_with_exhaustive_oracle(capsys):
                 agree += 1
             continue
         matches = psm_match(ps_of(values), z, ratio)
-        agree += matches.pairs == tuple(pairs) and matches.discarded_treated == tuple(discarded)
+        agree += match_tuples(matches) == (tuple(pairs), tuple(discarded))
     ok = agree == trials
     announce(
         capsys, 11,

@@ -252,6 +252,25 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+# Each subcommand that writes into --output-dir, at its cheapest.
+WRITING_COMMANDS = {
+    "run": ("run", *SMOKE_FLAGS),
+    "calibrate": ("calibrate", "--scenarios", "1", "--prevalences", "0.50", "--oracle-n", "1000"),
+    "ps-hist": ("ps-hist", "--scenario", "1", "--n", "100", "--oracle-n", "1000"),
+}
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_output_dir_naming_a_file_exit_code(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    assert main([*WRITING_COMMANDS[command], "--output-dir", str(taken)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: cannot create output directory {taken}" in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "a file\n"
+
+
 class TestCmdCalibrate:
     def test_default_design_yields_15_intercepts(self, tmp_path, capsys):
         outdir = tmp_path / "cal"

@@ -163,7 +163,7 @@ class TestLogistic:
         y = (np_rng.random(200) < expit(2 * x[:, 1])).astype(float)
         fit = fit_logistic(x, y)
         learner = FittedLearner(LearnerSpec("glm_main_effects", "binomial"), np.arange(2), fit.coefficients, False)
-        preds = learner.predict(np.array([[50.0], [-50.0]]))
+        preds = learner.predict_from(np.array([[1.0, 50.0], [1.0, -50.0]]))
         assert preds[0] <= 1 - PROB_CLAMP
         assert preds[1] >= PROB_CLAMP
 

@@ -6,6 +6,7 @@ import json
 import math
 import re
 from collections import Counter
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -213,7 +214,7 @@ class TestSharedNuisances:
             # A score for the one-arm cohort, so the caliper block is what fails.
             monkeypatch.setattr(
                 harness, "estimate_ps", lambda x, z, *args, **kwargs: PsVector(
-                    np.full(z.size, 0.5), np.ones(z.size, dtype=bool), "logistic"
+                    np.full(z.size, 0.5), np.ones(z.size, dtype=bool)
                 )
             )
         calls = Counter()
@@ -497,6 +498,32 @@ class TestRunGrid:
         run_small_grid(tmp_path / "serial", parallelism=1)
         run_small_grid(tmp_path / "parallel", parallelism=2)
         assert tree_bytes(tmp_path / "serial") == tree_bytes(tmp_path / "parallel")
+
+    def test_pool_starts_at_most_one_worker_per_cell(self, tmp_path, monkeypatch):
+        # A stand-in pool: it records its size and runs each cell inline, so
+        # no process starts however many workers are asked for.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        run_small_grid(tmp_path / "pooled", parallelism=64)
+        assert sizes == [2]
+        run_small_grid(tmp_path / "serial", parallelism=1)
+        assert tree_bytes(tmp_path / "pooled") == tree_bytes(tmp_path / "serial")
 
     def test_resume_skips_completed_cells(self, tmp_path, monkeypatch):
         first = run_small_grid(tmp_path)

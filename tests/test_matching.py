@@ -26,6 +26,8 @@ from attbench.propensity import PsVector, estimate_ps
 
 from naive_oracles import (
     mahalanobis_distance,
+    match_tuples,
+    naive_bin_signatures,
     naive_cem_differences,
     naive_cem_retained,
     naive_matched_differences,
@@ -38,58 +40,112 @@ from naive_oracles import (
 
 def ps_of(values) -> PsVector:
     values = np.asarray(values, dtype=np.float64)
-    return PsVector(values, np.ones(values.size, dtype=bool), "logistic")
+    return PsVector(values, np.ones(values.size, dtype=bool))
+
+
+def match_set(pairs, discarded=(), ratio=1) -> MatchSet:
+    """A :class:`MatchSet` from ``(treated, controls)`` tuples, rows padded to ``ratio`` controls."""
+    rows = [(t, *cs) + (-1,) * (ratio - len(cs)) for t, cs in pairs]
+    return MatchSet(np.array(rows, dtype=np.intp).reshape(-1, 1 + ratio), np.array(discarded, dtype=np.intp))
+
+
+def check_match_contract(matches, z, ratio):
+    """Raise ``AssertionError`` unless ``matches`` keeps the :class:`MatchSet`
+    contract for treatment ``z`` and at most ``ratio`` controls a unit."""
+    pairs, discarded = matches.pairs, matches.discarded_treated
+    assert pairs.ndim == 2 and pairs.shape[1] == 1 + ratio and pairs.shape[0] >= 1
+    # Each treated index once across the two, and together every treated unit.
+    assert np.array_equal(np.sort(np.concatenate([pairs[:, 0], discarded])), np.flatnonzero(z == 1))
+    controls = pairs[:, 1:]
+    found = controls >= 0
+    # One to ratio controls a row, with -1 only after the last.
+    assert np.all(found | (controls == -1))
+    assert found[:, 0].all()
+    assert not np.any(~found[:, :-1] & found[:, 1:])
+    used = controls[found]
+    assert np.all(z[used] == 0)
+    assert np.unique(used).size == used.size
+
+
+def small_instances(np_rng, trials):
+    """Random ``(x, z, ps values)`` of 5-12 units with both arms present."""
+    for _ in range(trials):
+        n = int(np_rng.integers(5, 13))
+        z = np.zeros(n, dtype=np.int64)
+        z[np_rng.choice(n, size=int(np_rng.integers(1, n - 1)), replace=False)] = 1
+        yield np_rng.standard_normal((n, 2)), z, np_rng.uniform(0.05, 0.95, size=n)
 
 
 class TestMatchSet:
+    """The contract of the greedy walk's output, and the check that holds it to it."""
+
     def test_reused_control_rejected(self):
-        with pytest.raises(ValueError, match="reused"):
-            MatchSet(((0, (2,)), (1, (2,))), (), 1)
+        with pytest.raises(AssertionError):
+            check_match_contract(match_set(((0, (2,)), (1, (2,)))), np.array([1, 1, 0, 0]), 1)
 
     def test_duplicate_treated_rejected(self):
-        with pytest.raises(ValueError, match="matched twice"):
-            MatchSet(((0, (2,)), (0, (3,))), (), 1)
+        with pytest.raises(AssertionError):
+            check_match_contract(match_set(((0, (2,)), (0, (3,)))), np.array([1, 1, 0, 0]), 1)
 
     def test_too_many_controls_rejected(self):
-        with pytest.raises(ValueError, match="has 2 controls"):
-            MatchSet(((0, (1, 2)),), (), 1)
+        z = np.array([1, 0, 0])
+        with pytest.raises(AssertionError):
+            check_match_contract(match_set(((0, (1, 2)),), ratio=2), z, 1)
+        with pytest.raises(AssertionError):
+            check_match_contract(MatchSet(np.array([[0, -1]]), np.array([], dtype=np.intp)), z, 1)
+        # A pad before a control.
+        with pytest.raises(AssertionError):
+            check_match_contract(MatchSet(np.array([[0, 1, -1, 2]]), np.array([], dtype=np.intp)), z, 3)
+        check_match_contract(MatchSet(np.array([[0, 1, 2, -1]]), np.array([], dtype=np.intp)), z, 3)
 
     def test_matched_and_discarded_overlap_rejected(self):
-        with pytest.raises(ValueError, match="both matched and discarded"):
-            MatchSet(((0, (1,)),), (0,), 1)
-
-    def test_ratio_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            MatchSet((), (), 0)
+        with pytest.raises(AssertionError):
+            check_match_contract(match_set(((0, (1,)),), (0,)), np.array([1, 0]), 1)
 
     def test_n_pairs(self):
-        ms = MatchSet(((0, (2,)), (1, (3,))), (4,), 1)
-        assert ms.n_pairs == 2
+        # One row per matched treated unit; the benchmark's trace counts them as len(pairs).
+        z = np.array([1, 1, 0])
+        matches = psm_match(ps_of([0.6, 0.01, 0.595]), z)
+        check_match_contract(matches, z, 1)
+        assert len(matches.pairs) == 1
+        assert len(matches.pairs) + len(matches.discarded_treated) == 2
+
+    def test_walk_output_keeps_contract_on_small_instances(self, np_rng):
+        checked = 0
+        for x, z, values in small_instances(np_rng, 300):
+            ps = ps_of(values)
+            for ratio, match in ((1, lambda: psm_match(ps, z, 1)), (2, lambda: psm_match(ps, z, 2)),
+                                 (1, lambda: mdm_match(x, z, ps))):
+                try:
+                    matches = match()
+                except NoMatchesError:
+                    continue
+                check_match_contract(matches, z, ratio)
+                checked += 1
+        assert checked > 600
 
 
 class TestPsmMatch:
     def test_single_treated_takes_equal_ps_control(self):
         matches = psm_match(ps_of([0.5, 0.5, 0.9]), np.array([1, 0, 0]))
-        assert matches.pairs == ((0, (1,)),)
-        assert matches.discarded_treated == ()
+        assert match_tuples(matches) == (((0, (1,)),), ())
 
     def test_scarce_control_goes_to_higher_ps_treated(self):
         # Both treated units sit within the caliper of control 2; the far
         # 0.999 control only widens the caliper.  Greedy order hands the
         # one usable control to the higher-ps treated unit.
         matches = psm_match(ps_of([0.52, 0.50, 0.51, 0.999]), np.array([1, 1, 0, 0]))
-        assert matches.pairs == ((0, (2,)),)
-        assert matches.discarded_treated == (1,)
+        assert match_tuples(matches) == (((0, (2,)),), (1,))
 
     def test_treated_ps_tie_breaks_to_lowest_index(self):
         matches = psm_match(
             ps_of([0.6, 0.6, 0.59, 0.58, 0.01]), np.array([1, 1, 0, 0, 0])
         )
-        assert matches.pairs == ((0, (2,)), (1, (3,)))
+        assert match_tuples(matches)[0] == ((0, (2,)), (1, (3,)))
 
     def test_control_distance_tie_breaks_to_lowest_index(self):
         matches = psm_match(ps_of([0.6, 0.59, 0.59, 0.01]), np.array([1, 0, 0, 0]))
-        assert matches.pairs == ((0, (1,)),)
+        assert match_tuples(matches)[0] == ((0, (1,)),)
 
     def test_ratio_two_takes_two_nearest(self):
         matches = psm_match(
@@ -97,19 +153,18 @@ class TestPsmMatch:
             np.array([1, 0, 0, 0, 0]),
             ratio=2,
         )
-        assert matches.pairs == ((0, (1, 2)),)
-        assert matches.ratio == 2
+        assert match_tuples(matches)[0] == ((0, (1, 2)),)
+        assert matches.pairs.shape == (1, 3)
 
     def test_ratio_two_accepts_a_single_eligible_control(self):
         matches = psm_match(
             ps_of([0.6, 0.595, 0.01, 0.012]), np.array([1, 0, 0, 0]), ratio=2
         )
-        assert matches.pairs == ((0, (1,)),)
+        assert match_tuples(matches)[0] == ((0, (1,)),)
 
     def test_exhausted_pool_discards_remaining_treated(self):
         matches = psm_match(ps_of([0.6, 0.01, 0.595]), np.array([1, 1, 0]))
-        assert matches.pairs == ((0, (2,)),)
-        assert matches.discarded_treated == (1,)
+        assert match_tuples(matches) == (((0, (2,)),), (1,))
 
     def test_every_treated_out_of_caliper_raises(self):
         with pytest.raises(NoMatchesError):
@@ -146,8 +201,7 @@ class TestPsmMatch:
                     psm_match(ps_of(values), z, ratio)
                 continue
             matches = psm_match(ps_of(values), z, ratio)
-            assert matches.pairs == tuple(expected_pairs)
-            assert matches.discarded_treated == tuple(expected_discarded)
+            assert match_tuples(matches) == (tuple(expected_pairs), tuple(expected_discarded))
 
     def test_permutation_equivariance(self, np_rng):
         n = 40
@@ -159,14 +213,15 @@ class TestPsmMatch:
         # new_index[old] = position of old unit after permutation
         new_index = np.empty(n, dtype=np.int64)
         new_index[perm] = np.arange(n)
-        permuted = psm_match(ps_of(values[perm]), z[perm])
+        permuted_pairs, permuted_discarded = match_tuples(psm_match(ps_of(values[perm]), z[perm]))
+        base_pairs, base_discarded = match_tuples(base)
         mapped_pairs = {
             (int(new_index[t]), tuple(int(new_index[c]) for c in cs))
-            for t, cs in base.pairs
+            for t, cs in base_pairs
         }
-        mapped_discarded = {int(new_index[t]) for t in base.discarded_treated}
-        assert {(t, cs) for t, cs in permuted.pairs} == mapped_pairs
-        assert set(permuted.discarded_treated) == mapped_discarded
+        mapped_discarded = {int(new_index[t]) for t in base_discarded}
+        assert set(permuted_pairs) == mapped_pairs
+        assert set(permuted_discarded) == mapped_discarded
 
     def test_reduces_imbalance_on_simulated_cohort(self):
         cfg = CellConfig(
@@ -189,8 +244,8 @@ class TestPsmMatch:
             return abs(t.mean() - c.mean()) / pooled
 
         before = abs_smd(np.flatnonzero(data.z == 1), np.flatnonzero(data.z == 0))
-        matched_t = np.array([t for t, _ in matches.pairs])
-        matched_c = np.array([c for _, cs in matches.pairs for c in cs])
+        matched_t = matches.pairs[:, 0]
+        matched_c = matches.pairs[:, 1]
         after = abs_smd(matched_t, matched_c)
         assert after < before
 
@@ -236,14 +291,14 @@ class TestMdmMatch:
         # the caliper screen forces the distant-covariate control 2.
         x = np.array([[0.0], [0.01], [5.0]])
         matches = mdm_match(x, np.array([1, 0, 0]), ps_of([0.5, 0.05, 0.5]))
-        assert matches.pairs == ((0, (2,)),)
+        assert match_tuples(matches)[0] == ((0, (2,)),)
 
     def test_equal_ps_reduces_to_nearest_covariate(self):
         x = np.array([[0.0], [1.0], [0.2], [1.1], [10.0]])
         matches = mdm_match(
             x, np.array([1, 1, 0, 0, 0]), ps_of([0.5, 0.5, 0.5, 0.5, 0.5])
         )
-        assert matches.pairs == ((0, (2,)), (1, (3,)))
+        assert match_tuples(matches)[0] == ((0, (2,)), (1, (3,)))
 
     def test_affine_transform_leaves_matching_unchanged(self, np_rng):
         n = 40
@@ -253,7 +308,7 @@ class TestMdmMatch:
         ps = ps_of(np_rng.uniform(0.2, 0.8, size=n))
         transform = np.array([[2.0, 0.5, 0.0], [0.5, 1.5, 0.3], [0.0, 0.3, 1.0]])
         shifted = x @ transform.T + np.array([3.0, -1.0, 0.5])
-        assert mdm_match(x, z, ps) == mdm_match(shifted, z, ps)
+        assert match_tuples(mdm_match(x, z, ps)) == match_tuples(mdm_match(shifted, z, ps))
 
     def test_matches_naive_oracle_on_small_instances(self, np_rng):
         for _ in range(200):
@@ -269,8 +324,7 @@ class TestMdmMatch:
                     mdm_match(x, z, ps_of(values))
                 continue
             matches = mdm_match(x, z, ps_of(values))
-            assert matches.pairs == tuple(expected_pairs)
-            assert matches.discarded_treated == tuple(expected_discarded)
+            assert match_tuples(matches) == (tuple(expected_pairs), tuple(expected_discarded))
 
     def test_pair_distances_equal_row_gather_formula(self, np_rng):
         # Equal bits, because sum(axis=1) adds fewer than eight terms left
@@ -300,11 +354,10 @@ class TestMdmMatch:
 class TestCemMatch:
     def test_unit_range_two_bins(self):
         x = np.array([[0.0], [0.2], [0.3], [0.7], [1.0]])
-        strata = cem_match(x, np.array([1, 0, 1, 0, 0]), n_bins=2)
-        sig = strata.signatures[:, 0]
-        assert sig[1] == sig[2]  # 0.2 and 0.3 share a bin
-        assert sig[1] != sig[3]  # 0.2 and 0.7 do not
-        assert sig[4] == 1  # the maximum lands in the top bin, not past it
+        codes = cem_match(x, np.array([1, 0, 1, 0, 0]), n_bins=2).codes
+        assert codes[1] == codes[2]  # 0.2 and 0.3 share a bin
+        assert codes[1] != codes[3]  # 0.2 and 0.7 do not
+        assert codes[4] == codes[3]  # the maximum lands in the top bin, not past it
 
     def test_treated_only_stratum_not_retained(self):
         x = np.array([[0.1], [0.2], [0.9], [0.95]])
@@ -319,12 +372,10 @@ class TestCemMatch:
             z = (np_rng.uniform(size=60) < 0.3).astype(np.int64)
             z[:2] = [1, 0]
             strata = cem_match(x, z, n_bins)
+            signatures = naive_bin_signatures(x, n_bins)
             for i in range(60):
-                members = [
-                    j
-                    for j in range(60)
-                    if np.array_equal(strata.signatures[j], strata.signatures[i])
-                ]
+                members = [j for j in range(60) if signatures[j] == signatures[i]]
+                assert all(strata.codes[j] == strata.codes[i] for j in members)
                 has_both = any(z[j] == 1 for j in members) and any(
                     z[j] == 0 for j in members
                 )
@@ -333,9 +384,10 @@ class TestCemMatch:
     def test_four_bins_refine_two_bins(self, np_rng):
         x = np_rng.standard_normal((50, 3))
         z = np.array([1, 0] * 25)
-        coarse = cem_match(x, z, 2)
-        fine = cem_match(x, z, 4)
-        np.testing.assert_array_equal(fine.signatures // 2, coarse.signatures)
+        coarse = cem_match(x, z, 2).codes
+        fine = cem_match(x, z, 4).codes
+        # Every fine stratum lies inside one coarse stratum.
+        assert len(set(zip(fine, coarse))) == len(set(fine))
 
     def test_constant_covariate_rejected(self):
         x = np.column_stack([np.arange(4.0), np.full(4, 7.0)])
@@ -361,7 +413,7 @@ class TestMatchedAtt:
     def test_textbook_two_pair_example(self):
         # Differences (0, 2): att 1, sd sqrt(2), se 1, t 1 with 1 df.
         y = np.array([0.0, 2.0, 0.0, 0.0])
-        est = matched_att(y, MatchSet(((0, (2,)), (1, (3,))), (), 1))
+        est = matched_att(y, match_set(((0, (2,)), (1, (3,)))))
         assert est.att == pytest.approx(1.0, abs=1e-15)
         assert est.theoretical_se == pytest.approx(1.0, abs=1e-15)
         assert est.p_value == pytest.approx(0.5, abs=1e-12)
@@ -369,25 +421,25 @@ class TestMatchedAtt:
     def test_constant_differences_raise_zero_variance(self):
         y = np.array([1.0, 1.0, 0.0, 0.0])
         with pytest.raises(ZeroVarianceError):
-            matched_att(y, MatchSet(((0, (2,)), (1, (3,))), (), 1))
+            matched_att(y, match_set(((0, (2,)), (1, (3,)))))
 
     def test_ratio_two_uses_control_mean(self):
         # Treated outcome 4 against controls (1, 3) gives a difference of 2.
         y = np.array([4.0, 1.0, 3.0, 7.0, 7.0])
-        est = matched_att(y, MatchSet(((0, (1, 2)), (3, (4,))), (), 2))
+        est = matched_att(y, match_set(((0, (1, 2)), (3, (4,))), ratio=2))
         assert est.att == pytest.approx(1.0, abs=1e-15)
         assert est.theoretical_se == pytest.approx(1.0, abs=1e-15)
 
     def test_single_pair_rejected(self):
         with pytest.raises(TooFewPairsError):
-            matched_att(np.array([1.0, 0.0]), MatchSet(((0, (1,)),), (), 1))
+            matched_att(np.array([1.0, 0.0]), match_set(((0, (1,)),)))
 
     def test_treated_shift_moves_att_exactly(self, np_rng):
         y = np_rng.standard_normal(20)
         matches = psm_match(ps_of(np_rng.uniform(0.3, 0.7, 20)), np.array([1, 0] * 10))
         base = matched_att(y, matches)
         shifted = y.copy()
-        for t, _ in matches.pairs:
+        for t in matches.pairs[:, 0]:
             shifted[t] += 2.5
         assert matched_att(shifted, matches).att == pytest.approx(
             base.att + 2.5, abs=1e-12
@@ -396,8 +448,8 @@ class TestMatchedAtt:
     def test_invariant_under_pair_relabeling(self, np_rng):
         y = np_rng.standard_normal(12)
         pairs = ((0, (6,)), (1, (7,)), (2, (8,)), (3, (9,)), (4, (10,)), (5, (11,)))
-        base = matched_att(y, MatchSet(pairs, (), 1))
-        shuffled = matched_att(y, MatchSet(pairs[::-1], (), 1))
+        base = matched_att(y, match_set(pairs))
+        shuffled = matched_att(y, match_set(pairs[::-1]))
         assert shuffled.att == pytest.approx(base.att, abs=1e-12)
         assert shuffled.theoretical_se == pytest.approx(base.theoretical_se, abs=1e-12)
         assert shuffled.p_value == pytest.approx(base.p_value, abs=1e-12)
@@ -465,9 +517,12 @@ class TestLoopOracles:
             z[:4] = [1, 0, 1, 0]
             y = np_rng.standard_normal(n) * 3.0 + 1.0
             strata = cem_match(x, z, n_bins)
-            retained = naive_cem_retained(strata.signatures, z)
+            signatures = naive_bin_signatures(x, n_bins)
+            # The codes number the bin signatures one to one.
+            assert len(set(zip(strata.codes, signatures))) == len(set(strata.codes)) == len(set(signatures))
+            retained = naive_cem_retained(signatures, z)
             np.testing.assert_array_equal(strata.retained, retained)
-            diffs = naive_cem_differences(y, z, strata.signatures, retained)
+            diffs = naive_cem_differences(y, z, signatures, retained)
             if diffs.size < 2:
                 with pytest.raises(TooFewPairsError):
                     cem_att(y, z, strata)
@@ -482,9 +537,9 @@ class TestLoopOracles:
         z = np.array([1, 1, 0] * 20)
         y = rng.standard_normal(60)
         strata = cem_match(x, z, 5)
-        codes = [tuple(s) for s in strata.signatures[(z == 0) & strata.retained]]
+        codes = strata.codes[(z == 0) & strata.retained].tolist()
         assert any(codes.count(c) == 1 for c in codes)
-        diffs = naive_cem_differences(y, z, strata.signatures, strata.retained)
+        diffs = naive_cem_differences(y, z, naive_bin_signatures(x, 5), strata.retained)
         assert_same_estimate(cem_att(y, z, strata), diffs)
 
     def test_matched_att_mixing_one_and_two_controls(self, np_rng):
@@ -499,8 +554,9 @@ class TestLoopOracles:
                 matches = psm_match(ps_of(values), z, ratio=1 + trial % 2)
             except NoMatchesError:
                 continue
-            sizes_seen.update(len(cs) for _, cs in matches.pairs)
-            diffs = naive_matched_differences(y, matches.pairs)
+            pairs, _ = match_tuples(matches)
+            sizes_seen.update(len(cs) for _, cs in pairs)
+            diffs = naive_matched_differences(y, pairs)
             if diffs.size < 2:
                 continue
             assert_same_estimate(matched_att(y, matches), diffs)
@@ -514,7 +570,8 @@ def design_intercepts():
 
 
 class TestGreedyWalkAtDesignSizes:
-    """PSM and MDM agree with the longhand oracles beyond toy sizes."""
+    """PSM and MDM keep the match contract and agree with the longhand
+    oracles beyond toy sizes."""
 
     @pytest.mark.parametrize("scenario", [1, 2, 3])
     @pytest.mark.parametrize("label", ["0.05", "0.10"])
@@ -534,12 +591,12 @@ class TestGreedyWalkAtDesignSizes:
         for ratio in (1, 2):
             pairs, discarded = naive_psm(ps.values, z, ratio)
             matches = psm_match(ps, z, ratio)
-            assert matches.pairs == tuple(pairs)
-            assert matches.discarded_treated == tuple(discarded)
+            check_match_contract(matches, z, ratio)
+            assert match_tuples(matches) == (tuple(pairs), tuple(discarded))
         pairs, discarded = naive_mdm(x, z, ps.values)
         matches = mdm_match(x, z, ps)
-        assert matches.pairs == tuple(pairs)
-        assert matches.discarded_treated == tuple(discarded)
+        check_match_contract(matches, z, 1)
+        assert match_tuples(matches) == (tuple(pairs), tuple(discarded))
 
     def test_rounded_scores_and_duplicate_controls(self, np_rng):
         # Scores on a 0.01 grid tie among treated units (greedy order) and
@@ -562,10 +619,10 @@ class TestGreedyWalkAtDesignSizes:
             for ratio in (1, 2):
                 pairs, discarded = naive_psm(values, z, ratio)
                 matches = psm_match(ps_of(values), z, ratio)
-                assert matches.pairs == tuple(pairs)
-                assert matches.discarded_treated == tuple(discarded)
+                check_match_contract(matches, z, ratio)
+                assert match_tuples(matches) == (tuple(pairs), tuple(discarded))
             pairs, discarded = naive_mdm(x, z, values)
             matches = mdm_match(x, z, ps_of(values))
-            assert matches.pairs == tuple(pairs)
-            assert matches.discarded_treated == tuple(discarded)
+            check_match_contract(matches, z, 1)
+            assert match_tuples(matches) == (tuple(pairs), tuple(discarded))
         assert ties == 30

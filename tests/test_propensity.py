@@ -16,11 +16,11 @@ from attbench.propensity import (
 )
 
 
-def _ps(values, kept=None, source="logistic"):
+def _ps(values, kept=None):
     values = np.asarray(values, dtype=float)
     if kept is None:
         kept = np.ones(values.size, dtype=bool)
-    return PsVector(values, kept, source)
+    return PsVector(values, kept)
 
 
 def _cohort(np_rng, n=300):
@@ -38,19 +38,15 @@ class TestPsVector:
 
     def test_rejects_mask_length_mismatch(self):
         with pytest.raises(ValueError):
-            PsVector(np.array([0.5]), np.array([True, False]), "logistic")
-
-    def test_rejects_unknown_source(self):
-        with pytest.raises(ValueError):
-            _ps([0.5], source="oracle")
+            PsVector(np.array([0.5]), np.array([True, False]))
 
     def test_rejects_malformed_score_basis(self):
         values = np.array([0.4, 0.6])
         kept = np.ones(2, dtype=bool)
         with pytest.raises(ValueError, match="one row per unit"):
-            PsVector(values, kept, "logistic", False, np.zeros(2))
+            PsVector(values, kept, False, np.zeros(2))
         with pytest.raises(ValueError, match="one row per unit"):
-            PsVector(values, kept, "logistic", False, np.zeros((3, 2)))
+            PsVector(values, kept, False, np.zeros((3, 2)))
 
 
 class TestEstimatePs:
@@ -60,13 +56,11 @@ class TestEstimatePs:
         design = np.column_stack([np.ones(len(z)), x])
         oracle = fit_logistic(design, z.astype(float)).fitted_probabilities
         np.testing.assert_allclose(ps.values, np.clip(oracle, 1e-8, 1 - 1e-8))
-        assert ps.source == "logistic"
         assert ps.kept_mask.all()
 
     def test_ensemble_source_inside_unit_interval(self, np_rng):
         x, z = _cohort(np_rng, n=150)
         ps = estimate_ps(x, z, "ensemble", rng=RngStream(5))
-        assert ps.source == "ensemble"
         assert ps.values.min() > 0.0
         assert ps.values.max() < 1.0
 

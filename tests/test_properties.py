@@ -51,7 +51,7 @@ def _estimate(compute):
 
 def _permuted(ps: PsVector, perm: np.ndarray) -> PsVector:
     basis = None if ps.score_basis is None else ps.score_basis[perm]
-    return PsVector(ps.values[perm], ps.kept_mask[perm], ps.source, ps.separated, basis)
+    return PsVector(ps.values[perm], ps.kept_mask[perm], ps.separated, basis)
 
 
 def _assert_same(actual, expected, rel):

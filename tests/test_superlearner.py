@@ -24,6 +24,19 @@ from attbench.superlearner import (
 from naive_oracles import naive_gaussian_library, naive_simplex_weights
 
 
+def fold_assignment(y, family, seed, k_folds=10):
+    """The folds ``fit_superlearner`` draws from ``RngStream(seed)``, refold included."""
+    rng = RngStream(seed)
+    folds = _assign_folds(y.size, k_folds, rng)
+    if not _folds_trainable(y, folds, k_folds, family):
+        folds = _assign_folds(y.size, k_folds, rng)
+    return folds
+
+
+def learner_predictions(learner, x):
+    return learner.predict_from(_learner_design(learner.spec.kind, x))
+
+
 class TestDegree2Expansion:
     def test_feature_count(self, np_rng):
         for d in (1, 2, 3, 5):
@@ -203,7 +216,7 @@ class TestFitSuperlearner:
         x = np_rng.standard_normal((60, 2))
         y = np_rng.standard_normal(60) + 4.0
         fit = fit_superlearner(x, y, "gaussian", rng=RngStream(1))
-        preds = fit.learners[0].predict(x)
+        preds = learner_predictions(fit.learners[0], x)
         np.testing.assert_allclose(preds, np.full(60, y.mean()), atol=1e-10)
 
     def test_binary_feature_matches_lstsq_oracle(self, np_rng):
@@ -214,10 +227,10 @@ class TestFitSuperlearner:
         y = x[:, 0] + 0.5 * x[:, 1] ** 2 + z + np_rng.standard_normal(90)
         features = np.column_stack([x, z])
         fit = fit_superlearner(features, y, "gaussian", rng=RngStream(5))
-        risks, predictions = naive_gaussian_library(features, y, fit.fold_assignment, binary_column=3)
+        risks, predictions = naive_gaussian_library(features, y, fold_assignment(y, "gaussian", 5), binary_column=3)
         np.testing.assert_allclose(fit.cv_risks, risks, rtol=0, atol=1e-9)
         for learner, expected in zip(fit.learners, predictions):
-            np.testing.assert_allclose(learner.predict(features), expected, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(learner_predictions(learner, features), expected, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("seed", [2, 23])
     def test_refits_match_single_fits(self, seed):
@@ -238,7 +251,7 @@ class TestFitSuperlearner:
             assert learner.separated == single.separated
             singles.append(single.separated)
         assert singles == [False, False, seed == 2]
-        train = (fit.fold_assignment != np.arange(11)[:, None]).astype(np.float64)
+        train = (fold_assignment(z, "binomial", seed) != np.arange(11)[:, None]).astype(np.float64)
         assert _fit_stack(design, z, train, "binomial")[2][:10].sum() == (10 if seed == 2 else 6)
         assert estimate_ps(x, z, "ensemble", RngStream(seed)).separated == (seed == 2)
 
@@ -248,7 +261,7 @@ class TestFitSuperlearner:
         a = fit_superlearner(x, y, "gaussian", rng=RngStream(7))
         b = fit_superlearner(x, y, "gaussian", rng=RngStream(7))
         np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.fold_assignment, b.fold_assignment)
+        np.testing.assert_array_equal(a.fitted, b.fitted)
         np.testing.assert_array_equal(a.cv_risks, b.cv_risks)
 
     def test_binomial_predictions_stay_inside_unit_interval(self, np_rng):

@@ -14,7 +14,7 @@ def ps_of(values, kept=None) -> PsVector:
     values = np.asarray(values, dtype=np.float64)
     if kept is None:
         kept = np.ones(values.size, dtype=bool)
-    return PsVector(values, kept, "logistic")
+    return PsVector(values, kept)
 
 
 def random_cohort(np_rng, n):
@@ -248,7 +248,7 @@ class TestFittedScoreCorrection:
         values = np.array([0.8, 0.8, 0.2, 0.2])
         wide = np.arange(20.0).reshape(4, 5)
         kept = np.ones(4, dtype=bool)
-        with_basis = ipw_att(y, z, PsVector(values, kept, "logistic", False, wide))
+        with_basis = ipw_att(y, z, PsVector(values, kept, False, wide))
         plain = ipw_att(y, z, ps_of(values))
         assert with_basis.theoretical_se == plain.theoretical_se
 
