@@ -42,7 +42,8 @@ from .numeric import (
     substream,
 )
 
-NOISE_SD = float(np.sqrt(2.0))
+NOISE_VARIANCE = 2.0
+NOISE_SD = float(np.sqrt(NOISE_VARIANCE))
 CALIBRATION_TOL = 1e-3
 _BISECTION_BRACKET = (-20.0, 20.0)
 _BISECTION_X_TOL = 1e-10
@@ -70,7 +71,6 @@ SAMPLE_SIZES = (1000, 500, 250, 150, 100)
 class ScenarioSpec:
     """Treatment-assignment model: logit P(Z=1|X) = alpha0 + f(X)."""
 
-    scenario_id: int
     coef_x1: float
     coef_x2: float
     coef_x1_sq: float
@@ -90,9 +90,9 @@ class ScenarioSpec:
 
 
 SCENARIOS: dict[int, ScenarioSpec] = {
-    1: ScenarioSpec(1, 0.1, 0.1, 0.05, 0.02, 0.02),
-    2: ScenarioSpec(2, 1.25, 1.0, 0.5, 0.5, 0.75),
-    3: ScenarioSpec(3, 0.1, 0.1, 0.05, 0.02, 0.02, 0.05, 0.02, includes_x4=True),
+    1: ScenarioSpec(0.1, 0.1, 0.05, 0.02, 0.02),
+    2: ScenarioSpec(1.25, 1.0, 0.5, 0.5, 0.75),
+    3: ScenarioSpec(0.1, 0.1, 0.05, 0.02, 0.02, 0.05, 0.02, includes_x4=True),
 }
 
 SETTING_IDS = (1, 2, 3)
@@ -196,10 +196,6 @@ class CellConfig:
     @property
     def prevalence_index(self) -> int:
         return PREVALENCE_LABELS.index(self.prevalence_label)
-
-    @property
-    def prevalence(self) -> float:
-        return PREVALENCE_VALUES[self.prevalence_index]
 
     @property
     def n(self) -> int:

@@ -76,7 +76,7 @@ class PartialGridError(EstimationError):
 
 
 class CorruptManifestError(ValueError):
-    """A store's manifest is not a JSON object, so nothing in the store can be trusted."""
+    """A store's manifest, or the layout it indexes, cannot be read, so nothing in the store can be trusted."""
 
 
 class StoreMismatchError(ValueError):

@@ -2,9 +2,9 @@
 
 Every fit runs through one engine that fits one design under a stack of
 0/1 row weights.  A single fit is its one-row case, a row of ones; the
-fits on every cross-validation fold and on all rows are its (k + 1)-row
-case.  The normal equations of every row come from one matrix product
-over the products of each column pair, and are solved by
+fits on every cross-validation fold and on all rows, :func:`fit_folds`,
+are its (k + 1)-row case.  The normal equations of every row come from
+one matrix product over the column pairs' products, and are solved by
 :func:`attbench.numeric.solve_spd_stack`, one LAPACK Cholesky factor and
 solve per row, whose pivot floor turns rank deficiency into
 :class:`RankDeficientError` rather than a silently pseudo-inverted fit.
@@ -42,7 +42,6 @@ class OlsFit:
 
     coefficients: np.ndarray = field(repr=False)
     standard_errors: np.ndarray = field(repr=False)
-    residual_variance: float
     n_obs: int
     n_params: int
 
@@ -198,9 +197,8 @@ def fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
     Returns
     -------
     OlsFit
-        Coefficients, their standard errors computed from
-        ``residual_variance * diag((X'X)^-1)``, and the residual variance
-        with denominator ``n - p``.
+        Coefficients and their standard errors, ``sqrt(s2 * diag((X'X)^-1))``
+        with ``s2`` the residual variance on ``n - p`` degrees of freedom.
 
     Raises
     ------
@@ -216,7 +214,7 @@ def fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
     # The normal matrix passed the pivot floor above; column i of (X'X)^-1 solves X'X v = e_i.
     inverse = solve_from_factor(cholesky_factor(normal[0]), np.eye(p))
     se = np.sqrt(sigma2 * inverse.diagonal())
-    return OlsFit(beta[0], se, sigma2, n, p)
+    return OlsFit(beta[0], se, n, p)
 
 
 def predict_ols(fit: OlsFit, design: np.ndarray) -> np.ndarray:
@@ -272,7 +270,21 @@ def fit_logistic(design: np.ndarray, y: np.ndarray) -> LogisticFit:
 # fit on those rows would be, and agrees with it to round-off.
 
 
-def _fit_folds(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_folds: int, family: str) -> FoldFits:
+def fit_folds(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_folds: int, family: str) -> FoldFits:
+    """Fits of ``design`` on each training fold and on all rows, as one stack.
+
+    ``folds[i]`` in ``range(k_folds)`` is row ``i``'s holdout fold.
+    ``family="gaussian"`` fits least squares; ``family="binomial"`` fits
+    logistic IRLS, each fit under :func:`fit_logistic`'s rules on its own rows.
+
+    Raises
+    ------
+    RankDeficientError
+        If the least-squares normal equations of some fold, or of all rows,
+        fail the pivot floor.
+    OneClassError
+        If some logistic training fold's response is constant.
+    """
     design = np.asarray(design, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if folds.shape != (design.shape[0],):
@@ -285,39 +297,11 @@ def _fit_folds(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_folds: in
     return FoldFits(out_of_fold, beta[k_folds], bool(separated[k_folds]))
 
 
-def fit_ols_folds(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_folds: int) -> FoldFits:
-    """Least-squares fits of ``design`` on each training fold and on all rows, as one stack.
-
-    ``folds[i]`` in ``range(k_folds)`` is row ``i``'s holdout fold.
-
-    Raises
-    ------
-    RankDeficientError
-        If the normal equations of some fold, or of all rows, fail the pivot floor.
-    """
-    return _fit_folds(design, y, folds, k_folds, "gaussian")
-
-
-def fit_logistic_folds(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_folds: int) -> FoldFits:
-    """IRLS logistic fits of ``design`` on each training fold and on all rows, as one stack.
-
-    ``folds`` is as in :func:`fit_ols_folds`.  Each fit keeps
-    :func:`fit_logistic`'s rules on its own rows.
-
-    Raises
-    ------
-    OneClassError
-        If some training fold's response is constant.
-    """
-    return _fit_folds(design, y, folds, k_folds, "binomial")
-
-
 # --- the intercept-only design, from each training fold's count and sum ---
 
 
 def fit_mean_folds(y: np.ndarray, folds: np.ndarray, k_folds: int, family: str) -> FoldFits:
-    """The fits of :func:`fit_ols_folds` or :func:`fit_logistic_folds` on a
-    column of ones, with no design built.
+    """The fits of :func:`fit_folds` on a column of ones, with no design built.
 
     An intercept-only fit sees its rows only through their count and the
     sum of their responses, so each training fold, and all rows as the

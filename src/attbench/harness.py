@@ -38,7 +38,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import __version__
 from .dgp import (
+    NOISE_VARIANCE,
     PREVALENCE_LABELS,
     PREVALENCE_VALUES,
     SCENARIOS,
@@ -55,7 +57,7 @@ from .errors import (
     StoreMismatchError,
 )
 from .glm import fit_ols, ols_wald_test
-from .matching import caliper_block, cem_att, cem_match, matched_att, mdm_match, psm_match
+from .matching import CALIPER_SD_FACTOR, caliper_block, cem_att, cem_match, matched_att, mdm_match, psm_match
 from .numeric import (
     PURPOSE_CALIBRATION,
     PURPOSE_OUTCOME_FOLDS,
@@ -65,7 +67,8 @@ from .numeric import (
     RngStream,
     substream,
 )
-from .propensity import estimate_ps, trim_ps, truncate_ps
+from .propensity import DEFAULT_TRIM_DELTA, estimate_ps, trim_ps, truncate_ps
+from .superlearner import K_FOLDS
 from .tmle import tmle_att
 from .weighting import aipw_att, fit_outcome_models, ipw_att, ols_arm_predictions, ols_outcome_design
 
@@ -81,15 +84,15 @@ MANIFEST_INTERVAL_S = 5.0
 TRUTH_COLUMNS = ("scenario", "setting", "prevalence", "arm", "oracle_seed", "oracle_n", "truth", "oracle_se")
 # Design decisions recorded in every manifest.
 DECISIONS = {
-    "caliper_sd_factor": 0.2,
+    "caliper_sd_factor": CALIPER_SD_FACTOR,
     "effect_and_null_streams_independent": True,
-    "ensemble_k_folds": 10,
+    "ensemble_k_folds": K_FOLDS,
     "matching_order": "descending propensity, ties by index",
-    "noise_variance": 2.0,
+    "noise_variance": NOISE_VARIANCE,
     "outcome_model_plain": "ols main effects plus treatment",
     "ps_model_plain": "logistic main effects",
     "ps_refit_after_trimming": False,
-    "trim_delta": 0.05,
+    "trim_delta": DEFAULT_TRIM_DELTA,
     "truncation_rule": "5 / (sqrt(n) ln n)",
 }
 
@@ -164,9 +167,7 @@ NUISANCES = {
     "outcome_ols": lambda r: fit_ols(ols_outcome_design(r.x, r.z), r.y),
     "ps_ensemble": lambda r: estimate_ps(r.x, r.z, "ensemble", rng=r.fold_rng(purpose=PURPOSE_PS_FOLDS)),
     "ps_truncated": lambda r: truncate_ps(r.nuisance("ps_ensemble"), r.n),
-    "outcome_ensemble": lambda r: fit_outcome_models(
-        r.x, r.y, r.z, "ensemble", rng=r.fold_rng(purpose=PURPOSE_OUTCOME_FOLDS)
-    ),
+    "outcome_ensemble": lambda r: fit_outcome_models(r.x, r.y, r.z, r.fold_rng(purpose=PURPOSE_OUTCOME_FOLDS)),
 }
 
 
@@ -338,18 +339,14 @@ def write_metrics_csv(path: Path, metrics: list[MethodMetrics]) -> None:
     write_csv(path, METRIC_COLUMNS, metrics)
 
 
-def _package_version() -> str:
-    from attbench import __version__
-
-    return __version__
-
-
 def read_manifest(path: Path) -> dict:
     """The manifest at ``path``; :class:`CorruptManifestError` unless it
     holds a JSON object whose ``cells``, if present, map names to objects."""
     try:
         with open(path, encoding="utf-8") as handle:
             manifest = json.load(handle)
+    except OSError as exc:
+        raise CorruptManifestError(f"manifest {path} cannot be read ({exc})") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptManifestError(f"manifest {path} is not valid JSON ({exc})") from exc
     if not isinstance(manifest, dict):
@@ -583,7 +580,10 @@ def run_grid(
         differing = {k: (manifest.get(k), v) for k, v in params.items() if manifest.get(k) != v}
         if differing:
             raise StoreMismatchError(differing)
-    cells_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cells_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CorruptManifestError(f"store {outdir}: cannot create {cells_dir} ({exc})") from exc
 
     pairs = list(dict.fromkeys((c.scenario, c.prevalence_label) for c in cells))
     say(f"calibrating {len(pairs)} treatment intercepts")
@@ -614,7 +614,7 @@ def run_grid(
     manifest.update(
         params,
         schema_version=SCHEMA_VERSION,
-        package_version=_package_version(),
+        package_version=__version__,
         methods=list(method_list),
         decisions=DECISIONS,
         intercepts={f"s{s}_p{p}": a for (s, p), a in sorted(intercepts.items())},

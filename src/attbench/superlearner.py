@@ -9,16 +9,16 @@ three learners, solved as one stack.  Unlike non-negative least squares
 with a renormalization step this guarantees the stacked cross-validation
 risk never exceeds the best single learner's risk.
 
-The level-one predictions come from ``k`` fits per learner, one per
-training fold, and the full-sample refit is one more fit of the same
-kind.  For each GLM learner all ``k + 1`` are made in one stacked pass
-(:func:`attbench.glm.fit_ols_folds`, :func:`attbench.glm.fit_logistic_folds`):
-each fold is a 0/1 row weight on the learner's full design and the refit
-an all-ones weight, fitted by the same engine, under the same convergence
-and separation rules, as every other GLM fit in :mod:`attbench.glm`.  The
-grand mean's ``k + 1`` fits need only each training fold's row count and
-response sum, so :func:`attbench.glm.fit_mean_folds` fits them from those,
-under the engine's rules, with no design.
+The level-one predictions come from ``K_FOLDS`` fits per learner, one
+per training fold, and the full-sample refit is one more fit of the same
+kind.  For each GLM learner all ``K_FOLDS + 1`` are made in one stacked
+pass (:func:`attbench.glm.fit_folds`): each fold is a 0/1 row weight on
+the learner's full design and the refit an all-ones weight, fitted by
+the same engine, under the same convergence and separation rules, as
+every other GLM fit in :mod:`attbench.glm`.  The grand mean's fits need
+only each training fold's row count and response sum, so
+:func:`attbench.glm.fit_mean_folds` fits them from those, under the
+engine's rules, with no design.
 """
 
 from __future__ import annotations
@@ -31,33 +31,17 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import OneClassError
-from .glm import PROB_CLAMP, fit_logistic_folds, fit_mean_folds, fit_ols_folds
+from .glm import PROB_CLAMP, fit_folds, fit_mean_folds
 # Not called here: perfbench/spans.py wraps these two names in this module.
 from .glm import fit_logistic, fit_ols  # noqa: F401
 from .numeric import RngStream
 
 LEARNER_KINDS = ("mean_only", "glm_main_effects", "glm_degree2")
 FAMILIES = ("gaussian", "binomial")
-DEFAULT_K_FOLDS = 10
+K_FOLDS = 10
 # Two candidate supports whose objectives differ by less than this are a
 # tie; enumeration order (smaller supports first) breaks it.
 _OBJECTIVE_TIE_TOL = 1e-15
-
-
-@dataclass(frozen=True)
-class LearnerSpec:
-    kind: str
-    family: str
-
-    def __post_init__(self):
-        if self.kind not in LEARNER_KINDS:
-            raise ValueError(f"unknown learner kind: {self.kind}")
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family: {self.family}")
-
-
-def default_library(family: str) -> tuple[LearnerSpec, ...]:
-    return tuple(LearnerSpec(kind, family) for kind in LEARNER_KINDS)
 
 
 def expand_degree2(x: np.ndarray) -> np.ndarray:
@@ -102,7 +86,8 @@ def _distinct_columns(design: np.ndarray) -> np.ndarray:
 class FittedLearner:
     """A learner refitted on all rows; ``separated`` is False for least squares."""
 
-    spec: LearnerSpec
+    kind: str
+    family: str
     kept_columns: np.ndarray = field(repr=False)
     coefficients: np.ndarray = field(repr=False)
     separated: bool
@@ -111,7 +96,7 @@ class FittedLearner:
         """Prediction from ``design``: this learner's design, or a wider one
         it prefixes, such as the degree-2 design."""
         linear = design[:, self.kept_columns] @ self.coefficients
-        if self.spec.family == "gaussian":
+        if self.family == "gaussian":
             return linear
         return np.clip(expit(linear), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
@@ -120,17 +105,12 @@ class FittedLearner:
 class EnsembleFit:
     """A weighted library refit on the full sample.
 
-    ``cv_risks`` holds each learner's out-of-fold mean squared error and
-    ``cv_objective`` the same risk for the weighted combination; by
-    construction ``cv_objective <= cv_risks.min()``.  ``fitted`` is the
-    ensemble's prediction on its own training rows, as
+    ``fitted`` is the ensemble's prediction on its own training rows, as
     :func:`predict_ensemble` would give it.
     """
 
     learners: tuple[FittedLearner, ...]
     weights: np.ndarray = field(repr=False)
-    cv_risks: np.ndarray = field(repr=False)
-    cv_objective: float
     family: str
     n_features: int
     fitted: np.ndarray = field(repr=False)
@@ -195,8 +175,8 @@ def simplex_weights(level_one: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, f
     feasible = ~(np.any(w < -1e-12, axis=1) | (np.abs(w.sum(axis=1) - 1.0) > 1e-9))
     candidates = np.clip(w[feasible], 0.0, None)
     candidates /= candidates.sum(axis=1, keepdims=True)
-    # Scored through the residuals, as fit_superlearner's cv_risks are, so a
-    # vertex reproduces its learner's risk exactly, unblurred by cancellation
+    # Scored through the residuals, as a learner's own out-of-fold risk is, so
+    # a vertex reproduces that risk exactly, unblurred by cancellation
     # in the quadratic form.  Size-1 supports are always feasible.
     objectives = np.mean((z @ candidates.T - y[:, None]) ** 2, axis=0).tolist()
     best = 0
@@ -206,16 +186,10 @@ def simplex_weights(level_one: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, f
     return candidates[best], objectives[best]
 
 
-def fit_superlearner(
-    x: np.ndarray,
-    y: np.ndarray,
-    family: str,
-    k_folds: int = DEFAULT_K_FOLDS,
-    rng: RngStream | None = None,
-) -> EnsembleFit:
-    """Stack the default library by k-fold cross validation.
+def fit_superlearner(x: np.ndarray, y: np.ndarray, family: str, rng: RngStream) -> EnsembleFit:
+    """Stack the ``LEARNER_KINDS`` library by ``K_FOLDS``-fold cross validation.
 
-    Each GLM learner's design is built once on all ``n`` rows.  Its ``k``
+    Each GLM learner's design is built once on all ``n`` rows.  Its
     training-fold fits and its full-sample refit run in one stacked pass
     that gives every row its out-of-fold prediction and the learner its
     refit coefficients; the grand mean's come from per-fold counts and
@@ -229,8 +203,6 @@ def fit_superlearner(
     y : ndarray
         Response; 0/1 for ``family="binomial"``.
     family : {"gaussian", "binomial"}
-    k_folds : int
-        Number of cross-validation folds.
     rng : RngStream
         Source of the fold assignment, the only randomness here.
 
@@ -247,22 +219,18 @@ def fit_superlearner(
     n = x.shape[0]
     if y.shape != (n,):
         raise ValueError(f"y has shape {y.shape}, expected ({n},)")
-    if k_folds < 2:
-        raise ValueError(f"k_folds must be at least 2: {k_folds}")
-    if n < 2 * k_folds:
-        raise ValueError(f"need n >= 2 * k_folds: n={n}, k_folds={k_folds}")
-    if rng is None:
-        rng = RngStream(0)
+    if n < 2 * K_FOLDS:
+        raise ValueError(f"need n >= 2 * K_FOLDS: n={n}, K_FOLDS={K_FOLDS}")
     if family == "binomial":
         if not np.all((y == 0.0) | (y == 1.0)):
             raise ValueError("binomial response must be 0/1")
         if y.min() == y.max():
             raise OneClassError("binomial response contains a single class")
 
-    folds = _assign_folds(n, k_folds, rng)
-    if not _folds_trainable(y, folds, k_folds, family):
-        folds = _assign_folds(n, k_folds, rng)
-        if not _folds_trainable(y, folds, k_folds, family):
+    folds = _assign_folds(n, K_FOLDS, rng)
+    if not _folds_trainable(y, folds, K_FOLDS, family):
+        folds = _assign_folds(n, K_FOLDS, rng)
+        if not _folds_trainable(y, folds, K_FOLDS, family):
             raise OneClassError("a training fold is single-class after refold")
 
     # The degree-2 design and its distinct columns are found once, on the full
@@ -270,25 +238,22 @@ def fit_superlearner(
     # expansion makes (z**2 == z for a binary z) repeats in every row subset.
     # The other learners' designs are its leading columns, and a first
     # occurrence inside a prefix is one in the whole design.
-    library = default_library(family)
     full = _learner_design("glm_degree2", x)
     distinct = _distinct_columns(full)
     widths = {"mean_only": 1, "glm_main_effects": 1 + x.shape[1], "glm_degree2": full.shape[1]}
-    kept = [distinct[distinct < widths[spec.kind]] for spec in library]
-    fit_folds = fit_ols_folds if family == "gaussian" else fit_logistic_folds
+    kept = [distinct[distinct < widths[kind]] for kind in LEARNER_KINDS]
     # The library's first learner, the grand mean, needs no design.
-    fits = [fit_mean_folds(y, folds, k_folds, family)]
-    fits += [fit_folds(full[:, columns], y, folds, k_folds) for columns in kept[1:]]
+    fits = [fit_mean_folds(y, folds, K_FOLDS, family)]
+    fits += [fit_folds(full[:, columns], y, folds, K_FOLDS, family) for columns in kept[1:]]
     level_one = np.column_stack([fit.out_of_fold for fit in fits])
 
-    cv_risks = np.mean((level_one - y[:, None]) ** 2, axis=0)
-    weights, cv_objective = simplex_weights(level_one, y)
+    weights, _ = simplex_weights(level_one, y)
     learners = tuple(
-        FittedLearner(spec, columns, fit.refit_coefficients, fit.refit_separated)
-        for spec, columns, fit in zip(library, kept, fits)
+        FittedLearner(kind, family, columns, fit.refit_coefficients, fit.refit_separated)
+        for kind, columns, fit in zip(LEARNER_KINDS, kept, fits)
     )
     fitted = _weighted_prediction(weights, learners, full, family)
-    return EnsembleFit(learners, weights, cv_risks, cv_objective, family, x.shape[1], fitted)
+    return EnsembleFit(learners, weights, family, x.shape[1], fitted)
 
 
 def _weighted_prediction(weights: np.ndarray, learners, design: np.ndarray, family: str) -> np.ndarray:
@@ -311,5 +276,5 @@ def predict_ensemble(fit: EnsembleFit, x: np.ndarray) -> np.ndarray:
     # The learners are in library order, narrowest design first, so the last
     # one with positive weight has the design every weighted learner prefixes.
     widest = [learner for weight, learner in zip(fit.weights, fit.learners) if weight > 0.0][-1]
-    design = _learner_design(widest.spec.kind, x)
+    design = _learner_design(widest.kind, x)
     return _weighted_prediction(fit.weights, fit.learners, design, fit.family)

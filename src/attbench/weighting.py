@@ -24,12 +24,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AllTrimmedError, DegenerateWeightsError, ZeroSeError
-from .glm import OlsFit, fit_ols, predict_ols
+from .glm import OlsFit, predict_ols
+# Not called here: perfbench/spans.py wraps this name in this module.
+from .glm import fit_ols  # noqa: F401
 from .numeric import Estimate, RngStream, two_sided_p
 from .propensity import PsVector
 from .superlearner import fit_superlearner, predict_ensemble
-
-OUTCOME_METHODS = ("ols", "ensemble")
 
 
 def _att_weights(z: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -128,26 +128,18 @@ def ols_arm_predictions(fit: OlsFit, x: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def fit_outcome_models(
-    x: np.ndarray,
-    y: np.ndarray,
-    z: np.ndarray,
-    method: str = "ols",
-    rng: RngStream | None = None,
+    x: np.ndarray, y: np.ndarray, z: np.ndarray, rng: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fit E[Y | X, Z] on the full sample and predict both arms.
+    """Stack the cross-validated library on ``[X, Z]`` to fit E[Y | X, Z]
+    on the full sample, with ``rng`` driving the fold assignment.
 
     Returns ``(q1, q0)``, the predicted outcome for every unit with its
-    treatment set to 1 and to 0.  ``method="ols"`` fits a single linear
-    model with Z as a main effect; ``method="ensemble"`` stacks the
-    cross-validated library on ``[X, Z]``.
+    treatment set to 1 and to 0.  The least-squares counterpart is
+    :func:`ols_arm_predictions` of an :func:`ols_outcome_design` fit.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    if method not in OUTCOME_METHODS:
-        raise ValueError(f"unknown method: {method}")
-    if method == "ols":
-        return ols_arm_predictions(fit_ols(ols_outcome_design(x, z), y), x)
     n = x.shape[0]
     fit = fit_superlearner(np.hstack([x, z[:, None]]), y, "gaussian", rng=rng)
     q1 = predict_ensemble(fit, np.hstack([x, np.ones((n, 1))]))

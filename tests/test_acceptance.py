@@ -27,7 +27,7 @@ from attbench.harness import METHODS, run_grid
 from attbench.matching import cem_att, cem_match, psm_match
 from attbench.propensity import PsVector, estimate_ps, truncate_ps
 from attbench.tmle import tmle_att
-from attbench.weighting import aipw_att, fit_outcome_models, ipw_att
+from attbench.weighting import aipw_att, ipw_att, ols_arm_predictions, ols_outcome_design
 
 from naive_oracles import mahalanobis_distance, match_tuples, naive_psm
 
@@ -255,14 +255,14 @@ def test_10_targeting_and_equivariance(capsys):
     worst = 0.0
     for _ in range(100):
         x, z, y = s1_cohort(rng, n)
-        q1, q0 = fit_outcome_models(x, y, z)
+        q1, q0 = ols_arm_predictions(fit_ols(ols_outcome_design(x, z), y), x)
         fit = tmle_att(y, z, x, q1, q0, truncate_ps(estimate_ps(x, z), n))
         residual = abs(float(np.mean(fit.eif_values)))
         worst = max(worst, residual)
         solved += fit.targeting_converged and residual < 1e-6
 
     x, z, y = s1_cohort(rng, n)
-    q1, q0 = fit_outcome_models(x, y, z)
+    q1, q0 = ols_arm_predictions(fit_ols(ols_outcome_design(x, z), y), x)
     ps = truncate_ps(estimate_ps(x, z), n)
     base = tmle_att(y, z, x, q1, q0, ps)
     a, b = 3.5, -7.0

@@ -271,6 +271,25 @@ def test_output_dir_naming_a_file_exit_code(tmp_path, capsys, command):
     assert taken.read_text() == "a file\n"
 
 
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_manifest_naming_a_directory_exit_code(tmp_path, capsys, command):
+    (tmp_path / "manifest.json").mkdir()
+    if command == "run":
+        argv = ["run", *SMOKE_FLAGS, "--output-dir", str(tmp_path)]
+    else:
+        argv = ["report", "--store", str(tmp_path)]
+    assert main(argv) == EXIT_CONFIG
+    assert f"error: manifest {tmp_path / 'manifest.json'} cannot be read" in capsys.readouterr().err
+    assert (tmp_path / "manifest.json").is_dir() and tree_bytes(tmp_path) == {}
+
+
+def test_cells_naming_a_file_exit_code(tmp_path, capsys):
+    (tmp_path / "cells").write_text("a file\n")
+    assert main(["run", *SMOKE_FLAGS, "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert f"error: store {tmp_path}: cannot create {tmp_path / 'cells'}" in capsys.readouterr().err
+    assert tree_bytes(tmp_path) == {"cells": b"a file\n"}
+
+
 class TestCmdCalibrate:
     def test_default_design_yields_15_intercepts(self, tmp_path, capsys):
         outdir = tmp_path / "cal"

@@ -137,7 +137,7 @@ class TestDesignTables:
     def test_cell_config_accessors(self):
         cfg = cfg_for(scenario=2, setting=3, label="0.33", null=True)
         assert cfg.prevalence_index == 3
-        assert cfg.prevalence == pytest.approx(1.0 / 3.0)
+        assert PREVALENCE_VALUES[cfg.prevalence_index] == pytest.approx(1.0 / 3.0)
         assert cfg.n == 150
         assert cfg.cell_code == 2 * 1000 + 3 * 100 + 3 * 10 + 1
         assert cfg.name == "s2t3p033_null"
@@ -249,7 +249,7 @@ class TestCalibrateIntercept:
         for i, (spec, prevalence, tol) in enumerate(cases):
             fast = outcome_of(calibrate_intercept, spec, prevalence, RngStream(5, i), 10**4, tol)
             plain = outcome_of(naive_calibrate_intercept, spec, prevalence, RngStream(5, i), 10**4, tol)
-            assert fast == plain, (spec.scenario_id, prevalence, tol)
+            assert fast == plain, (i, prevalence, tol)
 
     def test_well_posed_call_makes_few_passes(self, monkeypatch):
         calls = count_expit_passes(monkeypatch)

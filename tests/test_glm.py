@@ -14,15 +14,14 @@ from attbench.glm import (
     _fit_stack,
     _logistic_intercepts,
     _weighted_grams,
+    fit_folds,
     fit_logistic,
-    fit_logistic_folds,
     fit_mean_folds,
     fit_ols,
-    fit_ols_folds,
     ols_wald_test,
     predict_ols,
 )
-from attbench.superlearner import FittedLearner, LearnerSpec, expand_degree2
+from attbench.superlearner import FittedLearner, expand_degree2
 
 from naive_oracles import naive_fit_logistic, naive_fit_ols, naive_fold_fits
 
@@ -37,7 +36,8 @@ class TestOls:
         beta = np.array([1.0, -2.0, 0.5, 3.0])
         fit = fit_ols(x, x @ beta)
         np.testing.assert_allclose(fit.coefficients, beta, atol=1e-10)
-        assert fit.residual_variance < 1e-20
+        # se**2 / diag((X'X)^-1) is the residual variance.
+        assert np.max(fit.standard_errors**2 / np.diag(np.linalg.inv(x.T @ x))) < 1e-20
 
     def test_matches_normal_equation_oracle(self, np_rng):
         for _ in range(25):
@@ -55,8 +55,9 @@ class TestOls:
         fit = fit_ols(x, y)
         resid = y - x @ fit.coefficients
         sigma2 = resid @ resid / (60 - 3)
-        expected_se = np.sqrt(sigma2 * np.diag(np.linalg.inv(x.T @ x)))
-        assert fit.residual_variance == pytest.approx(sigma2, rel=1e-12)
+        inverse_diagonal = np.diag(np.linalg.inv(x.T @ x))
+        expected_se = np.sqrt(sigma2 * inverse_diagonal)
+        np.testing.assert_allclose(fit.standard_errors**2 / inverse_diagonal, sigma2, rtol=1e-12)
         np.testing.assert_allclose(fit.standard_errors, expected_se, atol=1e-10)
 
     def test_duplicate_column_raises(self, np_rng):
@@ -79,7 +80,7 @@ class TestOls:
 
 class TestWaldTest:
     def test_zero_coefficient_gives_p_one(self):
-        fit = OlsFit(np.array([0.0]), np.array([1.0]), 1.0, 10, 1)
+        fit = OlsFit(np.array([0.0]), np.array([1.0]), 10, 1)
         t_stat, p_value = ols_wald_test(fit, 0)
         assert t_stat == 0.0
         assert p_value == 1.0
@@ -95,12 +96,12 @@ class TestWaldTest:
             assert p_value == pytest.approx(2 * stats.t.sf(abs(expected_t), 37), abs=1e-14)
 
     def test_zero_se_raises(self):
-        fit = OlsFit(np.array([1.0]), np.array([0.0]), 0.0, 10, 1)
+        fit = OlsFit(np.array([1.0]), np.array([0.0]), 10, 1)
         with pytest.raises(ZeroSeError):
             ols_wald_test(fit, 0)
 
     def test_index_bounds(self):
-        fit = OlsFit(np.array([1.0]), np.array([1.0]), 1.0, 10, 1)
+        fit = OlsFit(np.array([1.0]), np.array([1.0]), 10, 1)
         with pytest.raises(ValueError):
             ols_wald_test(fit, 1)
 
@@ -162,7 +163,7 @@ class TestLogistic:
         x = _design(np_rng, 200, 2)
         y = (np_rng.random(200) < expit(2 * x[:, 1])).astype(float)
         fit = fit_logistic(x, y)
-        learner = FittedLearner(LearnerSpec("glm_main_effects", "binomial"), np.arange(2), fit.coefficients, False)
+        learner = FittedLearner("glm_main_effects", "binomial", np.arange(2), fit.coefficients, False)
         preds = learner.predict_from(np.array([[1.0, 50.0], [1.0, -50.0]]))
         assert preds[0] <= 1 - PROB_CLAMP
         assert preds[1] >= PROB_CLAMP
@@ -213,7 +214,6 @@ def test_single_fit_matches_one_design_reference(fit, reference, case):
         mean_square = float(np.mean(y**2))
         floor = 1e-12 * np.sqrt(mean_square / y.size)
         np.testing.assert_allclose(got.standard_errors, expected.standard_errors, rtol=1e-12, atol=floor)
-        assert got.residual_variance == pytest.approx(expected.residual_variance, rel=1e-12, abs=1e-12 * mean_square)
     else:
         np.testing.assert_allclose(got.fitted_probabilities, expected.fitted_probabilities, rtol=1e-12, atol=0)
         assert got.separated == expected.separated
@@ -237,7 +237,7 @@ def _degree2_treatment(seed, n, scale):
 
 def fold_flags(design, y, folds, family, k_folds=10):
     """``(converged, separated)`` of each training fold, as the engine's
-    stack behind ``fit_ols_folds`` and ``fit_logistic_folds`` returns them."""
+    stack behind ``fit_folds`` returns them."""
     train = (folds != np.arange(k_folds + 1)[:, None]).astype(np.float64)
     _, converged, separated, _ = _fit_stack(design, y, train, family)
     return converged[:k_folds], separated[:k_folds]
@@ -249,7 +249,7 @@ class TestFoldFits:
     def test_well_posed_logistic_matches_per_fold_fits(self):
         design, z, folds = _degree2_treatment(seed=1, n=200, scale=0.5)
         expected, converged, separated = naive_fold_fits(design, z, folds, "binomial")
-        fits = fit_logistic_folds(design, z, folds, 10)
+        fits = fit_folds(design, z, folds, 10, "binomial")
         assert converged.all() and not separated.any()
         stacked_converged, stacked_separated = fold_flags(design, z, folds, "binomial")
         np.testing.assert_array_equal(stacked_converged, converged)
@@ -260,7 +260,7 @@ class TestFoldFits:
         # Six of the ten training folds separate; the rest converge.
         design, z, folds = _degree2_treatment(seed=8, n=100, scale=3.0)
         expected, converged, separated = naive_fold_fits(design, z, folds, "binomial")
-        fits = fit_logistic_folds(design, z, folds, 10)
+        fits = fit_folds(design, z, folds, 10, "binomial")
         assert separated.any() and converged.any()
         stacked_converged, stacked_separated = fold_flags(design, z, folds, "binomial")
         np.testing.assert_array_equal(stacked_converged, converged)
@@ -272,7 +272,7 @@ class TestFoldFits:
         y = x @ np.array([1.0, -2.0, 0.5, 3.0]) + np_rng.standard_normal(90)
         folds = _folds(np_rng, 90)
         expected, _, _ = naive_fold_fits(x, y, folds, "gaussian")
-        fits = fit_ols_folds(x, y, folds, 10)
+        fits = fit_folds(x, y, folds, 10, "gaussian")
         np.testing.assert_allclose(fits.out_of_fold, expected, rtol=0, atol=1e-10)
         converged, separated = fold_flags(x, y, folds, "gaussian")
         assert converged.all() and not separated.any()
@@ -287,7 +287,7 @@ class TestFoldFits:
         with pytest.raises(RankDeficientError):
             fit_ols(x, y)
         with pytest.raises(RankDeficientError):
-            fit_ols_folds(x, y, folds, 10)
+            fit_folds(x, y, folds, 10, "gaussian")
 
     @pytest.mark.parametrize(
         "seed, scale, separated",
@@ -296,7 +296,7 @@ class TestFoldFits:
     )
     def test_logistic_refit_row_matches_single_fit(self, seed, scale, separated):
         design, z, folds = _degree2_treatment(seed=seed, n=200 if seed == 1 else 100, scale=scale)
-        fits = fit_logistic_folds(design, z, folds, 10)
+        fits = fit_folds(design, z, folds, 10, "binomial")
         single = fit_logistic(design, z)
         assert fold_flags(design, z, folds, "binomial")[1].any() == (scale > 1.0)
         assert single.separated == fits.refit_separated == separated
@@ -305,7 +305,7 @@ class TestFoldFits:
     def test_ols_refit_row_matches_single_fit(self, np_rng):
         x = _design(np_rng, 90, 4)
         y = x @ np.array([1.0, -2.0, 0.5, 3.0]) + np_rng.standard_normal(90)
-        fits = fit_ols_folds(x, y, _folds(np_rng, 90), 10)
+        fits = fit_folds(x, y, _folds(np_rng, 90), 10, "gaussian")
         assert fits.refit_separated is False
         np.testing.assert_allclose(fits.refit_coefficients, fit_ols(x, y).coefficients, rtol=0, atol=1e-10)
 
@@ -315,13 +315,13 @@ class TestFoldFits:
         folds = _folds(np_rng, 40)
         z[folds == 3] = 1.0  # every other fold trains on fold 3's ones; fold 3 on zeros only
         with pytest.raises(OneClassError):
-            fit_logistic_folds(x, z, folds, 10)
+            fit_folds(x, z, folds, 10, "binomial")
 
     def test_small_folds_rejected(self, np_rng):
         # Two folds of three rows leave three training rows for three parameters.
         x = _design(np_rng, 6, 3)
         with pytest.raises(ValueError):
-            fit_ols_folds(x, np_rng.standard_normal(6), _folds(np_rng, 6, k_folds=2), 2)
+            fit_folds(x, np_rng.standard_normal(6), _folds(np_rng, 6, k_folds=2), 2, "gaussian")
 
 
 class TestMeanFolds:
@@ -340,7 +340,7 @@ class TestMeanFolds:
     @pytest.mark.parametrize("prevalence", [0.5, 0.2, 0.05])
     def test_matches_the_engine_on_a_column_of_ones(self, family, n, prevalence):
         y, folds = self._data(n, prevalence, family)
-        engine = (fit_ols_folds if family == "gaussian" else fit_logistic_folds)(np.ones((n, 1)), y, folds, 10)
+        engine = fit_folds(np.ones((n, 1)), y, folds, 10, family)
         got = fit_mean_folds(y, folds, 10, family)
         np.testing.assert_allclose(got.out_of_fold, engine.out_of_fold, rtol=1e-13, atol=0)
         np.testing.assert_allclose(got.refit_coefficients, engine.refit_coefficients, rtol=1e-13, atol=0)
@@ -375,7 +375,7 @@ class TestMeanFolds:
         y[:] = 0.0
         y[folds == 3] = 1.0  # fold 3 trains on zeros only
         with pytest.raises(OneClassError):
-            fit_logistic_folds(np.ones((100, 1)), y, folds, 10)
+            fit_folds(np.ones((100, 1)), y, folds, 10, "binomial")
         with pytest.raises(OneClassError):
             fit_mean_folds(y, folds, 10, "binomial")
 
@@ -383,16 +383,15 @@ class TestMeanFolds:
     def test_too_few_training_rows_raise_as_the_engine(self, family):
         # Two folds of one row leave one training row for one parameter.
         y, folds = np.array([0.0, 1.0]), np.array([0, 1])
-        engine = fit_ols_folds if family == "gaussian" else fit_logistic_folds
         with pytest.raises(ValueError, match="more observations than parameters"):
-            engine(np.ones((2, 1)), y, folds, 2)
+            fit_folds(np.ones((2, 1)), y, folds, 2, family)
         with pytest.raises(ValueError, match="more observations than parameters"):
             fit_mean_folds(y, folds, 2, family)
 
     def test_non_binary_response_raises_as_the_engine(self):
         y, folds = self._data(100, 0.2, "gaussian")
         with pytest.raises(ValueError, match="0/1"):
-            fit_logistic_folds(np.ones((100, 1)), y, folds, 10)
+            fit_folds(np.ones((100, 1)), y, folds, 10, "binomial")
         with pytest.raises(ValueError, match="0/1"):
             fit_mean_folds(y, folds, 10, "binomial")
 

@@ -188,7 +188,7 @@ class TestSharedNuisances:
     def test_built_once_per_replicate(self, monkeypatch, methods, shared):
         calls = Counter()
         counting_calls(monkeypatch, harness, shared, calls)
-        # A fit through fit_outcome_models would be a second one.
+        # A fit through weighting's fit_ols would be a second one.
         counting_calls(monkeypatch, weighting, "fit_ols", calls)
         for replicate in range(3):
             records = run_replicate(cfg_for(label="0.50"), -0.0694, replicate, methods)

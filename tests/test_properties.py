@@ -23,7 +23,8 @@ from attbench.matching import cem_att, cem_match, matched_att, mdm_match, psm_ma
 from attbench.numeric import RngStream
 from attbench.propensity import PsVector, estimate_ps, trim_ps, truncate_ps
 from attbench.tmle import tmle_att
-from attbench.weighting import aipw_att, fit_outcome_models, ipw_att
+from attbench.glm import fit_ols
+from attbench.weighting import aipw_att, fit_outcome_models, ipw_att, ols_arm_predictions, ols_outcome_design
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -38,6 +39,11 @@ cohorts = st.builds(
     st.booleans(),
     st.integers(0, 2**16 - 1),
 )
+
+
+def _ols_arms(x, y, z):
+    """``(q1, q0)`` of the least-squares outcome fit, as the harness forms them for AIPW."""
+    return ols_arm_predictions(fit_ols(ols_outcome_design(x, z), y), x)
 
 
 def _estimate(compute):
@@ -90,9 +96,9 @@ def test_weighting_att_scales_with_the_outcome(method, data, shift, scale):
         if method == "IPW":
             return _estimate(lambda: ipw_att(y, z, trimmed))
         if method == "AIPW":
-            return _estimate(lambda: aipw_att(y, z, trimmed, *fit_outcome_models(x, y, z, "ols")))
+            return _estimate(lambda: aipw_att(y, z, trimmed, *_ols_arms(x, y, z)))
         ps = truncate_ps(estimate_ps(x, z, "ensemble", rng=RngStream(1)), data.n)
-        q1, q0 = fit_outcome_models(x, y, z, "ensemble", rng=RngStream(2))
+        q1, q0 = fit_outcome_models(x, y, z, RngStream(2))
         if method == "AIPW_SL":
             return _estimate(lambda: aipw_att(y, z, ps, q1, q0))
         return _estimate(lambda: tmle_att(y, z, x, q1, q0, ps))

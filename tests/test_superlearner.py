@@ -6,12 +6,13 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from attbench.errors import OneClassError
-from attbench.glm import _fit_stack, fit_logistic
+from attbench.glm import _fit_stack, fit_folds, fit_logistic, fit_mean_folds
 from attbench.numeric import RngStream
 from attbench.propensity import estimate_ps
 from attbench.superlearner import (
+    K_FOLDS,
+    LEARNER_KINDS,
     EnsembleFit,
-    LearnerSpec,
     _assign_folds,
     _folds_trainable,
     _learner_design,
@@ -24,17 +25,28 @@ from attbench.superlearner import (
 from naive_oracles import naive_gaussian_library, naive_simplex_weights
 
 
-def fold_assignment(y, family, seed, k_folds=10):
+def fold_assignment(y, family, seed):
     """The folds ``fit_superlearner`` draws from ``RngStream(seed)``, refold included."""
     rng = RngStream(seed)
-    folds = _assign_folds(y.size, k_folds, rng)
-    if not _folds_trainable(y, folds, k_folds, family):
-        folds = _assign_folds(y.size, k_folds, rng)
+    folds = _assign_folds(y.size, K_FOLDS, rng)
+    if not _folds_trainable(y, folds, K_FOLDS, family):
+        folds = _assign_folds(y.size, K_FOLDS, rng)
     return folds
 
 
+def level_one(fit, x, y, seed):
+    """The out-of-fold predictions ``fit_superlearner`` stacked for ``fit``,
+    one column per learner, rebuilt from the folds it drew from ``RngStream(seed)``."""
+    folds = fold_assignment(y, fit.family, seed)
+    columns = [fit_mean_folds(y, folds, K_FOLDS, fit.family).out_of_fold]
+    for learner in fit.learners[1:]:
+        design = _learner_design(learner.kind, x)[:, learner.kept_columns]
+        columns.append(fit_folds(design, y, folds, K_FOLDS, fit.family).out_of_fold)
+    return np.column_stack(columns)
+
+
 def learner_predictions(learner, x):
-    return learner.predict_from(_learner_design(learner.spec.kind, x))
+    return learner.predict_from(_learner_design(learner.kind, x))
 
 
 class TestDegree2Expansion:
@@ -202,14 +214,19 @@ class TestFitSuperlearner:
             x = np_rng.standard_normal((120, 3))
             y = x[:, 0] + 0.5 * x[:, 1] ** 2 + np_rng.standard_normal(120)
             fit = fit_superlearner(x, y, "gaussian", rng=RngStream(trial))
-            assert fit.cv_objective <= fit.cv_risks.min() + 1e-10
+            z = level_one(fit, x, y, trial)
+            weights, objective = simplex_weights(z, y)
+            np.testing.assert_array_equal(weights, fit.weights)
+            assert objective <= np.mean((z - y[:, None]) ** 2, axis=0).min() + 1e-10
 
     def test_quadratic_truth_prefers_degree2(self, np_rng):
         x = np_rng.standard_normal((400, 2))
         y = 1.75 * x[:, 0] ** 2 + 0.3 * np_rng.standard_normal(400)
         fit = fit_superlearner(x, y, "gaussian", rng=RngStream(3))
-        main_effects_risk = fit.cv_risks[1]
-        assert fit.cv_objective <= main_effects_risk + 1e-10
+        z = level_one(fit, x, y, 3)
+        _, objective = simplex_weights(z, y)
+        main_effects_risk = np.mean((z[:, 1] - y) ** 2)
+        assert objective <= main_effects_risk + 1e-10
         assert fit.weights[2] > 0.5
 
     def test_mean_only_learner_predicts_grand_mean(self, np_rng):
@@ -228,7 +245,8 @@ class TestFitSuperlearner:
         features = np.column_stack([x, z])
         fit = fit_superlearner(features, y, "gaussian", rng=RngStream(5))
         risks, predictions = naive_gaussian_library(features, y, fold_assignment(y, "gaussian", 5), binary_column=3)
-        np.testing.assert_allclose(fit.cv_risks, risks, rtol=0, atol=1e-9)
+        level_one_risks = np.mean((level_one(fit, features, y, 5) - y[:, None]) ** 2, axis=0)
+        np.testing.assert_allclose(level_one_risks, risks, rtol=0, atol=1e-9)
         for learner, expected in zip(fit.learners, predictions):
             np.testing.assert_allclose(learner_predictions(learner, features), expected, rtol=0, atol=1e-9)
 
@@ -245,7 +263,7 @@ class TestFitSuperlearner:
         fit = fit_superlearner(x, z, "binomial", rng=RngStream(seed))
         singles = []
         for learner in fit.learners:
-            design = _learner_design(learner.spec.kind, x)[:, learner.kept_columns]
+            design = _learner_design(learner.kind, x)[:, learner.kept_columns]
             single = fit_logistic(design, z)
             np.testing.assert_allclose(learner.coefficients, single.coefficients, rtol=0, atol=1e-10)
             assert learner.separated == single.separated
@@ -262,7 +280,8 @@ class TestFitSuperlearner:
         b = fit_superlearner(x, y, "gaussian", rng=RngStream(7))
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.fitted, b.fitted)
-        np.testing.assert_array_equal(a.cv_risks, b.cv_risks)
+        for la, lb in zip(a.learners, b.learners):
+            np.testing.assert_array_equal(la.coefficients, lb.coefficients)
 
     def test_binomial_predictions_stay_inside_unit_interval(self, np_rng):
         x = np_rng.standard_normal((150, 3))
@@ -308,8 +327,13 @@ class TestFitSuperlearner:
         with pytest.raises(ValueError):
             predict_ensemble(fit, np.ones((5, 3)))
 
-    def test_learner_spec_validation(self):
-        with pytest.raises(ValueError):
-            LearnerSpec("spline", "gaussian")
-        with pytest.raises(ValueError):
-            LearnerSpec("mean_only", "poisson")
+    def test_library_is_the_learner_table(self, np_rng):
+        x = np_rng.standard_normal((60, 2))
+        fit = fit_superlearner(x, np_rng.standard_normal(60), "gaussian", rng=RngStream(0))
+        assert tuple(learner.kind for learner in fit.learners) == LEARNER_KINDS
+        assert all(learner.family == "gaussian" for learner in fit.learners)
+
+    def test_unknown_family_rejected(self, np_rng):
+        x = np_rng.standard_normal((60, 2))
+        with pytest.raises(ValueError, match="unknown family"):
+            fit_superlearner(x, np_rng.standard_normal(60), "poisson", rng=RngStream(0))

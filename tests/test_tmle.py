@@ -10,7 +10,13 @@ from attbench.errors import FlatOutcomeError, OneClassError
 from attbench.propensity import PsVector, estimate_ps, truncate_ps
 from attbench import tmle
 from attbench.tmle import MAX_TARGETING_ROUNDS, tmle_att
-from attbench.weighting import fit_outcome_models
+from attbench.glm import fit_ols
+from attbench.weighting import ols_arm_predictions, ols_outcome_design
+
+
+def ols_arms(x, y, z):
+    """``(q1, q0)`` of the least-squares outcome fit, as the harness forms them for AIPW."""
+    return ols_arm_predictions(fit_ols(ols_outcome_design(x, z), y), x)
 
 
 def ps_of(values) -> PsVector:
@@ -44,7 +50,7 @@ def s1_cohort(np_rng, n, setting=1):
 
 def estimated_fit(np_rng, n):
     x, z, y, _ = s1_cohort(np_rng, n)
-    q1, q0 = fit_outcome_models(x, y, z)
+    q1, q0 = ols_arms(x, y, z)
     ps = truncate_ps(estimate_ps(x, z), n)
     return tmle_att(y, z, x, q1, q0, ps)
 
@@ -92,7 +98,7 @@ class TestTargeting:
     def test_location_scale_equivariance(self, np_rng):
         n = 400
         x, z, y, _ = s1_cohort(np_rng, n)
-        q1, q0 = fit_outcome_models(x, y, z)
+        q1, q0 = ols_arms(x, y, z)
         ps = truncate_ps(estimate_ps(x, z), n)
         base = tmle_att(y, z, x, q1, q0, ps)
         a, b = 3.5, -7.0
@@ -114,7 +120,7 @@ class TestReportedQuantities:
         n = 200
         x, z, y, _ = s1_cohort(np_rng, n)
         y = 1e10 * y
-        q1, q0 = fit_outcome_models(x, y, z)
+        q1, q0 = ols_arms(x, y, z)
         ps = truncate_ps(estimate_ps(x, z), n)
         rounds = count_rounds(monkeypatch)
         fit = tmle_att(y, z, x, q1, q0, ps)

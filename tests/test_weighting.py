@@ -7,7 +7,14 @@ from scipy.special import expit
 from attbench.dgp import SCENARIOS, outcome_mean, treatment_logit_terms
 from attbench.errors import AllTrimmedError, ZeroSeError
 from attbench.propensity import PsVector, estimate_ps, trim_ps
-from attbench.weighting import aipw_att, fit_outcome_models, ipw_att
+from attbench.glm import fit_ols
+from attbench.numeric import RngStream
+from attbench.weighting import aipw_att, fit_outcome_models, ipw_att, ols_arm_predictions, ols_outcome_design
+
+
+def ols_arms(x, y, z):
+    """``(q1, q0)`` of the least-squares outcome fit, as the harness forms them for AIPW."""
+    return ols_arm_predictions(fit_ols(ols_outcome_design(x, z), y), x)
 
 
 def ps_of(values, kept=None) -> PsVector:
@@ -259,7 +266,7 @@ class TestFitOutcomeModels:
         y_half = x @ np.array([1.0, -0.5]) + 2.0
         x_full = np.vstack([x, x])
         z = np.concatenate([np.zeros(30), np.ones(30)])
-        q1, q0 = fit_outcome_models(x_full, np.concatenate([y_half, y_half]), z)
+        q1, q0 = ols_arms(x_full, np.concatenate([y_half, y_half]), z)
         np.testing.assert_allclose(q1, q0, atol=1e-10)
 
     def test_noiseless_linear_truth_recovers_contrast(self, np_rng):
@@ -267,12 +274,10 @@ class TestFitOutcomeModels:
         z = (np_rng.uniform(size=60) < 0.5).astype(np.float64)
         z[:2] = [1.0, 0.0]
         y = 2.0 + x @ np.array([1.0, 0.5, -1.0]) + 1.7 * z
-        q1, q0 = fit_outcome_models(x, y, z)
+        q1, q0 = ols_arms(x, y, z)
         np.testing.assert_allclose(q1 - q0, np.full(60, 1.7), atol=1e-8)
 
     def test_ensemble_beats_linear_model_on_quadratic_truth(self, np_rng):
-        from attbench.numeric import RngStream
-
         spec = SCENARIOS[1]
         n = 10_000
         x = np_rng.standard_normal((n, 3))
@@ -280,13 +285,8 @@ class TestFitOutcomeModels:
         z = (np_rng.uniform(size=n) < ps_true).astype(np.float64)
         y = outcome_mean(spec, 2, x, z, False) + np.sqrt(2.0) * np_rng.standard_normal(n)
         truth_q0 = outcome_mean(spec, 2, x, np.zeros(n), False)
-        _, q0_ols = fit_outcome_models(x, y, z, method="ols")
-        _, q0_sl = fit_outcome_models(x, y, z, method="ensemble", rng=RngStream(7))
+        _, q0_ols = ols_arms(x, y, z)
+        _, q0_sl = fit_outcome_models(x, y, z, RngStream(7))
         mse_ols = float(np.mean((q0_ols - truth_q0) ** 2))
         mse_sl = float(np.mean((q0_sl - truth_q0) ** 2))
         assert mse_sl < mse_ols
-
-    def test_unknown_method_rejected(self, np_rng):
-        x = np_rng.standard_normal((10, 2))
-        with pytest.raises(ValueError, match="unknown method"):
-            fit_outcome_models(x, np.zeros(10), np.zeros(10), method="ridge")
