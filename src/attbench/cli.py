@@ -10,7 +10,8 @@ Configuration is declarative: ``run`` reads an optional JSON config file
 and any command line flag overrides the corresponding config key.  The
 default output directory comes from ``ATTBENCH_OUTPUT_DIR`` when set.
 Exit codes: 0 on success, 2 for configuration problems (a store built
-under other parameters, or records that fail their digest, included), 3
+under other parameters, records that fail their digest, or a store file
+that cannot be written, included), 3
 when a run finished only partially (completed cells are on disk and a
 rerun will resume).
 """
@@ -425,7 +426,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CorruptManifestError) as exc:
+    # An OSError is a file the command could not open, such as a store file
+    # that is a directory; its text names the path.
+    except (ConfigError, CorruptManifestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -5,9 +5,10 @@ Every fit runs through one engine that fits one design under a stack of
 fits on every cross-validation fold and on all rows, :func:`fit_folds`,
 are its (k + 1)-row case.  The normal equations of every row come from
 one matrix product over the column pairs' products, and are solved by
-:func:`attbench.numeric.solve_spd_stack`, one LAPACK Cholesky factor and
-solve per row, whose pivot floor turns rank deficiency into
-:class:`RankDeficientError` rather than a silently pseudo-inverted fit.
+:func:`attbench.numeric.solve_spd_stack`: one stacked numpy Cholesky
+factorization, whose pivot floor turns rank deficiency into
+:class:`RankDeficientError` rather than a silently pseudo-inverted fit,
+and one stacked solve.
 The intercept-only design needs no engine: :func:`fit_mean_folds` fits
 it on every fold from each fold's row count and response sum, under the
 engine's rules.

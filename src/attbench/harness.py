@@ -31,7 +31,6 @@ import math
 import os
 import struct
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
@@ -518,6 +517,9 @@ def _execute(jobs: list[tuple[CellConfig, float, tuple[str, ...]]], parallelism:
         for job in jobs:
             yield job[0], partial(_cell_worker, job)
         return
+    # Imported here: the process pool's modules cost a serial run memory and import time.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
         futures = {pool.submit(_cell_worker, job): job[0] for job in jobs}
         for future in as_completed(futures):

@@ -7,10 +7,10 @@ A stream is identified by ``(master_seed, stream_id)`` alone, so any unit
 of work that derives its id from stable coordinates reproduces bit-for-bit
 regardless of scheduling or worker count.
 
-The linear-algebra helpers are deliberately small: LAPACK's Cholesky
-factorization and solve (``dpotrf``/``dpotrs``, or both in one ``dposv``
-call per system of a stack) behind a hard pivot floor, and a two-pass
-covariance.  Estimators depend on these instead of calling
+The linear-algebra helpers are deliberately small: numpy's LAPACK
+Cholesky factorization (``np.linalg.cholesky``, one call for a whole
+stack) behind a hard pivot floor, ``np.linalg.solve`` for the solves, and
+a two-pass covariance.  Estimators depend on these instead of calling
 into general-purpose decompositions so that failure modes (non-SPD systems,
 zero-variance covariates) surface as typed errors rather than warnings.
 """
@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dposv, dpotrf, dpotrs
 from scipy.special import ndtr, stdtr
 
 from .errors import DegenerateCovarianceError, NonSpdError
@@ -155,13 +154,22 @@ def cholesky_factor(a: np.ndarray) -> np.ndarray:
     ``CHOLESKY_PIVOT_TOL``, raises :class:`NonSpdError` instead of
     producing a factor contaminated by a near-zero sqrt.
     """
-    lower, info = dpotrf(a, lower=1, clean=1)
-    if info != 0:
-        raise NonSpdError(f"leading minor of order {info} is not positive definite")
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NonSpdError(f"not positive definite ({exc})") from exc
     pivot = float(lower.diagonal().min()) ** 2
     if pivot <= CHOLESKY_PIVOT_TOL:
         raise NonSpdError(f"pivot {pivot:.3e} at or below {CHOLESKY_PIVOT_TOL:.0e}")
     return lower
+
+
+def _cholesky_passes(a: np.ndarray) -> bool:
+    try:
+        cholesky_factor(a)
+    except NonSpdError:
+        return False
+    return True
 
 
 def solve_spd_stack(stack: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,30 +177,33 @@ def solve_spd_stack(stack: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.
 
     ``stack`` has shape (k, p, p) and ``rhs`` shape (k, p).  Returns the
     solutions, shape (k, p), and a boolean mask of the systems solved.
-    Each system is one LAPACK ``dposv`` call, the factorization and solve
-    of :func:`cholesky_factor` and :func:`solve_from_factor` on the lower
-    triangle.  ``ok[i]`` is False when ``stack[i]`` fails
-    :func:`cholesky_factor`'s test (LAPACK finds a non-positive pivot, or a
-    squared pivot is at or below ``CHOLESKY_PIVOT_TOL``); ``x[i]`` is then
-    zero.
+    ``ok[i]`` is False when ``stack[i]`` fails :func:`cholesky_factor`'s
+    test (LAPACK finds a non-positive pivot, or a squared pivot is at or
+    below ``CHOLESKY_PIVOT_TOL``); ``x[i]`` is then zero.  The verdicts
+    come from one stacked ``np.linalg.cholesky`` of the lower triangles,
+    or, when some factorization fails and that call raises, from
+    :func:`cholesky_factor` on one matrix at a time.  The systems that
+    pass are solved by one stacked ``np.linalg.solve``.
     """
-    # Fresh float64 copies: factors[i].T is stack[i] in Fortran order, so
-    # LAPACK factors it in place, and solves into solutions[i] in place.
-    factors = np.array(stack.transpose(0, 2, 1), dtype=np.float64, order="C")
-    solutions = np.array(rhs, dtype=np.float64, order="C")
-    info = [dposv(a.T, b, lower=1, overwrite_a=1, overwrite_b=1)[2] for a, b in zip(factors, solutions)]
-    ok = (np.array(info) == 0) & (factors.diagonal(axis1=1, axis2=2).min(axis=1) ** 2 > CHOLESKY_PIVOT_TOL)
-    if not ok.all():
-        solutions[~ok] = 0.0
+    try:
+        factors = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        ok = np.array([_cholesky_passes(a) for a in stack], dtype=bool)
+    else:
+        ok = factors.diagonal(axis1=1, axis2=2).min(axis=1) ** 2 > CHOLESKY_PIVOT_TOL
+    if ok.all():
+        return np.linalg.solve(stack, rhs[..., None])[..., 0], ok
+    solutions = np.zeros(rhs.shape)
+    solutions[ok] = np.linalg.solve(stack[ok], rhs[ok][..., None])[..., 0]
     return solutions, ok
 
 
 def solve_from_factor(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A x = rhs`` for a vector or matrix ``rhs``, given ``A``'s lower Cholesky factor."""
-    solution, info = dpotrs(lower, rhs, lower=1)
-    if info != 0:
-        raise ValueError(f"dpotrs rejected argument {-info}")
-    return solution
+    """Solve ``A x = rhs`` for a vector or matrix ``rhs``, given ``A``'s lower
+    Cholesky factor ``L``: ``x = L^{-T} (L^{-1} rhs)``, with ``L^{-1}`` from
+    one ``np.linalg.solve`` against the identity."""
+    inverse = np.linalg.solve(lower, np.eye(lower.shape[0]))
+    return inverse.T @ (inverse @ rhs)
 
 
 def sample_covariance(x: np.ndarray) -> np.ndarray:

@@ -283,7 +283,8 @@ def _normal_equations_factor(design: np.ndarray, weights: np.ndarray | None = No
 def naive_fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
     """Least squares through one Cholesky factor of ``X'X``, as ``glm.fit_ols``
     once ran: the gram is ``design.T @ design`` symmetrized, the solve is
-    ``dpotrs``, and ``diag((X'X)^-1)`` comes from solving against the identity."""
+    :func:`attbench.numeric.solve_from_factor`, and ``diag((X'X)^-1)``
+    comes from solving against the identity."""
     design = np.asarray(design, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, p = design.shape

@@ -290,6 +290,18 @@ def test_cells_naming_a_file_exit_code(tmp_path, capsys):
     assert tree_bytes(tmp_path) == {"cells": b"a file\n"}
 
 
+@pytest.mark.parametrize(
+    "command, name", [("run", "truths.csv"), ("calibrate", "calibration.csv"), ("ps-hist", "ps_hist_s1_p020.csv")]
+)
+def test_store_file_naming_a_directory_exit_code(tmp_path, capsys, command, name):
+    (tmp_path / name).mkdir()
+    assert main([*WRITING_COMMANDS[command], "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / name) in err
+    assert "Traceback" not in err
+    assert (tmp_path / name).is_dir()
+
+
 class TestCmdCalibrate:
     def test_default_design_yields_15_intercepts(self, tmp_path, capsys):
         outdir = tmp_path / "cal"

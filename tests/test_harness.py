@@ -1,5 +1,6 @@
 """Replicate execution, aggregation, and the deterministic result store."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -519,7 +520,8 @@ class TestRunGrid:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        # run_grid imports the pool from concurrent.futures when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         run_small_grid(tmp_path / "pooled", parallelism=64)
         assert sizes == [2]
         run_small_grid(tmp_path / "serial", parallelism=1)

@@ -106,6 +106,18 @@ def _random_spd(np_rng, d):
     return (gram + gram.T) / 2 + 0.5 * np.eye(d)
 
 
+def _verdicts(stack):
+    """Whether :func:`cholesky_factor` accepts each matrix of ``stack``."""
+    verdicts = []
+    for matrix in stack:
+        try:
+            cholesky_factor(matrix)
+            verdicts.append(True)
+        except NonSpdError:
+            verdicts.append(False)
+    return verdicts
+
+
 class TestCholesky:
     def test_identity_solve_returns_rhs(self):
         rhs = np.array([3.0, -1.0, 2.5])
@@ -179,19 +191,41 @@ class TestCholesky:
         rhs = np_rng.standard_normal((6, 3))
         before = stack.copy(), rhs.copy()
         solutions, ok = solve_spd_stack(stack, rhs)
-        verdicts = []
-        for matrix in stack:
-            try:
-                cholesky_factor(matrix)
-                verdicts.append(True)
-            except NonSpdError:
-                verdicts.append(False)
-        np.testing.assert_array_equal(ok, verdicts)
+        np.testing.assert_array_equal(ok, _verdicts(stack))
         np.testing.assert_array_equal(ok, [True, False, False, True, False, True])
         assert np.array_equal(solutions[~ok], np.zeros((3, 3)))
         np.testing.assert_allclose(solutions[ok], np.linalg.solve(stack[ok], rhs[ok][..., None])[..., 0], rtol=1e-10)
         np.testing.assert_array_equal(stack, before[0])
         np.testing.assert_array_equal(rhs, before[1])
+
+    @staticmethod
+    def _indefinite(np_rng, d):
+        # One negative eigenvalue behind a full rotation, so no diagonal entry gives it away.
+        q = np_rng.standard_normal((d, d))
+        return q @ np.diag([1.0] * (d - 1) + [-1.0]) @ q.T
+
+    @pytest.mark.parametrize("failing", [0, 10])
+    @pytest.mark.parametrize("p", [4, 10])
+    def test_fallback_when_the_stacked_factorization_raises(self, np_rng, p, failing):
+        stack = np.stack([_random_spd(np_rng, p) for _ in range(11)])
+        stack[failing] = self._indefinite(np_rng, p)
+        rhs = np_rng.standard_normal((11, p))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(stack)
+        solutions, ok = solve_spd_stack(stack, rhs)
+        np.testing.assert_array_equal(ok, _verdicts(stack))
+        assert ok.sum() == 10 and not ok[failing]
+        np.testing.assert_array_equal(solutions[failing], 0.0)
+        for matrix, b, x in zip(stack[ok], rhs[ok], solutions[ok]):
+            np.testing.assert_allclose(x, np.linalg.solve(matrix, b), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("p", [4, 10])
+    def test_all_failing_stack_gives_zeros(self, np_rng, p):
+        stack = np.stack([self._indefinite(np_rng, p) for _ in range(11)])
+        solutions, ok = solve_spd_stack(stack, np_rng.standard_normal((11, p)))
+        assert ok.dtype == bool and not ok.any()
+        assert solutions.shape == (11, p)
+        np.testing.assert_array_equal(solutions, 0.0)
 
     def test_rhs_length_checked(self):
         with pytest.raises(ValueError):

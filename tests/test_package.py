@@ -29,3 +29,15 @@ def test_import_caps_blas_at_one_thread():
 def test_thread_count_set_by_the_caller_wins():
     seen = _blas_variables_after_import(OPENBLAS_NUM_THREADS="3", MKL_NUM_THREADS="2")
     assert seen == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "2"}
+
+
+def test_cli_import_leaves_scipy_linalg_and_the_process_pool_unloaded():
+    # All linear algebra goes through numpy.linalg, and run_grid imports the
+    # process pool only when it starts one.
+    probe = (
+        "import json, sys, attbench.cli; "
+        "print(json.dumps([m for m in ('scipy.linalg', 'concurrent.futures.process') if m in sys.modules]))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
