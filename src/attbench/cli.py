@@ -358,7 +358,7 @@ def _report_rows(store: Path) -> list[tuple]:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    store = Path(args.store or os.environ.get(OUTPUT_DIR_ENV, DEFAULT_OUTPUT_DIR))
+    store = Path(args.store or os.environ.get(OUTPUT_DIR_ENV) or DEFAULT_OUTPUT_DIR)
     rows = _report_rows(store)
     path = store / "report.csv"
     write_csv(path, REPORT_COLUMNS, rows)

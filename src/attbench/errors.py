@@ -2,8 +2,13 @@
 
 Every failure the simulation harness is expected to survive derives from
 :class:`EstimationError`, so a replicate can be flagged and the grid can
-keep running.  Anything else escaping an estimator is a genuine bug and
-propagates.
+keep running.  Each one is raised where a drawn replicate can hit it:
+:class:`NonSpdError` (a collinear or zero-variance covariate among them)
+in ``numeric``; :class:`RankDeficientError`, :class:`OneClassError` and
+:class:`ZeroSeError` in the fits; :class:`AllTrimmedError` in weighting;
+the three matching errors; :class:`FlatOutcomeError` in TMLE; and the
+draw, calibration and aggregation errors.  Anything else escaping an
+estimator is a genuine bug and propagates.
 """
 
 
@@ -13,10 +18,6 @@ class EstimationError(Exception):
 
 class NonSpdError(EstimationError):
     """Cholesky factorization hit a non-positive pivot."""
-
-
-class DegenerateCovarianceError(EstimationError):
-    """A covariate has zero variance, so its covariance matrix is singular."""
 
 
 class RankDeficientError(EstimationError):
@@ -45,10 +46,6 @@ class TooFewPairsError(EstimationError):
 
 class ZeroVarianceError(EstimationError):
     """Matched differences have zero spread; the paired t-test is undefined."""
-
-
-class DegenerateWeightsError(EstimationError):
-    """A weighted-mean denominator is zero."""
 
 
 class FlatOutcomeError(EstimationError):

@@ -120,23 +120,21 @@ def _fit_stack(design: np.ndarray, y: np.ndarray, weights: np.ndarray, family: s
     ``1 / (1 + exp(-eta))``, which agrees with ``expit`` to an ulp at a
     third of its cost.
 
-    Returns ``(coefficients, converged, separated, normal)``: the (m, p)
-    coefficients, one flag of each kind per row, and for least squares the
+    Returns ``(coefficients, separated, normal)``: the (m, p)
+    coefficients, one separation flag per row, and for least squares the
     (m, p, p) normal matrices (``None`` for the logistic family).
 
     Raises
     ------
     ValueError
-        If ``y`` is not a vector of length n, some row weighs no more
-        observations than there are parameters, or a logistic ``y`` is not 0/1.
+        If some row weighs no more observations than there are parameters,
+        or a logistic ``y`` is not 0/1.
     OneClassError
         If the logistic response under some row is constant.
     RankDeficientError
         If the least-squares normal equations of some row fail the pivot floor.
     """
-    n, p = design.shape
-    if y.shape != (n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
+    p = design.shape[1]
     counts = weights.sum(axis=1)
     if counts.min() <= p:
         raise ValueError(f"need more observations than parameters: n={int(counts.min())}, p={p}")
@@ -146,7 +144,7 @@ def _fit_stack(design: np.ndarray, y: np.ndarray, weights: np.ndarray, family: s
         beta, ok = solve_spd_stack(normal, (weights * y) @ design)
         if not ok.all():
             raise RankDeficientError(f"normal equations of weight row {int(np.argmin(ok))} are not positive definite")
-        return beta, ok, ~ok, normal
+        return beta, ~ok, normal
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("y must be 0/1")
     positives = weights @ y
@@ -156,7 +154,6 @@ def _fit_stack(design: np.ndarray, y: np.ndarray, weights: np.ndarray, family: s
 
     m = weights.shape[0]
     beta = np.zeros((m, p))
-    converged = np.zeros(m, dtype=bool)
     separated = np.zeros(m, dtype=bool)
     # ``active`` lists the rows still iterating, ``mask`` their weights and
     # ``coef`` their coefficients; all three are re-indexed only when some row stops.
@@ -167,7 +164,6 @@ def _fit_stack(design: np.ndarray, y: np.ndarray, weights: np.ndarray, family: s
             score = (mask * (y - probs)) @ design
             going = np.abs(score).max(axis=1) > IRLS_SCORE_TOL
             if not going.all():
-                converged[active[~going]] = True
                 active, mask, coef, probs, score = active[going], mask[going], coef[going], probs[going], score[going]
                 if active.size == 0:
                     break
@@ -183,7 +179,7 @@ def _fit_stack(design: np.ndarray, y: np.ndarray, weights: np.ndarray, family: s
                 active, mask, coef = active[going], mask[going], coef[going]
                 if active.size == 0:
                     break
-    return beta, converged, separated, None
+    return beta, separated, None
 
 
 def fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
@@ -206,10 +202,8 @@ def fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
     RankDeficientError
         If the normal equations are not positive definite.
     """
-    design = np.asarray(design, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     n, p = design.shape
-    beta, _, _, normal = _fit_stack(design, y, np.ones((1, n)), "gaussian")
+    beta, _, normal = _fit_stack(design, y, np.ones((1, n)), "gaussian")
     resid = y - design @ beta[0]
     sigma2 = float(resid @ resid) / (n - p)
     # The normal matrix passed the pivot floor above; column i of (X'X)^-1 solves X'X v = e_i.
@@ -219,9 +213,6 @@ def fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
 
 
 def predict_ols(fit: OlsFit, design: np.ndarray) -> np.ndarray:
-    design = np.asarray(design, dtype=np.float64)
-    if design.shape[1] != fit.n_params:
-        raise ValueError(f"design has {design.shape[1]} columns, fit has {fit.n_params}")
     return design @ fit.coefficients
 
 
@@ -230,8 +221,6 @@ def ols_wald_test(fit: OlsFit, coef_index: int) -> tuple[float, float]:
 
     Returns ``(t_statistic, p_value)`` with ``n - p`` degrees of freedom.
     """
-    if not 0 <= coef_index < fit.n_params:
-        raise ValueError(f"coef_index out of range: {coef_index}")
     se = float(fit.standard_errors[coef_index])
     if se == 0.0:
         raise ZeroSeError(f"coefficient {coef_index} has zero standard error")
@@ -253,9 +242,7 @@ def fit_logistic(design: np.ndarray, y: np.ndarray) -> LogisticFit:
     OneClassError
         If ``y`` is constant; the MLE does not exist in any direction.
     """
-    design = np.asarray(design, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    beta, _, separated, _ = _fit_stack(design, y, np.ones((1, design.shape[0])), "binomial")
+    beta, separated, _ = _fit_stack(design, y, np.ones((1, design.shape[0])), "binomial")
     fitted = expit(design @ beta[0])
     if separated[0]:
         fitted = np.clip(fitted, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -286,12 +273,8 @@ def fit_folds(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_folds: int
     OneClassError
         If some logistic training fold's response is constant.
     """
-    design = np.asarray(design, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if folds.shape != (design.shape[0],):
-        raise ValueError(f"folds has shape {folds.shape}, expected ({design.shape[0]},)")
     train = (folds != np.arange(k_folds + 1)[:, None]).astype(np.float64)
-    beta, _, separated, _ = _fit_stack(design, y, train, family)
+    beta, separated, _ = _fit_stack(design, y, train, family)
     out_of_fold = np.einsum("ij,ij->i", design, beta[folds])
     if family == "binomial":
         out_of_fold = np.clip(expit(out_of_fold), PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -314,14 +297,11 @@ def fit_mean_folds(y: np.ndarray, folds: np.ndarray, k_folds: int, family: str) 
     Raises
     ------
     ValueError
-        If ``folds`` and ``y`` are not vectors of one length, some training
-        fold holds at most one row, or a logistic ``y`` is not 0/1.
+        If some training fold holds at most one row, or a logistic ``y`` is
+        not 0/1.
     OneClassError
         If some logistic training fold's response is constant.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or folds.shape != y.shape:
-        raise ValueError(f"folds has shape {folds.shape} and y shape {y.shape}, expected one vector length")
     # Entry k_folds belongs to the refit, which holds out no row.
     counts = y.size - np.bincount(folds, minlength=k_folds + 1)[: k_folds + 1]
     sums = y.sum() - np.bincount(folds, weights=y, minlength=k_folds + 1)[: k_folds + 1]
@@ -337,7 +317,7 @@ def fit_mean_folds(y: np.ndarray, folds: np.ndarray, k_folds: int, family: str) 
         one_class = (sums == 0.0) | (sums == counts)
         if one_class.any():
             raise OneClassError(f"the response under weight row {int(np.argmax(one_class))} contains a single class")
-        beta, _, separated = _logistic_intercepts(counts, sums)
+        beta, separated = _logistic_intercepts(counts, sums)
         refit_separated = bool(separated[k_folds])
         out_of_fold = np.clip(expit(beta[folds]), PROB_CLAMP, 1.0 - PROB_CLAMP)
     return FoldFits(out_of_fold, beta[k_folds:], refit_separated)
@@ -349,10 +329,9 @@ def _logistic_intercepts(counts: np.ndarray, sums: np.ndarray):
     Row ``r`` weighs ``counts[r]`` observations whose responses sum to
     ``sums[r]``.  Its score is ``sums - counts * p`` and its information
     ``counts * max(p * (1 - p), 1e-10)``; the stopping, pivot-floor and
-    separation rules are the engine's.  Returns ``(beta, converged, separated)``.
+    separation rules are the engine's.  Returns ``(beta, separated)``.
     """
     beta = np.zeros(counts.size)
-    converged = np.zeros(counts.size, dtype=bool)
     separated = np.zeros(counts.size, dtype=bool)
     for r, (count, total) in enumerate(zip(counts.tolist(), sums.tolist())):
         # |b| <= SEPARATION_COEF_BOUND at every exp, so it cannot overflow.
@@ -361,7 +340,6 @@ def _logistic_intercepts(counts: np.ndarray, sums: np.ndarray):
             prob = 1.0 / (1.0 + math.exp(-b))
             score = total - count * prob
             if not abs(score) > IRLS_SCORE_TOL:
-                converged[r] = True
                 break
             info = count * max(prob * (1.0 - prob), 1e-10)
             if not info > CHOLESKY_PIVOT_TOL:
@@ -372,4 +350,4 @@ def _logistic_intercepts(counts: np.ndarray, sums: np.ndarray):
                 separated[r] = True
                 break
         beta[r] = b
-    return beta, converged, separated
+    return beta, separated

@@ -188,7 +188,7 @@ def _cem(r: _Replicate, n_bins: int):
 
 def _matched(r: _Replicate, match):
     ps = r.nuisance("ps_logistic")
-    matches = match(ps, r.nuisance("caliper_block"))
+    matches = match(r.nuisance("caliper_block"))
     return matched_att(r.y, matches), len(matches.discarded_treated), _ps_flags(ps)
 
 
@@ -206,7 +206,7 @@ def _aipw_sl(r: _Replicate):
 
 def _tmle_sl(r: _Replicate):
     truncated = r.nuisance("ps_truncated")
-    fit = tmle_att(r.y, r.z, r.x, *r.nuisance("outcome_ensemble"), truncated)
+    fit = tmle_att(r.y, r.z, *r.nuisance("outcome_ensemble"), truncated)
     nonconverged = () if fit.targeting_converged else ("nonconverged",)
     return fit, 0, _ps_flags(truncated) + nonconverged
 
@@ -219,9 +219,9 @@ METHOD_TABLE = {
     "LR": _lr,
     "CEM2": lambda r: _cem(r, 2),
     "CEM5": lambda r: _cem(r, 5),
-    "MDM": lambda r: _matched(r, lambda ps, block: mdm_match(r.x, r.z, ps, block=block)),
-    "PSM": lambda r: _matched(r, lambda ps, block: psm_match(ps, r.z, 1, block=block)),
-    "PSM_1:2": lambda r: _matched(r, lambda ps, block: psm_match(ps, r.z, 2, block=block)),
+    "MDM": lambda r: _matched(r, lambda block: mdm_match(r.x, block)),
+    "PSM": lambda r: _matched(r, lambda block: psm_match(block, 1)),
+    "PSM_1:2": lambda r: _matched(r, lambda block: psm_match(block, 2)),
     "IPW": lambda r: _trimmed(r, lambda ps: ipw_att(r.y, r.z, ps)),
     "AIPW": lambda r: _trimmed(
         r, lambda ps: aipw_att(r.y, r.z, ps, *ols_arm_predictions(r.nuisance("outcome_ols"), r.x))
@@ -568,6 +568,11 @@ def run_grid(
     method_list = METHODS if methods is None else tuple(methods)
     if len(set(method_list)) != len(method_list):
         raise ValueError("duplicate methods in the grid")
+    unknown = set(method_list) - set(METHODS)
+    if unknown:
+        raise ValueError(f"unknown methods: {sorted(unknown)}")
+    # In roster order, so a store resumes under the same methods in any order.
+    method_list = tuple(m for m in METHODS if m in method_list)
     say = log if log is not None else (lambda message: None)
 
     outdir = Path(output_dir)

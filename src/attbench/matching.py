@@ -19,10 +19,12 @@ control index), ``ratio`` times, and every taken control's column is
 set to ``inf`` for the units after it.  The matches equal those of the
 per-unit search exactly, and come back as a :class:`MatchSet` of two
 int arrays, one row per matched unit.  The caliper part of the block, a
-:class:`CaliperBlock`, depends on the score alone, so the matchers of one
-replicate can share one and each build its distances from it.  Coarsened
-strata are integer codes counted with ``np.bincount``, coded once per
-:func:`cem_match` and carried to :func:`cem_att`.
+:class:`CaliperBlock`, depends on the score and treatment alone, so
+:func:`caliper_block` builds it once per replicate and the matchers take
+it as given, :func:`psm_match` as ``(block, ratio)`` and
+:func:`mdm_match` as ``(x, block)``, each building its distances from
+it.  Coarsened strata are integer codes counted with ``np.bincount``,
+coded once per :func:`cem_match` and carried to :func:`cem_att`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import numpy as np
 
 from .errors import NoMatchesError, TooFewPairsError, ZeroVarianceError
 from .numeric import Estimate, cholesky_factor, sample_covariance, two_sided_p
-from .propensity import PsVector
 
 CALIPER_SD_FACTOR = 0.2
 
@@ -119,40 +120,28 @@ def _greedy_walk(treated: np.ndarray, control_idx: np.ndarray, dist: np.ndarray,
     return MatchSet(pairs[matched], treated[~matched])
 
 
-def psm_match(ps: PsVector, z: np.ndarray, ratio: int = 1, *, block: CaliperBlock | None = None) -> MatchSet:
+def psm_match(block: CaliperBlock, ratio: int) -> MatchSet:
     """Nearest-neighbor caliper matching on the logit propensity score.
 
-    Each treated unit takes the ``ratio`` nearest unused controls within
-    the caliper; at least one is required or the unit is discarded.
-    ``block``, when given, must be ``caliper_block(ps.values, z)``, built
-    once for every matcher that shares the score.
-    Raises :class:`NoMatchesError` when every treated unit is discarded.
+    Each treated unit of ``block`` takes the ``ratio`` nearest unused
+    controls within the caliper; at least one is required or the unit is
+    discarded.  Raises :class:`NoMatchesError` when every treated unit is
+    discarded.
     """
-    z = np.asarray(z)
-    if z.shape != ps.values.shape:
-        raise ValueError("z must match ps in length")
-    if ratio < 1:
-        raise ValueError(f"ratio must be positive: {ratio}")
-    treated, control_idx, gap, within = caliper_block(ps.values, z) if block is None else block
-    return _greedy_walk(treated, control_idx, np.where(within, gap, np.inf), ratio)
+    return _greedy_walk(block.treated, block.controls, np.where(block.within, block.gap, np.inf), ratio)
 
 
-def mdm_match(x: np.ndarray, z: np.ndarray, ps: PsVector, *, block: CaliperBlock | None = None) -> MatchSet:
-    """1:1 Mahalanobis matching with a propensity caliper screen.
+def mdm_match(x: np.ndarray, block: CaliperBlock) -> MatchSet:
+    """1:1 Mahalanobis matching on covariates ``x`` with the propensity
+    caliper screen of ``block``.
 
     The caliper decides which controls are eligible; the Mahalanobis
     metric (covariance pooled over the full sample) decides which
     eligible control is closest.  Distances are computed in whitened
     coordinates: with ``cov = L L'``, the metric is plain Euclidean on
-    ``L^{-1} x``.  ``block`` is as in :func:`psm_match`.
+    ``L^{-1} x``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z)
-    if z.shape[0] != x.shape[0] or z.shape != ps.values.shape:
-        raise ValueError("x, z, and ps must agree in length")
-    white = _whiten(x)
-    block = caliper_block(ps.values, z) if block is None else block
-    return _greedy_walk(block.treated, block.controls, _pair_distances(white, block), 1)
+    return _greedy_walk(block.treated, block.controls, _pair_distances(_whiten(x), block), 1)
 
 
 def _whiten(x: np.ndarray) -> np.ndarray:
@@ -202,13 +191,7 @@ def cem_match(x: np.ndarray, z: np.ndarray, n_bins: int) -> CemStrata:
     into the top bin.  A stratum (joint bin signature) is retained only
     if it contains at least one treated and one control unit.
     """
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z)
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be positive: {n_bins}")
-    n, d = x.shape
-    if z.shape != (n,):
-        raise ValueError("z must match x in length")
+    d = x.shape[1]
     lo = x.min(axis=0)
     hi = x.max(axis=0)
     if np.any(hi == lo):
@@ -248,7 +231,6 @@ def matched_att(y: np.ndarray, matches: MatchSet) -> Estimate:
     matched controls, a ``-1`` pad aside; inference is a paired t-test
     with one degree of freedom fewer than there are matched sets.
     """
-    y = np.asarray(y, dtype=np.float64)
     controls = matches.pairs[:, 1:]
     found = controls >= 0
     # Masked row sum over size: for a set of one or two controls, the bits of its mean.
@@ -262,8 +244,6 @@ def cem_att(y: np.ndarray, z: np.ndarray, strata: CemStrata) -> Estimate:
     Every retained treated unit contributes one difference against the
     mean control outcome of its own stratum.
     """
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z)
     codes = strata.codes
     retained = np.flatnonzero(strata.retained)
     treated = retained[z[retained] == 1]

@@ -12,7 +12,8 @@ Cholesky factorization (``np.linalg.cholesky``, one call for a whole
 stack) behind a hard pivot floor, ``np.linalg.solve`` for the solves, and
 a two-pass covariance.  Estimators depend on these instead of calling
 into general-purpose decompositions so that failure modes (non-SPD systems,
-zero-variance covariates) surface as typed errors rather than warnings.
+a zero-variance covariate among them) surface as typed errors rather than
+warnings.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr, stdtr
 
-from .errors import DegenerateCovarianceError, NonSpdError
+from .errors import NonSpdError
 
 # Absolute floor for Cholesky pivots.  The matrices seen here (normal
 # equations, sample covariances of standardized draws) have O(1) or larger
@@ -210,19 +211,10 @@ def sample_covariance(x: np.ndarray) -> np.ndarray:
     """Two-pass sample covariance (denominator ``n - 1``).
 
     The product is symmetrized, so the result is exactly symmetric
-    whatever the float summation order.  A zero-variance column raises
-    :class:`DegenerateCovarianceError` because every downstream use
-    (Mahalanobis metric, whitening) needs an invertible matrix.
+    whatever the float summation order.  A zero-variance column leaves a
+    pivot below the floor, which :func:`cholesky_factor` rejects as
+    :class:`NonSpdError`.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("x must be a matrix")
-    n, d = x.shape
-    if n < 2:
-        raise ValueError(f"need at least 2 rows, got {n}")
     centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
-    cov = (cov + cov.T) / 2.0
-    if np.any(np.diag(cov) == 0.0):
-        raise DegenerateCovarianceError("a covariate has zero variance")
-    return cov
+    cov = centered.T @ centered / (x.shape[0] - 1)
+    return (cov + cov.T) / 2.0

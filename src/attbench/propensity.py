@@ -7,6 +7,11 @@ values themselves are untouched.  Truncation *clamps* the score values
 to a sample-size-dependent band and keeps every unit.  Estimators that
 advertise trimming consume the mask; estimators that advertise
 truncation consume the clamped values.
+
+A :class:`PsVector` comes only from the functions here, which keep its
+contract (scores strictly inside (0, 1), one mask bit and one basis row
+per unit), so it checks nothing itself.  A treatment of one class fails
+in the fit: :func:`estimate_ps` raises the fit's :class:`OneClassError`.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllTrimmedError, OneClassError
+from .errors import AllTrimmedError
 from .glm import PROB_CLAMP, fit_logistic
 from .numeric import RngStream
 from .superlearner import fit_superlearner
@@ -45,23 +50,6 @@ class PsVector:
     separated: bool = False
     score_basis: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        kept = np.asarray(self.kept_mask, dtype=bool)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("values must be a non-empty vector")
-        if np.any(values <= 0.0) or np.any(values >= 1.0):
-            raise ValueError("propensity scores must lie strictly in (0, 1)")
-        if kept.shape != values.shape:
-            raise ValueError("kept_mask must match values in length")
-        if self.score_basis is not None:
-            basis = np.asarray(self.score_basis, dtype=np.float64)
-            if basis.ndim != 2 or basis.shape[0] != values.size:
-                raise ValueError("score_basis must have one row per unit")
-            object.__setattr__(self, "score_basis", basis)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "kept_mask", kept)
-
     @property
     def n_dropped(self) -> int:
         return int((~self.kept_mask).sum())
@@ -76,14 +64,11 @@ def estimate_ps(
     ``method="ensemble"`` stacks the cross-validated library, with ``rng``
     driving the fold assignment.  Either way the returned values are
     clamped to ``[PROB_CLAMP, 1 - PROB_CLAMP]`` so ratio weights stay
-    finite even under separation.
+    finite even under separation.  A ``z`` of one class raises
+    :class:`OneClassError` from the logistic fit or the ensemble's refold.
     """
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z)
     if method not in PS_METHODS:
         raise ValueError(f"unknown method: {method}")
-    if z.min() == z.max():
-        raise OneClassError("treatment indicator contains a single class")
     if method == "logistic":
         design = np.hstack([np.ones((x.shape[0], 1)), x])
         fit = fit_logistic(design, z.astype(np.float64))

@@ -50,7 +50,6 @@ def expand_degree2(x: np.ndarray) -> np.ndarray:
     Output column order: the d originals, the d squares, then the
     d*(d-1)/2 products x_i * x_j with i < j in lexicographic order.
     """
-    x = np.asarray(x, dtype=np.float64)
     i, j = np.triu_indices(x.shape[1], 1)
     return np.hstack([x, x**2, x[:, i] * x[:, j]])
 
@@ -112,7 +111,6 @@ class EnsembleFit:
     learners: tuple[FittedLearner, ...]
     weights: np.ndarray = field(repr=False)
     family: str
-    n_features: int
     fitted: np.ndarray = field(repr=False)
 
 
@@ -152,8 +150,9 @@ def _support_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return members, pairs, kkt
 
 
-def simplex_weights(level_one: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize ``mean((level_one @ w - y)**2)`` over the simplex.
+def simplex_weights(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimize ``mean((z @ w - y)**2)`` over the simplex, for level-one
+    predictions ``z`` with one column per learner.
 
     Enumerates supports; on each, solves the KKT system of the
     equality-constrained problem in the minimum-norm sense (so duplicated
@@ -162,8 +161,6 @@ def simplex_weights(level_one: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, f
     ``np.linalg.lstsq(rcond=None)``'s cutoff, solves every support.
     Returns the weights and the attained mean squared error.
     """
-    z = np.asarray(level_one, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     k = z.shape[1]
     members, pairs, kkt = _support_tables(k)
     kkt = kkt.copy()
@@ -212,24 +209,11 @@ def fit_superlearner(x: np.ndarray, y: np.ndarray, family: str, rng: RngStream) 
         If a binomial response is constant, or some training fold is
         single-class even after one refold attempt.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     if family not in FAMILIES:
         raise ValueError(f"unknown family: {family}")
-    n = x.shape[0]
-    if y.shape != (n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
-    if n < 2 * K_FOLDS:
-        raise ValueError(f"need n >= 2 * K_FOLDS: n={n}, K_FOLDS={K_FOLDS}")
-    if family == "binomial":
-        if not np.all((y == 0.0) | (y == 1.0)):
-            raise ValueError("binomial response must be 0/1")
-        if y.min() == y.max():
-            raise OneClassError("binomial response contains a single class")
-
-    folds = _assign_folds(n, K_FOLDS, rng)
+    folds = _assign_folds(y.size, K_FOLDS, rng)
     if not _folds_trainable(y, folds, K_FOLDS, family):
-        folds = _assign_folds(n, K_FOLDS, rng)
+        folds = _assign_folds(y.size, K_FOLDS, rng)
         if not _folds_trainable(y, folds, K_FOLDS, family):
             raise OneClassError("a training fold is single-class after refold")
 
@@ -253,7 +237,7 @@ def fit_superlearner(x: np.ndarray, y: np.ndarray, family: str, rng: RngStream) 
         for kind, columns, fit in zip(LEARNER_KINDS, kept, fits)
     )
     fitted = _weighted_prediction(weights, learners, full, family)
-    return EnsembleFit(learners, weights, family, x.shape[1], fitted)
+    return EnsembleFit(learners, weights, family, fitted)
 
 
 def _weighted_prediction(weights: np.ndarray, learners, design: np.ndarray, family: str) -> np.ndarray:
@@ -270,9 +254,6 @@ def _weighted_prediction(weights: np.ndarray, learners, design: np.ndarray, fami
 
 def predict_ensemble(fit: EnsembleFit, x: np.ndarray) -> np.ndarray:
     """Weighted prediction of the refit library on new covariates."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != fit.n_features:
-        raise ValueError(f"x must have {fit.n_features} columns")
     # The learners are in library order, narrowest design first, so the last
     # one with positive weight has the design every weighted learner prefixes.
     widest = [learner for weight, learner in zip(fit.weights, fit.learners) if weight > 0.0][-1]

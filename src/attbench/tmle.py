@@ -9,6 +9,9 @@ until the efficient influence function has mean below ``EIF_TOL`` on the
 original outcome scale (or the round limit is reached, which is reported,
 not raised).  The final estimate averages the targeted treatment
 contrast over treated units and is unscaled back to outcome units.
+:func:`tmle_att` takes the replicate's outcome and treatment, the initial
+outcome predictions and the propensity score; the covariates reach it
+only through those fits.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit, logit
 
-from .errors import FlatOutcomeError, OneClassError
+from .errors import FlatOutcomeError
 from .numeric import two_sided_p
 from .propensity import PsVector
 
@@ -53,23 +56,13 @@ def _solve_fluctuation(h: np.ndarray, y_scaled: np.ndarray, offset: np.ndarray) 
     return eps
 
 
-def tmle_att(
-    y: np.ndarray,
-    z: np.ndarray,
-    x: np.ndarray,
-    q1: np.ndarray,
-    q0: np.ndarray,
-    ps: PsVector,
-) -> TmleFit:
+def tmle_att(y: np.ndarray, z: np.ndarray, q1: np.ndarray, q0: np.ndarray, ps: PsVector) -> TmleFit:
     """Target initial outcome predictions toward the ATT.
 
     Parameters
     ----------
     y, z : ndarray
-        Outcome and 0/1 treatment indicator.
-    x : ndarray, shape (n, d)
-        Covariates; they enter only through ``q1``, ``q0``, and ``ps``
-        and are accepted here for length validation.
+        Outcome and 0/1 treatment indicator, both arms present.
     q1, q0 : ndarray
         Initial predictions of E[Y | Z=1, X] and E[Y | Z=0, X] for every
         unit, on the original outcome scale.
@@ -85,19 +78,7 @@ def tmle_att(
     efficient-score equation.  Standard errors come from the empirical
     variance of the influence function; the p-value is two-sided normal.
     """
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z)
-    x = np.asarray(x)
-    q1 = np.asarray(q1, dtype=np.float64)
-    q0 = np.asarray(q0, dtype=np.float64)
     n = y.shape[0]
-    if z.shape != (n,) or q1.shape != (n,) or q0.shape != (n,) or ps.values.shape != (n,):
-        raise ValueError("y, z, q1, q0, and ps must agree in length")
-    if x.shape[0] != n:
-        raise ValueError("x must match y in length")
-    if z.min() == z.max():
-        raise OneClassError("treatment indicator contains a single class")
-
     y_min = float(y.min())
     y_max = float(y.max())
     if y_max == y_min:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AllTrimmedError, DegenerateWeightsError, ZeroSeError
+from .errors import AllTrimmedError, ZeroSeError
 from .glm import OlsFit, predict_ols
 # Not called here: perfbench/spans.py wraps this name in this module.
 from .glm import fit_ols  # noqa: F401
@@ -46,11 +46,11 @@ def _kept_arrays(ps: PsVector, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _ratio_term(w: np.ndarray, a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Value and influence contributions of ``sum(w * a) / sum(w)``."""
-    denom = float(w.sum())
-    if denom == 0.0:
-        raise DegenerateWeightsError("weighted-mean denominator is zero")
-    value = float((w * a).sum()) / denom
+    """Value and influence contributions of ``sum(w * a) / sum(w)``.
+
+    ``sum(w)`` is positive: every weight is a score or a ratio weight, and
+    both arms have a kept unit."""
+    value = float((w * a).sum()) / float(w.sum())
     phi = w * (a - value) / w.mean()
     return value, phi
 
@@ -77,8 +77,6 @@ def ipw_att(y: np.ndarray, z: np.ndarray, ps: PsVector) -> Estimate:
     the control term reweights controls by the odds of treatment,
     standardizing them to the treated covariate distribution.
     """
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z)
     psk, zk, yk = _kept_arrays(ps, z, y)
     w = _att_weights(zk, psk)
     mu_treat, phi_treat = _ratio_term(w * (zk == 1), yk)
@@ -97,12 +95,6 @@ def aipw_att(
     survives misspecification of either the outcome model or the
     propensity model, but not both.
     """
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z)
-    q1 = np.asarray(q1, dtype=np.float64)
-    q0 = np.asarray(q0, dtype=np.float64)
-    if q1.shape != y.shape or q0.shape != y.shape:
-        raise ValueError("q1 and q0 must match y in length")
     psk, zk, yk, q1k, q0k = _kept_arrays(ps, z, y, q1, q0)
     w = _att_weights(zk, psk)
     contrast, phi_contrast = _ratio_term(psk, q1k - q0k)
@@ -115,7 +107,7 @@ def aipw_att(
 def ols_outcome_design(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``[1, x, z]``, the least-squares outcome design: main effects plus
     treatment, whose coefficient is the last."""
-    return np.hstack([np.ones((x.shape[0], 1)), x, np.asarray(z, dtype=np.float64)[:, None]])
+    return np.hstack([np.ones((x.shape[0], 1)), x, z[:, None]])
 
 
 def ols_arm_predictions(fit: OlsFit, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,9 +129,6 @@ def fit_outcome_models(
     treatment set to 1 and to 0.  The least-squares counterpart is
     :func:`ols_arm_predictions` of an :func:`ols_outcome_design` fit.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
     n = x.shape[0]
     fit = fit_superlearner(np.hstack([x, z[:, None]]), y, "gaussian", rng=rng)
     q1 = predict_ensemble(fit, np.hstack([x, np.ones((n, 1))]))

@@ -24,7 +24,7 @@ from attbench.dgp import (
 from attbench.errors import NoMatchesError
 from attbench.glm import fit_ols
 from attbench.harness import METHODS, run_grid
-from attbench.matching import cem_att, cem_match, psm_match
+from attbench.matching import caliper_block, cem_att, cem_match, psm_match
 from attbench.propensity import PsVector, estimate_ps, truncate_ps
 from attbench.tmle import tmle_att
 from attbench.weighting import aipw_att, ipw_att, ols_arm_predictions, ols_outcome_design
@@ -256,7 +256,7 @@ def test_10_targeting_and_equivariance(capsys):
     for _ in range(100):
         x, z, y = s1_cohort(rng, n)
         q1, q0 = ols_arm_predictions(fit_ols(ols_outcome_design(x, z), y), x)
-        fit = tmle_att(y, z, x, q1, q0, truncate_ps(estimate_ps(x, z), n))
+        fit = tmle_att(y, z, q1, q0, truncate_ps(estimate_ps(x, z), n))
         residual = abs(float(np.mean(fit.eif_values)))
         worst = max(worst, residual)
         solved += fit.targeting_converged and residual < 1e-6
@@ -264,9 +264,9 @@ def test_10_targeting_and_equivariance(capsys):
     x, z, y = s1_cohort(rng, n)
     q1, q0 = ols_arm_predictions(fit_ols(ols_outcome_design(x, z), y), x)
     ps = truncate_ps(estimate_ps(x, z), n)
-    base = tmle_att(y, z, x, q1, q0, ps)
+    base = tmle_att(y, z, q1, q0, ps)
     a, b = 3.5, -7.0
-    moved = tmle_att(a * y + b, z, x, a * q1 + b, a * q0 + b, ps)
+    moved = tmle_att(a * y + b, z, a * q1 + b, a * q0 + b, ps)
     equivariant = abs(moved.att - a * base.att) <= 1e-8
 
     ok = solved == 100 and equivariant
@@ -292,11 +292,11 @@ def test_11_greedy_matcher_agrees_with_exhaustive_oracle(capsys):
         pairs, discarded = naive_psm(values, z, ratio)
         if not pairs:
             try:
-                psm_match(ps_of(values), z, ratio)
+                psm_match(caliper_block(values, z), ratio)
             except NoMatchesError:
                 agree += 1
             continue
-        matches = psm_match(ps_of(values), z, ratio)
+        matches = psm_match(caliper_block(values, z), ratio)
         agree += match_tuples(matches) == (tuple(pairs), tuple(discarded))
     ok = agree == trials
     announce(

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from attbench.cli import (
+    DEFAULT_OUTPUT_DIR,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PARTIAL,
@@ -171,6 +172,23 @@ class TestCmdRun:
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "env-store"))
         assert main(["run", *SMOKE_FLAGS]) == EXIT_OK
         assert (tmp_path / "env-store" / "manifest.json").exists()
+
+    def test_empty_output_dir_variable_means_the_default_for_run_and_report(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(OUTPUT_DIR_ENV, "")
+        assert main(["run", *SMOKE_FLAGS]) == EXIT_OK
+        assert main(["report"]) == EXIT_OK
+        assert (tmp_path / DEFAULT_OUTPUT_DIR / "report.csv").exists()
+
+    def test_reordered_methods_resume_the_store(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_OK
+        before = tree_bytes(store)
+        capsys.readouterr()
+        loud = [flag for flag in SMOKE_FLAGS if flag != "--quiet"]
+        assert main(["run", *loud, "--methods", "IPW,LR", "--output-dir", str(store)]) == EXIT_OK
+        assert "reusing completed cell s1t1p050_effect" in capsys.readouterr().err
+        assert tree_bytes(store) == before
 
     def test_config_error_exit_code(self, capsys):
         assert main(["run", "--scenarios", "8"]) == EXIT_CONFIG

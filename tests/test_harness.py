@@ -31,7 +31,7 @@ from attbench.harness import (
     run_replicate,
     write_records_csv,
 )
-from attbench.matching import psm_match
+from attbench.matching import caliper_block, psm_match
 from attbench.propensity import PsVector, estimate_ps
 
 GRID_METHODS = ("LR", "CEM2", "IPW")
@@ -86,7 +86,7 @@ class TestRunReplicate:
         cfg = cfg_for(scenario=2, label="0.50")
         records = run_replicate(cfg, 0.048, 0, methods=("PSM",))
         ds, _ = generate_replicate(cfg, 0.048, 0)
-        matches = psm_match(estimate_ps(ds.observed_covariates, ds.z), ds.z)
+        matches = psm_match(caliper_block(estimate_ps(ds.observed_covariates, ds.z).values, ds.z), 1)
         assert records[0].n_discarded == len(matches.discarded_treated) > 0
 
     def test_failures_flagged_never_raised(self):

@@ -29,26 +29,6 @@ def _cohort(np_rng, n=300):
     return x, z
 
 
-class TestPsVector:
-    def test_rejects_boundary_values(self):
-        with pytest.raises(ValueError):
-            _ps([0.5, 1.0])
-        with pytest.raises(ValueError):
-            _ps([0.0, 0.5])
-
-    def test_rejects_mask_length_mismatch(self):
-        with pytest.raises(ValueError):
-            PsVector(np.array([0.5]), np.array([True, False]))
-
-    def test_rejects_malformed_score_basis(self):
-        values = np.array([0.4, 0.6])
-        kept = np.ones(2, dtype=bool)
-        with pytest.raises(ValueError, match="one row per unit"):
-            PsVector(values, kept, False, np.zeros(2))
-        with pytest.raises(ValueError, match="one row per unit"):
-            PsVector(values, kept, False, np.zeros((3, 2)))
-
-
 class TestEstimatePs:
     def test_logistic_matches_glm_oracle(self, np_rng):
         x, z = _cohort(np_rng)

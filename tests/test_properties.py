@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from attbench.dgp import CellConfig, generate_replicate
 from attbench.errors import EstimationError
-from attbench.matching import cem_att, cem_match, matched_att, mdm_match, psm_match
+from attbench.matching import caliper_block, cem_att, cem_match, matched_att, mdm_match, psm_match
 from attbench.numeric import RngStream
 from attbench.propensity import PsVector, estimate_ps, trim_ps, truncate_ps
 from attbench.tmle import tmle_att
@@ -79,8 +79,8 @@ def test_matching_att_is_invariant_to_unit_order(method, data, seed):
         if method.startswith("CEM"):
             return _estimate(lambda: cem_att(y, z, cem_match(x, z, int(method[3:]))))
         if method == "MDM":
-            return _estimate(lambda: matched_att(y, mdm_match(x, z, ps)))
-        return _estimate(lambda: matched_att(y, psm_match(ps, z, 2 if method == "PSM_1:2" else 1)))
+            return _estimate(lambda: matched_att(y, mdm_match(x, caliper_block(ps.values, z))))
+        return _estimate(lambda: matched_att(y, psm_match(caliper_block(ps.values, z), 2 if method == "PSM_1:2" else 1)))
 
     _assert_same(att(x[perm], z[perm], y[perm], _permuted(ps, perm)), att(x, z, y, ps), rel=1e-12)
 
@@ -101,7 +101,7 @@ def test_weighting_att_scales_with_the_outcome(method, data, shift, scale):
         q1, q0 = fit_outcome_models(x, y, z, RngStream(2))
         if method == "AIPW_SL":
             return _estimate(lambda: aipw_att(y, z, ps, q1, q0))
-        return _estimate(lambda: tmle_att(y, z, x, q1, q0, ps))
+        return _estimate(lambda: tmle_att(y, z, q1, q0, ps))
 
     expected = att(data.y)
     if not isinstance(expected, type):

@@ -6,7 +6,7 @@ from scipy import stats
 from scipy.special import expit
 
 from attbench.dgp import SCENARIOS, outcome_mean, treatment_logit_terms
-from attbench.errors import FlatOutcomeError, OneClassError
+from attbench.errors import FlatOutcomeError
 from attbench.propensity import PsVector, estimate_ps, truncate_ps
 from attbench import tmle
 from attbench.tmle import MAX_TARGETING_ROUNDS, tmle_att
@@ -52,7 +52,7 @@ def estimated_fit(np_rng, n):
     x, z, y, _ = s1_cohort(np_rng, n)
     q1, q0 = ols_arms(x, y, z)
     ps = truncate_ps(estimate_ps(x, z), n)
-    return tmle_att(y, z, x, q1, q0, ps)
+    return tmle_att(y, z, q1, q0, ps)
 
 
 class TestTargeting:
@@ -68,7 +68,7 @@ class TestTargeting:
         q1 = outcome_mean(SCENARIOS[1], 1, x, np.ones(n), False)
         q0 = outcome_mean(SCENARIOS[1], 1, x, np.zeros(n), False)
         ps = truncate_ps(ps_of(np.clip(ps_true, 1e-8, 1 - 1e-8)), n)
-        fit = tmle_att(y, z, x, q1, q0, ps)
+        fit = tmle_att(y, z, q1, q0, ps)
         # Targeting barely moves the plug-in contrast.  The contrast moves
         # about 25 outcome units per unit of fluctuation coefficient here,
         # so this bounds the coefficient near 0.01.
@@ -89,7 +89,7 @@ class TestTargeting:
         q1 = np.full(n, y[z == 1].mean())
         q0 = np.full(n, y[z == 0].mean())
         rounds = count_rounds(monkeypatch)
-        fit = tmle_att(y, z, np_rng.standard_normal((n, 2)), q1, q0, ps_of(np.full(n, 0.5)))
+        fit = tmle_att(y, z, q1, q0, ps_of(np.full(n, 0.5)))
         expected = y[z == 1].mean() - y[z == 0].mean()
         assert fit.att == pytest.approx(expected, abs=1e-10)
         assert fit.targeting_converged
@@ -100,9 +100,9 @@ class TestTargeting:
         x, z, y, _ = s1_cohort(np_rng, n)
         q1, q0 = ols_arms(x, y, z)
         ps = truncate_ps(estimate_ps(x, z), n)
-        base = tmle_att(y, z, x, q1, q0, ps)
+        base = tmle_att(y, z, q1, q0, ps)
         a, b = 3.5, -7.0
-        moved = tmle_att(a * y + b, z, x, a * q1 + b, a * q0 + b, ps)
+        moved = tmle_att(a * y + b, z, a * q1 + b, a * q0 + b, ps)
         assert moved.att == pytest.approx(a * base.att, abs=1e-8)
         assert moved.theoretical_se == pytest.approx(a * base.theoretical_se, rel=1e-10)
 
@@ -123,7 +123,7 @@ class TestReportedQuantities:
         q1, q0 = ols_arms(x, y, z)
         ps = truncate_ps(estimate_ps(x, z), n)
         rounds = count_rounds(monkeypatch)
-        fit = tmle_att(y, z, x, q1, q0, ps)
+        fit = tmle_att(y, z, q1, q0, ps)
         assert np.isfinite(fit.att)
         assert isinstance(fit.targeting_converged, bool)
         assert len(rounds) <= MAX_TARGETING_ROUNDS
@@ -132,39 +132,14 @@ class TestReportedQuantities:
 
 
 class TestValidation:
-    def test_flat_outcome_rejected(self, np_rng):
+    def test_flat_outcome_rejected(self):
         n = 10
         z = np.array([1, 0] * 5)
         with pytest.raises(FlatOutcomeError):
             tmle_att(
                 np.ones(n),
                 z,
-                np_rng.standard_normal((n, 2)),
                 np.ones(n),
                 np.ones(n),
-                ps_of(np.full(n, 0.5)),
-            )
-
-    def test_single_class_rejected(self, np_rng):
-        n = 10
-        with pytest.raises(OneClassError):
-            tmle_att(
-                np_rng.standard_normal(n),
-                np.ones(n, dtype=np.int64),
-                np_rng.standard_normal((n, 2)),
-                np.zeros(n),
-                np.zeros(n),
-                ps_of(np.full(n, 0.5)),
-            )
-
-    def test_length_mismatch_rejected(self, np_rng):
-        n = 10
-        with pytest.raises(ValueError, match="length"):
-            tmle_att(
-                np_rng.standard_normal(n),
-                np.array([1, 0] * 5),
-                np_rng.standard_normal((n, 2)),
-                np.zeros(n - 1),
-                np.zeros(n),
                 ps_of(np.full(n, 0.5)),
             )
