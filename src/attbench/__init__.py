@@ -31,7 +31,7 @@ from .harness import (
     run_replicate,
 )
 from .matching import cem_att, cem_match, matched_att, mdm_match, psm_match
-from .numeric import RngStream, substream
+from .numeric import rng_stream, substream
 from .propensity import estimate_ps, trim_ps, truncate_ps
 from .superlearner import fit_superlearner, predict_ensemble
 from .tmle import tmle_att
@@ -43,7 +43,6 @@ __all__ = [
     "Dataset",
     "EstimateRecord",
     "MethodMetrics",
-    "RngStream",
     "aggregate_cell",
     "aipw_att",
     "calibrate_intercept",
@@ -58,6 +57,7 @@ __all__ = [
     "mdm_match",
     "predict_ensemble",
     "psm_match",
+    "rng_stream",
     "run_grid",
     "run_replicate",
     "substream",

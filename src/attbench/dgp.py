@@ -17,6 +17,10 @@ The treatment intercept is calibrated by bisection against a large Monte
 Carlo sample so each configuration hits its target prevalence; sample
 sizes are chosen to keep the expected treated count at 50.
 
+Every draw comes straight from a numpy ``Generator`` (see
+:mod:`attbench.numeric`).  Scenario, setting and prevalence are checked
+once, by :class:`CellConfig` and the grid, not again here.
+
 Both Monte Carlo oracles stream their samples in leaves of a few ten
 thousand rows and never hold a whole draw.  Their sums still carry the
 bits of ``np.sum`` over the whole vector: numpy adds a contiguous float64
@@ -34,13 +38,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import BracketFailureError, DegenerateDrawError
-from .numeric import (
-    PURPOSE_DATASET,
-    RngStream,
-    sample_bernoulli,
-    sample_std_normal,
-    substream,
-)
+from .numeric import PURPOSE_DATASET, substream
 
 NOISE_VARIANCE = 2.0
 NOISE_SD = float(np.sqrt(NOISE_VARIANCE))
@@ -105,10 +103,8 @@ def treatment_logit_terms(
 
     Summed left to right over the terms ``c1 x1, c2 x2, c11 x1^2, c22 x2^2,
     c12 x1 x2`` (then ``c4 x4, c44 x4^2``) in two fresh buffers; the inputs
-    are only read.
+    are only read.  ``x4`` is read only when the scenario includes it.
     """
-    if spec.includes_x4 and x4 is None:
-        raise ValueError("scenario includes x4 but none was given")
     terms = np.multiply(x1, spec.coef_x1)
     term = np.multiply(x2, spec.coef_x2)
     terms += term
@@ -137,8 +133,6 @@ def outcome_mean(
     setting 3, the interaction), leaving the confounding structure
     intact.
     """
-    if setting not in SETTING_IDS:
-        raise ValueError(f"unknown setting: {setting}")
     x1 = x[:, 0]
     x3 = x[:, 2]
     mean = 1.5 * x1 + 0.75 * x3
@@ -229,16 +223,18 @@ def prevalence_label_for(value: float | str) -> str:
     raise ValueError(f"prevalence {value} is not in the design: {PREVALENCE_LABELS}")
 
 
-def _draw_treatment_covariates(spec: ScenarioSpec, n: int, rng: RngStream) -> tuple[np.ndarray, ...]:
+def _draw_treatment_covariates(
+    spec: ScenarioSpec, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, ...]:
     k = 3 if spec.includes_x4 else 2
-    draws = sample_std_normal(rng, n * k).reshape(n, k)
+    draws = rng.standard_normal(n * k).reshape(n, k)
     if spec.includes_x4:
         return draws[:, 0], draws[:, 1], draws[:, 2]
     return draws[:, 0], draws[:, 1], None
 
 
 def draw_true_propensity(
-    spec: ScenarioSpec, alpha0: float, n: int, rng: RngStream
+    spec: ScenarioSpec, alpha0: float, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n`` draws of x1 and of the true treatment probability at ``alpha0``."""
     x1, x2, x4 = _draw_treatment_covariates(spec, n, rng)
@@ -335,7 +331,7 @@ def _bisection_leaf(guess: float) -> tuple[float, float] | None:
 def calibrate_intercept(
     spec: ScenarioSpec,
     prevalence: float,
-    rng: RngStream,
+    rng: np.random.Generator,
     oracle_n: int = 10**6,
     tol: float = CALIBRATION_TOL,
     *,
@@ -378,10 +374,6 @@ def calibrate_intercept(
     sample, now sums the squares up the same tree: it moves by round-off
     only, and only the guess depends on it.
     """
-    if not 0.0 < prevalence < 1.0:
-        raise ValueError(f"prevalence must lie in (0, 1): {prevalence}")
-    if oracle_n < 1:
-        raise ValueError(f"oracle_n must be positive: {oracle_n}")
     terms = np.empty(oracle_n)
     for lo in range(0, oracle_n, _ORACLE_LEAF):
         hi = min(lo + _ORACLE_LEAF, oracle_n)
@@ -415,7 +407,7 @@ def calibrate_intercept(
     return float(alpha)
 
 
-def generate_dataset(cfg: CellConfig, alpha0: float, rng: RngStream) -> Dataset:
+def generate_dataset(cfg: CellConfig, alpha0: float, rng: np.random.Generator) -> Dataset:
     """Draw one cohort from a single stream.
 
     Draw order is fixed (covariate matrix, then treatment uniforms, then
@@ -427,11 +419,12 @@ def generate_dataset(cfg: CellConfig, alpha0: float, rng: RngStream) -> Dataset:
     spec = SCENARIOS[cfg.scenario]
     n = cfg.n
     d = spec.n_covariates
-    x = sample_std_normal(rng, n * d).reshape(n, d)
+    x = rng.standard_normal(n * d).reshape(n, d)
     x4 = x[:, 3] if spec.includes_x4 else None
     p_treat = expit(alpha0 + treatment_logit_terms(spec, x[:, 0], x[:, 1], x4))
-    z = sample_bernoulli(rng, p_treat)
-    noise = NOISE_SD * sample_std_normal(rng, n)
+    # One uniform per unit, whatever its probability.
+    z = (rng.random(n) < p_treat).astype(np.int64)
+    noise = NOISE_SD * rng.standard_normal(n)
     n_treated = int(z.sum())
     if n_treated < 2 or n - n_treated < 2:
         raise DegenerateDrawError(f"{n_treated} treated of {n}")
@@ -465,7 +458,7 @@ def true_att(
     spec: ScenarioSpec,
     setting: int,
     alpha0: float,
-    rng: RngStream,
+    rng: np.random.Generator,
     oracle_n: int = 10**7,
     null_effect: bool = False,
 ) -> tuple[float, float]:
@@ -485,8 +478,6 @@ def true_att(
     sum is ``==`` ``np.sum`` over the whole chunk, and the truth and its
     error keep the bits the chunk-at-once computation gave.
     """
-    if setting not in SETTING_IDS:
-        raise ValueError(f"unknown setting: {setting}")
     if null_effect:
         return 0.0, 0.0
     if setting in (1, 2):

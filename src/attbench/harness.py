@@ -63,10 +63,9 @@ from .numeric import (
     PURPOSE_PS_FOLDS,
     PURPOSE_TRUTH,
     Estimate,
-    RngStream,
     substream,
 )
-from .propensity import DEFAULT_TRIM_DELTA, estimate_ps, trim_ps, truncate_ps
+from .propensity import TRIM_DELTA, estimate_ps, trim_ps, truncate_ps
 from .superlearner import K_FOLDS
 from .tmle import tmle_att
 from .weighting import aipw_att, fit_outcome_models, ipw_att, ols_arm_predictions, ols_outcome_design
@@ -91,7 +90,7 @@ DECISIONS = {
     "outcome_model_plain": "ols main effects plus treatment",
     "ps_model_plain": "logistic main effects",
     "ps_refit_after_trimming": False,
-    "trim_delta": DEFAULT_TRIM_DELTA,
+    "trim_delta": TRIM_DELTA,
     "truncation_rule": "5 / (sqrt(n) ln n)",
 }
 
@@ -246,10 +245,6 @@ def run_replicate(
     reproducible unit by unit.
     """
     method_list = METHODS if methods is None else tuple(methods)
-    unknown = set(method_list) - set(METHODS)
-    if unknown:
-        raise ValueError(f"unknown methods: {sorted(unknown)}")
-
     ds, attempt = generate_replicate(cfg, alpha0, replicate)
     context = _Replicate(cfg, replicate, attempt, ds)
     base_flags = ("redrawn",) if attempt > 0 else ()
@@ -383,7 +378,7 @@ def _is_float(value, expected: float) -> bool:
     return type(value) is float and value == expected
 
 
-def oracle_stream(oracle_seed: int, scenario: int, label: str, purpose: int) -> RngStream:
+def oracle_stream(oracle_seed: int, scenario: int, label: str, purpose: int) -> np.random.Generator:
     """The oracle stream of one (scenario, prevalence label) and purpose."""
     return substream(
         oracle_seed, cell_code=scenario, replicate=PREVALENCE_LABELS.index(label), purpose=purpose
@@ -565,7 +560,11 @@ def run_grid(
         raise ValueError("duplicate cells in the grid")
     if len({c.master_seed for c in cells}) != 1:
         raise ValueError("all cells in a grid must share a master seed")
+    if calibration_n < 1 or truth_n < 1:
+        raise ValueError(f"oracle sizes must be positive: calibration_n={calibration_n}, truth_n={truth_n}")
     method_list = METHODS if methods is None else tuple(methods)
+    if not method_list:
+        raise ValueError("no methods to run")
     if len(set(method_list)) != len(method_list):
         raise ValueError("duplicate methods in the grid")
     unknown = set(method_list) - set(METHODS)

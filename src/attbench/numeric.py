@@ -1,11 +1,12 @@
 """Deterministic random streams, small dense linear algebra, and the
 estimate every ATT estimator returns.
 
-All simulation randomness flows through :class:`RngStream`, a thin wrapper
-around numpy's PCG64 generator seeded through ``SeedSequence`` spawn keys.
-A stream is identified by ``(master_seed, stream_id)`` alone, so any unit
-of work that derives its id from stable coordinates reproduces bit-for-bit
-regardless of scheduling or worker count.
+All simulation randomness comes from numpy PCG64 ``Generator``s that
+:func:`rng_stream` seeds through ``SeedSequence`` spawn keys; the code
+that consumes a stream draws from it directly.  A stream is identified by
+``(master_seed, stream_id)`` alone, so any unit of work that derives its
+id from stable coordinates reproduces bit-for-bit regardless of
+scheduling or worker count.
 
 The linear-algebra helpers are deliberately small: numpy's LAPACK
 Cholesky factorization (``np.linalg.cholesky``, one call for a whole
@@ -46,40 +47,22 @@ PURPOSE_TRUTH = 4
 PURPOSE_PS_HIST = 5
 
 
-class RngStream:
-    """A single-owner random stream.
+def rng_stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
+    """The numpy PCG64 generator of stream ``stream_id`` of ``master_seed``.
 
-    Parameters
-    ----------
-    master_seed : int
-        Top-level experiment seed, in ``[0, 2**64)``.
-    stream_id : int
-        Identifies this stream among all streams derived from the master
-        seed.  Equal ids reproduce equal draw sequences; distinct ids give
-        statistically independent sequences via SeedSequence spawning.
-
-    Notes
-    -----
-    The stream is stateful and must not be shared across concurrent
-    consumers.  Normal variates come from the generator's ziggurat
-    sampler; uniforms from its 53-bit doubles.  Both are fixed algorithms
-    in numpy, which is what makes golden outputs stable across platforms.
+    Both are in ``[0, 2**64)``.  Equal ids reproduce equal draw sequences;
+    distinct ids give statistically independent sequences via SeedSequence
+    spawning.  A generator is stateful and must not be shared across
+    concurrent consumers.  Normal variates come from its ziggurat sampler,
+    uniforms from its 53-bit doubles: both fixed algorithms in numpy, which
+    is what makes golden outputs stable across platforms.
     """
-
-    __slots__ = ("master_seed", "stream_id", "generator")
-
-    def __init__(self, master_seed: int, stream_id: int = 0):
-        if not 0 <= master_seed < _MAX_UINT64:
-            raise ValueError(f"master_seed out of range: {master_seed}")
-        if not 0 <= stream_id < _MAX_UINT64:
-            raise ValueError(f"stream_id out of range: {stream_id}")
-        self.master_seed = int(master_seed)
-        self.stream_id = int(stream_id)
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
-        self.generator = np.random.Generator(np.random.PCG64(seq))
-
-    def __repr__(self) -> str:
-        return f"RngStream(master_seed={self.master_seed}, stream_id={self.stream_id})"
+    if not 0 <= master_seed < _MAX_UINT64:
+        raise ValueError(f"master_seed out of range: {master_seed}")
+    if not 0 <= stream_id < _MAX_UINT64:
+        raise ValueError(f"stream_id out of range: {stream_id}")
+    seq = np.random.SeedSequence(master_seed, spawn_key=(stream_id,))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def pack_stream_id(cell_code: int, replicate: int, attempt: int, purpose: int) -> int:
@@ -103,33 +86,9 @@ def pack_stream_id(cell_code: int, replicate: int, attempt: int, purpose: int) -
 
 def substream(
     master_seed: int, *, cell_code: int, replicate: int = 0, attempt: int = 0, purpose: int = PURPOSE_DATASET
-) -> RngStream:
-    """Construct the stream owned by one unit of work."""
-    return RngStream(master_seed, pack_stream_id(cell_code, replicate, attempt, purpose))
-
-
-def sample_std_normal(rng: RngStream, n: int) -> np.ndarray:
-    """Draw ``n`` independent standard normal variates."""
-    if n < 1:
-        raise ValueError(f"n must be positive: {n}")
-    return rng.generator.standard_normal(n)
-
-
-def sample_bernoulli(rng: RngStream, p: np.ndarray) -> np.ndarray:
-    """Draw one Bernoulli variate per probability.
-
-    Implemented as a uniform-threshold comparison (``u < p``) so the
-    draw consumes exactly one uniform per element regardless of p.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError("p must be a vector")
-    if p.size == 0:
-        raise ValueError("p must be non-empty")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    u = rng.generator.random(p.size)
-    return (u < p).astype(np.int64)
+) -> np.random.Generator:
+    """The stream owned by one unit of work."""
+    return rng_stream(master_seed, pack_stream_id(cell_code, replicate, attempt, purpose))
 
 
 class Estimate(NamedTuple):

@@ -2,16 +2,17 @@
 
 Trimming and truncation are different animals and are kept separate on
 purpose.  Trimming *drops* units whose score falls outside
-``[delta, 1 - delta]`` by clearing their ``kept_mask`` bit; the score
-values themselves are untouched.  Truncation *clamps* the score values
-to a sample-size-dependent band and keeps every unit.  Estimators that
-advertise trimming consume the mask; estimators that advertise
-truncation consume the clamped values.
+``[TRIM_DELTA, 1 - TRIM_DELTA]`` by clearing their ``kept_mask`` bit;
+the score values themselves are untouched.  Truncation *clamps* the
+score values to a sample-size-dependent band and keeps every unit.
+Estimators that advertise trimming consume the mask; estimators that
+advertise truncation consume the clamped values.
 
 A :class:`PsVector` comes only from the functions here, which keep its
 contract (scores strictly inside (0, 1), one mask bit and one basis row
 per unit), so it checks nothing itself.  A treatment of one class fails
 in the fit: :func:`estimate_ps` raises the fit's :class:`OneClassError`.
+An ensemble's scores are :func:`predict_ensemble` on its training rows.
 """
 
 from __future__ import annotations
@@ -22,13 +23,10 @@ import numpy as np
 
 from .errors import AllTrimmedError
 from .glm import PROB_CLAMP, fit_logistic
-from .numeric import RngStream
-from .superlearner import fit_superlearner
-# Not called here: perfbench/spans.py wraps this name in this module.
-from .superlearner import predict_ensemble  # noqa: F401
+from .superlearner import fit_superlearner, predict_ensemble
 
 PS_METHODS = ("logistic", "ensemble")
-DEFAULT_TRIM_DELTA = 0.05
+TRIM_DELTA = 0.05
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ class PsVector:
 
 
 def estimate_ps(
-    x: np.ndarray, z: np.ndarray, method: str = "logistic", rng: RngStream | None = None
+    x: np.ndarray, z: np.ndarray, method: str = "logistic", rng: np.random.Generator | None = None
 ) -> PsVector:
     """Estimate P(Z = 1 | X) for every unit.
 
@@ -77,14 +75,14 @@ def estimate_ps(
         basis = design * (z.astype(np.float64) - fit.fitted_probabilities)[:, None]
     else:
         fit = fit_superlearner(x, z.astype(np.float64), "binomial", rng=rng)
-        values = fit.fitted
+        values = predict_ensemble(fit, x)
         separated = any(learner.separated for learner in fit.learners)
         basis = None
     return PsVector(values, np.ones(values.size, dtype=bool), separated, basis)
 
 
-def trim_ps(ps: PsVector, delta: float = DEFAULT_TRIM_DELTA) -> PsVector:
-    """Drop units with scores outside ``[delta, 1 - delta]``.
+def trim_ps(ps: PsVector) -> PsVector:
+    """Drop units with scores outside ``[TRIM_DELTA, 1 - TRIM_DELTA]``.
 
     Returns a new :class:`PsVector` whose ``kept_mask`` is the
     intersection of the incoming mask with the band, making the operation
@@ -92,23 +90,17 @@ def trim_ps(ps: PsVector, delta: float = DEFAULT_TRIM_DELTA) -> PsVector:
     single-arm survival is left to the consuming estimator, which is the
     only place the treatment indicator is visible.
     """
-    if not 0.0 <= delta < 0.5:
-        raise ValueError(f"delta must lie in [0, 0.5): {delta}")
-    inside = (ps.values >= delta) & (ps.values <= 1.0 - delta)
+    inside = (ps.values >= TRIM_DELTA) & (ps.values <= 1.0 - TRIM_DELTA)
     kept = ps.kept_mask & inside
     if not kept.any():
-        raise AllTrimmedError(f"no unit has a score in [{delta}, {1 - delta}]")
+        raise AllTrimmedError(f"no unit has a score in [{TRIM_DELTA}, {1 - TRIM_DELTA}]")
     return PsVector(ps.values, kept, ps.separated, ps.score_basis)
 
 
 def truncation_bound(n: int) -> float:
-    """Sample-size-dependent clamp level ``5 / (sqrt(n) * ln(n))``."""
-    if n < 8:
-        raise ValueError(f"need n >= 8: {n}")
-    bound = 5.0 / (np.sqrt(n) * np.log(n))
-    if bound >= 0.5:
-        raise ValueError(f"truncation bound {bound:.4f} >= 0.5 at n={n}; band is empty")
-    return float(bound)
+    """Sample-size-dependent clamp level ``5 / (sqrt(n) * ln(n))``, below
+    0.5 from n = 15 on; the design's cohorts have n of 100 or more."""
+    return float(5.0 / (np.sqrt(n) * np.log(n)))
 
 
 def truncate_ps(ps: PsVector, n: int) -> PsVector:

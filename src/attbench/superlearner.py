@@ -9,16 +9,19 @@ three learners, solved as one stack.  Unlike non-negative least squares
 with a renormalization step this guarantees the stacked cross-validation
 risk never exceeds the best single learner's risk.
 
-The level-one predictions come from ``K_FOLDS`` fits per learner, one
-per training fold, and the full-sample refit is one more fit of the same
-kind.  For each GLM learner all ``K_FOLDS + 1`` are made in one stacked
-pass (:func:`attbench.glm.fit_folds`): each fold is a 0/1 row weight on
-the learner's full design and the refit an all-ones weight, fitted by
-the same engine, under the same convergence and separation rules, as
-every other GLM fit in :mod:`attbench.glm`.  The grand mean's fits need
+The fold assignment is one permutation drawn from the caller's numpy
+``Generator`` (a second on a refold).  The level-one predictions come
+from ``K_FOLDS`` fits per learner, one per training fold, and the
+full-sample refit is one more fit of the same kind.  For each GLM
+learner all ``K_FOLDS + 1`` are made in one stacked pass
+(:func:`attbench.glm.fit_folds`): each fold is a 0/1 row weight on the
+learner's full design and the refit an all-ones weight, fitted by the
+same engine, under the same convergence and separation rules, as every
+other GLM fit in :mod:`attbench.glm`.  The grand mean's fits need
 only each training fold's row count and response sum, so
 :func:`attbench.glm.fit_mean_folds` fits them from those, under the
-engine's rules, with no design.
+engine's rules, with no design.  Every prediction of a fit, on its own
+training rows or on new covariates, is :func:`predict_ensemble`'s.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .errors import OneClassError
 from .glm import PROB_CLAMP, fit_folds, fit_mean_folds
 # Not called here: perfbench/spans.py wraps these two names in this module.
 from .glm import fit_logistic, fit_ols  # noqa: F401
-from .numeric import RngStream
 
 LEARNER_KINDS = ("mean_only", "glm_main_effects", "glm_degree2")
 FAMILIES = ("gaussian", "binomial")
@@ -102,20 +104,15 @@ class FittedLearner:
 
 @dataclass(frozen=True)
 class EnsembleFit:
-    """A weighted library refit on the full sample.
-
-    ``fitted`` is the ensemble's prediction on its own training rows, as
-    :func:`predict_ensemble` would give it.
-    """
+    """A weighted library refit on the full sample."""
 
     learners: tuple[FittedLearner, ...]
     weights: np.ndarray = field(repr=False)
     family: str
-    fitted: np.ndarray = field(repr=False)
 
 
-def _assign_folds(n: int, k_folds: int, rng: RngStream) -> np.ndarray:
-    perm = rng.generator.permutation(n)
+def _assign_folds(n: int, k_folds: int, rng: np.random.Generator) -> np.ndarray:
+    perm = rng.permutation(n)
     folds = np.empty(n, dtype=np.intp)
     folds[perm] = np.arange(n) % k_folds
     return folds
@@ -183,7 +180,7 @@ def simplex_weights(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     return candidates[best], objectives[best]
 
 
-def fit_superlearner(x: np.ndarray, y: np.ndarray, family: str, rng: RngStream) -> EnsembleFit:
+def fit_superlearner(x: np.ndarray, y: np.ndarray, family: str, rng: np.random.Generator) -> EnsembleFit:
     """Stack the ``LEARNER_KINDS`` library by ``K_FOLDS``-fold cross validation.
 
     Each GLM learner's design is built once on all ``n`` rows.  Its
@@ -200,7 +197,7 @@ def fit_superlearner(x: np.ndarray, y: np.ndarray, family: str, rng: RngStream) 
     y : ndarray
         Response; 0/1 for ``family="binomial"``.
     family : {"gaussian", "binomial"}
-    rng : RngStream
+    rng : numpy Generator
         Source of the fold assignment, the only randomness here.
 
     Raises
@@ -236,26 +233,19 @@ def fit_superlearner(x: np.ndarray, y: np.ndarray, family: str, rng: RngStream) 
         FittedLearner(kind, family, columns, fit.refit_coefficients, fit.refit_separated)
         for kind, columns, fit in zip(LEARNER_KINDS, kept, fits)
     )
-    fitted = _weighted_prediction(weights, learners, full, family)
-    return EnsembleFit(learners, weights, family, fitted)
-
-
-def _weighted_prediction(weights: np.ndarray, learners, design: np.ndarray, family: str) -> np.ndarray:
-    """The weighted library prediction from ``design``, the covariates'
-    design of the widest learner with positive weight (or a wider one)."""
-    preds = np.zeros(design.shape[0])
-    for weight, learner in zip(weights, learners):
-        if weight > 0.0:
-            preds += weight * learner.predict_from(design)
-    if family == "binomial":
-        preds = np.clip(preds, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return preds
+    return EnsembleFit(learners, weights, family)
 
 
 def predict_ensemble(fit: EnsembleFit, x: np.ndarray) -> np.ndarray:
-    """Weighted prediction of the refit library on new covariates."""
+    """Weighted prediction of the refit library on covariates ``x``."""
     # The learners are in library order, narrowest design first, so the last
     # one with positive weight has the design every weighted learner prefixes.
     widest = [learner for weight, learner in zip(fit.weights, fit.learners) if weight > 0.0][-1]
     design = _learner_design(widest.kind, x)
-    return _weighted_prediction(fit.weights, fit.learners, design, fit.family)
+    preds = np.zeros(x.shape[0])
+    for weight, learner in zip(fit.weights, fit.learners):
+        if weight > 0.0:
+            preds += weight * learner.predict_from(design)
+    if fit.family == "binomial":
+        preds = np.clip(preds, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return preds

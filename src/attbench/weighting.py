@@ -27,7 +27,7 @@ from .errors import AllTrimmedError, ZeroSeError
 from .glm import OlsFit, predict_ols
 # Not called here: perfbench/spans.py wraps this name in this module.
 from .glm import fit_ols  # noqa: F401
-from .numeric import Estimate, RngStream, two_sided_p
+from .numeric import Estimate, two_sided_p
 from .propensity import PsVector
 from .superlearner import fit_superlearner, predict_ensemble
 
@@ -120,7 +120,7 @@ def ols_arm_predictions(fit: OlsFit, x: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def fit_outcome_models(
-    x: np.ndarray, y: np.ndarray, z: np.ndarray, rng: RngStream
+    x: np.ndarray, y: np.ndarray, z: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stack the cross-validated library on ``[X, Z]`` to fit E[Y | X, Z]
     on the full sample, with ``rng`` driving the fold assignment.

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from attbench.numeric import RngStream
+from attbench.numeric import rng_stream
 
 
 @pytest.fixture
 def rng():
     """Fresh deterministic stream per test."""
-    return RngStream(12345)
+    return rng_stream(12345)
 
 
 @pytest.fixture

@@ -71,10 +71,6 @@ class TestRunReplicate:
         records = run_replicate(cfg_for(label="0.50"), -0.0694, 0, methods=("PSM", "IPW"))
         assert tuple(r.method for r in records) == ("PSM", "IPW")
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown methods"):
-            run_replicate(cfg_for(), -1.46, 0, methods=("PSM", "OLS"))
-
     def test_redraw_reaches_record_flags(self):
         cfg = cfg_for(label="0.50", seed=777)
         _, attempt = generate_replicate(cfg, -4.1, 1)
@@ -604,6 +600,16 @@ class TestRunGrid:
         mixed = [cfg_for(label="0.50", n_reps=2, seed=1), cfg_for(label="0.33", n_reps=2, seed=2)]
         with pytest.raises(ValueError, match="master seed"):
             run_small_grid(tmp_path, cells=mixed)
+        with pytest.raises(ValueError, match="unknown methods"):
+            run_small_grid(tmp_path, methods=("PSM", "OLS"))
+        with pytest.raises(ValueError, match="no methods"):
+            run_small_grid(tmp_path, methods=())
+        # A drawn truth over no rows would divide by zero.
+        setting3 = [cfg_for(setting=3, label="0.50", n_reps=2)]
+        for sizes in ({"calibration_n": 0}, {"calibration_n": -5}, {"truth_n": 0}):
+            with pytest.raises(ValueError, match="oracle sizes must be positive"):
+                run_small_grid(tmp_path, cells=setting3, **sizes)
+        assert list(tmp_path.iterdir()) == []
 
     def test_repeated_methods_rejected_before_writing(self, tmp_path):
         with pytest.raises(ValueError, match="duplicate methods"):

@@ -5,12 +5,10 @@ import pytest
 
 from attbench.errors import NonSpdError
 from attbench.numeric import (
-    RngStream,
     cholesky_factor,
     pack_stream_id,
-    sample_bernoulli,
+    rng_stream,
     sample_covariance,
-    sample_std_normal,
     solve_from_factor,
     solve_spd_stack,
     substream,
@@ -19,33 +17,33 @@ from attbench.numeric import (
 
 class TestRngStream:
     def test_same_coordinates_reproduce_draws(self):
-        a = sample_std_normal(RngStream(42, 7), 1000)
-        b = sample_std_normal(RngStream(42, 7), 1000)
+        a = rng_stream(42, 7).standard_normal(1000)
+        b = rng_stream(42, 7).standard_normal(1000)
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_stream_ids_decorrelate(self):
-        a = sample_std_normal(RngStream(42, 1), 100_000)
-        b = sample_std_normal(RngStream(42, 2), 100_000)
+        a = rng_stream(42, 1).standard_normal(100_000)
+        b = rng_stream(42, 2).standard_normal(100_000)
         assert not np.array_equal(a[:100], b[:100])
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
 
     def test_distinct_master_seeds_differ(self):
-        a = sample_std_normal(RngStream(1, 0), 50)
-        b = sample_std_normal(RngStream(2, 0), 50)
+        a = rng_stream(1, 0).standard_normal(50)
+        b = rng_stream(2, 0).standard_normal(50)
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_out_of_range_seed_rejected(self, seed):
-        with pytest.raises(ValueError):
-            RngStream(seed)
+        with pytest.raises(ValueError, match="master_seed"):
+            rng_stream(seed)
+        with pytest.raises(ValueError, match="stream_id"):
+            rng_stream(0, seed)
 
     def test_substream_matches_packed_id(self):
         packed = pack_stream_id(31, 5, 1, 2)
-        direct = RngStream(9, packed)
+        direct = rng_stream(9, packed)
         derived = substream(9, cell_code=31, replicate=5, attempt=1, purpose=2)
-        np.testing.assert_array_equal(
-            sample_std_normal(direct, 20), sample_std_normal(derived, 20)
-        )
+        np.testing.assert_array_equal(direct.standard_normal(20), derived.standard_normal(20))
 
     def test_packed_ids_unique_over_small_grid(self):
         seen = set()
@@ -70,34 +68,27 @@ class TestRngStream:
             pack_stream_id(kwargs["cell_code"], kwargs["replicate"], kwargs["attempt"], kwargs["purpose"])
 
 
+def bernoulli(rng, p):
+    """A treatment draw as ``generate_dataset`` makes it: one uniform per unit."""
+    return (rng.random(p.size) < p).astype(np.int64)
+
+
 class TestSampling:
     def test_std_normal_moments(self, rng):
-        draws = sample_std_normal(rng, 1_000_000)
+        draws = rng.standard_normal(1_000_000)
         assert abs(draws.mean()) < 0.005
         assert abs(draws.std() - 1.0) < 0.005
 
-    def test_std_normal_rejects_empty(self, rng):
-        with pytest.raises(ValueError):
-            sample_std_normal(rng, 0)
-
     def test_bernoulli_degenerate_probabilities(self, rng):
-        zeros = sample_bernoulli(rng, np.zeros(500))
-        ones = sample_bernoulli(rng, np.ones(500))
-        assert zeros.sum() == 0
-        assert ones.sum() == 500
+        assert bernoulli(rng, np.zeros(500)).sum() == 0
+        assert bernoulli(rng, np.ones(500)).sum() == 500
 
     def test_bernoulli_hits_target_rate(self, rng):
         p = np.full(200_000, 0.3)
-        draws = sample_bernoulli(rng, p)
+        draws = bernoulli(rng, p)
         # 6 sigma band around 0.3 for n = 2e5
         assert abs(draws.mean() - 0.3) < 6 * np.sqrt(0.3 * 0.7 / p.size)
         assert set(np.unique(draws)) <= {0, 1}
-
-    def test_bernoulli_rejects_bad_probabilities(self, rng):
-        with pytest.raises(ValueError):
-            sample_bernoulli(rng, np.array([0.5, 1.2]))
-        with pytest.raises(ValueError):
-            sample_bernoulli(rng, np.array([-0.1]))
 
 
 def _random_spd(np_rng, d):

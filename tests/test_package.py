@@ -48,26 +48,46 @@ def test_cli_import_leaves_scipy_linalg_and_the_process_pool_unloaded():
     assert json.loads(done.stdout) == []
 
 
-def _unused_imports(path: Path) -> list[str]:
-    """``file:line name`` of each name ``path`` imports and never reads,
-    except on lines marked ``# noqa: F401``."""
+def _trace_sites() -> set[tuple[str, str]]:
+    """The ``(module, name)`` pairs of ``TRACE_SITES`` in ``perfbench/spans.py``,
+    read from its source: the names perfbench wraps on each module."""
+    spans = Path(attbench.__file__).resolve().parents[2] / "perfbench" / "spans.py"
+    for node in ast.parse(spans.read_text()).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACE_SITES":
+            return {(site.elts[0].value, site.elts[1].value) for site in node.value.elts}
+    raise AssertionError(f"no TRACE_SITES in {spans}")
+
+
+def _import_faults(path: Path, trace_sites: set[tuple[str, str]]) -> list[str]:
+    """``file:line name`` of each name ``path`` imports and never reads.  An
+    import marked ``# noqa: F401`` is exempt only while the module never
+    reads the name and perfbench wraps it there (a ``TRACE_SITES`` entry)."""
     source = path.read_text()
     lines = source.splitlines()
     tree = ast.parse(source)
-    imported = {}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = f"attbench.{path.stem}"
+    faults = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
             continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
-            continue
+        marked = any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
         for alias in node.names:
-            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+            name = alias.asname or alias.name.split(".")[0]
+            where = f"{path.name}:{node.lineno} {name}"
+            if not marked and name not in read:
+                faults.append(f"{where} is never read")
+            elif marked and name in read:
+                faults.append(f"{where} is read, so its noqa marker is stale")
+            elif marked and (module, name) not in trace_sites:
+                faults.append(f"{where} is marked noqa but perfbench does not wrap it")
+    return faults
 
 
 def test_every_import_is_used():
     modules = sorted(Path(attbench.__file__).parent.glob("*.py"))
     assert len(modules) > 1
-    unused = [entry for path in modules if path.name != "__init__.py" for entry in _unused_imports(path)]
-    assert unused == []
+    trace_sites = _trace_sites()
+    assert ("attbench.superlearner", "fit_ols") in trace_sites
+    faults = [f for path in modules if path.name != "__init__.py" for f in _import_faults(path, trace_sites)]
+    assert faults == []

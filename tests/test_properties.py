@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from attbench.dgp import CellConfig, generate_replicate
 from attbench.errors import EstimationError
 from attbench.matching import caliper_block, cem_att, cem_match, matched_att, mdm_match, psm_match
-from attbench.numeric import RngStream
+from attbench.numeric import rng_stream
 from attbench.propensity import PsVector, estimate_ps, trim_ps, truncate_ps
 from attbench.tmle import tmle_att
 from attbench.glm import fit_ols
@@ -97,8 +97,8 @@ def test_weighting_att_scales_with_the_outcome(method, data, shift, scale):
             return _estimate(lambda: ipw_att(y, z, trimmed))
         if method == "AIPW":
             return _estimate(lambda: aipw_att(y, z, trimmed, *_ols_arms(x, y, z)))
-        ps = truncate_ps(estimate_ps(x, z, "ensemble", rng=RngStream(1)), data.n)
-        q1, q0 = fit_outcome_models(x, y, z, RngStream(2))
+        ps = truncate_ps(estimate_ps(x, z, "ensemble", rng=rng_stream(1)), data.n)
+        q1, q0 = fit_outcome_models(x, y, z, rng_stream(2))
         if method == "AIPW_SL":
             return _estimate(lambda: aipw_att(y, z, ps, q1, q0))
         return _estimate(lambda: tmle_att(y, z, q1, q0, ps))

@@ -7,7 +7,7 @@ from scipy.special import expit
 
 from attbench.errors import OneClassError
 from attbench.glm import _fit_stack, fit_folds, fit_logistic, fit_mean_folds
-from attbench.numeric import RngStream
+from attbench.numeric import rng_stream
 from attbench.propensity import estimate_ps
 from attbench.superlearner import (
     K_FOLDS,
@@ -26,8 +26,8 @@ from naive_oracles import naive_gaussian_library, naive_simplex_weights
 
 
 def fold_assignment(y, family, seed):
-    """The folds ``fit_superlearner`` draws from ``RngStream(seed)``, refold included."""
-    rng = RngStream(seed)
+    """The folds ``fit_superlearner`` draws from ``rng_stream(seed)``, refold included."""
+    rng = rng_stream(seed)
     folds = _assign_folds(y.size, K_FOLDS, rng)
     if not _folds_trainable(y, folds, K_FOLDS, family):
         folds = _assign_folds(y.size, K_FOLDS, rng)
@@ -36,7 +36,7 @@ def fold_assignment(y, family, seed):
 
 def level_one(fit, x, y, seed):
     """The out-of-fold predictions ``fit_superlearner`` stacked for ``fit``,
-    one column per learner, rebuilt from the folds it drew from ``RngStream(seed)``."""
+    one column per learner, rebuilt from the folds it drew from ``rng_stream(seed)``."""
     folds = fold_assignment(y, fit.family, seed)
     columns = [fit_mean_folds(y, folds, K_FOLDS, fit.family).out_of_fold]
     for learner in fit.learners[1:]:
@@ -191,14 +191,14 @@ class TestFoldsTrainable:
             y = (rng.random(n) < rng.uniform(0.02, 0.2)).astype(float)
             if y.max() == 0.0:
                 continue
-            folds = _assign_folds(n, 10, RngStream(seed))
+            folds = _assign_folds(n, 10, rng_stream(seed))
             expected = _folds_trainable_loop(y, folds, 10)
             assert _folds_trainable(y, folds, 10, "binomial") is expected
             verdicts.add(expected)
         assert verdicts == {True, False}
 
     def test_single_class_training_fold(self):
-        folds = _assign_folds(40, 10, RngStream(3))
+        folds = _assign_folds(40, 10, rng_stream(3))
         y = (folds == 7).astype(float)  # fold 7 trains on zeros only
         assert _folds_trainable_loop(y, folds, 10) is False
         assert _folds_trainable(y, folds, 10, "binomial") is False
@@ -213,7 +213,7 @@ class TestFitSuperlearner:
         for trial in range(5):
             x = np_rng.standard_normal((120, 3))
             y = x[:, 0] + 0.5 * x[:, 1] ** 2 + np_rng.standard_normal(120)
-            fit = fit_superlearner(x, y, "gaussian", rng=RngStream(trial))
+            fit = fit_superlearner(x, y, "gaussian", rng=rng_stream(trial))
             z = level_one(fit, x, y, trial)
             weights, objective = simplex_weights(z, y)
             np.testing.assert_array_equal(weights, fit.weights)
@@ -222,7 +222,7 @@ class TestFitSuperlearner:
     def test_quadratic_truth_prefers_degree2(self, np_rng):
         x = np_rng.standard_normal((400, 2))
         y = 1.75 * x[:, 0] ** 2 + 0.3 * np_rng.standard_normal(400)
-        fit = fit_superlearner(x, y, "gaussian", rng=RngStream(3))
+        fit = fit_superlearner(x, y, "gaussian", rng=rng_stream(3))
         z = level_one(fit, x, y, 3)
         _, objective = simplex_weights(z, y)
         main_effects_risk = np.mean((z[:, 1] - y) ** 2)
@@ -232,7 +232,7 @@ class TestFitSuperlearner:
     def test_mean_only_learner_predicts_grand_mean(self, np_rng):
         x = np_rng.standard_normal((60, 2))
         y = np_rng.standard_normal(60) + 4.0
-        fit = fit_superlearner(x, y, "gaussian", rng=RngStream(1))
+        fit = fit_superlearner(x, y, "gaussian", rng=rng_stream(1))
         preds = learner_predictions(fit.learners[0], x)
         np.testing.assert_allclose(preds, np.full(60, y.mean()), atol=1e-10)
 
@@ -243,7 +243,7 @@ class TestFitSuperlearner:
         z = (np_rng.random(90) < 0.4).astype(float)
         y = x[:, 0] + 0.5 * x[:, 1] ** 2 + z + np_rng.standard_normal(90)
         features = np.column_stack([x, z])
-        fit = fit_superlearner(features, y, "gaussian", rng=RngStream(5))
+        fit = fit_superlearner(features, y, "gaussian", rng=rng_stream(5))
         risks, predictions = naive_gaussian_library(features, y, fold_assignment(y, "gaussian", 5), binary_column=3)
         level_one_risks = np.mean((level_one(fit, features, y, 5) - y[:, None]) ** 2, axis=0)
         np.testing.assert_allclose(level_one_risks, risks, rtol=0, atol=1e-9)
@@ -260,7 +260,7 @@ class TestFitSuperlearner:
         x = rng.standard_normal((100, 3))
         logit = 1.25 * x[:, 0] + x[:, 1] + 0.5 * x[:, 0] ** 2 + 0.5 * x[:, 1] ** 2 + 0.75 * x[:, 0] * x[:, 1]
         z = (rng.random(100) < expit(3.0 * (logit - 1.0))).astype(float)
-        fit = fit_superlearner(x, z, "binomial", rng=RngStream(seed))
+        fit = fit_superlearner(x, z, "binomial", rng=rng_stream(seed))
         singles = []
         for learner in fit.learners:
             design = _learner_design(learner.kind, x)[:, learner.kept_columns]
@@ -271,41 +271,30 @@ class TestFitSuperlearner:
         assert singles == [False, False, seed == 2]
         train = (fold_assignment(z, "binomial", seed) != np.arange(11)[:, None]).astype(np.float64)
         assert _fit_stack(design, z, train, "binomial")[1][:10].sum() == (10 if seed == 2 else 6)
-        assert estimate_ps(x, z, "ensemble", RngStream(seed)).separated == (seed == 2)
+        assert estimate_ps(x, z, "ensemble", rng_stream(seed)).separated == (seed == 2)
 
     def test_deterministic_given_stream(self, np_rng):
         x = np_rng.standard_normal((80, 3))
         y = x[:, 0] + np_rng.standard_normal(80)
-        a = fit_superlearner(x, y, "gaussian", rng=RngStream(7))
-        b = fit_superlearner(x, y, "gaussian", rng=RngStream(7))
+        a = fit_superlearner(x, y, "gaussian", rng=rng_stream(7))
+        b = fit_superlearner(x, y, "gaussian", rng=rng_stream(7))
         np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.fitted, b.fitted)
+        np.testing.assert_array_equal(predict_ensemble(a, x), predict_ensemble(b, x))
         for la, lb in zip(a.learners, b.learners):
             np.testing.assert_array_equal(la.coefficients, lb.coefficients)
 
     def test_binomial_predictions_stay_inside_unit_interval(self, np_rng):
         x = np_rng.standard_normal((150, 3))
         z = (np_rng.random(150) < 0.3).astype(float)
-        fit = fit_superlearner(x, z, "binomial", rng=RngStream(2))
+        fit = fit_superlearner(x, z, "binomial", rng=rng_stream(2))
         preds = predict_ensemble(fit, x)
         assert preds.min() > 0.0
         assert preds.max() < 1.0
 
-    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
-    def test_fitted_is_predict_ensemble_on_the_training_rows(self, np_rng, family):
-        # A binary last column, as in the outcome ensemble, so the degree-2
-        # learner drops a duplicate column.
-        x = np.column_stack([np_rng.standard_normal((120, 3)), np_rng.random(120) < 0.4])
-        y = x[:, 0] + x[:, 1] ** 2 + np_rng.standard_normal(120)
-        if family == "binomial":
-            y = (y > 0.5).astype(float)
-        fit = fit_superlearner(x, y, family, rng=RngStream(4))
-        assert np.array_equal(fit.fitted, predict_ensemble(fit, x))
-
     def test_single_class_raises(self, np_rng):
         x = np_rng.standard_normal((40, 2))
         with pytest.raises(OneClassError):
-            fit_superlearner(x, np.zeros(40), "binomial", rng=RngStream(0))
+            fit_superlearner(x, np.zeros(40), "binomial", rng=rng_stream(0))
 
     def test_lone_positive_fails_even_after_refold(self, np_rng):
         # One positive unit leaves its training folds single-class under
@@ -314,15 +303,15 @@ class TestFitSuperlearner:
         z = np.zeros(24)
         z[5] = 1.0
         with pytest.raises(OneClassError):
-            fit_superlearner(x, z, "binomial", rng=RngStream(0))
+            fit_superlearner(x, z, "binomial", rng=rng_stream(0))
 
     def test_library_is_the_learner_table(self, np_rng):
         x = np_rng.standard_normal((60, 2))
-        fit = fit_superlearner(x, np_rng.standard_normal(60), "gaussian", rng=RngStream(0))
+        fit = fit_superlearner(x, np_rng.standard_normal(60), "gaussian", rng=rng_stream(0))
         assert tuple(learner.kind for learner in fit.learners) == LEARNER_KINDS
         assert all(learner.family == "gaussian" for learner in fit.learners)
 
     def test_unknown_family_rejected(self, np_rng):
         x = np_rng.standard_normal((60, 2))
         with pytest.raises(ValueError, match="unknown family"):
-            fit_superlearner(x, np_rng.standard_normal(60), "poisson", rng=RngStream(0))
+            fit_superlearner(x, np_rng.standard_normal(60), "poisson", rng=rng_stream(0))

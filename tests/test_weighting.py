@@ -8,7 +8,7 @@ from attbench.dgp import SCENARIOS, outcome_mean, treatment_logit_terms
 from attbench.errors import AllTrimmedError, ZeroSeError
 from attbench.propensity import PsVector, estimate_ps, trim_ps
 from attbench.glm import fit_ols
-from attbench.numeric import RngStream
+from attbench.numeric import rng_stream
 from attbench.weighting import aipw_att, fit_outcome_models, ipw_att, ols_arm_predictions, ols_outcome_design
 
 
@@ -78,7 +78,7 @@ class TestIpwAtt:
     def test_trimming_equals_manual_subset(self, np_rng):
         x, z, y, ps_true = random_cohort(np_rng, 300)
         spread = np.clip(expit(3.0 * x), 1e-3, 1 - 1e-3)
-        trimmed = trim_ps(ps_of(spread), delta=0.1)
+        trimmed = trim_ps(ps_of(spread))
         assert 0 < trimmed.n_dropped < 300
         est = ipw_att(y, z, trimmed)
         kept = trimmed.kept_mask
@@ -281,7 +281,7 @@ class TestFitOutcomeModels:
         y = outcome_mean(spec, 2, x, z, False) + np.sqrt(2.0) * np_rng.standard_normal(n)
         truth_q0 = outcome_mean(spec, 2, x, np.zeros(n), False)
         _, q0_ols = ols_arms(x, y, z)
-        _, q0_sl = fit_outcome_models(x, y, z, RngStream(7))
+        _, q0_sl = fit_outcome_models(x, y, z, rng_stream(7))
         mse_ols = float(np.mean((q0_ols - truth_q0) ** 2))
         mse_sl = float(np.mean((q0_sl - truth_q0) ** 2))
         assert mse_sl < mse_ols
