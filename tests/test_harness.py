@@ -600,13 +600,20 @@ class TestRunGrid:
         mixed = [cfg_for(label="0.50", n_reps=2, seed=1), cfg_for(label="0.33", n_reps=2, seed=2)]
         with pytest.raises(ValueError, match="master seed"):
             run_small_grid(tmp_path, cells=mixed)
-        with pytest.raises(ValueError, match="unknown methods"):
-            run_small_grid(tmp_path, methods=("PSM", "OLS"))
         with pytest.raises(ValueError, match="no methods"):
             run_small_grid(tmp_path, methods=())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_method_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown methods"):
+            run_small_grid(tmp_path, methods=("PSM", "OLS"))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("oracle_n", [0, -5])
+    def test_empty_oracle_sample_rejected(self, tmp_path, oracle_n):
         # A drawn truth over no rows would divide by zero.
         setting3 = [cfg_for(setting=3, label="0.50", n_reps=2)]
-        for sizes in ({"calibration_n": 0}, {"calibration_n": -5}, {"truth_n": 0}):
+        for sizes in ({"calibration_n": oracle_n}, {"truth_n": oracle_n}):
             with pytest.raises(ValueError, match="oracle sizes must be positive"):
                 run_small_grid(tmp_path, cells=setting3, **sizes)
         assert list(tmp_path.iterdir()) == []
