@@ -3,15 +3,15 @@
 Four subcommands: ``calibrate`` writes the golden intercept table,
 ``run`` executes a simulation grid into a result store, ``ps-hist``
 summarizes the true propensity distribution of a scenario, and
-``report`` condenses a store into one table merging effect and null
-cells.
+``report`` joins the metrics files ``run`` wrote into one table merging
+effect and null cells.
 
 Configuration is declarative: ``run`` reads an optional JSON config file
 and any command line flag overrides the corresponding config key.  The
 default output directory comes from ``ATTBENCH_OUTPUT_DIR`` when set.
 Exit codes: 0 on success, 2 for configuration problems (a store built
-under other parameters, records that fail their digest, or a store file
-that cannot be written, included), 3
+under other parameters, a cell's records or metrics that fail their
+digest, or a store file that cannot be read or written, included), 3
 when a run finished only partially (completed cells are on disk and a
 rerun will resume).
 """
@@ -42,16 +42,17 @@ from .errors import CorruptManifestError, EstimationError, PartialGridError, Sto
 from .harness import (
     METHODS,
     METRIC_COLUMNS,
-    aggregate_cell,
+    digest_matches,
     oracle_intercepts,
     oracle_stream,
     read_manifest,
-    read_records_csv,
-    records_intact,
+    read_metrics_csv,
     run_grid,
     write_calibration_csv,
     write_csv,
 )
+# Not called here: perfbench/spans.py wraps these two names in this module.
+from .harness import aggregate_cell, read_records_csv  # noqa: F401
 from .numeric import MAX_REPLICATES, PURPOSE_PS_HIST
 
 EXIT_OK = 0
@@ -302,8 +303,6 @@ _REPORTED_CELL_KEYS = {
     "setting": ("integer", (int,)),
     "prevalence": ("string", (str,)),
     "null_effect": ("boolean", (bool,)),
-    "truth": ("number", (float, int)),
-    "n_reps": ("integer", (int,)),
 }
 
 
@@ -330,19 +329,10 @@ def _report_rows(store: Path) -> list[tuple]:
                 )
         key = (entry["scenario"], entry["setting"], entry["prevalence"])
         arm = "null" if entry["null_effect"] else "effect"
-        truth, n_reps = entry["truth"], entry["n_reps"]
-        records_path = store / "cells" / f"{name}_records.csv"
-        if not records_intact(records_path, entry):
-            raise ConfigError(f"records of cell {name} are missing or fail their digest; rerun `attbench run`")
-        records = read_records_csv(records_path)
-        replicates = len({r.replicate for r in records})
-        if n_reps < 2 or replicates != n_reps:
-            raise CorruptManifestError(
-                f"manifest {manifest_path}: completed cell {name} has n_reps {n_reps} over "
-                f"{replicates} recorded replicates; a cell needs the same count, at least 2"
-            )
-        metrics = aggregate_cell(records, truth, n_reps)
-        groups.setdefault(key, {})[arm] = {m.method: m for m in metrics}
+        paths = {kind: store / "cells" / f"{name}_{kind}.csv" for kind in ("records", "metrics")}
+        if not all(digest_matches(path, entry.get(f"{kind}_sha256")) for kind, path in paths.items()):
+            raise ConfigError(f"cell {name}: records or metrics missing or failing their digest; rerun `attbench run`")
+        groups.setdefault(key, {})[arm] = {m.method: m for m in read_metrics_csv(paths["metrics"])}
 
     rows = []
     for key in sorted(groups):

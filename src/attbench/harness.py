@@ -12,8 +12,9 @@ Cells are independent given the master seed, so the grid parallelizes
 over cells with each worker deriving its streams from stable
 coordinates.  The store is written deterministically: every table goes
 through one CSV writer, whose rows list the columns in order and whose
-floats are their shortest round-trip ``repr``; the manifest has sorted
-JSON keys; nothing holds a timestamp.  Equal configurations therefore
+floats are their shortest round-trip ``repr``, and back through one
+reader, which checks its header; the manifest has sorted JSON keys;
+nothing holds a timestamp.  Equal configurations therefore
 produce byte-identical files at any worker count.  A manifest tracks
 completed cells, with the digests of each cell's records and metrics
 files, and lets an interrupted grid resume without recomputation: a
@@ -244,14 +245,15 @@ def run_replicate(
     keyed by the attempt that produced the cohort, so they are
     reproducible unit by unit.
     """
-    method_list = METHODS if methods is None else tuple(methods)
+    # Looked up first, so an unknown method fails before any draw.
+    estimators = [(method, METHOD_TABLE[method]) for method in (METHODS if methods is None else methods)]
     ds, attempt = generate_replicate(cfg, alpha0, replicate)
     context = _Replicate(cfg, replicate, attempt, ds)
     base_flags = ("redrawn",) if attempt > 0 else ()
     records = []
-    for method in method_list:
+    for method, estimator in estimators:
         try:
-            est, n_discarded, flags = METHOD_TABLE[method](context)
+            est, n_discarded, flags = estimator(context)
         except EstimationError as exc:
             est, n_discarded, flags = _FAILED_ESTIMATE, 0, (FAILED_PREFIX + type(exc).__name__,)
         flags = tuple(sorted(set(base_flags) | set(flags)))
@@ -314,23 +316,32 @@ def write_records_csv(path: Path, records: list[EstimateRecord]) -> None:
     write_csv(path, RECORD_COLUMNS, (r._replace(flags=";".join(r.flags)) for r in ordered))
 
 
-def read_records_csv(path: Path) -> list[EstimateRecord]:
+def _read_rows(path: Path, columns: tuple[str, ...]) -> list[list[str]]:
+    """The rows of the store table at ``path``, as text; a header other than
+    ``columns`` raises :class:`CorruptManifestError` naming the file."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
-        if tuple(header) != RECORD_COLUMNS:
-            raise ValueError(f"unexpected record columns in {path}: {header}")
-        return [
-            EstimateRecord(
-                method, int(rep), float(att), float(se), float(p), int(n_disc),
-                tuple(flags.split(";")) if flags else (),
-            )
-            for method, rep, att, se, p, n_disc, flags in reader
-        ]
+        if tuple(header) != columns:
+            raise CorruptManifestError(f"store table {path} has columns {header}, not {list(columns)}")
+        return list(reader)
+
+
+def read_records_csv(path: Path) -> list[EstimateRecord]:
+    return [
+        EstimateRecord(
+            method, int(rep), float(att), float(se), float(p), int(n_disc), tuple(flags.split(";")) if flags else ()
+        )
+        for method, rep, att, se, p, n_disc, flags in _read_rows(path, RECORD_COLUMNS)
+    ]
 
 
 def write_metrics_csv(path: Path, metrics: list[MethodMetrics]) -> None:
     write_csv(path, METRIC_COLUMNS, metrics)
+
+
+def read_metrics_csv(path: Path) -> list[MethodMetrics]:
+    return [MethodMetrics(m, int(n), *map(float, moments)) for m, n, *moments in _read_rows(path, METRIC_COLUMNS)]
 
 
 def read_manifest(path: Path) -> dict:
@@ -363,14 +374,9 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _digest_matches(path: Path, digest) -> bool:
+def digest_matches(path: Path, digest) -> bool:
     """Whether the file at ``path`` exists and its sha256 is ``digest``."""
     return path.exists() and digest == _sha256(path)
-
-
-def records_intact(path: Path, entry: dict) -> bool:
-    """Whether a cell's records file exists and matches its manifest digest."""
-    return _digest_matches(path, entry.get("records_sha256"))
 
 
 def _is_float(value, expected: float) -> bool:
@@ -446,17 +452,11 @@ def _truths_csv_rows(path: Path) -> dict[str, list[str]]:
     """``truths.csv``'s rows by truth name, less the key columns; empty
     when the file is missing, unreadable or has another header."""
     try:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            if tuple(next(reader, ())) != TRUTH_COLUMNS:
-                return {}
-            return {
-                f"s{row[0]}_t{row[1]}_p{row[2]}_{row[3]}": row[4:]
-                for row in reader
-                if len(row) == len(TRUTH_COLUMNS)
-            }
-    except (OSError, UnicodeDecodeError, csv.Error):
+        rows = _read_rows(path, TRUTH_COLUMNS)
+    # A UnicodeDecodeError and a CorruptManifestError are ValueErrors.
+    except (OSError, ValueError, csv.Error):
         return {}
+    return {f"s{row[0]}_t{row[1]}_p{row[2]}_{row[3]}": row[4:] for row in rows if len(row) == len(TRUTH_COLUMNS)}
 
 
 def _stored_truths(
@@ -530,7 +530,7 @@ def run_grid(
     truth_n: int = 10**7,
     methods: tuple[str, ...] | None = None,
     log=None,
-) -> dict[str, tuple[CellConfig, list[EstimateRecord], list[MethodMetrics]]]:
+) -> list[str]:
     """Run a batch of cells and persist a deterministic result store.
 
     Oracles first: calibrated intercepts and true ATT values, once per
@@ -550,8 +550,8 @@ def run_grid(
     oracle seed or oracle size raises :class:`StoreMismatchError` before
     anything is written.
 
-    Returns the cells this call computed, by name; a reused cell is not
-    among them.
+    Returns the names of the cells this call computed, in the order they
+    finished; their results are in the store.  A reused cell is not named.
     """
     cells = list(cells)
     if not cells:
@@ -628,11 +628,11 @@ def run_grid(
     )
     entries = manifest.setdefault("cells", {})
 
-    results: dict[str, tuple[CellConfig, list[EstimateRecord], list[MethodMetrics]]] = {}
+    computed: list[str] = []
     reused = 0
 
     def progress() -> str:
-        return f"({reused + len(results)}/{len(cells)})"
+        return f"({reused + len(computed)}/{len(cells)})"
 
     jobs = []
     for cfg in cells:
@@ -645,13 +645,13 @@ def run_grid(
             and entry.get("methods") == list(method_list)
             and _is_float(entry.get("alpha0"), alpha0)
         )
-        if same_run and records_intact(records_path, entry):
+        if same_run and digest_matches(records_path, entry.get("records_sha256")):
             truth, truth_se = truths[_truth_key(cfg)]
             metrics_path = cells_dir / f"{cfg.name}_metrics.csv"
             if not (
                 _is_float(entry.get("truth"), truth)
                 and _is_float(entry.get("truth_oracle_se"), truth_se)
-                and _digest_matches(metrics_path, entry.get("metrics_sha256"))
+                and digest_matches(metrics_path, entry.get("metrics_sha256"))
             ):
                 # Heal: the records stand, their summary is redone under this run's truth.
                 metrics = aggregate_cell(read_records_csv(records_path), truth, cfg.n_reps)
@@ -699,13 +699,13 @@ def run_grid(
             if time.monotonic() - written_at >= MANIFEST_INTERVAL_S:
                 _write_manifest(manifest_path, manifest)
                 written_at = time.monotonic()
-            results[cfg.name] = (cfg, records, metrics)
+            computed.append(cfg.name)
             say(f"finished cell {cfg.name} {progress()}")
     finally:
         _write_manifest(manifest_path, manifest)
     if failed:
         raise PartialGridError(failed)
-    return results
+    return computed
 
 
 def write_calibration_csv(

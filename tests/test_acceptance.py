@@ -23,7 +23,7 @@ from attbench.dgp import (
 )
 from attbench.errors import NoMatchesError
 from attbench.glm import fit_ols
-from attbench.harness import METHODS, run_grid
+from attbench.harness import METHODS, read_metrics_csv, run_grid
 from attbench.matching import caliper_block, cem_att, cem_match, psm_match
 from attbench.propensity import PsVector, estimate_ps, truncate_ps
 from attbench.tmle import tmle_att
@@ -70,8 +70,10 @@ def cell_name(scenario, setting, label, null):
 def grid(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("acceptance-grid")
     cells = [CellConfig(s, t, p, null, N_REPS, MASTER_SEED) for s, t, p, null in GRID_CELLS]
-    results = run_grid(cells, outdir, parallelism=1, oracle_seed=42)
-    metrics = {name: {m.method: m for m in triple[2]} for name, triple in results.items()}
+    names = run_grid(cells, outdir, parallelism=1, oracle_seed=42)
+    metrics = {
+        name: {m.method: m for m in read_metrics_csv(outdir / "cells" / f"{name}_metrics.csv")} for name in names
+    }
     manifest = json.loads((outdir / "manifest.json").read_text())
     return metrics, manifest
 

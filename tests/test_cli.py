@@ -1,12 +1,14 @@
 """Command line interface: config layering, subcommands, exit codes."""
 
 import csv
+import hashlib
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
+from attbench import cli, harness
 from attbench.cli import (
     DEFAULT_OUTPUT_DIR,
     EXIT_CONFIG,
@@ -253,6 +255,21 @@ class TestCmdRun:
         assert main(["run", *flags]) == EXIT_OK
         assert tree_bytes(store) == pristine
 
+    def test_records_with_a_resigned_header_exit_code(self, tmp_path, capsys):
+        # The records file passes its digest, so the run heals the deleted
+        # metrics from it, and stops at its header.
+        store = tmp_path / "store"
+        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_OK
+        records = store / "cells" / "s1t1p050_effect_records.csv"
+        records.write_text(records.read_text().replace("p_value", "p", 1))
+        resign(store, "s1t1p050_effect", "records")
+        (store / "cells" / "s1t1p050_effect_metrics.csv").unlink()
+        capsys.readouterr()
+        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: store table {records} has columns" in err
+        assert "Traceback" not in err
+
     def test_malformed_manifest_exit_code(self, tmp_path, capsys):
         store = tmp_path / "store"
         assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_OK
@@ -268,6 +285,14 @@ class TestCmdRun:
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def resign(store: Path, name: str, kind: str) -> None:
+    """Record the sha256 of cell ``name``'s ``kind`` file, as edited, in the manifest."""
+    manifest = json.loads((store / "manifest.json").read_text())
+    digest = hashlib.sha256((store / "cells" / f"{name}_{kind}.csv").read_bytes()).hexdigest()
+    manifest["cells"][name][f"{kind}_sha256"] = digest
+    (store / "manifest.json").write_text(json.dumps(manifest))
 
 
 # Each subcommand that writes into --output-dir, at its cheapest.
@@ -432,17 +457,25 @@ REPORT_COLUMNS = (
 )
 
 
+REPORT_STORE_FLAGS = (
+    "--scenarios", "1", "--settings", "1",
+    "--prevalences", "0.50", "--arms", "effect,null",
+    "--methods", "LR,IPW", "--n-reps", "3",
+    "--calibration-n", "100000", "--truth-n", "1000",
+    "--quiet",
+)
+
+
 @pytest.fixture(scope="module")
 def store(tmp_path_factory):
     path = tmp_path_factory.mktemp("report-store")
-    code = main(["run",
-                 "--scenarios", "1", "--settings", "1",
-                 "--prevalences", "0.50", "--arms", "effect,null",
-                 "--methods", "LR,IPW", "--n-reps", "3",
-                 "--calibration-n", "100000", "--truth-n", "1000",
-                 "--quiet", "--output-dir", str(path)])
-    assert code == EXIT_OK
+    assert main(["run", *REPORT_STORE_FLAGS, "--output-dir", str(path)]) == EXIT_OK
     return path
+
+
+def edit_metrics(store: Path) -> None:
+    path = store / "cells" / "s1t1p050_effect_metrics.csv"
+    path.write_text(path.read_text().replace("LR,3,", "LR,2,", 1))
 
 
 class TestCmdReport:
@@ -450,20 +483,20 @@ class TestCmdReport:
         assert main(["report", "--store", str(tmp_path / "void")]) == EXIT_CONFIG
         assert "no manifest" in capsys.readouterr().err
 
-    # A completed cell entry that lacks "truth", which `report` reads.
-    NO_TRUTH = json.dumps({"cells": {"s1t1p050_effect": {
-        "complete": True, "n_reps": 2, "null_effect": False, "prevalence": "0.50", "scenario": 1, "setting": 1,
+    # A completed cell entry that lacks "scenario", which `report` reads.
+    NO_SCENARIO = json.dumps({"cells": {"s1t1p050_effect": {
+        "complete": True, "null_effect": False, "prevalence": "0.50", "setting": 1,
     }}})
 
     @pytest.mark.parametrize(
         "text",
         [
-            "{\n", "[]\n", '{"cells": []}\n', '{"cells": {"s1t1p050_effect": "complete"}}\n', NO_TRUTH,
-            {"n_reps": "3"}, {"truth": "1.0"}, {"scenario": [1]}, {"n_reps": 1}, {"n_reps": 4},
+            "{\n", "[]\n", '{"cells": []}\n', '{"cells": {"s1t1p050_effect": "complete"}}\n', NO_SCENARIO,
+            {"scenario": [1]},
         ],
         ids=[
-            "cut-json", "not-an-object", "cells-not-an-object", "cell-not-an-object", "cell-without-truth",
-            "n-reps-a-string", "truth-a-string", "scenario-a-list", "n-reps-below-2", "n-reps-not-the-records",
+            "cut-json", "not-an-object", "cells-not-an-object", "cell-not-an-object", "cell-without-scenario",
+            "scenario-a-list",
         ],
     )
     def test_malformed_manifest_exit_code(self, store, tmp_path, capsys, text):
@@ -515,6 +548,50 @@ class TestCmdReport:
             assert parts[5] == repr(expected[method]["bias"])
             assert parts[8] == repr(expected[method]["mse"])
             assert parts[9] == repr(expected[method]["type1_rate"])
+
+    def test_report_reads_no_records(self, store, capsys, monkeypatch):
+        assert main(["report", "--store", str(store)]) == EXIT_OK
+        expected = (store / "report.csv").read_bytes()
+
+        def boom(*args, **kwargs):
+            raise AssertionError("report read or aggregated records")
+
+        for module in (cli, harness):
+            for name in ("read_records_csv", "aggregate_cell"):
+                monkeypatch.setattr(module, name, boom)
+        (store / "report.csv").unlink()
+        assert main(["report", "--store", str(store)]) == EXIT_OK
+        assert (store / "report.csv").read_bytes() == expected
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda store: (store / "cells" / "s1t1p050_effect_metrics.csv").unlink(), edit_metrics],
+        ids=["metrics-deleted", "metrics-edited"],
+    )
+    def test_damaged_metrics_exit_code_until_run_heals(self, store, tmp_path, capsys, damage):
+        assert main(["report", "--store", str(store)]) == EXIT_OK
+        shutil.copytree(store, tmp_path, dirs_exist_ok=True)
+        damage(tmp_path)
+        capsys.readouterr()
+        assert main(["report", "--store", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cell s1t1p050_effect:" in err and "rerun `attbench run`" in err
+        assert main(["run", *REPORT_STORE_FLAGS, "--output-dir", str(tmp_path)]) == EXIT_OK
+        assert main(["report", "--store", str(tmp_path)]) == EXIT_OK
+        assert tree_bytes(tmp_path) == tree_bytes(store)
+        capsys.readouterr()
+
+    def test_metrics_with_a_resigned_header_exit_code(self, store, tmp_path, capsys):
+        shutil.copytree(store, tmp_path, dirs_exist_ok=True)
+        metrics = tmp_path / "cells" / "s1t1p050_effect_metrics.csv"
+        metrics.write_text(metrics.read_text().replace("mse", "mean_squared_error", 1))
+        resign(tmp_path, "s1t1p050_effect", "metrics")
+        capsys.readouterr()
+        assert main(["report", "--store", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: store table {metrics} has columns" in err
+        assert "Traceback" not in err
 
     def test_report_is_deterministic(self, store, capsys):
         assert main(["report", "--store", str(store)]) == EXIT_OK

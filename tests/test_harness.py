@@ -16,6 +16,7 @@ import pytest
 from attbench import dgp, harness, weighting
 from attbench.dgp import CellConfig, generate_replicate
 from attbench.errors import (
+    CorruptManifestError,
     InsufficientReplicatesError,
     NoMatchesError,
     PartialGridError,
@@ -26,6 +27,7 @@ from attbench.harness import (
     EstimateRecord,
     MethodMetrics,
     aggregate_cell,
+    read_metrics_csv,
     read_records_csv,
     run_grid,
     run_replicate,
@@ -70,6 +72,14 @@ class TestRunReplicate:
     def test_method_subset_respected(self):
         records = run_replicate(cfg_for(label="0.50"), -0.0694, 0, methods=("PSM", "IPW"))
         assert tuple(r.method for r in records) == ("PSM", "IPW")
+
+    def test_unknown_method_fails_before_the_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("the cohort was drawn before the methods were looked up")
+
+        monkeypatch.setattr(harness, "generate_replicate", no_draw)
+        with pytest.raises(KeyError, match="OLS"):
+            run_replicate(cfg_for(label="0.50"), -0.0694, 0, methods=("LR", "OLS"))
 
     def test_redraw_reaches_record_flags(self):
         cfg = cfg_for(label="0.50", seed=777)
@@ -370,8 +380,20 @@ class TestRecordStore:
     def test_unexpected_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("method,replicate,att\nLR,0,1.0\n")
-        with pytest.raises(ValueError, match="unexpected record columns"):
+        with pytest.raises(CorruptManifestError, match=f"store table {re.escape(str(path))} has columns"):
             read_records_csv(path)
+
+    def test_metrics_read_back_rewrite_the_same_bytes(self, tmp_path):
+        # CEM2 has one valid replicate of three, so its moments are NaN.
+        records = [
+            rec(method=m, replicate=i, att=0.1 * i - 0.3, se=0.2 + i, p=0.01 * i) for i in range(3) for m in ("LR", "IPW")
+        ]
+        records += [rec(method="CEM2", att=0.5), failed_rec("CEM2", 1), failed_rec("CEM2", 2)]
+        metrics = aggregate_cell(records, truth=-0.1, n_reps=3)
+        assert math.isnan(metrics[1].bias) and metrics[1].method == "CEM2"
+        harness.write_metrics_csv(tmp_path / "a.csv", metrics)
+        harness.write_metrics_csv(tmp_path / "b.csv", read_metrics_csv(tmp_path / "a.csv"))
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
 
 class TestStoreTextFormat:
@@ -459,19 +481,20 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 
 class TestRunGrid:
     def test_store_layout_and_counts(self, tmp_path):
-        results = run_small_grid(tmp_path)
-        assert set(results) == {"s1t1p050_effect", "s1t1p033_effect"}
-        for name, (cfg, records, metrics) in results.items():
-            assert len(records) == cfg.n_reps * len(GRID_METHODS)
+        computed = run_small_grid(tmp_path)
+        assert computed == ["s1t1p050_effect", "s1t1p033_effect"]
+        for name in computed:
+            records = read_records_csv(tmp_path / "cells" / f"{name}_records.csv")
+            assert len(records) == 3 * len(GRID_METHODS)
             for method in GRID_METHODS:
-                assert sum(r.method == method for r in records) == cfg.n_reps
+                assert sum(r.method == method for r in records) == 3
+            metrics = read_metrics_csv(tmp_path / "cells" / f"{name}_metrics.csv")
             assert [m.method for m in metrics] == list(GRID_METHODS)
-            assert (tmp_path / "cells" / f"{name}_records.csv").exists()
-            assert (tmp_path / "cells" / f"{name}_metrics.csv").exists()
+            assert all(m.n_valid == 3 for m in metrics)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["schema_version"] == 2
         assert manifest["master_seed"] == 555
-        assert set(manifest["cells"]) == set(results)
+        assert set(manifest["cells"]) == set(computed)
         for name, entry in manifest["cells"].items():
             assert entry["complete"] is True
             assert entry["truth"] == 1.0
@@ -524,8 +547,7 @@ class TestRunGrid:
         assert tree_bytes(tmp_path / "pooled") == tree_bytes(tmp_path / "serial")
 
     def test_resume_skips_completed_cells(self, tmp_path, monkeypatch):
-        first = run_small_grid(tmp_path)
-        assert set(first) == {"s1t1p050_effect", "s1t1p033_effect"}
+        assert run_small_grid(tmp_path) == ["s1t1p050_effect", "s1t1p033_effect"]
         before = tree_bytes(tmp_path)
 
         def boom(*args, **kwargs):
@@ -533,7 +555,7 @@ class TestRunGrid:
 
         for name in ("run_replicate", "read_records_csv", "aggregate_cell", "write_metrics_csv"):
             monkeypatch.setattr(harness, name, boom)
-        assert run_small_grid(tmp_path) == {}
+        assert run_small_grid(tmp_path) == []
         assert tree_bytes(tmp_path) == before
 
     def test_progress_lines_count_cells_and_time_the_oracles(self, tmp_path):
@@ -567,9 +589,8 @@ class TestRunGrid:
         calls = Counter()
         for name in ("read_records_csv", "aggregate_cell"):
             counting_calls(monkeypatch, harness, name, calls)
-        results = run_small_grid(tmp_path / "store")
         # Only the failed cell is computed; the good one is reused unread.
-        assert set(results) == {"s1t1p033_effect"}
+        assert run_small_grid(tmp_path / "store") == ["s1t1p033_effect"]
         assert dict(calls) == {"aggregate_cell": 1}
         run_small_grid(tmp_path / "fresh")
         assert tree_bytes(tmp_path / "store") == tree_bytes(tmp_path / "fresh")
