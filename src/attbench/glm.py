@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import OneClassError, RankDeficientError, ZeroSeError
-from .numeric import CHOLESKY_PIVOT_TOL, cholesky_factor, solve_from_factor, solve_spd_stack, two_sided_p
+from .numeric import CHOLESKY_PIVOT_TOL, cholesky_factor, expit, solve_from_factor, solve_spd_stack, two_sided_p
 
 IRLS_SCORE_TOL = 1e-6
 IRLS_MAX_ITER = 50
@@ -116,9 +115,8 @@ def _fit_stack(design: np.ndarray, y: np.ndarray, weights: np.ndarray, family: s
     (converged) or after ``IRLS_MAX_ITER`` steps; a row whose information
     matrix fails the pivot floor, or one of whose coefficients escapes
     ``SEPARATION_COEF_BOUND``, stops there as separated.  Only rows still
-    iterating are computed.  Probabilities inside the loop are
-    ``1 / (1 + exp(-eta))``, which agrees with ``expit`` to an ulp at a
-    third of its cost.
+    iterating are computed.  Probabilities are :func:`attbench.numeric.expit`
+    of the linear predictor, 0 where ``exp(-eta)`` overflows.
 
     Returns ``(coefficients, separated, normal)``: the (m, p)
     coefficients, one separation flag per row, and for least squares the
@@ -158,27 +156,27 @@ def _fit_stack(design: np.ndarray, y: np.ndarray, weights: np.ndarray, family: s
     # ``active`` lists the rows still iterating, ``mask`` their weights and
     # ``coef`` their coefficients; all three are re-indexed only when some row stops.
     active, mask, coef = np.arange(m), weights, beta.copy()
-    with np.errstate(over="ignore"):  # exp(-eta) = inf gives probability 0
-        for _ in range(IRLS_MAX_ITER):
-            probs = 1.0 / (1.0 + np.exp(-(coef @ design.T)))
-            score = (mask * (y - probs)) @ design
-            going = np.abs(score).max(axis=1) > IRLS_SCORE_TOL
-            if not going.all():
-                active, mask, coef, probs, score = active[going], mask[going], coef[going], probs[going], score[going]
-                if active.size == 0:
-                    break
-            # The weight floor applies to weighted rows only.
-            step, ok = solve_spd_stack(grams(mask * np.maximum(probs * (1.0 - probs), 1e-10)), score)
-            # A row that fails the pivot floor gets a zero step: its information
-            # matrix collapsed, with probabilities pinned at 0/1.
-            coef += step
-            beta[active] = coef
-            going = ok & (np.abs(coef).max(axis=1) <= SEPARATION_COEF_BOUND)
-            if not going.all():
-                separated[active[~going]] = True
-                active, mask, coef = active[going], mask[going], coef[going]
-                if active.size == 0:
-                    break
+    for _ in range(IRLS_MAX_ITER):
+        probs = coef @ design.T
+        expit(probs, out=probs)
+        score = (mask * (y - probs)) @ design
+        going = np.abs(score).max(axis=1) > IRLS_SCORE_TOL
+        if not going.all():
+            active, mask, coef, probs, score = active[going], mask[going], coef[going], probs[going], score[going]
+            if active.size == 0:
+                break
+        # The weight floor applies to weighted rows only.
+        step, ok = solve_spd_stack(grams(mask * np.maximum(probs * (1.0 - probs), 1e-10)), score)
+        # A row that fails the pivot floor gets a zero step: its information
+        # matrix collapsed, with probabilities pinned at 0/1.
+        coef += step
+        beta[active] = coef
+        going = ok & (np.abs(coef).max(axis=1) <= SEPARATION_COEF_BOUND)
+        if not going.all():
+            separated[active[~going]] = True
+            active, mask, coef = active[going], mask[going], coef[going]
+            if active.size == 0:
+                break
     return beta, separated, None
 
 

@@ -76,7 +76,7 @@ DEFAULT_ORACLE_SEED = 42
 FAILED_PREFIX = "failed:"
 
 MANIFEST_NAME = "manifest.json"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 # A grid rewrites its manifest at most this often while cells finish, and
 # once more when it stops; each cell's digest keeps the resume contract.
 MANIFEST_INTERVAL_S = 5.0
@@ -316,32 +316,46 @@ def write_records_csv(path: Path, records: list[EstimateRecord]) -> None:
     write_csv(path, RECORD_COLUMNS, (r._replace(flags=";".join(r.flags)) for r in ordered))
 
 
-def _read_rows(path: Path, columns: tuple[str, ...]) -> list[list[str]]:
-    """The rows of the store table at ``path``, as text; a header other than
-    ``columns`` raises :class:`CorruptManifestError` naming the file."""
+def _read_rows(path: Path, columns: tuple[str, ...], parse) -> list:
+    """``parse(*row)`` of each row of the store table at ``path``.  A header
+    other than ``columns``, or a row ``parse`` cannot read, raises
+    :class:`CorruptManifestError` naming the file (and the row)."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
         if tuple(header) != columns:
             raise CorruptManifestError(f"store table {path} has columns {header}, not {list(columns)}")
-        return list(reader)
+        parsed = []
+        for row in reader:
+            try:
+                parsed.append(parse(*row))
+            except (TypeError, ValueError) as exc:
+                raise CorruptManifestError(f"store table {path} line {reader.line_num} cannot be read: {row}") from exc
+        return parsed
+
+
+def _record_row(method, replicate, att, se, p_value, n_discarded, flags) -> EstimateRecord:
+    flag_tuple = tuple(flags.split(";")) if flags else ()
+    return EstimateRecord(method, int(replicate), float(att), float(se), float(p_value), int(n_discarded), flag_tuple)
 
 
 def read_records_csv(path: Path) -> list[EstimateRecord]:
-    return [
-        EstimateRecord(
-            method, int(rep), float(att), float(se), float(p), int(n_disc), tuple(flags.split(";")) if flags else ()
-        )
-        for method, rep, att, se, p, n_disc, flags in _read_rows(path, RECORD_COLUMNS)
-    ]
+    return _read_rows(path, RECORD_COLUMNS, _record_row)
 
 
 def write_metrics_csv(path: Path, metrics: list[MethodMetrics]) -> None:
     write_csv(path, METRIC_COLUMNS, metrics)
 
 
+def _metrics_row(method, n_valid, *moments) -> MethodMetrics:
+    # A short row would otherwise read as NaN moments.
+    if len(moments) != len(METRIC_COLUMNS) - 2:
+        raise ValueError(f"{len(moments) + 2} fields, not {len(METRIC_COLUMNS)}")
+    return MethodMetrics(method, int(n_valid), *map(float, moments))
+
+
 def read_metrics_csv(path: Path) -> list[MethodMetrics]:
-    return [MethodMetrics(m, int(n), *map(float, moments)) for m, n, *moments in _read_rows(path, METRIC_COLUMNS)]
+    return _read_rows(path, METRIC_COLUMNS, _metrics_row)
 
 
 def read_manifest(path: Path) -> dict:
@@ -452,7 +466,7 @@ def _truths_csv_rows(path: Path) -> dict[str, list[str]]:
     """``truths.csv``'s rows by truth name, less the key columns; empty
     when the file is missing, unreadable or has another header."""
     try:
-        rows = _read_rows(path, TRUTH_COLUMNS)
+        rows = _read_rows(path, TRUTH_COLUMNS, lambda *row: row)
     # A UnicodeDecodeError and a CorruptManifestError are ValueErrors.
     except (OSError, ValueError, csv.Error):
         return {}
@@ -546,9 +560,9 @@ def run_grid(
     ``truth_oracle_se`` are floats ``==`` to this run's truth; otherwise it
     heals: its metrics are aggregated again from its records under this
     run's truth, and the file and entry rewritten.  Every other cell is
-    executed and persisted.  A store built under another master seed,
-    oracle seed or oracle size raises :class:`StoreMismatchError` before
-    anything is written.
+    executed and persisted.  A store built under another schema version,
+    master seed, oracle seed or oracle size raises
+    :class:`StoreMismatchError` before anything is written.
 
     Returns the names of the cells this call computed, in the order they
     finished; their results are in the store.  A reused cell is not named.
@@ -577,8 +591,13 @@ def run_grid(
     outdir = Path(output_dir)
     cells_dir = outdir / "cells"
     manifest_path = outdir / MANIFEST_NAME
+    # A store of another schema holds bits this code would not write again.
     params = dict(
-        master_seed=cells[0].master_seed, oracle_seed=oracle_seed, calibration_n=calibration_n, truth_n=truth_n
+        schema_version=SCHEMA_VERSION,
+        master_seed=cells[0].master_seed,
+        oracle_seed=oracle_seed,
+        calibration_n=calibration_n,
+        truth_n=truth_n,
     )
     manifest: dict = {}
     if manifest_path.exists():
@@ -619,7 +638,6 @@ def run_grid(
 
     manifest.update(
         params,
-        schema_version=SCHEMA_VERSION,
         package_version=__version__,
         methods=list(method_list),
         decisions=DECISIONS,

@@ -34,13 +34,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoMatchesError, TooFewPairsError, ZeroVarianceError
-from .numeric import Estimate, cholesky_factor, sample_covariance, two_sided_p
+from .numeric import Estimate, cholesky_factor, logit, sample_covariance, two_sided_p
 
 CALIPER_SD_FACTOR = 0.2
-
-
-def _logit(p: np.ndarray) -> np.ndarray:
-    return np.log(p / (1.0 - p))
 
 
 def _caliper(logit_ps: np.ndarray) -> float:
@@ -88,7 +84,7 @@ def caliper_block(ps_values: np.ndarray, z: np.ndarray) -> CaliperBlock:
     # argsort on (-ps, index); stable sort on index-ordered input gives
     # the lowest index first among exact ties.
     treated = treated_idx[np.argsort(-ps_values[treated_idx], kind="stable")]
-    logit_ps = _logit(ps_values)
+    logit_ps = logit(ps_values)
     gap = np.abs(logit_ps[control_idx] - logit_ps[treated][:, None])
     within = gap <= _caliper(logit_ps)
     gap.flags.writeable = within.flags.writeable = False

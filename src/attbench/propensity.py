@@ -25,7 +25,6 @@ from .errors import AllTrimmedError
 from .glm import PROB_CLAMP, fit_logistic
 from .superlearner import fit_superlearner, predict_ensemble
 
-PS_METHODS = ("logistic", "ensemble")
 TRIM_DELTA = 0.05
 
 
@@ -59,14 +58,12 @@ def estimate_ps(
     """Estimate P(Z = 1 | X) for every unit.
 
     ``method="logistic"`` fits a main-effects logistic regression;
-    ``method="ensemble"`` stacks the cross-validated library, with ``rng``
-    driving the fold assignment.  Either way the returned values are
+    ``method="ensemble"``, the only other value callers pass, stacks the
+    cross-validated library, with ``rng`` driving the fold assignment.  Either way the returned values are
     clamped to ``[PROB_CLAMP, 1 - PROB_CLAMP]`` so ratio weights stay
     finite even under separation.  A ``z`` of one class raises
     :class:`OneClassError` from the logistic fit or the ensemble's refold.
     """
-    if method not in PS_METHODS:
-        raise ValueError(f"unknown method: {method}")
     if method == "logistic":
         design = np.hstack([np.ones((x.shape[0], 1)), x])
         fit = fit_logistic(design, z.astype(np.float64))

@@ -31,12 +31,12 @@ from functools import cache
 from itertools import combinations
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import OneClassError
 from .glm import PROB_CLAMP, fit_folds, fit_mean_folds
 # Not called here: perfbench/spans.py wraps these two names in this module.
 from .glm import fit_logistic, fit_ols  # noqa: F401
+from .numeric import expit
 
 LEARNER_KINDS = ("mean_only", "glm_main_effects", "glm_degree2")
 FAMILIES = ("gaussian", "binomial")

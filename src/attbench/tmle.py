@@ -19,10 +19,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .errors import FlatOutcomeError
-from .numeric import two_sided_p
+from .numeric import expit, logit, two_sided_p
 from .propensity import PsVector
 
 Q_CLAMP = 1e-4

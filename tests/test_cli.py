@@ -270,6 +270,34 @@ class TestCmdRun:
         assert f"error: store table {records} has columns" in err
         assert "Traceback" not in err
 
+    def test_records_with_a_resigned_bad_row_exit_code(self, tmp_path, capsys):
+        # As above, but the header stands and one row's replicate is text.
+        store = tmp_path / "store"
+        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_OK
+        records = store / "cells" / "s1t1p050_effect_records.csv"
+        lines = records.read_text().splitlines()
+        lines[1] = lines[1].replace(",0,", ",zero,", 1)
+        records.write_text("\n".join(lines) + "\n")
+        resign(store, "s1t1p050_effect", "records")
+        (store / "cells" / "s1t1p050_effect_metrics.csv").unlink()
+        capsys.readouterr()
+        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: store table {records} line 2 cannot be read" in err
+        assert "Traceback" not in err
+
+    def test_store_of_an_older_schema_exit_code(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_OK
+        manifest = json.loads((store / "manifest.json").read_text())
+        manifest["schema_version"] = 2
+        (store / "manifest.json").write_text(json.dumps(manifest))
+        before = tree_bytes(store)
+        capsys.readouterr()
+        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_CONFIG
+        assert "different schema version" in capsys.readouterr().err
+        assert tree_bytes(store) == before
+
     def test_malformed_manifest_exit_code(self, tmp_path, capsys):
         store = tmp_path / "store"
         assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_OK
@@ -591,6 +619,17 @@ class TestCmdReport:
         assert main(["report", "--store", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"error: store table {metrics} has columns" in err
+        assert "Traceback" not in err
+
+    def test_metrics_with_a_resigned_bad_row_exit_code(self, store, tmp_path, capsys):
+        shutil.copytree(store, tmp_path, dirs_exist_ok=True)
+        metrics = tmp_path / "cells" / "s1t1p050_effect_metrics.csv"
+        metrics.write_text(metrics.read_text().replace("LR,3,", "LR,two,", 1))
+        resign(tmp_path, "s1t1p050_effect", "metrics")
+        capsys.readouterr()
+        assert main(["report", "--store", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: store table {metrics} line 2 cannot be read" in err
         assert "Traceback" not in err
 
     def test_report_is_deterministic(self, store, capsys):

@@ -20,6 +20,7 @@ from attbench.errors import (
     InsufficientReplicatesError,
     NoMatchesError,
     PartialGridError,
+    StoreMismatchError,
 )
 from attbench.harness import (
     METHODS,
@@ -383,6 +384,24 @@ class TestRecordStore:
         with pytest.raises(CorruptManifestError, match=f"store table {re.escape(str(path))} has columns"):
             read_records_csv(path)
 
+    @pytest.mark.parametrize(
+        "reader, row",
+        [
+            (read_records_csv, "LR,two,1.0,0.5,0.3,0,"),
+            (read_records_csv, "LR,0,1.0"),
+            (read_metrics_csv, "LR,two,0.1,0.2,0.2,0.05,nan,0.0"),
+            (read_metrics_csv, "LR,3,0.1,0.2"),
+            (read_metrics_csv, "LR,3,0.1,0.2,0.2,0.05,nan,0.0,0.0"),
+        ],
+        ids=["records-text-int", "records-short", "metrics-text-int", "metrics-short", "metrics-long"],
+    )
+    def test_unreadable_row_names_the_file_and_line(self, tmp_path, reader, row):
+        columns = RECORD_COLUMNS if reader is read_records_csv else harness.METRIC_COLUMNS
+        path = tmp_path / "table.csv"
+        path.write_text(",".join(columns) + "\n" + row + "\n")
+        with pytest.raises(CorruptManifestError, match=f"store table {re.escape(str(path))} line 2 cannot be read"):
+            reader(path)
+
     def test_metrics_read_back_rewrite_the_same_bytes(self, tmp_path):
         # CEM2 has one valid replicate of three, so its moments are NaN.
         records = [
@@ -492,7 +511,7 @@ class TestRunGrid:
             assert [m.method for m in metrics] == list(GRID_METHODS)
             assert all(m.n_valid == 3 for m in metrics)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["schema_version"] == 2
+        assert manifest["schema_version"] == 3
         assert manifest["master_seed"] == 555
         assert set(manifest["cells"]) == set(computed)
         for name, entry in manifest["cells"].items():
@@ -648,6 +667,23 @@ class TestRunGrid:
         run_small_grid(tmp_path)
         with pytest.raises(ValueError, match="different master seed"):
             run_small_grid(tmp_path, cells=small_cells(seed=556))
+
+    @pytest.mark.parametrize("stored", [2, None], ids=["schema-2", "no-schema"])
+    def test_store_of_another_schema_refused_before_writing(self, tmp_path, stored):
+        # A store written before SciPy left the runtime holds records of its
+        # round-off; it is refused, not resumed.
+        run_small_grid(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        if stored is None:
+            del manifest["schema_version"]
+        else:
+            manifest["schema_version"] = stored
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        before = tree_bytes(tmp_path)
+        expected = f"different schema version (schema_version {stored} in the store, 3 now)"
+        with pytest.raises(StoreMismatchError, match=re.escape(expected)):
+            run_small_grid(tmp_path)
+        assert tree_bytes(tmp_path) == before
 
 
 def truth_cells():

@@ -1,17 +1,25 @@
-"""Random streams, the Cholesky path, and the sample covariance."""
+"""Random streams, the Cholesky path, the sample covariance, the logistic
+function and the p-values, the last two against SciPy as a reference."""
+
+import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from attbench.errors import NonSpdError
 from attbench.numeric import (
     cholesky_factor,
+    expit,
+    logit,
     pack_stream_id,
     rng_stream,
     sample_covariance,
     solve_from_factor,
     solve_spd_stack,
     substream,
+    two_sided_p,
 )
 
 
@@ -251,3 +259,94 @@ class TestSampleCovariance:
             x = np.column_stack([np_rng.standard_normal(10), np.full(10, constant), np.arange(10.0)])
             with pytest.raises(NonSpdError):
                 cholesky_factor(sample_covariance(x))
+
+
+def _ulps(values, reference):
+    return np.abs(values - reference) / np.spacing(np.abs(reference))
+
+
+class TestLogistic:
+    GRID = np.linspace(-708.0, 708.0, 400_001)
+
+    def test_expit_within_two_ulp_of_an_extended_precision_reference(self):
+        if np.finfo(np.longdouble).nmant < 63:
+            pytest.skip("long double is no wider than double here")
+        reference = (1.0 / (1.0 + np.exp(-self.GRID.astype(np.longdouble)))).astype(np.float64)
+        assert _ulps(expit(self.GRID), reference).max() <= 2.0
+
+    def test_expit_within_four_ulp_of_scipy(self):
+        # Each is within 2 ulp of the exact value, on either side of it.
+        assert _ulps(expit(self.GRID), special.expit(self.GRID)).max() <= 4.0
+
+    def test_expit_is_the_plain_formula_in_place(self):
+        x = np.linspace(-800.0, 40.0, 1001)
+        with np.errstate(over="ignore"):
+            expected = 1.0 / (1.0 + np.exp(-x))
+        buf = x.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert expit(buf, out=buf) is buf
+        assert np.array_equal(buf, expected)
+        assert buf[0] == 0.0 and expit(np.array([np.inf]))[0] == 1.0 and np.isnan(expit(np.array([np.nan]))[0])
+
+    def test_expit_is_monotone_across_consecutive_doubles(self, np_rng):
+        # Runs of 2**12 consecutive doubles from 1024 starting points in
+        # [-75, 75]: the sigmoid of each is at most the next one's.
+        starts = np_rng.uniform(-75.0, 75.0, 1024).view(np.int64)
+        bits = (starts[:, None] + np.arange(2**12)).ravel()
+        # A negative double's bit pattern grows as the value falls.
+        x = np.sort(bits.view(np.float64).reshape(1024, -1), axis=1)
+        assert np.all(np.diff(x, axis=1) > 0.0)
+        assert np.all(np.diff(expit(x), axis=1) >= 0.0)
+
+    def test_logit_matches_scipy(self):
+        p = np.linspace(1e-12, 1.0 - 1e-12, 200_001)
+        ours, scipys = logit(p), special.logit(p)
+        # SciPy switches to log1p near one half, where the plain formula's
+        # error is absolute, about an ulp of 1.
+        away = (p < 0.3) | (p > 0.65)
+        assert _ulps(ours[away], scipys[away]).max() <= 2.0
+        assert np.abs(ours - scipys).max() <= 2.0 * np.spacing(1.0)
+        assert np.array_equal(expit(logit(np.array([0.5]))), [0.5])
+
+
+class TestTwoSidedP:
+    DFS = [*range(1, 41), 45, 47, 49, 50, 60, 99, 100, 145, 245, 250, 495, 500, 995, 999, 1000]
+    STATS = [*np.linspace(0.0, 40.0, 161), 1e-3, 0.05, 0.3, 0.7, 1.7, 1.96, 2.5, 2.99, 3.01, 3.5, 4.5]
+
+    def test_t_tail_matches_scipy(self):
+        worst, smallest = 0.0, 1.0
+        for df in self.DFS:
+            for t in self.STATS:
+                expected = 2.0 * stats.t.sf(t, df)
+                got = two_sided_p(-t, df)
+                assert got == two_sided_p(t, df)
+                if expected == 0.0:
+                    assert got < 1e-300
+                    continue
+                worst = max(worst, abs(got / expected - 1.0))
+                smallest = min(smallest, expected)
+        assert worst <= 1e-11
+        assert smallest < 1e-200
+
+    def test_t_tail_in_the_p_values_near_alpha(self, np_rng):
+        # Random statistics near the 0.05 threshold, where a p-value decides
+        # a type-I error.
+        for df in np_rng.integers(1, 1001, 200).tolist():
+            t = stats.t.isf(0.025, df) * np_rng.uniform(0.9, 1.1)
+            assert two_sided_p(t, df) == pytest.approx(2.0 * stats.t.sf(t, df), rel=1e-11)
+
+    def test_normal_tail_matches_scipy(self):
+        z = np.linspace(0.0, 37.0, 3701)
+        expected = 2.0 * stats.norm.sf(z)
+        got = np.array([two_sided_p(v) for v in -z])
+        assert expected.min() < 1e-290
+        assert np.abs(got / expected - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("df", [None, 1, 2, 7, 30, 995])
+    def test_edges_as_scipy(self, df):
+        assert math.isnan(two_sided_p(float("nan"), df))
+        assert two_sided_p(float("inf"), df) == 0.0
+        assert two_sided_p(float("-inf"), df) == 0.0
+        assert two_sided_p(0.0, df) == 1.0
+        assert two_sided_p(np.float64(2.0), df) == two_sided_p(2.0, df)

@@ -36,16 +36,33 @@ def test_thread_count_set_by_the_caller_wins():
     assert seen == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "2"}
 
 
-def test_cli_import_leaves_scipy_linalg_and_the_process_pool_unloaded():
-    # All linear algebra goes through numpy.linalg, and run_grid imports the
-    # process pool only when it starts one.
-    probe = (
-        "import json, sys, attbench.cli; "
-        "print(json.dumps([m for m in ('scipy.linalg', 'concurrent.futures.process') if m in sys.modules]))"
-    )
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+# The modules of a probe's process that the package must not have loaded.
+UNWANTED = (
+    "print(json.dumps(sorted(m for m in sys.modules "
+    "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process')))"
+)
+
+
+def _unwanted_modules(probe: str) -> list[str]:
+    done = subprocess.run([sys.executable, "-c", f"{probe}; {UNWANTED}"], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == []
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_linalg_and_the_process_pool_unloaded():
+    # numpy is the only runtime dependency, and run_grid imports the process
+    # pool only when it starts one.
+    assert _unwanted_modules("import json, sys, attbench.cli") == []
+
+
+def test_a_run_of_every_method_loads_no_scipy(tmp_path):
+    run = (
+        "import json, sys; from attbench.cli import main; "
+        "assert main(['run', '--scenarios', '1', '--settings', '1,3', '--prevalences', '0.50', "
+        "'--arms', 'effect', '--n-reps', '2', '--calibration-n', '10000', '--truth-n', '1000', "
+        f"'--quiet', '--output-dir', {str(tmp_path / 'store')!r}]) == 0"
+    )
+    assert _unwanted_modules(run) == []
 
 
 def _trace_sites() -> set[tuple[str, str]]:

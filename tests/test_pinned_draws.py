@@ -23,7 +23,7 @@ from attbench.superlearner import K_FOLDS, _assign_folds
 # Calibrated intercepts at prevalence 0.20 (n = 250), one per scenario.
 ALPHAS = {1: -1.464120, 2: -2.896427, 3: -1.485100}
 MASTER_SEED = 20240817
-PINNED_SHA256 = "0c41181a1e4d5485b5c47622050b5bc1f6a512b4c69f35e770b0efe246775479"
+PINNED_SHA256 = "e756c1c1c4d3076641ec7e1b969c21613d026989171cc015ddcbec21667dcc1b"
 
 
 def _add_replicate(digest, cfg: CellConfig, alpha0: float, replicate: int) -> int:

@@ -50,11 +50,6 @@ class TestEstimatePs:
         with pytest.raises(OneClassError):
             estimate_ps(x, np.zeros(50, dtype=int), "logistic")
 
-    def test_unknown_method_rejected(self, np_rng):
-        x, z = _cohort(np_rng, n=60)
-        with pytest.raises(ValueError):
-            estimate_ps(x, z, "forest")
-
     def test_logistic_score_basis_columns_sum_to_zero(self, np_rng):
         # The basis rows are the per-unit score contributions of the
         # fitted model, so at the optimum each column sums to the
