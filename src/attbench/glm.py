@@ -115,8 +115,9 @@ def _fit_stack(design: np.ndarray, y: np.ndarray, weights: np.ndarray, family: s
     (converged) or after ``IRLS_MAX_ITER`` steps; a row whose information
     matrix fails the pivot floor, or one of whose coefficients escapes
     ``SEPARATION_COEF_BOUND``, stops there as separated.  Only rows still
-    iterating are computed.  Probabilities are :func:`attbench.numeric.expit`
-    of the linear predictor, 0 where ``exp(-eta)`` overflows.
+    iterating are computed.  Probabilities inside the loop are
+    :func:`attbench.numeric.expit`'s ``1 / (1 + exp(-eta))`` written out, so
+    that one ``errstate`` covers every iteration instead of one a call.
 
     Returns ``(coefficients, separated, normal)``: the (m, p)
     coefficients, one separation flag per row, and for least squares the
@@ -156,27 +157,27 @@ def _fit_stack(design: np.ndarray, y: np.ndarray, weights: np.ndarray, family: s
     # ``active`` lists the rows still iterating, ``mask`` their weights and
     # ``coef`` their coefficients; all three are re-indexed only when some row stops.
     active, mask, coef = np.arange(m), weights, beta.copy()
-    for _ in range(IRLS_MAX_ITER):
-        probs = coef @ design.T
-        expit(probs, out=probs)
-        score = (mask * (y - probs)) @ design
-        going = np.abs(score).max(axis=1) > IRLS_SCORE_TOL
-        if not going.all():
-            active, mask, coef, probs, score = active[going], mask[going], coef[going], probs[going], score[going]
-            if active.size == 0:
-                break
-        # The weight floor applies to weighted rows only.
-        step, ok = solve_spd_stack(grams(mask * np.maximum(probs * (1.0 - probs), 1e-10)), score)
-        # A row that fails the pivot floor gets a zero step: its information
-        # matrix collapsed, with probabilities pinned at 0/1.
-        coef += step
-        beta[active] = coef
-        going = ok & (np.abs(coef).max(axis=1) <= SEPARATION_COEF_BOUND)
-        if not going.all():
-            separated[active[~going]] = True
-            active, mask, coef = active[going], mask[going], coef[going]
-            if active.size == 0:
-                break
+    with np.errstate(over="ignore"):  # exp(-eta) = inf gives probability 0
+        for _ in range(IRLS_MAX_ITER):
+            probs = 1.0 / (1.0 + np.exp(-(coef @ design.T)))
+            score = (mask * (y - probs)) @ design
+            going = np.abs(score).max(axis=1) > IRLS_SCORE_TOL
+            if not going.all():
+                active, mask, coef, probs, score = active[going], mask[going], coef[going], probs[going], score[going]
+                if active.size == 0:
+                    break
+            # The weight floor applies to weighted rows only.
+            step, ok = solve_spd_stack(grams(mask * np.maximum(probs * (1.0 - probs), 1e-10)), score)
+            # A row that fails the pivot floor gets a zero step: its information
+            # matrix collapsed, with probabilities pinned at 0/1.
+            coef += step
+            beta[active] = coef
+            going = ok & (np.abs(coef).max(axis=1) <= SEPARATION_COEF_BOUND)
+            if not going.all():
+                separated[active[~going]] = True
+                active, mask, coef = active[going], mask[going], coef[going]
+                if active.size == 0:
+                    break
     return beta, separated, None
 
 

@@ -462,7 +462,7 @@ def _same_bits(text: str, value: float) -> bool:
         return False
 
 
-def _truths_csv_rows(path: Path) -> dict[str, list[str]]:
+def _truths_csv_rows(path: Path) -> dict[str, tuple[str, ...]]:
     """``truths.csv``'s rows by truth name, less the key columns; empty
     when the file is missing, unreadable or has another header."""
     try:

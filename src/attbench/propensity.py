@@ -59,9 +59,9 @@ def estimate_ps(
 
     ``method="logistic"`` fits a main-effects logistic regression;
     ``method="ensemble"``, the only other value callers pass, stacks the
-    cross-validated library, with ``rng`` driving the fold assignment.  Either way the returned values are
-    clamped to ``[PROB_CLAMP, 1 - PROB_CLAMP]`` so ratio weights stay
-    finite even under separation.  A ``z`` of one class raises
+    cross-validated library, with ``rng`` driving the fold assignment.
+    Either way the returned values are clamped to ``[PROB_CLAMP, 1 -
+    PROB_CLAMP]`` so ratio weights stay finite even under separation.  A ``z`` of one class raises
     :class:`OneClassError` from the logistic fit or the ensemble's refold.
     """
     if method == "logistic":
