@@ -116,30 +116,26 @@ def _output_dir(flag: str | None) -> Path:
     return outdir
 
 
-def _validate_run_config(cfg: RunConfig) -> RunConfig:
-    bad_scenarios = set(cfg.scenarios) - set(SCENARIOS)
-    if not cfg.scenarios or bad_scenarios:
-        raise ConfigError(f"scenarios must be a non-empty subset of {sorted(SCENARIOS)}")
-    bad_settings = set(cfg.settings) - set(SETTING_IDS)
-    if not cfg.settings or bad_settings:
-        raise ConfigError(f"settings must be a non-empty subset of {list(SETTING_IDS)}")
+def _labels(prevalences) -> tuple[str, ...]:
+    """The design's labels of ``prevalences``, or :class:`ConfigError`."""
     try:
-        prevalences = tuple(prevalence_label_for(p) for p in cfg.prevalences)
+        return tuple(prevalence_label_for(p) for p in prevalences)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not prevalences:
-        raise ConfigError("prevalences must be non-empty")
-    bad_arms = set(cfg.arms) - set(ARMS)
-    if not cfg.arms or bad_arms:
-        raise ConfigError(f"arms must be a non-empty subset of {list(ARMS)}")
-    if cfg.methods is not None:
-        bad_methods = set(cfg.methods) - set(METHODS)
-        if not cfg.methods or bad_methods:
-            raise ConfigError(f"methods must be a non-empty subset of {list(METHODS)}")
-    lists = dict(
-        scenarios=cfg.scenarios, settings=cfg.settings, prevalences=prevalences, arms=cfg.arms, methods=cfg.methods or ()
-    )
-    for name, values in lists.items():
+
+
+def _validate_run_config(cfg: RunConfig) -> RunConfig:
+    cfg.prevalences = _labels(cfg.prevalences)
+    lists = {
+        "scenarios": (cfg.scenarios, sorted(SCENARIOS)),
+        "settings": (cfg.settings, list(SETTING_IDS)),
+        "prevalences": (cfg.prevalences, list(PREVALENCE_LABELS)),
+        "arms": (cfg.arms, list(ARMS)),
+        "methods": (METHODS if cfg.methods is None else cfg.methods, list(METHODS)),
+    }
+    for name, (values, design) in lists.items():
+        if not values or set(values) - set(design):
+            raise ConfigError(f"{name} must be a non-empty subset of {design}")
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             raise ConfigError(f"{name} repeat {repeated}; list each value once")
@@ -151,7 +147,6 @@ def _validate_run_config(cfg: RunConfig) -> RunConfig:
         {"master_seed": cfg.master_seed, "oracle_seed": cfg.oracle_seed},
         {"calibration_n": cfg.calibration_n, "truth_n": cfg.truth_n},
     )
-    cfg.prevalences = prevalences
     return cfg
 
 
@@ -236,7 +231,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         _log(f"run incomplete: {exc}")
         return EXIT_PARTIAL
     except StoreMismatchError as exc:
-        _log(f"error: {exc}; use a fresh --output-dir or the store's parameters")
+        # No flag sets the schema version: only a fresh store has this one.
+        hint = "use a fresh --output-dir or the store's parameters"
+        if "schema_version" in exc.differing:
+            hint = "rebuild it in a fresh --output-dir"
+        _log(f"error: {exc}; {hint}")
         return EXIT_CONFIG
     except EstimationError as exc:
         _log(f"run failed: {exc}")
@@ -249,10 +248,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     scenarios = args.scenarios or (1, 2, 3)
     if set(scenarios) - set(SCENARIOS):
         raise ConfigError(f"scenarios must be a subset of {sorted(SCENARIOS)}")
-    try:
-        labels = tuple(prevalence_label_for(p) for p in (args.prevalences or PREVALENCE_LABELS))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    labels = _labels(args.prevalences or PREVALENCE_LABELS)
     _validate_oracle_args({"oracle_seed": args.oracle_seed}, {"oracle_n": args.oracle_n})
     outdir = _output_dir(args.output_dir)
 
@@ -271,10 +267,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_ps_hist(args: argparse.Namespace) -> int:
     if args.scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {sorted(SCENARIOS)}")
-    try:
-        label = prevalence_label_for(args.prevalence)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    (label,) = _labels([args.prevalence])
     if args.bins < 2 or args.n < 100:
         raise ConfigError("need at least 2 bins and 100 draws")
     _validate_oracle_args({"oracle_seed": args.oracle_seed}, {"oracle_n": args.oracle_n})
@@ -296,16 +289,6 @@ def cmd_ps_hist(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# The keys of a completed cell entry that `report` reads, with their JSON
-# types.  Types compare exactly, so a boolean is not taken for an integer.
-_REPORTED_CELL_KEYS = {
-    "scenario": ("integer", (int,)),
-    "setting": ("integer", (int,)),
-    "prevalence": ("string", (str,)),
-    "null_effect": ("boolean", (bool,)),
-}
-
-
 def _report_rows(store: Path) -> list[tuple]:
     manifest_path = store / "manifest.json"
     if not manifest_path.exists():
@@ -317,26 +300,21 @@ def _report_rows(store: Path) -> list[tuple]:
     if not cells:
         raise ConfigError(f"store {store} has no completed cells")
 
-    groups: dict[tuple[int, int, str], dict[str, dict]] = {}
+    design = {cfg.name: cfg for cfg in build_cells(RunConfig())}
+    groups: dict[tuple[int, int, str], dict[bool, dict]] = {}
     for name, entry in cells.items():
-        for field_name, (json_type, types) in _REPORTED_CELL_KEYS.items():
-            if field_name not in entry:
-                raise CorruptManifestError(f"manifest {manifest_path}: completed cell {name} lacks '{field_name}'")
-            if type(entry[field_name]) not in types:
-                raise CorruptManifestError(
-                    f"manifest {manifest_path}: completed cell {name} has {field_name} "
-                    f"{json.dumps(entry[field_name])}, not a JSON {json_type}"
-                )
-        key = (entry["scenario"], entry["setting"], entry["prevalence"])
-        arm = "null" if entry["null_effect"] else "effect"
+        if name not in design:
+            raise CorruptManifestError(f"manifest {manifest_path}: completed cell {name} is not a cell of the design")
+        cfg = design[name]
+        key = (cfg.scenario, cfg.setting, cfg.prevalence_label)
         paths = {kind: store / "cells" / f"{name}_{kind}.csv" for kind in ("records", "metrics")}
         if not all(digest_matches(path, entry.get(f"{kind}_sha256")) for kind, path in paths.items()):
             raise ConfigError(f"cell {name}: records or metrics missing or failing their digest; rerun `attbench run`")
-        groups.setdefault(key, {})[arm] = {m.method: m for m in read_metrics_csv(paths["metrics"])}
+        groups.setdefault(key, {})[cfg.null_effect] = {m.method: m for m in read_metrics_csv(paths["metrics"])}
 
     rows = []
     for key in sorted(groups):
-        effect_arm, null_arm = groups[key].get("effect", {}), groups[key].get("null", {})
+        effect_arm, null_arm = groups[key].get(False, {}), groups[key].get(True, {})
         for method in (m for m in METHODS if m in effect_arm or m in null_arm):
             effect, null = effect_arm.get(method), null_arm.get(method)
             # The effect arm's moments, the null arm's type-I rate, and the

@@ -13,8 +13,10 @@ setting 3 makes the treatment effect heterogeneous in x1 so the ATT
 depends on who gets treated.  A null variant zeroes every term involving
 Z, which is what the type-I-error cells run on.
 
-The treatment intercept is calibrated by bisection against a large Monte
-Carlo sample so each configuration hits its target prevalence; sample
+The treatment intercept is calibrated against a large Monte Carlo sample
+so each configuration hits its target prevalence, by one bisection loop:
+steered by a guess of the root when two passes over the sample certify
+the guess's leaf, else by the sample's own gap at each midpoint.  Sample
 sizes are chosen to keep the expected treated count at 50.
 
 Every draw comes straight from a numpy ``Generator`` (see
@@ -262,17 +264,11 @@ def _pairwise_sum(start: int, stop: int, leaf_sum):
     return _pairwise_sum(start, start + half, leaf_sum) + _pairwise_sum(start + half, stop, leaf_sum)
 
 
-def _mean_expit(terms: np.ndarray, alpha: float, buf: np.ndarray) -> float:
-    """``mean(expit(alpha + terms))`` to the same bits, one leaf at a time in
-    the leaf-sized ``buf``."""
-
-    def leaf_sum(lo: int, hi: int) -> float:
-        p = buf[: hi - lo]
-        np.add(terms[lo:hi], alpha, out=p)
-        expit(p, out=p)
-        return p.sum()
-
-    return _pairwise_sum(0, terms.size, leaf_sum) / terms.size
+def _expit_leaf(terms: np.ndarray, alpha: float, buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``expit(alpha + terms[lo:hi])``, in the leaf-sized ``buf``."""
+    p = buf[: hi - lo]
+    np.add(terms[lo:hi], alpha, out=p)
+    return expit(p, out=p)
 
 
 def _newton_root(terms: np.ndarray, prevalence: float, buf: np.ndarray) -> float:
@@ -284,10 +280,8 @@ def _newton_root(terms: np.ndarray, prevalence: float, buf: np.ndarray) -> float
     instead.  The result is only a guess: the caller certifies it.
     """
 
-    def leaf_sums(start: int, stop: int) -> np.ndarray:
-        p = buf[: stop - start]
-        np.add(terms[start:stop], alpha, out=p)
-        expit(p, out=p)
+    def leaf_sums(lo: int, hi: int) -> np.ndarray:
+        p = _expit_leaf(terms, alpha, buf, lo, hi)
         total = p.sum()
         p *= p
         return np.array((total, p.sum()))
@@ -309,18 +303,14 @@ def _newton_root(terms: np.ndarray, prevalence: float, buf: np.ndarray) -> float
     return alpha
 
 
-def _bisection_leaf(guess: float) -> tuple[float, float] | None:
-    """The final bracket ``[lo, hi]`` of the bisection whose every midpoint
-    compares with the root as it compares with ``guess``; ``None`` when
-    ``guess`` is not in the bisection's bracket or equals a midpoint."""
+def _bisect(root_above) -> tuple[float, float]:
+    """The final bracket ``[lo, hi]`` of the bisection that moves ``lo`` up
+    to each midpoint where ``root_above(mid)`` holds and ``hi`` down to the
+    others."""
     lo, hi = _BISECTION_BRACKET
-    if not lo <= guess <= hi:
-        return None
     while hi - lo > _BISECTION_X_TOL:
         mid = (lo + hi) / 2.0
-        if guess == mid:
-            return None
-        if guess > mid:
+        if root_above(mid):
             lo = mid
         else:
             hi = mid
@@ -353,22 +343,20 @@ def calibrate_intercept(
     make it monotone.  A scan of 117 million pairs of consecutive doubles,
     most in runs sampled across [-75, 75], found no step down; the tests
     scan a sample of their own and compare the result with the plain
-    bisection.  So the
-    bisection need not evaluate its midpoints.  Replayed against a guess of
-    the root, it ends in a leaf ``[lo, hi]``; if the gap there straddles
-    zero, ``gap(lo) < 0 <= gap(hi)``, then every midpoint the replay moved
-    ``lo`` to lies at or below ``lo`` and has a negative gap, and every one
-    it moved ``hi`` to lies at or above ``hi`` and has a non-negative gap.
-    The plain bisection, evaluating each, takes the same steps and returns
-    the same bits, ``(lo + hi) / 2``, whose gap lies between the two.
-    That is two passes over the sample for the certificate, against 42 for
-    the plain bisection.
+    bisection.  So the bisection need not evaluate its midpoints.  Its one
+    loop, :func:`_bisect`, steered by a guess of the root, ends in a leaf
+    ``[lo, hi]``; if the gap there straddles zero, ``gap(lo) < 0 <=
+    gap(hi)``, then every midpoint it moved ``lo`` to lies at or below
+    ``lo`` and has a negative gap, and every one it moved ``hi`` to lies at
+    or above ``hi`` and has a non-negative gap.  Steered by the gap at each
+    midpoint instead, the loop takes the same steps and returns the same
+    bits, ``(lo + hi) / 2``, whose gap lies between the two.  That is two
+    passes over the sample for the certificate, against 42 for the plain
+    bisection, which runs when the certificate fails.
 
     ``guess`` defaults to a Newton estimate from the sample (about four
-    more passes); a resume passes the intercept it stored.  A guess that
-    is not finite, equals a midpoint or fails the certificate costs its
-    passes and falls back to the plain bisection, so it never changes the
-    result.
+    more passes); a resume passes the intercept it stored.  Any guess
+    costs at most the certificate's two passes, never a different result.
 
     Only the ``oracle_n`` terms are held: the normals are drawn a leaf at a
     time into them, and each pass adds, applies ``expit`` and sums one
@@ -386,26 +374,20 @@ def calibrate_intercept(
     buf = np.empty(min(oracle_n, _ORACLE_LEAF))
 
     def gap(alpha: float) -> float:
-        return _mean_expit(terms, alpha, buf) - prevalence
+        total = _pairwise_sum(0, oracle_n, lambda lo, hi: _expit_leaf(terms, alpha, buf, lo, hi).sum())
+        return total / oracle_n - prevalence
 
-    leaf = _bisection_leaf(_newton_root(terms, prevalence, buf) if guess is None else guess)
-    g_lo, g_hi = (gap(leaf[0]), gap(leaf[1])) if leaf is not None else (np.nan, np.nan)
-    if g_lo < 0.0 <= g_hi:
-        lo, hi = leaf
-        within_tol = -tol <= g_lo and g_hi <= tol
-    else:
-        lo, hi = _BISECTION_BRACKET
-        if gap(lo) > 0.0 or gap(hi) < 0.0:
+    guess = _newton_root(terms, prevalence, buf) if guess is None else guess
+    lo, hi = _bisect(lambda mid: mid < guess)
+    g_lo, g_hi = gap(lo), gap(hi)
+    certified = g_lo < 0.0 <= g_hi
+    if not certified:
+        if gap(_BISECTION_BRACKET[0]) > 0.0 or gap(_BISECTION_BRACKET[1]) < 0.0:
             raise BracketFailureError(f"bracket {_BISECTION_BRACKET} does not straddle {prevalence}")
-        while hi - lo > _BISECTION_X_TOL:
-            mid = (lo + hi) / 2.0
-            if gap(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        within_tol = False
+        lo, hi = _bisect(lambda mid: gap(mid) < 0.0)
     alpha = (lo + hi) / 2.0
-    if not within_tol:
+    # In a certified leaf the gap at alpha lies between g_lo and g_hi.
+    if not (certified and -tol <= g_lo and g_hi <= tol):
         miss = gap(alpha)
         if abs(miss) > tol:
             raise BracketFailureError(f"calibration missed target by {miss:.2e}")

@@ -83,3 +83,4 @@ class StoreMismatchError(ValueError):
         names = ", ".join(key.replace("_", " ") for key in differing)
         values = "; ".join(f"{key} {old!r} in the store, {new!r} now" for key, (old, new) in differing.items())
         super().__init__(f"existing store was built with a different {names} ({values})")
+        self.differing = differing

@@ -30,7 +30,6 @@ import hashlib
 import json
 import math
 import os
-import struct
 import time
 from functools import partial
 from pathlib import Path
@@ -59,6 +58,7 @@ from .errors import (
 from .glm import fit_ols, ols_wald_test
 from .matching import CALIPER_SD_FACTOR, caliper_block, cem_att, cem_match, matched_att, mdm_match, psm_match
 from .numeric import (
+    MAX_REPLICATES,
     PURPOSE_CALIBRATION,
     PURPOSE_OUTCOME_FOLDS,
     PURPOSE_PS_FOLDS,
@@ -455,22 +455,18 @@ def _truth_name(key: tuple[int, int, str, bool]) -> str:
     return f"s{scenario}_t{setting}_p{label}_{'null' if null else 'effect'}"
 
 
-def _same_bits(text: str, value: float) -> bool:
-    try:
-        return struct.pack("<d", float(text)) == struct.pack("<d", value)
-    except ValueError:
-        return False
+def _truth_row(scenario, setting, label, arm, oracle_seed, oracle_n, truth, oracle_se) -> tuple[str, tuple]:
+    return f"s{scenario}_t{setting}_p{label}_{arm}", (oracle_seed, oracle_n, float(truth), float(oracle_se))
 
 
-def _truths_csv_rows(path: Path) -> dict[str, tuple[str, ...]]:
+def _truths_csv_rows(path: Path) -> dict[str, tuple[str, str, float, float]]:
     """``truths.csv``'s rows by truth name, less the key columns; empty
-    when the file is missing, unreadable or has another header."""
+    when the file is missing or the one table reader refuses it."""
     try:
-        rows = _read_rows(path, TRUTH_COLUMNS, lambda *row: row)
+        return dict(_read_rows(path, TRUTH_COLUMNS, _truth_row))
     # A UnicodeDecodeError and a CorruptManifestError are ValueErrors.
     except (OSError, ValueError, csv.Error):
         return {}
-    return {f"s{row[0]}_t{row[1]}_p{row[2]}_{row[3]}": row[4:] for row in rows if len(row) == len(TRUTH_COLUMNS)}
 
 
 def _stored_truths(
@@ -487,8 +483,8 @@ def _stored_truths(
     reused only when its pair's manifest intercept is ``==`` to the one just
     recomputed (so the same oracle streams and draw code produced it), its
     manifest entry is exactly ``{"value", "oracle_se"}`` floats, and the
-    row of ``truths.csv`` under the same oracle seed and size holds the same
-    bits.  Anything else is a miss, left for :func:`true_att`.
+    row of ``truths.csv`` under the same oracle seed and size holds ``==``
+    floats.  Anything else is a miss, left for :func:`true_att`.
     """
     stored_intercepts, entries = manifest.get("intercepts"), manifest.get("truths")
     if not isinstance(stored_intercepts, dict) or not isinstance(entries, dict):
@@ -498,15 +494,13 @@ def _stored_truths(
     for key in keys:
         scenario, _, label, _ = key
         alpha, entry = stored_intercepts.get(f"s{scenario}_p{label}"), entries.get(_truth_name(key))
-        seed, n, *texts = rows.get(_truth_name(key), ("", "", "", ""))
         if not _is_float(alpha, intercepts[(scenario, label)]):
             continue
         if type(entry) is not dict or entry.keys() != {"value", "oracle_se"}:
             continue
         truth = (entry["value"], entry["oracle_se"])
-        if (seed, n) == (str(oracle_seed), str(truth_n)) and all(
-            type(v) is float and _same_bits(text, v) for text, v in zip(texts, truth)
-        ):
+        row = rows.get(_truth_name(key))
+        if all(type(v) is float for v in truth) and row == (str(oracle_seed), str(truth_n), *truth):
             reusable[key] = truth
     return reusable
 
@@ -576,6 +570,9 @@ def run_grid(
         raise ValueError("all cells in a grid must share a master seed")
     if calibration_n < 1 or truth_n < 1:
         raise ValueError(f"oracle sizes must be positive: calibration_n={calibration_n}, truth_n={truth_n}")
+    # Aggregation needs two replicates; stream ids hold MAX_REPLICATES.
+    if not all(2 <= c.n_reps <= MAX_REPLICATES for c in cells):
+        raise ValueError(f"n_reps must lie in [2, {MAX_REPLICATES}]")
     method_list = METHODS if methods is None else tuple(methods)
     if not method_list:
         raise ValueError("no methods to run")

@@ -295,7 +295,10 @@ class TestCmdRun:
         before = tree_bytes(store)
         capsys.readouterr()
         assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_CONFIG
-        assert "different schema version" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "different schema version" in err
+        assert err.rstrip().endswith("; rebuild it in a fresh --output-dir")
+        assert "the store's parameters" not in err
         assert tree_bytes(store) == before
 
     def test_malformed_manifest_exit_code(self, tmp_path, capsys):
@@ -511,33 +514,40 @@ class TestCmdReport:
         assert main(["report", "--store", str(tmp_path / "void")]) == EXIT_CONFIG
         assert "no manifest" in capsys.readouterr().err
 
-    # A completed cell entry that lacks "scenario", which `report` reads.
-    NO_SCENARIO = json.dumps({"cells": {"s1t1p050_effect": {
-        "complete": True, "null_effect": False, "prevalence": "0.50", "setting": 1,
-    }}})
-
     @pytest.mark.parametrize(
         "text",
-        [
-            "{\n", "[]\n", '{"cells": []}\n', '{"cells": {"s1t1p050_effect": "complete"}}\n', NO_SCENARIO,
-            {"scenario": [1]},
-        ],
-        ids=[
-            "cut-json", "not-an-object", "cells-not-an-object", "cell-not-an-object", "cell-without-scenario",
-            "scenario-a-list",
-        ],
+        ["{\n", "[]\n", '{"cells": []}\n', '{"cells": {"s1t1p050_effect": "complete"}}\n'],
+        ids=["cut-json", "not-an-object", "cells-not-an-object", "cell-not-an-object"],
     )
-    def test_malformed_manifest_exit_code(self, store, tmp_path, capsys, text):
-        if isinstance(text, dict):
-            # A store whose records check out, with one key of one completed
-            # cell set to a value of the wrong JSON type.
-            shutil.copytree(store, tmp_path, dirs_exist_ok=True)
-            manifest = json.loads((tmp_path / "manifest.json").read_text())
-            manifest["cells"]["s1t1p050_effect"].update(text)
-            text = json.dumps(manifest)
+    def test_malformed_manifest_exit_code(self, tmp_path, capsys, text):
         (tmp_path / "manifest.json").write_text(text)
         assert main(["report", "--store", str(tmp_path)]) == EXIT_CONFIG
         assert str(tmp_path / "manifest.json") in capsys.readouterr().err
+
+    def test_cell_coordinates_come_from_its_name(self, store, tmp_path, capsys):
+        # Entries stripped of the coordinate keys `run` writes report the same.
+        assert main(["report", "--store", str(store)]) == EXIT_OK
+        shutil.copytree(store, tmp_path, dirs_exist_ok=True)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        for entry in manifest["cells"].values():
+            for key in ("scenario", "setting", "prevalence", "null_effect"):
+                del entry[key]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "report.csv").unlink()
+        assert main(["report", "--store", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "report.csv").read_bytes() == (store / "report.csv").read_bytes()
+        capsys.readouterr()
+
+    def test_cell_named_outside_the_design_exit_code(self, store, tmp_path, capsys):
+        shutil.copytree(store, tmp_path, dirs_exist_ok=True)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["cells"]["s4t1p050_effect"] = manifest["cells"]["s1t1p050_effect"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["report", "--store", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "completed cell s4t1p050_effect is not a cell of the design" in err
+        assert "Traceback" not in err
 
     def test_store_without_completed_cells(self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text(json.dumps({"cells": {}}))

@@ -256,18 +256,24 @@ class TestCalibrateIntercept:
                 assert sum(calls) <= 12 * 10**5, (seed, scenario, prevalence)
 
 
+def guess_leaf(alpha: float) -> tuple[float, float]:
+    return dgp._bisect(lambda mid: mid < alpha)
+
+
 def next_leaf_midpoint(alpha: float) -> float:
-    lo, hi = dgp._bisection_leaf(alpha)
+    lo, hi = guess_leaf(alpha)
     return hi + (hi - lo) / 2.0
 
 
-# Guesses at a calibrated intercept ``a``: in its leaf, beside it, in the
-# next leaf, at and beyond the bracket, and not finite.
+# Guesses at a calibrated intercept ``a``: in its leaf, beside it, at the
+# last midpoint the bisection moved ``hi`` to, in the next leaf, at and
+# beyond the bracket, and not finite.
 ADVERSARIAL_GUESSES = {
     "ulp-up": lambda a: float(np.nextafter(a, np.inf)),
     "ulp-down": lambda a: float(np.nextafter(a, -np.inf)),
     "plus-1e-9": lambda a: a + 1e-9,
     "minus-1e-9": lambda a: a - 1e-9,
+    "midpoint": lambda a: guess_leaf(a)[1],
     "next-leaf": next_leaf_midpoint,
     "bracket-top": lambda a: 20.0,
     "bracket-bottom": lambda a: -20.0,
@@ -308,16 +314,13 @@ class TestLeafCertificate:
         spec, prevalence, stream = SCENARIOS[2], 0.10, (4, 21)
         plain = naive_calibrate_intercept(spec, prevalence, rng_stream(*stream), 10**4)
         calls = count_expit_passes(monkeypatch)
-        for guess, passes in [(np.nextafter(plain, np.inf), 2), (next_leaf_midpoint(plain), 44), (np.nan, 42)]:
+        # In the leaf, at its upper end (a midpoint), in the next leaf, NaN.
+        guesses = [(np.nextafter(plain, np.inf), 2), (guess_leaf(plain)[1], 2)]
+        guesses += [(next_leaf_midpoint(plain), 44), (np.nan, 44)]
+        for guess, passes in guesses:
             calls.clear()
             assert calibrate_intercept(spec, prevalence, rng_stream(*stream), 10**4, guess=float(guess)) == plain
             assert sum(calls) == passes * 10**4, guess
-
-    def test_midpoint_guess_is_a_miss(self):
-        assert dgp._bisection_leaf(0.0) is None
-        assert dgp._bisection_leaf(-10.0) is None
-        lo, hi = dgp._bisection_leaf(1e-3)
-        assert lo < 1e-3 < hi and hi - lo <= dgp._BISECTION_X_TOL
 
     @pytest.mark.parametrize("spec,prevalence,tol", ILL_POSED)
     @pytest.mark.parametrize("guess", [-20.0, -3.0, 1e-3, 20.0, np.nan])

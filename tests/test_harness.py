@@ -35,6 +35,7 @@ from attbench.harness import (
     write_records_csv,
 )
 from attbench.matching import caliper_block, psm_match
+from attbench.numeric import MAX_REPLICATES
 from attbench.propensity import PsVector, estimate_ps
 
 GRID_METHODS = ("LR", "CEM2", "IPW")
@@ -642,6 +643,10 @@ class TestRunGrid:
             run_small_grid(tmp_path, cells=mixed)
         with pytest.raises(ValueError, match="no methods"):
             run_small_grid(tmp_path, methods=())
+        # One replicate cannot be aggregated, and stream ids stop at MAX_REPLICATES.
+        for n_reps in (1, MAX_REPLICATES + 1):
+            with pytest.raises(ValueError, match=re.escape(f"n_reps must lie in [2, {MAX_REPLICATES}]")):
+                run_small_grid(tmp_path, cells=[cfg_for(label="0.50", n_reps=n_reps)])
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_method_rejected(self, tmp_path):
