@@ -7,8 +7,12 @@ summarizes the true propensity distribution of a scenario, and
 effect and null cells.
 
 Configuration is declarative: ``run`` reads an optional JSON config file
-and any command line flag overrides the corresponding config key.  The
-default output directory comes from ``ATTBENCH_OUTPUT_DIR`` when set.
+and any command line flag overrides the corresponding config key.  Every
+list a command takes, ``calibrate``'s and ``ps-hist``'s included, follows
+one rule: a non-empty subset of the design, each value once.  Every
+command finds its store directory by one rule too: its flag (or ``run``'s
+config file), else ``ATTBENCH_OUTPUT_DIR`` when set and non-empty, else
+``attbench-out``.
 Exit codes: 0 on success, 2 for configuration problems (a store built
 under other parameters, a cell's records or metrics that fail their
 digest, or a store file that cannot be read or written, included), 3
@@ -19,6 +23,7 @@ rerun will resume).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -31,6 +36,8 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .dgp import (
+    DEFAULT_CALIBRATION_N,
+    DEFAULT_TRUTH_N,
     PREVALENCE_LABELS,
     SCENARIOS,
     SETTING_IDS,
@@ -40,8 +47,12 @@ from .dgp import (
 )
 from .errors import CorruptManifestError, EstimationError, PartialGridError, StoreMismatchError
 from .harness import (
+    CALIBRATION_NAME,
+    DEFAULT_ORACLE_SEED,
+    MANIFEST_NAME,
     METHODS,
     METRIC_COLUMNS,
+    cell_paths,
     digest_matches,
     oracle_intercepts,
     oracle_stream,
@@ -62,6 +73,14 @@ OUTPUT_DIR_ENV = "ATTBENCH_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "attbench-out"
 ARMS = ("effect", "null")
 REPORT_COLUMNS = ("scenario", "setting", "prevalence") + METRIC_COLUMNS
+# The design's values of each list a command takes, in order.
+DESIGN_LISTS = {
+    "scenarios": tuple(sorted(SCENARIOS)),
+    "settings": SETTING_IDS,
+    "prevalences": PREVALENCE_LABELS,
+    "arms": ARMS,
+    "methods": METHODS,
+}
 
 
 class ConfigError(Exception):
@@ -79,11 +98,12 @@ class RunConfig:
     methods: tuple[str, ...] | None = None
     n_reps: int = 200
     master_seed: int = 42
-    oracle_seed: int = 42
-    calibration_n: int = 10**6
-    truth_n: int = 10**7
+    oracle_seed: int = DEFAULT_ORACLE_SEED
+    calibration_n: int = DEFAULT_CALIBRATION_N
+    truth_n: int = DEFAULT_TRUTH_N
     parallelism: int = 1
-    output_dir: str = DEFAULT_OUTPUT_DIR
+    # Empty: :func:`_store_dir` picks it.
+    output_dir: str = ""
 
 
 def _fits_type(value, hint) -> bool:
@@ -106,9 +126,16 @@ def _validate_oracle_args(seeds: dict[str, int], sizes: dict[str, int]) -> None:
         raise ConfigError("oracle sample sizes below 1000 are meaningless")
 
 
-def _output_dir(flag: str | None) -> Path:
-    """``flag``, else ``ATTBENCH_OUTPUT_DIR``, else the default, created as a directory or :class:`ConfigError`."""
-    outdir = Path(flag or os.environ.get(OUTPUT_DIR_ENV) or DEFAULT_OUTPUT_DIR)
+def _store_dir(chosen: str | None) -> str:
+    """The store directory of every command: ``chosen`` (its flag, or ``run``'s
+    config file), else ``$ATTBENCH_OUTPUT_DIR``, else ``attbench-out``.  An
+    empty value counts as unset."""
+    return chosen or os.environ.get(OUTPUT_DIR_ENV) or DEFAULT_OUTPUT_DIR
+
+
+def _output_dir(chosen: str | None) -> Path:
+    """The :func:`_store_dir` of ``chosen``, created as a directory, or :class:`ConfigError`."""
+    outdir = Path(_store_dir(chosen))
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -116,29 +143,28 @@ def _output_dir(flag: str | None) -> Path:
     return outdir
 
 
-def _labels(prevalences) -> tuple[str, ...]:
-    """The design's labels of ``prevalences``, or :class:`ConfigError`."""
+def _subset(name: str, values) -> tuple:
+    """``values`` as a non-empty subset of ``DESIGN_LISTS[name]``, each value
+    once, or :class:`ConfigError`; ``None`` means the whole list.  A
+    prevalence may be given as any value that names a label."""
+    design = DESIGN_LISTS[name]
+    if values is None:
+        return design
     try:
-        return tuple(prevalence_label_for(p) for p in prevalences)
+        values = tuple(prevalence_label_for(v) for v in values) if name == "prevalences" else tuple(values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if not values or set(values) - set(design):
+        raise ConfigError(f"{name} must be a non-empty subset of {list(design)}")
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{name} repeat {repeated}; list each value once")
+    return values
 
 
 def _validate_run_config(cfg: RunConfig) -> RunConfig:
-    cfg.prevalences = _labels(cfg.prevalences)
-    lists = {
-        "scenarios": (cfg.scenarios, sorted(SCENARIOS)),
-        "settings": (cfg.settings, list(SETTING_IDS)),
-        "prevalences": (cfg.prevalences, list(PREVALENCE_LABELS)),
-        "arms": (cfg.arms, list(ARMS)),
-        "methods": (METHODS if cfg.methods is None else cfg.methods, list(METHODS)),
-    }
-    for name, (values, design) in lists.items():
-        if not values or set(values) - set(design):
-            raise ConfigError(f"{name} must be a non-empty subset of {design}")
-        repeated = sorted({v for v in values if values.count(v) > 1})
-        if repeated:
-            raise ConfigError(f"{name} repeat {repeated}; list each value once")
+    for name in DESIGN_LISTS:
+        setattr(cfg, name, _subset(name, getattr(cfg, name)))
     if not 2 <= cfg.n_reps <= MAX_REPLICATES:
         raise ConfigError(f"n_reps must lie in [2, {MAX_REPLICATES}]")
     if cfg.parallelism < 1:
@@ -152,8 +178,6 @@ def _validate_run_config(cfg: RunConfig) -> RunConfig:
 
 def _config_from_sources(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    if os.environ.get(OUTPUT_DIR_ENV):
-        cfg.output_dir = os.environ[OUTPUT_DIR_ENV]
     known = {f.name for f in fields(RunConfig)}
     if args.config is not None:
         try:
@@ -179,26 +203,15 @@ def _config_from_sources(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             setattr(cfg, name, flag_value)
+    cfg.output_dir = _store_dir(cfg.output_dir)
     return _validate_run_config(cfg)
 
 
 def build_cells(cfg: RunConfig) -> list[CellConfig]:
-    cells = []
-    for scenario in cfg.scenarios:
-        for setting in cfg.settings:
-            for label in cfg.prevalences:
-                for arm in cfg.arms:
-                    cells.append(
-                        CellConfig(
-                            scenario=scenario,
-                            setting=setting,
-                            prevalence_label=label,
-                            null_effect=(arm == "null"),
-                            n_reps=cfg.n_reps,
-                            master_seed=cfg.master_seed,
-                        )
-                    )
-    return cells
+    return [
+        CellConfig(scenario, setting, label, arm == "null", cfg.n_reps, cfg.master_seed)
+        for scenario, setting, label, arm in itertools.product(cfg.scenarios, cfg.settings, cfg.prevalences, cfg.arms)
+    ]
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -245,17 +258,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    scenarios = args.scenarios or (1, 2, 3)
-    if set(scenarios) - set(SCENARIOS):
-        raise ConfigError(f"scenarios must be a subset of {sorted(SCENARIOS)}")
-    labels = _labels(args.prevalences or PREVALENCE_LABELS)
+    pairs = list(itertools.product(_subset("scenarios", args.scenarios), _subset("prevalences", args.prevalences)))
     _validate_oracle_args({"oracle_seed": args.oracle_seed}, {"oracle_n": args.oracle_n})
     outdir = _output_dir(args.output_dir)
 
-    intercepts = oracle_intercepts(
-        [(scenario, label) for scenario in scenarios for label in labels], args.oracle_seed, args.oracle_n
-    )
-    path = outdir / "calibration.csv"
+    intercepts = oracle_intercepts(pairs, args.oracle_seed, args.oracle_n)
+    path = outdir / CALIBRATION_NAME
     write_calibration_csv(path, args.oracle_seed, args.oracle_n, intercepts)
     print(f"{'scenario':>8} {'prevalence':>10} {'alpha0':>12}")
     for (scenario, label), alpha in sorted(intercepts.items()):
@@ -265,9 +273,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_ps_hist(args: argparse.Namespace) -> int:
-    if args.scenario not in SCENARIOS:
-        raise ConfigError(f"scenario must be one of {sorted(SCENARIOS)}")
-    (label,) = _labels([args.prevalence])
+    _subset("scenarios", [args.scenario])
+    (label,) = _subset("prevalences", [args.prevalence])
     if args.bins < 2 or args.n < 100:
         raise ConfigError("need at least 2 bins and 100 draws")
     _validate_oracle_args({"oracle_seed": args.oracle_seed}, {"oracle_n": args.oracle_n})
@@ -290,7 +297,7 @@ def cmd_ps_hist(args: argparse.Namespace) -> int:
 
 
 def _report_rows(store: Path) -> list[tuple]:
-    manifest_path = store / "manifest.json"
+    manifest_path = store / MANIFEST_NAME
     if not manifest_path.exists():
         raise ConfigError(f"no manifest in {store}")
     manifest = read_manifest(manifest_path)
@@ -307,7 +314,7 @@ def _report_rows(store: Path) -> list[tuple]:
             raise CorruptManifestError(f"manifest {manifest_path}: completed cell {name} is not a cell of the design")
         cfg = design[name]
         key = (cfg.scenario, cfg.setting, cfg.prevalence_label)
-        paths = {kind: store / "cells" / f"{name}_{kind}.csv" for kind in ("records", "metrics")}
+        paths = cell_paths(store, name)
         if not all(digest_matches(path, entry.get(f"{kind}_sha256")) for kind, path in paths.items()):
             raise ConfigError(f"cell {name}: records or metrics missing or failing their digest; rerun `attbench run`")
         groups.setdefault(key, {})[cfg.null_effect] = {m.method: m for m in read_metrics_csv(paths["metrics"])}
@@ -326,7 +333,7 @@ def _report_rows(store: Path) -> list[tuple]:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    store = Path(args.store or os.environ.get(OUTPUT_DIR_ENV) or DEFAULT_OUTPUT_DIR)
+    store = Path(_store_dir(args.store))
     rows = _report_rows(store)
     path = store / "report.csv"
     write_csv(path, REPORT_COLUMNS, rows)
@@ -366,11 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     calibrate = sub.add_parser("calibrate", help="write the golden intercept table")
-    calibrate.add_argument("--scenarios", type=_int_list, default=None)
-    calibrate.add_argument("--prevalences", type=_str_list, default=None)
-    calibrate.add_argument("--oracle-seed", dest="oracle_seed", type=int, default=42)
-    calibrate.add_argument("--oracle-n", dest="oracle_n", type=int, default=10**6)
-    calibrate.add_argument("--output-dir", dest="output_dir", default=None)
+    calibrate.add_argument("--scenarios", type=_int_list, default=None, help="e.g. 1,2,3 (all)")
+    calibrate.add_argument("--prevalences", type=_str_list, default=None, help="e.g. 0.05,0.20 (all)")
     calibrate.set_defaults(func=cmd_calibrate)
 
     ps_hist = sub.add_parser("ps-hist", help="histogram the true propensity distribution")
@@ -378,10 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps_hist.add_argument("--prevalence", default="0.20")
     ps_hist.add_argument("--n", type=int, default=100_000)
     ps_hist.add_argument("--bins", type=int, default=20)
-    ps_hist.add_argument("--oracle-seed", dest="oracle_seed", type=int, default=42)
-    ps_hist.add_argument("--oracle-n", dest="oracle_n", type=int, default=10**6)
-    ps_hist.add_argument("--output-dir", dest="output_dir", default=None)
     ps_hist.set_defaults(func=cmd_ps_hist)
+
+    for oracle_command in (calibrate, ps_hist):
+        oracle_command.add_argument("--oracle-seed", dest="oracle_seed", type=int, default=DEFAULT_ORACLE_SEED)
+        oracle_command.add_argument("--oracle-n", dest="oracle_n", type=int, default=DEFAULT_CALIBRATION_N)
+        oracle_command.add_argument("--output-dir", dest="output_dir", default=None)
 
     report = sub.add_parser("report", help="summarize a result store")
     report.add_argument("--store", default=None, help="result store directory")

@@ -44,6 +44,9 @@ from .numeric import PURPOSE_DATASET, expit, logit, substream
 NOISE_VARIANCE = 2.0
 NOISE_SD = float(np.sqrt(NOISE_VARIANCE))
 CALIBRATION_TOL = 1e-3
+# Default oracle sample sizes: the intercept calibration's and the truth's.
+DEFAULT_CALIBRATION_N = 10**6
+DEFAULT_TRUTH_N = 10**7
 _BISECTION_BRACKET = (-20.0, 20.0)
 _BISECTION_X_TOL = 1e-10
 # Newton stops once a step is this small: the next would move the estimate
@@ -321,8 +324,7 @@ def calibrate_intercept(
     spec: ScenarioSpec,
     prevalence: float,
     rng: np.random.Generator,
-    oracle_n: int = 10**6,
-    tol: float = CALIBRATION_TOL,
+    oracle_n: int = DEFAULT_CALIBRATION_N,
     *,
     guess: float | None = None,
 ) -> float:
@@ -333,7 +335,7 @@ def calibrate_intercept(
     bisection on the bracket converges to the root of the empirical
     moment condition.  Raises :class:`BracketFailureError` if the bracket
     does not straddle the target or the achieved prevalence misses it by
-    more than ``tol``.
+    more than ``CALIBRATION_TOL``.
 
     The computed gap ``mean(expit(alpha + terms)) - prevalence`` is itself
     non-decreasing in ``alpha``: the rounded sum ``alpha + t``, ``expit``
@@ -387,9 +389,9 @@ def calibrate_intercept(
         lo, hi = _bisect(lambda mid: gap(mid) < 0.0)
     alpha = (lo + hi) / 2.0
     # In a certified leaf the gap at alpha lies between g_lo and g_hi.
-    if not (certified and -tol <= g_lo and g_hi <= tol):
+    if not (certified and -CALIBRATION_TOL <= g_lo and g_hi <= CALIBRATION_TOL):
         miss = gap(alpha)
-        if abs(miss) > tol:
+        if abs(miss) > CALIBRATION_TOL:
             raise BracketFailureError(f"calibration missed target by {miss:.2e}")
     return float(alpha)
 
@@ -446,7 +448,7 @@ def true_att(
     setting: int,
     alpha0: float,
     rng: np.random.Generator,
-    oracle_n: int = 10**7,
+    oracle_n: int = DEFAULT_TRUTH_N,
     null_effect: bool = False,
 ) -> tuple[float, float]:
     """Population ATT and the Monte Carlo error of its computation.

@@ -39,6 +39,8 @@ import numpy as np
 
 from . import __version__
 from .dgp import (
+    DEFAULT_CALIBRATION_N,
+    DEFAULT_TRUTH_N,
     NOISE_VARIANCE,
     PREVALENCE_LABELS,
     PREVALENCE_VALUES,
@@ -75,7 +77,12 @@ ALPHA = 0.05
 DEFAULT_ORACLE_SEED = 42
 FAILED_PREFIX = "failed:"
 
+# The store's layout: these tables at its root, and each cell's two files
+# in ``CELLS_DIR`` (see :func:`cell_paths`).
 MANIFEST_NAME = "manifest.json"
+CALIBRATION_NAME = "calibration.csv"
+TRUTHS_NAME = "truths.csv"
+CELLS_DIR = "cells"
 SCHEMA_VERSION = 3
 # A grid rewrites its manifest at most this often while cells finish, and
 # once more when it stops; each cell's digest keeps the resume contract.
@@ -384,6 +391,12 @@ def _write_manifest(path: Path, manifest: dict) -> None:
     os.replace(tmp, path)
 
 
+def cell_paths(store: Path, name: str) -> dict[str, Path]:
+    """Cell ``name``'s records and metrics files in ``store``, by kind; the
+    manifest keeps each one's digest as ``{kind}_sha256``."""
+    return {kind: store / CELLS_DIR / f"{name}_{kind}.csv" for kind in ("records", "metrics")}
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -534,8 +547,8 @@ def run_grid(
     output_dir: str | Path,
     parallelism: int = 1,
     oracle_seed: int = DEFAULT_ORACLE_SEED,
-    calibration_n: int = 10**6,
-    truth_n: int = 10**7,
+    calibration_n: int = DEFAULT_CALIBRATION_N,
+    truth_n: int = DEFAULT_TRUTH_N,
     methods: tuple[str, ...] | None = None,
     log=None,
 ) -> list[str]:
@@ -586,7 +599,7 @@ def run_grid(
     say = log if log is not None else (lambda message: None)
 
     outdir = Path(output_dir)
-    cells_dir = outdir / "cells"
+    cells_dir = outdir / CELLS_DIR
     manifest_path = outdir / MANIFEST_NAME
     # A store of another schema holds bits this code would not write again.
     params = dict(
@@ -614,7 +627,7 @@ def run_grid(
         pairs, oracle_seed, calibration_n, guesses=_stored_intercepts(manifest, pairs)
     )
     truth_keys = list(dict.fromkeys(_truth_key(c) for c in cells))
-    truths = _stored_truths(truth_keys, manifest, outdir / "truths.csv", intercepts, oracle_seed, truth_n)
+    truths = _stored_truths(truth_keys, manifest, outdir / TRUTHS_NAME, intercepts, oracle_seed, truth_n)
     for key in truth_keys:
         if key in truths:
             continue
@@ -630,8 +643,8 @@ def run_grid(
             null_effect=null,
         )
     say(f"oracles took {time.perf_counter() - oracle_start:.2f} s")
-    write_calibration_csv(outdir / "calibration.csv", oracle_seed, calibration_n, intercepts)
-    write_truths_csv(outdir / "truths.csv", oracle_seed, truth_n, truths)
+    write_calibration_csv(outdir / CALIBRATION_NAME, oracle_seed, calibration_n, intercepts)
+    write_truths_csv(outdir / TRUTHS_NAME, oracle_seed, truth_n, truths)
 
     manifest.update(
         params,
@@ -649,10 +662,11 @@ def run_grid(
     def progress() -> str:
         return f"({reused + len(computed)}/{len(cells)})"
 
+    paths = {cfg.name: cell_paths(outdir, cfg.name) for cfg in cells}
     jobs = []
     for cfg in cells:
         entry = entries.get(cfg.name, {})
-        records_path = cells_dir / f"{cfg.name}_records.csv"
+        records_path, metrics_path = paths[cfg.name].values()
         alpha0 = intercepts[(cfg.scenario, cfg.prevalence_label)]
         same_run = (
             entry.get("complete")
@@ -662,7 +676,6 @@ def run_grid(
         )
         if same_run and digest_matches(records_path, entry.get("records_sha256")):
             truth, truth_se = truths[_truth_key(cfg)]
-            metrics_path = cells_dir / f"{cfg.name}_metrics.csv"
             if not (
                 _is_float(entry.get("truth"), truth)
                 and _is_float(entry.get("truth_oracle_se"), truth_se)
@@ -691,8 +704,7 @@ def run_grid(
             except EstimationError as exc:
                 failed[cfg.name] = str(exc)
                 continue
-            records_path = cells_dir / f"{cfg.name}_records.csv"
-            metrics_path = cells_dir / f"{cfg.name}_metrics.csv"
+            records_path, metrics_path = paths[cfg.name].values()
             write_records_csv(records_path, records)
             write_metrics_csv(metrics_path, metrics)
             entries[cfg.name] = {

@@ -345,6 +345,27 @@ def test_output_dir_naming_a_file_exit_code(tmp_path, capsys, command):
     assert taken.read_text() == "a file\n"
 
 
+@pytest.mark.parametrize("source", ["flag", "environment", "default"])
+def test_every_command_finds_the_same_store_directory(tmp_path, monkeypatch, source):
+    # The flag beats the variable, which beats the default; each command
+    # writes into the one directory, and none other appears.
+    monkeypatch.chdir(tmp_path)
+    if source != "default":
+        monkeypatch.setenv(OUTPUT_DIR_ENV, "from-env")
+    expected = {"flag": "from-flag", "environment": "from-env", "default": DEFAULT_OUTPUT_DIR}[source]
+    flag = ["--output-dir", "from-flag"] if source == "flag" else []
+    commands = [
+        ([*WRITING_COMMANDS["calibrate"], *flag], "calibration.csv"),
+        ([*WRITING_COMMANDS["ps-hist"], *flag], "ps_hist_s1_p020.csv"),
+        ([*WRITING_COMMANDS["run"], *flag], "manifest.json"),
+        (["report", *(["--store", "from-flag"] if flag else [])], "report.csv"),
+    ]
+    for argv, written in commands:
+        assert main(argv) == EXIT_OK, argv
+        assert (tmp_path / expected / written).is_file(), argv
+        assert [p.name for p in tmp_path.iterdir()] == [expected], argv
+
+
 @pytest.mark.parametrize("command", ["run", "report"])
 def test_manifest_naming_a_directory_exit_code(tmp_path, capsys, command):
     (tmp_path / "manifest.json").mkdir()
@@ -419,6 +440,27 @@ class TestCmdCalibrate:
         assert alphas[0] != alphas[1]
         assert abs(alphas[0] - alphas[1]) < 0.06
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--scenarios", ""),
+            ("--scenarios", "1,1"),
+            ("--scenarios", "7"),
+            ("--prevalences", ""),
+            ("--prevalences", "0.50,0.5"),
+            ("--prevalences", "0.17"),
+        ],
+        ids=["empty-scenarios", "repeated-scenarios", "unknown-scenario",
+             "empty-prevalences", "repeated-prevalences", "unknown-prevalence"],
+    )
+    def test_bad_list_exit_code_and_message_are_runs(self, tmp_path, monkeypatch, capsys, flag, value):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", flag, value]) == EXIT_CONFIG
+        message = capsys.readouterr().err
+        assert main(["calibrate", flag, value, "--oracle-n", "1000"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == message
+        assert message.startswith("error: ") and list(tmp_path.iterdir()) == []
+
     def test_invalid_scenario_exit_code(self, capsys):
         assert main(["calibrate", "--scenarios", "7"]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
@@ -473,6 +515,19 @@ class TestCmdPsHist:
         assert sum(count for _, _, count in rows) == 50000
         assert tail > 0.05
         assert rows[0][2] > 0 and rows[-1][2] > 0
+
+    @pytest.mark.parametrize(
+        "run_flags, hist_flags",
+        [(["--scenarios", "7"], ["--scenario", "7"]), (["--prevalences", "0.17"], ["--scenario", "1", "--prevalence", "0.17"])],
+        ids=["unknown-scenario", "unknown-prevalence"],
+    )
+    def test_bad_value_exit_code_and_message_are_runs(self, tmp_path, monkeypatch, capsys, run_flags, hist_flags):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", *run_flags]) == EXIT_CONFIG
+        message = capsys.readouterr().err
+        assert main(["ps-hist", *hist_flags, "--oracle-n", "1000"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == message
+        assert message.startswith("error: ") and list(tmp_path.iterdir()) == []
 
     def test_bad_arguments_exit_code(self, capsys):
         assert main(["ps-hist", "--scenario", "5"]) == EXIT_CONFIG

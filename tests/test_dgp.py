@@ -48,7 +48,9 @@ TRUTH_GOLDENS = {
 
 DESIGN_PAIRS = [(s, p) for s in sorted(SCENARIOS) for p in PREVALENCE_VALUES]
 # Targets outside what the bisection bracket can reach, below and above,
-# and a tolerance no calibration can meet.
+# and a tolerance no calibration can meet.  ``calibrate_intercept`` reads
+# its tolerance from ``dgp.CALIBRATION_TOL``, the plain bisection from its
+# ``tol`` argument.
 ILL_POSED = [
     (SCENARIOS[2], 1e-12, dgp.CALIBRATION_TOL),
     (SCENARIOS[1], 1.0 - 1e-12, dgp.CALIBRATION_TOL),
@@ -56,10 +58,10 @@ ILL_POSED = [
 ]
 
 
-def outcome_of(calibrate, spec, prevalence, stream, oracle_n, tol=dgp.CALIBRATION_TOL):
+def outcome_of(calibrate, spec, prevalence, stream, oracle_n, **kwargs):
     """The intercept, or the message of the ``BracketFailureError`` raised."""
     try:
-        return calibrate(spec, prevalence, stream, oracle_n=oracle_n, tol=tol)
+        return calibrate(spec, prevalence, stream, oracle_n=oracle_n, **kwargs)
     except BracketFailureError as exc:
         return f"BracketFailureError: {exc}"
 
@@ -233,9 +235,10 @@ class TestCalibrateIntercept:
                 assert fast == plain, (seed, scenario, prevalence)
 
     @pytest.mark.parametrize("spec,prevalence,tol", ILL_POSED)
-    def test_ill_posed_targets_fail_as_plain_bisection_does(self, spec, prevalence, tol):
-        fast = outcome_of(calibrate_intercept, spec, prevalence, rng_stream(11, 3), 10**4, tol)
-        plain = outcome_of(naive_calibrate_intercept, spec, prevalence, rng_stream(11, 3), 10**4, tol)
+    def test_ill_posed_targets_fail_as_plain_bisection_does(self, monkeypatch, spec, prevalence, tol):
+        monkeypatch.setattr(dgp, "CALIBRATION_TOL", tol)
+        fast = outcome_of(calibrate_intercept, spec, prevalence, rng_stream(11, 3), 10**4)
+        plain = outcome_of(naive_calibrate_intercept, spec, prevalence, rng_stream(11, 3), 10**4, tol=tol)
         assert isinstance(plain, str) and fast == plain
 
     @pytest.mark.parametrize("guess", [np.nan, 15.0, -19.9, 20.0], ids=["nan", "far", "near-edge", "edge"])
@@ -243,8 +246,9 @@ class TestCalibrateIntercept:
         monkeypatch.setattr(dgp, "_newton_root", lambda terms, prevalence, buf: guess)
         cases = [(SCENARIOS[s], p, dgp.CALIBRATION_TOL) for s, p in DESIGN_PAIRS] + ILL_POSED
         for i, (spec, prevalence, tol) in enumerate(cases):
-            fast = outcome_of(calibrate_intercept, spec, prevalence, rng_stream(5, i), 10**4, tol)
-            plain = outcome_of(naive_calibrate_intercept, spec, prevalence, rng_stream(5, i), 10**4, tol)
+            monkeypatch.setattr(dgp, "CALIBRATION_TOL", tol)
+            fast = outcome_of(calibrate_intercept, spec, prevalence, rng_stream(5, i), 10**4)
+            plain = outcome_of(naive_calibrate_intercept, spec, prevalence, rng_stream(5, i), 10**4, tol=tol)
             assert fast == plain, (i, prevalence, tol)
 
     def test_well_posed_call_makes_few_passes(self, monkeypatch):
@@ -324,21 +328,18 @@ class TestLeafCertificate:
 
     @pytest.mark.parametrize("spec,prevalence,tol", ILL_POSED)
     @pytest.mark.parametrize("guess", [-20.0, -3.0, 1e-3, 20.0, np.nan])
-    def test_ill_posed_targets_fail_as_plain_bisection_does(self, spec, prevalence, tol, guess):
-        def with_guess(*args, **kwargs):
-            return calibrate_intercept(*args, **kwargs, guess=guess)
-
-        fast = outcome_of(with_guess, spec, prevalence, rng_stream(11, 3), 10**4, tol)
-        plain = outcome_of(naive_calibrate_intercept, spec, prevalence, rng_stream(11, 3), 10**4, tol)
+    def test_ill_posed_targets_fail_as_plain_bisection_does(self, monkeypatch, spec, prevalence, tol, guess):
+        monkeypatch.setattr(dgp, "CALIBRATION_TOL", tol)
+        fast = outcome_of(calibrate_intercept, spec, prevalence, rng_stream(11, 3), 10**4, guess=guess)
+        plain = outcome_of(naive_calibrate_intercept, spec, prevalence, rng_stream(11, 3), 10**4, tol=tol)
         assert isinstance(plain, str) and fast == plain
 
-    def test_missed_tolerance_fails_as_plain_bisection_does_from_a_certified_leaf(self):
+    def test_missed_tolerance_fails_as_plain_bisection_does_from_a_certified_leaf(self, monkeypatch):
         spec, prevalence = SCENARIOS[3], 0.2
         root = calibrate_intercept(spec, prevalence, rng_stream(11, 3), 10**4)
-        fast = outcome_of(
-            lambda *a, **k: calibrate_intercept(*a, **k, guess=root), spec, prevalence, rng_stream(11, 3), 10**4, 0.0
-        )
-        plain = outcome_of(naive_calibrate_intercept, spec, prevalence, rng_stream(11, 3), 10**4, 0.0)
+        monkeypatch.setattr(dgp, "CALIBRATION_TOL", 0.0)
+        fast = outcome_of(calibrate_intercept, spec, prevalence, rng_stream(11, 3), 10**4, guess=root)
+        plain = outcome_of(naive_calibrate_intercept, spec, prevalence, rng_stream(11, 3), 10**4, tol=0.0)
         assert fast == plain and fast.startswith("BracketFailureError: calibration missed target")
 
 
