@@ -220,7 +220,10 @@ def prevalence_label_for(value: float | str) -> str:
     if isinstance(value, str):
         if value in PREVALENCE_LABELS:
             return value
-        value = float(value)
+        try:
+            value = float(value)
+        except ValueError:
+            raise ValueError(f"prevalence {value!r} is not in the design: {PREVALENCE_LABELS}") from None
     for label, v in zip(PREVALENCE_LABELS, PREVALENCE_VALUES):
         if abs(value - v) < 5e-3:
             return label

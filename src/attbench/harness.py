@@ -542,6 +542,39 @@ def _execute(jobs: list[tuple[CellConfig, float, tuple[str, ...]]], parallelism:
             yield futures[future], future.result
 
 
+def _oracles(
+    cells: list[CellConfig], manifest: dict, outdir: Path, oracle_seed: int, calibration_n: int, truth_n: int, say
+) -> tuple[dict[tuple[int, str], float], dict[tuple[int, int, str, bool], tuple[float, float]]]:
+    """The intercept of each (scenario, prevalence label) and the ``(truth,
+    oracle_se)`` of each truth key among ``cells``, with ``calibration.csv``
+    and ``truths.csv`` written to ``outdir``.
+
+    Every intercept is recomputed, with the one ``manifest`` holds as its
+    guess; a truth is reused when :func:`_stored_truths` vouches for it,
+    and drawn otherwise.
+    """
+    pairs = list(dict.fromkeys((c.scenario, c.prevalence_label) for c in cells))
+    say(f"calibrating {len(pairs)} treatment intercepts")
+    oracle_start = time.perf_counter()
+    intercepts = oracle_intercepts(pairs, oracle_seed, calibration_n, guesses=_stored_intercepts(manifest, pairs))
+    truth_keys = list(dict.fromkeys(_truth_key(c) for c in cells))
+    truths = _stored_truths(truth_keys, manifest, outdir / TRUTHS_NAME, intercepts, oracle_seed, truth_n)
+    for key in truth_keys:
+        if key in truths:
+            continue
+        scenario, setting, label, null = key
+        if not null and setting == 3:
+            say(f"computing setting-3 truth for scenario {scenario}, prevalence {label}")
+        stream = oracle_stream(oracle_seed, scenario, label, PURPOSE_TRUTH)
+        truths[key] = true_att(
+            SCENARIOS[scenario], setting, intercepts[(scenario, label)], stream, oracle_n=truth_n, null_effect=null
+        )
+    say(f"oracles took {time.perf_counter() - oracle_start:.2f} s")
+    write_calibration_csv(outdir / CALIBRATION_NAME, oracle_seed, calibration_n, intercepts)
+    write_truths_csv(outdir / TRUTHS_NAME, oracle_seed, truth_n, truths)
+    return intercepts, truths
+
+
 def run_grid(
     cells: list[CellConfig],
     output_dir: str | Path,
@@ -554,21 +587,22 @@ def run_grid(
 ) -> list[str]:
     """Run a batch of cells and persist a deterministic result store.
 
-    Oracles first: calibrated intercepts and true ATT values, once per
-    (scenario, prevalence) on streams derived from ``oracle_seed``.  The
-    intercepts are always recomputed, each certified in two passes when
-    the store already holds it; a truth the store already holds is
-    reused when :func:`_stored_truths` vouches for it.  Then the plan: a
-    cell whose manifest entry matches this run (replicate count, methods,
-    and an ``alpha0`` float ``==`` to the recomputed intercept) and whose
-    records match ``records_sha256`` is reused, which is what makes an
-    interrupted grid resumable.  It is left untouched, unread, when its
-    metrics file matches ``metrics_sha256`` and its entry's ``truth`` and
-    ``truth_oracle_se`` are floats ``==`` to this run's truth; otherwise it
-    heals: its metrics are aggregated again from its records under this
-    run's truth, and the file and entry rewritten.  Every other cell is
-    executed and persisted.  A store built under another schema version,
-    master seed, oracle seed or oracle size raises
+    Three steps.  First the oracles (:func:`_oracles`): calibrated
+    intercepts and true ATT values, once per (scenario, prevalence) on
+    streams derived from ``oracle_seed``.  Then the plan, one pass that
+    keeps, heals or queues each cell.  A cell whose manifest entry matches
+    this run (replicate count, methods, and an ``alpha0`` float ``==`` to
+    the recomputed intercept) and whose records match ``records_sha256``
+    is reused, which is what makes an interrupted grid resumable.  It is
+    kept untouched, unread, when its metrics file matches
+    ``metrics_sha256`` and its entry's ``truth`` and ``truth_oracle_se``
+    are floats ``==`` to this run's truth; otherwise it heals from its
+    records.  Every other cell is queued, and executed after the pass.
+    One finishing step serves a healed and an executed cell alike: it
+    aggregates the records under this run's truth and writes the metrics
+    file (after the records file, for an executed cell only) and the
+    cell's whole manifest entry.  A store built under another schema
+    version, master seed, oracle seed or oracle size raises
     :class:`StoreMismatchError` before anything is written.
 
     Returns the names of the cells this call computed, in the order they
@@ -620,32 +654,7 @@ def run_grid(
     except OSError as exc:
         raise CorruptManifestError(f"store {outdir}: cannot create {cells_dir} ({exc})") from exc
 
-    pairs = list(dict.fromkeys((c.scenario, c.prevalence_label) for c in cells))
-    say(f"calibrating {len(pairs)} treatment intercepts")
-    oracle_start = time.perf_counter()
-    intercepts = oracle_intercepts(
-        pairs, oracle_seed, calibration_n, guesses=_stored_intercepts(manifest, pairs)
-    )
-    truth_keys = list(dict.fromkeys(_truth_key(c) for c in cells))
-    truths = _stored_truths(truth_keys, manifest, outdir / TRUTHS_NAME, intercepts, oracle_seed, truth_n)
-    for key in truth_keys:
-        if key in truths:
-            continue
-        scenario, setting, label, null = key
-        if not null and setting == 3:
-            say(f"computing setting-3 truth for scenario {scenario}, prevalence {label}")
-        truths[key] = true_att(
-            SCENARIOS[scenario],
-            setting,
-            intercepts[(scenario, label)],
-            oracle_stream(oracle_seed, scenario, label, PURPOSE_TRUTH),
-            oracle_n=truth_n,
-            null_effect=null,
-        )
-    say(f"oracles took {time.perf_counter() - oracle_start:.2f} s")
-    write_calibration_csv(outdir / CALIBRATION_NAME, oracle_seed, calibration_n, intercepts)
-    write_truths_csv(outdir / TRUTHS_NAME, oracle_seed, truth_n, truths)
-
+    intercepts, truths = _oracles(cells, manifest, outdir, oracle_seed, calibration_n, truth_n, say)
     manifest.update(
         params,
         package_version=__version__,
@@ -655,6 +664,32 @@ def run_grid(
         truths={_truth_name(key): {"value": v, "oracle_se": se} for key, (v, se) in sorted(truths.items())},
     )
     entries = manifest.setdefault("cells", {})
+    paths = {cfg.name: cell_paths(outdir, cfg.name) for cfg in cells}
+
+    def finish(cfg: CellConfig, records: list[EstimateRecord], computed_now: bool) -> None:
+        truth, truth_se = truths[_truth_key(cfg)]
+        metrics = aggregate_cell(records, truth, cfg.n_reps)
+        records_path, metrics_path = paths[cfg.name].values()
+        # A healed cell's records already match their digest; they are never rewritten.
+        if computed_now:
+            write_records_csv(records_path, records)
+        write_metrics_csv(metrics_path, metrics)
+        entries[cfg.name] = {
+            "alpha0": intercepts[(cfg.scenario, cfg.prevalence_label)],
+            "cell_code": cfg.cell_code,
+            "complete": True,
+            "methods": list(method_list),
+            "metrics_sha256": _sha256(metrics_path),
+            "n": cfg.n,
+            "n_reps": cfg.n_reps,
+            "null_effect": cfg.null_effect,
+            "prevalence": cfg.prevalence_label,
+            "records_sha256": _sha256(records_path),
+            "scenario": cfg.scenario,
+            "setting": cfg.setting,
+            "truth": truth,
+            "truth_oracle_se": truth_se,
+        }
 
     computed: list[str] = []
     reused = 0
@@ -662,7 +697,6 @@ def run_grid(
     def progress() -> str:
         return f"({reused + len(computed)}/{len(cells)})"
 
-    paths = {cfg.name: cell_paths(outdir, cfg.name) for cfg in cells}
     jobs = []
     for cfg in cells:
         entry = entries.get(cfg.name, {})
@@ -681,10 +715,7 @@ def run_grid(
                 and _is_float(entry.get("truth_oracle_se"), truth_se)
                 and digest_matches(metrics_path, entry.get("metrics_sha256"))
             ):
-                # Heal: the records stand, their summary is redone under this run's truth.
-                metrics = aggregate_cell(read_records_csv(records_path), truth, cfg.n_reps)
-                write_metrics_csv(metrics_path, metrics)
-                entry.update(truth=truth, truth_oracle_se=truth_se, metrics_sha256=_sha256(metrics_path))
+                finish(cfg, read_records_csv(records_path), computed_now=False)
             reused += 1
             say(f"reusing completed cell {cfg.name} {progress()}")
             continue
@@ -697,32 +728,11 @@ def run_grid(
     written_at = time.monotonic()
     try:
         for cfg, outcome in _execute(jobs, parallelism):
-            truth, truth_se = truths[_truth_key(cfg)]
             try:
-                records = outcome()
-                metrics = aggregate_cell(records, truth, cfg.n_reps)
+                finish(cfg, outcome(), computed_now=True)
             except EstimationError as exc:
                 failed[cfg.name] = str(exc)
                 continue
-            records_path, metrics_path = paths[cfg.name].values()
-            write_records_csv(records_path, records)
-            write_metrics_csv(metrics_path, metrics)
-            entries[cfg.name] = {
-                "alpha0": intercepts[(cfg.scenario, cfg.prevalence_label)],
-                "cell_code": cfg.cell_code,
-                "complete": True,
-                "methods": list(method_list),
-                "metrics_sha256": _sha256(metrics_path),
-                "n": cfg.n,
-                "n_reps": cfg.n_reps,
-                "null_effect": cfg.null_effect,
-                "prevalence": cfg.prevalence_label,
-                "records_sha256": _sha256(records_path),
-                "scenario": cfg.scenario,
-                "setting": cfg.setting,
-                "truth": truth,
-                "truth_oracle_se": truth_se,
-            }
             if time.monotonic() - written_at >= MANIFEST_INTERVAL_S:
                 _write_manifest(manifest_path, manifest)
                 written_at = time.monotonic()

@@ -22,6 +22,7 @@ from attbench.cli import (
     build_parser,
     main,
 )
+from attbench.dgp import PREVALENCE_LABELS
 from attbench.errors import PartialGridError
 from attbench.harness import aggregate_cell, read_records_csv
 
@@ -449,9 +450,10 @@ class TestCmdCalibrate:
             ("--prevalences", ""),
             ("--prevalences", "0.50,0.5"),
             ("--prevalences", "0.17"),
+            ("--prevalences", "abc"),
         ],
         ids=["empty-scenarios", "repeated-scenarios", "unknown-scenario",
-             "empty-prevalences", "repeated-prevalences", "unknown-prevalence"],
+             "empty-prevalences", "repeated-prevalences", "unknown-prevalence", "malformed-prevalence"],
     )
     def test_bad_list_exit_code_and_message_are_runs(self, tmp_path, monkeypatch, capsys, flag, value):
         monkeypatch.chdir(tmp_path)
@@ -518,8 +520,12 @@ class TestCmdPsHist:
 
     @pytest.mark.parametrize(
         "run_flags, hist_flags",
-        [(["--scenarios", "7"], ["--scenario", "7"]), (["--prevalences", "0.17"], ["--scenario", "1", "--prevalence", "0.17"])],
-        ids=["unknown-scenario", "unknown-prevalence"],
+        [
+            (["--scenarios", "7"], ["--scenario", "7"]),
+            (["--prevalences", "0.17"], ["--scenario", "1", "--prevalence", "0.17"]),
+            (["--prevalences", "abc"], ["--scenario", "1", "--prevalence", "abc"]),
+        ],
+        ids=["unknown-scenario", "unknown-prevalence", "malformed-prevalence"],
     )
     def test_bad_value_exit_code_and_message_are_runs(self, tmp_path, monkeypatch, capsys, run_flags, hist_flags):
         monkeypatch.chdir(tmp_path)
@@ -528,6 +534,20 @@ class TestCmdPsHist:
         assert main(["ps-hist", *hist_flags, "--oracle-n", "1000"]) == EXIT_CONFIG
         assert capsys.readouterr().err == message
         assert message.startswith("error: ") and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["abc", ""], ids=["malformed", "empty"])
+    def test_malformed_prevalence_names_the_design(self, tmp_path, monkeypatch, capsys, value):
+        # The empty string reaches the parser only through ps-hist or a
+        # config file: run's flag drops empty list items.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"prevalences": [value]}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        message = capsys.readouterr().err
+        assert main(["ps-hist", "--scenario", "1", "--prevalence", value, "--oracle-n", "1000"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == message
+        assert message == f"error: prevalence {value!r} is not in the design: {PREVALENCE_LABELS}\n"
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_bad_arguments_exit_code(self, capsys):
         assert main(["ps-hist", "--scenario", "5"]) == EXIT_CONFIG

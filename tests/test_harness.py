@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 from collections import Counter
 from concurrent.futures import Future
@@ -950,3 +951,28 @@ class TestCellReuse:
         assert tree_bytes(tmp_path / "store") == tree_bytes(tmp_path / "fresh")
         recomputed = {cell for call, cell in expected if call == "run_replicate"}
         assert sum(line.startswith("reusing completed cell") for line in lines) == 3 - len(recomputed)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            edit_metrics_csv,
+            edit_cell_entry(DRAWN_CELL, truth=0.5, stale="a key no run writes"),
+            lambda store: edit_manifest(store, lambda m: m["cells"][DRAWN_CELL].pop("metrics_sha256")),
+        ],
+        ids=["metrics-edited", "truth-edited-with-a-stale-key", "no-metrics-digest"],
+    )
+    def test_heal_rewrites_the_metrics_file_and_the_whole_entry_only(self, tmp_path, damage):
+        run_small_grid(tmp_path, cells=truth_cells())
+        fresh = json.loads((tmp_path / "manifest.json").read_text())["cells"]
+        records = tmp_path / "cells" / f"{DRAWN_CELL}_records.csv"
+        # An old timestamp, so a rewrite shows whatever the file system's clock resolution.
+        os.utime(records, ns=(10**18, 10**18))
+        before = records.read_bytes()
+        damage(tmp_path)
+        run_small_grid(tmp_path, cells=truth_cells())
+        assert records.read_bytes() == before
+        assert records.stat().st_mtime_ns == 10**18
+        healed = json.loads((tmp_path / "manifest.json").read_text())["cells"]
+        computed_keys = fresh["s1t1p033_effect"].keys()
+        assert healed[DRAWN_CELL].keys() == computed_keys
+        assert healed == fresh
