@@ -15,9 +15,9 @@ config file), else ``ATTBENCH_OUTPUT_DIR`` when set and non-empty, else
 ``attbench-out``.
 Exit codes: 0 on success, 2 for configuration problems (a store built
 under other parameters, a cell's records or metrics that fail their
-digest, or a store file that cannot be read or written, included), 3
-when a run finished only partially (completed cells are on disk and a
-rerun will resume).
+digest, a store file that cannot be read or written, and a size this
+host cannot allocate, included), 3 when a run finished only partially
+(completed cells are on disk and a rerun will resume).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .dgp import (
+    ARMS,
     DEFAULT_CALIBRATION_N,
     DEFAULT_TRUTH_N,
     PREVALENCE_LABELS,
@@ -71,7 +72,11 @@ EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
 OUTPUT_DIR_ENV = "ATTBENCH_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "attbench-out"
-ARMS = ("effect", "null")
+# The largest size a command takes.  One numpy array holds at most this many
+# units of three float64 covariates, as ps-hist draws them; past it numpy
+# raises ValueError, where a size it can represent but not allocate raises
+# MemoryError, which exits 2 as well.
+MAX_SIZE = np.iinfo(np.intp).max // 24
 REPORT_COLUMNS = ("scenario", "setting", "prevalence") + METRIC_COLUMNS
 # The design's values of each list a command takes, in order.
 DESIGN_LISTS = {
@@ -122,8 +127,8 @@ def _validate_oracle_args(seeds: dict[str, int], sizes: dict[str, int]) -> None:
     for name, seed in seeds.items():
         if not 0 <= seed < 2**32:
             raise ConfigError(f"{name} must lie in [0, 2**32)")
-    if min(sizes.values()) < 1000:
-        raise ConfigError("oracle sample sizes below 1000 are meaningless")
+    if not all(1000 <= size <= MAX_SIZE for size in sizes.values()):
+        raise ConfigError(f"oracle sample sizes must lie in [1000, {MAX_SIZE}]")
 
 
 def _store_dir(chosen: str | None) -> str:
@@ -275,8 +280,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_ps_hist(args: argparse.Namespace) -> int:
     _subset("scenarios", [args.scenario])
     (label,) = _subset("prevalences", [args.prevalence])
-    if args.bins < 2 or args.n < 100:
-        raise ConfigError("need at least 2 bins and 100 draws")
+    if not (2 <= args.bins <= MAX_SIZE and 100 <= args.n <= MAX_SIZE):
+        raise ConfigError(f"need 2 to {MAX_SIZE} bins and 100 to {MAX_SIZE} draws")
     _validate_oracle_args({"oracle_seed": args.oracle_seed}, {"oracle_n": args.oracle_n})
     outdir = _output_dir(args.output_dir)
     pair = (args.scenario, label)
@@ -401,9 +406,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     # An OSError is a file the command could not open, such as a store file
-    # that is a directory; its text names the path.
-    except (ConfigError, CorruptManifestError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # that is a directory; its text names the path.  A MemoryError is a size
+    # this host cannot allocate; numpy's names the array.
+    except (ConfigError, CorruptManifestError, OSError, MemoryError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_CONFIG
 
 

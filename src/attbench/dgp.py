@@ -98,6 +98,8 @@ SCENARIOS: dict[int, ScenarioSpec] = {
 }
 
 SETTING_IDS = (1, 2, 3)
+# The two arms of a cell, as store names spell them, indexed by ``null_effect``.
+ARMS = ("effect", "null")
 
 
 def treatment_logit_terms(
@@ -211,8 +213,7 @@ class CellConfig:
 
     @property
     def name(self) -> str:
-        arm = "null" if self.null_effect else "effect"
-        return f"s{self.scenario}t{self.setting}p{self.prevalence_label.replace('.', '')}_{arm}"
+        return f"s{self.scenario}t{self.setting}p{self.prevalence_label.replace('.', '')}_{ARMS[self.null_effect]}"
 
 
 def prevalence_label_for(value: float | str) -> str:

@@ -39,6 +39,7 @@ import numpy as np
 
 from . import __version__
 from .dgp import (
+    ARMS,
     DEFAULT_CALIBRATION_N,
     DEFAULT_TRUTH_N,
     NOISE_VARIANCE,
@@ -446,6 +447,10 @@ def oracle_intercepts(
     }
 
 
+def _intercept_name(scenario: int, label: str) -> str:
+    return f"s{scenario}_p{label}"
+
+
 def _stored_intercepts(manifest: dict, pairs: list[tuple[int, str]]) -> dict[tuple[int, str], float]:
     """The finite float intercepts ``manifest`` holds for ``pairs``, as guesses."""
     stored = manifest.get("intercepts")
@@ -453,7 +458,7 @@ def _stored_intercepts(manifest: dict, pairs: list[tuple[int, str]]) -> dict[tup
         return {}
     guesses = {}
     for scenario, label in pairs:
-        alpha = stored.get(f"s{scenario}_p{label}")
+        alpha = stored.get(_intercept_name(scenario, label))
         if type(alpha) is float and math.isfinite(alpha):
             guesses[(scenario, label)] = alpha
     return guesses
@@ -465,11 +470,13 @@ def _truth_key(cfg: CellConfig) -> tuple[int, int, str, bool]:
 
 def _truth_name(key: tuple[int, int, str, bool]) -> str:
     scenario, setting, label, null = key
-    return f"s{scenario}_t{setting}_p{label}_{'null' if null else 'effect'}"
+    return f"s{scenario}_t{setting}_p{label}_{ARMS[null]}"
 
 
 def _truth_row(scenario, setting, label, arm, oracle_seed, oracle_n, truth, oracle_se) -> tuple[str, tuple]:
-    return f"s{scenario}_t{setting}_p{label}_{arm}", (oracle_seed, oracle_n, float(truth), float(oracle_se))
+    # An unknown arm raises ValueError, so the whole table counts as missing.
+    name = _truth_name((scenario, setting, label, ARMS.index(arm)))
+    return name, (oracle_seed, oracle_n, float(truth), float(oracle_se))
 
 
 def _truths_csv_rows(path: Path) -> dict[str, tuple[str, str, float, float]]:
@@ -506,7 +513,7 @@ def _stored_truths(
     reusable = {}
     for key in keys:
         scenario, _, label, _ = key
-        alpha, entry = stored_intercepts.get(f"s{scenario}_p{label}"), entries.get(_truth_name(key))
+        alpha, entry = stored_intercepts.get(_intercept_name(scenario, label)), entries.get(_truth_name(key))
         if not _is_float(alpha, intercepts[(scenario, label)]):
             continue
         if type(entry) is not dict or entry.keys() != {"value", "oracle_se"}:
@@ -660,7 +667,7 @@ def run_grid(
         package_version=__version__,
         methods=list(method_list),
         decisions=DECISIONS,
-        intercepts={f"s{s}_p{p}": a for (s, p), a in sorted(intercepts.items())},
+        intercepts={_intercept_name(*pair): a for pair, a in sorted(intercepts.items())},
         truths={_truth_name(key): {"value": v, "oracle_se": se} for key, (v, se) in sorted(truths.items())},
     )
     entries = manifest.setdefault("cells", {})
@@ -767,7 +774,7 @@ def write_truths_csv(
         path,
         TRUTH_COLUMNS,
         (
-            (scenario, setting, label, "null" if null else "effect", oracle_seed, oracle_n, value, se)
+            (scenario, setting, label, ARMS[null], oracle_seed, oracle_n, value, se)
             for (scenario, setting, label, null), (value, se) in sorted(truths.items())
         ),
     )

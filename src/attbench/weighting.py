@@ -1,10 +1,11 @@
 """Inverse-probability and augmented weighting estimators of the ATT.
 
-Both estimators are built from ratio-of-sums terms with the treated-
-oriented weight ``w_i = 1`` for treated and ``ps_i / (1 - ps_i)`` for
-controls.  Standard errors come from the empirical influence function of
-the ratio terms; each term ``T = sum(w a) / sum(w)`` contributes
-``w (a - T) / mean(w)`` and the per-unit contributions sum across terms.
+IPW is AIPW with a zero outcome model.  AIPW is built from ratio-of-sums
+terms with the treated-oriented weight ``w_i = 1`` for treated and
+``ps_i / (1 - ps_i)`` for controls.  Standard errors come from the
+empirical influence function of the ratio terms; each term
+``T = sum(w a) / sum(w)`` contributes ``w (a - T) / mean(w)`` and the
+per-unit contributions sum across terms.
 When the incoming :class:`PsVector` carries the score columns of the
 model that produced it, the component of the influence values explained
 by those columns is removed before squaring: weights fitted by maximum
@@ -70,20 +71,6 @@ def _finish(att: float, phi: np.ndarray, basis: np.ndarray | None = None) -> Est
     return Estimate(att, se, two_sided_p(att / se))
 
 
-def ipw_att(y: np.ndarray, z: np.ndarray, ps: PsVector) -> Estimate:
-    """Weighted difference of treated and control outcome means.
-
-    The treated term reduces to the plain treated mean (unit weights);
-    the control term reweights controls by the odds of treatment,
-    standardizing them to the treated covariate distribution.
-    """
-    psk, zk, yk = _kept_arrays(ps, z, y)
-    w = _att_weights(zk, psk)
-    mu_treat, phi_treat = _ratio_term(w * (zk == 1), yk)
-    mu_ctrl, phi_ctrl = _ratio_term(w * (zk == 0), yk)
-    return _finish(mu_treat - mu_ctrl, phi_treat - phi_ctrl, _kept_basis(ps))
-
-
 def aipw_att(
     y: np.ndarray, z: np.ndarray, ps: PsVector, q1: np.ndarray, q0: np.ndarray
 ) -> Estimate:
@@ -102,6 +89,21 @@ def aipw_att(
     resid_ctrl, phi_rc = _ratio_term(w * (zk == 0), yk - q0k)
     att = contrast + resid_treat - resid_ctrl
     return _finish(att, phi_contrast + phi_rt - phi_rc, _kept_basis(ps))
+
+
+def ipw_att(y: np.ndarray, z: np.ndarray, ps: PsVector) -> Estimate:
+    """Weighted difference of treated and control outcome means: AIPW with
+    a zero outcome model.
+
+    The treated term reduces to the plain treated mean (unit weights);
+    the control term reweights controls by the odds of treatment,
+    standardizing them to the treated covariate distribution.  AIPW's
+    contrast term and its influence values are exact zeros here, and
+    ``y - 0.0`` is ``y``, so every sum keeps the bits of the two weighted
+    means alone.
+    """
+    zeros = np.zeros(y.shape)
+    return aipw_att(y, z, ps, zeros, zeros)
 
 
 def ols_outcome_design(x: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -13,11 +13,12 @@ row gather summed along rows, on the package's caliper block;
 the package's oracle draw and on :func:`naive_treatment_logit_terms`,
 the treatment logit as one array expression; :func:`naive_true_att`, the
 setting-3 truth with each chunk's draws and products held whole, on the
-package's oracle draw; and the coarsened-strata, matched-difference and simplex-support
-loops, which keep the float arithmetic of the loops the vectorized
-estimators replace so the two can be compared with ``==`` or to
-round-off.  Unit and acceptance tests compare the fast implementations
-against these.
+package's oracle draw; :func:`naive_ipw`, IPW as its own two weighted
+means, on the package's p-value; and the coarsened-strata,
+matched-difference and simplex-support loops, which keep the float
+arithmetic of the loops the vectorized estimators replace so the two can
+be compared with ``==`` or to round-off.  Unit and acceptance tests
+compare the fast implementations against these.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from attbench.dgp import (
 )
 from attbench.errors import BracketFailureError, NonSpdError, OneClassError, RankDeficientError
 from attbench.glm import IRLS_MAX_ITER, IRLS_SCORE_TOL, PROB_CLAMP, SEPARATION_COEF_BOUND, OlsFit, predict_ols
-from attbench.numeric import cholesky_factor, solve_from_factor
+from attbench.numeric import Estimate, cholesky_factor, solve_from_factor, two_sided_p
 
 
 def logit_vector(ps_values) -> list[float]:
@@ -479,3 +480,25 @@ def naive_true_att(spec, alpha0, rng, oracle_n):
     e_w2_dev = (s_w2x2 - 2.0 * mean_x1_treated * s_w2x + mean_x1_treated**2 * s_w2) / oracle_n
     se_mean = float(np.sqrt(e_w2_dev / (e_w**2) / oracle_n))
     return 1.0 + 1.5 * mean_x1_treated, 1.5 * se_mean
+
+
+def naive_ipw(y, z, ps) -> Estimate:
+    """IPW's two weighted means over the kept units, with their influence
+    values and the score-basis projection, in the float arithmetic
+    ``weighting.ipw_att`` had before it became AIPW with a zero outcome
+    model."""
+    kept = ps.kept_mask
+    psk, zk, yk = ps.values[kept], z[kept], y[kept]
+    w = np.where(zk == 1, 1.0, psk / (1.0 - psk))
+    means, phis = [], []
+    for arm_w in (w * (zk == 1), w * (zk == 0)):
+        mean = float((arm_w * yk).sum()) / float(arm_w.sum())
+        means.append(mean)
+        phis.append(arm_w * (yk - mean) / arm_w.mean())
+    att, phi = means[0] - means[1], phis[0] - phis[1]
+    if ps.score_basis is not None and phi.size > ps.score_basis.shape[1]:
+        basis = ps.score_basis[kept]
+        coef, *_ = np.linalg.lstsq(basis, phi, rcond=None)
+        phi = phi - basis @ coef
+    se = float(np.sqrt((phi**2).mean() / phi.size))
+    return Estimate(att, se, two_sided_p(att / se))

@@ -386,6 +386,28 @@ def test_cells_naming_a_file_exit_code(tmp_path, capsys):
     assert tree_bytes(tmp_path) == {"cells": b"a file\n"}
 
 
+# Each size flag, after the command's other sizes at their least, so only
+# the size under test is large.
+SIZE_FLAGS = {
+    "ps-hist-n": ("ps-hist", "--scenario", "1", "--oracle-n", "1000", "--n"),
+    "ps-hist-bins": ("ps-hist", "--scenario", "1", "--oracle-n", "1000", "--n", "100", "--bins"),
+    "calibrate-oracle-n": ("calibrate", "--scenarios", "1", "--prevalences", "0.50", "--oracle-n"),
+    "run-calibration-n": ("run", *SMOKE_FLAGS, "--calibration-n"),
+}
+
+
+# Both sizes lie past the address space, so no host can try to fill them:
+# numpy can represent an array of 2**45 float64 values but not allocate it
+# (MemoryError), and cannot represent one of 2**62 (the size check refuses it).
+@pytest.mark.parametrize("size", [2**45, 2**62], ids=["2**45", "2**62"])
+@pytest.mark.parametrize("flag", SIZE_FLAGS)
+def test_oversized_size_exit_code(tmp_path, capsys, flag, size):
+    assert main([*SIZE_FLAGS[flag], str(size), "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "command, name", [("run", "truths.csv"), ("calibrate", "calibration.csv"), ("ps-hist", "ps_hist_s1_p020.csv")]
 )

@@ -55,6 +55,18 @@ def test_cli_import_leaves_scipy_linalg_and_the_process_pool_unloaded():
     assert _unwanted_modules("import json, sys, attbench.cli") == []
 
 
+def test_package_root_loads_no_submodule_and_no_numpy():
+    # Every name is imported from its module: the root holds the BLAS cap
+    # and the version only.  A failed assert in the probe fails its process.
+    probe = (
+        "import json, sys, attbench; "
+        "loaded = sorted(m for m in sys.modules if m.startswith('attbench.') or m.split('.')[0] == 'numpy'); "
+        "assert loaded == [], loaded; "
+        "assert attbench.__version__ == '0.1.0', attbench.__version__"
+    )
+    assert _unwanted_modules(probe) == []
+
+
 def test_a_run_of_every_method_loads_no_scipy(tmp_path):
     run = (
         "import json, sys; from attbench.cli import main; "

@@ -10,6 +10,7 @@ from attbench.propensity import PsVector, estimate_ps, trim_ps
 from attbench.glm import fit_ols
 from attbench.numeric import rng_stream
 from attbench.weighting import aipw_att, fit_outcome_models, ipw_att, ols_arm_predictions, ols_outcome_design
+from naive_oracles import naive_ipw
 
 
 def ols_arms(x, y, z):
@@ -96,6 +97,23 @@ class TestIpwAtt:
     def test_zero_influence_raises(self):
         with pytest.raises(ZeroSeError):
             ipw_att(np.array([2.0, 1.0]), np.array([1, 0]), ps_of([0.8, 0.2]))
+
+    @pytest.mark.parametrize("scores", ["untrimmed", "trimmed", "no-basis"])
+    def test_equals_the_two_weighted_means(self, np_rng, scores):
+        # ipw_att runs AIPW with a zero outcome model; the reference keeps
+        # IPW's own arithmetic, so the two must agree to the bit.
+        for _ in range(20):
+            x = np_rng.standard_normal((300, 2))
+            z = (np_rng.uniform(size=300) < expit(0.2 + 2.0 * x[:, 0] - 0.5 * x[:, 1])).astype(np.int64)
+            y = 1.0 + 1.5 * x[:, 0] + 0.8 * x[:, 1] + z + np_rng.standard_normal(300)
+            fitted = estimate_ps(x, z)
+            ps = {"untrimmed": fitted, "trimmed": trim_ps(fitted), "no-basis": ps_of(fitted.values)}[scores]
+            assert (ps.n_dropped > 0) == (scores == "trimmed")
+            assert (ps.score_basis is None) == (scores == "no-basis")
+            est, expected = ipw_att(y, z, ps), naive_ipw(y, z, ps)
+            assert est.att == expected.att
+            assert est.theoretical_se == expected.theoretical_se
+            assert est.p_value == expected.p_value
 
     def test_theoretical_se_calibrated_when_ps_known(self, np_rng):
         atts = []
