@@ -37,12 +37,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
 from .dgp import (
     ARMS,
     DEFAULT_CALIBRATION_N,
     DEFAULT_TRUTH_N,
-    NOISE_VARIANCE,
     PREVALENCE_LABELS,
     PREVALENCE_VALUES,
     SCENARIOS,
@@ -59,7 +57,7 @@ from .errors import (
     StoreMismatchError,
 )
 from .glm import fit_ols, ols_wald_test
-from .matching import CALIPER_SD_FACTOR, caliper_block, cem_att, cem_match, matched_att, mdm_match, psm_match
+from .matching import caliper_block, cem_att, cem_match, matched_att, mdm_match, psm_match
 from .numeric import (
     MAX_REPLICATES,
     PURPOSE_CALIBRATION,
@@ -69,8 +67,7 @@ from .numeric import (
     Estimate,
     substream,
 )
-from .propensity import TRIM_DELTA, estimate_ps, trim_ps, truncate_ps
-from .superlearner import K_FOLDS
+from .propensity import estimate_ps, trim_ps, truncate_ps
 from .tmle import tmle_att
 from .weighting import aipw_att, fit_outcome_models, ipw_att, ols_arm_predictions, ols_outcome_design
 
@@ -89,19 +86,6 @@ SCHEMA_VERSION = 3
 # once more when it stops; each cell's digest keeps the resume contract.
 MANIFEST_INTERVAL_S = 5.0
 TRUTH_COLUMNS = ("scenario", "setting", "prevalence", "arm", "oracle_seed", "oracle_n", "truth", "oracle_se")
-# Design decisions recorded in every manifest.
-DECISIONS = {
-    "caliper_sd_factor": CALIPER_SD_FACTOR,
-    "effect_and_null_streams_independent": True,
-    "ensemble_k_folds": K_FOLDS,
-    "matching_order": "descending propensity, ties by index",
-    "noise_variance": NOISE_VARIANCE,
-    "outcome_model_plain": "ols main effects plus treatment",
-    "ps_model_plain": "logistic main effects",
-    "ps_refit_after_trimming": False,
-    "trim_delta": TRIM_DELTA,
-    "truncation_rule": "5 / (sqrt(n) ln n)",
-}
 
 
 class EstimateRecord(NamedTuple):
@@ -571,7 +555,7 @@ def _oracles(
             continue
         scenario, setting, label, null = key
         if not null and setting == 3:
-            say(f"computing setting-3 truth for scenario {scenario}, prevalence {label}")
+            say(f"computing setting-3 truth for scenario {scenario}, prevalence {label} from {truth_n} draws")
         stream = oracle_stream(oracle_seed, scenario, label, PURPOSE_TRUTH)
         truths[key] = true_att(
             SCENARIOS[scenario], setting, intercepts[(scenario, label)], stream, oracle_n=truth_n, null_effect=null
@@ -662,15 +646,14 @@ def run_grid(
         raise CorruptManifestError(f"store {outdir}: cannot create {cells_dir} ({exc})") from exc
 
     intercepts, truths = _oracles(cells, manifest, outdir, oracle_seed, calibration_n, truth_n, say)
-    manifest.update(
+    # Built afresh, so a key this code does not write is dropped.
+    entries = manifest.get("cells", {})
+    manifest = dict(
         params,
-        package_version=__version__,
-        methods=list(method_list),
-        decisions=DECISIONS,
         intercepts={_intercept_name(*pair): a for pair, a in sorted(intercepts.items())},
         truths={_truth_name(key): {"value": v, "oracle_se": se} for key, (v, se) in sorted(truths.items())},
+        cells=entries,
     )
-    entries = manifest.setdefault("cells", {})
     paths = {cfg.name: cell_paths(outdir, cfg.name) for cfg in cells}
 
     def finish(cfg: CellConfig, records: list[EstimateRecord], computed_now: bool) -> None:
@@ -683,17 +666,11 @@ def run_grid(
         write_metrics_csv(metrics_path, metrics)
         entries[cfg.name] = {
             "alpha0": intercepts[(cfg.scenario, cfg.prevalence_label)],
-            "cell_code": cfg.cell_code,
             "complete": True,
             "methods": list(method_list),
             "metrics_sha256": _sha256(metrics_path),
-            "n": cfg.n,
             "n_reps": cfg.n_reps,
-            "null_effect": cfg.null_effect,
-            "prevalence": cfg.prevalence_label,
             "records_sha256": _sha256(records_path),
-            "scenario": cfg.scenario,
-            "setting": cfg.setting,
             "truth": truth,
             "truth_oracle_se": truth_se,
         }

@@ -167,8 +167,8 @@ class TestCmdRun:
         code = main(["run", *SMOKE_FLAGS, "--output-dir", str(tmp_path / "store")])
         assert code == EXIT_OK
         manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
-        assert manifest["methods"] == ["LR", "IPW"]
         assert set(manifest["cells"]) == {"s1t1p050_effect"}
+        assert all(entry["methods"] == ["LR", "IPW"] for entry in manifest["cells"].values())
         assert "store written" in capsys.readouterr().err
 
     def test_output_dir_from_environment(self, tmp_path, monkeypatch):
@@ -622,13 +622,15 @@ class TestCmdReport:
         assert str(tmp_path / "manifest.json") in capsys.readouterr().err
 
     def test_cell_coordinates_come_from_its_name(self, store, tmp_path, capsys):
-        # Entries stripped of the coordinate keys `run` writes report the same.
+        # Entries carrying the coordinate keys an older `run` wrote, each
+        # with a wrong value, report the same: only the name counts.
         assert main(["report", "--store", str(store)]) == EXIT_OK
         shutil.copytree(store, tmp_path, dirs_exist_ok=True)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        for entry in manifest["cells"].values():
-            for key in ("scenario", "setting", "prevalence", "null_effect"):
-                del entry[key]
+        for name, entry in manifest["cells"].items():
+            entry.update(
+                cell_code=999, n=7, null_effect=name.endswith("_effect"), prevalence="0.05", scenario=3, setting=3
+            )
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         (tmp_path / "report.csv").unlink()
         assert main(["report", "--store", str(tmp_path)]) == EXIT_OK
@@ -673,7 +675,7 @@ class TestCmdReport:
             metrics = aggregate_cell(records, entry["truth"], entry["n_reps"])
             for m in metrics:
                 slot = expected.setdefault(m.method, {})
-                if entry["null_effect"]:
+                if name.endswith("_null"):
                     slot["type1_rate"] = m.type1_rate
                 else:
                     slot["bias"], slot["mse"] = m.bias, m.mse

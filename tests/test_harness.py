@@ -530,6 +530,31 @@ class TestRunGrid:
         assert calibration[0] == "scenario,prevalence,oracle_seed,oracle_n,alpha0"
         assert all(line.split(",")[2] == "9" for line in calibration[1:])
 
+    def test_manifest_holds_only_the_keys_read_back(self, tmp_path):
+        run_small_grid(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest.keys() == {
+            "schema_version", "master_seed", "oracle_seed", "calibration_n", "truth_n",
+            "intercepts", "truths", "cells",
+        }
+        for entry in manifest["cells"].values():
+            assert entry.keys() == {
+                "alpha0", "complete", "methods", "metrics_sha256", "n_reps", "records_sha256",
+                "truth", "truth_oracle_se",
+            }
+
+    def test_resume_drops_top_level_keys_it_does_not_write(self, tmp_path):
+        run_small_grid(tmp_path)
+        before = tree_bytes(tmp_path)
+        edit_manifest(
+            tmp_path,
+            lambda m: m.update(
+                methods=list(GRID_METHODS), package_version="0.0.1", decisions={"trim_delta": 0.05}, unknown=[1]
+            ),
+        )
+        assert run_small_grid(tmp_path) == []
+        assert tree_bytes(tmp_path) == before
+
     def test_identical_stores_across_runs(self, tmp_path):
         run_small_grid(tmp_path / "a")
         run_small_grid(tmp_path / "b")
@@ -799,7 +824,7 @@ class TestTruthReuse:
         lines: list[str] = []
         run_small_grid(tmp_path / "store", cells=truth_cells(), oracle_seed=7, log=lines.append)
         assert sorted(calls) == sorted(recomputed)
-        drawn_line = "computing setting-3 truth for scenario 1, prevalence 0.50"
+        drawn_line = "computing setting-3 truth for scenario 1, prevalence 0.50 from 10000 draws"
         assert (drawn_line in lines) == (DRAWN in recomputed)
         assert tree_bytes(tmp_path / "store") == tree_bytes(tmp_path / "fresh")
 
@@ -859,7 +884,7 @@ class TestInterceptResume:
         passes = count_calibration_passes(monkeypatch)
         lines: list[str] = []
         run_small_grid(tmp_path, cells=truth_cells(), log=lines.append)
-        assert "computing setting-3 truth for scenario 1, prevalence 0.50" in lines
+        assert "computing setting-3 truth for scenario 1, prevalence 0.50 from 10000 draws" in lines
         # Two passes per intercept, then the setting-3 truth's draw.
         assert sum(passes) == 2 * 2 * 10**5 + 10**4
         for name in ("calibration.csv", "truths.csv", "manifest.json"):
