@@ -14,7 +14,8 @@ command finds its store directory by one rule too: its flag (or ``run``'s
 config file), else ``ATTBENCH_OUTPUT_DIR`` when set and non-empty, else
 ``attbench-out``.
 Exit codes: 0 on success, 2 for configuration problems (a store built
-under other parameters, a cell's records or metrics that fail their
+under other parameters, ``calibrate`` into a run store's directory,
+a cell's records or metrics that fail their
 digest, a store file that cannot be read or written, and a size this
 host cannot allocate, included), 3 when a run finished only partially
 (completed cells are on disk and a rerun will resume).
@@ -266,6 +267,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     pairs = list(itertools.product(_subset("scenarios", args.scenarios), _subset("prevalences", args.prevalences)))
     _validate_oracle_args({"oracle_seed": args.oracle_seed}, {"oracle_n": args.oracle_n})
     outdir = _output_dir(args.output_dir)
+    # A run store's table is vouched for by its manifest digest; only `run` rewrites it.
+    if (outdir / MANIFEST_NAME).exists():
+        raise ConfigError(f"{outdir} holds a run store, whose {CALIBRATION_NAME} `run` keeps; use another --output-dir")
 
     intercepts = oracle_intercepts(pairs, args.oracle_seed, args.oracle_n)
     path = outdir / CALIBRATION_NAME

@@ -19,8 +19,11 @@ produce byte-identical files at any worker count.  A manifest tracks
 completed cells, with the digests of each cell's records and metrics
 files, and lets an interrupted grid resume without recomputation: a
 completed cell whose digests, intercept and truth all check out is
-reused without reading its records.  A resume also reuses each stored
-true ATT whose pair's intercept recomputes to the same bits.
+reused without reading its records.  The two oracle tables are the only
+stored copy of the intercepts and truths, each vouched for by its own
+digest in the manifest.  A resume reuses each true ATT of a vouched
+``truths.csv`` whose pair's intercept in a vouched ``calibration.csv``
+recomputes to the same bits.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 import time
 from functools import partial
@@ -81,10 +83,13 @@ MANIFEST_NAME = "manifest.json"
 CALIBRATION_NAME = "calibration.csv"
 TRUTHS_NAME = "truths.csv"
 CELLS_DIR = "cells"
+# The manifest key of each oracle table's sha256.
+ORACLE_DIGESTS = {CALIBRATION_NAME: "calibration_sha256", TRUTHS_NAME: "truths_sha256"}
 SCHEMA_VERSION = 3
 # A grid rewrites its manifest at most this often while cells finish, and
 # once more when it stops; each cell's digest keeps the resume contract.
 MANIFEST_INTERVAL_S = 5.0
+CALIBRATION_COLUMNS = ("scenario", "prevalence", "oracle_seed", "oracle_n", "alpha0")
 TRUTH_COLUMNS = ("scenario", "setting", "prevalence", "arm", "oracle_seed", "oracle_n", "truth", "oracle_se")
 
 
@@ -431,82 +436,37 @@ def oracle_intercepts(
     }
 
 
-def _intercept_name(scenario: int, label: str) -> str:
-    return f"s{scenario}_p{label}"
-
-
-def _stored_intercepts(manifest: dict, pairs: list[tuple[int, str]]) -> dict[tuple[int, str], float]:
-    """The finite float intercepts ``manifest`` holds for ``pairs``, as guesses."""
-    stored = manifest.get("intercepts")
-    if not isinstance(stored, dict):
-        return {}
-    guesses = {}
-    for scenario, label in pairs:
-        alpha = stored.get(_intercept_name(scenario, label))
-        if type(alpha) is float and math.isfinite(alpha):
-            guesses[(scenario, label)] = alpha
-    return guesses
-
-
 def _truth_key(cfg: CellConfig) -> tuple[int, int, str, bool]:
     return (cfg.scenario, cfg.setting, cfg.prevalence_label, cfg.null_effect)
 
 
-def _truth_name(key: tuple[int, int, str, bool]) -> str:
-    scenario, setting, label, null = key
-    return f"s{scenario}_t{setting}_p{label}_{ARMS[null]}"
+def _stored_oracles(outdir: Path, manifest: dict) -> tuple[dict, dict]:
+    """The intercepts of ``calibration.csv`` by pair and the ``(truth,
+    oracle_se)`` values of ``truths.csv`` by truth key.
 
-
-def _truth_row(scenario, setting, label, arm, oracle_seed, oracle_n, truth, oracle_se) -> tuple[str, tuple]:
-    # An unknown arm raises ValueError, so the whole table counts as missing.
-    name = _truth_name((scenario, setting, label, ARMS.index(arm)))
-    return name, (oracle_seed, oracle_n, float(truth), float(oracle_se))
-
-
-def _truths_csv_rows(path: Path) -> dict[str, tuple[str, str, float, float]]:
-    """``truths.csv``'s rows by truth name, less the key columns; empty
-    when the file is missing or the one table reader refuses it."""
-    try:
-        return dict(_read_rows(path, TRUTH_COLUMNS, _truth_row))
-    # A UnicodeDecodeError and a CorruptManifestError are ValueErrors.
-    except (OSError, ValueError, csv.Error):
-        return {}
-
-
-def _stored_truths(
-    keys: list[tuple[int, int, str, bool]],
-    manifest: dict,
-    truths_path: Path,
-    intercepts: dict[tuple[int, str], float],
-    oracle_seed: int,
-    truth_n: int,
-) -> dict[tuple[int, int, str, bool], tuple[float, float]]:
-    """The truths among ``keys`` that a store already holds and a run may reuse.
-
-    ``manifest`` must have passed the store's parameter check.  A truth is
-    reused only when its pair's manifest intercept is ``==`` to the one just
-    recomputed (so the same oracle streams and draw code produced it), its
-    manifest entry is exactly ``{"value", "oracle_se"}`` floats, and the
-    row of ``truths.csv`` under the same oracle seed and size holds ``==``
-    floats.  Anything else is a miss, left for :func:`true_att`.
+    Like a cell file, a table is read back only while it matches its
+    manifest digest (``calibration_sha256``, ``truths_sha256``), so its
+    oracle seed and size are the manifest's, which the run has matched.
+    A table that is missing or fails its digest reads as empty.
     """
-    stored_intercepts, entries = manifest.get("intercepts"), manifest.get("truths")
-    if not isinstance(stored_intercepts, dict) or not isinstance(entries, dict):
-        return {}
-    rows = _truths_csv_rows(truths_path)
-    reusable = {}
-    for key in keys:
-        scenario, _, label, _ = key
-        alpha, entry = stored_intercepts.get(_intercept_name(scenario, label)), entries.get(_truth_name(key))
-        if not _is_float(alpha, intercepts[(scenario, label)]):
-            continue
-        if type(entry) is not dict or entry.keys() != {"value", "oracle_se"}:
-            continue
-        truth = (entry["value"], entry["oracle_se"])
-        row = rows.get(_truth_name(key))
-        if all(type(v) is float for v in truth) and row == (str(oracle_seed), str(truth_n), *truth):
-            reusable[key] = truth
-    return reusable
+
+    def rows(name: str, columns: tuple[str, ...], parse) -> dict:
+        path = outdir / name
+        if not digest_matches(path, manifest.get(ORACLE_DIGESTS[name])):
+            return {}
+        return dict(_read_rows(path, columns, parse))
+
+    intercepts = rows(
+        CALIBRATION_NAME, CALIBRATION_COLUMNS, lambda s, label, seed, n, alpha0: ((int(s), label), float(alpha0))
+    )
+    truths = rows(
+        TRUTHS_NAME,
+        TRUTH_COLUMNS,
+        lambda s, t, label, arm, seed, n, truth, se: (
+            (int(s), int(t), label, bool(ARMS.index(arm))), (float(truth), float(se))
+        ),
+    )
+    return intercepts, truths
 
 
 def _cell_worker(args: tuple[CellConfig, float, tuple[str, ...]]) -> list[EstimateRecord]:
@@ -535,25 +495,29 @@ def _execute(jobs: list[tuple[CellConfig, float, tuple[str, ...]]], parallelism:
 
 def _oracles(
     cells: list[CellConfig], manifest: dict, outdir: Path, oracle_seed: int, calibration_n: int, truth_n: int, say
-) -> tuple[dict[tuple[int, str], float], dict[tuple[int, int, str, bool], tuple[float, float]]]:
+) -> tuple[dict[tuple[int, str], float], dict[tuple[int, int, str, bool], tuple[float, float]], dict[str, str]]:
     """The intercept of each (scenario, prevalence label) and the ``(truth,
     oracle_se)`` of each truth key among ``cells``, with ``calibration.csv``
-    and ``truths.csv`` written to ``outdir``.
+    and ``truths.csv`` written to ``outdir``, and the two tables' digests
+    by manifest key.
 
-    Every intercept is recomputed, with the one ``manifest`` holds as its
-    guess; a truth is reused when :func:`_stored_truths` vouches for it,
-    and drawn otherwise.
+    Every intercept is recomputed, with the one the stored calibration
+    table holds as its guess (:func:`_stored_oracles`).  A truth of the
+    stored truth table is reused when its pair's stored intercept is
+    ``==`` to the recomputed one, so the same oracle streams and draw code
+    produced it; every other truth is drawn.
     """
     pairs = list(dict.fromkeys((c.scenario, c.prevalence_label) for c in cells))
     say(f"calibrating {len(pairs)} treatment intercepts")
     oracle_start = time.perf_counter()
-    intercepts = oracle_intercepts(pairs, oracle_seed, calibration_n, guesses=_stored_intercepts(manifest, pairs))
-    truth_keys = list(dict.fromkeys(_truth_key(c) for c in cells))
-    truths = _stored_truths(truth_keys, manifest, outdir / TRUTHS_NAME, intercepts, oracle_seed, truth_n)
-    for key in truth_keys:
-        if key in truths:
-            continue
+    stored_intercepts, stored_truths = _stored_oracles(outdir, manifest)
+    intercepts = oracle_intercepts(pairs, oracle_seed, calibration_n, guesses=stored_intercepts)
+    truths = {}
+    for key in dict.fromkeys(_truth_key(c) for c in cells):
         scenario, setting, label, null = key
+        if key in stored_truths and stored_intercepts.get((scenario, label)) == intercepts[(scenario, label)]:
+            truths[key] = stored_truths[key]
+            continue
         if not null and setting == 3:
             say(f"computing setting-3 truth for scenario {scenario}, prevalence {label} from {truth_n} draws")
         stream = oracle_stream(oracle_seed, scenario, label, PURPOSE_TRUTH)
@@ -563,7 +527,7 @@ def _oracles(
     say(f"oracles took {time.perf_counter() - oracle_start:.2f} s")
     write_calibration_csv(outdir / CALIBRATION_NAME, oracle_seed, calibration_n, intercepts)
     write_truths_csv(outdir / TRUTHS_NAME, oracle_seed, truth_n, truths)
-    return intercepts, truths
+    return intercepts, truths, {key: _sha256(outdir / name) for name, key in ORACLE_DIGESTS.items()}
 
 
 def run_grid(
@@ -580,16 +544,17 @@ def run_grid(
 
     Three steps.  First the oracles (:func:`_oracles`): calibrated
     intercepts and true ATT values, once per (scenario, prevalence) on
-    streams derived from ``oracle_seed``.  Then the plan, one pass that
-    keeps, heals or queues each cell.  A cell whose manifest entry matches
-    this run (replicate count, methods, and an ``alpha0`` float ``==`` to
-    the recomputed intercept) and whose records match ``records_sha256``
-    is reused, which is what makes an interrupted grid resumable.  It is
-    kept untouched, unread, when its metrics file matches
-    ``metrics_sha256`` and its entry's ``truth`` and ``truth_oracle_se``
-    are floats ``==`` to this run's truth; otherwise it heals from its
-    records.  Every other cell is queued, and executed after the pass.
-    One finishing step serves a healed and an executed cell alike: it
+    streams derived from ``oracle_seed``, written to the two oracle tables,
+    whose digests the manifest keeps as ``calibration_sha256`` and
+    ``truths_sha256``.  Then the plan, one pass that keeps, heals or queues
+    each cell.  A cell whose manifest entry matches this run (replicate
+    count, methods, and an ``alpha0`` float ``==`` to the recomputed
+    intercept) and whose records match ``records_sha256`` is reused, which
+    is what makes an interrupted grid resumable.  It is kept untouched,
+    unread, when its metrics file matches ``metrics_sha256`` and its
+    entry's ``truth`` is a float ``==`` to this run's truth; otherwise it
+    heals from its records.  Every other cell is queued, and executed after
+    the pass.  One finishing step serves a healed and an executed cell alike: it
     aggregates the records under this run's truth and writes the metrics
     file (after the records file, for an executed cell only) and the
     cell's whole manifest entry.  A store built under another schema
@@ -645,19 +610,14 @@ def run_grid(
     except OSError as exc:
         raise CorruptManifestError(f"store {outdir}: cannot create {cells_dir} ({exc})") from exc
 
-    intercepts, truths = _oracles(cells, manifest, outdir, oracle_seed, calibration_n, truth_n, say)
+    intercepts, truths, digests = _oracles(cells, manifest, outdir, oracle_seed, calibration_n, truth_n, say)
     # Built afresh, so a key this code does not write is dropped.
     entries = manifest.get("cells", {})
-    manifest = dict(
-        params,
-        intercepts={_intercept_name(*pair): a for pair, a in sorted(intercepts.items())},
-        truths={_truth_name(key): {"value": v, "oracle_se": se} for key, (v, se) in sorted(truths.items())},
-        cells=entries,
-    )
+    manifest = dict(params, **digests, cells=entries)
     paths = {cfg.name: cell_paths(outdir, cfg.name) for cfg in cells}
 
     def finish(cfg: CellConfig, records: list[EstimateRecord], computed_now: bool) -> None:
-        truth, truth_se = truths[_truth_key(cfg)]
+        truth = truths[_truth_key(cfg)][0]
         metrics = aggregate_cell(records, truth, cfg.n_reps)
         records_path, metrics_path = paths[cfg.name].values()
         # A healed cell's records already match their digest; they are never rewritten.
@@ -672,7 +632,6 @@ def run_grid(
             "n_reps": cfg.n_reps,
             "records_sha256": _sha256(records_path),
             "truth": truth,
-            "truth_oracle_se": truth_se,
         }
 
     computed: list[str] = []
@@ -693,11 +652,9 @@ def run_grid(
             and _is_float(entry.get("alpha0"), alpha0)
         )
         if same_run and digest_matches(records_path, entry.get("records_sha256")):
-            truth, truth_se = truths[_truth_key(cfg)]
+            truth = truths[_truth_key(cfg)][0]
             if not (
-                _is_float(entry.get("truth"), truth)
-                and _is_float(entry.get("truth_oracle_se"), truth_se)
-                and digest_matches(metrics_path, entry.get("metrics_sha256"))
+                _is_float(entry.get("truth"), truth) and digest_matches(metrics_path, entry.get("metrics_sha256"))
             ):
                 finish(cfg, read_records_csv(records_path), computed_now=False)
             reused += 1
@@ -735,7 +692,7 @@ def write_calibration_csv(
     """Golden intercept table keyed by (scenario, prevalence)."""
     write_csv(
         path,
-        ("scenario", "prevalence", "oracle_seed", "oracle_n", "alpha0"),
+        CALIBRATION_COLUMNS,
         ((scenario, label, oracle_seed, oracle_n, alpha) for (scenario, label), alpha in sorted(intercepts.items())),
     )
 

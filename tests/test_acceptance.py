@@ -8,7 +8,7 @@ targeting, matching optimality, store determinism, and solver
 arithmetic.
 """
 
-import json
+import csv
 
 import numpy as np
 import pytest
@@ -74,8 +74,10 @@ def grid(tmp_path_factory):
     metrics = {
         name: {m.method: m for m in read_metrics_csv(outdir / "cells" / f"{name}_metrics.csv")} for name in names
     }
-    manifest = json.loads((outdir / "manifest.json").read_text())
-    return metrics, manifest
+    with open(outdir / "calibration.csv", newline="") as handle:
+        rows = csv.DictReader(handle)
+        intercepts = {(int(row["scenario"]), row["prevalence"]): float(row["alpha0"]) for row in rows}
+    return metrics, intercepts
 
 
 def test_01_benign_design_bias_and_level(grid, capsys):
@@ -164,12 +166,12 @@ def test_06_hidden_confounder_biases_everything_upward(grid, capsys):
 
 
 def test_07_propensity_tail_mass(grid, capsys):
-    _, manifest = grid
+    _, intercepts = grid
     rng = np.random.default_rng(20260821)
     masses = {}
     for scenario in (1, 2):
         spec = SCENARIOS[scenario]
-        alpha = manifest["intercepts"][f"s{scenario}_p0.20"]
+        alpha = intercepts[(scenario, "0.20")]
         draws = rng.standard_normal((200_000, 2))
         scores = expit(alpha + treatment_logit_terms(spec, draws[:, 0], draws[:, 1]))
         masses[scenario] = float(np.mean((scores < 0.05) | (scores > 0.95)))

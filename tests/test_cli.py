@@ -506,6 +506,23 @@ class TestCmdCalibrate:
         alpha0 = float(table.splitlines()[1].split(",")[4])
         assert f"alpha0 {alpha0:.6f}" in hist_out
 
+    def test_run_store_refused_before_any_calibration(self, tmp_path, capsys, monkeypatch):
+        # Another size would overwrite the table the manifest's digest vouches for.
+        store = tmp_path / "store"
+        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_OK
+        before = tree_bytes(store)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("calibrate computed an intercept for a run store")
+
+        monkeypatch.setattr(cli, "oracle_intercepts", boom)
+        capsys.readouterr()
+        argv = ["calibrate", "--scenarios", "1", "--prevalences", "0.50", "--oracle-n", "2000", "--output-dir", str(store)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {store} holds a run store") and err.rstrip().endswith("use another --output-dir")
+        assert tree_bytes(store) == before
+
 
 def read_hist(path: Path):
     with open(path, newline="") as handle:

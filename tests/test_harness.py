@@ -535,12 +535,14 @@ class TestRunGrid:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest.keys() == {
             "schema_version", "master_seed", "oracle_seed", "calibration_n", "truth_n",
-            "intercepts", "truths", "cells",
+            "calibration_sha256", "truths_sha256", "cells",
         }
+        for name in ("calibration", "truths"):
+            table = (tmp_path / f"{name}.csv").read_bytes()
+            assert manifest[f"{name}_sha256"] == hashlib.sha256(table).hexdigest()
         for entry in manifest["cells"].values():
             assert entry.keys() == {
-                "alpha0", "complete", "methods", "metrics_sha256", "n_reps", "records_sha256",
-                "truth", "truth_oracle_se",
+                "alpha0", "complete", "methods", "metrics_sha256", "n_reps", "records_sha256", "truth",
             }
 
     def test_resume_drops_top_level_keys_it_does_not_write(self, tmp_path):
@@ -549,7 +551,8 @@ class TestRunGrid:
         edit_manifest(
             tmp_path,
             lambda m: m.update(
-                methods=list(GRID_METHODS), package_version="0.0.1", decisions={"trim_delta": 0.05}, unknown=[1]
+                methods=list(GRID_METHODS), package_version="0.0.1", decisions={"trim_delta": 0.05}, unknown=[1],
+                intercepts={"s1_p0.50": -0.07}, truths={"s1_t1_p0.50_effect": {"value": 1.0, "oracle_se": 0.0}},
             ),
         )
         assert run_small_grid(tmp_path) == []
@@ -732,11 +735,15 @@ def edit_manifest(store: Path, edit) -> None:
     (store / "manifest.json").write_text(json.dumps(manifest))
 
 
-def edit_truths_csv(store: Path, old: str, new: str) -> None:
-    path = store / "truths.csv"
+def edit_table(store: Path, name: str, old: str, new: str) -> None:
+    path = store / name
     text = path.read_text()
     assert old in text
     path.write_text(text.replace(old, new, 1))
+
+
+def edit_truths_csv(store: Path, old: str, new: str) -> None:
+    edit_table(store, "truths.csv", old, new)
 
 
 def edit_drawn_truth_value(store: Path) -> None:
@@ -746,19 +753,39 @@ def edit_drawn_truth_value(store: Path) -> None:
     edit_truths_csv(store, line, ",".join(fields))
 
 
-def drawn_pair_intercept_as(value):
-    """A store edit giving the drawn truth's pair ``value`` as its manifest intercept."""
-    return lambda store: edit_manifest(store, lambda m: m["intercepts"].update({"s1_p0.50": value}))
+def resign_table(store: Path, name: str) -> None:
+    """Record the sha256 of oracle table ``name``, as edited, in the manifest."""
+    digest = hashlib.sha256((store / name).read_bytes()).hexdigest()
+    edit_manifest(store, lambda m: m.update({harness.ORACLE_DIGESTS[name]: digest}))
+
+
+def shift_stored_intercept(store: Path, label: str, shift) -> None:
+    """Give pair (1, ``label``) ``shift(alpha0)`` in ``calibration.csv``, re-signed."""
+    line = next(l for l in (store / "calibration.csv").read_text().splitlines() if l.startswith(f"1,{label},"))
+    fields = line.split(",")
+    fields[4] = repr(shift(float(fields[4])))
+    edit_table(store, "calibration.csv", line, ",".join(fields))
+    resign_table(store, "calibration.csv")
+
+
+def set_digest(name: str, value):
+    return lambda store: edit_manifest(store, lambda m: m.update({harness.ORACLE_DIGESTS[name]: value}))
+
+
+def drop_digest(name: str):
+    return lambda store: edit_manifest(store, lambda m: m.pop(harness.ORACLE_DIGESTS[name]))
 
 
 DRAWN = (3, False)  # (setting, null_effect) of each truth key in truth_cells()
 NULL = (3, True)
 OTHER = (1, False)
+ALL = {DRAWN, NULL, OTHER}
 
 
 class TestTruthReuse:
-    """A run reuses each truth its store holds under the same intercept bits,
-    and recomputes exactly the ones it cannot vouch for."""
+    """A run reuses each truth of a ``truths.csv`` that matches its digest
+    when the pair's intercept in a ``calibration.csv`` that matches its
+    digest recomputes to the same bits, and draws every other truth."""
 
     @pytest.fixture
     def calls(self, monkeypatch) -> list[tuple[int, bool]]:
@@ -788,35 +815,32 @@ class TestTruthReuse:
     @pytest.mark.parametrize(
         "damage, recomputed",
         [
-            (lambda store: edit_manifest(
-                store, lambda m: m["truths"]["s1_t3_p0.50_effect"].update(value=m["truths"]["s1_t3_p0.50_effect"]["value"] + 1e-9)
-            ), {DRAWN}),
-            (lambda store: edit_manifest(
-                store, lambda m: m["truths"].update({"s1_t1_p0.33_effect": {"value": 1, "oracle_se": 0}})
-            ), {OTHER}),
-            (edit_drawn_truth_value, {DRAWN}),
-            (lambda store: (store / "truths.csv").unlink(), {DRAWN, NULL, OTHER}),
-            (lambda store: edit_manifest(
-                store, lambda m: m["intercepts"].update({"s1_p0.50": m["intercepts"]["s1_p0.50"] + 1e-12})
-            ), {DRAWN, NULL}),
-            (lambda store: edit_manifest(
-                store, lambda m: m.update(intercepts=list(m["intercepts"].values()))
-            ), {DRAWN, NULL, OTHER}),
-            (drawn_pair_intercept_as("-0.07"), {DRAWN, NULL}),
-            (drawn_pair_intercept_as(True), {DRAWN, NULL}),
-            (drawn_pair_intercept_as(0), {DRAWN, NULL}),
-            (lambda store: edit_manifest(store, lambda m: m.update(truths=5)), {DRAWN, NULL, OTHER}),
-            (lambda store: edit_truths_csv(store, "oracle_se", "se"), {DRAWN, NULL, OTHER}),
-            (lambda store: edit_truths_csv(store, "1,3,0.50,effect,7,", "1,3,0.50,effect,8,"), {DRAWN}),
+            (edit_drawn_truth_value, ALL),
+            (lambda store: (store / "truths.csv").unlink(), ALL),
+            (lambda store: edit_truths_csv(store, "oracle_se", "se"), ALL),
+            (lambda store: edit_truths_csv(store, "1,3,0.50,effect,7,", "1,3,0.50,effect,8,"), ALL),
+            (drop_digest("truths.csv"), ALL),
+            (set_digest("truths.csv", "0" * 64), ALL),
+            (set_digest("truths.csv", 5), ALL),
+            (lambda store: edit_table(store, "calibration.csv", "1,0.33,7,", "1,0.33,8,"), ALL),
+            (lambda store: (store / "calibration.csv").unlink(), ALL),
+            (lambda store: edit_table(store, "calibration.csv", "alpha0", "alpha"), ALL),
+            (drop_digest("calibration.csv"), ALL),
+            (set_digest("calibration.csv", "0" * 64), ALL),
+            (set_digest("calibration.csv", None), ALL),
+            (lambda store: shift_stored_intercept(store, "0.33", lambda a: a + 1e-12), {OTHER}),
         ],
         ids=[
-            "manifest-truth-edited", "manifest-truth-integers", "truths-csv-value-edited", "truths-csv-deleted",
-            "manifest-intercept-edited", "manifest-intercepts-a-list",
-            "manifest-intercept-a-string", "manifest-intercept-a-bool", "manifest-intercept-an-int",
-            "manifest-truths-not-an-object", "truths-csv-bad-header", "truths-csv-other-oracle-seed",
+            "truths-csv-value-edited", "truths-csv-deleted", "truths-csv-bad-header", "truths-csv-other-oracle-seed",
+            "truths-digest-missing", "truths-digest-edited", "truths-digest-not-a-string",
+            "calibration-csv-edited", "calibration-csv-deleted", "calibration-csv-bad-header",
+            "calibration-digest-missing", "calibration-digest-edited", "calibration-digest-not-a-string",
+            "calibration-intercept-edited-and-resigned",
         ],
     )
     def test_each_miss_recomputes_its_key_only(self, tmp_path, calls, damage, recomputed):
+        # A table that fails its digest key redraws every truth it held; an
+        # intercept that fails its pair redraws that pair's truths.
         run_small_grid(tmp_path / "fresh", cells=truth_cells(), oracle_seed=7)
         run_small_grid(tmp_path / "store", cells=truth_cells(), oracle_seed=7)
         damage(tmp_path / "store")
@@ -837,13 +861,42 @@ class TestTruthReuse:
         assert calls == []
         for name in ("calibration.csv", "truths.csv"):
             assert (tmp_path / "full" / name).read_bytes() == (tmp_path / "subset" / name).read_bytes()
-        manifest = json.loads((tmp_path / "full" / "manifest.json").read_text())
-        assert set(manifest["intercepts"]) == {"s1_p0.33"}
-        assert set(manifest["truths"]) == {"s1_t1_p0.33_effect"}
+        full, subset = (json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("full", "subset"))
+        for key in ("calibration_sha256", "truths_sha256"):
+            assert full[key] == subset[key]
         # The full grid again: its dropped truths are drawn anew, to the same bytes.
         run_small_grid(tmp_path / "full", cells=truth_cells())
         assert sorted(calls) == sorted([DRAWN, NULL])
         assert tree_bytes(tmp_path / "full") == fresh_full
+
+    def test_store_without_table_digests_draws_its_truths_once(self, tmp_path, monkeypatch, calls):
+        # A store written before the tables had digests kept each intercept
+        # and truth in the manifest as well; it resumes every cell unread.
+        run_small_grid(tmp_path / "fresh", cells=truth_cells())
+        run_small_grid(tmp_path / "store", cells=truth_cells())
+
+        def as_older_store(m):
+            for key in harness.ORACLE_DIGESTS.values():
+                del m[key]
+            alpha = m["cells"][DRAWN_CELL]["alpha0"]
+            m["intercepts"] = {"s1_p0.33": m["cells"]["s1t1p033_effect"]["alpha0"], "s1_p0.50": alpha}
+            m["truths"] = {
+                f"s1_t{cfg.setting}_p{cfg.prevalence_label}_{dgp.ARMS[cfg.null_effect]}": {
+                    "value": m["cells"][cfg.name]["truth"], "oracle_se": 0.0
+                }
+                for cfg in truth_cells()
+            }
+
+        edit_manifest(tmp_path / "store", as_older_store)
+        cell_calls = reuse_calls(monkeypatch)
+        calls.clear()
+        assert run_small_grid(tmp_path / "store", cells=truth_cells()) == []
+        assert cell_calls == []
+        assert sorted(calls) == sorted(ALL)
+        assert tree_bytes(tmp_path / "store") == tree_bytes(tmp_path / "fresh")
+        calls.clear()
+        run_small_grid(tmp_path / "store", cells=truth_cells())
+        assert calls == []
 
 
 def count_calibration_passes(monkeypatch) -> list[int]:
@@ -877,18 +930,14 @@ class TestInterceptResume:
     def test_one_ulp_off_intercept_keeps_the_oracle_tables(self, tmp_path, monkeypatch):
         run_small_grid(tmp_path, cells=truth_cells())
         before = tree_bytes(tmp_path)
-        edit_manifest(
-            tmp_path,
-            lambda m: m["intercepts"].update({"s1_p0.50": float(np.nextafter(m["intercepts"]["s1_p0.50"], np.inf))}),
-        )
+        shift_stored_intercept(tmp_path, "0.50", lambda alpha: float(np.nextafter(alpha, np.inf)))
         passes = count_calibration_passes(monkeypatch)
         lines: list[str] = []
         run_small_grid(tmp_path, cells=truth_cells(), log=lines.append)
         assert "computing setting-3 truth for scenario 1, prevalence 0.50 from 10000 draws" in lines
         # Two passes per intercept, then the setting-3 truth's draw.
         assert sum(passes) == 2 * 2 * 10**5 + 10**4
-        for name in ("calibration.csv", "truths.csv", "manifest.json"):
-            assert (tmp_path / name).read_bytes() == before[name]
+        assert tree_bytes(tmp_path) == before
 
 
 def reuse_calls(monkeypatch) -> list[tuple[str, str]]:
@@ -955,14 +1004,13 @@ class TestCellReuse:
             (edit_cell_entry(DRAWN_CELL, metrics_sha256="0" * 64), heals(DRAWN_CELL)),
             (edit_cell_entry(DRAWN_CELL, truth=0.5), heals(DRAWN_CELL)),
             (edit_cell_entry("s1t1p033_effect", truth=1), heals("s1t1p033_effect")),
-            (edit_cell_entry(DRAWN_CELL, truth_oracle_se=0.5), heals(DRAWN_CELL)),
             (drop_metrics_digests, [call for cfg in truth_cells() for call in heals(cfg.name)]),
             (edit_cell_entry(DRAWN_CELL, alpha0=0.25), [("run_replicate", DRAWN_CELL)] * 3 + [("aggregate_cell", "")]),
             (edit_cell_entry(DRAWN_CELL, alpha0="-0.07"), [("run_replicate", DRAWN_CELL)] * 3 + [("aggregate_cell", "")]),
         ],
         ids=[
             "metrics-deleted", "metrics-edited", "metrics-digest-edited", "truth-edited", "truth-an-int",
-            "truth-se-edited", "no-metrics-digests", "alpha0-edited", "alpha0-a-string",
+            "no-metrics-digests", "alpha0-edited", "alpha0-a-string",
         ],
     )
     def test_resume_touches_only_the_damaged_cell(self, tmp_path, monkeypatch, damage, expected):
@@ -976,6 +1024,24 @@ class TestCellReuse:
         assert tree_bytes(tmp_path / "store") == tree_bytes(tmp_path / "fresh")
         recomputed = {cell for call, cell in expected if call == "run_replicate"}
         assert sum(line.startswith("reusing completed cell") for line in lines) == 3 - len(recomputed)
+
+    def test_older_entry_keeps_its_truth_se_until_it_heals(self, tmp_path, monkeypatch):
+        # Older stores wrote each truth's oracle SE into its cells' entries
+        # as well; nothing reads it, so only a heal or a recomputation drops it.
+        run_small_grid(tmp_path / "fresh", cells=truth_cells())
+        run_small_grid(tmp_path / "store", cells=truth_cells())
+        edit_manifest(tmp_path / "store", lambda m: [e.update(truth_oracle_se=0.5) for e in m["cells"].values()])
+        edit_metrics_csv(tmp_path / "store")
+        calls = reuse_calls(monkeypatch)
+        assert run_small_grid(tmp_path / "store", cells=truth_cells()) == []
+        assert calls == heals(DRAWN_CELL)
+        store, fresh = tree_bytes(tmp_path / "store"), tree_bytes(tmp_path / "fresh")
+        expected = json.loads(fresh.pop("manifest.json"))
+        for name, entry in expected["cells"].items():
+            if name != DRAWN_CELL:
+                entry["truth_oracle_se"] = 0.5
+        assert json.loads(store.pop("manifest.json")) == expected
+        assert store == fresh
 
     @pytest.mark.parametrize(
         "damage",
