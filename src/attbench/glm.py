@@ -263,6 +263,9 @@ def fit_folds(design: np.ndarray, y: np.ndarray, folds: np.ndarray, k_folds: int
     ``folds[i]`` in ``range(k_folds)`` is row ``i``'s holdout fold.
     ``family="gaussian"`` fits least squares; ``family="binomial"`` fits
     logistic IRLS, each fit under :func:`fit_logistic`'s rules on its own rows.
+    The bits depend on the design's memory order: the same design in C and
+    in F order can give fits that differ by round-off, so the ensemble
+    passes its designs in F order only.
 
     Raises
     ------

@@ -73,7 +73,7 @@ def estimate_ps(
     else:
         fit = fit_superlearner(x, z.astype(np.float64), "binomial", rng=rng)
         values = predict_ensemble(fit, x)
-        separated = any(learner.separated for learner in fit.learners)
+        separated = fit.separated
         basis = None
     return PsVector(values, np.ones(values.size, dtype=bool), separated, basis)
 

@@ -9,13 +9,23 @@ three learners, solved as one stack.  Unlike non-negative least squares
 with a renormalization step this guarantees the stacked cross-validation
 risk never exceeds the best single learner's risk.
 
+Every learner's design is a leading block of columns (a prefix) of one
+degree-2 design: the intercept, then the covariates, then the squares
+and pairwise products of :func:`expand_degree2`, which leaves out the
+square of a 0/1 column because it equals the column.  The grand mean
+fits the first column, the main-effects GLM the first ``1 + d`` and the
+degree-2 GLM all of them, so a refit is just its coefficients and a
+prediction takes as many leading columns as it has coefficients.
+Designs are column-major (F order): :func:`attbench.glm.fit_folds`
+gives other bits for the same design in C order.
+
 The fold assignment is one permutation drawn from the caller's numpy
 ``Generator`` (a second on a refold).  The level-one predictions come
 from ``K_FOLDS`` fits per learner, one per training fold, and the
 full-sample refit is one more fit of the same kind.  For each GLM
 learner all ``K_FOLDS + 1`` are made in one stacked pass
 (:func:`attbench.glm.fit_folds`): each fold is a 0/1 row weight on the
-learner's full design and the refit an all-ones weight, fitted by the
+learner's prefix and the refit an all-ones weight, fitted by the
 same engine, under the same convergence and separation rules, as every
 other GLM fit in :mod:`attbench.glm`.  The grand mean's fits need
 only each training fold's row count and response sum, so
@@ -49,66 +59,45 @@ _OBJECTIVE_TIE_TOL = 1e-15
 def expand_degree2(x: np.ndarray) -> np.ndarray:
     """Append squares and pairwise products to the columns of ``x``.
 
-    Output column order: the d originals, the d squares, then the
-    d*(d-1)/2 products x_i * x_j with i < j in lexicographic order.
+    Output column order: the d originals, the square of each column that
+    is not its own square, then the d*(d-1)/2 products x_i * x_j with
+    i < j in lexicographic order.  A 0/1 column equals its square
+    (z**2 == z exactly in floats), so its square is left out: it would
+    only repeat the column and make the normal equations singular.
     """
+    squares = x**2
     i, j = np.triu_indices(x.shape[1], 1)
-    return np.hstack([x, x**2, x[:, i] * x[:, j]])
+    return np.hstack([x, squares[:, np.any(squares != x, axis=0)], x[:, i] * x[:, j]])
 
 
 def _learner_design(kind: str, x: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    intercept = np.ones((n, 1))
-    if kind == "mean_only":
-        return intercept
-    if kind == "glm_main_effects":
-        return np.hstack([intercept, x])
-    return np.hstack([intercept, expand_degree2(x)])
+    """The design of learner ``kind`` on ``x``, column-major.
 
-
-def _distinct_columns(design: np.ndarray) -> np.ndarray:
-    """Indices of the first occurrence of each distinct column, in order.
-
-    The degree-2 expansion of a binary column reproduces the column
-    itself (z**2 == z exactly in floats), which would make the normal
-    equations singular.  Dropping exact duplicates keeps the fit
-    well-posed without changing the fitted subspace.  Equal columns have
-    equal sums, so only columns whose sums match are compared in full.
+    Each kind's design is the leading columns of the next one's: the
+    intercept, then ``x``, then the rest of :func:`expand_degree2`.
     """
-    sums = design.sum(axis=0).tolist()
-    keep: list[int] = []
-    for j, total in enumerate(sums):
-        if not any(sums[k] == total and np.array_equal(design[:, j], design[:, k]) for k in keep):
-            keep.append(j)
-    return np.asarray(keep, dtype=np.intp)
-
-
-@dataclass(frozen=True)
-class FittedLearner:
-    """A learner refitted on all rows; ``separated`` is False for least squares."""
-
-    kind: str
-    family: str
-    kept_columns: np.ndarray = field(repr=False)
-    coefficients: np.ndarray = field(repr=False)
-    separated: bool
-
-    def predict_from(self, design: np.ndarray) -> np.ndarray:
-        """Prediction from ``design``: this learner's design, or a wider one
-        it prefixes, such as the degree-2 design."""
-        linear = design[:, self.kept_columns] @ self.coefficients
-        if self.family == "gaussian":
-            return linear
-        return np.clip(expit(linear), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    if kind == "glm_degree2":
+        x = expand_degree2(x)
+    elif kind == "mean_only":
+        x = x[:, :0]
+    design = np.ones((x.shape[0], 1 + x.shape[1]), order="F")
+    design[:, 1:] = x
+    return design
 
 
 @dataclass(frozen=True)
 class EnsembleFit:
-    """A weighted library refit on the full sample."""
+    """The ``LEARNER_KINDS`` library refit on the full sample, and its weights.
 
-    learners: tuple[FittedLearner, ...]
+    ``coefficients[k]`` is learner ``k``'s refit on the leading columns of
+    the degree-2 design.  ``separated`` is whether some logistic refit
+    separated; it is False for least squares.
+    """
+
+    coefficients: tuple[np.ndarray, ...] = field(repr=False)
     weights: np.ndarray = field(repr=False)
     family: str
+    separated: bool
 
 
 def _assign_folds(n: int, k_folds: int, rng: np.random.Generator) -> np.ndarray:
@@ -183,11 +172,12 @@ def simplex_weights(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
 def fit_superlearner(x: np.ndarray, y: np.ndarray, family: str, rng: np.random.Generator) -> EnsembleFit:
     """Stack the ``LEARNER_KINDS`` library by ``K_FOLDS``-fold cross validation.
 
-    Each GLM learner's design is built once on all ``n`` rows.  Its
-    training-fold fits and its full-sample refit run in one stacked pass
-    that gives every row its out-of-fold prediction and the learner its
-    refit coefficients; the grand mean's come from per-fold counts and
-    sums.  The simplex weights are fitted to those predictions.
+    The degree-2 design is built once on all ``n`` rows, and each GLM
+    learner fits its prefix.  A learner's training-fold fits and its
+    full-sample refit run in one stacked pass that gives every row its
+    out-of-fold prediction and the learner its refit coefficients; the
+    grand mean's come from per-fold counts and sums.  The simplex weights
+    are fitted to those predictions.
 
     Parameters
     ----------
@@ -214,38 +204,41 @@ def fit_superlearner(x: np.ndarray, y: np.ndarray, family: str, rng: np.random.G
         if not _folds_trainable(y, folds, K_FOLDS, family):
             raise OneClassError("a training fold is single-class after refold")
 
-    # The degree-2 design and its distinct columns are found once, on the full
-    # sample, for the fold fits and the refit alike.  The one duplicate the
-    # expansion makes (z**2 == z for a binary z) repeats in every row subset.
-    # The other learners' designs are its leading columns, and a first
-    # occurrence inside a prefix is one in the whole design.
+    # The degree-2 design is built once, column-major, on the full sample, for
+    # the fold fits and the refit alike.  The main-effects learner fits its
+    # leading 1 + d columns and the degree-2 learner all of them, each as an
+    # F-contiguous view, the layout fit_folds's bits depend on.  The grand
+    # mean, the library's first learner, needs no design.
     full = _learner_design("glm_degree2", x)
-    distinct = _distinct_columns(full)
-    widths = {"mean_only": 1, "glm_main_effects": 1 + x.shape[1], "glm_degree2": full.shape[1]}
-    kept = [distinct[distinct < widths[kind]] for kind in LEARNER_KINDS]
-    # The library's first learner, the grand mean, needs no design.
     fits = [fit_mean_folds(y, folds, K_FOLDS, family)]
-    fits += [fit_folds(full[:, columns], y, folds, K_FOLDS, family) for columns in kept[1:]]
-    level_one = np.column_stack([fit.out_of_fold for fit in fits])
-
-    weights, _ = simplex_weights(level_one, y)
-    learners = tuple(
-        FittedLearner(kind, family, columns, fit.refit_coefficients, fit.refit_separated)
-        for kind, columns, fit in zip(LEARNER_KINDS, kept, fits)
-    )
-    return EnsembleFit(learners, weights, family)
+    fits += [fit_folds(full[:, :width], y, folds, K_FOLDS, family) for width in (1 + x.shape[1], full.shape[1])]
+    weights, _ = simplex_weights(np.column_stack([fit.out_of_fold for fit in fits]), y)
+    return EnsembleFit(tuple(f.refit_coefficients for f in fits), weights, family, any(f.refit_separated for f in fits))
 
 
 def predict_ensemble(fit: EnsembleFit, x: np.ndarray) -> np.ndarray:
-    """Weighted prediction of the refit library on covariates ``x``."""
+    """Weighted prediction of the refit library on covariates ``x``.
+
+    Raises
+    ------
+    ValueError
+        If the design of the widest weighted learner on ``x`` is not as wide
+        as its coefficients, as when a 0/1 column of the fit's covariates is
+        no longer 0/1 in ``x``.
+    """
     # The learners are in library order, narrowest design first, so the last
     # one with positive weight has the design every weighted learner prefixes.
-    widest = [learner for weight, learner in zip(fit.weights, fit.learners) if weight > 0.0][-1]
-    design = _learner_design(widest.kind, x)
+    weighted = np.flatnonzero(fit.weights > 0.0).tolist()
+    kind, width = LEARNER_KINDS[weighted[-1]], fit.coefficients[weighted[-1]].size
+    design = _learner_design(kind, x)
+    if design.shape[1] != width:
+        raise ValueError(f"the {kind} design of x has {design.shape[1]} columns, its fit {width} coefficients")
     preds = np.zeros(x.shape[0])
-    for weight, learner in zip(fit.weights, fit.learners):
-        if weight > 0.0:
-            preds += weight * learner.predict_from(design)
+    for k in weighted:
+        linear = design[:, : fit.coefficients[k].size] @ fit.coefficients[k]
+        if fit.family == "binomial":
+            linear = np.clip(expit(linear), PROB_CLAMP, 1.0 - PROB_CLAMP)
+        preds += fit.weights[k] * linear
     if fit.family == "binomial":
         preds = np.clip(preds, PROB_CLAMP, 1.0 - PROB_CLAMP)
     return preds

@@ -20,7 +20,7 @@ from attbench.glm import (
     fit_ols,
     ols_wald_test,
 )
-from attbench.superlearner import FittedLearner, expand_degree2
+from attbench.superlearner import EnsembleFit, expand_degree2, predict_ensemble
 
 from naive_oracles import naive_fit_logistic, naive_fit_ols, naive_fold_fits
 
@@ -151,8 +151,10 @@ class TestLogistic:
         x = _design(np_rng, 200, 2)
         y = (np_rng.random(200) < expit(2 * x[:, 1])).astype(float)
         fit = fit_logistic(x, y)
-        learner = FittedLearner("glm_main_effects", "binomial", np.arange(2), fit.coefficients, False)
-        preds = learner.predict_from(np.array([[1.0, 50.0], [1.0, -50.0]]))
+        # All weight on the main-effects learner, fitted on x = [1, covariate].
+        coefficients = (np.zeros(1), fit.coefficients, np.zeros(3))
+        ensemble = EnsembleFit(coefficients, np.array([0.0, 1.0, 0.0]), "binomial", False)
+        preds = predict_ensemble(ensemble, np.array([[50.0], [-50.0]]))
         assert preds[0] <= 1 - PROB_CLAMP
         assert preds[1] >= PROB_CLAMP
 

@@ -1,10 +1,13 @@
 """Stacked ensemble: simplex weights, CV dominance, fold handling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
+from attbench import superlearner
 from attbench.errors import OneClassError
 from attbench.glm import _fit_stack, fit_folds, fit_logistic, fit_mean_folds
 from attbench.numeric import rng_stream
@@ -39,14 +42,14 @@ def level_one(fit, x, y, seed):
     one column per learner, rebuilt from the folds it drew from ``rng_stream(seed)``."""
     folds = fold_assignment(y, fit.family, seed)
     columns = [fit_mean_folds(y, folds, K_FOLDS, fit.family).out_of_fold]
-    for learner in fit.learners[1:]:
-        design = _learner_design(learner.kind, x)[:, learner.kept_columns]
-        columns.append(fit_folds(design, y, folds, K_FOLDS, fit.family).out_of_fold)
+    for kind in LEARNER_KINDS[1:]:
+        columns.append(fit_folds(_learner_design(kind, x), y, folds, K_FOLDS, fit.family).out_of_fold)
     return np.column_stack(columns)
 
 
-def learner_predictions(learner, x):
-    return learner.predict_from(_learner_design(learner.kind, x))
+def learner_predictions(fit, k, x):
+    """Learner ``k``'s refit prediction on ``x``: the ensemble's, with all weight on it."""
+    return predict_ensemble(replace(fit, weights=np.eye(len(LEARNER_KINDS))[k]), x)
 
 
 class TestDegree2Expansion:
@@ -56,11 +59,22 @@ class TestDegree2Expansion:
             assert expand_degree2(x).shape == (7, 2 * d + d * (d - 1) // 2)
 
     def test_column_content(self):
-        x = np.array([[1.0, 2.0, 3.0]])
+        x = np.array([[2.0, 3.0, 4.0]])
         expanded = expand_degree2(x)
         np.testing.assert_allclose(
-            expanded[0], [1, 2, 3, 1, 4, 9, 2, 3, 6]
+            expanded[0], [2, 3, 4, 4, 9, 16, 6, 8, 12]
         )
+
+    def test_squares_of_01_columns_omitted(self, np_rng):
+        # Columns: continuous, 0/1, all ones, continuous.  Only the two
+        # continuous columns keep their squares; every product stays.
+        n = 30
+        x = np.column_stack(
+            [np_rng.standard_normal(n), (np_rng.random(n) < 0.5).astype(float), np.ones(n), np_rng.standard_normal(n)]
+        )
+        i, j = np.triu_indices(4, 1)
+        expected = np.column_stack([x, x[:, 0] ** 2, x[:, 3] ** 2, x[:, i] * x[:, j]])
+        np.testing.assert_array_equal(expand_degree2(x), expected)
 
 
 class TestSimplexWeights:
@@ -233,12 +247,12 @@ class TestFitSuperlearner:
         x = np_rng.standard_normal((60, 2))
         y = np_rng.standard_normal(60) + 4.0
         fit = fit_superlearner(x, y, "gaussian", rng=rng_stream(1))
-        preds = learner_predictions(fit.learners[0], x)
+        preds = learner_predictions(fit, 0, x)
         np.testing.assert_allclose(preds, np.full(60, y.mean()), atol=1e-10)
 
     def test_binary_feature_matches_lstsq_oracle(self, np_rng):
         # The outcome ensemble's features end in the binary treatment z,
-        # whose square equals z: the degree-2 learner must drop that column.
+        # whose square equals z: the degree-2 learner must leave that square out.
         x = np_rng.standard_normal((90, 3))
         z = (np_rng.random(90) < 0.4).astype(float)
         y = x[:, 0] + 0.5 * x[:, 1] ** 2 + z + np_rng.standard_normal(90)
@@ -247,8 +261,8 @@ class TestFitSuperlearner:
         risks, predictions = naive_gaussian_library(features, y, fold_assignment(y, "gaussian", 5), binary_column=3)
         level_one_risks = np.mean((level_one(fit, features, y, 5) - y[:, None]) ** 2, axis=0)
         np.testing.assert_allclose(level_one_risks, risks, rtol=0, atol=1e-9)
-        for learner, expected in zip(fit.learners, predictions):
-            np.testing.assert_allclose(learner_predictions(learner, features), expected, rtol=0, atol=1e-9)
+        for k, expected in enumerate(predictions):
+            np.testing.assert_allclose(learner_predictions(fit, k, features), expected, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("seed", [2, 23])
     def test_refits_match_single_fits(self, seed):
@@ -262,13 +276,13 @@ class TestFitSuperlearner:
         z = (rng.random(100) < expit(3.0 * (logit - 1.0))).astype(float)
         fit = fit_superlearner(x, z, "binomial", rng=rng_stream(seed))
         singles = []
-        for learner in fit.learners:
-            design = _learner_design(learner.kind, x)[:, learner.kept_columns]
+        for kind, coefficients in zip(LEARNER_KINDS, fit.coefficients):
+            design = _learner_design(kind, x)
             single = fit_logistic(design, z)
-            np.testing.assert_allclose(learner.coefficients, single.coefficients, rtol=0, atol=1e-10)
-            assert learner.separated == single.separated
+            np.testing.assert_allclose(coefficients, single.coefficients, rtol=0, atol=1e-10)
             singles.append(single.separated)
         assert singles == [False, False, seed == 2]
+        assert fit.separated == any(singles)
         train = (fold_assignment(z, "binomial", seed) != np.arange(11)[:, None]).astype(np.float64)
         assert _fit_stack(design, z, train, "binomial")[1][:10].sum() == (10 if seed == 2 else 6)
         assert estimate_ps(x, z, "ensemble", rng_stream(seed)).separated == (seed == 2)
@@ -280,8 +294,9 @@ class TestFitSuperlearner:
         b = fit_superlearner(x, y, "gaussian", rng=rng_stream(7))
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(predict_ensemble(a, x), predict_ensemble(b, x))
-        for la, lb in zip(a.learners, b.learners):
-            np.testing.assert_array_equal(la.coefficients, lb.coefficients)
+        assert a.separated == b.separated
+        for ca, cb in zip(a.coefficients, b.coefficients, strict=True):
+            np.testing.assert_array_equal(ca, cb)
 
     def test_binomial_predictions_stay_inside_unit_interval(self, np_rng):
         x = np_rng.standard_normal((150, 3))
@@ -308,8 +323,53 @@ class TestFitSuperlearner:
     def test_library_is_the_learner_table(self, np_rng):
         x = np_rng.standard_normal((60, 2))
         fit = fit_superlearner(x, np_rng.standard_normal(60), "gaussian", rng=rng_stream(0))
-        assert tuple(learner.kind for learner in fit.learners) == LEARNER_KINDS
-        assert all(learner.family == "gaussian" for learner in fit.learners)
+        widths = [_learner_design(kind, x).shape[1] for kind in LEARNER_KINDS]
+        assert [coefficients.size for coefficients in fit.coefficients] == widths
+        assert fit.family == "gaussian"
+        assert fit.separated is False
+
+    def test_learners_fit_prefixes_of_one_design(self, np_rng, monkeypatch):
+        # The outcome ensemble's features: three continuous covariates and a
+        # 0/1 treatment, whose square the degree-2 design leaves out.
+        n, d = 90, 4
+        features = np.column_stack([np_rng.standard_normal((n, 3)), (np_rng.random(n) < 0.4).astype(float)])
+        y = features[:, 0] + 0.5 * features[:, 1] ** 2 + features[:, 3] + np_rng.standard_normal(n)
+        designs = [_learner_design(kind, features) for kind in LEARNER_KINDS]
+        widest = designs[-1]
+        assert widest.shape[1] == 1 + d + (d - 1) + d * (d - 1) // 2
+        for design in designs:
+            assert design.flags.f_contiguous
+            np.testing.assert_array_equal(design, widest[:, : design.shape[1]])
+
+        stacked = []
+
+        def capture(z, response):
+            stacked.append(z)
+            return simplex_weights(z, response)
+
+        monkeypatch.setattr(superlearner, "simplex_weights", capture)
+        fit = fit_superlearner(features, y, "gaussian", rng=rng_stream(5))
+        assert [c.size for c in fit.coefficients] == [1, 1 + d, widest.shape[1]]
+        folds = fold_assignment(y, "gaussian", 5)
+        expected = [fit_mean_folds(y, folds, K_FOLDS, "gaussian").out_of_fold]
+        for coefficients in fit.coefficients[1:]:
+            expected.append(fit_folds(widest[:, : coefficients.size], y, folds, K_FOLDS, "gaussian").out_of_fold)
+        (z,) = stacked
+        for k, column in enumerate(expected):
+            assert np.array_equal(z[:, k], column)
+
+    def test_predict_rejects_covariates_misaligned_with_the_fit(self, np_rng):
+        # A continuous column where the fit saw a 0/1 one gives the degree-2
+        # design one more column than the degree-2 learner has coefficients.
+        n = 120
+        x = np_rng.standard_normal((n, 2))
+        z = (np_rng.random(n) < 0.5).astype(float)
+        y = x[:, 0] ** 2 + x[:, 0] * z + 0.1 * np_rng.standard_normal(n)
+        fit = fit_superlearner(np.column_stack([x, z]), y, "gaussian", rng=rng_stream(4))
+        assert fit.weights[2] > 0.0
+        predict_ensemble(fit, np.column_stack([x, np.ones(n)]))
+        with pytest.raises(ValueError, match="glm_degree2 design"):
+            predict_ensemble(fit, np.column_stack([x, np_rng.standard_normal(n)]))
 
     def test_unknown_family_rejected(self, np_rng):
         x = np_rng.standard_normal((60, 2))
