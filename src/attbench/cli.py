@@ -67,6 +67,7 @@ from .harness import (
 # Not called here: perfbench/spans.py wraps these two names in this module.
 from .harness import aggregate_cell, read_records_csv  # noqa: F401
 from .numeric import MAX_REPLICATES, PURPOSE_PS_HIST
+from .propensity import TRIM_DELTA
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -297,10 +298,12 @@ def cmd_ps_hist(args: argparse.Namespace) -> int:
 
     path = outdir / f"ps_hist_s{args.scenario}_p{label.replace('.', '')}.csv"
     write_csv(path, ("bin_lo", "bin_hi", "count"), zip(edges[:-1], edges[1:], counts))
-    tail_mass = float(np.mean((scores < 0.05) | (scores > 0.95)))
+    # The tails are what trim_ps drops.
+    lower, upper = TRIM_DELTA, 1.0 - TRIM_DELTA
+    tail_mass = float(np.mean((scores < lower) | (scores > upper)))
     print(f"scenario {args.scenario}, prevalence {label}, n {args.n}")
     print(f"alpha0 {alpha0:.6f}")
-    print(f"mass outside [0.05, 0.95]: {tail_mass:.4f}")
+    print(f"mass outside [{lower}, {upper}]: {tail_mass:.4f}")
     _log(f"histogram written to {path}")
     return EXIT_OK
 

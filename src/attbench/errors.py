@@ -2,13 +2,25 @@
 
 Every failure the simulation harness is expected to survive derives from
 :class:`EstimationError`, so a replicate can be flagged and the grid can
-keep running.  Each one is raised where a drawn replicate can hit it:
-:class:`NonSpdError` (a collinear or zero-variance covariate among them)
-in ``numeric``; :class:`RankDeficientError`, :class:`OneClassError` and
-:class:`ZeroSeError` in the fits; :class:`AllTrimmedError` in weighting;
-the three matching errors; :class:`FlatOutcomeError` in TMLE; and the
-draw, calibration and aggregation errors.  Anything else escaping an
-estimator is a genuine bug and propagates.
+keep running.  Each is raised in one module, where a drawn replicate can
+hit it:
+
+- ``numeric``: :class:`NonSpdError` from the Cholesky pivot floor (a
+  collinear or zero-variance covariate), and :class:`ZeroSeError` from
+  ``wald_estimate``, the one rule every estimator's p-value comes from;
+- ``glm``: :class:`RankDeficientError` from least squares and
+  :class:`OneClassError` from the logistic family's 0/1 check;
+- ``propensity`` and ``weighting``: :class:`AllTrimmedError`;
+- ``matching``: :class:`NoMatchesError` and :class:`TooFewPairsError`;
+- ``tmle``: :class:`FlatOutcomeError`;
+- ``dgp``: :class:`DegenerateDrawError` and :class:`BracketFailureError`;
+- ``harness``: :class:`InsufficientReplicatesError` and
+  :class:`PartialGridError`.
+
+Anything else escaping an estimator is a genuine bug and propagates.  The
+two store errors, :class:`CorruptManifestError` (``harness`` and ``cli``)
+and :class:`StoreMismatchError` (``harness``), are ``ValueError``
+subclasses that stop a run instead.
 """
 
 
@@ -42,10 +54,6 @@ class NoMatchesError(EstimationError):
 
 class TooFewPairsError(EstimationError):
     """Fewer than two matched sets; the paired t-test is undefined."""
-
-
-class ZeroVarianceError(EstimationError):
-    """Matched differences have zero spread; the paired t-test is undefined."""
 
 
 class FlatOutcomeError(EstimationError):

@@ -25,8 +25,8 @@ from functools import cache
 
 import numpy as np
 
-from .errors import OneClassError, RankDeficientError, ZeroSeError
-from .numeric import CHOLESKY_PIVOT_TOL, cholesky_factor, expit, solve_from_factor, solve_spd_stack, two_sided_p
+from .errors import OneClassError, RankDeficientError
+from .numeric import CHOLESKY_PIVOT_TOL, cholesky_factor, expit, solve_from_factor, solve_spd_stack
 
 IRLS_SCORE_TOL = 1e-6
 IRLS_MAX_ITER = 50
@@ -104,6 +104,21 @@ def _weighted_grams(design: np.ndarray):
     return grams
 
 
+def _require_two_classes(y: np.ndarray, counts: np.ndarray, positives: np.ndarray) -> None:
+    """The logistic family's check of a response under a stack of weight
+    rows: ``y`` must be 0/1, and row ``r``, weighing ``counts[r]``
+    observations of which ``positives[r]`` are 1, must hold both classes.
+
+    Raises ``ValueError`` for a ``y`` that is not 0/1 and
+    :class:`OneClassError`, naming the first such row, for a single class.
+    """
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("y must be 0/1")
+    one_class = (positives == 0.0) | (positives == counts)
+    if one_class.any():
+        raise OneClassError(f"the response under weight row {int(np.argmax(one_class))} contains a single class")
+
+
 def _fit_stack(design: np.ndarray, y: np.ndarray, weights: np.ndarray, family: str):
     """Fit ``design`` (n, p) to ``y`` under each row of ``weights`` (m, n), as one stack.
 
@@ -144,12 +159,7 @@ def _fit_stack(design: np.ndarray, y: np.ndarray, weights: np.ndarray, family: s
         if not ok.all():
             raise RankDeficientError(f"normal equations of weight row {int(np.argmin(ok))} are not positive definite")
         return beta, ~ok, normal
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("y must be 0/1")
-    positives = weights @ y
-    one_class = (positives == 0.0) | (positives == counts)
-    if one_class.any():
-        raise OneClassError(f"the response under weight row {int(np.argmax(one_class))} contains a single class")
+    _require_two_classes(y, counts, weights @ y)
 
     m = weights.shape[0]
     beta = np.zeros((m, p))
@@ -213,18 +223,6 @@ def fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
 
 def predict_ols(fit: OlsFit, design: np.ndarray) -> np.ndarray:
     return design @ fit.coefficients
-
-
-def ols_wald_test(fit: OlsFit, coef_index: int) -> tuple[float, float]:
-    """Student-t Wald test of a single coefficient against zero.
-
-    Returns ``(t_statistic, p_value)`` with ``n - p`` degrees of freedom.
-    """
-    se = float(fit.standard_errors[coef_index])
-    if se == 0.0:
-        raise ZeroSeError(f"coefficient {coef_index} has zero standard error")
-    t_stat = float(fit.coefficients[coef_index]) / se
-    return t_stat, two_sided_p(t_stat, fit.n_obs - fit.n_params)
 
 
 def fit_logistic(design: np.ndarray, y: np.ndarray) -> LogisticFit:
@@ -314,11 +312,7 @@ def fit_mean_folds(y: np.ndarray, folds: np.ndarray, k_folds: int, family: str) 
         refit_separated = False
         out_of_fold = beta[folds]
     else:
-        if not np.all((y == 0.0) | (y == 1.0)):
-            raise ValueError("y must be 0/1")
-        one_class = (sums == 0.0) | (sums == counts)
-        if one_class.any():
-            raise OneClassError(f"the response under weight row {int(np.argmax(one_class))} contains a single class")
+        _require_two_classes(y, counts, sums)
         beta, separated = _logistic_intercepts(counts, sums)
         refit_separated = bool(separated[k_folds])
         out_of_fold = np.clip(expit(beta[folds]), PROB_CLAMP, 1.0 - PROB_CLAMP)

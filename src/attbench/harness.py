@@ -58,7 +58,7 @@ from .errors import (
     PartialGridError,
     StoreMismatchError,
 )
-from .glm import fit_ols, ols_wald_test
+from .glm import fit_ols
 from .matching import caliper_block, cem_att, cem_match, matched_att, mdm_match, psm_match
 from .numeric import (
     MAX_REPLICATES,
@@ -68,6 +68,7 @@ from .numeric import (
     PURPOSE_TRUTH,
     Estimate,
     substream,
+    wald_estimate,
 )
 from .propensity import estimate_ps, trim_ps, truncate_ps
 from .tmle import tmle_att
@@ -133,7 +134,7 @@ class _Replicate:
     the nuisances its methods share."""
 
     def __init__(self, cfg: CellConfig, replicate: int, attempt: int, ds) -> None:
-        self.x, self.z, self.y, self.n = ds.observed_covariates, ds.z, ds.y, ds.n
+        self.x, self.z, self.y = ds.observed_covariates, ds.z, ds.y
         self.fold_rng = partial(
             substream, cfg.master_seed, cell_code=cfg.cell_code, replicate=replicate, attempt=attempt
         )
@@ -162,7 +163,7 @@ NUISANCES = {
     "caliper_block": lambda r: caliper_block(r.nuisance("ps_logistic").values, r.z),
     "outcome_ols": lambda r: fit_ols(ols_outcome_design(r.x, r.z), r.y),
     "ps_ensemble": lambda r: estimate_ps(r.x, r.z, "ensemble", rng=r.fold_rng(purpose=PURPOSE_PS_FOLDS)),
-    "ps_truncated": lambda r: truncate_ps(r.nuisance("ps_ensemble"), r.n),
+    "ps_truncated": lambda r: truncate_ps(r.nuisance("ps_ensemble")),
     "outcome_ensemble": lambda r: fit_outcome_models(r.x, r.y, r.z, r.fold_rng(purpose=PURPOSE_OUTCOME_FOLDS)),
 }
 
@@ -172,10 +173,10 @@ def _ps_flags(ps) -> tuple[str, ...]:
 
 
 def _lr(r: _Replicate):
+    # The treatment coefficient is the design's last, tested on n - p degrees of freedom.
     fit = r.nuisance("outcome_ols")
-    z_index = fit.n_params - 1
-    _, p_value = ols_wald_test(fit, z_index)
-    return Estimate(float(fit.coefficients[z_index]), float(fit.standard_errors[z_index]), p_value), 0, ()
+    att, se = float(fit.coefficients[-1]), float(fit.standard_errors[-1])
+    return wald_estimate(att, se, fit.n_obs - fit.n_params), 0, ()
 
 
 def _cem(r: _Replicate, n_bins: int):

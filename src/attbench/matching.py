@@ -33,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoMatchesError, TooFewPairsError, ZeroVarianceError
-from .numeric import Estimate, cholesky_factor, logit, sample_covariance, two_sided_p
+from .errors import NoMatchesError, TooFewPairsError
+from .numeric import Estimate, cholesky_factor, logit, sample_covariance, wald_estimate
 
 CALIPER_SD_FACTOR = 0.2
 
@@ -212,12 +212,8 @@ def _paired_t(differences: np.ndarray) -> Estimate:
     m = differences.size
     if m < 2:
         raise TooFewPairsError(f"need at least 2 matched sets, got {m}")
-    att = float(differences.mean())
-    sd = float(differences.std(ddof=1))
-    if sd == 0.0:
-        raise ZeroVarianceError("matched differences are constant")
-    se = sd / np.sqrt(m)
-    return Estimate(att, float(se), two_sided_p(att / se, m - 1))
+    se = float(differences.std(ddof=1) / np.sqrt(m))
+    return wald_estimate(float(differences.mean()), se, m - 1)
 
 
 def matched_att(y: np.ndarray, matches: MatchSet) -> Estimate:

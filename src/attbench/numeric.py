@@ -16,6 +16,11 @@ into general-purpose decompositions so that failure modes (non-SPD systems,
 a zero-variance covariate among them) surface as typed errors rather than
 warnings.
 
+:func:`wald_estimate` is the one rule that turns an ATT and its standard
+error into an :class:`Estimate`: the p-value of ``att / se``, normal or
+Student-t, and :class:`ZeroSeError` for a zero standard error.  Every
+estimator returns its estimate through it.
+
 Everything here, like the rest of the package, needs numpy alone: the
 logistic function and its inverse are numpy's ``exp`` and ``log``, and the
 normal and Student-t tails of :func:`two_sided_p` are computed in plain
@@ -30,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonSpdError
+from .errors import NonSpdError, ZeroSeError
 
 # Absolute floor for Cholesky pivots.  The matrices seen here (normal
 # equations, sample covariances of standardized draws) have O(1) or larger
@@ -148,6 +153,20 @@ def two_sided_p(stat: float, df: int | None = None) -> float:
     if math.isinf(stat):
         return 0.0
     return _t_two_sided(stat, int(df))
+
+
+def wald_estimate(att: float, se: float, df: int | None = None) -> Estimate:
+    """The :class:`Estimate` of ``att`` with standard error ``se``: its
+    p-value is :func:`two_sided_p` of ``att / se`` on ``df`` degrees of
+    freedom (standard normal when None).
+
+    Every estimator's p-value comes from here, so a zero standard error
+    fails alike for every method: it raises :class:`ZeroSeError`, which the
+    harness records as a flagged failure.
+    """
+    if se == 0.0:
+        raise ZeroSeError("the standard error is zero, so the Wald statistic is undefined")
+    return Estimate(att, se, two_sided_p(att / se, df))
 
 
 _SQRT_HALF = math.sqrt(0.5)

@@ -100,8 +100,9 @@ def truncation_bound(n: int) -> float:
     return float(5.0 / (np.sqrt(n) * np.log(n)))
 
 
-def truncate_ps(ps: PsVector, n: int) -> PsVector:
-    """Clamp scores into ``[bound, 1 - bound]`` without dropping units."""
-    bound = truncation_bound(n)
+def truncate_ps(ps: PsVector) -> PsVector:
+    """Clamp scores into ``[bound, 1 - bound]`` without dropping units,
+    with the bound :func:`truncation_bound` of the cohort size."""
+    bound = truncation_bound(ps.values.size)
     values = np.clip(ps.values, bound, 1.0 - bound)
-    return PsVector(values, ps.kept_mask.copy(), ps.separated, ps.score_basis)
+    return PsVector(values, ps.kept_mask, ps.separated, ps.score_basis)

@@ -20,10 +20,13 @@ Designs are column-major (F order): :func:`attbench.glm.fit_folds`
 gives other bits for the same design in C order.
 
 The fold assignment is one permutation drawn from the caller's numpy
-``Generator`` (a second on a refold).  The level-one predictions come
-from ``K_FOLDS`` fits per learner, one per training fold, and the
-full-sample refit is one more fit of the same kind.  For each GLM
-learner all ``K_FOLDS + 1`` are made in one stacked pass
+``Generator``.  When :func:`attbench.glm.fit_mean_folds` finds a
+single-class training fold of a 0/1 response, it raises
+:class:`OneClassError` and the folds are drawn once more from the same
+``Generator`` (the refold); a second :class:`OneClassError` propagates.
+The level-one predictions come from ``K_FOLDS`` fits per learner, one
+per training fold, and the full-sample refit is one more fit of the same
+kind.  For each GLM learner all ``K_FOLDS + 1`` are made in one stacked pass
 (:func:`attbench.glm.fit_folds`): each fold is a 0/1 row weight on the
 learner's prefix and the refit an all-ones weight, fitted by the
 same engine, under the same convergence and separation rules, as every
@@ -107,15 +110,6 @@ def _assign_folds(n: int, k_folds: int, rng: np.random.Generator) -> np.ndarray:
     return folds
 
 
-def _folds_trainable(y: np.ndarray, folds: np.ndarray, k_folds: int, family: str) -> bool:
-    """Whether every training fold of a 0/1 ``y`` holds both classes (always, for least squares)."""
-    if family == "gaussian":
-        return True
-    sizes = y.size - np.bincount(folds, minlength=k_folds)
-    positives = y.sum() - np.bincount(folds, weights=y, minlength=k_folds)
-    return bool(np.all((positives > 0.0) & (positives < sizes)))
-
-
 @cache
 def _support_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(members, pairs, kkt)`` over every support ``s`` of ``k`` learners, smaller first.
@@ -194,23 +188,25 @@ def fit_superlearner(x: np.ndarray, y: np.ndarray, family: str, rng: np.random.G
     ------
     OneClassError
         If a binomial response is constant, or some training fold is
-        single-class even after one refold attempt.
+        single-class under the refolded assignment too.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family: {family}")
     folds = _assign_folds(y.size, K_FOLDS, rng)
-    if not _folds_trainable(y, folds, K_FOLDS, family):
+    # The grand mean, the library's first learner, needs no design and is
+    # fitted first, so a single-class training fold fails it before any
+    # other fit: refold once.
+    try:
+        fits = [fit_mean_folds(y, folds, K_FOLDS, family)]
+    except OneClassError:
         folds = _assign_folds(y.size, K_FOLDS, rng)
-        if not _folds_trainable(y, folds, K_FOLDS, family):
-            raise OneClassError("a training fold is single-class after refold")
+        fits = [fit_mean_folds(y, folds, K_FOLDS, family)]
 
     # The degree-2 design is built once, column-major, on the full sample, for
     # the fold fits and the refit alike.  The main-effects learner fits its
     # leading 1 + d columns and the degree-2 learner all of them, each as an
-    # F-contiguous view, the layout fit_folds's bits depend on.  The grand
-    # mean, the library's first learner, needs no design.
+    # F-contiguous view, the layout fit_folds's bits depend on.
     full = _learner_design("glm_degree2", x)
-    fits = [fit_mean_folds(y, folds, K_FOLDS, family)]
     fits += [fit_folds(full[:, :width], y, folds, K_FOLDS, family) for width in (1 + x.shape[1], full.shape[1])]
     weights, _ = simplex_weights(np.column_stack([fit.out_of_fold for fit in fits]), y)
     return EnsembleFit(tuple(f.refit_coefficients for f in fits), weights, family, any(f.refit_separated for f in fits))

@@ -9,6 +9,8 @@ until the efficient influence function has mean below ``EIF_TOL`` on the
 original outcome scale (or the round limit is reached, which is reported,
 not raised).  The final estimate averages the targeted treatment
 contrast over treated units and is unscaled back to outcome units.
+A zero standard error raises :class:`ZeroSeError`, which the harness
+records as a flagged failure, as it does for every other estimator.
 :func:`tmle_att` takes the replicate's outcome and treatment, the initial
 outcome predictions and the propensity score; the covariates reach it
 only through those fits.
@@ -21,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FlatOutcomeError
-from .numeric import expit, logit, two_sided_p
+from .numeric import expit, logit, wald_estimate
 from .propensity import PsVector
 
 Q_CLAMP = 1e-4
@@ -75,7 +77,15 @@ def tmle_att(y: np.ndarray, z: np.ndarray, q1: np.ndarray, q0: np.ndarray, ps: P
     treated fraction, so the fluctuation moves the treated-arm and
     control-arm predictions in the directions that solve the ATT
     efficient-score equation.  Standard errors come from the empirical
-    variance of the influence function; the p-value is two-sided normal.
+    variance of the influence function; the p-value is two-sided normal,
+    by :func:`attbench.numeric.wald_estimate` as for every estimator.
+
+    Raises
+    ------
+    FlatOutcomeError
+        If the outcome has zero range.
+    ZeroSeError
+        If the influence values are constant, so the standard error is zero.
     """
     n = y.shape[0]
     y_min = float(y.min())
@@ -113,6 +123,4 @@ def tmle_att(y: np.ndarray, z: np.ndarray, q1: np.ndarray, q0: np.ndarray, ps: P
             converged = True
             break
 
-    se = float(np.sqrt(np.var(eif, ddof=1) / n))
-    p_value = two_sided_p(att / se) if se > 0.0 else np.nan
-    return TmleFit(att, se, p_value, eif, converged)
+    return TmleFit(*wald_estimate(att, float(np.sqrt(np.var(eif, ddof=1) / n))), eif, converged)

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AllTrimmedError, ZeroSeError
+from .errors import AllTrimmedError
 from .glm import OlsFit, predict_ols
 # Not called here: perfbench/spans.py wraps this name in this module.
 from .glm import fit_ols  # noqa: F401
-from .numeric import Estimate, two_sided_p
+from .numeric import Estimate, wald_estimate
 from .propensity import PsVector
 from .superlearner import fit_superlearner, predict_ensemble
 
@@ -65,10 +65,7 @@ def _finish(att: float, phi: np.ndarray, basis: np.ndarray | None = None) -> Est
     if basis is not None and n > basis.shape[1]:
         coef, *_ = np.linalg.lstsq(basis, phi, rcond=None)
         phi = phi - basis @ coef
-    se = float(np.sqrt((phi**2).mean() / n))
-    if se == 0.0:
-        raise ZeroSeError("influence function is identically zero")
-    return Estimate(att, se, two_sided_p(att / se))
+    return wald_estimate(att, float(np.sqrt((phi**2).mean() / n)))
 
 
 def aipw_att(

@@ -260,14 +260,14 @@ def test_10_targeting_and_equivariance(capsys):
     for _ in range(100):
         x, z, y = s1_cohort(rng, n)
         q1, q0 = ols_arm_predictions(fit_ols(ols_outcome_design(x, z), y), x)
-        fit = tmle_att(y, z, q1, q0, truncate_ps(estimate_ps(x, z), n))
+        fit = tmle_att(y, z, q1, q0, truncate_ps(estimate_ps(x, z)))
         residual = abs(float(np.mean(fit.eif_values)))
         worst = max(worst, residual)
         solved += fit.targeting_converged and residual < 1e-6
 
     x, z, y = s1_cohort(rng, n)
     q1, q0 = ols_arm_predictions(fit_ols(ols_outcome_design(x, z), y), x)
-    ps = truncate_ps(estimate_ps(x, z), n)
+    ps = truncate_ps(estimate_ps(x, z))
     base = tmle_att(y, z, q1, q0, ps)
     a, b = 3.5, -7.0
     moved = tmle_att(a * y + b, z, a * q1 + b, a * q0 + b, ps)

@@ -111,6 +111,19 @@ class TestRunReplicate:
                     assert math.isnan(r.att) and math.isnan(r.p_value)
                     assert any(f.startswith("failed:") for f in r.flags)
 
+    def test_tmle_zero_se_is_a_flagged_failure(self, monkeypatch):
+        # TMLE's SE is the root of its influence values' variance; a zero
+        # variance makes it zero, which fails TMLE_SL as it would any method.
+        cfg = cfg_for(label="0.50")
+        expected = run_replicate(cfg, -0.0694, 0)
+        monkeypatch.setattr(np, "var", lambda values, ddof: 0.0)
+        records = run_replicate(cfg, -0.0694, 0)
+        assert records[:-1] == expected[:-1] and not any(r.failed for r in expected)
+        tmle_record = records[-1]
+        assert tmle_record.method == "TMLE_SL"
+        assert tmle_record.flags == ("failed:ZeroSeError",)
+        assert math.isnan(tmle_record.att) and math.isnan(tmle_record.p_value)
+
     def test_shared_input_failure_hits_all_consumers_alike(self):
         # Replicate 5 trims every control away: IPW and AIPW consume the
         # same memoized trimming failure, and both stacked methods share
@@ -130,7 +143,7 @@ class TestRunReplicate:
             "trim_ps": 1,
             "truncate_ps": 1,
             "fit_ols": 1,
-            "ols_wald_test": 1,
+            "wald_estimate": 1,
             "cem_match": 2,
             "cem_att": 2,
             "caliper_block": 1,

@@ -9,7 +9,7 @@ from attbench.errors import (
     NoMatchesError,
     NonSpdError,
     TooFewPairsError,
-    ZeroVarianceError,
+    ZeroSeError,
 )
 from attbench.harness import oracle_intercepts
 from attbench import matching
@@ -408,7 +408,7 @@ class TestMatchedAtt:
 
     def test_constant_differences_raise_zero_variance(self):
         y = np.array([1.0, 1.0, 0.0, 0.0])
-        with pytest.raises(ZeroVarianceError):
+        with pytest.raises(ZeroSeError):
             matched_att(y, match_set(((0, (2,)), (1, (3,)))))
 
     def test_ratio_two_uses_control_mean(self):

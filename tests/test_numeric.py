@@ -9,8 +9,9 @@ import pytest
 from scipy import special, stats
 
 from attbench import numeric
-from attbench.errors import NonSpdError
+from attbench.errors import NonSpdError, ZeroSeError
 from attbench.numeric import (
+    Estimate,
     cholesky_factor,
     expit,
     logit,
@@ -21,6 +22,7 @@ from attbench.numeric import (
     solve_spd_stack,
     substream,
     two_sided_p,
+    wald_estimate,
 )
 
 
@@ -362,3 +364,15 @@ class TestTwoSidedP:
         assert two_sided_p(float("-inf"), df) == 0.0
         assert two_sided_p(0.0, df) == 1.0
         assert two_sided_p(np.float64(2.0), df) == two_sided_p(2.0, df)
+
+
+class TestWaldEstimate:
+    @pytest.mark.parametrize("df", [None, 37])
+    def test_is_the_estimate_with_the_p_value_of_att_over_se(self, df):
+        for att, se in ((0.4, 0.25), (-1.3, 0.5), (0.0, 2.0)):
+            assert wald_estimate(att, se, df) == Estimate(att, se, two_sided_p(att / se, df))
+
+    def test_zero_se_raises(self):
+        for df in (None, 9):
+            with pytest.raises(ZeroSeError):
+                wald_estimate(1.0, 0.0, df)

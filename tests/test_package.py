@@ -120,3 +120,20 @@ def test_every_import_is_used():
     assert ("attbench.superlearner", "fit_ols") in trace_sites
     faults = [f for path in modules if path.name != "__init__.py" for f in _import_faults(path, trace_sites)]
     assert faults == []
+
+
+def test_every_leaf_error_is_raised():
+    # A typed error nothing raises is ceremony: each class of errors.py that
+    # no other class there subclasses must be raised somewhere else in the package.
+    package = Path(attbench.__file__).parent
+    classes = [node for node in ast.parse((package / "errors.py").read_text()).body if isinstance(node, ast.ClassDef)]
+    subclassed = {ast.unparse(base) for node in classes for base in node.bases}
+    leaves = {node.name for node in classes} - subclassed
+    raised = set()
+    for path in package.glob("*.py"):
+        if path.name != "errors.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    raised.add(ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc))
+    assert {"ZeroSeError", "OneClassError", "StoreMismatchError"} <= leaves
+    assert sorted(leaves - raised) == []

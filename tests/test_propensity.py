@@ -81,7 +81,7 @@ class TestTrim:
         ps = estimate_ps(x, z, "logistic")
         trimmed = trim_ps(ps)
         np.testing.assert_array_equal(trimmed.score_basis, ps.score_basis)
-        truncated = truncate_ps(ps, len(z))
+        truncated = truncate_ps(ps)
         np.testing.assert_array_equal(truncated.score_basis, ps.score_basis)
 
     def test_idempotent(self):
@@ -104,17 +104,21 @@ class TestTruncate:
         assert 1 - truncation_bound(500) == pytest.approx(0.96402, abs=5e-6)
 
     def test_clamps_without_dropping(self):
-        ps = _ps([0.001, 0.4, 0.999])
-        truncated = truncate_ps(ps, 1000)
+        # The bound is the cohort size's: a cohort of 1000 scores, three of them probed.
+        values = np.full(1000, 0.5)
+        values[:3] = [0.001, 0.4, 0.999]
+        ps = _ps(values)
+        truncated = truncate_ps(ps)
         bound = truncation_bound(1000)
         np.testing.assert_array_equal(truncated.kept_mask, ps.kept_mask)
-        assert truncated.values[0] == pytest.approx(bound)
-        assert truncated.values[1] == pytest.approx(0.4)
-        assert truncated.values[2] == pytest.approx(1 - bound)
+        assert truncated.values[0] == bound
+        assert truncated.values[1] == 0.4
+        assert truncated.values[2] == 1 - bound
 
     def test_interior_values_untouched(self, np_rng):
-        values = np_rng.uniform(0.1, 0.9, size=50)
-        truncated = truncate_ps(_ps(values), 1000)
+        values = np_rng.uniform(0.1, 0.9, size=1000)
+        assert truncation_bound(values.size) < 0.1
+        truncated = truncate_ps(_ps(values))
         np.testing.assert_array_equal(truncated.values, values)
 
     def test_band_must_be_nonempty(self):

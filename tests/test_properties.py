@@ -97,7 +97,7 @@ def test_weighting_att_scales_with_the_outcome(method, data, shift, scale):
             return _estimate(lambda: ipw_att(y, z, trimmed))
         if method == "AIPW":
             return _estimate(lambda: aipw_att(y, z, trimmed, *_ols_arms(x, y, z)))
-        ps = truncate_ps(estimate_ps(x, z, "ensemble", rng=rng_stream(1)), data.n)
+        ps = truncate_ps(estimate_ps(x, z, "ensemble", rng=rng_stream(1)))
         q1, q0 = fit_outcome_models(x, y, z, rng_stream(2))
         if method == "AIPW_SL":
             return _estimate(lambda: aipw_att(y, z, ps, q1, q0))

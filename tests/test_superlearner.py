@@ -17,7 +17,6 @@ from attbench.superlearner import (
     LEARNER_KINDS,
     EnsembleFit,
     _assign_folds,
-    _folds_trainable,
     _learner_design,
     expand_degree2,
     fit_superlearner,
@@ -28,11 +27,21 @@ from attbench.superlearner import (
 from naive_oracles import naive_gaussian_library, naive_simplex_weights
 
 
+def _raises_one_class(y, folds, family):
+    """Whether ``fit_mean_folds`` rejects ``folds`` with :class:`OneClassError`,
+    the error on which ``fit_superlearner`` refolds."""
+    try:
+        fit_mean_folds(y, folds, K_FOLDS, family)
+    except OneClassError:
+        return True
+    return False
+
+
 def fold_assignment(y, family, seed):
     """The folds ``fit_superlearner`` draws from ``rng_stream(seed)``, refold included."""
     rng = rng_stream(seed)
     folds = _assign_folds(y.size, K_FOLDS, rng)
-    if not _folds_trainable(y, folds, K_FOLDS, family):
+    if _raises_one_class(y, folds, family):
         folds = _assign_folds(y.size, K_FOLDS, rng)
     return folds
 
@@ -207,7 +216,8 @@ class TestFoldsTrainable:
                 continue
             folds = _assign_folds(n, 10, rng_stream(seed))
             expected = _folds_trainable_loop(y, folds, 10)
-            assert _folds_trainable(y, folds, 10, "binomial") is expected
+            assert _raises_one_class(y, folds, "binomial") is not expected
+            assert _raises_one_class(y, folds, "gaussian") is False
             verdicts.add(expected)
         assert verdicts == {True, False}
 
@@ -215,11 +225,11 @@ class TestFoldsTrainable:
         folds = _assign_folds(40, 10, rng_stream(3))
         y = (folds == 7).astype(float)  # fold 7 trains on zeros only
         assert _folds_trainable_loop(y, folds, 10) is False
-        assert _folds_trainable(y, folds, 10, "binomial") is False
-        assert _folds_trainable(y, folds, 10, "gaussian") is True
+        assert _raises_one_class(y, folds, "binomial") is True
+        assert _raises_one_class(y, folds, "gaussian") is False
         y[folds == 2] = 1.0  # now every training fold holds both classes
         assert _folds_trainable_loop(y, folds, 10) is True
-        assert _folds_trainable(y, folds, 10, "binomial") is True
+        assert _raises_one_class(y, folds, "binomial") is False
 
 
 class TestFitSuperlearner:

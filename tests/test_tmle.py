@@ -6,7 +6,7 @@ from scipy import stats
 from scipy.special import expit
 
 from attbench.dgp import SCENARIOS, outcome_mean, treatment_logit_terms
-from attbench.errors import FlatOutcomeError
+from attbench.errors import FlatOutcomeError, ZeroSeError
 from attbench.propensity import PsVector, estimate_ps, truncate_ps
 from attbench import tmle
 from attbench.tmle import MAX_TARGETING_ROUNDS, tmle_att
@@ -51,7 +51,7 @@ def s1_cohort(np_rng, n, setting=1):
 def estimated_fit(np_rng, n):
     x, z, y, _ = s1_cohort(np_rng, n)
     q1, q0 = ols_arms(x, y, z)
-    ps = truncate_ps(estimate_ps(x, z), n)
+    ps = truncate_ps(estimate_ps(x, z))
     return tmle_att(y, z, q1, q0, ps)
 
 
@@ -67,7 +67,7 @@ class TestTargeting:
         x, z, y, ps_true = s1_cohort(np_rng, n)
         q1 = outcome_mean(SCENARIOS[1], 1, x, np.ones(n), False)
         q0 = outcome_mean(SCENARIOS[1], 1, x, np.zeros(n), False)
-        ps = truncate_ps(ps_of(np.clip(ps_true, 1e-8, 1 - 1e-8)), n)
+        ps = truncate_ps(ps_of(np.clip(ps_true, 1e-8, 1 - 1e-8)))
         fit = tmle_att(y, z, q1, q0, ps)
         # Targeting barely moves the plug-in contrast.  The contrast moves
         # about 25 outcome units per unit of fluctuation coefficient here,
@@ -99,7 +99,7 @@ class TestTargeting:
         n = 400
         x, z, y, _ = s1_cohort(np_rng, n)
         q1, q0 = ols_arms(x, y, z)
-        ps = truncate_ps(estimate_ps(x, z), n)
+        ps = truncate_ps(estimate_ps(x, z))
         base = tmle_att(y, z, q1, q0, ps)
         a, b = 3.5, -7.0
         moved = tmle_att(a * y + b, z, a * q1 + b, a * q0 + b, ps)
@@ -116,12 +116,18 @@ class TestReportedQuantities:
         expected_p = 2 * stats.norm.sf(abs(fit.att) / expected_se)
         assert fit.p_value == pytest.approx(expected_p, rel=1e-10)
 
+    def test_zero_se_raises(self, np_rng, monkeypatch):
+        # Constant influence values give a zero SE; a zero variance stands in for them.
+        monkeypatch.setattr(np, "var", lambda values, ddof: 0.0)
+        with pytest.raises(ZeroSeError):
+            estimated_fit(np_rng, 200)
+
     def test_extreme_outcome_scale_reports_not_raises(self, np_rng, monkeypatch):
         n = 200
         x, z, y, _ = s1_cohort(np_rng, n)
         y = 1e10 * y
         q1, q0 = ols_arms(x, y, z)
-        ps = truncate_ps(estimate_ps(x, z), n)
+        ps = truncate_ps(estimate_ps(x, z))
         rounds = count_rounds(monkeypatch)
         fit = tmle_att(y, z, q1, q0, ps)
         assert np.isfinite(fit.att)
