@@ -1,21 +1,19 @@
 """Command line front end.
 
-Four subcommands: ``calibrate`` writes the golden intercept table,
-``run`` executes a simulation grid into a result store, ``ps-hist``
-summarizes the true propensity distribution of a scenario, and
-``report`` joins the metrics files ``run`` wrote into one table merging
-effect and null cells.
+Three subcommands: ``run`` executes a simulation grid into a result
+store, ``ps-hist`` summarizes the true propensity distribution of a
+scenario, and ``report`` joins the metrics files ``run`` wrote into one
+table merging effect and null cells.
 
 Configuration is declarative: ``run`` reads an optional JSON config file
 and any command line flag overrides the corresponding config key.  Every
-list a command takes, ``calibrate``'s and ``ps-hist``'s included, follows
-one rule: a non-empty subset of the design, each value once.  Every
-command finds its store directory by one rule too: its flag (or ``run``'s
-config file), else ``ATTBENCH_OUTPUT_DIR`` when set and non-empty, else
+list a command takes, ``ps-hist``'s included, follows one rule: a
+non-empty subset of the design, each value once.  Every command finds its
+store directory by one rule too: its flag (or ``run``'s config file),
+else ``ATTBENCH_OUTPUT_DIR`` when set and non-empty, else
 ``attbench-out``.
 Exit codes: 0 on success, 2 for configuration problems (a store built
-under other parameters, ``calibrate`` into a run store's directory,
-a cell's records or metrics that fail their
+under other parameters, a cell's records or metrics that fail their
 digest, a store file that cannot be read or written, and a size this
 host cannot allocate, included), 3 when a run finished only partially
 (completed cells are on disk and a rerun will resume).
@@ -49,7 +47,6 @@ from .dgp import (
 )
 from .errors import CorruptManifestError, EstimationError, PartialGridError, StoreMismatchError
 from .harness import (
-    CALIBRATION_NAME,
     DEFAULT_ORACLE_SEED,
     MANIFEST_NAME,
     METHODS,
@@ -61,7 +58,6 @@ from .harness import (
     read_manifest,
     read_metrics_csv,
     run_grid,
-    write_calibration_csv,
     write_csv,
 )
 # Not called here: perfbench/spans.py wraps these two names in this module.
@@ -264,24 +260,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    pairs = list(itertools.product(_subset("scenarios", args.scenarios), _subset("prevalences", args.prevalences)))
-    _validate_oracle_args({"oracle_seed": args.oracle_seed}, {"oracle_n": args.oracle_n})
-    outdir = _output_dir(args.output_dir)
-    # A run store's table is vouched for by its manifest digest; only `run` rewrites it.
-    if (outdir / MANIFEST_NAME).exists():
-        raise ConfigError(f"{outdir} holds a run store, whose {CALIBRATION_NAME} `run` keeps; use another --output-dir")
-
-    intercepts = oracle_intercepts(pairs, args.oracle_seed, args.oracle_n)
-    path = outdir / CALIBRATION_NAME
-    write_calibration_csv(path, args.oracle_seed, args.oracle_n, intercepts)
-    print(f"{'scenario':>8} {'prevalence':>10} {'alpha0':>12}")
-    for (scenario, label), alpha in sorted(intercepts.items()):
-        print(f"{scenario:>8} {label:>10} {alpha:>12.6f}")
-    _log(f"calibration table written to {path}")
-    return EXIT_OK
-
-
 def cmd_ps_hist(args: argparse.Namespace) -> int:
     _subset("scenarios", [args.scenario])
     (label,) = _subset("prevalences", [args.prevalence])
@@ -384,22 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--quiet", action="store_true")
     run.set_defaults(func=cmd_run)
 
-    calibrate = sub.add_parser("calibrate", help="write the golden intercept table")
-    calibrate.add_argument("--scenarios", type=_int_list, default=None, help="e.g. 1,2,3 (all)")
-    calibrate.add_argument("--prevalences", type=_str_list, default=None, help="e.g. 0.05,0.20 (all)")
-    calibrate.set_defaults(func=cmd_calibrate)
-
     ps_hist = sub.add_parser("ps-hist", help="histogram the true propensity distribution")
     ps_hist.add_argument("--scenario", type=int, required=True)
     ps_hist.add_argument("--prevalence", default="0.20")
     ps_hist.add_argument("--n", type=int, default=100_000)
     ps_hist.add_argument("--bins", type=int, default=20)
+    ps_hist.add_argument("--oracle-seed", dest="oracle_seed", type=int, default=DEFAULT_ORACLE_SEED)
+    ps_hist.add_argument("--oracle-n", dest="oracle_n", type=int, default=DEFAULT_CALIBRATION_N)
+    ps_hist.add_argument("--output-dir", dest="output_dir", default=None)
     ps_hist.set_defaults(func=cmd_ps_hist)
-
-    for oracle_command in (calibrate, ps_hist):
-        oracle_command.add_argument("--oracle-seed", dest="oracle_seed", type=int, default=DEFAULT_ORACLE_SEED)
-        oracle_command.add_argument("--oracle-n", dest="oracle_n", type=int, default=DEFAULT_CALIBRATION_N)
-        oracle_command.add_argument("--output-dir", dest="output_dir", default=None)
 
     report = sub.add_parser("report", help="summarize a result store")
     report.add_argument("--store", default=None, help="result store directory")

@@ -6,8 +6,9 @@ keep running.  Each is raised in one module, where a drawn replicate can
 hit it:
 
 - ``numeric``: :class:`NonSpdError` from the Cholesky pivot floor (a
-  collinear or zero-variance covariate), and :class:`ZeroSeError` from
-  ``wald_estimate``, the one rule every estimator's p-value comes from;
+  collinear or zero-variance covariate), and :class:`ZeroSeError` and
+  :class:`NonFiniteEstimateError` from ``wald_estimate``, the one rule
+  every estimator's p-value comes from;
 - ``glm``: :class:`RankDeficientError` from least squares and
   :class:`OneClassError` from the logistic family's 0/1 check;
 - ``propensity`` and ``weighting``: :class:`AllTrimmedError`;
@@ -42,6 +43,10 @@ class OneClassError(EstimationError):
 
 class ZeroSeError(EstimationError):
     """A standard error of exactly zero makes the test statistic undefined."""
+
+
+class NonFiniteEstimateError(EstimationError):
+    """An ATT or standard error that is NaN or infinite has no Wald p-value."""
 
 
 class AllTrimmedError(EstimationError):

@@ -289,8 +289,7 @@ def aggregate_cell(
         empirical_sd = float(atts.std(ddof=1))
         avg_theoretical_sd = float(ses.mean())
         mse = float(((atts - truth) ** 2).mean())
-        observed_p = p_values[~np.isnan(p_values)]
-        type1_rate = float((observed_p < ALPHA).mean()) if observed_p.size else float("nan")
+        type1_rate = float((p_values < ALPHA).mean())
         out.append(
             MethodMetrics(
                 method, len(valid), bias, empirical_sd, avg_theoretical_sd, mse, type1_rate, failure_rate
@@ -419,8 +418,8 @@ def oracle_intercepts(
     """Calibrated treatment intercept of each (scenario, prevalence label).
 
     Each pair draws on its own stream, so its intercept does not depend on
-    which other pairs are asked for: ``run``, ``calibrate`` and ``ps-hist``
-    agree for the same seed and size.  ``guesses`` maps a pair to a guess
+    which other pairs are asked for: ``run`` and ``ps-hist`` agree for the
+    same seed and size.  ``guesses`` maps a pair to a guess
     for :func:`calibrate_intercept` to certify; a guess changes how many
     passes a calibration takes, never its result.
     """

@@ -18,8 +18,9 @@ warnings.
 
 :func:`wald_estimate` is the one rule that turns an ATT and its standard
 error into an :class:`Estimate`: the p-value of ``att / se``, normal or
-Student-t, and :class:`ZeroSeError` for a zero standard error.  Every
-estimator returns its estimate through it.
+Student-t, :class:`ZeroSeError` for a zero standard error, and
+:class:`NonFiniteEstimateError` for an ATT or standard error that is NaN or
+infinite.  Every estimator returns its estimate through it.
 
 Everything here, like the rest of the package, needs numpy alone: the
 logistic function and its inverse are numpy's ``exp`` and ``log``, and the
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonSpdError, ZeroSeError
+from .errors import NonFiniteEstimateError, NonSpdError, ZeroSeError
 
 # Absolute floor for Cholesky pivots.  The matrices seen here (normal
 # equations, sample covariances of standardized draws) have O(1) or larger
@@ -160,12 +161,16 @@ def wald_estimate(att: float, se: float, df: int | None = None) -> Estimate:
     p-value is :func:`two_sided_p` of ``att / se`` on ``df`` degrees of
     freedom (standard normal when None).
 
-    Every estimator's p-value comes from here, so a zero standard error
-    fails alike for every method: it raises :class:`ZeroSeError`, which the
-    harness records as a flagged failure.
+    Every estimator's p-value comes from here, so an estimate without a
+    p-value fails alike for every method: a zero standard error raises
+    :class:`ZeroSeError`, and an ATT or standard error that is NaN or
+    infinite raises :class:`NonFiniteEstimateError`.  The harness records
+    either as a flagged failure, so every valid record has a p-value.
     """
     if se == 0.0:
         raise ZeroSeError("the standard error is zero, so the Wald statistic is undefined")
+    if not (math.isfinite(att) and math.isfinite(se)):
+        raise NonFiniteEstimateError(f"the estimate is not finite (att {att}, standard error {se})")
     return Estimate(att, se, two_sided_p(att / se, df))
 
 

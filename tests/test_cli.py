@@ -216,6 +216,37 @@ class TestCmdRun:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_calibrate_is_not_a_command(self, tmp_path, monkeypatch, capsys):
+        # `run` writes the intercept table, and `ps-hist` prints one pair's.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["calibrate"])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "argument command: invalid choice: 'calibrate'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert build_parser().format_usage() == "usage: attbench [-h] {run,ps-hist,report} ...\n"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--scenarios", "", "scenarios must be a non-empty subset of [1, 2, 3]"),
+            ("--scenarios", "1,1", "scenarios repeat [1]; list each value once"),
+            ("--scenarios", "7", "scenarios must be a non-empty subset of [1, 2, 3]"),
+            ("--prevalences", "", f"prevalences must be a non-empty subset of {list(PREVALENCE_LABELS)}"),
+            ("--prevalences", "0.50,0.5", "prevalences repeat ['0.50']; list each value once"),
+            ("--prevalences", "0.17", f"prevalence 0.17 is not in the design: {PREVALENCE_LABELS}"),
+            ("--prevalences", "abc", f"prevalence 'abc' is not in the design: {PREVALENCE_LABELS}"),
+        ],
+        ids=["empty-scenarios", "repeated-scenarios", "unknown-scenario",
+             "empty-prevalences", "repeated-prevalences", "unknown-prevalence", "malformed-prevalence"],
+    )
+    def test_bad_list_exit_code_and_message(self, tmp_path, monkeypatch, capsys, flag, value, message):
+        # ps-hist answers its bad values with these messages too (TestCmdPsHist).
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", flag, value]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "flag, value, words",
         [
@@ -330,7 +361,6 @@ def resign(store: Path, name: str, kind: str) -> None:
 # Each subcommand that writes into --output-dir, at its cheapest.
 WRITING_COMMANDS = {
     "run": ("run", *SMOKE_FLAGS),
-    "calibrate": ("calibrate", "--scenarios", "1", "--prevalences", "0.50", "--oracle-n", "1000"),
     "ps-hist": ("ps-hist", "--scenario", "1", "--n", "100", "--oracle-n", "1000"),
 }
 
@@ -356,7 +386,6 @@ def test_every_command_finds_the_same_store_directory(tmp_path, monkeypatch, sou
     expected = {"flag": "from-flag", "environment": "from-env", "default": DEFAULT_OUTPUT_DIR}[source]
     flag = ["--output-dir", "from-flag"] if source == "flag" else []
     commands = [
-        ([*WRITING_COMMANDS["calibrate"], *flag], "calibration.csv"),
         ([*WRITING_COMMANDS["ps-hist"], *flag], "ps_hist_s1_p020.csv"),
         ([*WRITING_COMMANDS["run"], *flag], "manifest.json"),
         (["report", *(["--store", "from-flag"] if flag else [])], "report.csv"),
@@ -391,7 +420,7 @@ def test_cells_naming_a_file_exit_code(tmp_path, capsys):
 SIZE_FLAGS = {
     "ps-hist-n": ("ps-hist", "--scenario", "1", "--oracle-n", "1000", "--n"),
     "ps-hist-bins": ("ps-hist", "--scenario", "1", "--oracle-n", "1000", "--n", "100", "--bins"),
-    "calibrate-oracle-n": ("calibrate", "--scenarios", "1", "--prevalences", "0.50", "--oracle-n"),
+    "ps-hist-oracle-n": ("ps-hist", "--scenario", "1", "--n", "100", "--oracle-n"),
     "run-calibration-n": ("run", *SMOKE_FLAGS, "--calibration-n"),
 }
 
@@ -409,7 +438,7 @@ def test_oversized_size_exit_code(tmp_path, capsys, flag, size):
 
 
 @pytest.mark.parametrize(
-    "command, name", [("run", "truths.csv"), ("calibrate", "calibration.csv"), ("ps-hist", "ps_hist_s1_p020.csv")]
+    "command, name", [("run", "calibration.csv"), ("run", "truths.csv"), ("ps-hist", "ps_hist_s1_p020.csv")]
 )
 def test_store_file_naming_a_directory_exit_code(tmp_path, capsys, command, name):
     (tmp_path / name).mkdir()
@@ -418,110 +447,6 @@ def test_store_file_naming_a_directory_exit_code(tmp_path, capsys, command, name
     assert err.startswith("error: ") and str(tmp_path / name) in err
     assert "Traceback" not in err
     assert (tmp_path / name).is_dir()
-
-
-class TestCmdCalibrate:
-    def test_default_design_yields_15_intercepts(self, tmp_path, capsys):
-        outdir = tmp_path / "cal"
-        code = main(["calibrate", "--oracle-n", "50000", "--output-dir", str(outdir)])
-        assert code == EXIT_OK
-        lines = (outdir / "calibration.csv").read_text().splitlines()
-        assert lines[0] == "scenario,prevalence,oracle_seed,oracle_n,alpha0"
-        assert len(lines) == 16
-        table = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
-        assert len(table) == 16  # header + one row per (scenario, prevalence)
-        alphas = {}
-        for line in lines[1:]:
-            scenario, label, seed, n, alpha = line.split(",")
-            assert (seed, n) == ("42", "50000")
-            alphas[(int(scenario), label)] = float(alpha)
-        # Prevalence rises with the intercept, scenario by scenario.
-        for scenario in (1, 2, 3):
-            ordered = [alphas[(scenario, p)] for p in ("0.05", "0.10", "0.20", "0.33", "0.50")]
-            assert ordered == sorted(ordered)
-
-    def test_idempotent(self, tmp_path):
-        args = ["calibrate", "--scenarios", "1", "--prevalences", "0.20",
-                "--oracle-n", "50000", "--output-dir", str(tmp_path)]
-        assert main(args) == EXIT_OK
-        first = (tmp_path / "calibration.csv").read_bytes()
-        assert main(args) == EXIT_OK
-        assert (tmp_path / "calibration.csv").read_bytes() == first
-
-    def test_seed_sensitivity_is_oracle_noise_sized(self, tmp_path):
-        alphas = []
-        for seed in ("42", "43"):
-            outdir = tmp_path / seed
-            main(["calibrate", "--scenarios", "1", "--prevalences", "0.20",
-                  "--oracle-seed", seed, "--oracle-n", "100000", "--output-dir", str(outdir)])
-            line = (outdir / "calibration.csv").read_text().splitlines()[1]
-            alphas.append(float(line.split(",")[4]))
-        # Binomial oracle noise, delta-method through the mean logistic
-        # density (~0.14 at this design point): about 0.009 per run at
-        # n = 1e5, so three standard errors on the difference plus the
-        # bisection tolerance stays well under 0.06.
-        assert alphas[0] != alphas[1]
-        assert abs(alphas[0] - alphas[1]) < 0.06
-
-    @pytest.mark.parametrize(
-        "flag, value",
-        [
-            ("--scenarios", ""),
-            ("--scenarios", "1,1"),
-            ("--scenarios", "7"),
-            ("--prevalences", ""),
-            ("--prevalences", "0.50,0.5"),
-            ("--prevalences", "0.17"),
-            ("--prevalences", "abc"),
-        ],
-        ids=["empty-scenarios", "repeated-scenarios", "unknown-scenario",
-             "empty-prevalences", "repeated-prevalences", "unknown-prevalence", "malformed-prevalence"],
-    )
-    def test_bad_list_exit_code_and_message_are_runs(self, tmp_path, monkeypatch, capsys, flag, value):
-        monkeypatch.chdir(tmp_path)
-        assert main(["run", flag, value]) == EXIT_CONFIG
-        message = capsys.readouterr().err
-        assert main(["calibrate", flag, value, "--oracle-n", "1000"]) == EXIT_CONFIG
-        assert capsys.readouterr().err == message
-        assert message.startswith("error: ") and list(tmp_path.iterdir()) == []
-
-    def test_invalid_scenario_exit_code(self, capsys):
-        assert main(["calibrate", "--scenarios", "7"]) == EXIT_CONFIG
-        assert "error:" in capsys.readouterr().err
-        assert main(["calibrate", "--oracle-n", "0"]) == EXIT_CONFIG
-        assert main(["calibrate", "--oracle-seed", "-1"]) == EXIT_CONFIG
-        assert "error:" in capsys.readouterr().err
-
-    def test_calibrate_ps_hist_and_run_agree_on_intercepts(self, tmp_path, capsys):
-        oracle = ["--oracle-seed", "7", "--oracle-n", "100000"]
-        assert main(["calibrate", "--scenarios", "1", "--prevalences", "0.50", *oracle,
-                     "--output-dir", str(tmp_path / "cal")]) == EXIT_OK
-        assert main(["ps-hist", "--scenario", "1", "--prevalence", "0.50", "--n", "1000", *oracle,
-                     "--output-dir", str(tmp_path / "hist")]) == EXIT_OK
-        hist_out = capsys.readouterr().out
-        assert main(["run", *SMOKE_FLAGS, "--oracle-seed", "7", "--calibration-n", "100000",
-                     "--output-dir", str(tmp_path / "run")]) == EXIT_OK
-        table = (tmp_path / "cal" / "calibration.csv").read_text()
-        assert (tmp_path / "run" / "calibration.csv").read_text() == table
-        alpha0 = float(table.splitlines()[1].split(",")[4])
-        assert f"alpha0 {alpha0:.6f}" in hist_out
-
-    def test_run_store_refused_before_any_calibration(self, tmp_path, capsys, monkeypatch):
-        # Another size would overwrite the table the manifest's digest vouches for.
-        store = tmp_path / "store"
-        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_OK
-        before = tree_bytes(store)
-
-        def boom(*args, **kwargs):
-            raise AssertionError("calibrate computed an intercept for a run store")
-
-        monkeypatch.setattr(cli, "oracle_intercepts", boom)
-        capsys.readouterr()
-        argv = ["calibrate", "--scenarios", "1", "--prevalences", "0.50", "--oracle-n", "2000", "--output-dir", str(store)]
-        assert main(argv) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {store} holds a run store") and err.rstrip().endswith("use another --output-dir")
-        assert tree_bytes(store) == before
 
 
 def read_hist(path: Path):
@@ -587,6 +512,16 @@ class TestCmdPsHist:
         assert capsys.readouterr().err == message
         assert message == f"error: prevalence {value!r} is not in the design: {PREVALENCE_LABELS}\n"
         assert list(tmp_path.iterdir()) == [config]
+
+    def test_ps_hist_and_run_agree_on_intercepts(self, tmp_path, capsys):
+        assert main(["ps-hist", "--scenario", "1", "--prevalence", "0.50", "--n", "1000", "--oracle-seed", "7",
+                     "--oracle-n", "100000", "--output-dir", str(tmp_path / "hist")]) == EXIT_OK
+        hist_out = capsys.readouterr().out
+        assert main(["run", *SMOKE_FLAGS, "--oracle-seed", "7", "--calibration-n", "100000",
+                     "--output-dir", str(tmp_path / "run")]) == EXIT_OK
+        (row,) = (tmp_path / "run" / "calibration.csv").read_text().splitlines()[1:]
+        assert row.startswith("1,0.50,7,100000,")
+        assert f"alpha0 {float(row.split(',')[4]):.6f}" in hist_out
 
     def test_bad_arguments_exit_code(self, capsys):
         assert main(["ps-hist", "--scenario", "5"]) == EXIT_CONFIG

@@ -36,7 +36,7 @@ from attbench.harness import (
     write_records_csv,
 )
 from attbench.matching import caliper_block, psm_match
-from attbench.numeric import MAX_REPLICATES
+from attbench.numeric import MAX_REPLICATES, wald_estimate
 from attbench.propensity import PsVector, estimate_ps
 
 GRID_METHODS = ("LR", "CEM2", "IPW")
@@ -123,6 +123,25 @@ class TestRunReplicate:
         assert tmle_record.method == "TMLE_SL"
         assert tmle_record.flags == ("failed:ZeroSeError",)
         assert math.isnan(tmle_record.att) and math.isnan(tmle_record.p_value)
+
+    def test_nan_se_is_a_flagged_failure(self, monkeypatch):
+        # An estimate with a NaN SE has no p-value: it fails the replicate,
+        # and the cell counts it in failure_rate, not as a gap in type1_rate.
+        cfg = cfg_for(label="0.50")
+        expected = run_replicate(cfg, -0.0694, 0, methods=("LR", "IPW"))
+        monkeypatch.setattr(harness, "ipw_att", lambda *args: wald_estimate(0.1, float("nan")))
+        records = [
+            record
+            for replicate in range(2)
+            for record in run_replicate(cfg, -0.0694, replicate, methods=("LR", "IPW"))
+        ]
+        assert records[0] == expected[0] and not any(r.failed for r in expected)
+        ipw = [r for r in records if r.method == "IPW"]
+        assert all(r.flags == ("failed:NonFiniteEstimateError",) for r in ipw)
+        assert all(math.isnan(r.att) and math.isnan(r.p_value) for r in ipw)
+        lr_metrics, ipw_metrics = aggregate_cell(records, truth=0.0, n_reps=2)
+        assert (ipw_metrics.n_valid, ipw_metrics.failure_rate) == (0, 1.0)
+        assert lr_metrics.failure_rate == 0.0
 
     def test_shared_input_failure_hits_all_consumers_alike(self):
         # Replicate 5 trims every control away: IPW and AIPW consume the
@@ -926,6 +945,35 @@ def count_calibration_passes(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(dgp, "expit", counting)
     return calls
+
+
+class TestOracleIntercepts:
+    """The intercept table ``run`` writes, and ``ps-hist`` reads one pair of."""
+
+    DESIGN = [(scenario, label) for scenario in (1, 2, 3) for label in dgp.PREVALENCE_LABELS]
+
+    def test_default_design_yields_15_intercepts_rising_with_prevalence(self):
+        intercepts = harness.oracle_intercepts(self.DESIGN, 42, 50_000)
+        assert list(intercepts) == self.DESIGN
+        for scenario in (1, 2, 3):
+            ordered = [intercepts[(scenario, label)] for label in dgp.PREVALENCE_LABELS]
+            assert ordered == sorted(ordered)
+
+    def test_repeatable_and_independent_of_the_other_pairs(self):
+        pair = (1, "0.20")
+        alone = harness.oracle_intercepts([pair], 42, 50_000)
+        assert harness.oracle_intercepts([pair], 42, 50_000) == alone
+        assert harness.oracle_intercepts([(2, "0.50"), pair], 42, 50_000)[pair] == alone[pair]
+
+    def test_seed_sensitivity_is_oracle_noise_sized(self):
+        pair = (1, "0.20")
+        alphas = [harness.oracle_intercepts([pair], seed, 100_000)[pair] for seed in (42, 43)]
+        # Binomial oracle noise, delta-method through the mean logistic
+        # density (~0.14 at this design point): about 0.009 per run at
+        # n = 1e5, so three standard errors on the difference plus the
+        # bisection tolerance stays well under 0.06.
+        assert alphas[0] != alphas[1]
+        assert abs(alphas[0] - alphas[1]) < 0.06
 
 
 class TestInterceptResume:

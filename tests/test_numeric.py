@@ -9,7 +9,7 @@ import pytest
 from scipy import special, stats
 
 from attbench import numeric
-from attbench.errors import NonSpdError, ZeroSeError
+from attbench.errors import NonFiniteEstimateError, NonSpdError, ZeroSeError
 from attbench.numeric import (
     Estimate,
     cholesky_factor,
@@ -376,3 +376,11 @@ class TestWaldEstimate:
         for df in (None, 9):
             with pytest.raises(ZeroSeError):
                 wald_estimate(1.0, 0.0, df)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_att_or_se_raises(self, value):
+        for df in (None, 9):
+            with pytest.raises(NonFiniteEstimateError):
+                wald_estimate(value, 0.5, df)
+            with pytest.raises(NonFiniteEstimateError):
+                wald_estimate(0.5, value, df)

@@ -1,14 +1,17 @@
 """Import-time behaviour of the package, checked in fresh interpreters,
-and the package's imports, checked in its source."""
+the package's imports and errors, checked in its source, and README's
+command sections, checked against the parser."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import attbench
+from attbench.cli import build_parser
 
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -137,3 +140,11 @@ def test_every_leaf_error_is_raised():
                     raised.add(ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc))
     assert {"ZeroSeError", "OneClassError", "StoreMismatchError"} <= leaves
     assert sorted(leaves - raised) == []
+
+
+def test_readme_documents_each_command_in_usage_order():
+    # A command added or dropped without its README section fails here.
+    readme = (Path(attbench.__file__).resolve().parents[2] / "README.md").read_text()
+    documented = re.findall(r"^### `attbench (\S+)`$", readme, flags=re.MULTILINE)
+    (choices,) = re.findall(r"\{(.*?)\}", build_parser().format_usage())
+    assert documented == choices.split(",")
