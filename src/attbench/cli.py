@@ -5,11 +5,11 @@ store, ``ps-hist`` summarizes the true propensity distribution of a
 scenario, and ``report`` joins the metrics files ``run`` wrote into one
 table merging effect and null cells.
 
-Configuration is declarative: ``run`` reads an optional JSON config file
-and any command line flag overrides the corresponding config key.  Every
-list a command takes, ``ps-hist``'s included, follows one rule: a
-non-empty subset of the design, each value once.  Every command finds its
-store directory by one rule too: its flag (or ``run``'s config file),
+Each parameter has one source, its flag, and each default is stated once:
+an omitted list flag means the design's whole list, and every other
+default is the parser's.  Every list a command takes, ``ps-hist``'s
+included, follows one rule: a non-empty subset of the design, each value
+once.  Every command finds its store directory by one rule too: its flag,
 else ``ATTBENCH_OUTPUT_DIR`` when set and non-empty, else
 ``attbench-out``.
 Exit codes: 0 on success, 2 for configuration problems (a store built
@@ -23,14 +23,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -87,38 +83,7 @@ DESIGN_LISTS = {
 
 
 class ConfigError(Exception):
-    """Bad configuration file or flag values."""
-
-
-@dataclass
-class RunConfig:
-    """Everything a grid run needs; defaults reproduce the full design."""
-
-    scenarios: tuple[int, ...] = (1, 2, 3)
-    settings: tuple[int, ...] = (1, 2, 3)
-    prevalences: tuple[str | float, ...] = PREVALENCE_LABELS
-    arms: tuple[str, ...] = ARMS
-    methods: tuple[str, ...] | None = None
-    n_reps: int = 200
-    master_seed: int = 42
-    oracle_seed: int = DEFAULT_ORACLE_SEED
-    calibration_n: int = DEFAULT_CALIBRATION_N
-    truth_n: int = DEFAULT_TRUTH_N
-    parallelism: int = 1
-    # Empty: :func:`_store_dir` picks it.
-    output_dir: str = ""
-
-
-def _fits_type(value, hint) -> bool:
-    """Whether a value loaded from JSON fits a ``RunConfig`` field type:
-    tuples come from JSON arrays, and integers exclude bools."""
-    if get_origin(hint) is UnionType:
-        return any(_fits_type(value, h) for h in get_args(hint))
-    if get_origin(hint) is tuple:
-        return isinstance(value, list) and all(_fits_type(v, get_args(hint)[0]) for v in value)
-    if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, hint)
+    """Bad flag values."""
 
 
 def _validate_oracle_args(seeds: dict[str, int], sizes: dict[str, int]) -> None:
@@ -130,9 +95,9 @@ def _validate_oracle_args(seeds: dict[str, int], sizes: dict[str, int]) -> None:
 
 
 def _store_dir(chosen: str | None) -> str:
-    """The store directory of every command: ``chosen`` (its flag, or ``run``'s
-    config file), else ``$ATTBENCH_OUTPUT_DIR``, else ``attbench-out``.  An
-    empty value counts as unset."""
+    """The store directory of every command: ``chosen`` (its flag), else
+    ``$ATTBENCH_OUTPUT_DIR``, else ``attbench-out``.  An empty value counts
+    as unset."""
     return chosen or os.environ.get(OUTPUT_DIR_ENV) or DEFAULT_OUTPUT_DIR
 
 
@@ -165,55 +130,29 @@ def _subset(name: str, values) -> tuple:
     return values
 
 
-def _validate_run_config(cfg: RunConfig) -> RunConfig:
+def _validate_run_config(args: argparse.Namespace) -> argparse.Namespace:
+    """``run``'s parsed flags, checked, with each list made a design subset
+    by :func:`_subset` and the store directory found by :func:`_store_dir`."""
     for name in DESIGN_LISTS:
-        setattr(cfg, name, _subset(name, getattr(cfg, name)))
-    if not 2 <= cfg.n_reps <= MAX_REPLICATES:
+        setattr(args, name, _subset(name, getattr(args, name)))
+    if not 2 <= args.n_reps <= MAX_REPLICATES:
         raise ConfigError(f"n_reps must lie in [2, {MAX_REPLICATES}]")
-    if cfg.parallelism < 1:
+    if args.parallelism < 1:
         raise ConfigError("parallelism must be at least 1")
     _validate_oracle_args(
-        {"master_seed": cfg.master_seed, "oracle_seed": cfg.oracle_seed},
-        {"calibration_n": cfg.calibration_n, "truth_n": cfg.truth_n},
+        {"master_seed": args.master_seed, "oracle_seed": args.oracle_seed},
+        {"calibration_n": args.calibration_n, "truth_n": args.truth_n},
     )
-    return cfg
+    args.output_dir = _store_dir(args.output_dir)
+    return args
 
 
-def _config_from_sources(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
-    if args.config is not None:
-        try:
-            with open(args.config) as handle:
-                loaded = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = set(loaded) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        hints = get_type_hints(RunConfig)
-        for key, value in loaded.items():
-            if not _fits_type(value, hints[key]):
-                wanted = RunConfig.__annotations__[key]
-                raise ConfigError(f"config key {key!r} must be {wanted}, got {json.dumps(value)}")
-            setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
-    # Flags win over the config file.
-    for name in known:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            setattr(cfg, name, flag_value)
-    cfg.output_dir = _store_dir(cfg.output_dir)
-    return _validate_run_config(cfg)
-
-
-def build_cells(cfg: RunConfig) -> list[CellConfig]:
+def build_cells(lists, n_reps: int, master_seed: int) -> list[CellConfig]:
+    """The cells of the grid over ``lists``' scenarios, settings, prevalences and arms."""
+    grid = (lists["scenarios"], lists["settings"], lists["prevalences"], lists["arms"])
     return [
-        CellConfig(scenario, setting, label, arm == "null", cfg.n_reps, cfg.master_seed)
-        for scenario, setting, label, arm in itertools.product(cfg.scenarios, cfg.settings, cfg.prevalences, cfg.arms)
+        CellConfig(scenario, setting, label, arm == "null", n_reps, master_seed)
+        for scenario, setting, label, arm in itertools.product(*grid)
     ]
 
 
@@ -230,17 +169,17 @@ def _log(message: str) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _config_from_sources(args)
-    cells = build_cells(cfg)
+    args = _validate_run_config(args)
+    cells = build_cells(vars(args), args.n_reps, args.master_seed)
     try:
         run_grid(
             cells,
-            _output_dir(cfg.output_dir),
-            parallelism=cfg.parallelism,
-            oracle_seed=cfg.oracle_seed,
-            calibration_n=cfg.calibration_n,
-            truth_n=cfg.truth_n,
-            methods=cfg.methods,
+            _output_dir(args.output_dir),
+            parallelism=args.parallelism,
+            oracle_seed=args.oracle_seed,
+            calibration_n=args.calibration_n,
+            truth_n=args.truth_n,
+            methods=args.methods,
             log=_log if not args.quiet else None,
         )
     except PartialGridError as exc:
@@ -256,7 +195,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except EstimationError as exc:
         _log(f"run failed: {exc}")
         return EXIT_CONFIG
-    _log(f"store written to {cfg.output_dir}")
+    _log(f"store written to {args.output_dir}")
     return EXIT_OK
 
 
@@ -297,7 +236,8 @@ def _report_rows(store: Path) -> list[tuple]:
     if not cells:
         raise ConfigError(f"store {store} has no completed cells")
 
-    design = {cfg.name: cfg for cfg in build_cells(RunConfig())}
+    # A cell's name fixes its scenario, setting, prevalence and arm alone.
+    design = {cfg.name: cfg for cfg in build_cells(DESIGN_LISTS, n_reps=1, master_seed=0)}
     groups: dict[tuple[int, int, str], dict[bool, dict]] = {}
     for name, entry in cells.items():
         if name not in design:
@@ -346,18 +286,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a simulation grid into a result store")
-    run.add_argument("--config", help="JSON config file; flags override its keys")
     run.add_argument("--scenarios", type=_int_list, default=None, help="e.g. 1,2,3")
     run.add_argument("--settings", type=_int_list, default=None, help="e.g. 1,2,3")
     run.add_argument("--prevalences", type=_str_list, default=None, help="e.g. 0.05,0.20")
     run.add_argument("--arms", type=_str_list, default=None, help="subset of effect,null")
     run.add_argument("--methods", type=_str_list, default=None, help=f"subset of {','.join(METHODS)}")
-    run.add_argument("--n-reps", dest="n_reps", type=int, default=None)
-    run.add_argument("--master-seed", dest="master_seed", type=int, default=None)
-    run.add_argument("--oracle-seed", dest="oracle_seed", type=int, default=None)
-    run.add_argument("--calibration-n", dest="calibration_n", type=int, default=None)
-    run.add_argument("--truth-n", dest="truth_n", type=int, default=None)
-    run.add_argument("--parallelism", type=int, default=None)
+    run.add_argument("--n-reps", dest="n_reps", type=int, default=200)
+    run.add_argument("--master-seed", dest="master_seed", type=int, default=42)
+    run.add_argument("--oracle-seed", dest="oracle_seed", type=int, default=DEFAULT_ORACLE_SEED)
+    run.add_argument("--calibration-n", dest="calibration_n", type=int, default=DEFAULT_CALIBRATION_N)
+    run.add_argument("--truth-n", dest="truth_n", type=int, default=DEFAULT_TRUTH_N)
+    run.add_argument("--parallelism", type=int, default=1)
     run.add_argument("--output-dir", dest="output_dir", default=None)
     run.add_argument("--quiet", action="store_true")
     run.set_defaults(func=cmd_run)

@@ -138,21 +138,20 @@ def two_sided_p(stat: float, df: int | None = None) -> float:
     freedom (a positive integer), or of a standard normal one when ``df``
     is None.
 
-    A NaN statistic gives NaN and an infinite one 0.  The normal tail is
-    ``erfc(|stat| / sqrt(2))``.  The t tail is the regularized incomplete
-    beta function ``I_x(df/2, 1/2)`` at ``x = df / (df + stat^2)``, see
-    :func:`_t_two_sided`.  Over df 1 to 1000 both are within 1e-11
-    relative of SciPy's ``2 ndtr(-|stat|)`` and ``2 stdtr(df, -|stat|)``,
-    p-values far below 1e-12 included; past df 10**5 the t tail loses
-    digits, up to about 2e-9 relative at df 10**8.
+    A NaN statistic gives NaN and an infinite one 0.  So does a finite t
+    statistic whose square overflows, where SciPy's tail is 0 too.  The
+    normal tail is ``erfc(|stat| / sqrt(2))``.  The t tail is the
+    regularized incomplete beta function ``I_x(df/2, 1/2)`` at
+    ``x = df / (df + stat^2)``, see :func:`_t_two_sided`.  Over df 1 to
+    1000 both are within 1e-11 relative of SciPy's ``2 ndtr(-|stat|)`` and
+    ``2 stdtr(df, -|stat|)``, p-values far below 1e-12 included; past
+    df 10**5 the t tail loses digits, up to about 2e-9 relative at df 10**8.
     """
     stat = abs(float(stat))
     if df is None:
         return math.erfc(stat * _SQRT_HALF)
     if math.isnan(stat):
         return math.nan
-    if math.isinf(stat):
-        return 0.0
     return _t_two_sided(stat, int(df))
 
 
@@ -179,13 +178,13 @@ _SQRT_HALF = math.sqrt(0.5)
 _FRACTION_TOL = 2.0**-52
 # Stand-in for a zero denominator in the modified Lentz recurrence.
 _FRACTION_TINY = 1e-300
-# Partial numerators kept per (a, b), and the most a fraction may take.
-_CACHED_PAIRS = 48
+# The most pairs of partial numerators a fraction may take.
 _MAX_PAIRS = 10_000
 
 
 def _t_two_sided(t: float, df: int) -> float:
-    """``I_x(a, 1/2)`` at ``a = df/2``, ``x = df / (df + t^2)``, for finite ``t >= 0``.
+    """``I_x(a, 1/2)`` at ``a = df/2``, ``x = df / (df + t^2)``, for ``t >= 0``;
+    0 when ``t^2`` overflows.
 
     ``I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * F`` with ``F`` the continued
     fraction of :func:`_beta_fraction`, which converges fast for ``x`` below
@@ -193,10 +192,11 @@ def _t_two_sided(t: float, df: int) -> float:
     For ``t^2 < min(9, df + 1)`` the p-value is at least 0.0027, and the
     fraction of the other side, ``1 - I_{1-x}(1/2, a)``, is used instead:
     its 1 - p loses at most three digits of the fifteen.  Either way, for
-    df up to 1000 the fraction takes at most 39 pairs of terms, within the
-    ``_CACHED_PAIRS`` kept for each ``(a, b)``.
+    df up to 1000 the fraction takes at most 39 pairs of terms.
     """
     t2 = t * t
+    if math.isinf(t2):
+        return 0.0
     total = df + t2
     x = df / total
     y = t2 / total
@@ -237,20 +237,10 @@ def _fraction_pairs(a: float, b: float, stop: int):
         yield m * (b - m) / ((f - 1.0) * f), -(a + m) * (a + b + m) / (f * (f + 1.0))
 
 
-@cache
-def _fraction_terms(a: float, b: float) -> tuple[float, tuple[tuple[float, float], ...]]:
-    return -(a + b) / (a + 1.0), tuple(_fraction_pairs(a, b, _CACHED_PAIRS + 1))
-
-
 def _beta_fraction(a: float, b: float, x: float) -> float:
     """``1 / (1 + d_1 x / (1 + d_2 x / (1 + ...)))``, the continued fraction
-    of ``I_x(a, b)`` (Numerical Recipes' ``betacf``), by modified Lentz:
-    from the cached partial numerators, or, when those run out, from all of
-    them made afresh."""
-    first, pairs = _fraction_terms(a, b)
-    value = _lentz(first * x, pairs, x)
-    if value is None:
-        value = _lentz(first * x, _fraction_pairs(a, b, _MAX_PAIRS), x)
+    of ``I_x(a, b)`` (Numerical Recipes' ``betacf``), by modified Lentz."""
+    value = _lentz(-(a + b) / (a + 1.0) * x, _fraction_pairs(a, b, _MAX_PAIRS), x)
     if value is None:
         raise ArithmeticError(f"the beta continued fraction at a={a}, b={b}, x={x} did not converge")
     return value

@@ -1,4 +1,4 @@
-"""Command line interface: config layering, subcommands, exit codes."""
+"""Command line interface: run's flags and their checks, subcommands, exit codes."""
 
 import csv
 import hashlib
@@ -11,13 +11,13 @@ import pytest
 from attbench import cli, harness
 from attbench.cli import (
     DEFAULT_OUTPUT_DIR,
+    DESIGN_LISTS,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PARTIAL,
     OUTPUT_DIR_ENV,
     ConfigError,
-    RunConfig,
-    _config_from_sources,
+    _validate_run_config,
     build_cells,
     build_parser,
     main,
@@ -38,46 +38,30 @@ def parse_run(*flags):
 
 class TestConfigLayering:
     def test_defaults_give_full_design(self):
-        cells = build_cells(RunConfig())
+        args = _validate_run_config(parse_run())
+        assert {name: getattr(args, name) for name in DESIGN_LISTS} == DESIGN_LISTS
+        assert (args.n_reps, args.master_seed, args.parallelism) == (200, 42, 1)
+        cells = build_cells(vars(args), args.n_reps, args.master_seed)
         assert len(cells) == 90
         assert len({c.name for c in cells}) == 90
         assert sum(c.null_effect for c in cells) == 45
 
     def test_subset_flags(self):
-        cfg = _config_from_sources(
+        args = _validate_run_config(
             parse_run("--scenarios", "2", "--settings", "1,3", "--prevalences", "0.20", "--arms", "effect")
         )
-        cells = build_cells(cfg)
+        cells = build_cells(vars(args), args.n_reps, args.master_seed)
         assert [c.name for c in cells] == ["s2t1p020_effect", "s2t3p020_effect"]
 
-    def test_flags_override_config_file(self, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"n_reps": 50, "master_seed": 7, "scenarios": [3]}))
-        cfg = _config_from_sources(parse_run("--config", str(config), "--n-reps", "7"))
-        assert cfg.n_reps == 7
-        assert cfg.master_seed == 7
-        assert cfg.scenarios == (3,)
-
-    def test_output_dir_precedence(self, tmp_path, monkeypatch):
-        assert _config_from_sources(parse_run()).output_dir == "attbench-out"
+    def test_output_dir_precedence(self, monkeypatch):
+        assert _validate_run_config(parse_run()).output_dir == "attbench-out"
         monkeypatch.setenv(OUTPUT_DIR_ENV, "from-env")
-        assert _config_from_sources(parse_run()).output_dir == "from-env"
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"output_dir": "from-config"}))
-        assert _config_from_sources(parse_run("--config", str(config))).output_dir == "from-config"
-        assert (
-            _config_from_sources(
-                parse_run("--config", str(config), "--output-dir", "from-flag")
-            ).output_dir
-            == "from-flag"
-        )
+        assert _validate_run_config(parse_run()).output_dir == "from-env"
+        assert _validate_run_config(parse_run("--output-dir", "from-flag")).output_dir == "from-flag"
 
-    def test_prevalence_values_normalize_to_labels(self, tmp_path):
-        cfg = _config_from_sources(parse_run("--prevalences", "0.3333333333333333,0.05"))
-        assert cfg.prevalences == ("0.33", "0.05")
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"prevalences": [0.2, "0.05"], "methods": None}))
-        assert _config_from_sources(parse_run("--config", str(config))).prevalences == ("0.20", "0.05")
+    def test_prevalence_values_normalize_to_labels(self):
+        args = _validate_run_config(parse_run("--prevalences", "0.3333333333333333,0.05"))
+        assert args.prevalences == ("0.33", "0.05")
 
     @pytest.mark.parametrize(
         "flags",
@@ -101,52 +85,7 @@ class TestConfigLayering:
     )
     def test_invalid_values_rejected(self, flags):
         with pytest.raises(ConfigError):
-            _config_from_sources(parse_run(*flags))
-
-    def test_config_file_problems_rejected(self, tmp_path):
-        missing = tmp_path / "nope.json"
-        with pytest.raises(ConfigError, match="cannot read"):
-            _config_from_sources(parse_run("--config", str(missing)))
-        bad_json = tmp_path / "bad.json"
-        bad_json.write_text("{not json")
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            _config_from_sources(parse_run("--config", str(bad_json)))
-        non_object = tmp_path / "list.json"
-        non_object.write_text("[1, 2]")
-        with pytest.raises(ConfigError, match="JSON object"):
-            _config_from_sources(parse_run("--config", str(non_object)))
-        unknown = tmp_path / "unknown.json"
-        unknown.write_text(json.dumps({"replications": 5}))
-        with pytest.raises(ConfigError, match="unknown config keys"):
-            _config_from_sources(parse_run("--config", str(unknown)))
-        wrong_types = (
-            {"n_reps": "5"},
-            {"parallelism": "2"},
-            {"prevalences": 0.2},
-            {"scenarios": 1},
-            {"master_seed": 1.5},
-            {"n_reps": True},
-            {"arms": [["effect"]]},
-        )
-        for loaded in wrong_types:
-            typed = tmp_path / "typed.json"
-            typed.write_text(json.dumps(loaded))
-            with pytest.raises(ConfigError, match=f"config key '{next(iter(loaded))}' must be"):
-                _config_from_sources(parse_run("--config", str(typed)))
-
-    def test_repeated_values_in_config_file_rejected(self, tmp_path):
-        repeated = (
-            {"scenarios": [2, 1, 2]},
-            {"settings": [3, 3]},
-            {"prevalences": [0.5, "0.50"]},
-            {"arms": ["null", "null"]},
-            {"methods": ["LR", "LR"]},
-        )
-        for loaded in repeated:
-            config = tmp_path / "repeated.json"
-            config.write_text(json.dumps(loaded))
-            with pytest.raises(ConfigError, match=f"{next(iter(loaded))} repeat"):
-                _config_from_sources(parse_run("--config", str(config)))
+            _validate_run_config(parse_run(*flags))
 
 
 SMOKE_FLAGS = (
@@ -225,6 +164,17 @@ class TestCmdRun:
         assert "argument command: invalid choice: 'calibrate'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
         assert build_parser().format_usage() == "usage: attbench [-h] {run,ps-hist,report} ...\n"
+
+    def test_config_is_not_a_flag(self, tmp_path, monkeypatch, capsys):
+        # Each of run's parameters has one source, its flag.
+        config = tmp_path / "f.json"
+        config.write_text(json.dumps({"n_reps": 2}))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", str(config)])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: --config {config}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -501,17 +451,16 @@ class TestCmdPsHist:
 
     @pytest.mark.parametrize("value", ["abc", ""], ids=["malformed", "empty"])
     def test_malformed_prevalence_names_the_design(self, tmp_path, monkeypatch, capsys, value):
-        # The empty string reaches the parser only through ps-hist or a
-        # config file: run's flag drops empty list items.
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"prevalences": [value]}))
+        # The empty string reaches the parser only through ps-hist: run's
+        # flag drops empty list items.
+        message = f"error: prevalence {value!r} is not in the design: {PREVALENCE_LABELS}\n"
         monkeypatch.chdir(tmp_path)
-        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
-        message = capsys.readouterr().err
+        if value:
+            assert main(["run", "--prevalences", value]) == EXIT_CONFIG
+            assert capsys.readouterr().err == message
         assert main(["ps-hist", "--scenario", "1", "--prevalence", value, "--oracle-n", "1000"]) == EXIT_CONFIG
         assert capsys.readouterr().err == message
-        assert message == f"error: prevalence {value!r} is not in the design: {PREVALENCE_LABELS}\n"
-        assert list(tmp_path.iterdir()) == [config]
+        assert list(tmp_path.iterdir()) == []
 
     def test_ps_hist_and_run_agree_on_intercepts(self, tmp_path, capsys):
         assert main(["ps-hist", "--scenario", "1", "--prevalence", "0.50", "--n", "1000", "--oracle-seed", "7",

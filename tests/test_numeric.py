@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from attbench import numeric
 from attbench.errors import NonFiniteEstimateError, NonSpdError, ZeroSeError
 from attbench.numeric import (
     Estimate,
@@ -346,22 +345,13 @@ class TestTwoSidedP:
         assert expected.min() < 1e-290
         assert np.abs(got / expected - 1.0).max() <= 1e-12
 
-    def test_fraction_past_its_cached_terms(self, monkeypatch):
-        # With two cached pairs, every fraction runs on into the terms made
-        # afresh, and must reach the same value.
-        expected = [two_sided_p(t, df) for t in (0.7, 2.5, 3.1, 6.0) for df in (3, 49, 955)]
-        numeric._fraction_terms.cache_clear()
-        monkeypatch.setattr(numeric, "_CACHED_PAIRS", 2)
-        try:
-            assert [two_sided_p(t, df) for t in (0.7, 2.5, 3.1, 6.0) for df in (3, 49, 955)] == expected
-        finally:
-            numeric._fraction_terms.cache_clear()
-
     @pytest.mark.parametrize("df", [None, 1, 2, 7, 30, 995])
     def test_edges_as_scipy(self, df):
         assert math.isnan(two_sided_p(float("nan"), df))
         assert two_sided_p(float("inf"), df) == 0.0
         assert two_sided_p(float("-inf"), df) == 0.0
+        # Finite, but its square overflows; SciPy's tail is 0 there too.
+        assert two_sided_p(1e160, df) == 0.0
         assert two_sided_p(0.0, df) == 1.0
         assert two_sided_p(np.float64(2.0), df) == two_sided_p(2.0, df)
 

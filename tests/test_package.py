@@ -1,7 +1,8 @@
 """Import-time behaviour of the package, checked in fresh interpreters,
 the package's imports and errors, checked in its source, and README's
-command sections, checked against the parser."""
+command sections and ``run`` flag table, checked against the parser."""
 
+import argparse
 import ast
 import json
 import os
@@ -148,3 +149,14 @@ def test_readme_documents_each_command_in_usage_order():
     documented = re.findall(r"^### `attbench (\S+)`$", readme, flags=re.MULTILINE)
     (choices,) = re.findall(r"\{(.*?)\}", build_parser().format_usage())
     assert documented == choices.split(",")
+
+
+def test_readme_lists_each_run_flag_in_parser_order():
+    # A run flag added or dropped without its README row fails here.
+    readme = (Path(attbench.__file__).resolve().parents[2] / "README.md").read_text()
+    section = readme.split("### `attbench run`\n", 1)[1].split("\n### ", 1)[0]
+    documented = re.findall(r"^\| `(--[\w-]+)", section, flags=re.MULTILINE)
+    (subcommands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    run = subcommands.choices["run"]
+    options = [a.option_strings[-1] for a in run._actions if a.option_strings and a.dest != "help"]
+    assert documented == options
