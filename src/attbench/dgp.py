@@ -82,14 +82,6 @@ class ScenarioSpec:
     coef_x4_sq: float = 0.0
     includes_x4: bool = False
 
-    @property
-    def n_covariates(self) -> int:
-        return 4 if self.includes_x4 else 3
-
-    @property
-    def hidden_columns(self) -> tuple[int, ...]:
-        return (3,) if self.includes_x4 else ()
-
 
 SCENARIOS: dict[int, ScenarioSpec] = {
     1: ScenarioSpec(0.1, 0.1, 0.05, 0.02, 0.02),
@@ -107,26 +99,19 @@ def treatment_logit_terms(
 ) -> np.ndarray:
     """The covariate part f(X) of the treatment logit (no intercept).
 
-    Summed left to right over the terms ``c1 x1, c2 x2, c11 x1^2, c22 x2^2,
-    c12 x1 x2`` (then ``c4 x4, c44 x4^2``) in two fresh buffers; the inputs
-    are only read.  ``x4`` is read only when the scenario includes it.
+    The terms are summed left to right in the order written: the bits of
+    every intercept and cohort depend on it.  ``x4`` is read only when the
+    scenario includes it.
     """
-    terms = np.multiply(x1, spec.coef_x1)
-    term = np.multiply(x2, spec.coef_x2)
-    terms += term
-    for x, coef in ((x1, spec.coef_x1_sq), (x2, spec.coef_x2_sq)):
-        np.square(x, out=term)
-        term *= coef
-        terms += term
-    np.multiply(x1, spec.coef_x1_x2, out=term)
-    term *= x2
-    terms += term
+    terms = (
+        spec.coef_x1 * x1
+        + spec.coef_x2 * x2
+        + spec.coef_x1_sq * x1**2
+        + spec.coef_x2_sq * x2**2
+        + spec.coef_x1_x2 * x1 * x2
+    )
     if spec.includes_x4:
-        np.multiply(x4, spec.coef_x4, out=term)
-        terms += term
-        np.square(x4, out=term)
-        term *= spec.coef_x4_sq
-        terms += term
+        terms = terms + spec.coef_x4 * x4 + spec.coef_x4_sq * x4**2
     return terms
 
 
@@ -155,21 +140,18 @@ def outcome_mean(
 
 @dataclass(frozen=True)
 class Dataset:
-    """One simulated cohort; ``x`` holds all covariates, hidden included."""
+    """One simulated cohort; ``x`` holds all covariates, scenario 3's hidden
+    x4 included."""
 
     x: np.ndarray = field(repr=False)
     z: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
-    hidden_columns: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
 
     @property
     def observed_covariates(self) -> np.ndarray:
-        visible = [j for j in range(self.x.shape[1]) if j not in self.hidden_columns]
-        return self.x[:, visible]
+        """x1, x2 and x3, the covariates every estimator sees, in column-major
+        order: the estimators' last bits depend on it."""
+        return np.asfortranarray(self.x[:, :3])
 
 
 @dataclass(frozen=True)
@@ -369,9 +351,8 @@ def calibrate_intercept(
     leaf at a time in a leaf-sized buffer.  Its leaves are those of numpy's
     pairwise tree over the whole vector, added up that tree by
     :func:`_pairwise_sum`, so every gap has the bits of ``np.mean`` over
-    the whole sample.  Newton's slope, which took ``np.dot`` over the whole
-    sample, now sums the squares up the same tree: it moves by round-off
-    only, and only the guess depends on it.
+    the whole sample.  Newton's slope sums the squares up the same tree;
+    only the guess depends on it.
     """
     terms = np.empty(oracle_n)
     for lo in range(0, oracle_n, _ORACLE_LEAF):
@@ -411,7 +392,7 @@ def generate_dataset(cfg: CellConfig, alpha0: float, rng: np.random.Generator) -
     """
     spec = SCENARIOS[cfg.scenario]
     n = cfg.n
-    d = spec.n_covariates
+    d = 4 if spec.includes_x4 else 3
     x = rng.standard_normal(n * d).reshape(n, d)
     x4 = x[:, 3] if spec.includes_x4 else None
     p_treat = expit(alpha0 + treatment_logit_terms(spec, x[:, 0], x[:, 1], x4))
@@ -422,7 +403,7 @@ def generate_dataset(cfg: CellConfig, alpha0: float, rng: np.random.Generator) -
     if n_treated < 2 or n - n_treated < 2:
         raise DegenerateDrawError(f"{n_treated} treated of {n}")
     y = outcome_mean(spec, cfg.setting, x, z, cfg.null_effect) + noise
-    return Dataset(x, z, y, spec.hidden_columns)
+    return Dataset(x, z, y)
 
 
 def generate_replicate(cfg: CellConfig, alpha0: float, replicate: int) -> tuple[Dataset, int]:
@@ -478,17 +459,8 @@ def true_att(
 
     def leaf_sums(lo: int, hi: int) -> np.ndarray:
         x1, w = draw_true_propensity(spec, alpha0, hi - lo, rng)
-        sums = np.empty(5)
-        sums[0] = w.sum()
-        sums[1] = (w * x1).sum()
-        # w^2, w^2 x1 and w^2 x1 x1 in turn, in w's own buffer.
-        w *= w
-        sums[2] = w.sum()
-        w *= x1
-        sums[3] = w.sum()
-        w *= x1
-        sums[4] = w.sum()
-        return sums
+        w2 = w * w
+        return np.array((w.sum(), (w * x1).sum(), w2.sum(), (w2 * x1).sum(), (w2 * x1 * x1).sum()))
 
     # Each chunk's sums are added to the running totals in chunk order.
     totals = np.zeros(5)

@@ -221,10 +221,6 @@ def fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
     return OlsFit(beta[0], se, n, p)
 
 
-def predict_ols(fit: OlsFit, design: np.ndarray) -> np.ndarray:
-    return design @ fit.coefficients
-
-
 def fit_logistic(design: np.ndarray, y: np.ndarray) -> LogisticFit:
     """Fit a logistic regression by iteratively reweighted least squares.
 

@@ -32,8 +32,10 @@ import csv
 import hashlib
 import json
 import os
+import signal
 import time
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -479,18 +481,29 @@ def _cell_worker(args: tuple[CellConfig, float, tuple[str, ...]]) -> list[Estima
 
 def _execute(jobs: list[tuple[CellConfig, float, tuple[str, ...]]], parallelism: int):
     """Yield ``(cfg, outcome)`` per job as its cell finishes; ``outcome()``
-    returns the cell's records or raises the error that stopped it."""
+    returns the cell's records or raises the error that stopped it.
+
+    A worker holds one cell at a time and the next is handed over only as
+    a cell finishes, so when the caller stops early (an interrupt, or an
+    error while it stores a cell) no further cell starts and only the
+    running ones are waited for.  Workers ignore SIGINT: a Ctrl-C
+    interrupts this process alone, as a worker interrupted inside the
+    pool's queue code can keep its lock and hang the pool."""
     if parallelism <= 1 or len(jobs) <= 1:
         for job in jobs:
             yield job[0], partial(_cell_worker, job)
         return
     # Imported here: the process pool's modules cost a serial run memory and import time.
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
-        futures = {pool.submit(_cell_worker, job): job[0] for job in jobs}
-        for future in as_completed(futures):
-            yield futures[future], future.result
+    workers = min(parallelism, len(jobs))
+    queued = iter(jobs)
+    with ProcessPoolExecutor(workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+        running = {pool.submit(_cell_worker, job): job[0] for job in islice(queued, workers)}
+        while running:
+            for future in wait(running, return_when=FIRST_COMPLETED).done:
+                running.update({pool.submit(_cell_worker, job): job[0] for job in islice(queued, 1)})
+                yield running.pop(future), future.result
 
 
 def _oracles(

@@ -39,10 +39,6 @@ from .numeric import Estimate, cholesky_factor, logit, sample_covariance, wald_e
 CALIPER_SD_FACTOR = 0.2
 
 
-def _caliper(logit_ps: np.ndarray) -> float:
-    return CALIPER_SD_FACTOR * float(np.std(logit_ps, ddof=1))
-
-
 class MatchSet(NamedTuple):
     """Result of a greedy matching pass.
 
@@ -86,7 +82,7 @@ def caliper_block(ps_values: np.ndarray, z: np.ndarray) -> CaliperBlock:
     treated = treated_idx[np.argsort(-ps_values[treated_idx], kind="stable")]
     logit_ps = logit(ps_values)
     gap = np.abs(logit_ps[control_idx] - logit_ps[treated][:, None])
-    within = gap <= _caliper(logit_ps)
+    within = gap <= CALIPER_SD_FACTOR * float(np.std(logit_ps, ddof=1))
     gap.flags.writeable = within.flags.writeable = False
     return CaliperBlock(treated, control_idx, gap, within)
 

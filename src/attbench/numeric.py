@@ -229,42 +229,24 @@ def _half_beta_reciprocal(df: int) -> float:
     return ratio
 
 
-def _fraction_pairs(a: float, b: float, stop: int):
-    """The partial numerators ``(d_2m, d_2m+1)`` over ``x``, for ``m`` in
-    ``range(1, stop)``, of the continued fraction for ``I_x(a, b)``."""
-    for m in range(1, stop):
-        f = a + 2.0 * m
-        yield m * (b - m) / ((f - 1.0) * f), -(a + m) * (a + b + m) / (f * (f + 1.0))
-
-
 def _beta_fraction(a: float, b: float, x: float) -> float:
     """``1 / (1 + d_1 x / (1 + d_2 x / (1 + ...)))``, the continued fraction
-    of ``I_x(a, b)`` (Numerical Recipes' ``betacf``), by modified Lentz."""
-    value = _lentz(-(a + b) / (a + 1.0) * x, _fraction_pairs(a, b, _MAX_PAIRS), x)
-    if value is None:
-        raise ArithmeticError(f"the beta continued fraction at a={a}, b={b}, x={x} did not converge")
-    return value
-
-
-def _lentz(first: float, pairs, x: float) -> float | None:
-    """The fraction ``1 / (1 + first / (1 + d_2 x / ...))`` over ``pairs`` of
-    ``(d_2m, d_2m+1)``; ``None`` if it has not converged when they end."""
-    d = 1.0 / ((1.0 + first) or _FRACTION_TINY)
+    of ``I_x(a, b)`` (Numerical Recipes' ``betacf``), by modified Lentz over
+    at most ``_MAX_PAIRS`` pairs of partial numerators ``(d_2m, d_2m+1)``."""
+    d = 1.0 / ((1.0 + -(a + b) / (a + 1.0) * x) or _FRACTION_TINY)
     c = 1.0
     h = d
-    for even, odd in pairs:
-        e = even * x
-        d = 1.0 / ((1.0 + e * d) or _FRACTION_TINY)
-        c = (1.0 + e / c) or _FRACTION_TINY
-        h *= d * c
-        e = odd * x
-        d = 1.0 / ((1.0 + e * d) or _FRACTION_TINY)
-        c = (1.0 + e / c) or _FRACTION_TINY
-        step = d * c
-        h *= step
+    for m in range(1, _MAX_PAIRS):
+        f = a + 2.0 * m
+        for numerator in (m * (b - m) / ((f - 1.0) * f), -(a + m) * (a + b + m) / (f * (f + 1.0))):
+            e = numerator * x
+            d = 1.0 / ((1.0 + e * d) or _FRACTION_TINY)
+            c = (1.0 + e / c) or _FRACTION_TINY
+            step = d * c
+            h *= step
         if abs(step - 1.0) <= _FRACTION_TOL:
             return h
-    return None
+    raise ArithmeticError(f"the beta continued fraction at a={a}, b={b}, x={x} did not converge")
 
 
 def cholesky_factor(a: np.ndarray) -> np.ndarray:

@@ -25,25 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AllTrimmedError
-from .glm import OlsFit, predict_ols
+from .glm import OlsFit
 # Not called here: perfbench/spans.py wraps this name in this module.
 from .glm import fit_ols  # noqa: F401
 from .numeric import Estimate, wald_estimate
 from .propensity import PsVector
 from .superlearner import fit_superlearner, predict_ensemble
-
-
-def _att_weights(z: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    return np.where(z == 1, 1.0, ps / (1.0 - ps))
-
-
-def _kept_arrays(ps: PsVector, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    kept = ps.kept_mask
-    z = arrays[0]
-    zk = z[kept]
-    if zk.size == 0 or zk.min() == zk.max():
-        raise AllTrimmedError("trimming left no treated or no control units")
-    return (ps.values[kept],) + tuple(a[kept] for a in arrays)
 
 
 def _ratio_term(w: np.ndarray, a: np.ndarray) -> tuple[float, np.ndarray]:
@@ -54,18 +41,6 @@ def _ratio_term(w: np.ndarray, a: np.ndarray) -> tuple[float, np.ndarray]:
     value = float((w * a).sum()) / float(w.sum())
     phi = w * (a - value) / w.mean()
     return value, phi
-
-
-def _kept_basis(ps: PsVector) -> np.ndarray | None:
-    return None if ps.score_basis is None else ps.score_basis[ps.kept_mask]
-
-
-def _finish(att: float, phi: np.ndarray, basis: np.ndarray | None = None) -> Estimate:
-    n = phi.size
-    if basis is not None and n > basis.shape[1]:
-        coef, *_ = np.linalg.lstsq(basis, phi, rcond=None)
-        phi = phi - basis @ coef
-    return wald_estimate(att, float(np.sqrt((phi**2).mean() / n)))
 
 
 def aipw_att(
@@ -79,13 +54,20 @@ def aipw_att(
     survives misspecification of either the outcome model or the
     propensity model, but not both.
     """
-    psk, zk, yk, q1k, q0k = _kept_arrays(ps, z, y, q1, q0)
-    w = _att_weights(zk, psk)
+    kept = ps.kept_mask
+    psk, zk, yk, q1k, q0k = ps.values[kept], z[kept], y[kept], q1[kept], q0[kept]
+    if zk.size == 0 or zk.min() == zk.max():
+        raise AllTrimmedError("trimming left no treated or no control units")
+    w = np.where(zk == 1, 1.0, psk / (1.0 - psk))
     contrast, phi_contrast = _ratio_term(psk, q1k - q0k)
     resid_treat, phi_rt = _ratio_term(w * (zk == 1), yk - q1k)
     resid_ctrl, phi_rc = _ratio_term(w * (zk == 0), yk - q0k)
-    att = contrast + resid_treat - resid_ctrl
-    return _finish(att, phi_contrast + phi_rt - phi_rc, _kept_basis(ps))
+    phi = phi_contrast + phi_rt - phi_rc
+    if ps.score_basis is not None and phi.size > ps.score_basis.shape[1]:
+        basis = ps.score_basis[kept]
+        coef, *_ = np.linalg.lstsq(basis, phi, rcond=None)
+        phi = phi - basis @ coef
+    return wald_estimate(contrast + resid_treat - resid_ctrl, float(np.sqrt((phi**2).mean() / phi.size)))
 
 
 def ipw_att(y: np.ndarray, z: np.ndarray, ps: PsVector) -> Estimate:
@@ -113,8 +95,8 @@ def ols_arm_predictions(fit: OlsFit, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     """``(q1, q0)`` of an :func:`ols_outcome_design` fit: every unit's
     predicted outcome with its treatment set to 1 and to 0."""
     n = x.shape[0]
-    q1 = predict_ols(fit, ols_outcome_design(x, np.ones(n)))
-    q0 = predict_ols(fit, ols_outcome_design(x, np.zeros(n)))
+    q1 = ols_outcome_design(x, np.ones(n)) @ fit.coefficients
+    q0 = ols_outcome_design(x, np.zeros(n)) @ fit.coefficients
     return q1, q0
 
 

@@ -39,7 +39,7 @@ from attbench.dgp import (
     draw_true_propensity,
 )
 from attbench.errors import BracketFailureError, NonSpdError, OneClassError, RankDeficientError
-from attbench.glm import IRLS_MAX_ITER, IRLS_SCORE_TOL, PROB_CLAMP, SEPARATION_COEF_BOUND, OlsFit, predict_ols
+from attbench.glm import IRLS_MAX_ITER, IRLS_SCORE_TOL, PROB_CLAMP, SEPARATION_COEF_BOUND, OlsFit
 from attbench.numeric import Estimate, cholesky_factor, solve_from_factor, two_sided_p
 
 
@@ -350,7 +350,7 @@ def naive_fold_fits(design, y, folds, family: str):
 
     For every fold ``f`` in ``sorted(set(folds))``, fits ``naive_fit_ols`` or
     ``naive_fit_logistic`` on ``design[folds != f]`` and predicts the rows of
-    fold ``f`` with ``predict_ols`` or with ``expit`` probabilities clamped
+    fold ``f`` with ``design @ coefficients`` or with ``expit`` probabilities clamped
     to ``[PROB_CLAMP, 1 - PROB_CLAMP]``.  Returns
     ``(out_of_fold, converged, separated)``: the predictions in row order
     and one flag per fold (always converged and never separated for OLS).
@@ -365,7 +365,7 @@ def naive_fold_fits(design, y, folds, family: str):
         holdout = folds == f
         if family == "gaussian":
             fit = naive_fit_ols(design[~holdout], y[~holdout])
-            out_of_fold[holdout] = predict_ols(fit, design[holdout])
+            out_of_fold[holdout] = design[holdout] @ fit.coefficients
             converged.append(True)
             separated.append(False)
         else:
@@ -415,8 +415,8 @@ def naive_simplex_weights(level_one, y, tie_tol: float = 1e-15):
 
 
 def naive_treatment_logit_terms(spec, x1, x2, x4=None):
-    """The covariate part of the treatment logit as the one array
-    expression ``dgp.treatment_logit_terms`` once evaluated."""
+    """The covariate part of the treatment logit as one array expression,
+    term by term in ``dgp.treatment_logit_terms``' order."""
     terms = (
         spec.coef_x1 * x1
         + spec.coef_x2 * x2

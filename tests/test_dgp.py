@@ -119,7 +119,12 @@ class TestDesignTables:
         )
         assert (s3.coef_x4, s3.coef_x4_sq) == (0.05, 0.02)
         assert s3.includes_x4 and not s1.includes_x4
-        assert s3.hidden_columns == (3,) and s1.hidden_columns == ()
+        # Scenario 3 draws x4 as a fourth column and hides it; scenario 1 hides nothing.
+        for scenario, width in ((1, 3), (3, 4)):
+            cfg = cfg_for(scenario=scenario)
+            data = generate_dataset(cfg, -1.4851, substream(123, cell_code=cfg.cell_code))
+            assert data.x.shape[1] == width
+            np.testing.assert_array_equal(data.observed_covariates, data.x[:, :3])
 
     def test_prevalence_table_keeps_fifty_expected_treated(self):
         assert PREVALENCE_LABELS == ("0.05", "0.10", "0.20", "0.33", "0.50")
@@ -371,8 +376,17 @@ class TestGenerateDataset:
         data = generate_dataset(cfg, -1.485100, substream(123, cell_code=cfg.cell_code))
         assert data.x.shape == (250, 4)
         assert data.observed_covariates.shape == (250, 3)
-        assert data.hidden_columns == (3,)
         np.testing.assert_array_equal(data.observed_covariates, data.x[:, :3])
+
+    @pytest.mark.parametrize("scenario", [1, 2, 3])
+    def test_observed_covariates_are_the_first_three_in_column_major_order(self, scenario):
+        # The estimators' last bits depend on this order (see README, Design decisions).
+        cfg = cfg_for(scenario=scenario)
+        data = generate_dataset(cfg, -1.4851, substream(123, cell_code=cfg.cell_code))
+        observed = data.observed_covariates
+        assert observed.flags.f_contiguous
+        assert observed.dtype == np.float64
+        np.testing.assert_array_equal(observed, data.x[:, :3])
 
     def test_outcome_equals_mean_plus_noise_structure(self):
         # Residuals against the known systematic part must be the noise
@@ -404,7 +418,7 @@ class TestGenerateReplicate:
     def test_attempt_zero_on_clean_draw(self):
         data, attempt = generate_replicate(cfg_for(), -1.464120, 0)
         assert attempt == 0
-        assert data.n == 250
+        assert data.x.shape[0] == 250
 
     def test_redraw_uses_next_substream_and_reports_attempt(self):
         # At this intercept roughly half the n=100 draws are degenerate,

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import re
+import signal
+import time
 from collections import Counter
 from concurrent.futures import Future
 from pathlib import Path
@@ -240,8 +242,7 @@ class TestSharedNuisances:
     def test_rank_deficient_outcome_design_flags_lr_and_aipw_alike(self, monkeypatch):
         def collinear(ds):
             x = ds.x.copy()
-            visible = [j for j in range(x.shape[1]) if j not in ds.hidden_columns]
-            x[:, visible[-1]] = x[:, visible[0]] + x[:, visible[1]]
+            x[:, 2] = x[:, 0] + x[:, 1]
             return dataclasses.replace(ds, x=x)
 
         edit_cohorts(monkeypatch, collinear)
@@ -606,7 +607,7 @@ class TestRunGrid:
         sizes = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -693,6 +694,49 @@ class TestRunGrid:
         assert writes["_write_manifest"] == 1
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert set(manifest["cells"]) == {"s1t1p050_effect"}
+
+    def test_interrupted_pool_starts_no_queued_cell(self, tmp_path, monkeypatch):
+        # Forked workers inherit this run_replicate: it marks each cell's
+        # start and sleeps, so the first cell finishes while most still queue.
+        real = run_replicate
+        started = tmp_path / "started"
+        started.mkdir()
+
+        def marked(cfg, alpha0, replicate, methods=None):
+            (started / cfg.name).touch()
+            time.sleep(0.2)
+            return real(cfg, alpha0, replicate, methods)
+
+        def log(message):
+            if message.startswith("finished cell"):
+                raise KeyboardInterrupt
+
+        labels = dgp.PREVALENCE_LABELS[1:]
+        cells = [cfg_for(label=label, null=null, n_reps=2) for label in labels for null in (False, True)]
+        monkeypatch.setattr(harness, "run_replicate", marked)
+        with pytest.raises(KeyboardInterrupt):
+            run_small_grid(tmp_path / "store", cells=cells, parallelism=2, log=log)
+        assert 1 <= len(list(started.iterdir())) < len(cells)
+        monkeypatch.undo()
+        run_small_grid(tmp_path / "store", cells=cells)
+        run_small_grid(tmp_path / "fresh", cells=cells)
+        assert tree_bytes(tmp_path / "store") == tree_bytes(tmp_path / "fresh")
+
+    def test_pool_workers_ignore_sigint(self, tmp_path, monkeypatch):
+        # A worker that a Ctrl-C interrupts inside the pool's queue code can
+        # keep the queue's lock and hang the pool, so only the parent hears it.
+        real = run_replicate
+        handlers = tmp_path / "handlers"
+        handlers.mkdir()
+
+        def recording(cfg, alpha0, replicate, methods=None):
+            (handlers / f"{cfg.name}_{replicate}").write_text(repr(signal.getsignal(signal.SIGINT)))
+            return real(cfg, alpha0, replicate, methods)
+
+        monkeypatch.setattr(harness, "run_replicate", recording)
+        run_small_grid(tmp_path / "store", parallelism=2)
+        seen = {path.read_text() for path in handlers.iterdir()}
+        assert seen == {repr(signal.SIG_IGN)}
 
     def test_grid_validation(self, tmp_path):
         with pytest.raises(ValueError, match="no cells"):

@@ -576,7 +576,7 @@ class TestGreedyWalkAtDesignSizes:
             master_seed=20240817,
         )
         data, _ = generate_replicate(cfg, design_intercepts[(scenario, label)], replicate=0)
-        assert data.n == {"0.05": 1000, "0.10": 500}[label]
+        assert data.x.shape[0] == {"0.05": 1000, "0.10": 500}[label]
         x, z = data.observed_covariates, data.z
         ps = estimate_ps(x, z)
         for ratio in (1, 2):

@@ -72,7 +72,7 @@ def _assert_same(actual, expected, rel):
 @given(data=cohorts, seed=st.integers(0, 2**32 - 1))
 def test_matching_att_is_invariant_to_unit_order(method, data, seed):
     x, z, y = data.observed_covariates, data.z, data.y
-    perm = np.random.default_rng(seed).permutation(data.n)
+    perm = np.random.default_rng(seed).permutation(data.x.shape[0])
     ps = estimate_ps(x, z)
 
     def att(x, z, y, ps):
