@@ -71,7 +71,7 @@ DEFAULT_OUTPUT_DIR = "attbench-out"
 # raises ValueError, where a size it can represent but not allocate raises
 # MemoryError, which exits 2 as well.
 MAX_SIZE = np.iinfo(np.intp).max // 24
-REPORT_COLUMNS = ("scenario", "setting", "prevalence") + METRIC_COLUMNS
+REPORT_COLUMNS = ("scenario", "setting", "prevalence") + METRIC_COLUMNS + ("power",)
 # The design's values of each list a command takes, in order.
 DESIGN_LISTS = {
     "scenarios": tuple(sorted(SCENARIOS)),
@@ -254,11 +254,13 @@ def _report_rows(store: Path) -> list[tuple]:
         effect_arm, null_arm = groups[key].get(False, {}), groups[key].get(True, {})
         for method in (m for m in METHODS if m in effect_arm or m in null_arm):
             effect, null = effect_arm.get(method), null_arm.get(method)
-            # The effect arm's moments, the null arm's type-I rate, and the
-            # counts of whichever arm ran; a column with no arm reads NaN.
+            # The effect arm's moments, the null arm's type-I rate, the
+            # counts of whichever arm ran, and the effect arm's rejection
+            # rate as its power; a column with no arm reads NaN.
             either = effect or null
             source = {"type1_rate": null, "method": either, "n_valid": either, "failure_rate": either}
-            rows.append(key + tuple(getattr(source.get(c, effect), c, math.nan) for c in METRIC_COLUMNS))
+            moments = tuple(getattr(source.get(c, effect), c, math.nan) for c in METRIC_COLUMNS)
+            rows.append(key + moments + (getattr(effect, "type1_rate", math.nan),))
     return rows
 
 

@@ -80,9 +80,8 @@ class InsufficientReplicatesError(EstimationError):
 class PartialGridError(EstimationError):
     """Some cells of a grid run failed; completed cells are on disk."""
 
-    def __init__(self, failed_cells: dict):
+    def __init__(self, failed_cells: list[str]):
         super().__init__(f"{len(failed_cells)} cells failed: {sorted(failed_cells)}")
-        self.failed_cells = failed_cells
 
 
 class CorruptManifestError(ValueError):

@@ -42,8 +42,6 @@ class OlsFit:
 
     coefficients: np.ndarray = field(repr=False)
     standard_errors: np.ndarray = field(repr=False)
-    n_obs: int
-    n_params: int
 
 
 @dataclass(frozen=True)
@@ -218,7 +216,7 @@ def fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
     # The normal matrix passed the pivot floor above; column i of (X'X)^-1 solves X'X v = e_i.
     inverse = solve_from_factor(cholesky_factor(normal[0]), np.eye(p))
     se = np.sqrt(sigma2 * inverse.diagonal())
-    return OlsFit(beta[0], se, n, p)
+    return OlsFit(beta[0], se)
 
 
 def fit_logistic(design: np.ndarray, y: np.ndarray) -> LogisticFit:

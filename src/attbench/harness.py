@@ -97,7 +97,8 @@ TRUTH_COLUMNS = ("scenario", "setting", "prevalence", "arm", "oracle_seed", "ora
 
 
 class EstimateRecord(NamedTuple):
-    """One method's result on one replicate: a row of a records file."""
+    """One method's result on one replicate: a row of a records file, its
+    ``flags`` the column's sorted, ``;``-joined flag names ("" for none)."""
 
     method: str
     replicate: int
@@ -105,25 +106,27 @@ class EstimateRecord(NamedTuple):
     theoretical_se: float
     p_value: float
     n_discarded: int
-    flags: tuple[str, ...]
+    flags: str
 
     @property
     def failed(self) -> bool:
-        return any(f.startswith(FAILED_PREFIX) for f in self.flags)
+        # Only a failure flag holds the prefix.
+        return FAILED_PREFIX in self.flags
 
 
 class MethodMetrics(NamedTuple):
     """Cell-level summary of one method over its valid replicates: a row
-    of a metrics file.  A quantity left out reads NaN."""
+    of a metrics file.  Every field is given; a method with fewer than two
+    valid replicates has NaN moments (:func:`aggregate_cell`)."""
 
     method: str
     n_valid: int
-    bias: float = np.nan
-    empirical_sd: float = np.nan
-    avg_theoretical_sd: float = np.nan
-    mse: float = np.nan
-    type1_rate: float = np.nan
-    failure_rate: float = np.nan
+    bias: float
+    empirical_sd: float
+    avg_theoretical_sd: float
+    mse: float
+    type1_rate: float
+    failure_rate: float
 
 
 RECORD_COLUMNS = EstimateRecord._fields
@@ -178,7 +181,7 @@ def _lr(r: _Replicate):
     # The treatment coefficient is the design's last, tested on n - p degrees of freedom.
     fit = r.nuisance("outcome_ols")
     att, se = float(fit.coefficients[-1]), float(fit.standard_errors[-1])
-    return wald_estimate(att, se, fit.n_obs - fit.n_params), 0, ()
+    return wald_estimate(att, se, r.y.size - fit.coefficients.size), 0, ()
 
 
 def _cem(r: _Replicate, n_bins: int):
@@ -256,7 +259,7 @@ def run_replicate(
             est, n_discarded, flags = estimator(context)
         except EstimationError as exc:
             est, n_discarded, flags = _FAILED_ESTIMATE, 0, (FAILED_PREFIX + type(exc).__name__,)
-        flags = tuple(sorted(set(base_flags) | set(flags)))
+        flags = ";".join(sorted(set(base_flags) | set(flags)))
         records.append(
             EstimateRecord(method, replicate, est.att, est.theoretical_se, est.p_value, n_discarded, flags)
         )
@@ -282,7 +285,7 @@ def aggregate_cell(
         valid = [r for r in recs if not r.failed]
         failure_rate = 1.0 - len(valid) / len(recs)
         if len(valid) < 2:
-            out.append(MethodMetrics(method, len(valid), failure_rate=failure_rate))
+            out.append(MethodMetrics(method, len(valid), *[np.nan] * 5, failure_rate))
             continue
         atts = np.array([r.att for r in valid])
         ses = np.array([r.theoretical_se for r in valid])
@@ -312,7 +315,7 @@ def write_csv(path: Path, header, rows) -> None:
 def write_records_csv(path: Path, records: list[EstimateRecord]) -> None:
     method_order = {m: i for i, m in enumerate(METHODS)}
     ordered = sorted(records, key=lambda r: (r.replicate, method_order[r.method]))
-    write_csv(path, RECORD_COLUMNS, (r._replace(flags=";".join(r.flags)) for r in ordered))
+    write_csv(path, RECORD_COLUMNS, ordered)
 
 
 def _read_rows(path: Path, columns: tuple[str, ...], parse) -> list:
@@ -334,8 +337,7 @@ def _read_rows(path: Path, columns: tuple[str, ...], parse) -> list:
 
 
 def _record_row(method, replicate, att, se, p_value, n_discarded, flags) -> EstimateRecord:
-    flag_tuple = tuple(flags.split(";")) if flags else ()
-    return EstimateRecord(method, int(replicate), float(att), float(se), float(p_value), int(n_discarded), flag_tuple)
+    return EstimateRecord(method, int(replicate), float(att), float(se), float(p_value), int(n_discarded), flags)
 
 
 def read_records_csv(path: Path) -> list[EstimateRecord]:
@@ -347,9 +349,6 @@ def write_metrics_csv(path: Path, metrics: list[MethodMetrics]) -> None:
 
 
 def _metrics_row(method, n_valid, *moments) -> MethodMetrics:
-    # A short row would otherwise read as NaN moments.
-    if len(moments) != len(METRIC_COLUMNS) - 2:
-        raise ValueError(f"{len(moments) + 2} fields, not {len(METRIC_COLUMNS)}")
     return MethodMetrics(method, int(n_valid), *map(float, moments))
 
 
@@ -574,6 +573,12 @@ def run_grid(
     version, master seed, oracle seed or oracle size raises
     :class:`StoreMismatchError` before anything is written.
 
+    While cells finish, the manifest is rewritten at most every
+    ``MANIFEST_INTERVAL_S``, and once more when the call stops, on an error
+    or an interrupt too.  A hard kill skips that last write: the next call
+    recomputes every cell finished since the last one (and, before the
+    first, draws the oracles again), to the same bytes.
+
     Returns the names of the cells this call computed, in the order they
     finished; their results are in the store.  A reused cell is not named.
     """
@@ -678,14 +683,14 @@ def run_grid(
         entries.pop(cfg.name, None)
         jobs.append((cfg, alpha0, method_list))
 
-    failed: dict[str, str] = {}
+    failed: list[str] = []
     written_at = time.monotonic()
     try:
         for cfg, outcome in _execute(jobs, parallelism):
             try:
                 finish(cfg, outcome(), computed_now=True)
-            except EstimationError as exc:
-                failed[cfg.name] = str(exc)
+            except EstimationError:
+                failed.append(cfg.name)
                 continue
             if time.monotonic() - written_at >= MANIFEST_INTERVAL_S:
                 _write_manifest(manifest_path, manifest)

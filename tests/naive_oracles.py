@@ -299,7 +299,7 @@ def naive_fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
     sigma2 = float(resid @ resid) / (n - p)
     gram_inv = solve_from_factor(lower, np.eye(p))
     se = np.sqrt(sigma2 * np.diag(gram_inv))
-    return OlsFit(beta, se, n, p)
+    return OlsFit(beta, se)
 
 
 def naive_fit_logistic(design: np.ndarray, y: np.ndarray, max_iter: int = IRLS_MAX_ITER) -> NaiveLogisticFit:

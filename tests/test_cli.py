@@ -482,7 +482,7 @@ class TestCmdPsHist:
 
 REPORT_COLUMNS = (
     "scenario,setting,prevalence,method,n_valid,bias,empirical_sd,"
-    "avg_theoretical_sd,mse,type1_rate,failure_rate"
+    "avg_theoretical_sd,mse,type1_rate,failure_rate,power"
 )
 
 
@@ -586,6 +586,30 @@ class TestCmdReport:
             assert parts[5] == repr(expected[method]["bias"])
             assert parts[8] == repr(expected[method]["mse"])
             assert parts[9] == repr(expected[method]["type1_rate"])
+
+    def test_power_is_the_effect_arms_rejection_rate(self, tmp_path, capsys):
+        # A hand-built store: setting 1 ran both arms, each with its own
+        # rejection rate; setting 2 ran the null arm alone.
+        rows = {
+            "s1t1p050_effect": "LR,4,0.1,0.2,0.2,0.05,0.75,0.0",
+            "s1t1p050_null": "LR,4,0.0,0.2,0.2,0.04,0.25,0.0",
+            "s1t2p050_null": "LR,4,0.0,0.2,0.2,0.04,0.5,0.0",
+        }
+        (tmp_path / "cells").mkdir()
+        cells = {}
+        for name, row in rows.items():
+            paths = harness.cell_paths(tmp_path, name)
+            paths["records"].write_text("")
+            paths["metrics"].write_text(",".join(harness.METRIC_COLUMNS) + "\n" + row + "\n")
+            digests = {f"{kind}_sha256": hashlib.sha256(path.read_bytes()).hexdigest() for kind, path in paths.items()}
+            cells[name] = {"complete": True, **digests}
+        (tmp_path / "manifest.json").write_text(json.dumps({"cells": cells}))
+        assert main(["report", "--store", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        with open(tmp_path / "report.csv", newline="") as handle:
+            report = list(csv.DictReader(handle))
+        got = [(r["setting"], r["type1_rate"], r["power"]) for r in report]
+        assert got == [("1", "0.25", "0.75"), ("2", "0.5", "nan")]
 
     def test_report_reads_no_records(self, store, capsys, monkeypatch):
         assert main(["report", "--store", str(store)]) == EXIT_OK

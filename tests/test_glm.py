@@ -82,7 +82,8 @@ class TestWaldTest:
         y = np_rng.standard_normal(40)
         fit = fit_ols(x, y)
         for j in range(3):
-            est = wald_estimate(float(fit.coefficients[j]), float(fit.standard_errors[j]), fit.n_obs - fit.n_params)
+            df = y.size - fit.coefficients.size
+            est = wald_estimate(float(fit.coefficients[j]), float(fit.standard_errors[j]), df)
             expected_t = fit.coefficients[j] / fit.standard_errors[j]
             assert est.p_value == pytest.approx(2 * stats.t.sf(abs(expected_t), 37), abs=1e-14)
 

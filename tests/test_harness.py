@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import signal
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attbench import dgp, harness, weighting
+from attbench import dgp, glm, harness, weighting
 from attbench.dgp import CellConfig, generate_replicate
 from attbench.errors import (
     CorruptManifestError,
@@ -55,13 +56,13 @@ def cfg_for(scenario=1, setting=1, label="0.20", null=False, n_reps=1, seed=321)
     )
 
 
-def rec(method="LR", replicate=0, att=1.0, se=0.1, p=0.5, n_disc=0, flags=()):
+def rec(method="LR", replicate=0, att=1.0, se=0.1, p=0.5, n_disc=0, flags=""):
     return EstimateRecord(method, replicate, att, se, p, n_disc, flags)
 
 
 def failed_rec(method, replicate, error="NoMatchesError"):
     nan = float("nan")
-    return EstimateRecord(method, replicate, nan, nan, nan, 0, (f"failed:{error}",))
+    return EstimateRecord(method, replicate, nan, nan, nan, 0, f"failed:{error}")
 
 
 class TestRunReplicate:
@@ -111,7 +112,7 @@ class TestRunReplicate:
             for r in records:
                 if r.failed:
                     assert math.isnan(r.att) and math.isnan(r.p_value)
-                    assert any(f.startswith("failed:") for f in r.flags)
+                    assert any(f.startswith("failed:") for f in r.flags.split(";"))
 
     def test_tmle_zero_se_is_a_flagged_failure(self, monkeypatch):
         # TMLE's SE is the root of its influence values' variance; a zero
@@ -123,7 +124,7 @@ class TestRunReplicate:
         assert records[:-1] == expected[:-1] and not any(r.failed for r in expected)
         tmle_record = records[-1]
         assert tmle_record.method == "TMLE_SL"
-        assert tmle_record.flags == ("failed:ZeroSeError",)
+        assert tmle_record.flags == "failed:ZeroSeError"
         assert math.isnan(tmle_record.att) and math.isnan(tmle_record.p_value)
 
     def test_nan_se_is_a_flagged_failure(self, monkeypatch):
@@ -139,7 +140,7 @@ class TestRunReplicate:
         ]
         assert records[0] == expected[0] and not any(r.failed for r in expected)
         ipw = [r for r in records if r.method == "IPW"]
-        assert all(r.flags == ("failed:NonFiniteEstimateError",) for r in ipw)
+        assert all(r.flags == "failed:NonFiniteEstimateError" for r in ipw)
         assert all(math.isnan(r.att) and math.isnan(r.p_value) for r in ipw)
         lr_metrics, ipw_metrics = aggregate_cell(records, truth=0.0, n_reps=2)
         assert (ipw_metrics.n_valid, ipw_metrics.failure_rate) == (0, 1.0)
@@ -190,6 +191,26 @@ class TestRunReplicate:
         records = harness.run_replicate(cfg_for(label="0.50"), -0.0694, 0, METHODS)
         assert not any(r.failed for r in records)
         assert dict(calls) == expected
+
+    def test_every_engine_design_is_column_major(self, monkeypatch):
+        # The same design in C and in F order can give fits that differ by
+        # round-off (see glm.fit_folds), so every design any method hands
+        # the fitting engine is in F order.
+        real, column_major = glm._fit_stack, []
+
+        def recording(design, *args):
+            column_major.append(design.flags.f_contiguous)
+            return real(design, *args)
+
+        monkeypatch.setattr(glm, "_fit_stack", recording)
+        pairs = [(scenario, label) for scenario in (1, 2, 3) for label in ("0.05", "0.50")]
+        for (scenario, label), alpha0 in harness.oracle_intercepts(pairs, 42, 10**5).items():
+            for setting in (1, 2, 3):
+                for null in (False, True):
+                    calls = len(column_major)
+                    run_replicate(cfg_for(scenario, setting, label, null), alpha0, 0)
+                    assert len(column_major) > calls
+        assert all(column_major)
 
     def test_matching_failure_instance(self):
         records = {r.method: r for r in run_replicate(cfg_for(label="0.50"), -4.2, 11)}
@@ -247,7 +268,7 @@ class TestSharedNuisances:
 
         edit_cohorts(monkeypatch, collinear)
         records = {r.method: r for r in run_replicate(cfg_for(label="0.50"), -0.0694, 0, ("LR", "AIPW", "IPW"))}
-        assert records["LR"].flags == records["AIPW"].flags == ("failed:RankDeficientError",)
+        assert records["LR"].flags == records["AIPW"].flags == "failed:RankDeficientError"
         assert not records["IPW"].failed
 
     @pytest.mark.parametrize("score_fits", [False, True], ids=["score-fit-fails", "caliper-block-fails"])
@@ -264,7 +285,7 @@ class TestSharedNuisances:
         counting_calls(monkeypatch, harness, "caliper_block", calls)
         records = run_replicate(cfg_for(label="0.50"), -0.0694, 0, ("PSM", "PSM_1:2", "MDM"))
         error = "NoMatchesError" if score_fits else "OneClassError"
-        assert {r.flags for r in records} == {(f"failed:{error}",)}
+        assert {r.flags for r in records} == {f"failed:{error}"}
         assert calls["caliper_block"] == int(score_fits)
 
 
@@ -383,7 +404,7 @@ class TestAggregateCell:
 class TestRecordStore:
     def test_roundtrip(self, tmp_path):
         records = [
-            rec(method="PSM", replicate=1, att=0.25, se=0.5, p=0.617, n_disc=3, flags=("redrawn",)),
+            rec(method="PSM", replicate=1, att=0.25, se=0.5, p=0.617, n_disc=3, flags="redrawn"),
             rec(method="LR", replicate=0, att=-1.5, se=0.25, p=1e-9),
             failed_rec("MDM", 0),
         ]
@@ -453,7 +474,7 @@ class TestRecordStore:
 class TestStoreTextFormat:
     """The exact text of every store table: floats as their shortest
     round-trip repr (nan, signed zero and subnormal-scale values included,
-    numpy scalars written like Python floats), flags joined by ``;``."""
+    numpy scalars written like Python floats), flags as the record holds them."""
 
     NAN = float("nan")
     SUM = 0.1 + 0.2
@@ -462,10 +483,10 @@ class TestStoreTextFormat:
     def test_records_text(self, tmp_path):
         records = [
             rec(method="IPW", replicate=1, att=self.NP_SUM, se=np.float64(1e-300), p=-0.0, n_disc=2,
-                flags=("nonconverged", "redrawn", "trimmed")),
+                flags="nonconverged;redrawn;trimmed"),
             rec(method="LR", replicate=1, att=-0.0, se=self.SUM, p=1e-300),
             failed_rec("MDM", 0),
-            rec(method="LR", replicate=0, att=np.float64(-2.5), se=0.1, p=np.float64(1.0), flags=("redrawn",)),
+            rec(method="LR", replicate=0, att=np.float64(-2.5), se=0.1, p=np.float64(1.0), flags="redrawn"),
         ]
         write_records_csv(tmp_path / "records.csv", records)
         assert (tmp_path / "records.csv").read_text() == (
@@ -663,7 +684,7 @@ class TestRunGrid:
         monkeypatch.setattr("attbench.harness.run_replicate", flaky)
         with pytest.raises(PartialGridError) as excinfo:
             run_small_grid(tmp_path / "store")
-        assert set(excinfo.value.failed_cells) == {"s1t1p033_effect"}
+        assert str(excinfo.value) == "1 cells failed: ['s1t1p033_effect']"
         manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
         assert set(manifest["cells"]) == {"s1t1p050_effect"}
 
@@ -694,6 +715,29 @@ class TestRunGrid:
         assert writes["_write_manifest"] == 1
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert set(manifest["cells"]) == {"s1t1p050_effect"}
+
+    def test_hard_killed_grid_resumes_to_a_fresh_store(self, tmp_path):
+        # A hard kill skips run_grid's `finally`, so the manifest misses every
+        # cell finished since its last write; the resume recomputes them.
+        def killed_in_the_second_cell():
+            real = harness.run_replicate
+
+            def dying(cfg, alpha0, replicate, methods=None):
+                if cfg.prevalence_label == "0.33":
+                    os._exit(9)
+                return real(cfg, alpha0, replicate, methods)
+
+            harness.run_replicate = dying
+            run_small_grid(tmp_path / "store")
+
+        process = multiprocessing.get_context("fork").Process(target=killed_in_the_second_cell)
+        process.start()
+        process.join()
+        assert process.exitcode == 9
+        assert (tmp_path / "store" / "cells" / "s1t1p050_effect_records.csv").exists()
+        run_small_grid(tmp_path / "store")
+        run_small_grid(tmp_path / "fresh")
+        assert tree_bytes(tmp_path / "store") == tree_bytes(tmp_path / "fresh")
 
     def test_interrupted_pool_starts_no_queued_cell(self, tmp_path, monkeypatch):
         # Forked workers inherit this run_replicate: it marks each cell's
@@ -940,6 +984,10 @@ class TestTruthReuse:
         full, subset = (json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("full", "subset"))
         for key in ("calibration_sha256", "truths_sha256"):
             assert full[key] == subset[key]
+        # A cell's files do not depend on its sibling cells.
+        for cfg in truth_cells()[2:]:
+            for kind, path in harness.cell_paths(tmp_path / "subset", cfg.name).items():
+                assert path.read_bytes() == fresh_full[f"cells/{cfg.name}_{kind}.csv"]
         # The full grid again: its dropped truths are drawn anew, to the same bytes.
         run_small_grid(tmp_path / "full", cells=truth_cells())
         assert sorted(calls) == sorted([DRAWN, NULL])
