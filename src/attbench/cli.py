@@ -15,8 +15,9 @@ else ``ATTBENCH_OUTPUT_DIR`` when set and non-empty, else
 Exit codes: 0 on success, 2 for configuration problems (a store built
 under other parameters, a cell's records or metrics that fail their
 digest, a store file that cannot be read or written, and a size this
-host cannot allocate, included), 3 when a run finished only partially
-(completed cells are on disk and a rerun will resume).
+host cannot allocate, included).  ``run`` also exits 2 when an estimation
+error stops it, such as an intercept that cannot be calibrated; no cell
+fails a run, as a method's failure on a replicate is a flagged record.
 """
 
 from __future__ import annotations
@@ -41,12 +42,13 @@ from .dgp import (
     draw_true_propensity,
     prevalence_label_for,
 )
-from .errors import CorruptManifestError, EstimationError, PartialGridError, StoreMismatchError
+from .errors import CorruptManifestError, EstimationError, StoreMismatchError
 from .harness import (
     DEFAULT_ORACLE_SEED,
     MANIFEST_NAME,
     METHODS,
     METRIC_COLUMNS,
+    REPORT_NAME,
     cell_paths,
     digest_matches,
     oracle_intercepts,
@@ -63,7 +65,6 @@ from .propensity import TRIM_DELTA
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_PARTIAL = 3
 OUTPUT_DIR_ENV = "ATTBENCH_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "attbench-out"
 # The largest size a command takes.  One numpy array holds at most this many
@@ -182,9 +183,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             methods=args.methods,
             log=_log if not args.quiet else None,
         )
-    except PartialGridError as exc:
-        _log(f"run incomplete: {exc}")
-        return EXIT_PARTIAL
     except StoreMismatchError as exc:
         # No flag sets the schema version: only a fresh store has this one.
         hint = "use a fresh --output-dir or the store's parameters"
@@ -267,7 +265,7 @@ def _report_rows(store: Path) -> list[tuple]:
 def cmd_report(args: argparse.Namespace) -> int:
     store = Path(_store_dir(args.store))
     rows = _report_rows(store)
-    path = store / "report.csv"
+    path = store / REPORT_NAME
     write_csv(path, REPORT_COLUMNS, rows)
 
     def cell_text(value) -> str:

@@ -2,8 +2,8 @@
 
 Every failure the simulation harness is expected to survive derives from
 :class:`EstimationError`, so a replicate can be flagged and the grid can
-keep running.  Each is raised in one module, where a drawn replicate can
-hit it:
+keep running.  Each is raised in one module, where a drawn replicate or
+the oracles can hit it:
 
 - ``numeric``: :class:`NonSpdError` from the Cholesky pivot floor (a
   collinear or zero-variance covariate), and :class:`ZeroSeError` and
@@ -14,9 +14,10 @@ hit it:
 - ``propensity`` and ``weighting``: :class:`AllTrimmedError`;
 - ``matching``: :class:`NoMatchesError` and :class:`TooFewPairsError`;
 - ``tmle``: :class:`FlatOutcomeError`;
-- ``dgp``: :class:`DegenerateDrawError` and :class:`BracketFailureError`;
-- ``harness``: :class:`InsufficientReplicatesError` and
-  :class:`PartialGridError`.
+- ``dgp``: :class:`DegenerateDrawError`, when a replicate's every draw
+  attempt is degenerate (``harness`` flags each method's record with it),
+  and :class:`BracketFailureError`, when an intercept cannot be
+  calibrated (it stops a run before any cell).
 
 Anything else escaping an estimator is a genuine bug and propagates.  The
 two store errors, :class:`CorruptManifestError` (``harness`` and ``cli``)
@@ -71,17 +72,6 @@ class DegenerateDrawError(EstimationError):
 
 class BracketFailureError(EstimationError):
     """Bisection bracket does not straddle the calibration target."""
-
-
-class InsufficientReplicatesError(EstimationError):
-    """Too few replicates to aggregate a simulation cell."""
-
-
-class PartialGridError(EstimationError):
-    """Some cells of a grid run failed; completed cells are on disk."""
-
-    def __init__(self, failed_cells: list[str]):
-        super().__init__(f"{len(failed_cells)} cells failed: {sorted(failed_cells)}")
 
 
 class CorruptManifestError(ValueError):

@@ -6,7 +6,9 @@ intermediates (the logistic propensity fit and its caliper block, the
 least-squares outcome fit, the stacked propensity and outcome fits)
 through a memo that also caches failures, so two methods consuming the
 same broken input report the same failure.  A failed method still emits
-a record, flagged ``failed:<ErrorType>``, never a silent gap.
+a record, flagged ``failed:<ErrorType>``, never a silent gap; so does
+every method of a replicate whose cohort cannot be drawn.  A cell
+therefore always completes, whatever its replicates hit.
 
 Cells are independent given the master seed, so the grid parallelizes
 over cells with each worker deriving its streams from stable
@@ -53,13 +55,7 @@ from .dgp import (
     generate_replicate,
     true_att,
 )
-from .errors import (
-    CorruptManifestError,
-    EstimationError,
-    InsufficientReplicatesError,
-    PartialGridError,
-    StoreMismatchError,
-)
+from .errors import CorruptManifestError, DegenerateDrawError, EstimationError, StoreMismatchError
 from .glm import fit_ols
 from .matching import caliper_block, cem_att, cem_match, matched_att, mdm_match, psm_match
 from .numeric import (
@@ -81,8 +77,10 @@ DEFAULT_ORACLE_SEED = 42
 FAILED_PREFIX = "failed:"
 
 # The store's layout: these tables at its root, and each cell's two files
-# in ``CELLS_DIR`` (see :func:`cell_paths`).
+# in ``CELLS_DIR`` (see :func:`cell_paths`).  ``report`` writes
+# ``REPORT_NAME`` beside them.
 MANIFEST_NAME = "manifest.json"
+REPORT_NAME = "report.csv"
 CALIBRATION_NAME = "calibration.csv"
 TRUTHS_NAME = "truths.csv"
 CELLS_DIR = "cells"
@@ -235,10 +233,22 @@ METHOD_TABLE = {
 METHODS = tuple(METHOD_TABLE)
 
 
+def _failure(exc: EstimationError) -> tuple[Estimate, int, tuple[str, ...]]:
+    """The ``(estimate, n_discarded, flags)`` of a method that ``exc`` stopped."""
+    return _FAILED_ESTIMATE, 0, (FAILED_PREFIX + type(exc).__name__,)
+
+
+def _record(method: str, replicate: int, result, base_flags: tuple[str, ...] = ()) -> EstimateRecord:
+    est, n_discarded, flags = result
+    flags = ";".join(sorted(set(base_flags) | set(flags)))
+    return EstimateRecord(method, replicate, est.att, est.theoretical_se, est.p_value, n_discarded, flags)
+
+
 def run_replicate(
     cfg: CellConfig, alpha0: float, replicate: int, methods: tuple[str, ...] | None = None
 ) -> list[EstimateRecord]:
-    """Run the requested estimators on one simulated cohort.
+    """Run the requested estimators on one simulated cohort: one record
+    per method, in the order requested.
 
     Shared inputs are computed once: PSM, MDM, IPW, and AIPW all consume
     the same logistic propensity fit, PSM, PSM_1:2 and MDM one caliper
@@ -246,38 +256,36 @@ def run_replicate(
     the two stacked methods one propensity ensemble and one outcome
     ensemble.  The ensembles' fold draws live on their own substreams
     keyed by the attempt that produced the cohort, so they are
-    reproducible unit by unit.
+    reproducible unit by unit.  A replicate whose every draw attempt is
+    degenerate has no cohort: each method gets the row of a method that
+    failed, flagged ``failed:DegenerateDrawError``.
     """
     # Looked up first, so an unknown method fails before any draw.
     estimators = [(method, METHOD_TABLE[method]) for method in (METHODS if methods is None else methods)]
-    ds, attempt = generate_replicate(cfg, alpha0, replicate)
+    try:
+        ds, attempt = generate_replicate(cfg, alpha0, replicate)
+    except DegenerateDrawError as exc:
+        return [_record(method, replicate, _failure(exc)) for method, _ in estimators]
     context = _Replicate(cfg, replicate, attempt, ds)
     base_flags = ("redrawn",) if attempt > 0 else ()
     records = []
     for method, estimator in estimators:
         try:
-            est, n_discarded, flags = estimator(context)
+            result = estimator(context)
         except EstimationError as exc:
-            est, n_discarded, flags = _FAILED_ESTIMATE, 0, (FAILED_PREFIX + type(exc).__name__,)
-        flags = ";".join(sorted(set(base_flags) | set(flags)))
-        records.append(
-            EstimateRecord(method, replicate, est.att, est.theoretical_se, est.p_value, n_discarded, flags)
-        )
+            result = _failure(exc)
+        records.append(_record(method, replicate, result, base_flags))
     return records
 
 
-def aggregate_cell(
-    records: list[EstimateRecord], truth: float, n_reps: int
-) -> list[MethodMetrics]:
-    """Summarize a cell's records method by method.
+def aggregate_cell(records: list[EstimateRecord], truth: float) -> list[MethodMetrics]:
+    """Summarize a cell's records method by method, one row per method
+    present, in roster order.
 
     Flagged failures are excluded from every moment and counted in
     ``failure_rate``.  A method with fewer than two valid replicates gets
-    NaN moments rather than sinking the whole cell; an empty or
-    single-replicate cell is unaggregatable and raises.
+    NaN moments rather than sinking the whole cell.
     """
-    if not records or n_reps < 2:
-        raise InsufficientReplicatesError(f"{len(records)} records over {n_reps} replicates")
     present = [m for m in METHODS if any(r.method == m for r in records)]
     out = []
     for method in present:
@@ -479,18 +487,18 @@ def _cell_worker(args: tuple[CellConfig, float, tuple[str, ...]]) -> list[Estima
 
 
 def _execute(jobs: list[tuple[CellConfig, float, tuple[str, ...]]], parallelism: int):
-    """Yield ``(cfg, outcome)`` per job as its cell finishes; ``outcome()``
-    returns the cell's records or raises the error that stopped it.
+    """Yield ``(cfg, records)`` per job as its cell finishes.
 
-    A worker holds one cell at a time and the next is handed over only as
-    a cell finishes, so when the caller stops early (an interrupt, or an
-    error while it stores a cell) no further cell starts and only the
-    running ones are waited for.  Workers ignore SIGINT: a Ctrl-C
-    interrupts this process alone, as a worker interrupted inside the
-    pool's queue code can keep its lock and hang the pool."""
+    A worker holds one cell at a time and the next is handed over only
+    after a finished cell's records are in hand, so when a cell raises,
+    or the caller stops early (an interrupt, or an error while it stores
+    a cell), no further cell starts and only the running ones are waited
+    for.  Workers ignore SIGINT: a Ctrl-C interrupts this process alone,
+    as a worker interrupted inside the pool's queue code can keep its lock
+    and hang the pool."""
     if parallelism <= 1 or len(jobs) <= 1:
         for job in jobs:
-            yield job[0], partial(_cell_worker, job)
+            yield job[0], _cell_worker(job)
         return
     # Imported here: the process pool's modules cost a serial run memory and import time.
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -501,8 +509,9 @@ def _execute(jobs: list[tuple[CellConfig, float, tuple[str, ...]]], parallelism:
         running = {pool.submit(_cell_worker, job): job[0] for job in islice(queued, workers)}
         while running:
             for future in wait(running, return_when=FIRST_COMPLETED).done:
+                records = future.result()
                 running.update({pool.submit(_cell_worker, job): job[0] for job in islice(queued, 1)})
-                yield running.pop(future), future.result
+                yield running.pop(future), records
 
 
 def _oracles(
@@ -567,17 +576,22 @@ def run_grid(
     entry's ``truth`` is a float ``==`` to this run's truth; otherwise it
     heals from its records.  Every other cell is queued, and executed after
     the pass.  One finishing step serves a healed and an executed cell alike: it
-    aggregates the records under this run's truth and writes the metrics
-    file (after the records file, for an executed cell only) and the
-    cell's whole manifest entry.  A store built under another schema
+    aggregates the records under this run's truth, deletes a ``report.csv``
+    that summarized the store before, and writes the metrics file (after
+    the records file, for an executed cell only) and the cell's whole
+    manifest entry.  An executed cell always completes: a method that fails
+    on a replicate, or a replicate with no drawable cohort, is a flagged
+    record (:func:`run_replicate`).  A store built under another schema
     version, master seed, oracle seed or oracle size raises
     :class:`StoreMismatchError` before anything is written.
 
     While cells finish, the manifest is rewritten at most every
     ``MANIFEST_INTERVAL_S``, and once more when the call stops, on an error
-    or an interrupt too.  A hard kill skips that last write: the next call
-    recomputes every cell finished since the last one (and, before the
-    first, draws the oracles again), to the same bytes.
+    or an interrupt too: any error escaping a cell stops the run as an
+    interrupt does, and the cells finished before it stay in the store.  A
+    hard kill skips that last write: the next call recomputes every cell
+    finished since the last one (and, before the first, draws the oracles
+    again), to the same bytes.
 
     Returns the names of the cells this call computed, in the order they
     finished; their results are in the store.  A reused cell is not named.
@@ -636,8 +650,10 @@ def run_grid(
 
     def finish(cfg: CellConfig, records: list[EstimateRecord], computed_now: bool) -> None:
         truth = truths[_truth_key(cfg)][0]
-        metrics = aggregate_cell(records, truth, cfg.n_reps)
+        metrics = aggregate_cell(records, truth)
         records_path, metrics_path = paths[cfg.name].values()
+        # The report summarizes the cells as they were before this one.
+        (outdir / REPORT_NAME).unlink(missing_ok=True)
         # A healed cell's records already match their digest; they are never rewritten.
         if computed_now:
             write_records_csv(records_path, records)
@@ -683,15 +699,10 @@ def run_grid(
         entries.pop(cfg.name, None)
         jobs.append((cfg, alpha0, method_list))
 
-    failed: list[str] = []
     written_at = time.monotonic()
     try:
-        for cfg, outcome in _execute(jobs, parallelism):
-            try:
-                finish(cfg, outcome(), computed_now=True)
-            except EstimationError:
-                failed.append(cfg.name)
-                continue
+        for cfg, records in _execute(jobs, parallelism):
+            finish(cfg, records, computed_now=True)
             if time.monotonic() - written_at >= MANIFEST_INTERVAL_S:
                 _write_manifest(manifest_path, manifest)
                 written_at = time.monotonic()
@@ -699,8 +710,6 @@ def run_grid(
             say(f"finished cell {cfg.name} {progress()}")
     finally:
         _write_manifest(manifest_path, manifest)
-    if failed:
-        raise PartialGridError(failed)
     return computed
 
 

@@ -14,7 +14,6 @@ from attbench.cli import (
     DESIGN_LISTS,
     EXIT_CONFIG,
     EXIT_OK,
-    EXIT_PARTIAL,
     OUTPUT_DIR_ENV,
     ConfigError,
     _validate_run_config,
@@ -23,7 +22,7 @@ from attbench.cli import (
     main,
 )
 from attbench.dgp import PREVALENCE_LABELS
-from attbench.errors import PartialGridError
+from attbench.errors import NoMatchesError
 from attbench.harness import aggregate_cell, read_records_csv
 
 
@@ -132,6 +131,22 @@ class TestCmdRun:
         assert "reusing completed cell s1t1p050_effect" in capsys.readouterr().err
         assert tree_bytes(store) == before
 
+    def test_run_that_writes_a_cell_deletes_the_stale_report(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_OK
+        assert main(["report", "--store", str(store)]) == EXIT_OK
+        # A resume that reuses every cell keeps the report, which still holds.
+        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_OK
+        assert (store / "report.csv").is_file()
+        # The later --n-reps wins, so the cell is computed again.
+        assert main(["run", *SMOKE_FLAGS, "--n-reps", "3", "--output-dir", str(store)]) == EXIT_OK
+        assert not (store / "report.csv").exists()
+        # A cell healed from its records drops it too.
+        assert main(["report", "--store", str(store)]) == EXIT_OK
+        (store / "cells" / "s1t1p050_effect_metrics.csv").unlink()
+        assert main(["run", *SMOKE_FLAGS, "--n-reps", "3", "--output-dir", str(store)]) == EXIT_OK
+        assert not (store / "report.csv").exists()
+
     def test_config_error_exit_code(self, capsys):
         assert main(["run", "--scenarios", "8"]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
@@ -142,14 +157,15 @@ class TestCmdRun:
         assert "methods repeat ['PSM']" in capsys.readouterr().err
         assert not store.exists()
 
-    def test_partial_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        def partial(*args, **kwargs):
-            raise PartialGridError({"s1t1p050_effect": ValueError("boom")})
+    def test_estimation_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        # No cell fails a run; an estimation error that escapes one stops it.
+        def broken(*args, **kwargs):
+            raise NoMatchesError("synthetic breakage")
 
-        monkeypatch.setattr("attbench.cli.run_grid", partial)
+        monkeypatch.setattr("attbench.cli.run_grid", broken)
         code = main(["run", *SMOKE_FLAGS, "--output-dir", str(tmp_path)])
-        assert code == EXIT_PARTIAL
-        assert "run incomplete" in capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "run failed: synthetic breakage" in capsys.readouterr().err
 
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit):
@@ -388,7 +404,8 @@ def test_oversized_size_exit_code(tmp_path, capsys, flag, size):
 
 
 @pytest.mark.parametrize(
-    "command, name", [("run", "calibration.csv"), ("run", "truths.csv"), ("ps-hist", "ps_hist_s1_p020.csv")]
+    "command, name",
+    [("run", "calibration.csv"), ("run", "truths.csv"), ("run", "report.csv"), ("ps-hist", "ps_hist_s1_p020.csv")],
 )
 def test_store_file_naming_a_directory_exit_code(tmp_path, capsys, command, name):
     (tmp_path / name).mkdir()
@@ -573,7 +590,7 @@ class TestCmdReport:
         expected = {}
         for name, entry in manifest["cells"].items():
             records = read_records_csv(store / "cells" / f"{name}_records.csv")
-            metrics = aggregate_cell(records, entry["truth"], entry["n_reps"])
+            metrics = aggregate_cell(records, entry["truth"])
             for m in metrics:
                 slot = expected.setdefault(m.method, {})
                 if name.endswith("_null"):

@@ -19,13 +19,7 @@ import pytest
 
 from attbench import dgp, glm, harness, weighting
 from attbench.dgp import CellConfig, generate_replicate
-from attbench.errors import (
-    CorruptManifestError,
-    InsufficientReplicatesError,
-    NoMatchesError,
-    PartialGridError,
-    StoreMismatchError,
-)
+from attbench.errors import CorruptManifestError, DegenerateDrawError, NoMatchesError, StoreMismatchError
 from attbench.harness import (
     METHODS,
     RECORD_COLUMNS,
@@ -114,6 +108,18 @@ class TestRunReplicate:
                     assert math.isnan(r.att) and math.isnan(r.p_value)
                     assert any(f.startswith("failed:") for f in r.flags.split(";"))
 
+    def test_undrawable_cohort_flags_every_method_in_request_order(self):
+        # At this intercept no attempt draws two treated units.
+        cfg = cfg_for(label="0.50")
+        with pytest.raises(DegenerateDrawError, match="no viable draw in 64 attempts"):
+            generate_replicate(cfg, -50.0, 3)
+        methods = ("TMLE_SL", "LR", "PSM", "IPW")
+        records = run_replicate(cfg, -50.0, 3, methods)
+        assert [(r.method, r.replicate, r.n_discarded, r.flags) for r in records] == [
+            (method, 3, 0, "failed:DegenerateDrawError") for method in methods
+        ]
+        assert all(math.isnan(value) for r in records for value in (r.att, r.theoretical_se, r.p_value))
+
     def test_tmle_zero_se_is_a_flagged_failure(self, monkeypatch):
         # TMLE's SE is the root of its influence values' variance; a zero
         # variance makes it zero, which fails TMLE_SL as it would any method.
@@ -142,7 +148,7 @@ class TestRunReplicate:
         ipw = [r for r in records if r.method == "IPW"]
         assert all(r.flags == "failed:NonFiniteEstimateError" for r in ipw)
         assert all(math.isnan(r.att) and math.isnan(r.p_value) for r in ipw)
-        lr_metrics, ipw_metrics = aggregate_cell(records, truth=0.0, n_reps=2)
+        lr_metrics, ipw_metrics = aggregate_cell(records, truth=0.0)
         assert (ipw_metrics.n_valid, ipw_metrics.failure_rate) == (0, 1.0)
         assert lr_metrics.failure_rate == 0.0
 
@@ -333,7 +339,7 @@ class TestReplicateIndependence:
 class TestAggregateCell:
     def test_exact_estimates_have_zero_bias_and_mse(self):
         records = [rec(replicate=i, att=2.5) for i in range(5)]
-        (m,) = aggregate_cell(records, truth=2.5, n_reps=5)
+        (m,) = aggregate_cell(records, truth=2.5)
         assert m.bias == 0.0
         assert m.mse == 0.0
         assert m.n_valid == 5
@@ -343,7 +349,7 @@ class TestAggregateCell:
         records = [
             rec(replicate=i, att=1.0 + (1.0 if i % 2 == 0 else -1.0)) for i in range(200)
         ]
-        (m,) = aggregate_cell(records, truth=1.0, n_reps=200)
+        (m,) = aggregate_cell(records, truth=1.0)
         assert m.bias == 0.0
         assert m.mse == pytest.approx(1.0, abs=1e-12)
         assert m.empirical_sd == pytest.approx(math.sqrt(200.0 / 199.0), rel=1e-12)
@@ -351,7 +357,7 @@ class TestAggregateCell:
 
     def test_large_p_values_give_zero_type1(self):
         records = [rec(replicate=i, p=0.99) for i in range(10)]
-        (m,) = aggregate_cell(records, truth=1.0, n_reps=10)
+        (m,) = aggregate_cell(records, truth=1.0)
         assert m.type1_rate == 0.0
 
     def test_mse_identity(self, np_rng):
@@ -365,7 +371,7 @@ class TestAggregateCell:
                 )
             )
         ]
-        (m,) = aggregate_cell(records, truth=0.3, n_reps=50)
+        (m,) = aggregate_cell(records, truth=0.3)
         reconstructed = m.bias**2 + m.empirical_sd**2 * (49.0 / 50.0)
         assert m.mse == pytest.approx(reconstructed, abs=1e-10)
         assert m.avg_theoretical_sd == pytest.approx(
@@ -375,7 +381,7 @@ class TestAggregateCell:
     def test_failures_excluded_from_moments(self):
         good = [rec(replicate=i, att=1.0, p=0.001) for i in range(7)]
         bad = [failed_rec("LR", 7 + i) for i in range(3)]
-        (m,) = aggregate_cell(good + bad, truth=1.0, n_reps=10)
+        (m,) = aggregate_cell(good + bad, truth=1.0)
         assert m.n_valid == 7
         assert m.failure_rate == pytest.approx(0.3)
         assert m.bias == 0.0
@@ -383,7 +389,7 @@ class TestAggregateCell:
 
     def test_under_two_valid_replicates_yield_nan_moments(self):
         records = [rec(replicate=0)] + [failed_rec("LR", 1 + i) for i in range(4)]
-        (m,) = aggregate_cell(records, truth=1.0, n_reps=5)
+        (m,) = aggregate_cell(records, truth=1.0)
         assert m.n_valid == 1
         assert math.isnan(m.bias) and math.isnan(m.mse) and math.isnan(m.type1_rate)
         assert m.failure_rate == pytest.approx(0.8)
@@ -391,14 +397,14 @@ class TestAggregateCell:
     def test_methods_reported_in_roster_order(self):
         records = [rec(method="IPW"), rec(method="IPW", replicate=1)]
         records += [rec(method="CEM2"), rec(method="CEM2", replicate=1)]
-        metrics = aggregate_cell(records, truth=1.0, n_reps=2)
+        metrics = aggregate_cell(records, truth=1.0)
         assert [m.method for m in metrics] == ["CEM2", "IPW"]
 
-    def test_empty_or_single_replicate_rejected(self):
-        with pytest.raises(InsufficientReplicatesError):
-            aggregate_cell([], truth=1.0, n_reps=5)
-        with pytest.raises(InsufficientReplicatesError):
-            aggregate_cell([rec()], truth=1.0, n_reps=1)
+    def test_single_replicate_gives_nan_moments_and_no_records_no_rows(self):
+        (m,) = aggregate_cell([rec()], truth=1.0)
+        assert (m.method, m.n_valid, m.failure_rate) == ("LR", 1, 0.0)
+        assert all(math.isnan(value) for value in m[2:7])
+        assert aggregate_cell([], truth=1.0) == []
 
 
 class TestRecordStore:
@@ -464,7 +470,7 @@ class TestRecordStore:
             rec(method=m, replicate=i, att=0.1 * i - 0.3, se=0.2 + i, p=0.01 * i) for i in range(3) for m in ("LR", "IPW")
         ]
         records += [rec(method="CEM2", att=0.5), failed_rec("CEM2", 1), failed_rec("CEM2", 2)]
-        metrics = aggregate_cell(records, truth=-0.1, n_reps=3)
+        metrics = aggregate_cell(records, truth=-0.1)
         assert math.isnan(metrics[1].bias) and metrics[1].method == "CEM2"
         harness.write_metrics_csv(tmp_path / "a.csv", metrics)
         harness.write_metrics_csv(tmp_path / "b.csv", read_metrics_csv(tmp_path / "a.csv"))
@@ -554,6 +560,36 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
     }
 
 
+def inline_pool(monkeypatch) -> dict:
+    """Make ``run_grid`` use a stand-in pool that runs each cell inline as
+    it is submitted, so no process starts however many workers are asked
+    for; returns the pool sizes asked for and the count of cells submitted."""
+    seen = {"sizes": [], "submitted": 0}
+
+    class InlinePool:
+        def __init__(self, max_workers, **kwargs):
+            seen["sizes"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            seen["submitted"] += 1
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+    # run_grid imports the pool from concurrent.futures when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return seen
+
+
 class TestRunGrid:
     def test_store_layout_and_counts(self, tmp_path):
         computed = run_small_grid(tmp_path)
@@ -623,31 +659,24 @@ class TestRunGrid:
         assert tree_bytes(tmp_path / "serial") == tree_bytes(tmp_path / "parallel")
 
     def test_pool_starts_at_most_one_worker_per_cell(self, tmp_path, monkeypatch):
-        # A stand-in pool: it records its size and runs each cell inline, so
-        # no process starts however many workers are asked for.
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        # run_grid imports the pool from concurrent.futures when it needs one.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        pool = inline_pool(monkeypatch)
         run_small_grid(tmp_path / "pooled", parallelism=64)
-        assert sizes == [2]
+        assert pool["sizes"] == [2]
         run_small_grid(tmp_path / "serial", parallelism=1)
         assert tree_bytes(tmp_path / "pooled") == tree_bytes(tmp_path / "serial")
+
+    def test_pooled_cell_that_raises_starts_no_further_cell(self, tmp_path, monkeypatch):
+        pool = inline_pool(monkeypatch)
+
+        def broken(*args):
+            raise RuntimeError("broken cell")
+
+        monkeypatch.setattr(harness, "run_replicate", broken)
+        cells = [cfg_for(label=label, n_reps=2) for label in dgp.PREVALENCE_LABELS]
+        with pytest.raises(RuntimeError, match="broken cell"):
+            run_small_grid(tmp_path, cells=cells, parallelism=2)
+        assert pool["submitted"] == 2
+        assert json.loads((tmp_path / "manifest.json").read_text())["cells"] == {}
 
     def test_resume_skips_completed_cells(self, tmp_path, monkeypatch):
         assert run_small_grid(tmp_path) == ["s1t1p050_effect", "s1t1p033_effect"]
@@ -682,9 +711,9 @@ class TestRunGrid:
             return real(cfg, alpha0, replicate, methods)
 
         monkeypatch.setattr("attbench.harness.run_replicate", flaky)
-        with pytest.raises(PartialGridError) as excinfo:
+        # An error escaping a cell stops the grid as itself, after the finished cell is stored.
+        with pytest.raises(NoMatchesError, match="^synthetic breakage$"):
             run_small_grid(tmp_path / "store")
-        assert str(excinfo.value) == "1 cells failed: ['s1t1p033_effect']"
         manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
         assert set(manifest["cells"]) == {"s1t1p050_effect"}
 
@@ -697,6 +726,30 @@ class TestRunGrid:
         assert dict(calls) == {"aggregate_cell": 1}
         run_small_grid(tmp_path / "fresh")
         assert tree_bytes(tmp_path / "store") == tree_bytes(tmp_path / "fresh")
+
+    def test_undrawable_replicate_is_flagged_and_its_cell_completes(self, tmp_path, monkeypatch):
+        real = harness.generate_replicate
+
+        def no_cohort_for_replicate_1(cfg, alpha0, replicate):
+            if replicate == 1:
+                raise DegenerateDrawError("no viable draw in 64 attempts for replicate 1")
+            return real(cfg, alpha0, replicate)
+
+        monkeypatch.setattr(harness, "generate_replicate", no_cohort_for_replicate_1)
+        cells = [cfg_for(label="0.50", n_reps=4, seed=555)]
+        assert run_small_grid(tmp_path, cells=cells) == ["s1t1p050_effect"]
+        records = read_records_csv(tmp_path / "cells" / "s1t1p050_effect_records.csv")
+        flagged = [r for r in records if r.failed]
+        assert [(r.method, r.replicate, r.flags) for r in flagged] == [
+            (method, 1, "failed:DegenerateDrawError") for method in GRID_METHODS
+        ]
+        assert all(math.isnan(r.att) and r.n_discarded == 0 for r in flagged)
+        for m in read_metrics_csv(tmp_path / "cells" / "s1t1p050_effect_metrics.csv"):
+            assert m.failure_rate == 0.25
+            assert m.n_valid + sum(r.method == m.method for r in flagged) == 4
+        before = tree_bytes(tmp_path)
+        assert run_small_grid(tmp_path, cells=cells) == []
+        assert tree_bytes(tmp_path) == before
 
     def test_interrupted_grid_records_its_finished_cells(self, tmp_path, monkeypatch):
         real = run_replicate
@@ -1106,9 +1159,9 @@ def reuse_calls(monkeypatch) -> list[tuple[str, str]]:
         calls.append(("read_records_csv", Path(path).name.removesuffix("_records.csv")))
         return real_read(path)
 
-    def aggregate(records, truth, n_reps):
+    def aggregate(records, truth):
         calls.append(("aggregate_cell", ""))
-        return real_aggregate(records, truth, n_reps)
+        return real_aggregate(records, truth)
 
     monkeypatch.setattr(harness, "run_replicate", replicate)
     monkeypatch.setattr(harness, "read_records_csv", read)

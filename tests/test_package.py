@@ -1,6 +1,7 @@
 """Import-time behaviour of the package, checked in fresh interpreters,
 the package's imports and errors, checked in its source, and README's
-command sections and ``run`` flag table, checked against the parser."""
+command sections, ``run`` flag table and exit-code table, checked against
+the parser and ``cli``."""
 
 import argparse
 import ast
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 import attbench
+from attbench import cli
 from attbench.cli import build_parser
 
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -160,3 +162,11 @@ def test_readme_lists_each_run_flag_in_parser_order():
     run = subcommands.choices["run"]
     options = [a.option_strings[-1] for a in run._actions if a.option_strings and a.dest != "help"]
     assert documented == options
+
+
+def test_readme_exit_code_table_lists_each_exit_code():
+    # An exit code added or dropped without its README row fails here.
+    readme = (Path(attbench.__file__).resolve().parents[2] / "README.md").read_text()
+    section = readme.split("### Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    documented = [int(code) for code in re.findall(r"^\| (\d+) \|", section, flags=re.MULTILINE)]
+    assert documented == sorted(value for name, value in vars(cli).items() if name.startswith("EXIT_"))
