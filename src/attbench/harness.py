@@ -1,14 +1,18 @@
 """Replicate execution, cell aggregation, and the on-disk result store.
 
 One replicate draws a cohort and runs every requested estimator on it,
-each a function of the replicate in one method table.  Estimators share
-intermediates (the logistic propensity fit and its caliper block, the
-least-squares outcome fit, the stacked propensity and outcome fits)
-through a memo that also caches failures, so two methods consuming the
-same broken input report the same failure.  A failed method still emits
-a record, flagged ``failed:<ErrorType>``, never a silent gap; so does
-every method of a replicate whose cohort cannot be drawn.  A cell
-therefore always completes, whatever its replicates hit.
+each a function of the replicate in one method table.  The methods'
+inputs are named nuisances, each built once through one memo: the
+design (the logistic and stacked propensity fits with their trimming and
+truncation, the caliper block and the five matchings), which never reads
+the outcome, and the least-squares and stacked outcome fits.  Each
+method is then an outcome step over the cohort and the memo.  The memo
+keeps only builds that succeed; a build that raises is built again by
+each consumer, from the same inputs, to the same error, so two methods
+consuming the same broken input report the same failure.  A failed
+method still emits a record, flagged ``failed:<ErrorType>``, never a
+silent gap; so does every method of a replicate whose cohort cannot be
+drawn.  A cell therefore always completes, whatever its replicates hit.
 
 Cells are independent given the master seed, so the grid parallelizes
 over cells with each worker deriving its streams from stable
@@ -144,26 +148,28 @@ class _Replicate:
         self._memo: dict[str, object] = {}
 
     def nuisance(self, key: str):
-        """Build ``NUISANCES[key]`` once; a failure is cached and re-raised
-        to every consumer, so they all report the same error."""
+        """``NUISANCES[key]``, built once.  Only a build that succeeds is
+        kept: every nuisance is deterministic, so a build that raises is
+        built again by each consumer and raises the same error to each."""
         if key not in self._memo:
-            try:
-                self._memo[key] = NUISANCES[key](self)
-            except EstimationError as exc:
-                self._memo[key] = exc
-        value = self._memo[key]
-        if isinstance(value, EstimationError):
-            raise value
-        return value
+            self._memo[key] = NUISANCES[key](self)
+        return self._memo[key]
 
 
-# Builders of the nuisances several methods share.  Every entry, like every
-# method below, looks its estimator up as a module global at call time, so
-# replacing a name on this module reaches every caller.
+# Builders of the methods' inputs, several of them shared.  Only the entries
+# whose key starts with ``outcome_`` read the outcome; the rest are the
+# cohort's design.  Every entry, like every method below, looks its estimator up as
+# a module global at call time, so replacing a name on this module reaches
+# every caller.
 NUISANCES = {
     "ps_logistic": lambda r: estimate_ps(r.x, r.z, "logistic"),
     "ps_trimmed": lambda r: trim_ps(r.nuisance("ps_logistic")),
     "caliper_block": lambda r: caliper_block(r.nuisance("ps_logistic").values, r.z),
+    "cem_2": lambda r: cem_match(r.x, r.z, 2),
+    "cem_5": lambda r: cem_match(r.x, r.z, 5),
+    "match_mdm": lambda r: mdm_match(r.x, r.nuisance("caliper_block")),
+    "match_psm_1": lambda r: psm_match(r.nuisance("caliper_block"), 1),
+    "match_psm_2": lambda r: psm_match(r.nuisance("caliper_block"), 2),
     "outcome_ols": lambda r: fit_ols(ols_outcome_design(r.x, r.z), r.y),
     "ps_ensemble": lambda r: estimate_ps(r.x, r.z, "ensemble", rng=r.fold_rng(purpose=PURPOSE_PS_FOLDS)),
     "ps_truncated": lambda r: truncate_ps(r.nuisance("ps_ensemble")),
@@ -182,15 +188,15 @@ def _lr(r: _Replicate):
     return wald_estimate(att, se, r.y.size - fit.coefficients.size), 0, ()
 
 
-def _cem(r: _Replicate, n_bins: int):
-    strata = cem_match(r.x, r.z, n_bins)
+def _cem(r: _Replicate, key: str):
+    strata = r.nuisance(key)
     return cem_att(r.y, r.z, strata), int(((r.z == 1) & ~strata.retained).sum()), ()
 
 
-def _matched(r: _Replicate, match):
-    ps = r.nuisance("ps_logistic")
-    matches = match(r.nuisance("caliper_block"))
-    return matched_att(r.y, matches), len(matches.discarded_treated), _ps_flags(ps)
+def _matched(r: _Replicate, key: str):
+    # Building the matching builds the logistic score first, so a failed score raises here as itself.
+    matches = r.nuisance(key)
+    return matched_att(r.y, matches), len(matches.discarded_treated), _ps_flags(r.nuisance("ps_logistic"))
 
 
 def _trimmed(r: _Replicate, estimate):
@@ -212,17 +218,18 @@ def _tmle_sl(r: _Replicate):
     return fit, 0, _ps_flags(truncated) + nonconverged
 
 
-# Method -> estimator of one replicate, returning (estimate, n_discarded,
+# Method -> outcome step of one replicate: it reads the outcome, the
+# treatment and the ``NUISANCES`` memo, and returns (estimate, n_discarded,
 # flags), where the estimate has ``att``, ``theoretical_se`` and
 # ``p_value`` (an :class:`Estimate`, or TMLE's fuller fit).  Its order is
 # the roster order of the store.
 METHOD_TABLE = {
     "LR": _lr,
-    "CEM2": lambda r: _cem(r, 2),
-    "CEM5": lambda r: _cem(r, 5),
-    "MDM": lambda r: _matched(r, lambda block: mdm_match(r.x, block)),
-    "PSM": lambda r: _matched(r, lambda block: psm_match(block, 1)),
-    "PSM_1:2": lambda r: _matched(r, lambda block: psm_match(block, 2)),
+    "CEM2": lambda r: _cem(r, "cem_2"),
+    "CEM5": lambda r: _cem(r, "cem_5"),
+    "MDM": lambda r: _matched(r, "match_mdm"),
+    "PSM": lambda r: _matched(r, "match_psm_1"),
+    "PSM_1:2": lambda r: _matched(r, "match_psm_2"),
     "IPW": lambda r: _trimmed(r, lambda ps: ipw_att(r.y, r.z, ps)),
     "AIPW": lambda r: _trimmed(
         r, lambda ps: aipw_att(r.y, r.z, ps, *ols_arm_predictions(r.nuisance("outcome_ols"), r.x))
@@ -250,15 +257,18 @@ def run_replicate(
     """Run the requested estimators on one simulated cohort: one record
     per method, in the order requested.
 
-    Shared inputs are computed once: PSM, MDM, IPW, and AIPW all consume
-    the same logistic propensity fit, PSM, PSM_1:2 and MDM one caliper
-    block built from it, LR and AIPW one least-squares outcome fit, and
-    the two stacked methods one propensity ensemble and one outcome
-    ensemble.  The ensembles' fold draws live on their own substreams
-    keyed by the attempt that produced the cohort, so they are
-    reproducible unit by unit.  A replicate whose every draw attempt is
-    degenerate has no cohort: each method gets the row of a method that
-    failed, flagged ``failed:DegenerateDrawError``.
+    Shared inputs are the entries of ``NUISANCES``, each built once a
+    replicate: PSM, MDM, IPW, and AIPW all consume the same logistic
+    propensity fit, PSM, PSM_1:2 and MDM one caliper block built from it
+    and each its own matching of it, CEM2 and CEM5 their coarsened
+    strata, LR and AIPW one least-squares outcome fit, and the two stacked
+    methods one propensity ensemble and one outcome ensemble.  A shared
+    input whose build raises is built again by each method that reads it,
+    and fails each with the same flag.  The ensembles' fold draws live on
+    their own substreams keyed by the attempt that produced the cohort, so
+    they are reproducible unit by unit.  A replicate whose every draw
+    attempt is degenerate has no cohort: each method gets the row of a
+    method that failed, flagged ``failed:DegenerateDrawError``.
     """
     # Looked up first, so an unknown method fails before any draw.
     estimators = [(method, METHOD_TABLE[method]) for method in (METHODS if methods is None else methods)]

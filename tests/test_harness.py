@@ -153,9 +153,9 @@ class TestRunReplicate:
         assert lr_metrics.failure_rate == 0.0
 
     def test_shared_input_failure_hits_all_consumers_alike(self):
-        # Replicate 5 trims every control away: IPW and AIPW consume the
-        # same memoized trimming failure, and both stacked methods share
-        # the same ensemble failure.
+        # Replicate 5 trims every control away: IPW and AIPW each build the
+        # failing trimmed score and carry the same flag, and both stacked
+        # methods fail alike on the ensemble inputs they share.
         records = {r.method: r for r in run_replicate(cfg_for(label="0.50"), -4.2, 5)}
         assert "failed:AllTrimmedError" in records["IPW"].flags
         assert records["IPW"].flags == records["AIPW"].flags
@@ -292,7 +292,31 @@ class TestSharedNuisances:
         records = run_replicate(cfg_for(label="0.50"), -0.0694, 0, ("PSM", "PSM_1:2", "MDM"))
         error = "NoMatchesError" if score_fits else "OneClassError"
         assert {r.flags for r in records} == {f"failed:{error}"}
-        assert calls["caliper_block"] == int(score_fits)
+        # A build that raises is not kept, so each matcher builds the block again.
+        assert calls["caliper_block"] == (3 if score_fits else 0)
+
+
+class TestDesignReadsNoOutcome:
+    """Every ``NUISANCES`` entry whose key does not start with ``outcome_``
+    is the cohort's design: it builds from the covariates, the treatment
+    and the fold streams alone, so a replicate with no outcome builds it."""
+
+    @pytest.mark.parametrize("label", ["0.50", "0.05"], ids=["n100", "n1000"])
+    @pytest.mark.parametrize("scenario", [1, 2, 3])
+    def test_design_builds_without_the_outcome(self, scenario, label):
+        cfg = cfg_for(scenario, 1, label)
+        alpha0 = harness.oracle_intercepts([(scenario, label)], 42, 10**5)[(scenario, label)]
+        ds, attempt = generate_replicate(cfg, alpha0, 0)
+        replicate = harness._Replicate(cfg, 0, attempt, ds)
+        del replicate.y
+        design = [key for key in harness.NUISANCES if not key.startswith("outcome_")]
+        assert len(design) == 10
+        for key in design:
+            replicate.nuisance(key)
+        # The outcome entries do read it.
+        for key in set(harness.NUISANCES) - set(design):
+            with pytest.raises(AttributeError):
+                replicate.nuisance(key)
 
 
 class TestReplicateIndependence:

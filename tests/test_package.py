@@ -1,10 +1,12 @@
 """Import-time behaviour of the package, checked in fresh interpreters,
-the package's imports and errors, checked in its source, and README's
+the package's imports and errors, checked in its source, the names
+perfbench wraps, each present on its module, and README's
 command sections, ``run`` flag table and exit-code table, checked against
 the parser and ``cli``."""
 
 import argparse
 import ast
+import importlib
 import json
 import os
 import re
@@ -91,6 +93,15 @@ def _trace_sites() -> set[tuple[str, str]]:
         if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACE_SITES":
             return {(site.elts[0].value, site.elts[1].value) for site in node.value.elts}
     raise AssertionError(f"no TRACE_SITES in {spans}")
+
+
+def test_every_trace_site_exists_on_its_module():
+    # perfbench looks up every site before each timed run, so a name a
+    # refactor drops from its module would stop every benchmark run.
+    sites = _trace_sites()
+    assert len(sites) > 30
+    missing = sorted(f"{module}.{name}" for module, name in sites if not hasattr(importlib.import_module(module), name))
+    assert missing == []
 
 
 def _import_faults(path: Path, trace_sites: set[tuple[str, str]]) -> list[str]:
