@@ -18,12 +18,14 @@ still free, so the block is built once.  Each unit then takes the
 control index), ``ratio`` times, and every taken control's column is
 set to ``inf`` for the units after it.  The matches equal those of the
 per-unit search exactly, and come back as a :class:`MatchSet` of two
-int arrays, one row per matched unit.  The caliper part of the block, a
-:class:`CaliperBlock`, depends on the score and treatment alone, so
-:func:`caliper_block` builds it once per replicate and the matchers take
-it as given, :func:`psm_match` as ``(block, ratio)`` and
-:func:`mdm_match` as ``(x, block)``, each building its distances from
-it.  Coarsened strata are integer codes counted with ``np.bincount``,
+int arrays, one row per matched unit.  The propensity block, a
+:class:`CaliperBlock`, depends on the score and treatment alone: its one
+read-only table holds each pair's logit gap inside the caliper and
+``inf`` outside it.  :func:`caliper_block` builds it once per replicate
+and the matchers take it as given, :func:`psm_match` as ``(block,
+ratio)``, walking a copy of the table, and :func:`mdm_match` as ``(x,
+block)``, overwriting a copy's finite cells with Mahalanobis distances.
+Coarsened strata are integer codes counted with ``np.bincount``,
 coded once per :func:`cem_match` and carried to :func:`cem_att`.
 """
 
@@ -55,17 +57,18 @@ class MatchSet(NamedTuple):
 
 
 class CaliperBlock(NamedTuple):
-    """Treated units in greedy order, controls, their logit gaps, the caliper mask.
+    """Treated units in greedy order, controls, and their caliper-masked distances.
 
-    ``gap`` and ``within`` have one row per treated unit and one column per
-    control.  Both are read-only, so one block can serve every matcher of
-    a replicate; each builds its own distance block from them.
+    ``dist`` has one row per treated unit and one column per control: the
+    pair's ``|logit gap|`` where the caliper admits it, ``inf`` elsewhere,
+    so a pair is eligible exactly where ``dist < inf``.  It is read-only,
+    so one block can serve every matcher of a replicate; each walks its
+    own copy.
     """
 
     treated: np.ndarray
     controls: np.ndarray
-    gap: np.ndarray
-    within: np.ndarray
+    dist: np.ndarray
 
 
 def caliper_block(ps_values: np.ndarray, z: np.ndarray) -> CaliperBlock:
@@ -81,10 +84,11 @@ def caliper_block(ps_values: np.ndarray, z: np.ndarray) -> CaliperBlock:
     # the lowest index first among exact ties.
     treated = treated_idx[np.argsort(-ps_values[treated_idx], kind="stable")]
     logit_ps = logit(ps_values)
-    gap = np.abs(logit_ps[control_idx] - logit_ps[treated][:, None])
-    within = gap <= CALIPER_SD_FACTOR * float(np.std(logit_ps, ddof=1))
-    gap.flags.writeable = within.flags.writeable = False
-    return CaliperBlock(treated, control_idx, gap, within)
+    dist = np.abs(logit_ps[control_idx] - logit_ps[treated][:, None])
+    # Negated so that a NaN gap falls outside the caliper.
+    dist[~(dist <= CALIPER_SD_FACTOR * float(np.std(logit_ps, ddof=1)))] = np.inf
+    dist.flags.writeable = False
+    return CaliperBlock(treated, control_idx, dist)
 
 
 def _greedy_walk(treated: np.ndarray, control_idx: np.ndarray, dist: np.ndarray, ratio: int) -> MatchSet:
@@ -120,7 +124,7 @@ def psm_match(block: CaliperBlock, ratio: int) -> MatchSet:
     discarded.  Raises :class:`NoMatchesError` when every treated unit is
     discarded.
     """
-    return _greedy_walk(block.treated, block.controls, np.where(block.within, block.gap, np.inf), ratio)
+    return _greedy_walk(block.treated, block.controls, block.dist.copy(), ratio)
 
 
 def mdm_match(x: np.ndarray, block: CaliperBlock) -> MatchSet:
@@ -153,13 +157,13 @@ def _pair_distances(white: np.ndarray, block: CaliperBlock) -> np.ndarray:
     Each pair's squares are added over coordinates 0..d-1 in order, as a
     per-unit search adds them.
     """
-    flat = np.flatnonzero(block.within)
-    rows, cols = np.divmod(flat, block.within.shape[1])
+    dist = block.dist.copy()
+    flat = np.flatnonzero(dist < np.inf)
+    rows, cols = np.divmod(flat, dist.shape[1])
     t, c = block.treated[rows], block.controls[cols]
     squared = (white[0, c] - white[0, t]) ** 2
     for coordinate in white[1:]:
         squared += (coordinate[c] - coordinate[t]) ** 2
-    dist = np.full(block.within.shape, np.inf)
     dist.ravel()[flat] = np.sqrt(squared)
     return dist
 

@@ -137,9 +137,9 @@ def row_gather_distances(white, block):
     ``white`` holds one row per coordinate, as ``matching._whiten`` returns it.
     """
     units = white.T
-    eligible = np.flatnonzero(block.within)
+    eligible = np.flatnonzero(block.dist < np.inf)
     rows, cols = np.divmod(eligible, block.controls.size)
-    dist = np.full(block.within.shape, np.inf)
+    dist = np.full(block.dist.shape, np.inf)
     dist.flat[eligible] = np.sqrt(((units[block.controls[cols]] - units[block.treated[rows]]) ** 2).sum(axis=1))
     return dist
 

@@ -166,6 +166,16 @@ class TestPsmMatch:
         )
         assert match_tuples(matches)[0] == ((0, (1,)),)
 
+    def test_constant_scores_admit_every_pair(self):
+        # A constant score gives a zero caliper, and every gap sits on its
+        # ``<=`` boundary: all pairs are eligible and tie, so each treated
+        # unit, in index order, takes the lowest free controls.
+        z = np.array([1, 0, 1, 0, 0, 1])
+        block = caliper_block(np.full(6, 0.5), z)
+        assert np.array_equal(block.dist, np.zeros((3, 3)))
+        assert match_tuples(psm_match(block, 1)) == (((0, (1,)), (2, (3,)), (5, (4,))), ())
+        assert match_tuples(psm_match(block, 2)) == (((0, (1, 3)), (2, (4,))), (5,))
+
     def test_exhausted_pool_discards_remaining_treated(self):
         matches = psm([0.6, 0.01, 0.595], np.array([1, 1, 0]))
         assert match_tuples(matches) == (((0, (2,)),), (1,))
@@ -331,7 +341,7 @@ class TestMdmMatch:
             z[np_rng.choice(n, size=int(np_rng.integers(2, n - 1)), replace=False)] = 1
             white = matching._whiten(np_rng.standard_normal((n, int(np_rng.integers(2, 6)))))
             block = caliper_block(np_rng.uniform(0.05, 0.95, size=n), z)
-            assert block.within.any()
+            assert (block.dist < np.inf).any()
             assert np.array_equal(matching._pair_distances(white, block), row_gather_distances(white, block))
 
     def test_collinear_covariates_raise(self, np_rng):
@@ -556,8 +566,22 @@ class TestLoopOracles:
 
 @pytest.fixture(scope="module")
 def design_intercepts():
-    pairs = [(s, label) for s in (1, 2, 3) for label in ("0.05", "0.10")]
+    pairs = [(s, label) for s in (1, 2, 3) for label in ("0.05", "0.10")] + [(1, "0.50"), (2, "0.50")]
     return oracle_intercepts(pairs, 42, 20_000)
+
+
+def drawn_cohort(design_intercepts, scenario, label):
+    """Observed covariates and treatment of replicate 0 of an effect cell."""
+    cfg = CellConfig(
+        scenario=scenario,
+        setting=1,
+        prevalence_label=label,
+        null_effect=False,
+        n_reps=1,
+        master_seed=20240817,
+    )
+    data, _ = generate_replicate(cfg, design_intercepts[(scenario, label)], replicate=0)
+    return data.observed_covariates, data.z
 
 
 class TestGreedyWalkAtDesignSizes:
@@ -567,17 +591,8 @@ class TestGreedyWalkAtDesignSizes:
     @pytest.mark.parametrize("scenario", [1, 2, 3])
     @pytest.mark.parametrize("label", ["0.05", "0.10"])
     def test_simulated_cohorts(self, design_intercepts, scenario, label):
-        cfg = CellConfig(
-            scenario=scenario,
-            setting=1,
-            prevalence_label=label,
-            null_effect=False,
-            n_reps=1,
-            master_seed=20240817,
-        )
-        data, _ = generate_replicate(cfg, design_intercepts[(scenario, label)], replicate=0)
-        assert data.x.shape[0] == {"0.05": 1000, "0.10": 500}[label]
-        x, z = data.observed_covariates, data.z
+        x, z = drawn_cohort(design_intercepts, scenario, label)
+        assert x.shape[0] == {"0.05": 1000, "0.10": 500}[label]
         ps = estimate_ps(x, z)
         for ratio in (1, 2):
             pairs, discarded = naive_psm(ps.values, z, ratio)
@@ -588,6 +603,22 @@ class TestGreedyWalkAtDesignSizes:
         matches = mdm(x, z, ps.values)
         check_match_contract(matches, z, 1)
         assert match_tuples(matches) == (tuple(pairs), tuple(discarded))
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("label", ["0.05", "0.50"])
+    def test_one_block_serves_every_matcher(self, design_intercepts, scenario, label):
+        # The harness hands one block to PSM, PSM 1:2 and MDM in turn; its
+        # read-only table must give each the same matches in either order.
+        x, z = drawn_cohort(design_intercepts, scenario, label)
+        block = caliper_block(estimate_ps(x, z).values, z)
+        assert not block.dist.flags.writeable
+        table = block.dist.tobytes()
+        forward = [psm_match(block, 1), psm_match(block, 2), mdm_match(x, block)]
+        reverse = [mdm_match(x, block), psm_match(block, 2), psm_match(block, 1)][::-1]
+        for first, second in zip(forward, reverse):
+            assert np.array_equal(first.pairs, second.pairs)
+            assert np.array_equal(first.discarded_treated, second.discarded_treated)
+        assert block.dist.tobytes() == table
 
     def test_rounded_scores_and_duplicate_controls(self, np_rng):
         # Scores on a 0.01 grid tie among treated units (greedy order) and
