@@ -15,9 +15,9 @@ else ``ATTBENCH_OUTPUT_DIR`` when set and non-empty, else
 Exit codes: 0 on success, 2 for configuration problems (a store built
 under other parameters, a cell's records or metrics that fail their
 digest, a store file that cannot be read or written, and a size this
-host cannot allocate, included).  ``run`` also exits 2 when an estimation
-error stops it, such as an intercept that cannot be calibrated; no cell
-fails a run, as a method's failure on a replicate is a flagged record.
+host cannot allocate, included).  No estimation error stops a command: a
+method's failure on a replicate is a flagged record, and the intercept
+calibration raises none.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .dgp import (
     draw_true_propensity,
     prevalence_label_for,
 )
-from .errors import CorruptManifestError, EstimationError, StoreMismatchError
+from .errors import CorruptManifestError, StoreMismatchError
 from .harness import (
     DEFAULT_ORACLE_SEED,
     MANIFEST_NAME,
@@ -189,9 +189,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         if "schema_version" in exc.differing:
             hint = "rebuild it in a fresh --output-dir"
         _log(f"error: {exc}; {hint}")
-        return EXIT_CONFIG
-    except EstimationError as exc:
-        _log(f"run failed: {exc}")
         return EXIT_CONFIG
     _log(f"store written to {args.output_dir}")
     return EXIT_OK

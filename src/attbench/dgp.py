@@ -38,12 +38,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketFailureError, DegenerateDrawError
+from .errors import DegenerateDrawError
 from .numeric import PURPOSE_DATASET, expit, logit, substream
 
 NOISE_VARIANCE = 2.0
 NOISE_SD = float(np.sqrt(NOISE_VARIANCE))
-CALIBRATION_TOL = 1e-3
 # Default oracle sample sizes: the intercept calibration's and the truth's.
 DEFAULT_CALIBRATION_N = 10**6
 DEFAULT_TRUTH_N = 10**7
@@ -319,9 +318,12 @@ def calibrate_intercept(
     The Monte Carlo sample of covariate terms is drawn once and held
     fixed; marginal prevalence is then monotone in the intercept, so
     bisection on the bracket converges to the root of the empirical
-    moment condition.  Raises :class:`BracketFailureError` if the bracket
-    does not straddle the target or the achieved prevalence misses it by
-    more than ``CALIBRATION_TOL``.
+    moment condition.  It raises nothing.  At the design's sizes the
+    bracket's ends give prevalences below 0.01 and above 0.99 (the tests
+    check each scenario), so every design target, 0.05 to 0.50, lies
+    inside; and the prevalence rises with the intercept at a slope of at
+    most 1/4, so across the final leaf, at most 1e-10 wide, it moves by at
+    most 2.5e-11.
 
     The computed gap ``mean(expit(alpha + terms)) - prevalence`` is itself
     non-decreasing in ``alpha``: the rounded sum ``alpha + t``, ``expit``
@@ -339,7 +341,7 @@ def calibrate_intercept(
     or above ``hi`` and has a non-negative gap.  Steered by the gap at each
     midpoint instead, the loop takes the same steps and returns the same
     bits, ``(lo + hi) / 2``, whose gap lies between the two.  That is two
-    passes over the sample for the certificate, against 42 for the plain
+    passes over the sample for the certificate, against 39 for the plain
     bisection, which runs when the certificate fails.
 
     ``guess`` defaults to a Newton estimate from the sample (about four
@@ -367,18 +369,9 @@ def calibrate_intercept(
     guess = _newton_root(terms, prevalence, buf) if guess is None else guess
     lo, hi = _bisect(lambda mid: mid < guess)
     g_lo, g_hi = gap(lo), gap(hi)
-    certified = g_lo < 0.0 <= g_hi
-    if not certified:
-        if gap(_BISECTION_BRACKET[0]) > 0.0 or gap(_BISECTION_BRACKET[1]) < 0.0:
-            raise BracketFailureError(f"bracket {_BISECTION_BRACKET} does not straddle {prevalence}")
+    if not g_lo < 0.0 <= g_hi:
         lo, hi = _bisect(lambda mid: gap(mid) < 0.0)
-    alpha = (lo + hi) / 2.0
-    # In a certified leaf the gap at alpha lies between g_lo and g_hi.
-    if not (certified and -CALIBRATION_TOL <= g_lo and g_hi <= CALIBRATION_TOL):
-        miss = gap(alpha)
-        if abs(miss) > CALIBRATION_TOL:
-            raise BracketFailureError(f"calibration missed target by {miss:.2e}")
-    return float(alpha)
+    return (lo + hi) / 2.0
 
 
 def generate_dataset(cfg: CellConfig, alpha0: float, rng: np.random.Generator) -> Dataset:

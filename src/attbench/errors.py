@@ -15,9 +15,11 @@ the oracles can hit it:
 - ``matching``: :class:`NoMatchesError` and :class:`TooFewPairsError`;
 - ``tmle``: :class:`FlatOutcomeError`;
 - ``dgp``: :class:`DegenerateDrawError`, when a replicate's every draw
-  attempt is degenerate (``harness`` flags each method's record with it),
-  and :class:`BracketFailureError`, when an intercept cannot be
-  calibrated (it stops a run before any cell).
+  attempt is degenerate (``harness`` flags each method's record with it).
+
+So none leaves a run: ``harness`` turns each into a flagged record.  The
+intercept calibration raises none, since every design target lies inside
+its bracket.
 
 Anything else escaping an estimator is a genuine bug and propagates.  The
 two store errors, :class:`CorruptManifestError` (``harness`` and ``cli``)
@@ -68,10 +70,6 @@ class FlatOutcomeError(EstimationError):
 
 class DegenerateDrawError(EstimationError):
     """A simulated dataset has fewer than two treated or two control units."""
-
-
-class BracketFailureError(EstimationError):
-    """Bisection bracket does not straddle the calibration target."""
 
 
 class CorruptManifestError(ValueError):

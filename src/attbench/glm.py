@@ -26,7 +26,7 @@ from functools import cache
 import numpy as np
 
 from .errors import OneClassError, RankDeficientError
-from .numeric import CHOLESKY_PIVOT_TOL, cholesky_factor, expit, solve_from_factor, solve_spd_stack
+from .numeric import cholesky_factor, expit, solve_from_factor, solve_spd_stack
 
 IRLS_SCORE_TOL = 1e-6
 IRLS_MAX_ITER = 50
@@ -318,8 +318,10 @@ def _logistic_intercepts(counts: np.ndarray, sums: np.ndarray):
 
     Row ``r`` weighs ``counts[r]`` observations whose responses sum to
     ``sums[r]``.  Its score is ``sums - counts * p`` and its information
-    ``counts * max(p * (1 - p), 1e-10)``; the stopping, pivot-floor and
-    separation rules are the engine's.  Returns ``(beta, separated)``.
+    ``counts * max(p * (1 - p), 1e-10)``; the stopping and separation rules
+    are the engine's.  The engine's pivot floor, 1e-12, cannot bind here:
+    every count is at least 2, so the information is at least 2e-10.
+    Returns ``(beta, separated)``.
     """
     beta = np.zeros(counts.size)
     separated = np.zeros(counts.size, dtype=bool)
@@ -332,9 +334,6 @@ def _logistic_intercepts(counts: np.ndarray, sums: np.ndarray):
             if not abs(score) > IRLS_SCORE_TOL:
                 break
             info = count * max(prob * (1.0 - prob), 1e-10)
-            if not info > CHOLESKY_PIVOT_TOL:
-                separated[r] = True
-                break
             b += score / info
             if not abs(b) <= SEPARATION_COEF_BOUND:
                 separated[r] = True

@@ -103,8 +103,6 @@ def tmle_att(y: np.ndarray, z: np.ndarray, q1: np.ndarray, q0: np.ndarray, ps: P
     h_control = -ps.values / (p_treat * (1.0 - ps.values))
     h_obs = np.where(treated, h_treated, h_control)
 
-    att = np.nan
-    eif = np.full(n, np.nan)
     converged = False
     for _ in range(MAX_TARGETING_ROUNDS):
         q1_s = np.clip(q1_s, Q_CLAMP, 1.0 - Q_CLAMP)

@@ -34,11 +34,10 @@ from scipy.special import expit
 from attbench.dgp import (
     _BISECTION_BRACKET,
     _BISECTION_X_TOL,
-    CALIBRATION_TOL,
     _draw_treatment_covariates,
     draw_true_propensity,
 )
-from attbench.errors import BracketFailureError, NonSpdError, OneClassError, RankDeficientError
+from attbench.errors import NonSpdError, OneClassError, RankDeficientError
 from attbench.glm import IRLS_MAX_ITER, IRLS_SCORE_TOL, PROB_CLAMP, SEPARATION_COEF_BOUND, OlsFit
 from attbench.numeric import Estimate, cholesky_factor, solve_from_factor, two_sided_p
 
@@ -431,9 +430,9 @@ def naive_treatment_logit_terms(spec, x1, x2, x4=None):
     return terms
 
 
-def naive_calibrate_intercept(spec, prevalence, rng, oracle_n=10**6, tol=CALIBRATION_TOL):
+def naive_calibrate_intercept(spec, prevalence, rng, oracle_n=10**6):
     """The plain bisection ``calibrate_intercept`` once ran, evaluating the
-    gap at both bracket ends, every midpoint and the result."""
+    gap at every midpoint."""
     if not 0.0 < prevalence < 1.0:
         raise ValueError(f"prevalence must lie in (0, 1): {prevalence}")
     x1, x2, x4 = _draw_treatment_covariates(spec, oracle_n, rng)
@@ -443,18 +442,13 @@ def naive_calibrate_intercept(spec, prevalence, rng, oracle_n=10**6, tol=CALIBRA
         return float(np.mean(expit(alpha + terms))) - prevalence
 
     lo, hi = _BISECTION_BRACKET
-    if gap(lo) > 0.0 or gap(hi) < 0.0:
-        raise BracketFailureError(f"bracket {_BISECTION_BRACKET} does not straddle {prevalence}")
     while hi - lo > _BISECTION_X_TOL:
         mid = (lo + hi) / 2.0
         if gap(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    alpha = (lo + hi) / 2.0
-    if abs(gap(alpha)) > tol:
-        raise BracketFailureError(f"calibration missed target by {gap(alpha):.2e}")
-    return float(alpha)
+    return (lo + hi) / 2.0
 
 
 def naive_true_att(spec, alpha0, rng, oracle_n):

@@ -22,7 +22,6 @@ from attbench.cli import (
     main,
 )
 from attbench.dgp import PREVALENCE_LABELS
-from attbench.errors import NoMatchesError
 from attbench.harness import aggregate_cell, read_records_csv
 
 
@@ -156,16 +155,6 @@ class TestCmdRun:
         assert main(["run", *SMOKE_FLAGS, "--methods", "PSM,PSM", "--output-dir", str(store)]) == EXIT_CONFIG
         assert "methods repeat ['PSM']" in capsys.readouterr().err
         assert not store.exists()
-
-    def test_estimation_error_exit_code(self, tmp_path, monkeypatch, capsys):
-        # No cell fails a run; an estimation error that escapes one stops it.
-        def broken(*args, **kwargs):
-            raise NoMatchesError("synthetic breakage")
-
-        monkeypatch.setattr("attbench.cli.run_grid", broken)
-        code = main(["run", *SMOKE_FLAGS, "--output-dir", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        assert "run failed: synthetic breakage" in capsys.readouterr().err
 
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit):
