@@ -13,9 +13,11 @@ once.  Every command finds its store directory by one rule too: its flag,
 else ``ATTBENCH_OUTPUT_DIR`` when set and non-empty, else
 ``attbench-out``.
 Exit codes: 0 on success, 2 for configuration problems (a store built
-under other parameters, a cell's records or metrics that fail their
-digest, a store file that cannot be read or written, and a size this
-host cannot allocate, included).  No estimation error stops a command: a
+under other parameters, a store file that cannot be read or written, a
+store table that passes its digest but cannot be parsed, and a size this
+host cannot allocate, included).  ``report`` also exits 2 on a cell whose
+records or metrics fail their digest; ``run`` computes such a cell
+again, and parses no cell file.  No estimation error stops a command: a
 method's failure on a replicate is a flagged record, and the intercept
 calibration raises none.
 """
@@ -49,8 +51,8 @@ from .harness import (
     METHODS,
     METRIC_COLUMNS,
     REPORT_NAME,
+    cell_intact,
     cell_paths,
-    digest_matches,
     oracle_intercepts,
     oracle_stream,
     read_manifest,
@@ -239,10 +241,10 @@ def _report_rows(store: Path) -> list[tuple]:
             raise CorruptManifestError(f"manifest {manifest_path}: completed cell {name} is not a cell of the design")
         cfg = design[name]
         key = (cfg.scenario, cfg.setting, cfg.prevalence_label)
-        paths = cell_paths(store, name)
-        if not all(digest_matches(path, entry.get(f"{kind}_sha256")) for kind, path in paths.items()):
+        if not cell_intact(store, name, entry):
             raise ConfigError(f"cell {name}: records or metrics missing or failing their digest; rerun `attbench run`")
-        groups.setdefault(key, {})[cfg.null_effect] = {m.method: m for m in read_metrics_csv(paths["metrics"])}
+        metrics = read_metrics_csv(cell_paths(store, name)["metrics"])
+        groups.setdefault(key, {})[cfg.null_effect] = {m.method: m for m in metrics}
 
     rows = []
     for key in sorted(groups):

@@ -23,13 +23,15 @@ reader, which checks its header; the manifest has sorted JSON keys;
 nothing holds a timestamp.  Equal configurations therefore
 produce byte-identical files at any worker count.  A manifest tracks
 completed cells, with the digests of each cell's records and metrics
-files, and lets an interrupted grid resume without recomputation: a
-completed cell whose digests, intercept and truth all check out is
-reused without reading its records.  The two oracle tables are the only
-stored copy of the intercepts and truths, each vouched for by its own
-digest in the manifest.  A resume reuses each true ATT of a vouched
-``truths.csv`` whose pair's intercept in a vouched ``calibration.csv``
-recomputes to the same bits.
+files, and is rewritten as each cell is stored, so an interrupted grid
+resumes without computing a finished cell again: a completed cell whose
+digests, intercept and truth all check out is reused whole, unread, and
+every other cell is computed again.  The two oracle tables, each vouched
+for by its own digest in the manifest, are what a resume reads its
+intercept guesses and truths from; each cell's entry holds the intercept
+and truth that cell was computed under.  A resume reuses each true ATT
+of a vouched ``truths.csv`` whose pair's intercept in a vouched
+``calibration.csv`` recomputes to the same bits.
 """
 
 from __future__ import annotations
@@ -91,9 +93,6 @@ CELLS_DIR = "cells"
 # The manifest key of each oracle table's sha256.
 ORACLE_DIGESTS = {CALIBRATION_NAME: "calibration_sha256", TRUTHS_NAME: "truths_sha256"}
 SCHEMA_VERSION = 3
-# A grid rewrites its manifest at most this often while cells finish, and
-# once more when it stops; each cell's digest keeps the resume contract.
-MANIFEST_INTERVAL_S = 5.0
 CALIBRATION_COLUMNS = ("scenario", "prevalence", "oracle_seed", "oracle_n", "alpha0")
 TRUTH_COLUMNS = ("scenario", "setting", "prevalence", "arm", "oracle_seed", "oracle_n", "truth", "oracle_se")
 
@@ -415,6 +414,14 @@ def digest_matches(path: Path, digest) -> bool:
     return path.exists() and digest == _sha256(path)
 
 
+def cell_intact(store: Path, name: str, entry: dict) -> bool:
+    """Whether cell ``name``'s manifest ``entry`` is complete and its
+    records and metrics files in ``store`` both match their digests."""
+    return bool(entry.get("complete")) and all(
+        digest_matches(path, entry.get(f"{kind}_sha256")) for kind, path in cell_paths(store, name).items()
+    )
+
+
 def _is_float(value, expected: float) -> bool:
     """Whether a manifest ``value`` is a float ``==`` to ``expected``."""
     return type(value) is float and value == expected
@@ -577,31 +584,26 @@ def run_grid(
     intercepts and true ATT values, once per (scenario, prevalence) on
     streams derived from ``oracle_seed``, written to the two oracle tables,
     whose digests the manifest keeps as ``calibration_sha256`` and
-    ``truths_sha256``.  Then the plan, one pass that keeps, heals or queues
-    each cell.  A cell whose manifest entry matches this run (replicate
-    count, methods, and an ``alpha0`` float ``==`` to the recomputed
-    intercept) and whose records match ``records_sha256`` is reused, which
-    is what makes an interrupted grid resumable.  It is kept untouched,
-    unread, when its metrics file matches ``metrics_sha256`` and its
-    entry's ``truth`` is a float ``==`` to this run's truth; otherwise it
-    heals from its records.  Every other cell is queued, and executed after
-    the pass.  One finishing step serves a healed and an executed cell alike: it
-    aggregates the records under this run's truth, deletes a ``report.csv``
-    that summarized the store before, and writes the metrics file (after
-    the records file, for an executed cell only) and the cell's whole
-    manifest entry.  An executed cell always completes: a method that fails
-    on a replicate, or a replicate with no drawable cohort, is a flagged
-    record (:func:`run_replicate`).  A store built under another schema
-    version, master seed, oracle seed or oracle size raises
+    ``truths_sha256``.  Then the plan, one pass that reuses or queues each
+    cell by one rule.  A cell is reused, unread, when its manifest entry
+    matches this run (replicate count, methods, and an ``alpha0`` and a
+    ``truth`` that are floats ``==`` to this run's intercept and truth)
+    and the cell is intact (:func:`cell_intact`); that is what makes an
+    interrupted grid resumable.  Every other cell loses its entry and is
+    queued.  The manifest is then written, vouching for the oracle tables.
+    Last, the queued cells are executed.  As each finishes, ``run_grid``
+    deletes a ``report.csv`` that summarized the store before, writes the
+    records file, the metrics file aggregated under this run's truth and
+    the cell's whole manifest entry, and writes the manifest again.  An
+    executed cell always completes: a method that fails on a replicate, or
+    a replicate with no drawable cohort, is a flagged record
+    (:func:`run_replicate`).  A store built under another schema version,
+    master seed, oracle seed or oracle size raises
     :class:`StoreMismatchError` before anything is written.
 
-    While cells finish, the manifest is rewritten at most every
-    ``MANIFEST_INTERVAL_S``, and once more when the call stops, on an error
-    or an interrupt too: any error escaping a cell stops the run as an
-    interrupt does, and the cells finished before it stay in the store.  A
-    hard kill skips that last write: the next call recomputes every cell
-    finished since the last one (and, before the first, draws the oracles
-    again), to the same bytes.
+    Any error escaping a cell stops the run as an interrupt does; the
+    manifest already lists every cell stored before it, so the next call,
+    after a hard kill too, computes only the cells still missing.
 
     Returns the names of the cells this call computed, in the order they
     finished; their results are in the store.  A reused cell is not named.
@@ -656,27 +658,6 @@ def run_grid(
     # Built afresh, so a key this code does not write is dropped.
     entries = manifest.get("cells", {})
     manifest = dict(params, **digests, cells=entries)
-    paths = {cfg.name: cell_paths(outdir, cfg.name) for cfg in cells}
-
-    def finish(cfg: CellConfig, records: list[EstimateRecord], computed_now: bool) -> None:
-        truth = truths[_truth_key(cfg)][0]
-        metrics = aggregate_cell(records, truth)
-        records_path, metrics_path = paths[cfg.name].values()
-        # The report summarizes the cells as they were before this one.
-        (outdir / REPORT_NAME).unlink(missing_ok=True)
-        # A healed cell's records already match their digest; they are never rewritten.
-        if computed_now:
-            write_records_csv(records_path, records)
-        write_metrics_csv(metrics_path, metrics)
-        entries[cfg.name] = {
-            "alpha0": intercepts[(cfg.scenario, cfg.prevalence_label)],
-            "complete": True,
-            "methods": list(method_list),
-            "metrics_sha256": _sha256(metrics_path),
-            "n_reps": cfg.n_reps,
-            "records_sha256": _sha256(records_path),
-            "truth": truth,
-        }
 
     computed: list[str] = []
     reused = 0
@@ -687,39 +668,40 @@ def run_grid(
     jobs = []
     for cfg in cells:
         entry = entries.get(cfg.name, {})
-        records_path, metrics_path = paths[cfg.name].values()
         alpha0 = intercepts[(cfg.scenario, cfg.prevalence_label)]
-        same_run = (
-            entry.get("complete")
-            and entry.get("n_reps") == cfg.n_reps
+        if (
+            entry.get("n_reps") == cfg.n_reps
             and entry.get("methods") == list(method_list)
             and _is_float(entry.get("alpha0"), alpha0)
-        )
-        if same_run and digest_matches(records_path, entry.get("records_sha256")):
-            truth = truths[_truth_key(cfg)][0]
-            if not (
-                _is_float(entry.get("truth"), truth) and digest_matches(metrics_path, entry.get("metrics_sha256"))
-            ):
-                finish(cfg, read_records_csv(records_path), computed_now=False)
+            and _is_float(entry.get("truth"), truths[_truth_key(cfg)][0])
+            and cell_intact(outdir, cfg.name, entry)
+        ):
             reused += 1
             say(f"reusing completed cell {cfg.name} {progress()}")
             continue
-        if same_run:
-            say(f"recomputing cell {cfg.name}: its records are missing or fail their digest")
         entries.pop(cfg.name, None)
         jobs.append((cfg, alpha0, method_list))
 
-    written_at = time.monotonic()
-    try:
-        for cfg, records in _execute(jobs, parallelism):
-            finish(cfg, records, computed_now=True)
-            if time.monotonic() - written_at >= MANIFEST_INTERVAL_S:
-                _write_manifest(manifest_path, manifest)
-                written_at = time.monotonic()
-            computed.append(cfg.name)
-            say(f"finished cell {cfg.name} {progress()}")
-    finally:
+    _write_manifest(manifest_path, manifest)
+    for cfg, records in _execute(jobs, parallelism):
+        truth = truths[_truth_key(cfg)][0]
+        records_path, metrics_path = cell_paths(outdir, cfg.name).values()
+        # The report summarizes the cells as they were before this one.
+        (outdir / REPORT_NAME).unlink(missing_ok=True)
+        write_records_csv(records_path, records)
+        write_metrics_csv(metrics_path, aggregate_cell(records, truth))
+        entries[cfg.name] = {
+            "alpha0": intercepts[(cfg.scenario, cfg.prevalence_label)],
+            "complete": True,
+            "methods": list(method_list),
+            "metrics_sha256": _sha256(metrics_path),
+            "n_reps": cfg.n_reps,
+            "records_sha256": _sha256(records_path),
+            "truth": truth,
+        }
         _write_manifest(manifest_path, manifest)
+        computed.append(cfg.name)
+        say(f"finished cell {cfg.name} {progress()}")
     return computed
 
 

@@ -140,7 +140,7 @@ class TestCmdRun:
         # The later --n-reps wins, so the cell is computed again.
         assert main(["run", *SMOKE_FLAGS, "--n-reps", "3", "--output-dir", str(store)]) == EXIT_OK
         assert not (store / "report.csv").exists()
-        # A cell healed from its records drops it too.
+        # A cell computed again for its missing metrics file drops it too.
         assert main(["report", "--store", str(store)]) == EXIT_OK
         (store / "cells" / "s1t1p050_effect_metrics.csv").unlink()
         assert main(["run", *SMOKE_FLAGS, "--n-reps", "3", "--output-dir", str(store)]) == EXIT_OK
@@ -243,34 +243,45 @@ class TestCmdRun:
         assert tree_bytes(store) == pristine
 
     def test_records_with_a_resigned_header_exit_code(self, tmp_path, capsys):
-        # The records file passes its digest, so the run heals the deleted
-        # metrics from it, and stops at its header.
+        # The records file passes its digest, but the deleted metrics file
+        # does not, so the run computes the cell again without reading it.
         store = tmp_path / "store"
         assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_OK
+        pristine = tree_bytes(store)
         records = store / "cells" / "s1t1p050_effect_records.csv"
         records.write_text(records.read_text().replace("p_value", "p", 1))
         resign(store, "s1t1p050_effect", "records")
         (store / "cells" / "s1t1p050_effect_metrics.csv").unlink()
-        capsys.readouterr()
-        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"error: store table {records} has columns" in err
-        assert "Traceback" not in err
+        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_OK
+        assert tree_bytes(store) == pristine
 
     def test_records_with_a_resigned_bad_row_exit_code(self, tmp_path, capsys):
         # As above, but the header stands and one row's replicate is text.
         store = tmp_path / "store"
         assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_OK
+        pristine = tree_bytes(store)
         records = store / "cells" / "s1t1p050_effect_records.csv"
         lines = records.read_text().splitlines()
         lines[1] = lines[1].replace(",0,", ",zero,", 1)
         records.write_text("\n".join(lines) + "\n")
         resign(store, "s1t1p050_effect", "records")
         (store / "cells" / "s1t1p050_effect_metrics.csv").unlink()
+        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_OK
+        assert tree_bytes(store) == pristine
+
+    def test_oracle_table_with_a_resigned_header_exit_code(self, tmp_path, capsys):
+        # run parses an oracle table that passes its digest, and stops at its header.
+        store = tmp_path / "store"
+        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_OK
+        truths = store / "truths.csv"
+        truths.write_text(truths.read_text().replace("oracle_se", "se", 1))
+        manifest = json.loads((store / "manifest.json").read_text())
+        manifest["truths_sha256"] = hashlib.sha256(truths.read_bytes()).hexdigest()
+        (store / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
         assert main(["run", *SMOKE_FLAGS, "--output-dir", str(store)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"error: store table {records} line 2 cannot be read" in err
+        assert f"error: store table {truths} has columns" in err
         assert "Traceback" not in err
 
     def test_store_of_an_older_schema_exit_code(self, tmp_path, capsys):

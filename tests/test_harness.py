@@ -788,14 +788,14 @@ class TestRunGrid:
         monkeypatch.setattr("attbench.harness.run_replicate", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_small_grid(tmp_path)
-        # A short grid writes its manifest once, as it stops.
-        assert writes["_write_manifest"] == 1
+        # Once after the plan, and once as the finished cell is stored.
+        assert writes["_write_manifest"] == 2
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert set(manifest["cells"]) == {"s1t1p050_effect"}
 
     def test_hard_killed_grid_resumes_to_a_fresh_store(self, tmp_path):
-        # A hard kill skips run_grid's `finally`, so the manifest misses every
-        # cell finished since its last write; the resume recomputes them.
+        # Each stored cell is in the manifest before the next one starts, so
+        # a hard kill loses only the cell it stops; the resume computes that one.
         def killed_in_the_second_cell():
             real = harness.run_replicate
 
@@ -811,8 +811,11 @@ class TestRunGrid:
         process.start()
         process.join()
         assert process.exitcode == 9
-        assert (tmp_path / "store" / "cells" / "s1t1p050_effect_records.csv").exists()
-        run_small_grid(tmp_path / "store")
+        manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
+        assert set(manifest["cells"]) == {"s1t1p050_effect"}
+        for name, key in harness.ORACLE_DIGESTS.items():
+            assert manifest[key] == hashlib.sha256((tmp_path / "store" / name).read_bytes()).hexdigest()
+        assert run_small_grid(tmp_path / "store") == ["s1t1p033_effect"]
         run_small_grid(tmp_path / "fresh")
         assert tree_bytes(tmp_path / "store") == tree_bytes(tmp_path / "fresh")
 
@@ -1210,14 +1213,15 @@ def drop_metrics_digests(store: Path) -> None:
     edit_manifest(store, lambda m: [entry.pop("metrics_sha256") for entry in m["cells"].values()])
 
 
-def heals(name: str) -> list[tuple[str, str]]:
-    return [("read_records_csv", name), ("aggregate_cell", "")]
+def recomputes(name: str) -> list[tuple[str, str]]:
+    """The calls of computing cell ``name`` of truth_cells() again."""
+    return [("run_replicate", name)] * 3 + [("aggregate_cell", "")]
 
 
 class TestCellReuse:
-    """A resume reuses a completed cell by its digests alone; a cell whose
-    metrics file or truth disagrees heals from its records, and one drawn
-    under another intercept is recomputed."""
+    """A resume reuses a completed cell whole, by its entry and digests
+    alone, and computes every other cell again: one whose metrics file,
+    truth or intercept disagrees included."""
 
     def test_entry_records_the_metrics_digest(self, tmp_path):
         run_small_grid(tmp_path, cells=truth_cells())
@@ -1229,14 +1233,14 @@ class TestCellReuse:
     @pytest.mark.parametrize(
         "damage, expected",
         [
-            (lambda store: (store / "cells" / f"{DRAWN_CELL}_metrics.csv").unlink(), heals(DRAWN_CELL)),
-            (edit_metrics_csv, heals(DRAWN_CELL)),
-            (edit_cell_entry(DRAWN_CELL, metrics_sha256="0" * 64), heals(DRAWN_CELL)),
-            (edit_cell_entry(DRAWN_CELL, truth=0.5), heals(DRAWN_CELL)),
-            (edit_cell_entry("s1t1p033_effect", truth=1), heals("s1t1p033_effect")),
-            (drop_metrics_digests, [call for cfg in truth_cells() for call in heals(cfg.name)]),
-            (edit_cell_entry(DRAWN_CELL, alpha0=0.25), [("run_replicate", DRAWN_CELL)] * 3 + [("aggregate_cell", "")]),
-            (edit_cell_entry(DRAWN_CELL, alpha0="-0.07"), [("run_replicate", DRAWN_CELL)] * 3 + [("aggregate_cell", "")]),
+            (lambda store: (store / "cells" / f"{DRAWN_CELL}_metrics.csv").unlink(), recomputes(DRAWN_CELL)),
+            (edit_metrics_csv, recomputes(DRAWN_CELL)),
+            (edit_cell_entry(DRAWN_CELL, metrics_sha256="0" * 64), recomputes(DRAWN_CELL)),
+            (edit_cell_entry(DRAWN_CELL, truth=0.5), recomputes(DRAWN_CELL)),
+            (edit_cell_entry("s1t1p033_effect", truth=1), recomputes("s1t1p033_effect")),
+            (drop_metrics_digests, [call for cfg in truth_cells() for call in recomputes(cfg.name)]),
+            (edit_cell_entry(DRAWN_CELL, alpha0=0.25), recomputes(DRAWN_CELL)),
+            (edit_cell_entry(DRAWN_CELL, alpha0="-0.07"), recomputes(DRAWN_CELL)),
         ],
         ids=[
             "metrics-deleted", "metrics-edited", "metrics-digest-edited", "truth-edited", "truth-an-int",
@@ -1255,16 +1259,16 @@ class TestCellReuse:
         recomputed = {cell for call, cell in expected if call == "run_replicate"}
         assert sum(line.startswith("reusing completed cell") for line in lines) == 3 - len(recomputed)
 
-    def test_older_entry_keeps_its_truth_se_until_it_heals(self, tmp_path, monkeypatch):
+    def test_older_entry_keeps_its_truth_se_until_it_is_recomputed(self, tmp_path, monkeypatch):
         # Older stores wrote each truth's oracle SE into its cells' entries
-        # as well; nothing reads it, so only a heal or a recomputation drops it.
+        # as well; nothing reads it, so only a recomputation drops it.
         run_small_grid(tmp_path / "fresh", cells=truth_cells())
         run_small_grid(tmp_path / "store", cells=truth_cells())
         edit_manifest(tmp_path / "store", lambda m: [e.update(truth_oracle_se=0.5) for e in m["cells"].values()])
         edit_metrics_csv(tmp_path / "store")
         calls = reuse_calls(monkeypatch)
-        assert run_small_grid(tmp_path / "store", cells=truth_cells()) == []
-        assert calls == heals(DRAWN_CELL)
+        assert run_small_grid(tmp_path / "store", cells=truth_cells()) == [DRAWN_CELL]
+        assert calls == recomputes(DRAWN_CELL)
         store, fresh = tree_bytes(tmp_path / "store"), tree_bytes(tmp_path / "fresh")
         expected = json.loads(fresh.pop("manifest.json"))
         for name, entry in expected["cells"].items():
@@ -1272,28 +1276,3 @@ class TestCellReuse:
                 entry["truth_oracle_se"] = 0.5
         assert json.loads(store.pop("manifest.json")) == expected
         assert store == fresh
-
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            edit_metrics_csv,
-            edit_cell_entry(DRAWN_CELL, truth=0.5, stale="a key no run writes"),
-            lambda store: edit_manifest(store, lambda m: m["cells"][DRAWN_CELL].pop("metrics_sha256")),
-        ],
-        ids=["metrics-edited", "truth-edited-with-a-stale-key", "no-metrics-digest"],
-    )
-    def test_heal_rewrites_the_metrics_file_and_the_whole_entry_only(self, tmp_path, damage):
-        run_small_grid(tmp_path, cells=truth_cells())
-        fresh = json.loads((tmp_path / "manifest.json").read_text())["cells"]
-        records = tmp_path / "cells" / f"{DRAWN_CELL}_records.csv"
-        # An old timestamp, so a rewrite shows whatever the file system's clock resolution.
-        os.utime(records, ns=(10**18, 10**18))
-        before = records.read_bytes()
-        damage(tmp_path)
-        run_small_grid(tmp_path, cells=truth_cells())
-        assert records.read_bytes() == before
-        assert records.stat().st_mtime_ns == 10**18
-        healed = json.loads((tmp_path / "manifest.json").read_text())["cells"]
-        computed_keys = fresh["s1t1p033_effect"].keys()
-        assert healed[DRAWN_CELL].keys() == computed_keys
-        assert healed == fresh
