@@ -5,21 +5,24 @@ store, ``ps-hist`` summarizes the true propensity distribution of a
 scenario, and ``report`` joins the metrics files ``run`` wrote into one
 table merging effect and null cells.
 
-Each parameter has one source, its flag, and each default is stated once:
-an omitted list flag means the design's whole list, and every other
-default is the parser's.  Every list a command takes, ``ps-hist``'s
+Each parameter has one source, its flag, and each default is stated once,
+at the flag: an omitted list flag means the design's whole list, and an
+omitted (or empty) store directory flag means ``attbench-out``.  Each
+flag's rule is its argparse ``type``, built by :func:`_design_subset` or
+:func:`_int_range`, so a bad value ends the command while its command line
+is parsed, before anything is written, with argparse's usage line and exit
+2.  Every list a command takes, ``ps-hist``'s one scenario and prevalence
 included, follows one rule: a non-empty subset of the design, each value
-once.  Every command finds its store directory by one rule too: its flag,
-else ``ATTBENCH_OUTPUT_DIR`` when set and non-empty, else
-``attbench-out``.
-Exit codes: 0 on success, 2 for configuration problems (a store built
-under other parameters, a store file that cannot be read or written, a
-store table that passes its digest but cannot be parsed, and a size this
-host cannot allocate, included).  ``report`` also exits 2 on a cell whose
-records or metrics fail their digest; ``run`` computes such a cell
-again, and parses no cell file.  No estimation error stops a command: a
-method's failure on a replicate is a flagged record, and the intercept
-calibration raises none.
+once.
+Exit codes: 0 on success, 2 for configuration problems (a bad flag value,
+a store built under other parameters, a store file that cannot be read or
+written, a store table that passes its digest but cannot be parsed, and a
+size this host cannot allocate, included), and 130 on an interrupt
+(Ctrl-C), after which the same command resumes from the cells it finished.
+``report`` also exits 2 on a cell whose records or metrics fail their
+digest; ``run`` computes such a cell again, and parses no cell file.  No
+estimation error stops a command: a method's failure on a replicate is a
+flagged record, and the intercept calibration raises none.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -67,7 +69,7 @@ from .propensity import TRIM_DELTA
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-OUTPUT_DIR_ENV = "ATTBENCH_OUTPUT_DIR"
+EXIT_INTERRUPTED = 130
 DEFAULT_OUTPUT_DIR = "attbench-out"
 # The largest size a command takes.  One numpy array holds at most this many
 # units of three float64 covariates, as ps-hist draws them; past it numpy
@@ -86,68 +88,58 @@ DESIGN_LISTS = {
 
 
 class ConfigError(Exception):
-    """Bad flag values."""
+    """A store ``report`` cannot summarize."""
 
 
-def _validate_oracle_args(seeds: dict[str, int], sizes: dict[str, int]) -> None:
-    for name, seed in seeds.items():
-        if not 0 <= seed < 2**32:
-            raise ConfigError(f"{name} must lie in [0, 2**32)")
-    if not all(1000 <= size <= MAX_SIZE for size in sizes.values()):
-        raise ConfigError(f"oracle sample sizes must lie in [1000, {MAX_SIZE}]")
-
-
-def _store_dir(chosen: str | None) -> str:
-    """The store directory of every command: ``chosen`` (its flag), else
-    ``$ATTBENCH_OUTPUT_DIR``, else ``attbench-out``.  An empty value counts
-    as unset."""
-    return chosen or os.environ.get(OUTPUT_DIR_ENV) or DEFAULT_OUTPUT_DIR
-
-
-def _output_dir(chosen: str | None) -> Path:
-    """The :func:`_store_dir` of ``chosen``, created as a directory, or :class:`ConfigError`."""
-    outdir = Path(_store_dir(chosen))
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {outdir}: {exc}") from exc
-    return outdir
-
-
-def _subset(name: str, values) -> tuple:
-    """``values`` as a non-empty subset of ``DESIGN_LISTS[name]``, each value
-    once, or :class:`ConfigError`; ``None`` means the whole list.  A
-    prevalence may be given as any value that names a label."""
+def _design_subset(name: str, one: bool = False):
+    """An argparse type: a comma list of ``DESIGN_LISTS[name]`` values, a
+    non-empty subset of the design with each value once, as a tuple; with
+    ``one``, a single value, not split.  A prevalence may be given as any
+    value that names a label."""
     design = DESIGN_LISTS[name]
-    if values is None:
-        return design
-    try:
-        values = tuple(prevalence_label_for(v) for v in values) if name == "prevalences" else tuple(values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if not values or set(values) - set(design):
-        raise ConfigError(f"{name} must be a non-empty subset of {list(design)}")
-    repeated = sorted({v for v in values if values.count(v) > 1})
-    if repeated:
-        raise ConfigError(f"{name} repeat {repeated}; list each value once")
-    return values
+    convert = prevalence_label_for if name == "prevalences" else type(design[0])
+    rule = f"{name} must be a non-empty subset of {list(design)}"
+
+    def parse(text: str):
+        parts = [text] if one else [part.strip() for part in text.split(",") if part.strip()]
+        try:
+            values = tuple(map(convert, parts))
+        except ValueError as exc:
+            # A prevalence's message names the design; a non-integer breaks the rule.
+            raise argparse.ArgumentTypeError(str(exc) if name == "prevalences" else rule) from None
+        if not values or set(values) - set(design):
+            raise argparse.ArgumentTypeError(rule)
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise argparse.ArgumentTypeError(f"{name} repeat {repeated}; list each value once")
+        return values[0] if one else values
+
+    return parse
 
 
-def _validate_run_config(args: argparse.Namespace) -> argparse.Namespace:
-    """``run``'s parsed flags, checked, with each list made a design subset
-    by :func:`_subset` and the store directory found by :func:`_store_dir`."""
-    for name in DESIGN_LISTS:
-        setattr(args, name, _subset(name, getattr(args, name)))
-    if not 2 <= args.n_reps <= MAX_REPLICATES:
-        raise ConfigError(f"n_reps must lie in [2, {MAX_REPLICATES}]")
-    if args.parallelism < 1:
-        raise ConfigError("parallelism must be at least 1")
-    _validate_oracle_args(
-        {"master_seed": args.master_seed, "oracle_seed": args.oracle_seed},
-        {"calibration_n": args.calibration_n, "truth_n": args.truth_n},
-    )
-    args.output_dir = _store_dir(args.output_dir)
-    return args
+def _int_range(lo: int, hi: float = math.inf):
+    """An argparse type: an integer in ``[lo, hi]``."""
+    rule = f"must lie in [{lo}, {hi}]" if hi < math.inf else f"must be at least {lo}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(rule)
+        return value
+
+    return parse
+
+
+SEED = _int_range(0, 2**32 - 1)
+ORACLE_SIZE = _int_range(1000, MAX_SIZE)
+
+
+def _directory(text: str) -> str:
+    """An argparse type: a store directory, empty meaning the default."""
+    return text or DEFAULT_OUTPUT_DIR
 
 
 def build_cells(lists, n_reps: int, master_seed: int) -> list[CellConfig]:
@@ -159,25 +151,16 @@ def build_cells(lists, n_reps: int, master_seed: int) -> list[CellConfig]:
     ]
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part)
-
-
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    args = _validate_run_config(args)
     cells = build_cells(vars(args), args.n_reps, args.master_seed)
     try:
         run_grid(
             cells,
-            _output_dir(args.output_dir),
+            args.output_dir,
             parallelism=args.parallelism,
             oracle_seed=args.oracle_seed,
             calibration_n=args.calibration_n,
@@ -197,12 +180,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_ps_hist(args: argparse.Namespace) -> int:
-    _subset("scenarios", [args.scenario])
-    (label,) = _subset("prevalences", [args.prevalence])
-    if not (2 <= args.bins <= MAX_SIZE and 100 <= args.n <= MAX_SIZE):
-        raise ConfigError(f"need 2 to {MAX_SIZE} bins and 100 to {MAX_SIZE} draws")
-    _validate_oracle_args({"oracle_seed": args.oracle_seed}, {"oracle_n": args.oracle_n})
-    outdir = _output_dir(args.output_dir)
+    outdir, label = Path(args.output_dir), args.prevalence
+    outdir.mkdir(parents=True, exist_ok=True)
     pair = (args.scenario, label)
     alpha0 = oracle_intercepts([pair], args.oracle_seed, args.oracle_n)[pair]
     draw_rng = oracle_stream(args.oracle_seed, args.scenario, label, PURPOSE_PS_HIST)
@@ -262,7 +241,7 @@ def _report_rows(store: Path) -> list[tuple]:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    store = Path(_store_dir(args.store))
+    store = Path(args.store)
     rows = _report_rows(store)
     path = store / REPORT_NAME
     write_csv(path, REPORT_COLUMNS, rows)
@@ -285,40 +264,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a simulation grid into a result store")
-    run.add_argument("--scenarios", type=_int_list, default=None, help="e.g. 1,2,3")
-    run.add_argument("--settings", type=_int_list, default=None, help="e.g. 1,2,3")
-    run.add_argument("--prevalences", type=_str_list, default=None, help="e.g. 0.05,0.20")
-    run.add_argument("--arms", type=_str_list, default=None, help="subset of effect,null")
-    run.add_argument("--methods", type=_str_list, default=None, help=f"subset of {','.join(METHODS)}")
-    run.add_argument("--n-reps", dest="n_reps", type=int, default=200)
-    run.add_argument("--master-seed", dest="master_seed", type=int, default=42)
-    run.add_argument("--oracle-seed", dest="oracle_seed", type=int, default=DEFAULT_ORACLE_SEED)
-    run.add_argument("--calibration-n", dest="calibration_n", type=int, default=DEFAULT_CALIBRATION_N)
-    run.add_argument("--truth-n", dest="truth_n", type=int, default=DEFAULT_TRUTH_N)
-    run.add_argument("--parallelism", type=int, default=1)
-    run.add_argument("--output-dir", dest="output_dir", default=None)
+    for name, design in DESIGN_LISTS.items():
+        values = ",".join(map(str, design))
+        run.add_argument(f"--{name}", type=_design_subset(name), default=design, help=f"subset of {values} (all)")
+    run.add_argument("--n-reps", type=_int_range(2, MAX_REPLICATES), default=200)
+    run.add_argument("--master-seed", type=SEED, default=42)
+    run.add_argument("--oracle-seed", type=SEED, default=DEFAULT_ORACLE_SEED)
+    run.add_argument("--calibration-n", type=ORACLE_SIZE, default=DEFAULT_CALIBRATION_N)
+    run.add_argument("--truth-n", type=ORACLE_SIZE, default=DEFAULT_TRUTH_N)
+    run.add_argument("--parallelism", type=_int_range(1), default=1)
+    run.add_argument("--output-dir", type=_directory, default=DEFAULT_OUTPUT_DIR)
     run.add_argument("--quiet", action="store_true")
     run.set_defaults(func=cmd_run)
 
     ps_hist = sub.add_parser("ps-hist", help="histogram the true propensity distribution")
-    ps_hist.add_argument("--scenario", type=int, required=True)
-    ps_hist.add_argument("--prevalence", default="0.20")
-    ps_hist.add_argument("--n", type=int, default=100_000)
-    ps_hist.add_argument("--bins", type=int, default=20)
-    ps_hist.add_argument("--oracle-seed", dest="oracle_seed", type=int, default=DEFAULT_ORACLE_SEED)
-    ps_hist.add_argument("--oracle-n", dest="oracle_n", type=int, default=DEFAULT_CALIBRATION_N)
-    ps_hist.add_argument("--output-dir", dest="output_dir", default=None)
+    ps_hist.add_argument("--scenario", type=_design_subset("scenarios", one=True), required=True)
+    ps_hist.add_argument("--prevalence", type=_design_subset("prevalences", one=True), default="0.20")
+    ps_hist.add_argument("--n", type=_int_range(100, MAX_SIZE), default=100_000)
+    ps_hist.add_argument("--bins", type=_int_range(2, MAX_SIZE), default=20)
+    ps_hist.add_argument("--oracle-seed", type=SEED, default=DEFAULT_ORACLE_SEED)
+    ps_hist.add_argument("--oracle-n", type=ORACLE_SIZE, default=DEFAULT_CALIBRATION_N)
+    ps_hist.add_argument("--output-dir", type=_directory, default=DEFAULT_OUTPUT_DIR)
     ps_hist.set_defaults(func=cmd_ps_hist)
 
     report = sub.add_parser("report", help="summarize a result store")
-    report.add_argument("--store", default=None, help="result store directory")
+    report.add_argument("--store", type=_directory, default=DEFAULT_OUTPUT_DIR, help="result store directory")
     report.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     # An OSError is a file the command could not open, such as a store file
@@ -327,6 +303,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, CorruptManifestError, OSError, MemoryError) as exc:
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_CONFIG
+    # run_grid lists each cell in the manifest once it is stored.
+    except KeyboardInterrupt:
+        print("interrupted: the finished cells are kept; rerun the same command to resume", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -13,10 +13,9 @@ from attbench.cli import (
     DEFAULT_OUTPUT_DIR,
     DESIGN_LISTS,
     EXIT_CONFIG,
+    EXIT_INTERRUPTED,
     EXIT_OK,
-    OUTPUT_DIR_ENV,
-    ConfigError,
-    _validate_run_config,
+    MAX_SIZE,
     build_cells,
     build_parser,
     main,
@@ -25,18 +24,93 @@ from attbench.dgp import PREVALENCE_LABELS
 from attbench.harness import aggregate_cell, read_records_csv
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
-
-
 def parse_run(*flags):
     return build_parser().parse_args(["run", *flags])
 
 
+@pytest.fixture
+def rejected(tmp_path, monkeypatch, capsys):
+    """``rejected(argv)`` runs ``main(argv)`` in the empty ``tmp_path``,
+    checks that it exits 2 while its command line is parsed, with no
+    traceback and nothing written, and returns its stderr."""
+    monkeypatch.chdir(tmp_path)
+
+    def check(argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+        return err
+
+    return check
+
+
+def subset_rule(name):
+    return f"{name} must be a non-empty subset of {list(DESIGN_LISTS[name])}"
+
+
+def repeat_rule(name, repeated):
+    return f"{name} repeat {repeated}; list each value once"
+
+
+def prevalence_rule(text):
+    return f"prevalence {text} is not in the design: {PREVALENCE_LABELS}"
+
+
+SEED_RULE = "must lie in [0, 4294967295]"
+ORACLE_SIZE_RULE = f"must lie in [1000, {MAX_SIZE}]"
+PS_HIST = ("ps-hist", "--scenario", "1")
+# Each row: a command, a flag, a value that breaks the flag's rule, and the
+# rule's text.  Every flag of run and ps-hist that takes a value, the
+# directory flags aside, has a row.
+FLAG_RULES = [
+    (("run",), "--scenarios", "4", subset_rule("scenarios")),
+    (("run",), "--settings", "0", subset_rule("settings")),
+    (("run",), "--prevalences", "0.17", prevalence_rule("0.17")),
+    (("run",), "--arms", "effect,placebo", subset_rule("arms")),
+    (("run",), "--methods", "OLS", subset_rule("methods")),
+    (("run",), "--n-reps", "1", "must lie in [2, 65536]"),
+    (("run",), "--parallelism", "0", "must be at least 1"),
+    (("run",), "--master-seed", "-1", SEED_RULE),
+    (("run",), "--truth-n", "10", ORACLE_SIZE_RULE),
+    (("run",), "--n-reps", "65537", "must lie in [2, 65536]"),
+    (("run",), "--methods", "PSM,PSM", repeat_rule("methods", ["PSM"])),
+    (("run",), "--prevalences", "0.5,0.50", repeat_rule("prevalences", ["0.50"])),
+    (("run",), "--arms", "effect,effect", repeat_rule("arms", ["effect"])),
+    (("run",), "--scenarios", "1,1", repeat_rule("scenarios", [1])),
+    (("run",), "--settings", "1,1", repeat_rule("settings", [1])),
+    (("run",), "--scenarios", "one", subset_rule("scenarios")),
+    (("run",), "--settings", "", subset_rule("settings")),
+    (("run",), "--arms", "", subset_rule("arms")),
+    (("run",), "--methods", ",", subset_rule("methods")),
+    (("run",), "--n-reps", "abc", "invalid int value: 'abc'"),
+    (("run",), "--master-seed", str(2**32), SEED_RULE),
+    (("run",), "--oracle-seed", "-1", SEED_RULE),
+    (("run",), "--oracle-seed", str(2**32), SEED_RULE),
+    (("run",), "--calibration-n", "999", ORACLE_SIZE_RULE),
+    (("run",), "--calibration-n", str(2**62), ORACLE_SIZE_RULE),
+    (("run",), "--truth-n", str(2**62), ORACLE_SIZE_RULE),
+    (("run",), "--parallelism", "two", "invalid int value: 'two'"),
+    (("ps-hist",), "--scenario", "5", subset_rule("scenarios")),
+    (("ps-hist",), "--scenario", "1,2", subset_rule("scenarios")),
+    (PS_HIST, "--prevalence", "0.17", prevalence_rule("0.17")),
+    (PS_HIST, "--prevalence", "0.20,0.50", prevalence_rule("'0.20,0.50'")),
+    (PS_HIST, "--n", "99", f"must lie in [100, {MAX_SIZE}]"),
+    (PS_HIST, "--n", str(2**62), f"must lie in [100, {MAX_SIZE}]"),
+    (PS_HIST, "--bins", "1", f"must lie in [2, {MAX_SIZE}]"),
+    (PS_HIST, "--bins", str(2**62), f"must lie in [2, {MAX_SIZE}]"),
+    (PS_HIST, "--oracle-seed", "-1", SEED_RULE),
+    (PS_HIST, "--oracle-seed", str(2**32), SEED_RULE),
+    (PS_HIST, "--oracle-n", "10", ORACLE_SIZE_RULE),
+    (PS_HIST, "--oracle-n", str(2**62), ORACLE_SIZE_RULE),
+]
+
+
 class TestConfigLayering:
     def test_defaults_give_full_design(self):
-        args = _validate_run_config(parse_run())
+        args = parse_run()
         assert {name: getattr(args, name) for name in DESIGN_LISTS} == DESIGN_LISTS
         assert (args.n_reps, args.master_seed, args.parallelism) == (200, 42, 1)
         cells = build_cells(vars(args), args.n_reps, args.master_seed)
@@ -45,45 +119,35 @@ class TestConfigLayering:
         assert sum(c.null_effect for c in cells) == 45
 
     def test_subset_flags(self):
-        args = _validate_run_config(
-            parse_run("--scenarios", "2", "--settings", "1,3", "--prevalences", "0.20", "--arms", "effect")
-        )
+        args = parse_run("--scenarios", "2", "--settings", "1,3", "--prevalences", "0.20", "--arms", "effect")
         cells = build_cells(vars(args), args.n_reps, args.master_seed)
         assert [c.name for c in cells] == ["s2t1p020_effect", "s2t3p020_effect"]
 
-    def test_output_dir_precedence(self, monkeypatch):
-        assert _validate_run_config(parse_run()).output_dir == "attbench-out"
-        monkeypatch.setenv(OUTPUT_DIR_ENV, "from-env")
-        assert _validate_run_config(parse_run()).output_dir == "from-env"
-        assert _validate_run_config(parse_run("--output-dir", "from-flag")).output_dir == "from-flag"
+    def test_output_dir_precedence(self):
+        # The flag, else the default; an empty flag means the default.
+        assert parse_run().output_dir == "attbench-out"
+        assert parse_run("--output-dir", "").output_dir == "attbench-out"
+        assert parse_run("--output-dir", "from-flag").output_dir == "from-flag"
 
     def test_prevalence_values_normalize_to_labels(self):
-        args = _validate_run_config(parse_run("--prevalences", "0.3333333333333333,0.05"))
+        args = parse_run("--prevalences", "0.3333333333333333,0.05")
         assert args.prevalences == ("0.33", "0.05")
+        assert parse_run("--prevalences", "0.3333333333333333").prevalences == ("0.33",)
 
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ("--scenarios", "4"),
-            ("--settings", "0"),
-            ("--prevalences", "0.17"),
-            ("--arms", "effect,placebo"),
-            ("--methods", "OLS"),
-            ("--n-reps", "1"),
-            ("--parallelism", "0"),
-            ("--master-seed", "-1"),
-            ("--truth-n", "10"),
-            ("--n-reps", "65537"),
-            ("--methods", "PSM,PSM"),
-            ("--prevalences", "0.5,0.50"),
-            ("--arms", "effect,effect"),
-            ("--scenarios", "1,1"),
-            ("--settings", "1,1"),
-        ],
-    )
-    def test_invalid_values_rejected(self, flags):
-        with pytest.raises(ConfigError):
-            _validate_run_config(parse_run(*flags))
+    def test_range_ends_are_accepted(self):
+        assert [parse_run("--n-reps", n).n_reps for n in ("2", "65536")] == [2, 65536]
+        args = parse_run("--master-seed", str(2**32 - 1), "--oracle-seed", "0", "--calibration-n", "1000",
+                         "--truth-n", str(MAX_SIZE), "--methods", " IPW , LR ", "--scenarios", "3,,1")
+        assert (args.master_seed, args.oracle_seed, args.calibration_n, args.truth_n) == (2**32 - 1, 0, 1000, MAX_SIZE)
+        assert (args.methods, args.scenarios) == (("IPW", "LR"), (3, 1))
+        args = build_parser().parse_args(["ps-hist", "--scenario", "3", "--prevalence", "0.5", "--bins", "2",
+                                          "--n", "100", "--oracle-seed", str(2**32 - 1), "--oracle-n", "1000"])
+        assert (args.scenario, args.prevalence, args.bins, args.n, args.oracle_seed) == (3, "0.50", 2, 100, 2**32 - 1)
+
+    @pytest.mark.parametrize("flags", FLAG_RULES)
+    def test_invalid_values_rejected(self, rejected, flags):
+        command, flag, value, rule = flags
+        assert rejected([*command, flag, value]).endswith(f"error: argument {flag}: {rule}\n")
 
 
 SMOKE_FLAGS = (
@@ -107,18 +171,6 @@ class TestCmdRun:
         assert set(manifest["cells"]) == {"s1t1p050_effect"}
         assert all(entry["methods"] == ["LR", "IPW"] for entry in manifest["cells"].values())
         assert "store written" in capsys.readouterr().err
-
-    def test_output_dir_from_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "env-store"))
-        assert main(["run", *SMOKE_FLAGS]) == EXIT_OK
-        assert (tmp_path / "env-store" / "manifest.json").exists()
-
-    def test_empty_output_dir_variable_means_the_default_for_run_and_report(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv(OUTPUT_DIR_ENV, "")
-        assert main(["run", *SMOKE_FLAGS]) == EXIT_OK
-        assert main(["report"]) == EXIT_OK
-        assert (tmp_path / DEFAULT_OUTPUT_DIR / "report.csv").exists()
 
     def test_reordered_methods_resume_the_store(self, tmp_path, capsys):
         store = tmp_path / "store"
@@ -146,15 +198,25 @@ class TestCmdRun:
         assert main(["run", *SMOKE_FLAGS, "--n-reps", "3", "--output-dir", str(store)]) == EXIT_OK
         assert not (store / "report.csv").exists()
 
-    def test_config_error_exit_code(self, capsys):
-        assert main(["run", "--scenarios", "8"]) == EXIT_CONFIG
-        assert "error:" in capsys.readouterr().err
+    def test_config_error_exit_code(self, rejected):
+        # argparse's usage line, then one error line.
+        err = rejected(["run", "--scenarios", "8"])
+        assert err.startswith("usage: attbench run [-h]")
+        assert err.splitlines()[-1] == f"attbench run: error: argument --scenarios: {subset_rule('scenarios')}"
 
-    def test_repeated_grid_value_exit_code(self, tmp_path, capsys):
-        store = tmp_path / "store"
-        assert main(["run", *SMOKE_FLAGS, "--methods", "PSM,PSM", "--output-dir", str(store)]) == EXIT_CONFIG
-        assert "methods repeat ['PSM']" in capsys.readouterr().err
-        assert not store.exists()
+    def test_repeated_grid_value_exit_code(self, rejected):
+        # A later flag wins, and its bad value stops the run before its store exists.
+        err = rejected(["run", *SMOKE_FLAGS, "--methods", "PSM,PSM", "--output-dir", "store"])
+        assert err.endswith("error: argument --methods: methods repeat ['PSM']; list each value once\n")
+
+    def test_interrupt_exit_code(self, tmp_path, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_grid", interrupted)
+        assert main(["run", *SMOKE_FLAGS, "--output-dir", str(tmp_path)]) == EXIT_INTERRUPTED
+        err = capsys.readouterr().err
+        assert err == "interrupted: the finished cells are kept; rerun the same command to resume\n"
 
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit):
@@ -195,12 +257,9 @@ class TestCmdRun:
         ids=["empty-scenarios", "repeated-scenarios", "unknown-scenario",
              "empty-prevalences", "repeated-prevalences", "unknown-prevalence", "malformed-prevalence"],
     )
-    def test_bad_list_exit_code_and_message(self, tmp_path, monkeypatch, capsys, flag, value, message):
+    def test_bad_list_exit_code_and_message(self, rejected, flag, value, message):
         # ps-hist answers its bad values with these messages too (TestCmdPsHist).
-        monkeypatch.chdir(tmp_path)
-        assert main(["run", flag, value]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert list(tmp_path.iterdir()) == []
+        assert rejected(["run", flag, value]).endswith(f"error: argument {flag}: {message}\n")
 
     @pytest.mark.parametrize(
         "flag, value, words",
@@ -337,19 +396,17 @@ def test_output_dir_naming_a_file_exit_code(tmp_path, capsys, command):
     taken.write_text("a file\n")
     assert main([*WRITING_COMMANDS[command], "--output-dir", str(taken)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"error: cannot create output directory {taken}" in err
+    assert err.startswith("error: ") and str(taken) in err
     assert "Traceback" not in err
     assert taken.read_text() == "a file\n"
 
 
-@pytest.mark.parametrize("source", ["flag", "environment", "default"])
+@pytest.mark.parametrize("source", ["flag", "default"])
 def test_every_command_finds_the_same_store_directory(tmp_path, monkeypatch, source):
-    # The flag beats the variable, which beats the default; each command
-    # writes into the one directory, and none other appears.
+    # The flag, else the default; each command writes into the one
+    # directory, and none other appears.
     monkeypatch.chdir(tmp_path)
-    if source != "default":
-        monkeypatch.setenv(OUTPUT_DIR_ENV, "from-env")
-    expected = {"flag": "from-flag", "environment": "from-env", "default": DEFAULT_OUTPUT_DIR}[source]
+    expected = {"flag": "from-flag", "default": DEFAULT_OUTPUT_DIR}[source]
     flag = ["--output-dir", "from-flag"] if source == "flag" else []
     commands = [
         ([*WRITING_COMMANDS["ps-hist"], *flag], "ps_hist_s1_p020.csv"),
@@ -391,15 +448,23 @@ SIZE_FLAGS = {
 }
 
 
+def exit_code(argv) -> int:
+    """``main(argv)``'s exit code, argparse's exit included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 # Both sizes lie past the address space, so no host can try to fill them:
 # numpy can represent an array of 2**45 float64 values but not allocate it
-# (MemoryError), and cannot represent one of 2**62 (the size check refuses it).
+# (MemoryError), and cannot represent one of 2**62 (the parser refuses it).
 @pytest.mark.parametrize("size", [2**45, 2**62], ids=["2**45", "2**62"])
 @pytest.mark.parametrize("flag", SIZE_FLAGS)
 def test_oversized_size_exit_code(tmp_path, capsys, flag, size):
-    assert main([*SIZE_FLAGS[flag], str(size), "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert exit_code([*SIZE_FLAGS[flag], str(size), "--output-dir", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert "error: " in err.splitlines()[-1]
     assert "Traceback" not in err
 
 
@@ -458,26 +523,22 @@ class TestCmdPsHist:
         ],
         ids=["unknown-scenario", "unknown-prevalence", "malformed-prevalence"],
     )
-    def test_bad_value_exit_code_and_message_are_runs(self, tmp_path, monkeypatch, capsys, run_flags, hist_flags):
-        monkeypatch.chdir(tmp_path)
-        assert main(["run", *run_flags]) == EXIT_CONFIG
-        message = capsys.readouterr().err
-        assert main(["ps-hist", *hist_flags, "--oracle-n", "1000"]) == EXIT_CONFIG
-        assert capsys.readouterr().err == message
-        assert message.startswith("error: ") and list(tmp_path.iterdir()) == []
+    def test_bad_value_exit_code_and_message_are_runs(self, rejected, run_flags, hist_flags):
+        # The same rule text after each command's own flag name.
+        def rule(err):
+            return err.splitlines()[-1].split(": ", 3)[3]
+
+        assert rule(rejected(["ps-hist", *hist_flags, "--oracle-n", "1000"])) == rule(rejected(["run", *run_flags]))
 
     @pytest.mark.parametrize("value", ["abc", ""], ids=["malformed", "empty"])
-    def test_malformed_prevalence_names_the_design(self, tmp_path, monkeypatch, capsys, value):
-        # The empty string reaches the parser only through ps-hist: run's
-        # flag drops empty list items.
-        message = f"error: prevalence {value!r} is not in the design: {PREVALENCE_LABELS}\n"
-        monkeypatch.chdir(tmp_path)
+    def test_malformed_prevalence_names_the_design(self, rejected, value):
+        # The empty string reaches the prevalence rule only through ps-hist:
+        # run's flag drops empty list items.
+        message = f"prevalence {value!r} is not in the design: {PREVALENCE_LABELS}\n"
         if value:
-            assert main(["run", "--prevalences", value]) == EXIT_CONFIG
-            assert capsys.readouterr().err == message
-        assert main(["ps-hist", "--scenario", "1", "--prevalence", value, "--oracle-n", "1000"]) == EXIT_CONFIG
-        assert capsys.readouterr().err == message
-        assert list(tmp_path.iterdir()) == []
+            assert rejected(["run", "--prevalences", value]).endswith(f"error: argument --prevalences: {message}")
+        err = rejected(["ps-hist", "--scenario", "1", "--prevalence", value, "--oracle-n", "1000"])
+        assert err.endswith(f"error: argument --prevalence: {message}")
 
     def test_ps_hist_and_run_agree_on_intercepts(self, tmp_path, capsys):
         assert main(["ps-hist", "--scenario", "1", "--prevalence", "0.50", "--n", "1000", "--oracle-seed", "7",
@@ -489,12 +550,16 @@ class TestCmdPsHist:
         assert row.startswith("1,0.50,7,100000,")
         assert f"alpha0 {float(row.split(',')[4]):.6f}" in hist_out
 
-    def test_bad_arguments_exit_code(self, capsys):
-        assert main(["ps-hist", "--scenario", "5"]) == EXIT_CONFIG
-        assert main(["ps-hist", "--scenario", "1", "--bins", "1"]) == EXIT_CONFIG
-        assert main(["ps-hist", "--scenario", "1", "--oracle-seed", "-1"]) == EXIT_CONFIG
-        assert main(["ps-hist", "--scenario", "1", "--oracle-n", "10"]) == EXIT_CONFIG
-        capsys.readouterr()
+    def test_bad_arguments_exit_code(self, rejected, monkeypatch):
+        # Each is refused before the intercept is calibrated.
+        def calibrated(*args, **kwargs):
+            raise AssertionError("ps-hist calibrated an intercept")
+
+        monkeypatch.setattr(cli, "oracle_intercepts", calibrated)
+        rejected(["ps-hist", "--scenario", "5"])
+        rejected(["ps-hist", "--scenario", "1", "--bins", "1"])
+        rejected(["ps-hist", "--scenario", "1", "--oracle-seed", "-1"])
+        rejected(["ps-hist", "--scenario", "1", "--oracle-n", "10"])
 
 
 REPORT_COLUMNS = (
